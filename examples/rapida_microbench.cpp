@@ -240,11 +240,11 @@ BenchResult BenchBatchTokenize(size_t rows, int repeat) {
     }
     values[i] = std::move(v);
   }
-  std::vector<rapida::mr::Record> records(rows);
+  rapida::mr::RecordBatch records;
+  for (size_t i = 0; i < rows; ++i) records.Add("", values[i]);
   std::vector<rapida::mr::TaggedRecord> tagged(rows);
   for (size_t i = 0; i < rows; ++i) {
-    records[i] = rapida::mr::MakeRecord("", values[i]);
-    tagged[i] = rapida::mr::TaggedRecord{&records[i], 0};
+    tagged[i] = rapida::mr::TaggedRecord{&records.records[i], 0};
   }
 
   uint64_t scalar_sum = 0, batch_sum = 0;

@@ -16,12 +16,14 @@
 # committed files byte-for-byte, a perf smoke that replays
 # Fig. 8(a) and Fig. 8(b) at 8 threads and diffs their deterministic
 # per-query aggregates against committed goldens, an AddressSanitizer run
-# of the fuzz smoke and the EXPLAIN goldens, and a ThreadSanitizer build
-# running the concurrency-sensitive suites (the parallel MapReduce
-# runtime — including the ValueSpan reduce-mode matrix in mapreduce_test —
-# the batch-kernel byte-identity matrix in kernels_test, the engines on
-# top of it, the sharded data plane in shard_test — stressed across
-# shards {1,2,4} x threads {1,8} — and the 32-session service stress).
+# of the fuzz smoke and the EXPLAIN goldens, an UndefinedBehaviorSanitizer
+# run of the record plane's suites and a 50-seed fuzz corpus, and a
+# ThreadSanitizer build running the concurrency-sensitive suites (the
+# parallel MapReduce runtime — including the ValueSpan reduce-mode matrix
+# in mapreduce_test — the batch-kernel byte-identity matrix in
+# kernels_test, the engines on top of it, the sharded data plane in
+# shard_test — stressed across shards {1,2,4} x threads {1,8} — and the
+# 32-session service stress).
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
 # against the unsharded baseline), a sharded serve smoke, and a perf
@@ -198,6 +200,25 @@ grep -q '"corrupt": *[1-9]' "$CORRUPT_OUT" || {
        "store stats (expected \"corrupt\" >= 1 in the metrics JSON)" >&2
   exit 1
 }
+
+echo "== UndefinedBehaviorSanitizer build (RAPIDA_SANITIZE=undefined) =="
+# The record plane is raw pointer and u32-length arithmetic (one 32-byte
+# view per record into arena-owned key||value bytes); any UB finding
+# aborts (-fno-sanitize-recover=all).
+cmake -B build-ubsan -S . -DRAPIDA_SANITIZE=undefined \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+cmake --build build-ubsan -j "$JOBS" --target \
+      mapreduce_test kernels_test shard_test storage_test rapida_fuzz
+echo "== UBSan: mapreduce_test =="
+./build-ubsan/tests/mapreduce_test
+echo "== UBSan: kernels_test =="
+./build-ubsan/tests/kernels_test
+echo "== UBSan: shard_test =="
+./build-ubsan/tests/shard_test
+echo "== UBSan: storage_test (record codec truncation / corruption) =="
+./build-ubsan/tests/storage_test
+echo "== UBSan: differential fuzz (50 seeds) =="
+./build-ubsan/examples/rapida_fuzz --seeds=50
 
 echo "== ThreadSanitizer build (RAPIDA_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DRAPIDA_SANITIZE=thread \

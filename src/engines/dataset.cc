@@ -52,17 +52,19 @@ Status Dataset::EnsureTripleGroups() {
   // ablation knob off, everything shares one catch-all class (its EC is
   // empty, so it "covers" only empty requirements — TgFilesCovering then
   // must return it for every request, handled below).
+  // The subject groups are a grouped copy of every triple: built here,
+  // and each group's triples are released once its record is written.
   std::map<std::set<rdf::TermId>, mr::RecordBatch> classes;
   std::set<rdf::TermId> all_props;
-  for (const rdf::Graph::SubjectGroup& sg : graph_.SubjectGroups()) {
+  for (rdf::Graph::SubjectGroup& sg : graph_.SubjectGroups()) {
     std::set<rdf::TermId> ec;
-    ntga::TripleGroup tg;
-    tg.subject = sg.subject;
     for (const rdf::Triple& t : sg.triples) {
       ec.insert(t.p);
       all_props.insert(t.p);
-      tg.triples.push_back(t);
     }
+    ntga::TripleGroup tg;
+    tg.subject = sg.subject;
+    tg.triples = std::move(sg.triples);
     if (!options_.tg_partition_by_ec) ec.clear();
     classes[std::move(ec)].Add(std::to_string(sg.subject),
                                ntga::SerializeTripleGroup(tg));

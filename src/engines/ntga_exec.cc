@@ -256,11 +256,11 @@ StatusOr<PatternMatches> NtgaExec::ComputePatternMatches(
           const TagRole& role = (*shared_roles)[recs[i].tag];
           const mr::Record& r = *recs[i].record;
           if (role.is_nested) {
-            if (!ntga::ParseNestedInto(r.value, num_stars, &ntg).ok()) {
+            if (!ntga::ParseNestedInto(r.value(), num_stars, &ntg).ok()) {
               continue;
             }
           } else {
-            if (!ntga::ParseTripleGroupInto(r.value, &tg).ok()) continue;
+            if (!ntga::ParseTripleGroupInto(r.value(), &tg).ok()) continue;
             auto filtered =
                 FilterStarWithFilters(tg, shared_pattern->stars[role.star],
                                       type_id, *shared_filters, *dict);
@@ -293,11 +293,11 @@ StatusOr<PatternMatches> NtgaExec::ComputePatternMatches(
         const TagRole& role = (*shared_roles)[tag];
         NestedTripleGroup ntg;
         if (role.is_nested) {
-          auto parsed = ntga::ParseNested(r.value, num_stars);
+          auto parsed = ntga::ParseNested(r.value(), num_stars);
           if (!parsed.ok()) return;
           ntg = std::move(*parsed);
         } else {
-          auto tg = ntga::ParseTripleGroup(r.value);
+          auto tg = ntga::ParseTripleGroup(r.value());
           if (!tg.ok()) return;
           auto filtered =
               FilterStarWithFilters(*tg, shared_pattern->stars[role.star],
@@ -622,7 +622,7 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
         ntga::BindingExpansion exp;
         std::vector<rdf::TermId> row_buf;
         for (size_t i = 0; i < n; ++i) {
-          if (!ntga::ParseTripleGroupInto(recs[i].record->value, &tg).ok()) {
+          if (!ntga::ParseTripleGroupInto(recs[i].record->value(), &tg).ok()) {
             continue;
           }
           auto filtered = FilterStarWithFilters(
@@ -647,7 +647,7 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
         ntga::BindingExpansion exp;
         std::vector<rdf::TermId> row_buf;
         for (size_t i = 0; i < n; ++i) {
-          if (!ntga::ParseNestedInto(recs[i].record->value, num_stars, &ntg)
+          if (!ntga::ParseNestedInto(recs[i].record->value(), num_stars, &ntg)
                    .ok()) {
             continue;
           }
@@ -658,7 +658,7 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     } else if (star_mode) {
       job.map = [shared_pattern, shared_filters, dict, type_id, num_stars,
                  process](const mr::Record& r, int, mr::MapContext* ctx) {
-        auto tg = ntga::ParseTripleGroup(r.value);
+        auto tg = ntga::ParseTripleGroup(r.value());
         if (!tg.ok()) return;
         auto filtered = FilterStarWithFilters(
             *tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
@@ -671,7 +671,7 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     } else {
       job.map = [num_stars, process](const mr::Record& r, int,
                                      mr::MapContext* ctx) {
-        auto parsed = ntga::ParseNested(r.value, num_stars);
+        auto parsed = ntga::ParseNested(r.value(), num_stars);
         if (!parsed.ok()) return;
         process(*parsed, ctx);
       };
@@ -754,8 +754,8 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
                             dataset_->dfs().Open(out_file_of[g]));
     std::string gid = std::to_string(g);
     for (const mr::Record& r : f->records) {
-      if (r.key != gid) continue;
-      std::vector<rdf::TermId> row = DecodeRow(r.value);
+      if (r.key() != gid) continue;
+      std::vector<rdf::TermId> row = DecodeRow(r.value());
       row.resize(groupings[g].output_columns.size(), rdf::kInvalidTermId);
       table.AddRow(std::move(row));
     }
@@ -831,7 +831,7 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
       std::string val_buf;
       for (size_t i = 0; i < n; ++i) {
         if (star_mode) {
-          if (!ntga::ParseTripleGroupInto(recs[i].record->value, &tg).ok()) {
+          if (!ntga::ParseTripleGroupInto(recs[i].record->value(), &tg).ok()) {
             continue;
           }
           auto filtered = FilterStarWithFilters(
@@ -842,7 +842,7 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
             ntg.stars[s].triples.clear();
           }
           ntg.stars[0] = std::move(*filtered);
-        } else if (!ntga::ParseNestedInto(recs[i].record->value, num_stars,
+        } else if (!ntga::ParseNestedInto(recs[i].record->value(), num_stars,
                                           &ntg)
                         .ok()) {
           continue;
@@ -867,7 +867,7 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
   } else if (star_mode) {
     job.map = [shared_pattern, shared_filters, dict, type_id, num_stars,
                process](const mr::Record& r, int, mr::MapContext* ctx) {
-      auto tg = ntga::ParseTripleGroup(r.value);
+      auto tg = ntga::ParseTripleGroup(r.value());
       if (!tg.ok()) return;
       auto filtered = FilterStarWithFilters(
           *tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
@@ -880,7 +880,7 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
   } else {
     job.map = [num_stars, process](const mr::Record& r, int,
                                    mr::MapContext* ctx) {
-      auto parsed = ntga::ParseNested(r.value, num_stars);
+      auto parsed = ntga::ParseNested(r.value(), num_stars);
       if (!parsed.ok()) return;
       process(*parsed, ctx);
     };

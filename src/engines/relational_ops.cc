@@ -121,16 +121,16 @@ namespace {
 void DecodeInputRowInto(const JoinInput& input, const mr::Record& r,
                         std::vector<rdf::TermId>* out) {
   if (!input.is_vp) {
-    DecodeRowInto(r.value, out);
+    DecodeRowInto(r.value(), out);
     return;
   }
   out->clear();
   int64_t s = 0;
-  ParseDigits(r.key, &s);
+  ParseDigits(r.key(), &s);
   out->push_back(static_cast<rdf::TermId>(s));
   if (input.columns.size() == 1) return;
   int64_t o = 0;
-  ParseDigits(r.value, &o);
+  ParseDigits(r.value(), &o);
   out->push_back(static_cast<rdf::TermId>(o));
 }
 
@@ -820,7 +820,7 @@ StatusOr<TableRef> RelationalOps::FactJoin(
                                 dataset_->dfs().Open(inputs[i].file));
         for (const mr::Record& r : f->records) {
           if ((*plans)[i].spec != nullptr) {
-            if (!ParseGroup(r.value, (*plans)[i].spec->factors.size(), &gv)) {
+            if (!ParseGroup(r.value(), (*plans)[i].spec->factors.size(), &gv)) {
               continue;
             }
             ForEachFlatRow(*(*plans)[i].spec, gv, &tmp_row,
@@ -1002,7 +1002,7 @@ StatusOr<TableRef> RelationalOps::FactJoin(
         return;
       }
       GroupView view;
-      if (!ParseGroup(r.value, bp.spec->factors.size(), &view)) return;
+      if (!ParseGroup(r.value(), bp.spec->factors.size(), &view)) return;
       if (bp.stream || (!fact_out && bp.grouped())) {
         // Stream-decompress the big side (predicate present, or the output
         // must be flat anyway).
@@ -1110,7 +1110,7 @@ StatusOr<TableRef> RelationalOps::FactJoin(
         return;
       }
       GroupView view;
-      if (!ParseGroup(r.value, p.spec->factors.size(), &view)) return;
+      if (!ParseGroup(r.value(), p.spec->factors.size(), &view)) return;
       if (p.stream) {
         std::vector<rdf::TermId> row;
         ForEachFlatRow(
@@ -1132,7 +1132,7 @@ StatusOr<TableRef> RelationalOps::FactJoin(
           key = base[static_cast<size_t>(p.join_slot)];
         }
         std::string val = std::to_string(tag) + "#";
-        val.append(r.value.data(), r.value.size());
+        val.append(r.value());
         ctx->Emit(std::to_string(key), val);
         return;
       }
@@ -1387,11 +1387,11 @@ StatusOr<TableRef> RelationalOps::UnionAll(
       };
       const FactorizationPtr& spec = (*factors)[static_cast<size_t>(tag)];
       if (spec == nullptr) {
-        emit(DecodeRow(r.value));
+        emit(DecodeRow(r.value()));
         return;
       }
       GroupView view;
-      if (!ParseGroup(r.value, spec->factors.size(), &view)) return;
+      if (!ParseGroup(r.value(), spec->factors.size(), &view)) return;
       std::vector<rdf::TermId> row;
       ForEachFlatRow(*spec, view, &row, emit);
     };
@@ -1402,7 +1402,7 @@ StatusOr<TableRef> RelationalOps::UnionAll(
       std::vector<rdf::TermId> row, padded;
       std::string val_buf;
       for (size_t i = 0; i < n; ++i) {
-        DecodeRowInto(recs[i].record->value, &row);
+        DecodeRowInto(recs[i].record->value(), &row);
         const std::vector<int>& pos = out_pos[recs[i].tag];
         padded.assign(width, rdf::kInvalidTermId);
         for (size_t c = 0; c < row.size() && c < pos.size(); ++c) {
@@ -1416,7 +1416,7 @@ StatusOr<TableRef> RelationalOps::UnionAll(
   } else {
     job.map = [out_pos, width](const mr::Record& r, int tag,
                                mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row = DecodeRow(r.value);
+      std::vector<rdf::TermId> row = DecodeRow(r.value());
       const std::vector<int>& pos = out_pos[tag];
       std::vector<rdf::TermId> padded(width, rdf::kInvalidTermId);
       for (size_t c = 0; c < row.size() && c < pos.size(); ++c) {
@@ -1521,7 +1521,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     job.map = [spec, loc, is_e, key_idx, agg_idx, dict, make_aggs](
                   const mr::Record& r, int, mr::MapContext* ctx) {
       GroupView view;
-      if (!ParseGroup(r.value, spec->factors.size(), &view)) return;
+      if (!ParseGroup(r.value(), spec->factors.size(), &view)) return;
       PartialMap* partials = ctx->TaskState<PartialMap>();
       const size_t nf = spec->factors.size();
       std::vector<rdf::TermId> base(static_cast<size_t>(spec->width),
@@ -1603,7 +1603,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     job.map = [spec, key_idx, agg_idx, dict, make_aggs, partial](
                   const mr::Record& r, int, mr::MapContext* ctx) {
       GroupView view;
-      if (!ParseGroup(r.value, spec->factors.size(), &view)) return;
+      if (!ParseGroup(r.value(), spec->factors.size(), &view)) return;
       std::vector<rdf::TermId> row;
       ForEachFlatRow(
           *spec, view, &row, [&](const std::vector<rdf::TermId>& fr) {
@@ -1649,7 +1649,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
       std::vector<rdf::TermId> row;
       std::string key_buf;
       for (size_t i = 0; i < n; ++i) {
-        DecodeRowInto(recs[i].record->value, &row);
+        DecodeRowInto(recs[i].record->value(), &row);
         key_buf.clear();
         for (size_t k = 0; k < key_idx.size(); ++k) {
           if (k > 0) key_buf += ',';
@@ -1688,7 +1688,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     job.map = [key_idx, agg_idx, dict, make_aggs](
                   const mr::Record& r, int, mr::MapContext* ctx) {
       PartialMap* partials = ctx->TaskState<PartialMap>();
-      std::vector<rdf::TermId> row = DecodeRow(r.value);
+      std::vector<rdf::TermId> row = DecodeRow(r.value());
       std::vector<rdf::TermId> key;
       for (int i : key_idx) key.push_back(row[i]);
       auto [it, inserted] = partials->emplace(EncodeRow(key), make_aggs());
@@ -1718,7 +1718,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
       std::vector<rdf::TermId> row;
       std::string key_buf, val_buf;
       for (size_t i = 0; i < n; ++i) {
-        DecodeRowInto(recs[i].record->value, &row);
+        DecodeRowInto(recs[i].record->value(), &row);
         key_buf.clear();
         for (size_t k = 0; k < key_idx.size(); ++k) {
           if (k > 0) key_buf += ',';
@@ -1737,7 +1737,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
   } else {
     job.map = [key_idx, agg_idx](const mr::Record& r, int,
                                  mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row = DecodeRow(r.value);
+      std::vector<rdf::TermId> row = DecodeRow(r.value());
       std::vector<rdf::TermId> key;
       for (int i : key_idx) key.push_back(row[i]);
       std::vector<rdf::TermId> args;
@@ -1848,7 +1848,7 @@ StatusOr<TableRef> RelationalOps::DistinctProject(
     job.map = [spec, idx, keep_predicate](const mr::Record& r, int,
                                           mr::MapContext* ctx) {
       GroupView view;
-      if (!ParseGroup(r.value, spec->factors.size(), &view)) return;
+      if (!ParseGroup(r.value(), spec->factors.size(), &view)) return;
       std::vector<rdf::TermId> row;
       std::vector<rdf::TermId> projected;
       ForEachFlatRow(*spec, view, &row,
@@ -1868,7 +1868,7 @@ StatusOr<TableRef> RelationalOps::DistinctProject(
       std::vector<rdf::TermId> row;
       std::string key_buf;
       for (size_t r = 0; r < n; ++r) {
-        DecodeRowInto(recs[r].record->value, &row);
+        DecodeRowInto(recs[r].record->value(), &row);
         if (keep_predicate && !keep_predicate(row)) continue;
         key_buf.clear();
         for (size_t k = 0; k < idx.size(); ++k) {
@@ -1881,7 +1881,7 @@ StatusOr<TableRef> RelationalOps::DistinctProject(
   } else {
     job.map = [idx, keep_predicate](const mr::Record& r, int,
                                     mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row = DecodeRow(r.value);
+      std::vector<rdf::TermId> row = DecodeRow(r.value());
       if (keep_predicate && !keep_predicate(row)) return;
       std::vector<rdf::TermId> projected;
       for (int i : idx) projected.push_back(row[i]);
@@ -1991,7 +1991,7 @@ StatusOr<analytics::BindingTable> RelationalOps::ReadTable(
     GroupView view;
     std::vector<rdf::TermId> row;
     for (const mr::Record& r : f->records) {
-      if (!ParseGroup(r.value, table.factor->factors.size(), &view)) continue;
+      if (!ParseGroup(r.value(), table.factor->factors.size(), &view)) continue;
       ForEachFlatRow(*table.factor, view, &row,
                      [&out, &table](const std::vector<rdf::TermId>& fr) {
                        std::vector<rdf::TermId> flat = fr;
@@ -2002,7 +2002,7 @@ StatusOr<analytics::BindingTable> RelationalOps::ReadTable(
     return out;
   }
   for (const mr::Record& r : f->records) {
-    std::vector<rdf::TermId> row = DecodeRow(r.value);
+    std::vector<rdf::TermId> row = DecodeRow(r.value());
     row.resize(table.columns.size(), rdf::kInvalidTermId);
     out.AddRow(std::move(row));
   }
@@ -2018,7 +2018,7 @@ StatusOr<uint64_t> RelationalOps::FlatStoredBytes(const TableRef& table) const {
   uint64_t bytes = 0;
   GroupView view;
   for (const mr::Record& r : f->records) {
-    if (!ParseGroup(r.value, table.factor->factors.size(), &view)) continue;
+    if (!ParseGroup(r.value(), table.factor->factors.size(), &view)) continue;
     bytes += FlatRecordBytes(*table.factor, view);
   }
   return bytes;

@@ -14,33 +14,32 @@ namespace rapida::mr {
 
 namespace {
 
-/// Map-side sink: appends key/value bytes to the task's columnar store
-/// (contiguous buffers, no per-record heap strings), stamps the key
-/// prefix and hash columns once, and accounts serialized bytes in the
-/// emit loop (cheaper than a second pass over the buffer).
-class ColumnarMapContext : public MapContext {
+/// Map-side sink: copies key‖value into the task's batch (one arena
+/// append, view stamped on the spot) and accounts serialized bytes in the
+/// emit loop (cheaper than a second pass over the records).
+class BatchMapContext : public MapContext {
  public:
-  explicit ColumnarMapContext(ColumnarRecords* out) : out_(out) {}
+  explicit BatchMapContext(RecordBatch* out) : out_(out) {}
   void Emit(std::string_view key, std::string_view value) override {
     bytes_ += key.size() + value.size() + 2;  // == Record::Bytes()
-    out_->Append(key, value);
+    out_->Add(key, value);
   }
   uint64_t bytes() const { return bytes_; }
 
  private:
-  ColumnarRecords* out_;
+  RecordBatch* out_;
   uint64_t bytes_ = 0;
 };
 
-class ColumnarReduceContext : public ReduceContext {
+class BatchReduceContext : public ReduceContext {
  public:
-  explicit ColumnarReduceContext(ColumnarRecords* out) : out_(out) {}
+  explicit BatchReduceContext(RecordBatch* out) : out_(out) {}
   void Emit(std::string_view key, std::string_view value) override {
-    out_->Append(key, value);
+    out_->Add(key, value);
   }
 
  private:
-  ColumnarRecords* out_;
+  RecordBatch* out_;
 };
 
 /// Half-open range of same-key records inside a sorted partition.
@@ -79,14 +78,13 @@ ValueSpan SpanValues(const std::vector<Record>& records,
 
 /// One mapper's private results, merged into JobStats at the map barrier.
 struct MapTaskResult {
-  std::vector<Record> output;  // map-only jobs: this task's final records
+  /// Map-only jobs: this task's final records. Reduce jobs: only the
+  /// arenas behind the task's shuffle chunks (the views went to the
+  /// partitions), kept until the reduce is done with them.
+  RecordBatch output;
   /// Sharded map-only jobs: home shard of each `output` record (parallel
-  /// array), for per-shard output segments.
+  /// array), for per-shard output accounting.
   std::vector<int> output_homes;
-  /// Columnar stores backing every record this task still exposes (its
-  /// shuffle chunks or, for map-only jobs, `output`). Kept alive until
-  /// the job's output is written.
-  std::vector<std::shared_ptr<ColumnarRecords>> stores;
   uint64_t map_output_records = 0;
   uint64_t map_output_bytes = 0;
   uint64_t shuffle_records = 0;  // post-combine
@@ -267,9 +265,9 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   auto map_body = [&](size_t task) {
     Split& split = splits[task];
     MapTaskResult& result = task_results[task];
-    auto map_store = std::make_shared<ColumnarRecords>();
-    map_store->Reserve(split.records.size(), 0);
-    ColumnarMapContext ctx(map_store.get());
+    RecordBatch out;
+    out.records.reserve(split.records.size());
+    BatchMapContext ctx(&out);
     // Sharded: home shard of each emitted record — the shard the producing
     // input record lives on under the sharding scheme (combiner flushes
     // belong to the task's shard: they are re-emissions of state that
@@ -279,17 +277,17 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       shards_[static_cast<size_t>(task_shard[task])]->CountMapTask();
       emit_homes.reserve(split.records.size());
       for (const TaggedRecord& tr : split.records) {
-        size_t before = map_store->size();
+        size_t before = out.records.size();
         job.map(*tr.record, tr.tag, &ctx);
-        if (map_store->size() != before) {
-          emit_homes.resize(map_store->size(),
+        if (out.records.size() != before) {
+          emit_homes.resize(out.records.size(),
                             AssignShard(tr.record->key_hash, config_.sharding,
                                         S));
         }
       }
       if (job.map_finish) {
         job.map_finish(&ctx);
-        emit_homes.resize(map_store->size(), task_shard[task]);
+        emit_homes.resize(out.records.size(), task_shard[task]);
       }
     } else if (job.map_batch) {
       job.map_batch(split.records.data(), split.records.size(), &ctx);
@@ -300,47 +298,46 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       }
       if (job.map_finish) job.map_finish(&ctx);
     }
-    result.map_output_records = map_store->size();
+    result.map_output_records = out.records.size();
     result.map_output_bytes = ctx.bytes();
     result.factorized_groups = ctx.factorized_groups();
     result.factorized_flat_rows = ctx.factorized_flat_rows();
-    // Emission is done: the store is frozen, so record views are stable.
-    std::vector<Record> map_out;
-    map_out.reserve(map_store->size());
-    map_store->AppendRecordViews(&map_out);
 
     if (stats.map_only) {
-      result.output = std::move(map_out);
+      result.output = std::move(out);
       result.output_homes = std::move(emit_homes);
-      result.stores.push_back(std::move(map_store));
       return;
     }
 
     if (job.combine) {
-      // Combined output gets its own store so the raw-emission store (and
-      // its pre-combine bytes) dies at the end of this scope.
-      auto combine_store = std::make_shared<ColumnarRecords>();
-      ColumnarReduceContext cctx(combine_store.get());
-      std::vector<GroupSpan> groups = SortAndGroup(&map_out);
+      // Combined output gets its own batch so the raw emissions (and their
+      // pre-combine bytes) die as soon as the combiner is done.
+      RecordBatch combined;
+      BatchReduceContext cctx(&combined);
+      std::vector<GroupSpan> groups = SortAndGroup(&out.records);
       for (const GroupSpan& span : groups) {
-        job.combine(map_out[span.begin].key, SpanValues(map_out, span),
-                    &cctx);
+        job.combine(out.records[span.begin].key(),
+                    SpanValues(out.records, span), &cctx);
       }
-      map_out.clear();
-      map_out.reserve(combine_store->size());
-      combine_store->AppendRecordViews(&map_out);
-      map_store = std::move(combine_store);
+      out = std::move(combined);
       // Combined records are task-level re-aggregations: they live on the
       // mapper's shard.
-      if (sharded) emit_homes.assign(map_out.size(), task_shard[task]);
+      if (sharded) emit_homes.assign(out.records.size(), task_shard[task]);
     }
-    result.stores.push_back(std::move(map_store));
+    const std::vector<Record>& map_out = out.records;
 
     // Scatter into per-partition buckets, then one locked append each.
     // Partition choice reuses the hash stamped at Emit — no per-record
     // std::hash here — and never affects results or counters: outputs are
-    // re-merged into global key order below.
+    // re-merged into global key order below. Sharded, the partition is
+    // the shard owning the key (OwnerShard is the same residue). Buckets
+    // are sized exactly up front, so no view array grows by doubling.
+    std::vector<size_t> bucket_sizes(num_partitions, 0);
+    for (const Record& r : map_out) ++bucket_sizes[r.key_hash % num_partitions];
     std::vector<std::vector<Record>> buckets(num_partitions);
+    for (size_t p = 0; p < num_partitions; ++p) {
+      buckets[p].reserve(bucket_sizes[p]);
+    }
     if (sharded) {
       // Each record flows from its home shard to the shard owning its
       // key's reducer range; the channel is the only path into a shard's
@@ -385,8 +382,7 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       for (const Record& r : map_out) {
         result.shuffle_records += 1;
         result.shuffle_bytes += r.Bytes();
-        size_t p = num_partitions == 1 ? 0 : r.key_hash % num_partitions;
-        buckets[p].push_back(r);
+        buckets[r.key_hash % num_partitions].push_back(r);
       }
       for (size_t p = 0; p < num_partitions; ++p) {
         if (buckets[p].empty()) continue;
@@ -395,11 +391,14 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
         partitions[p].chunks.emplace_back(task, std::move(buckets[p]));
       }
     }
+    // The views now live in the partitions; the task keeps only the bytes.
+    result.output.arenas = std::move(out.arenas);
   };
 
   run_tasks(splits.size(), [&](size_t i) {
     map_body(sharded ? dispatch[i] : i);
   });
+  splits.clear();  // every mapper is done with its split views
 
   // ---- map barrier: merge per-task accumulators ----
   if (observer_ != nullptr && !stats.map_only) {
@@ -423,31 +422,36 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     stats.shuffle_cross_bytes = 0;
   }
 
-  std::vector<Record> output;
-  std::vector<std::shared_ptr<ColumnarRecords>> output_stores;
-  // Sharded: owner shard of every output record (parallel to `output`) —
-  // map-only records stay on their home shard; reduce records belong to
-  // the shard whose reducers own the group key.
+  RecordBatch output;
+  // Sharded: owner shard of every output record (parallel to
+  // output.records) — map-only records stay on their home shard; reduce
+  // records belong to the shard whose reducers own the group key.
   std::vector<int> output_owner;
   if (stats.map_only) {
     // Map-only job: mapper outputs concatenate in split order; the output
-    // adopts every task's columnar store.
+    // adopts every task's arenas.
     stats.shuffle_records = 0;
     stats.shuffle_bytes = 0;
     stats.shuffle_local_bytes = 0;
     stats.shuffle_cross_bytes = 0;
     stats.num_reducers = 0;
     size_t total = 0;
-    for (const MapTaskResult& r : task_results) total += r.output.size();
-    output.reserve(total);
+    for (const MapTaskResult& r : task_results) {
+      total += r.output.records.size();
+    }
+    output.records.reserve(total);
     if (sharded) output_owner.reserve(total);
     for (MapTaskResult& r : task_results) {
-      output.insert(output.end(), r.output.begin(), r.output.end());
+      output.records.insert(output.records.end(), r.output.records.begin(),
+                            r.output.records.end());
+      r.output.records = std::vector<Record>();  // free views as they move
       if (sharded) {
         output_owner.insert(output_owner.end(), r.output_homes.begin(),
                             r.output_homes.end());
       }
-      for (auto& store : r.stores) output_stores.push_back(std::move(store));
+      for (auto& arena : r.output.arenas) {
+        output.arenas.push_back(std::move(arena));
+      }
     }
   } else {
     // ---- group phase: per partition, flatten in task order, sort,
@@ -461,7 +465,8 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       std::vector<Record>& flat = part_records[p];
       flat.reserve(part.num_records);
       for (auto& [task, chunk] : part.chunks) {
-        for (Record& r : chunk) flat.push_back(std::move(r));
+        flat.insert(flat.end(), chunk.begin(), chunk.end());
+        chunk = std::vector<Record>();  // release each chunk as it drains
       }
       part.chunks.clear();
       part_groups[p] = SortAndGroup(&flat);
@@ -473,6 +478,15 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
         std::min<int>(config_.reduce_slots(),
                       std::max<int>(1, static_cast<int>(distinct_keys)));
 
+    // Once the reduce no longer references its input, the sorted
+    // partitions and the map-side arenas they view go, so the output is
+    // assembled and written without the shuffle alive beside it.
+    auto release_reduce_input = [&] {
+      part_records.clear();
+      part_groups.clear();
+      task_results.clear();
+    };
+
     if (job.reduce_parallel_safe && workers != nullptr &&
         num_partitions > 1) {
       // ---- parallel reduce: each partition reduces its own key groups,
@@ -480,35 +494,28 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       // in ascending input-key order, which reproduces the serial path's
       // output byte-for-byte. ----
       struct ReducedGroup {
-        uint64_t key_prefix;   // input-key sort key, prefix first
-        std::string_view key;  // view into part_records (stable)
+        const Record* head;  // the group's first input record (sort key)
         size_t part;
-        size_t begin, end;  // span in part_out[part]
+        size_t begin, end;  // span in part_out[part].records
       };
-      std::vector<std::vector<Record>> part_out(num_partitions);
-      std::vector<std::shared_ptr<ColumnarRecords>> part_stores(
-          num_partitions);
+      std::vector<RecordBatch> part_out(num_partitions);
       std::vector<std::vector<ReducedGroup>> part_spans(num_partitions);
       std::vector<uint64_t> part_fgroups(num_partitions, 0);
       std::vector<uint64_t> part_frows(num_partitions, 0);
       run_tasks(num_partitions, [&](size_t p) {
-        std::vector<Record>& records = part_records[p];
-        part_stores[p] = std::make_shared<ColumnarRecords>();
-        ColumnarRecords& store = *part_stores[p];
-        ColumnarReduceContext rctx(&store);
+        const std::vector<Record>& records = part_records[p];
+        RecordBatch& out = part_out[p];
+        BatchReduceContext rctx(&out);
         part_spans[p].reserve(part_groups[p].size());
         for (const GroupSpan& span : part_groups[p]) {
-          size_t before = store.size();
+          size_t before = out.records.size();
           const Record& head = records[span.begin];
-          job.reduce(head.key, SpanValues(records, span), &rctx);
-          part_spans[p].push_back(ReducedGroup{head.key_prefix, head.key, p,
-                                               before, store.size()});
+          job.reduce(head.key(), SpanValues(records, span), &rctx);
+          part_spans[p].push_back(
+              ReducedGroup{&head, p, before, out.records.size()});
         }
         part_fgroups[p] = rctx.factorized_groups();
         part_frows[p] = rctx.factorized_flat_rows();
-        // This partition's emissions are done; materialize stable views.
-        part_out[p].reserve(store.size());
-        store.AppendRecordViews(&part_out[p]);
       });
       for (size_t p = 0; p < num_partitions; ++p) {
         stats.factorized_groups += part_fgroups[p];
@@ -521,33 +528,35 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       }
       std::sort(all_groups.begin(), all_groups.end(),
                 [](const ReducedGroup& a, const ReducedGroup& b) {
-                  if (a.key_prefix != b.key_prefix) {
-                    return a.key_prefix < b.key_prefix;
-                  }
-                  return a.key < b.key;
+                  return RecordKeyLess(*a.head, *b.head);
                 });
+      release_reduce_input();
       size_t total = 0;
-      for (const auto& out : part_out) total += out.size();
-      output.reserve(total);
+      for (const RecordBatch& out : part_out) total += out.records.size();
+      output.records.reserve(total);
       if (sharded) output_owner.reserve(total);
       for (const ReducedGroup& g : all_groups) {
-        output.insert(output.end(), part_out[g.part].begin() + g.begin,
-                      part_out[g.part].begin() + g.end);
+        const std::vector<Record>& from = part_out[g.part].records;
+        output.records.insert(output.records.end(), from.begin() + g.begin,
+                              from.begin() + g.end);
         // Sharded: partition index IS the owning shard.
         if (sharded) {
           output_owner.insert(output_owner.end(), g.end - g.begin,
                               static_cast<int>(g.part));
         }
       }
-      output_stores = std::move(part_stores);
+      for (RecordBatch& out : part_out) {
+        for (auto& arena : out.arenas) {
+          output.arenas.push_back(std::move(arena));
+        }
+      }
     } else {
       // ---- serial reduce: k-way merge of the sorted partitions invokes
       // the reduce fn once per key in *global* key order — identical to
       // the single-threaded runtime, so reduce fns that mutate shared
       // state (e.g. dictionary interning in aggregation finalizers) see
       // the exact same sequence of calls. ----
-      auto reduce_store = std::make_shared<ColumnarRecords>();
-      ColumnarReduceContext rctx(reduce_store.get());
+      BatchReduceContext rctx(&output);
       std::vector<size_t> next(num_partitions, 0);
       for (;;) {
         size_t best = num_partitions;
@@ -563,65 +572,49 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
         }
         if (best == num_partitions) break;
         const GroupSpan& span = part_groups[best][next[best]++];
-        job.reduce(part_records[best][span.begin].key,
+        job.reduce(part_records[best][span.begin].key(),
                    SpanValues(part_records[best], span), &rctx);
         // Sharded: everything this group emitted belongs to the owning
         // partition's shard.
         if (sharded) {
-          output_owner.resize(reduce_store->size(),
-                              static_cast<int>(best));
+          output_owner.resize(output.records.size(), static_cast<int>(best));
         }
       }
       stats.factorized_groups += rctx.factorized_groups();
       stats.factorized_flat_rows += rctx.factorized_flat_rows();
-      output.reserve(reduce_store->size());
-      reduce_store->AppendRecordViews(&output);
-      output_stores.push_back(std::move(reduce_store));
+      release_reduce_input();
     }
   }
 
-  stats.output_records = output.size();
-  for (const Record& r : output) stats.output_bytes += r.Bytes();
-  if (job.output_options.compressed) {
-    stats.output_bytes = static_cast<uint64_t>(
-        static_cast<double>(stats.output_bytes) *
-        job.output_options.compression_ratio);
-  }
+  auto stored_bytes = [&job](uint64_t logical) {
+    return job.output_options.compressed
+               ? static_cast<uint64_t>(static_cast<double>(logical) *
+                                       job.output_options.compression_ratio)
+               : logical;
+  };
+  stats.output_records = output.records.size();
+  stats.output_bytes = stored_bytes(output.LogicalBytes());
 
   if (!job.output.empty()) {
-    // Sharded: before the coordinator write consumes `output`, carve the
-    // per-shard segments — each shard's private Dfs gets the records it
-    // owns, sharing the columnar stores (no byte copies).
     if (sharded) {
-      for (int s = 0; s < S; ++s) {
-        RecordBatch segment;
-        uint64_t seg_bytes = 0;
-        for (size_t i = 0; i < output.size(); ++i) {
-          if (output_owner[i] != s) continue;
-          segment.records.push_back(output[i]);
-          seg_bytes += output[i].Bytes();
-        }
-        const uint64_t seg_records = segment.records.size();
-        if (seg_records == 0) continue;
-        segment.columns = output_stores;
-        Shard* shard = shards_[static_cast<size_t>(s)].get();
-        RAPIDA_RETURN_IF_ERROR(shard->dfs()->Write(
-            job.output, std::move(segment), job.output_options));
-        uint64_t stored = seg_bytes;
-        if (job.output_options.compressed) {
-          stored = static_cast<uint64_t>(
-              static_cast<double>(stored) *
-              job.output_options.compression_ratio);
-        }
-        stats.shard_output_bytes[static_cast<size_t>(s)] = stored;
-        shard->CountOutput(seg_records, stored);
+      // Per-shard output accounting from the owner array: each shard is
+      // credited with the records it owns. The coordinator file below
+      // holds the only copy of the records.
+      std::vector<uint64_t> seg_records(static_cast<size_t>(S), 0);
+      std::vector<uint64_t> seg_bytes(static_cast<size_t>(S), 0);
+      for (size_t i = 0; i < output.records.size(); ++i) {
+        const size_t s = static_cast<size_t>(output_owner[i]);
+        seg_records[s] += 1;
+        seg_bytes[s] += output.records[i].Bytes();
+      }
+      for (size_t s = 0; s < static_cast<size_t>(S); ++s) {
+        if (seg_records[s] == 0) continue;
+        stats.shard_output_bytes[s] = stored_bytes(seg_bytes[s]);
+        shards_[s]->CountOutput(seg_records[s], stats.shard_output_bytes[s]);
       }
     }
-    RecordBatch batch;
-    batch.records = std::move(output);
-    batch.columns = std::move(output_stores);
     RAPIDA_RETURN_IF_ERROR(
-        dfs_->Write(job.output, std::move(batch), job.output_options));
+        dfs_->Write(job.output, std::move(output), job.output_options));
   }
 
   stats.sim_seconds = EstimateSimSeconds(stats);

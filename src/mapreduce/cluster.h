@@ -69,8 +69,8 @@ struct ClusterConfig {
   /// local). > 1 turns the cluster into a coordinator over num_shards
   /// Shard objects: map tasks are dispatched through per-shard queues, all
   /// shuffle data moves through the ShardChannel (with per-edge local vs
-  /// cross-shard accounting), each shard keeps its private segment of
-  /// every job output, and the cost model prices the shards as the
+  /// cross-shard accounting), each shard is credited with the share of
+  /// every job output it owns, and the cost model prices the shards as the
   /// cluster's nodes. Results are byte-identical to the unsharded path at
   /// any shard x thread combination — sharding changes placement,
   /// transport accounting and the cost model, never execution order.

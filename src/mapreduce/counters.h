@@ -46,8 +46,8 @@ struct JobStats {
   int num_reducers = 0;
   /// Shards the job executed across (0 = legacy unsharded data plane).
   int num_shards = 0;
-  /// Per-shard output segment bytes (empty when unsharded): index s is the
-  /// stored size of shard s's private segment of this job's output.
+  /// Per-shard output bytes (empty when unsharded): index s is the stored
+  /// size of the share of this job's output that shard s owns.
   std::vector<uint64_t> shard_output_bytes;
 
   double sim_seconds = 0;   // simulated wall time from the cost model

@@ -8,19 +8,10 @@ namespace rapida::mr {
 
 Status Dfs::Write(const std::string& name, RecordBatch batch,
                   const FileOptions& options) {
-  // Batches built via Add() carry only columnar stores; materialize the
-  // record views now that the stores are frozen. Producers that pre-built
-  // views (the cluster's output path) pass them through unchanged.
-  if (batch.records.empty()) {
-    size_t total = 0;
-    for (const auto& col : batch.columns) total += col->size();
-    batch.records.reserve(total);
-    for (const auto& col : batch.columns) {
-      col->AppendRecordViews(&batch.records);
-    }
-  }
-  uint64_t logical = 0;
-  for (const Record& r : batch.records) logical += r.Bytes();
+  // A file holds exactly one view per record: drop the growth slack of
+  // the producer's view array before the file adopts it.
+  batch.records.shrink_to_fit();
+  const uint64_t logical = batch.LogicalBytes();
   uint64_t stored =
       options.compressed
           ? static_cast<uint64_t>(static_cast<double>(logical) *
@@ -47,7 +38,7 @@ Status Dfs::Write(const std::string& name, RecordBatch batch,
   lifetime_bytes_written_ += stored;
   File& f = files_[name];
   f.records = std::move(batch.records);
-  f.columns = std::move(batch.columns);
+  f.arenas = std::move(batch.arenas);
   f.logical_bytes = logical;
   f.stored_bytes = stored;
   f.options = options;

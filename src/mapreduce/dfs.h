@@ -42,11 +42,12 @@ struct FileOptions {
 class Dfs {
  public:
   struct File {
+    /// Exactly one 32-byte view per record.
     std::vector<Record> records;
-    /// Columnar stores owning the record bytes; records are string_views
-    /// into these, so a File keeps its stores alive as long as readers
-    /// hold the pointer Open() returned.
-    std::vector<std::shared_ptr<ColumnarRecords>> columns;
+    /// Arenas owning the key‖value bytes the records view; they live as
+    /// long as the file, so readers holding the pointer Open() returned
+    /// see stable bytes.
+    std::vector<std::unique_ptr<util::Arena>> arenas;
     uint64_t logical_bytes = 0;  // sum of record footprints
     uint64_t stored_bytes = 0;   // after compression
     FileOptions options;
@@ -56,10 +57,10 @@ class Dfs {
   Dfs(const Dfs&) = delete;
   Dfs& operator=(const Dfs&) = delete;
 
-  /// Writes (replaces) a file from an owning batch (columnar stores, plus
-  /// pre-built record views when the producer already materialized them).
-  /// Fails with ResourceExhausted if the write would push total stored
-  /// bytes beyond the capacity limit.
+  /// Writes (replaces) a file from an owning batch: the file adopts the
+  /// batch's record views and arenas as they are. Fails with
+  /// ResourceExhausted if the write would push total stored bytes beyond
+  /// the capacity limit.
   Status Write(const std::string& name, RecordBatch batch,
                const FileOptions& options = {});
 

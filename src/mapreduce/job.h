@@ -63,14 +63,14 @@ class TaskStateBase {
 class MapContext : public TaskStateBase {
  public:
   virtual ~MapContext() = default;
-  /// Appends both byte ranges to the task's columnar store, so
-  /// temporaries are fine; no per-record heap allocation happens on this
-  /// path.
+  /// Copies key‖value into the task's arena and stamps the record view
+  /// on the spot, so temporaries are fine; no per-record heap allocation
+  /// happens on this path.
   virtual void Emit(std::string_view key, std::string_view value) = 0;
 };
 
 /// Sink for reduce-side emissions. Emit appends to the reduce task's
-/// columnar store, exactly like MapContext::Emit. TaskState() is scoped
+/// record batch, exactly like MapContext::Emit. TaskState() is scoped
 /// to the reduce task (one shuffle partition, or the whole serial merge) —
 /// it persists *across* the task's key groups, which is what lets batch
 /// kernels reuse scratch buffers instead of reallocating per group.
@@ -92,7 +92,7 @@ class ValueSpan {
 
   size_t size() const { return static_cast<size_t>(end_ - begin_); }
   bool empty() const { return begin_ == end_; }
-  std::string_view operator[](size_t i) const { return begin_[i].value; }
+  std::string_view operator[](size_t i) const { return begin_[i].value(); }
 
   class iterator {
    public:
@@ -103,7 +103,7 @@ class ValueSpan {
     using reference = std::string_view;
 
     explicit iterator(const Record* r) : r_(r) {}
-    std::string_view operator*() const { return r_->value; }
+    std::string_view operator*() const { return r_->value(); }
     iterator& operator++() {
       ++r_;
       return *this;
@@ -130,8 +130,9 @@ class ValueSpan {
 using MapFn =
     std::function<void(const Record& record, int input_tag, MapContext*)>;
 
-/// One split row handed to a batch map kernel: the record (with its
-/// pre-stamped key_hash / key_prefix columns) plus its input tag.
+/// One split row handed to a batch map kernel: a pointer to the input
+/// file's record view (key_hash / key_prefix already stamped) plus its
+/// input tag.
 struct TaggedRecord {
   const Record* record = nullptr;
   int tag = 0;

@@ -44,7 +44,7 @@ void TokenizeValues(const TaggedRecord* records, size_t count, char sep,
                     FieldColumns* out) {
   out->Clear();
   for (size_t i = 0; i < count; ++i) {
-    TokenizeRow(records[i].record->value, sep, out);
+    TokenizeRow(records[i].record->value(), sep, out);
   }
 }
 

@@ -40,22 +40,20 @@ bool ReadU64(std::string_view data, size_t* offset, uint64_t* v) {
   return true;
 }
 
-void AppendColumnarRecords(const ColumnarRecords& records, std::string* out) {
+void AppendRecordBatch(const RecordBatch& batch, std::string* out) {
   uint64_t key_bytes = 0, value_bytes = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    key_bytes += records.key(i).size();
-    value_bytes += records.value(i).size();
+  for (const Record& r : batch.records) {
+    key_bytes += r.key_size;
+    value_bytes += r.value_size;
   }
-  AppendU64(records.size(), out);
+  AppendU64(batch.records.size(), out);
   AppendU64(key_bytes, out);
   AppendU64(value_bytes, out);
-  for (size_t i = 0; i < records.size(); ++i) {
-    std::string_view key = records.key(i);
-    std::string_view value = records.value(i);
-    AppendU32(static_cast<uint32_t>(key.size()), out);
-    out->append(key);
-    AppendU32(static_cast<uint32_t>(value.size()), out);
-    out->append(value);
+  for (const Record& r : batch.records) {
+    AppendU32(r.key_size, out);
+    out->append(r.key());
+    AppendU32(r.value_size, out);
+    out->append(r.value());
   }
 }
 
@@ -67,22 +65,25 @@ Status Truncated(const char* what) {
 
 }  // namespace
 
-Status ParseColumnarRecords(std::string_view data, ColumnarRecords* out) {
+Status ParseRecordBatch(std::string_view data, RecordBatch* out) {
+  *out = RecordBatch();
   size_t offset = 0;
   uint64_t count = 0, key_bytes = 0, value_bytes = 0;
   if (!ReadU64(data, &offset, &count)) return Truncated("record count");
   if (!ReadU64(data, &offset, &key_bytes)) return Truncated("key total");
   if (!ReadU64(data, &offset, &value_bytes)) return Truncated("value total");
-  // Structural sanity before the decode loop: the declared payload cannot
-  // exceed the buffer (each record adds 8 bytes of length framing).
-  uint64_t remaining = data.size() - offset;
-  if (key_bytes + value_bytes + 8 * count != remaining) {
-    return Status::DataLoss(
-        "record payload size mismatch: declared " +
-        std::to_string(key_bytes + value_bytes + 8 * count) +
-        " bytes of records, buffer has " + std::to_string(remaining));
+  // Structural sanity before the decode loop: the declared payload must
+  // fill the buffer exactly (each record adds 8 bytes of length framing).
+  // Each term is bounded first so bit-flipped totals cannot wrap the sum.
+  const uint64_t remaining = data.size() - offset;
+  if (count > remaining / 8 || key_bytes > remaining ||
+      value_bytes > remaining ||
+      key_bytes + value_bytes + 8 * count != remaining) {
+    return Status::DataLoss("record payload size mismatch: framing does not "
+                            "fill the " + std::to_string(remaining) +
+                            "-byte buffer");
   }
-  out->Reserve(count, value_bytes);
+  out->records.reserve(count);
   uint64_t seen_keys = 0, seen_values = 0;
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t key_len = 0, value_len = 0;
@@ -94,7 +95,7 @@ Status ParseColumnarRecords(std::string_view data, ColumnarRecords* out) {
     if (data.size() - offset < value_len) return Truncated("value bytes");
     std::string_view value = data.substr(offset, value_len);
     offset += value_len;
-    out->Append(key, value);
+    out->Add(key, value);
     seen_keys += key_len;
     seen_values += value_len;
   }
@@ -104,40 +105,6 @@ Status ParseColumnarRecords(std::string_view data, ColumnarRecords* out) {
   if (offset != data.size()) {
     return Status::DataLoss("record payload has trailing bytes");
   }
-  return Status::OK();
-}
-
-void AppendRecordBatch(const RecordBatch& batch, std::string* out) {
-  // Flatten the batch's stores into one record stream.
-  uint64_t count = 0, key_bytes = 0, value_bytes = 0;
-  for (const auto& store : batch.columns) {
-    count += store->size();
-    for (size_t i = 0; i < store->size(); ++i) {
-      key_bytes += store->key(i).size();
-      value_bytes += store->value(i).size();
-    }
-  }
-  AppendU64(count, out);
-  AppendU64(key_bytes, out);
-  AppendU64(value_bytes, out);
-  for (const auto& store : batch.columns) {
-    for (size_t i = 0; i < store->size(); ++i) {
-      std::string_view key = store->key(i);
-      std::string_view value = store->value(i);
-      AppendU32(static_cast<uint32_t>(key.size()), out);
-      out->append(key);
-      AppendU32(static_cast<uint32_t>(value.size()), out);
-      out->append(value);
-    }
-  }
-}
-
-Status ParseRecordBatch(std::string_view data, RecordBatch* out) {
-  auto store = std::make_shared<ColumnarRecords>();
-  RAPIDA_RETURN_IF_ERROR(ParseColumnarRecords(data, store.get()));
-  out->records.clear();
-  out->columns.clear();
-  out->columns.push_back(std::move(store));
   return Status::OK();
 }
 

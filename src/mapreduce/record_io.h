@@ -10,33 +10,25 @@
 
 namespace rapida::mr {
 
-/// Compact binary serialization of columnar record stores — the payload
-/// format of materialization-store artifacts.
+/// Compact binary serialization of a RecordBatch — the payload format of
+/// materialization-store artifacts.
 ///
 /// Layout (all integers little-endian):
 ///
 ///   u64 record_count
 ///   u64 key_bytes_total      (redundant — cheap structural validation)
 ///   u64 value_bytes_total
-///   repeat record_count times:
+///   repeat record_count times, in batch order:
 ///     u32 key_len,   key bytes
 ///     u32 value_len, value bytes
 ///
-/// key_prefix / key_hash columns are not stored: both are pure functions of
-/// the key bytes and are re-stamped by ColumnarRecords::Append on decode,
-/// so a decoded store is bit-identical to the one serialized.
+/// key_prefix / key_hash are not stored: both are pure functions of the key
+/// bytes and are re-stamped by RecordBatch::Add on decode, so a decoded
+/// batch holds exactly the records serialized, in one arena.
 ///
 /// Decoding validates every length against the remaining buffer and the
 /// declared totals; any mismatch returns DataLoss (a truncated or
 /// bit-flipped payload must never crash or silently mis-decode).
-void AppendColumnarRecords(const ColumnarRecords& records, std::string* out);
-
-Status ParseColumnarRecords(std::string_view data, ColumnarRecords* out);
-
-/// RecordBatch payload: every store of the batch concatenated into one
-/// logical record stream (per-store splits are an execution artifact, not
-/// part of the data). Decoding yields a single-store batch with no
-/// materialized views.
 void AppendRecordBatch(const RecordBatch& batch, std::string* out);
 
 Status ParseRecordBatch(std::string_view data, RecordBatch* out);

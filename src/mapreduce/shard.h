@@ -5,25 +5,24 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
-#include "mapreduce/dfs.h"
 #include "mapreduce/sharding.h"
 
 namespace rapida::mr {
 
 /// One worker shard of the sharded data plane. A shard owns
-///  - a private Dfs namespace holding its segments of every job output
-///    (the records whose home — for map-only outputs — or owned key range
-///    — for reduce outputs — falls on this shard),
-///  - a view of the dictionary segment it serves (the key-hash residue
-///    class it owns; term interning itself stays coordinator-side, on the
-///    serial reduce merge, so results are byte-identical to the unsharded
-///    runtime),
-///  - a map-task queue the coordinator dispatches into.
+///  - the reducer key range of its hash-residue class (OwnsKey),
+///  - a view of the dictionary segment it serves (the same residue class;
+///    term interning itself stays coordinator-side, on the serial reduce
+///    merge, so results are byte-identical to the unsharded runtime),
+///  - a map-task queue the coordinator dispatches into,
+///  - counters of the map tasks it ran and of the job output it owns (the
+///    records whose home — for map-only outputs — or owned key range — for
+///    reduce outputs — falls on this shard). The output records themselves
+///    live once, in the coordinator's Dfs file.
 ///
 /// Counter methods are thread-safe (map tasks of one job run
 /// concurrently); queue methods are thread-safe as well.
@@ -41,8 +40,7 @@ class Shard {
   };
 
   Shard(int id, int num_shards, ShardingScheme scheme)
-      : id_(id), num_shards_(num_shards), scheme_(scheme),
-        dfs_(std::make_unique<Dfs>()) {}
+      : id_(id), num_shards_(num_shards), scheme_(scheme) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -58,11 +56,6 @@ class Shard {
   DictSegmentView dict_segment() const {
     return DictSegmentView{id_, num_shards_};
   }
-
-  /// This shard's private file namespace: per-job output segments are
-  /// written here under the job's output name.
-  Dfs* dfs() { return dfs_.get(); }
-  const Dfs* dfs() const { return dfs_.get(); }
 
   // -- map-task queue (coordinator dispatch) --
   void EnqueueMapTask(size_t task_index) {
@@ -97,7 +90,7 @@ class Shard {
     return output_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Drops all segments and counters (fresh workflow).
+  /// Drops queued tasks and counters (fresh workflow).
   void Reset() {
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
@@ -106,14 +99,12 @@ class Shard {
     map_tasks_.store(0, std::memory_order_relaxed);
     output_records_.store(0, std::memory_order_relaxed);
     output_bytes_.store(0, std::memory_order_relaxed);
-    dfs_ = std::make_unique<Dfs>();
   }
 
  private:
   const int id_;
   const int num_shards_;
   const ShardingScheme scheme_;
-  std::unique_ptr<Dfs> dfs_;
   mutable std::mutex queue_mu_;
   std::deque<size_t> task_queue_;
   std::atomic<uint64_t> map_tasks_{0};

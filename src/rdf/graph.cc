@@ -37,19 +37,17 @@ std::unordered_map<TermId, uint64_t> Graph::PropertyCounts() const {
   return counts;
 }
 
-const std::vector<Graph::SubjectGroup>& Graph::SubjectGroups() const {
-  if (subject_groups_built_at_ == triples_.size()) return subject_groups_;
+std::vector<Graph::SubjectGroup> Graph::SubjectGroups() const {
   std::vector<Triple> sorted = triples_;
   std::sort(sorted.begin(), sorted.end());
-  subject_groups_.clear();
+  std::vector<SubjectGroup> groups;
   for (const Triple& t : sorted) {
-    if (subject_groups_.empty() || subject_groups_.back().subject != t.s) {
-      subject_groups_.push_back(SubjectGroup{t.s, {}});
+    if (groups.empty() || groups.back().subject != t.s) {
+      groups.push_back(SubjectGroup{t.s, {}});
     }
-    subject_groups_.back().triples.push_back(t);
+    groups.back().triples.push_back(t);
   }
-  subject_groups_built_at_ = triples_.size();
-  return subject_groups_;
+  return groups;
 }
 
 uint64_t Graph::EstimateSerializedBytes() const {

@@ -56,13 +56,14 @@ class Graph {
   std::unordered_map<TermId, uint64_t> PropertyCounts() const;
 
   /// Triples grouped by subject, each group's triples ordered by property.
-  /// The subject order is ascending by id. Rebuilt on each call if the
-  /// graph changed since the last build.
+  /// The subject order is ascending by id. Built fresh on each call and
+  /// owned by the caller: a grouped copy of every triple, so keep it only
+  /// as long as the grouping is needed.
   struct SubjectGroup {
     TermId subject;
     std::vector<Triple> triples;
   };
-  const std::vector<SubjectGroup>& SubjectGroups() const;
+  std::vector<SubjectGroup> SubjectGroups() const;
 
   /// Rough serialized size in bytes, as the DFS would store it in N-Triples
   /// text. Used by the cost model to size inputs.
@@ -72,9 +73,6 @@ class Graph {
   Dictionary dict_;
   std::vector<Triple> triples_;
   std::unordered_set<Triple, TripleHash> triple_set_;
-
-  mutable std::vector<SubjectGroup> subject_groups_;
-  mutable size_t subject_groups_built_at_ = static_cast<size_t>(-1);
 };
 
 }  // namespace rapida::rdf

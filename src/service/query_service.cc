@@ -392,9 +392,7 @@ bool QueryService::TryStore(Pending* p) {
     // factorization made cheap to keep.
     uint64_t serialized_bytes = 0;
     if (!art->meta.factorization.empty()) {
-      for (const auto& store : art->rows.columns) {
-        serialized_bytes += store->LogicalBytes();
-      }
+      serialized_bytes = art->rows.LogicalBytes();
     }
     result_cache_.Put(
         ResultCache::Key(p->fingerprint, p->spec.dataset, dataset->version()),

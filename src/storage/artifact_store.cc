@@ -241,24 +241,22 @@ StatusOr<analytics::BindingTable> DeserializeTable(
     const mr::RecordBatch& rows, const std::vector<std::string>& columns,
     rdf::Dictionary* dict) {
   analytics::BindingTable table(columns);
-  for (const auto& store : rows.columns) {
-    for (size_t r = 0; r < store->size(); ++r) {
-      std::string_view value = store->value(r);
-      size_t offset = 0;
-      std::vector<rdf::TermId> row;
-      row.reserve(columns.size());
-      while (offset < value.size()) {
-        rdf::TermId id = rdf::kInvalidTermId;
-        RAPIDA_RETURN_IF_ERROR(DecodeCell(value, &offset, dict, &id));
-        row.push_back(id);
-      }
-      if (row.size() != columns.size()) {
-        return Status::DataLoss(
-            "artifact row has " + std::to_string(row.size()) +
-            " cells for " + std::to_string(columns.size()) + " columns");
-      }
-      table.AddRow(std::move(row));
+  for (const mr::Record& r : rows.records) {
+    std::string_view value = r.value();
+    size_t offset = 0;
+    std::vector<rdf::TermId> row;
+    row.reserve(columns.size());
+    while (offset < value.size()) {
+      rdf::TermId id = rdf::kInvalidTermId;
+      RAPIDA_RETURN_IF_ERROR(DecodeCell(value, &offset, dict, &id));
+      row.push_back(id);
     }
+    if (row.size() != columns.size()) {
+      return Status::DataLoss(
+          "artifact row has " + std::to_string(row.size()) + " cells for " +
+          std::to_string(columns.size()) + " columns");
+    }
+    table.AddRow(std::move(row));
   }
   return table;
 }
@@ -470,36 +468,34 @@ StatusOr<analytics::BindingTable> DeserializeArtifact(const Artifact& artifact,
     return Status::OK();
   };
 
-  for (const auto& store : artifact.rows.columns) {
-    for (size_t r = 0; r < store->size(); ++r) {
-      std::string_view key = store->key(r);
-      std::string_view value = store->value(r);
-      size_t offset = 0;
-      rdf::TermId id = rdf::kInvalidTermId;
-      RAPIDA_RETURN_IF_ERROR(DecodeCell(value, &offset, dict, &id));
-      if (offset != value.size()) {
-        return Status::DataLoss("factorized artifact record has trailing "
-                                "bytes after its cell");
-      }
-      if (key == "g") {
-        RAPIDA_RETURN_IF_ERROR(flush());
-        base = id;
-        open = true;
-        continue;
-      }
-      if (key.size() < 2 || key[0] != 'f' || !open) {
-        return Status::DataLoss("factorized artifact has record key '" +
-                                std::string(key) + "' outside any group");
-      }
-      char* endp = nullptr;
-      std::string idx(key.substr(1));
-      unsigned long j = std::strtoul(idx.c_str(), &endp, 10);
-      if (*endp != '\0' || j >= factors.size()) {
-        return Status::DataLoss("factorized artifact factor key '" +
-                                std::string(key) + "' out of range");
-      }
-      factors[j].push_back(id);
+  for (const mr::Record& r : artifact.rows.records) {
+    std::string_view key = r.key();
+    std::string_view value = r.value();
+    size_t offset = 0;
+    rdf::TermId id = rdf::kInvalidTermId;
+    RAPIDA_RETURN_IF_ERROR(DecodeCell(value, &offset, dict, &id));
+    if (offset != value.size()) {
+      return Status::DataLoss("factorized artifact record has trailing "
+                              "bytes after its cell");
     }
+    if (key == "g") {
+      RAPIDA_RETURN_IF_ERROR(flush());
+      base = id;
+      open = true;
+      continue;
+    }
+    if (key.size() < 2 || key[0] != 'f' || !open) {
+      return Status::DataLoss("factorized artifact has record key '" +
+                              std::string(key) + "' outside any group");
+    }
+    char* endp = nullptr;
+    std::string idx(key.substr(1));
+    unsigned long j = std::strtoul(idx.c_str(), &endp, 10);
+    if (*endp != '\0' || j >= factors.size()) {
+      return Status::DataLoss("factorized artifact factor key '" +
+                              std::string(key) + "' out of range");
+    }
+    factors[j].push_back(id);
   }
   RAPIDA_RETURN_IF_ERROR(flush());
   return table;

@@ -46,7 +46,7 @@ struct ArtifactMeta {
   std::string factorization;
 };
 
-/// One artifact: meta + the result rows as a columnar record batch (one
+/// One artifact: meta + the result rows as a record batch (one
 /// record per row; the value holds the self-describing cell encoding
 /// produced by SerializeTable).
 struct Artifact {

@@ -6,7 +6,9 @@ namespace rapida::util {
 
 void Arena::AddBlock(size_t min_bytes) {
   size_t block = std::max(next_block_bytes_, min_bytes);
-  blocks_.push_back(std::make_unique<char[]>(block));
+  // Uninitialized: pages a block never fills are never touched, so they
+  // cost address space, not resident memory.
+  blocks_.push_back(std::make_unique_for_overwrite<char[]>(block));
   cursor_ = blocks_.back().get();
   remaining_ = block;
   // Geometric growth amortizes block setup without holding large slack for

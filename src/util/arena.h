@@ -13,50 +13,34 @@ namespace rapida::util {
 /// stable address) until the arena is destroyed. One arena serves one
 /// producer thread; it is not internally synchronized.
 ///
-/// The MapReduce runtime gives every map task and reduce context its own
-/// arena so the hot emit path is an append plus a pointer bump — no
-/// per-record operator new — and record string_views can outlive the
-/// emitting callback as long as the owning arena is kept alive (Dfs::File
-/// and RecordBatch hold shared_ptr<Arena> for exactly that reason).
+/// Every mr::RecordBatch owns the arenas its record views point into, and
+/// the MapReduce runtime gives every map task and reduce context its own
+/// batch, so the hot emit path is one Concat plus a pointer bump — no
+/// per-record operator new. Records outlive the emitting callback because
+/// the arenas move with the batch into the Dfs::File (blocks never move).
 class Arena {
  public:
-  explicit Arena(size_t first_block_bytes = kDefaultFirstBlock)
-      : next_block_bytes_(first_block_bytes) {}
+  Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Uninitialized storage; valid for the arena's lifetime.
-  char* Allocate(size_t n) {
+  /// Copies the concatenation a+b in one contiguous allocation and returns
+  /// a view of the copy, valid (at a stable address) for the arena's
+  /// lifetime.
+  std::string_view Concat(std::string_view a, std::string_view b) {
+    const size_t n = a.size() + b.size();
+    if (n == 0) return std::string_view(EmptyMarker(), 0);
     if (n > remaining_) AddBlock(n);
-    char* out = cursor_;
+    char* dst = cursor_;
     cursor_ += n;
     remaining_ -= n;
-    bytes_used_ += n;
-    return out;
-  }
-
-  /// Copies `s` into the arena and returns a view of the stable copy.
-  std::string_view Copy(std::string_view s) {
-    if (s.empty()) return std::string_view(EmptyMarker(), 0);
-    char* dst = Allocate(s.size());
-    std::memcpy(dst, s.data(), s.size());
-    return std::string_view(dst, s.size());
-  }
-
-  /// Copies the concatenation a+b in one contiguous allocation.
-  std::string_view Concat(std::string_view a, std::string_view b) {
-    if (a.size() + b.size() == 0) return std::string_view(EmptyMarker(), 0);
-    char* dst = Allocate(a.size() + b.size());
     if (!a.empty()) std::memcpy(dst, a.data(), a.size());
     if (!b.empty()) std::memcpy(dst + a.size(), b.data(), b.size());
-    return std::string_view(dst, a.size() + b.size());
+    return std::string_view(dst, n);
   }
 
-  /// Total bytes handed out (not counting block slack).
-  size_t bytes_used() const { return bytes_used_; }
-
  private:
-  static constexpr size_t kDefaultFirstBlock = 16 * 1024;
+  static constexpr size_t kFirstBlock = 4 * 1024;
   static constexpr size_t kMaxBlock = 1024 * 1024;
 
   // Empty views still need a non-null data() distinguishable from "no
@@ -71,8 +55,7 @@ class Arena {
   std::vector<std::unique_ptr<char[]>> blocks_;
   char* cursor_ = nullptr;
   size_t remaining_ = 0;
-  size_t next_block_bytes_;
-  size_t bytes_used_ = 0;
+  size_t next_block_bytes_ = kFirstBlock;
 };
 
 }  // namespace rapida::util

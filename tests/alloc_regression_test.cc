@@ -1,11 +1,12 @@
 // Allocation regression gate for the MapReduce hot path: a representative
 // shuffle+reduce job must stay far below one heap allocation per record.
-// The columnar-store record representation makes the emit/shuffle/sort/
-// reduce loops allocation-free per record (buffer growth, task vectors and
-// thread bookkeeping amortize away), so the whole job costs O(tasks + keys)
-// allocations, not O(records). The std::string-backed representation this
-// replaced paid 2+ allocations per record at emit alone once payloads
-// exceed the small-string buffer — an order of magnitude over this budget.
+// Arena-backed record views make the emit/shuffle/sort/reduce loops
+// allocation-free per record (arena blocks, view-array growth, task
+// vectors and thread bookkeeping amortize away), so the whole job costs
+// O(tasks + keys) allocations, not O(records). A std::string-per-record
+// representation pays 2+ allocations per record at emit alone once
+// payloads exceed the small-string buffer — an order of magnitude over
+// this budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -78,7 +79,7 @@ TEST(AllocRegressionTest, ReduceJobStaysUnderPerRecordBudget) {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    ctx->Emit(r.key, r.value);
+    ctx->Emit(r.key(), r.value());
   };
   job.reduce = [](std::string_view key, const ValueSpan& values,
                   ReduceContext* ctx) {
@@ -134,7 +135,7 @@ TEST(AllocRegressionTest, JoinShapedBatchJobStaysUnderPerRecordBudget) {
                      MapContext* ctx) {
     std::string val_buf;
     for (size_t i = 0; i < count; ++i) {
-      std::string_view value = records[i].record->value;
+      std::string_view value = records[i].record->value();
       std::string_view key = value.substr(0, value.find(','));
       val_buf.assign(records[i].tag == 0 ? "L|" : "R|");
       val_buf.append(value);

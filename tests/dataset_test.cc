@@ -108,8 +108,9 @@ TEST(DatasetTest, BothLayoutsCarryEveryTriple) {
     } else {
       for (const mr::Record& r : (*file)->records) {
         // Count ';' separators = triple count per group.
+        std::string_view value = r.value();
         tg_triples += static_cast<size_t>(
-            std::count(r.value.begin(), r.value.end(), ';'));
+            std::count(value.begin(), value.end(), ';'));
       }
     }
   }

@@ -77,7 +77,7 @@ TEST(FailureInjectionTest, CorruptTriplegroupRecordsAreSkipped) {
     // Copy the bytes out via the batch before Write replaces the file (and
     // drops the arenas the old views point into).
     mr::RecordBatch batch;
-    for (const mr::Record& r : (*file)->records) batch.Add(r.key, r.value);
+    for (const mr::Record& r : (*file)->records) batch.Add(r.key(), r.value());
     batch.Add("junk", "not-a-triplegroup");
     batch.Add("", "");
     ASSERT_TRUE(dataset.dfs().Write(f, std::move(batch)).ok());

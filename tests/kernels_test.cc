@@ -114,11 +114,11 @@ TEST(KernelsTest, TokenizeRowMatchesFieldTokenizer) {
 
 TEST(KernelsTest, TokenizeValuesCoversWholeBatch) {
   std::vector<std::string> values = {"1;2,3", "", "7;8,9;10,11"};
-  std::vector<mr::Record> records(values.size());
+  mr::RecordBatch records;
+  for (const std::string& v : values) records.Add("", v);
   std::vector<mr::TaggedRecord> tagged(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    records[i] = mr::MakeRecord("", values[i]);
-    tagged[i] = mr::TaggedRecord{&records[i], 0};
+    tagged[i] = mr::TaggedRecord{&records.records[i], 0};
   }
   mr::kernels::FieldColumns cols;
   mr::kernels::TokenizeValues(tagged.data(), tagged.size(), ';', &cols);
@@ -196,11 +196,11 @@ JobOutput RunCountJob(bool batch, bool combine, int threads) {
   if (batch) {
     job.map_batch = [emit_tokens](const mr::TaggedRecord* recs, size_t n,
                                   mr::MapContext* ctx) {
-      for (size_t i = 0; i < n; ++i) emit_tokens(recs[i].record->value, ctx);
+      for (size_t i = 0; i < n; ++i) emit_tokens(recs[i].record->value(), ctx);
     };
   } else {
     job.map = [emit_tokens](const mr::Record& r, int, mr::MapContext* ctx) {
-      emit_tokens(r.value, ctx);
+      emit_tokens(r.value(), ctx);
     };
   }
   auto sum = [](std::string_view key, const mr::ValueSpan& values,
@@ -224,7 +224,7 @@ JobOutput RunCountJob(bool batch, bool combine, int threads) {
   auto file = dfs.Open("out");
   EXPECT_TRUE(file.ok());
   for (const mr::Record& r : (*file)->records) {
-    out.records.emplace_back(std::string(r.key), std::string(r.value));
+    out.records.emplace_back(std::string(r.key()), std::string(r.value()));
   }
   return out;
 }

@@ -89,7 +89,7 @@ TEST_F(ClusterTest, WordCount) {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    for (const std::string& w : SplitString(r.value, ' ')) {
+    for (const std::string& w : SplitString(r.value(), ' ')) {
       ctx->Emit(w, "1");
     }
   };
@@ -107,10 +107,10 @@ TEST_F(ClusterTest, WordCount) {
   auto out = dfs_.Open("out");
   ASSERT_TRUE(out.ok());
   // Keys arrive in sorted order from the reduce phase.
-  EXPECT_EQ((*out)->records[0].key, "a");
-  EXPECT_EQ((*out)->records[0].value, "3");
-  EXPECT_EQ((*out)->records[1].key, "b");
-  EXPECT_EQ((*out)->records[1].value, "2");
+  EXPECT_EQ((*out)->records[0].key(), "a");
+  EXPECT_EQ((*out)->records[0].value(), "3");
+  EXPECT_EQ((*out)->records[1].key(), "b");
+  EXPECT_EQ((*out)->records[1].value(), "2");
 }
 
 TEST_F(ClusterTest, CombinerShrinksShuffle) {
@@ -123,7 +123,7 @@ TEST_F(ClusterTest, CombinerShrinksShuffle) {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    for (const std::string& w : SplitString(r.value, ' ')) ctx->Emit(w, "1");
+    for (const std::string& w : SplitString(r.value(), ' ')) ctx->Emit(w, "1");
   };
   ReduceFn sum = [](std::string_view key, const ValueSpan& values,
                     ReduceContext* ctx) {
@@ -147,7 +147,7 @@ TEST_F(ClusterTest, CombinerShrinksShuffle) {
   EXPECT_LT(with_combine->shuffle_records, no_combine->shuffle_records);
   // Same final answer either way.
   auto out = dfs_.Open("out");
-  EXPECT_EQ((*out)->records[0].value, "200");
+  EXPECT_EQ((*out)->records[0].value(), "200");
 }
 
 TEST_F(ClusterTest, MapOnlyJobSkipsShuffle) {
@@ -157,7 +157,7 @@ TEST_F(ClusterTest, MapOnlyJobSkipsShuffle) {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    ctx->Emit(r.key, r.value);
+    ctx->Emit(r.key(), r.value());
   };
   auto stats = cluster_.Run(job);
   ASSERT_TRUE(stats.ok());
@@ -176,8 +176,8 @@ TEST_F(ClusterTest, InputTagsDistinguishSides) {
   job.output = "out";
   job.map = [](const Record& r, int tag, MapContext* ctx) {
     std::string tagged = tag == 0 ? "L:" : "R:";
-    tagged += r.value;
-    ctx->Emit(r.key, tagged);
+    tagged += r.value();
+    ctx->Emit(r.key(), tagged);
   };
   job.reduce = [](std::string_view key, const ValueSpan& values,
                   ReduceContext* ctx) {
@@ -188,8 +188,8 @@ TEST_F(ClusterTest, InputTagsDistinguishSides) {
   auto stats = cluster_.Run(job);
   ASSERT_TRUE(stats.ok());
   auto out = dfs_.Open("out");
-  EXPECT_NE((*out)->records[0].value.find("L:l"), std::string::npos);
-  EXPECT_NE((*out)->records[0].value.find("R:r"), std::string::npos);
+  EXPECT_NE((*out)->records[0].value().find("L:l"), std::string::npos);
+  EXPECT_NE((*out)->records[0].value().find("R:r"), std::string::npos);
 }
 
 TEST_F(ClusterTest, MapFinishFlushesPerMapperState) {
@@ -211,7 +211,7 @@ TEST_F(ClusterTest, MapFinishFlushesPerMapperState) {
   // One flush per mapper; with a small input there is a single mapper.
   auto out = dfs_.Open("out");
   ASSERT_EQ((*out)->records.size(), 1u);
-  EXPECT_EQ((*out)->records[0].value, "10");
+  EXPECT_EQ((*out)->records[0].value(), "10");
 }
 
 TEST_F(ClusterTest, MissingInputFails) {
@@ -231,7 +231,7 @@ TEST_F(ClusterTest, CapacityFailurePropagates) {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    for (int i = 0; i < 100; ++i) ctx->Emit(r.key, "xxxxxxxxxxxxxxxx");
+    for (int i = 0; i < 100; ++i) ctx->Emit(r.key(), "xxxxxxxxxxxxxxxx");
   };
   auto stats = cluster_.Run(job);
   ASSERT_FALSE(stats.ok());
@@ -274,7 +274,7 @@ JobConfig DeterminismJob(ReduceFn* sum_out = nullptr) {
   job.inputs = {"left", "right"};
   job.output = "out";
   job.map = [](const Record& r, int tag, MapContext* ctx) {
-    for (const std::string& w : SplitString(r.value, ' ')) {
+    for (const std::string& w : SplitString(r.value(), ' ')) {
       ctx->Emit((tag == 0 ? "L" : "R") + w, "1");
     }
   };
@@ -360,14 +360,14 @@ TEST(ParallelClusterTest, ThreadCountDoesNotChangeResults) {
     ASSERT_EQ((*out1)->records.size(), (*out8)->records.size());
     // Byte-identical in original emission order...
     for (size_t i = 0; i < (*out1)->records.size(); ++i) {
-      EXPECT_EQ((*out1)->records[i].key, (*out8)->records[i].key);
-      EXPECT_EQ((*out1)->records[i].value, (*out8)->records[i].value);
+      EXPECT_EQ((*out1)->records[i].key(), (*out8)->records[i].key());
+      EXPECT_EQ((*out1)->records[i].value(), (*out8)->records[i].value());
     }
     // ...and (a fortiori) after a canonical sort.
     auto canon = [](const std::vector<Record>& recs) {
       std::vector<std::string> out;
       for (const Record& r : recs) {
-        out.push_back(std::string(r.key) + "\t" + std::string(r.value));
+        out.push_back(std::string(r.key()) + "\t" + std::string(r.value()));
       }
       std::sort(out.begin(), out.end());
       return out;
@@ -389,7 +389,7 @@ TEST_F(ClusterTest, ValueSpanAccessorsAgree) {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    ctx->Emit(r.key, r.value);
+    ctx->Emit(r.key(), r.value());
   };
   job.reduce = [](std::string_view key, const ValueSpan& values,
                   ReduceContext* ctx) {
@@ -410,7 +410,7 @@ TEST_F(ClusterTest, ValueSpanAccessorsAgree) {
   ASSERT_TRUE(stats.ok()) << stats.status();
   auto out = dfs_.Open("out");
   // stable_sort keeps a group's values in arrival order.
-  EXPECT_EQ((*out)->records[0].value, "alpha|beta|gamma|");
+  EXPECT_EQ((*out)->records[0].value(), "alpha|beta|gamma|");
 }
 
 // The full reduce-mode matrix: combine feeding either the serial
@@ -440,8 +440,8 @@ TEST(ParallelClusterTest, ValueSpanReduceModesAreByteIdentical) {
       RunResult run;
       run.stats = *stats;
       for (const Record& r : (*out)->records) {
-        run.lines.push_back(std::string(r.key) + "\t" +
-                            std::string(r.value));
+        run.lines.push_back(std::string(r.key()) + "\t" +
+                            std::string(r.value()));
       }
       runs.push_back(std::move(run));
     }
@@ -472,7 +472,7 @@ TEST(ParallelClusterTest, MapOnlyOutputOrderIsSplitOrder) {
   job.inputs = {"left", "right"};
   job.output = "out";
   job.map = [](const Record& r, int tag, MapContext* ctx) {
-    ctx->Emit(std::to_string(tag), r.value);
+    ctx->Emit(std::to_string(tag), r.value());
   };
   auto s1 = c1.Run(job);
   auto s8 = c8.Run(job);
@@ -482,7 +482,7 @@ TEST(ParallelClusterTest, MapOnlyOutputOrderIsSplitOrder) {
   auto out8 = dfs8.Open("out");
   ASSERT_EQ((*out1)->records.size(), (*out8)->records.size());
   for (size_t i = 0; i < (*out1)->records.size(); ++i) {
-    EXPECT_EQ((*out1)->records[i].value, (*out8)->records[i].value);
+    EXPECT_EQ((*out1)->records[i].value(), (*out8)->records[i].value());
   }
 }
 
@@ -524,7 +524,7 @@ TEST(ParallelClusterTest, TaskStateIsPerMapTask) {
   EXPECT_GT(stats->num_mappers, 1);
   auto out = dfs.Open("out");
   ASSERT_EQ((*out)->records.size(), 1u);
-  EXPECT_EQ((*out)->records[0].value, "300");
+  EXPECT_EQ((*out)->records[0].value(), "300");
 }
 
 // wall_seconds is recorded for every job.
@@ -536,7 +536,7 @@ TEST(ParallelClusterTest, WallSecondsRecorded) {
   job.name = "j";
   job.inputs = {"input"};
   job.map = [](const Record& r, int, MapContext* ctx) {
-    ctx->Emit(r.key, r.value);
+    ctx->Emit(r.key(), r.value());
   };
   auto stats = cluster.Run(job);
   ASSERT_TRUE(stats.ok());
@@ -551,7 +551,7 @@ TEST_F(ClusterTest, HistoryAccumulates) {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    ctx->Emit(r.key, r.value);
+    ctx->Emit(r.key(), r.value());
   };
   ASSERT_TRUE(cluster_.Run(job).ok());
   ASSERT_TRUE(cluster_.Run(job).ok());

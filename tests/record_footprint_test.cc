@@ -1,0 +1,176 @@
+// Memory-footprint gate for the record plane: a record costs one 32-byte
+// view plus its key‖value bytes once. A size-tracking operator new counts
+// the live heap bytes, so the gates see every copy a Dfs file or a job
+// keeps: a per-record column, a second view array, a shard segment that
+// duplicates the output.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "mapreduce/cluster.h"
+#include "mapreduce/dfs.h"
+#include "mapreduce/record.h"
+
+namespace {
+
+// Every allocation carries its size in a 16-byte header (keeping the
+// default new alignment), so frees on any thread keep the count exact.
+constexpr size_t kHeader = 16;
+std::atomic<int64_t> g_live_bytes{0};
+
+void* TrackedAlloc(size_t n) {
+  char* p = static_cast<char*>(std::malloc(n + kHeader));
+  if (p == nullptr) return nullptr;
+  *reinterpret_cast<size_t*>(p) = n;
+  g_live_bytes.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
+  return p + kHeader;
+}
+
+void TrackedFree(void* p) {
+  if (p == nullptr) return;
+  char* base = static_cast<char*>(p) - kHeader;
+  g_live_bytes.fetch_sub(
+      static_cast<int64_t>(*reinterpret_cast<size_t*>(base)),
+      std::memory_order_relaxed);
+  std::free(base);
+}
+
+void* CheckedAlloc(size_t n) {
+  void* p = TrackedAlloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+int64_t LiveBytes() { return g_live_bytes.load(std::memory_order_relaxed); }
+
+}  // namespace
+
+void* operator new(size_t n) { return CheckedAlloc(n); }
+void* operator new[](size_t n) { return CheckedAlloc(n); }
+void* operator new(size_t n, const std::nothrow_t&) noexcept {
+  return TrackedAlloc(n);
+}
+void* operator new[](size_t n, const std::nothrow_t&) noexcept {
+  return TrackedAlloc(n);
+}
+void operator delete(void* p) noexcept { TrackedFree(p); }
+void operator delete[](void* p) noexcept { TrackedFree(p); }
+void operator delete(void* p, size_t) noexcept { TrackedFree(p); }
+void operator delete[](void* p, size_t) noexcept { TrackedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  TrackedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  TrackedFree(p);
+}
+
+namespace rapida::mr {
+namespace {
+
+// Per-record allowance on top of the view and the payload: arena block
+// slack and bookkeeping. A per-record column (8 bytes each) or a second
+// view array (32 bytes) cannot hide in it.
+constexpr int64_t kSlackPerRecord = 16;
+
+int64_t Budget(uint64_t records, uint64_t payload) {
+  return static_cast<int64_t>(records) *
+             (static_cast<int64_t>(sizeof(Record)) + kSlackPerRecord) +
+         static_cast<int64_t>(payload);
+}
+
+TEST(RecordFootprintTest, RecordIsAThirtyTwoByteView) {
+  EXPECT_EQ(sizeof(Record), 32u);
+  RecordBatch batch;
+  batch.Add("key", "value");
+  const Record& r = batch.records[0];
+  // Key and value are one contiguous copy.
+  EXPECT_EQ(r.key().data() + r.key().size(), r.value().data());
+  EXPECT_EQ(r.key(), "key");
+  EXPECT_EQ(r.value(), "value");
+  EXPECT_EQ(r.Bytes(), 3u + 5u + 2u);
+  EXPECT_EQ(r.key_hash, HashKey("key"));
+  EXPECT_EQ(r.key_prefix, KeyPrefix("key"));
+}
+
+TEST(RecordFootprintTest, DfsFileHoldsOneViewAndOnePayloadCopyPerRecord) {
+  constexpr int kRecords = 10000;
+  Dfs dfs;
+  uint64_t payload = 0;
+  const int64_t before = LiveBytes();
+  {
+    RecordBatch batch;
+    for (int i = 0; i < kRecords; ++i) {
+      std::string key = "k" + std::to_string(i);
+      std::string value = "v" + std::to_string(i * 7);
+      payload += key.size() + value.size();
+      batch.Add(key, value);
+    }
+    ASSERT_TRUE(dfs.Write("f", std::move(batch)).ok());
+  }
+  const int64_t held = LiveBytes() - before;
+  EXPECT_LE(held, Budget(kRecords, payload))
+      << held / kRecords << " bytes per record for " << payload / kRecords
+      << " payload bytes";
+
+  ASSERT_TRUE(dfs.Delete("f").ok());
+  EXPECT_LE(LiveBytes() - before, 1024) << "deleting the file leaked";
+}
+
+TEST(RecordFootprintTest, ShardedReduceKeepsNoSecondCopyOfItsOutput) {
+  constexpr int kRecords = 10000;
+  for (int threads : {1, 4}) {
+    Dfs dfs;
+    ClusterConfig cfg;
+    cfg.num_shards = 4;
+    cfg.exec_threads = threads;
+    Cluster cluster(cfg, &dfs);
+    RecordBatch input;
+    for (int i = 0; i < kRecords; ++i) {
+      input.Add(std::to_string(i), "v" + std::to_string(i));
+    }
+    ASSERT_TRUE(dfs.Write("input", std::move(input)).ok());
+
+    JobConfig job;
+    job.name = "key-preserving";
+    job.inputs = {"input"};
+    job.output = "out";
+    job.map = [](const Record& r, int, MapContext* ctx) {
+      ctx->Emit(r.key(), r.value());
+    };
+    job.reduce = [](std::string_view key, const ValueSpan& values,
+                    ReduceContext* ctx) {
+      ctx->Emit(key, values[0]);
+    };
+    job.reduce_parallel_safe = true;
+    // Warm-up under another output name: the worker pool and the job
+    // history allocate once, outside the measured window.
+    JobConfig warm_up = job;
+    warm_up.output = "warm-up";
+    ASSERT_TRUE(cluster.Run(warm_up).ok());
+    ASSERT_TRUE(dfs.Delete("warm-up").ok());
+
+    const int64_t before = LiveBytes();
+    auto stats = cluster.Run(job);
+    const int64_t held = LiveBytes() - before;
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ASSERT_EQ(stats->output_records, static_cast<uint64_t>(kRecords));
+    // Everything the job left alive is its output file: one view per
+    // record and the key‖value bytes once (Bytes() counts 2 separators).
+    const uint64_t payload = stats->output_bytes - 2 * stats->output_records;
+    EXPECT_LE(held, Budget(stats->output_records, payload))
+        << "threads " << threads << ": " << held / kRecords
+        << " bytes per output record";
+
+    // Dropping the file frees it all: no shard, task or partition still
+    // holds a view or an arena of the output.
+    ASSERT_TRUE(dfs.Delete("out").ok());
+    EXPECT_LE(LiveBytes() - before, 4096) << "threads " << threads;
+  }
+}
+
+}  // namespace
+}  // namespace rapida::mr

@@ -1,7 +1,7 @@
 // Sharded data plane: placement-scheme determinism, shard/channel
 // mechanics (under TSan in scripts/check.sh), shuffle-byte conservation,
 // the locality scheme's zero-cross guarantee for key-preserving jobs,
-// per-shard output segments, and the full byte-identity matrix (every
+// per-shard output ownership, and the full byte-identity matrix (every
 // engine, shard counts x thread counts, both schemes) through the
 // differential harness.
 #include <gtest/gtest.h>
@@ -167,7 +167,7 @@ JobConfig KeyPreservingJob() {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    ctx->Emit(r.key, r.value);
+    ctx->Emit(r.key(), r.value());
   };
   job.reduce = [](std::string_view key, const ValueSpan& values,
                   ReduceContext* ctx) {
@@ -264,8 +264,8 @@ TEST(ShardedClusterTest, ResultsAreByteIdenticalToUnsharded) {
         ASSERT_TRUE(out.ok());
         ASSERT_EQ((*out)->records.size(), (*ref_out)->records.size());
         for (size_t i = 0; i < (*out)->records.size(); ++i) {
-          EXPECT_EQ((*out)->records[i].key, (*ref_out)->records[i].key);
-          EXPECT_EQ((*out)->records[i].value, (*ref_out)->records[i].value);
+          EXPECT_EQ((*out)->records[i].key(), (*ref_out)->records[i].key());
+          EXPECT_EQ((*out)->records[i].value(), (*ref_out)->records[i].value());
         }
         // Identical workflow counters, too: sharding is placement only.
         EXPECT_EQ(stats->shuffle_bytes, ref_stats->shuffle_bytes);
@@ -275,7 +275,7 @@ TEST(ShardedClusterTest, ResultsAreByteIdenticalToUnsharded) {
   }
 }
 
-TEST(ShardedClusterTest, ShardSegmentsPartitionTheOutput) {
+TEST(ShardedClusterTest, ShardOwnershipPartitionsTheOutput) {
   Dfs dfs;
   ClusterConfig cfg;
   cfg.num_shards = 4;
@@ -287,31 +287,31 @@ TEST(ShardedClusterTest, ShardSegmentsPartitionTheOutput) {
 
   auto coordinator = dfs.Open("out");
   ASSERT_TRUE(coordinator.ok());
-  // Each shard holds its private segment; the segments are disjoint by
-  // key ownership and their union is exactly the coordinator output.
-  size_t segment_records = 0;
-  uint64_t segment_bytes = 0;
+  // The coordinator file holds the only copy of the output. Every record
+  // is owned by exactly one shard (its key's reducer range), and each
+  // shard's counters and byte share are exactly the records it owns.
   ASSERT_EQ(stats->shard_output_bytes.size(), 4u);
+  size_t owned_records = 0;
+  uint64_t owned_bytes = 0;
   for (int s = 0; s < 4; ++s) {
     const Shard* shard = cluster.shard(s);
-    auto seg = shard->dfs()->Open("out");
-    if (!seg.ok()) {
-      EXPECT_EQ(stats->shard_output_bytes[s], 0u);
-      continue;
+    uint64_t records = 0, bytes = 0;
+    for (const Record& r : (*coordinator)->records) {
+      if (!shard->OwnsKey(r.key_hash)) continue;
+      records += 1;
+      bytes += r.Bytes();
     }
-    segment_records += (*seg)->records.size();
-    segment_bytes += stats->shard_output_bytes[s];
-    EXPECT_EQ(shard->output_records(), (*seg)->records.size());
-    for (const Record& r : (*seg)->records) {
-      EXPECT_TRUE(shard->OwnsKey(r.key_hash))
-          << "shard " << s << " stores key it does not own: " << r.key;
-    }
+    EXPECT_EQ(shard->output_records(), records) << "shard " << s;
+    EXPECT_EQ(shard->output_bytes(), bytes) << "shard " << s;
+    EXPECT_EQ(stats->shard_output_bytes[s], bytes) << "shard " << s;
+    owned_records += records;
+    owned_bytes += stats->shard_output_bytes[s];
   }
-  EXPECT_EQ(segment_records, (*coordinator)->records.size());
-  EXPECT_EQ(segment_bytes, stats->output_bytes);
+  EXPECT_EQ(owned_records, (*coordinator)->records.size());
+  EXPECT_EQ(owned_bytes, stats->output_bytes);
 }
 
-TEST(ShardedClusterTest, MapOnlySegmentsFollowRecordHomes) {
+TEST(ShardedClusterTest, MapOnlyOutputFollowsRecordHomes) {
   Dfs dfs;
   ClusterConfig cfg;
   cfg.num_shards = 2;
@@ -323,17 +323,29 @@ TEST(ShardedClusterTest, MapOnlySegmentsFollowRecordHomes) {
   job.inputs = {"input"};
   job.output = "out";
   job.map = [](const Record& r, int, MapContext* ctx) {
-    ctx->Emit(r.key, r.value);
+    ctx->Emit(r.key(), r.value());
   };
   auto stats = cluster.Run(job);
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->shuffle_bytes, 0u);
-  size_t segment_records = 0;
+  auto coordinator = dfs.Open("out");
+  ASSERT_TRUE(coordinator.ok());
+  ASSERT_EQ((*coordinator)->records.size(), 32u);
+  // A map-only record stays on the home shard of the input record that
+  // produced it; this map keeps keys, so the home follows the output key.
+  uint64_t credited = 0;
   for (int s = 0; s < 2; ++s) {
-    auto seg = cluster.shard(s)->dfs()->Open("out");
-    if (seg.ok()) segment_records += (*seg)->records.size();
+    uint64_t records = 0, bytes = 0;
+    for (const Record& r : (*coordinator)->records) {
+      if (AssignShard(r.key_hash, cfg.sharding, 2) != s) continue;
+      records += 1;
+      bytes += r.Bytes();
+    }
+    EXPECT_EQ(cluster.shard(s)->output_records(), records) << "shard " << s;
+    EXPECT_EQ(stats->shard_output_bytes[s], bytes) << "shard " << s;
+    credited += cluster.shard(s)->output_records();
   }
-  EXPECT_EQ(segment_records, 32u);
+  EXPECT_EQ(credited, 32u);
 }
 
 TEST(ShardedClusterTest, BatchOnlyJobsAreRejectedWhenSharded) {
@@ -347,7 +359,7 @@ TEST(ShardedClusterTest, BatchOnlyJobsAreRejectedWhenSharded) {
   job.inputs = {"input"};
   job.map_batch = [](const TaggedRecord* recs, size_t n, MapContext* ctx) {
     for (size_t i = 0; i < n; ++i) {
-      ctx->Emit(recs[i].record->key, recs[i].record->value);
+      ctx->Emit(recs[i].record->key(), recs[i].record->value());
     }
   };
   auto stats = cluster.Run(job);
@@ -366,6 +378,9 @@ TEST(ShardedClusterTest, ResetHistoryClearsShardStateAndChannel) {
   ASSERT_GT(cluster.channel()->TotalLocalBytes() +
                 cluster.channel()->TotalCrossBytes(),
             0u);
+  ASSERT_EQ(cluster.shard(0)->output_records() +
+                cluster.shard(1)->output_records(),
+            32u);
   cluster.ResetHistory();
   EXPECT_TRUE(cluster.history().empty());
   EXPECT_EQ(cluster.channel()->TotalLocalBytes() +
@@ -373,9 +388,12 @@ TEST(ShardedClusterTest, ResetHistoryClearsShardStateAndChannel) {
             0u);
   for (int s = 0; s < 2; ++s) {
     EXPECT_EQ(cluster.shard(s)->map_tasks_run(), 0u);
+    EXPECT_EQ(cluster.shard(s)->output_records(), 0u);
     EXPECT_EQ(cluster.shard(s)->output_bytes(), 0u);
-    EXPECT_FALSE(cluster.shard(s)->dfs()->Exists("out"));
+    EXPECT_EQ(cluster.shard(s)->QueuedMapTasks(), 0u);
   }
+  // The coordinator's files belong to the workflow's Dfs, not the shards.
+  EXPECT_TRUE(dfs.Exists("out"));
 }
 
 TEST(ShardedClusterTest, ShardedSlotsScaleTheCostModel) {

@@ -35,61 +35,81 @@ std::string TempDir(const std::string& name) {
 // ---------------------------------------------------------------------------
 // Record I/O payload format.
 
-TEST(RecordIoTest, ColumnarRoundTrip) {
-  mr::ColumnarRecords records;
-  records.Append("k1", "value one");
-  records.Append("", "empty key");
-  records.Append("k3", "");
-  records.Append(std::string("\x00\x01\xff", 3), std::string("\xfe\x00", 2));
-
-  std::string bytes;
-  mr::AppendColumnarRecords(records, &bytes);
-
-  mr::ColumnarRecords decoded;
-  ASSERT_TRUE(mr::ParseColumnarRecords(bytes, &decoded).ok());
-  ASSERT_EQ(decoded.size(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(decoded.key(i), records.key(i));
-    EXPECT_EQ(decoded.value(i), records.value(i));
-    // Derived columns are re-stamped, not stored.
-    EXPECT_EQ(decoded.key_prefix(i), records.key_prefix(i));
-    EXPECT_EQ(decoded.key_hash(i), records.key_hash(i));
-  }
-}
-
-TEST(RecordIoTest, EveryTruncationIsTypedDataLoss) {
-  mr::ColumnarRecords records;
-  records.Append("alpha", "12345");
-  records.Append("beta", "67");
-  std::string bytes;
-  mr::AppendColumnarRecords(records, &bytes);
-
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    mr::ColumnarRecords decoded;
-    Status st =
-        mr::ParseColumnarRecords(std::string_view(bytes).substr(0, cut),
-                                 &decoded);
-    EXPECT_EQ(st.code(), Code::kDataLoss) << "prefix of " << cut << " bytes";
-  }
-  // Trailing garbage is corruption too, not silently ignored.
-  mr::ColumnarRecords decoded;
-  EXPECT_EQ(mr::ParseColumnarRecords(bytes + "x", &decoded).code(),
-            Code::kDataLoss);
-}
-
-TEST(RecordIoTest, RecordBatchRoundTrip) {
+TEST(RecordIoTest, RoundTripRestampsViews) {
   mr::RecordBatch batch;
-  batch.Add("a", "1");
-  batch.Add("b", "2");
+  batch.Add("k1", "value one");
+  batch.Add("", "empty key");
+  batch.Add("k3", "");
+  batch.Add(std::string("\x00\x01\xff", 3), std::string("\xfe\x00", 2));
+
   std::string bytes;
   mr::AppendRecordBatch(batch, &bytes);
 
   mr::RecordBatch decoded;
   ASSERT_TRUE(mr::ParseRecordBatch(bytes, &decoded).ok());
-  ASSERT_EQ(decoded.columns.size(), 1u);
-  ASSERT_EQ(decoded.columns[0]->size(), 2u);
-  EXPECT_EQ(decoded.columns[0]->key(0), "a");
-  EXPECT_EQ(decoded.columns[0]->value(1), "2");
+  ASSERT_EQ(decoded.records.size(), batch.records.size());
+  for (size_t i = 0; i < batch.records.size(); ++i) {
+    const mr::Record& want = batch.records[i];
+    const mr::Record& got = decoded.records[i];
+    EXPECT_EQ(got.key(), want.key());
+    EXPECT_EQ(got.value(), want.value());
+    // Derived fields are re-stamped, not stored.
+    EXPECT_EQ(got.key_prefix, want.key_prefix);
+    EXPECT_EQ(got.key_hash, want.key_hash);
+  }
+}
+
+TEST(RecordIoTest, EncodingIsPinnedByteForByte) {
+  // Artifacts written by any earlier build must stay readable: the payload
+  // is three u64 totals, then per record a u32-length-prefixed key and
+  // value, all little-endian.
+  mr::RecordBatch batch;
+  batch.Add("ab", "xyz");
+  batch.Add("", "q");
+  std::string bytes;
+  mr::AppendRecordBatch(batch, &bytes);
+  const std::string want(
+      "\x02\0\0\0\0\0\0\0"  // record count
+      "\x02\0\0\0\0\0\0\0"  // key bytes
+      "\x04\0\0\0\0\0\0\0"  // value bytes
+      "\x02\0\0\0ab"
+      "\x03\0\0\0xyz"
+      "\0\0\0\0"
+      "\x01\0\0\0q",
+      24 + 6 + 7 + 4 + 5);
+  EXPECT_EQ(bytes, want);
+}
+
+TEST(RecordIoTest, EveryTruncationIsTypedDataLoss) {
+  mr::RecordBatch batch;
+  batch.Add("alpha", "12345");
+  batch.Add("beta", "67");
+  std::string bytes;
+  mr::AppendRecordBatch(batch, &bytes);
+
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    mr::RecordBatch decoded;
+    Status st =
+        mr::ParseRecordBatch(std::string_view(bytes).substr(0, cut), &decoded);
+    EXPECT_EQ(st.code(), Code::kDataLoss) << "prefix of " << cut << " bytes";
+  }
+  // Trailing garbage is corruption too, not silently ignored.
+  mr::RecordBatch decoded;
+  EXPECT_EQ(mr::ParseRecordBatch(bytes + "x", &decoded).code(),
+            Code::kDataLoss);
+}
+
+TEST(RecordIoTest, WrappingDeclaredCountIsDataLoss) {
+  // A bit-flipped record count whose framing (8 bytes per record) wraps
+  // around 2^64 must fail the size check, not reach the decode loop and
+  // reserve room for 2^61 records.
+  std::string bytes;
+  mr::AppendU64(uint64_t{1} << 61, &bytes);  // 8 * count wraps to 0
+  mr::AppendU64(1, &bytes);
+  mr::AppendU64(0, &bytes);
+  bytes.push_back('x');
+  mr::RecordBatch decoded;
+  EXPECT_EQ(mr::ParseRecordBatch(bytes, &decoded).code(), Code::kDataLoss);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,17 +186,10 @@ TEST(FactorizeTableTest, CrossProductRoundTripsSmaller) {
   EXPECT_EQ(art.meta.factorization, "b:0|f:1|f:2");
 
   // 4 groups x (1 base + 5 + 6 factor records) instead of 120 rows.
-  size_t records = 0;
-  for (const auto& store : art.rows.columns) records += store->size();
-  EXPECT_EQ(records, 4u * 12u);
+  EXPECT_EQ(art.rows.records.size(), 4u * 12u);
 
-  uint64_t fact_bytes = 0, flat_bytes = 0;
-  for (const auto& store : art.rows.columns) {
-    fact_bytes += store->LogicalBytes();
-  }
-  for (const auto& store : SerializeTable(table, dict).columns) {
-    flat_bytes += store->LogicalBytes();
-  }
+  uint64_t fact_bytes = art.rows.LogicalBytes();
+  uint64_t flat_bytes = SerializeTable(table, dict).LogicalBytes();
   EXPECT_LT(fact_bytes * 5, flat_bytes);  // >= 5x smaller at this fanout
 
   rdf::Dictionary fresh;
