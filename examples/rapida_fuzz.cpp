@@ -13,9 +13,6 @@
 //   rapida_fuzz --inject=drop-row --seeds=20 --shrink
 //                                    # sabotage RAPIDAnalytics, prove the
 //                                    # harness catches + shrinks the bug
-//   rapida_fuzz --no-kernels         # force the vectorized-kernels pass
-//                                    # off (scalar operators); run both
-//                                    # ways to cross-check the kernels
 //   rapida_fuzz --shards=4           # additionally run every engine on a
 //                                    # 4-shard data plane (both placement
 //                                    # schemes), cross-checking results +
@@ -65,7 +62,6 @@ struct Args {
   std::vector<int> shards;
   FaultKind fault = FaultKind::kNone;
   bool service = false;
-  bool no_kernels = false;
   bool no_factorize = false;
   GenOptions gen;
 };
@@ -85,8 +81,6 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       out->verbose = true;
     } else if (std::strcmp(a, "--service") == 0) {
       out->service = true;
-    } else if (std::strcmp(a, "--no-kernels") == 0) {
-      out->no_kernels = true;
     } else if (std::strcmp(a, "--no-factorize") == 0) {
       out->no_factorize = true;
     } else if (std::strncmp(a, "--grammar=", 10) == 0) {
@@ -196,7 +190,6 @@ int main(int argc, char** argv) {
   opts.thread_counts = args.threads;
   opts.fault = args.fault;
   if (args.fault != FaultKind::kNone) opts.fault_engine = "RAPIDAnalytics";
-  opts.engine_options.vectorized_kernels = !args.no_kernels;
   opts.engine_options.factorized_intermediates = !args.no_factorize;
   opts.shard_counts = args.shards;
 

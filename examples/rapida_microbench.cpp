@@ -1,7 +1,8 @@
-// Microbenchmarks for the vectorized batch kernels: each compares the
-// batch primitive against the scalar structure the operators used before,
-// verifies both produce identical results, and reports wall time plus
-// speedup. Rows are appendable to BENCH_mapreduce.json (JSON lines).
+// Microbenchmarks for the operator kernels (mapreduce/kernels.h): each
+// compares a kernel primitive against the std:: structure the operators
+// used before, verifies both produce identical results, and reports wall
+// time plus speedup. Rows are appendable to BENCH_mapreduce.json (JSON
+// lines).
 //
 // Usage:
 //   rapida_microbench [--rows=N] [--repeat=K] [--json[=PATH]]
@@ -11,8 +12,6 @@
 //                     std::unordered_map<TermId, vector<vector<TermId>>>
 //   batch aggregate   insertion-ordered HashIndex aggregation table vs
 //                     std::map<std::string, vector<Aggregator>>
-//   batch tokenize    kernels::TokenizeValues field columns vs per-record
-//                     FieldTokenizer re-scans
 //
 // With --json, one row per bench is appended (default BENCH_mapreduce.json,
 // overridable via the RAPIDA_BENCH_JSON environment variable or =PATH).
@@ -34,7 +33,6 @@
 #include "mapreduce/kernels.h"
 #include "mapreduce/record.h"
 #include "rdf/dictionary.h"
-#include "util/string_util.h"
 
 namespace {
 
@@ -223,74 +221,6 @@ BenchResult BenchBatchAggregate(size_t rows, int repeat) {
 }
 
 // ---------------------------------------------------------------------------
-// batch tokenize: materialize field columns for a split's values once vs
-// re-tokenizing each record (both checksum every field byte).
-
-BenchResult BenchBatchTokenize(size_t rows, int repeat) {
-  std::vector<std::string> values(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    std::string v;
-    kernels::AppendDecimal(&v, NextRand() % 100000);
-    int fields = 2 + static_cast<int>(NextRand() % 6);
-    for (int f = 0; f < fields; ++f) {
-      v += ';';
-      kernels::AppendDecimal(&v, NextRand() % 1000);
-      v += ',';
-      kernels::AppendDecimal(&v, NextRand() % 100000);
-    }
-    values[i] = std::move(v);
-  }
-  rapida::mr::RecordBatch records;
-  for (size_t i = 0; i < rows; ++i) records.Add("", values[i]);
-  std::vector<rapida::mr::TaggedRecord> tagged(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    tagged[i] = rapida::mr::TaggedRecord{&records.records[i], 0};
-  }
-
-  uint64_t scalar_sum = 0, batch_sum = 0;
-
-  // Two consuming passes per row — arity validation, then a field
-  // checksum — the access pattern the kernels exploit: tokenize once per
-  // batch, read the offset columns many times. The forward-only scalar
-  // tokenizer has to rescan the value for every pass.
-  double scalar_s = BestOf(repeat, [&] {
-    uint64_t sum = 0;
-    for (size_t i = 0; i < rows; ++i) {
-      std::string_view part;
-      size_t arity = 0;
-      rapida::FieldTokenizer count_pass(values[i], ';');
-      while (count_pass.Next(&part)) ++arity;
-      sum += arity;
-      rapida::FieldTokenizer checksum_pass(values[i], ';');
-      while (checksum_pass.Next(&part)) {
-        for (char c : part) sum += static_cast<unsigned char>(c);
-        sum += part.size();
-      }
-    }
-    scalar_sum = sum;
-  });
-
-  // The scratch lives across iterations, as it does across batches inside a
-  // map task: TokenizeValues Clear()s it but keeps the warm capacity.
-  kernels::FieldColumns cols;
-  double batch_s = BestOf(repeat, [&] {
-    kernels::TokenizeValues(tagged.data(), tagged.size(), ';', &cols);
-    uint64_t sum = 0;
-    for (size_t r = 0; r < cols.num_rows(); ++r) {
-      sum += cols.row_end[r] - cols.row_begin(r);
-    }
-    for (std::string_view part : cols.fields) {
-      for (char c : part) sum += static_cast<unsigned char>(c);
-      sum += part.size();
-    }
-    batch_sum = sum;
-  });
-
-  return BenchResult{"batch tokenize", scalar_s, batch_s, rows,
-                     scalar_sum == batch_sum};
-}
-
-// ---------------------------------------------------------------------------
 
 std::string GitRevision() {
   std::string rev = "unknown";
@@ -359,7 +289,6 @@ int main(int argc, char** argv) {
   std::vector<BenchResult> results;
   results.push_back(BenchHashJoinProbe(rows, repeat));
   results.push_back(BenchBatchAggregate(rows / 4, repeat));
-  results.push_back(BenchBatchTokenize(rows / 4, repeat));
 
   std::printf("%-18s %12s %12s %9s %s\n", "bench", "scalar(s)", "batch(s)",
               "speedup", "verified");

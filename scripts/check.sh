@@ -8,22 +8,21 @@
 # mutate-heavy bench appending to BENCH_store.json that must show >= 10x
 # incremental-maintenance advantage; and, under ASan, a corruption
 # injection that bit-flips and truncates artifacts and requires typed
-# quarantine plus clean recompute), the 200-seed differential
-# fuzz corpus plus its service mode (and a scalar-fallback corpus pass
-# with the vectorized-kernels pass forced off), a 100-seed
-# OPTIONAL/UNION-biased corpus (--grammar=opt-union, repeated under
-# ASan), a guard that regenerating the golden fixtures reproduces the
-# committed files byte-for-byte, a perf smoke that replays
-# Fig. 8(a) and Fig. 8(b) at 8 threads and diffs their deterministic
-# per-query aggregates against committed goldens, an AddressSanitizer run
-# of the fuzz smoke and the EXPLAIN goldens, an UndefinedBehaviorSanitizer
-# run of the record plane's suites and a 50-seed fuzz corpus, and a
-# ThreadSanitizer build running the concurrency-sensitive suites (the
-# parallel MapReduce runtime — including the ValueSpan reduce-mode matrix
-# in mapreduce_test — the batch-kernel byte-identity matrix in
-# kernels_test, the engines on top of it, the sharded data plane in
-# shard_test — stressed across shards {1,2,4} x threads {1,8} — and the
-# 32-session service stress).
+# quarantine plus clean recompute), the 200-seed differential fuzz corpus
+# plus its service mode, a 100-seed OPTIONAL/UNION-biased corpus
+# (--grammar=opt-union, repeated under ASan), a guard that regenerating
+# the golden fixtures reproduces the committed files byte-for-byte, a
+# perf smoke that replays Fig. 8(a) and Fig. 8(b) at 8 threads and diffs
+# their deterministic per-query aggregates against committed goldens, an
+# AddressSanitizer run of the fuzz smoke (unsharded and at 4 shards) and
+# the EXPLAIN goldens, an UndefinedBehaviorSanitizer run of the record
+# plane's suites and a 50-seed fuzz corpus, and a ThreadSanitizer build
+# running the concurrency-sensitive suites (the parallel MapReduce
+# runtime — including the ValueSpan reduce-mode matrix in mapreduce_test
+# — the operator identity matrix in kernels_test over threads x combine x
+# shards, the engines on top of it, the sharded data plane in shard_test
+# — stressed across shards {1,2,4} x threads {1,8} — and the 32-session
+# service stress).
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
 # against the unsharded baseline), a sharded serve smoke, and a perf
@@ -85,9 +84,6 @@ print("store bench OK: %sx, %s patched" % (s, p))
 
 echo "== differential fuzz corpus (200 seeds, 4 engines x 2 thread cfgs) =="
 ctest --test-dir build -C fuzz -R rapida_fuzz_corpus --output-on-failure
-
-echo "== differential fuzz corpus, scalar fallback (--no-kernels) =="
-./build/examples/rapida_fuzz --seeds=200 --no-kernels
 
 echo "== differential fuzz corpus, sharded data plane (4 shards) =="
 # Every engine additionally runs at 4 shards under both placement schemes;
@@ -174,6 +170,9 @@ cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       storage_test rapida_serve
 ./build-asan/examples/rapida_fuzz --seeds=50
+echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
+# Every operator's map runs behind the shard channel at 4 shards.
+./build-asan/examples/rapida_fuzz --seeds=50 --shards=4
 echo "== ASan: OPTIONAL/UNION-biased fuzz (100 seeds) =="
 ./build-asan/examples/rapida_fuzz --grammar=opt-union --seeds=100
 echo "== ASan: EXPLAIN goldens =="
@@ -231,7 +230,7 @@ echo "== TSan: thread_pool_test =="
 ./build-tsan/tests/thread_pool_test
 echo "== TSan: mapreduce_test (incl. ValueSpan reduce-mode matrix) =="
 ./build-tsan/tests/mapreduce_test
-echo "== TSan: kernels_test (batch kernels x exec_threads x combine) =="
+echo "== TSan: kernels_test (operators x exec_threads x combine x shards) =="
 ./build-tsan/tests/kernels_test
 echo "== TSan: engines_test =="
 ./build-tsan/tests/engines_test

@@ -34,13 +34,6 @@ struct EngineOptions {
   /// RAPIDAnalytics only: evaluate independent Agg-Joins in one parallel
   /// cycle (Fig. 6b) vs sequentially (Fig. 6a).
   bool parallel_agg_join = true;
-  /// Execute operators through the vectorized batch kernels (columnar
-  /// split dispatch, open-addressing hash tables on the stamped key
-  /// hashes, scratch-reusing codecs). Byte-identical to the scalar
-  /// operators by contract — flipping this may only move wall time, never
-  /// results, counters, or sim_seconds. Logged per node by the
-  /// vectorized-kernels pass in EXPLAIN.
-  bool vectorized_kernels = true;
   /// Factorized (d-representation) intermediates: star-join and inter-star
   /// join outputs stay compressed as group records (engines/factorized.h)
   /// whenever every downstream consumer up to an order-insensitive sink
@@ -64,10 +57,9 @@ struct EngineOptions {
   /// `peval=local` node that shuffles a byte across shards fails the run.
   bool partial_evaluation = true;
   /// Shards of the data plane the plan is prepared for. Must match the
-  /// cluster's ClusterConfig::num_shards; 0/1 = unsharded. When > 1 the
-  /// engine runs the scalar operator path (vectorized_kernels is
-  /// ignored) because sharded shuffle accounting needs per-record
-  /// attribution.
+  /// cluster's ClusterConfig::num_shards; 0/1 = unsharded. Operators run
+  /// the same maps at any shard count: this only feeds the
+  /// partial-evaluation pass and the executor's check of its verdicts.
   int num_shards = 0;
   /// Placement scheme (must match ClusterConfig::sharding when sharded).
   mr::ShardingScheme sharding_scheme = mr::ShardingScheme::kHashSubject;

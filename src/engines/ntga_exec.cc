@@ -69,22 +69,61 @@ struct TagRole {
   ntga::DataPropKey prop;
 };
 
-/// Per-reduce-task scratch of the batch TG_AlphaJoin reduce: pools of
-/// parsed nested groups per side (element capacity reused across key
-/// groups), the merge target, and the emit buffer.
+/// Per-reduce-task scratch of the TG_AlphaJoin reduce: pools of parsed
+/// nested groups per side (element capacity reused across key groups),
+/// the merge target, and the emit buffer.
 struct AlphaReduceScratch {
   std::vector<NestedTripleGroup> left, right;
   NestedTripleGroup merged;
   std::string buf;
 };
 
-/// Insertion-ordered multiAggMap replacement for the batch TG_AggJoin map:
-/// HashIndex over the encoded "gid#grpkey" string, dense side tables.
+/// Alg. 3's multiAggMap for the TG_AggJoin map: an insertion-ordered
+/// HashIndex over the encoded "gid#grpkey" string with dense side tables.
 struct MultiAggTable {
   mr::kernels::HashIndex index;
   std::vector<std::string> keys;
   std::vector<std::vector<Aggregator>> agg_rows;
 };
+
+/// Per-map-task scratch of the NTGA maps (MapContext::TaskState): parse
+/// targets, the binding expansion and the key/value emit buffers, reused
+/// across the task's records, plus the TG_AggJoin pre-aggregation table
+/// that map_finish flushes.
+struct NtgMapScratch {
+  TripleGroup tg;
+  NestedTripleGroup ntg;
+  ntga::BindingExpansion exp;
+  std::vector<rdf::TermId> row_buf;
+  std::string key_buf, val_buf;
+  MultiAggTable table;
+};
+
+/// Parses one map input record into `s->ntg`. `raw_star` < 0: the record
+/// is an accumulated nested group. Otherwise it is a raw subject
+/// triplegroup of that star, projected through TG_OptGrpFilter (every
+/// other star left empty). False when the record does not parse or the
+/// star filter rejects it.
+bool LoadNestedGroup(std::string_view value, int raw_star, int num_stars,
+                     const ResolvedPattern& pattern, rdf::TermId type_id,
+                     const PushedFilters& pushed, const rdf::Dictionary& dict,
+                     NtgMapScratch* s) {
+  if (raw_star < 0) {
+    return ntga::ParseNestedInto(value, num_stars, &s->ntg).ok();
+  }
+  if (!ntga::ParseTripleGroupInto(value, &s->tg).ok()) return false;
+  auto filtered = FilterStarWithFilters(s->tg, pattern.stars[raw_star],
+                                        type_id, pushed, dict);
+  if (!filtered.has_value()) return false;
+  s->ntg.stars.resize(num_stars);
+  for (int st = 0; st < num_stars; ++st) {
+    if (st == raw_star) continue;
+    s->ntg.stars[st].subject = rdf::kInvalidTermId;
+    s->ntg.stars[st].triples.clear();
+  }
+  s->ntg.stars[raw_star] = std::move(*filtered);
+  return true;
+}
 
 }  // namespace
 
@@ -241,141 +280,63 @@ StatusOr<PatternMatches> NtgaExec::ComputePatternMatches(
     // The accumulated (nested) side's join endpoint is the left star of
     // the current edge.
     int nested_endpoint_star = left_star;
-    if (options_.vectorized_kernels) {
-      // Batch kernel: one dispatch per split, parse/serialize through the
-      // scratch-reusing codec variants, emit the same records in the same
-      // order as the scalar map below.
-      job.map_batch = [shared_roles, shared_pattern, shared_filters, dict,
-                       type_id, num_stars, nested_endpoint_star](
-                          const mr::TaggedRecord* recs, size_t n,
-                          mr::MapContext* ctx) {
-        TripleGroup tg;
-        NestedTripleGroup ntg;
-        std::string key_buf, val_buf;
-        for (size_t i = 0; i < n; ++i) {
-          const TagRole& role = (*shared_roles)[recs[i].tag];
-          const mr::Record& r = *recs[i].record;
-          if (role.is_nested) {
-            if (!ntga::ParseNestedInto(r.value(), num_stars, &ntg).ok()) {
-              continue;
-            }
-          } else {
-            if (!ntga::ParseTripleGroupInto(r.value(), &tg).ok()) continue;
-            auto filtered =
-                FilterStarWithFilters(tg, shared_pattern->stars[role.star],
-                                      type_id, *shared_filters, *dict);
-            if (!filtered.has_value()) continue;
-            ntg.stars.resize(num_stars);
-            for (int s = 0; s < num_stars; ++s) {
-              if (s == role.star) continue;
-              ntg.stars[s].subject = rdf::kInvalidTermId;
-              ntg.stars[s].triples.clear();
-            }
-            ntg.stars[role.star] = std::move(*filtered);
-          }
-          int endpoint_star =
-              role.is_nested ? nested_endpoint_star : role.star;
-          std::vector<rdf::TermId> keys = ntga::JoinKeys(
-              ntg, endpoint_star, role.role, role.prop, type_id);
-          val_buf.assign(role.left_side ? "L|" : "R|");
-          ntga::SerializeNestedTo(ntg, &val_buf);
-          for (rdf::TermId key : keys) {
-            key_buf.clear();
-            mr::kernels::AppendDecimal(&key_buf, key);
-            ctx->Emit(key_buf, val_buf);
-          }
-        }
-      };
-    } else {
-      job.map = [shared_roles, shared_pattern, shared_filters, dict, type_id,
-                 num_stars, nested_endpoint_star](
-                    const mr::Record& r, int tag, mr::MapContext* ctx) {
-        const TagRole& role = (*shared_roles)[tag];
-        NestedTripleGroup ntg;
-        if (role.is_nested) {
-          auto parsed = ntga::ParseNested(r.value(), num_stars);
-          if (!parsed.ok()) return;
-          ntg = std::move(*parsed);
-        } else {
-          auto tg = ntga::ParseTripleGroup(r.value());
-          if (!tg.ok()) return;
-          auto filtered =
-              FilterStarWithFilters(*tg, shared_pattern->stars[role.star],
-                                    type_id, *shared_filters, *dict);
-          if (!filtered.has_value()) return;
-          ntg.stars.resize(num_stars);
-          ntg.stars[role.star] = std::move(*filtered);
-        }
-        int endpoint_star = role.is_nested ? nested_endpoint_star : role.star;
-        std::vector<rdf::TermId> keys =
-            ntga::JoinKeys(ntg, endpoint_star, role.role, role.prop, type_id);
-        std::string serialized = ntga::SerializeNested(ntg);
-        for (rdf::TermId key : keys) {
-          ctx->Emit(std::to_string(key),
-                    (role.left_side ? "L|" : "R|") + serialized);
-        }
-      };
-    }
+    job.map = [shared_roles, shared_pattern, shared_filters, dict, type_id,
+               num_stars, nested_endpoint_star](
+                  const mr::Record& r, int tag, mr::MapContext* ctx) {
+      const TagRole& role = (*shared_roles)[tag];
+      NtgMapScratch* s = ctx->TaskState<NtgMapScratch>();
+      if (!LoadNestedGroup(r.value(), role.is_nested ? -1 : role.star,
+                           num_stars, *shared_pattern, type_id,
+                           *shared_filters, *dict, s)) {
+        return;
+      }
+      int endpoint_star = role.is_nested ? nested_endpoint_star : role.star;
+      std::vector<rdf::TermId> keys =
+          ntga::JoinKeys(s->ntg, endpoint_star, role.role, role.prop, type_id);
+      s->val_buf.assign(role.left_side ? "L|" : "R|");
+      ntga::SerializeNestedTo(s->ntg, &s->val_buf);
+      for (rdf::TermId key : keys) {
+        s->key_buf.clear();
+        mr::kernels::AppendDecimal(&s->key_buf, key);
+        ctx->Emit(s->key_buf, s->val_buf);
+      }
+    };
 
     auto alphas = std::make_shared<std::vector<ntga::AlphaCondition>>(
         last_cycle ? final_alphas : std::vector<ntga::AlphaCondition>{});
-    if (options_.vectorized_kernels) {
-      job.reduce = [alphas, type_id, num_stars](
-                       std::string_view /*key*/, const mr::ValueSpan& values,
-                       mr::ReduceContext* ctx) {
-        AlphaReduceScratch* s = ctx->TaskState<AlphaReduceScratch>();
-        size_t nleft = 0, nright = 0;
-        for (std::string_view v : values) {
-          if (v.size() < 2) continue;
-          const bool is_left = v[0] == 'L';
-          std::vector<NestedTripleGroup>& pool = is_left ? s->left : s->right;
-          size_t& count = is_left ? nleft : nright;
-          if (count == pool.size()) pool.emplace_back();
-          if (!ntga::ParseNestedInto(v.substr(2), num_stars, &pool[count])
-                   .ok()) {
+    job.reduce = [alphas, type_id, num_stars](
+                     std::string_view /*key*/, const mr::ValueSpan& values,
+                     mr::ReduceContext* ctx) {
+      AlphaReduceScratch* s = ctx->TaskState<AlphaReduceScratch>();
+      size_t nleft = 0, nright = 0;
+      for (std::string_view v : values) {
+        if (v.size() < 2) continue;
+        const bool is_left = v[0] == 'L';
+        std::vector<NestedTripleGroup>& pool = is_left ? s->left : s->right;
+        size_t& count = is_left ? nleft : nright;
+        if (count == pool.size()) pool.emplace_back();
+        if (!ntga::ParseNestedInto(v.substr(2), num_stars, &pool[count])
+                 .ok()) {
+          continue;
+        }
+        ++count;
+      }
+      for (size_t li = 0; li < nleft; ++li) {
+        for (size_t ri = 0; ri < nright; ++ri) {
+          const NestedTripleGroup& r = s->right[ri];
+          s->merged = s->left[li];  // copy-assign reuses capacity
+          for (int st = 0; st < num_stars; ++st) {
+            if (r.IsFilled(st)) s->merged.stars[st] = r.stars[st];
+          }
+          if (!ntga::SatisfiesAnyAlpha(s->merged, *alphas, type_id)) {
             continue;
           }
-          ++count;
+          s->buf.clear();
+          ntga::SerializeNestedTo(s->merged, &s->buf);
+          ctx->Emit("", s->buf);
         }
-        for (size_t li = 0; li < nleft; ++li) {
-          for (size_t ri = 0; ri < nright; ++ri) {
-            const NestedTripleGroup& r = s->right[ri];
-            s->merged = s->left[li];  // copy-assign reuses capacity
-            for (int st = 0; st < num_stars; ++st) {
-              if (r.IsFilled(st)) s->merged.stars[st] = r.stars[st];
-            }
-            if (!ntga::SatisfiesAnyAlpha(s->merged, *alphas, type_id)) {
-              continue;
-            }
-            s->buf.clear();
-            ntga::SerializeNestedTo(s->merged, &s->buf);
-            ctx->Emit("", s->buf);
-          }
-        }
-      };
-    } else {
-      job.reduce = [alphas, type_id, num_stars](
-                       std::string_view /*key*/, const mr::ValueSpan& values,
-                       mr::ReduceContext* ctx) {
-        std::vector<NestedTripleGroup> left, right;
-        for (std::string_view v : values) {
-          if (v.size() < 2) continue;
-          auto parsed = ntga::ParseNested(v.substr(2), num_stars);
-          if (!parsed.ok()) continue;
-          (v[0] == 'L' ? left : right).push_back(std::move(*parsed));
-        }
-        for (const NestedTripleGroup& l : left) {
-          for (const NestedTripleGroup& r : right) {
-            NestedTripleGroup merged = l;
-            for (int s = 0; s < num_stars; ++s) {
-              if (r.IsFilled(s)) merged.stars[s] = r.stars[s];
-            }
-            if (!ntga::SatisfiesAnyAlpha(merged, *alphas, type_id)) continue;
-            ctx->Emit("", ntga::SerializeNested(merged));
-          }
-        }
-      };
-    }
+      }
+    };
     // Pure function of (key, values): reducers may run concurrently.
     job.reduce_parallel_safe = true;
 
@@ -445,133 +406,66 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     }
 
     // Per-mapper multiAggMap (Alg. 3): key "gid#grpkey" -> aggregators.
-    // Lives in MapContext::TaskState so concurrent map tasks accumulate
-    // into independent tables (flushed by map_finish below).
-    using MultiAggMap = std::map<std::string, std::vector<Aggregator>>;
-    bool partial = options_.partial_aggregation;
-
-    auto process = [shared_groupings, batch, shared_pattern, dict, type_id,
-                    partial](const NestedTripleGroup& ntg,
-                             mr::MapContext* ctx) {
-      MultiAggMap* multi_agg_map =
-          partial ? ctx->TaskState<MultiAggMap>() : nullptr;
-      for (int g : *batch) {
-        const NtgaGrouping& grouping = (*shared_groupings)[g];
-        if (!ntga::SatisfiesAlpha(ntg, grouping.spec.alpha, type_id)) {
-          continue;
-        }
-        const size_t n_group = grouping.spec.group_vars.size();
-        // Positions of group / agg vars within pattern_vars.
-        // (Recomputed per call; pattern_vars is tiny.)
-        auto pos_of = [&grouping](const std::string& v) {
-          for (size_t i = 0; i < grouping.pattern_vars.size(); ++i) {
-            if (grouping.pattern_vars[i] == v) return static_cast<int>(i);
-          }
-          return -1;
-        };
-        for (const std::vector<rdf::TermId>& mapping : ntga::ExpandBindings(
-                 ntg, *shared_pattern, grouping.pattern_vars,
-                 /*skip_unbound=*/true)) {
-          if (grouping.mapping_predicate &&
-              !grouping.mapping_predicate(mapping)) {
-            continue;
-          }
-          std::vector<rdf::TermId> key;
-          key.reserve(n_group);
-          for (const std::string& v : grouping.spec.group_vars) {
-            int i = pos_of(v);
-            key.push_back(i < 0 ? rdf::kInvalidTermId : mapping[i]);
-          }
-          std::string map_key =
-              std::to_string(g) + "#" + EncodeRow(key);
-          if (partial) {
-            auto [it, inserted] = multi_agg_map->emplace(
-                map_key, std::vector<Aggregator>());
-            if (inserted) {
-              for (const ntga::AggSpec& a : grouping.spec.aggs) {
-                it->second.emplace_back(a.func, false, a.separator);
-              }
-            }
-            for (size_t a = 0; a < grouping.spec.aggs.size(); ++a) {
-              const ntga::AggSpec& spec = grouping.spec.aggs[a];
-              if (spec.count_star) {
-                it->second[a].AddRow();
-              } else {
-                int i = pos_of(spec.var);
-                it->second[a].AddTerm(
-                    i < 0 ? rdf::kInvalidTermId : mapping[i], *dict);
-              }
-            }
-          } else {
-            std::vector<rdf::TermId> args;
-            for (const ntga::AggSpec& spec : grouping.spec.aggs) {
-              int i = pos_of(spec.var);
-              args.push_back(spec.count_star || i < 0 ? rdf::kInvalidTermId
-                                                      : mapping[i]);
-            }
-            ctx->Emit(map_key, "R|" + EncodeRow(args));
-          }
-        }
+    // Lives in the task's NtgMapScratch so concurrent map tasks accumulate
+    // into independent tables; map_finish flushes it in insertion order
+    // (keys are unique per task and the shuffle sorts by key).
+    const bool partial = options_.partial_aggregation;
+    const int raw_star = star_mode ? 0 : -1;
+    job.map = [shared_groupings, batch, shared_pattern, shared_filters, dict,
+               type_id, num_stars, raw_star, partial](
+                  const mr::Record& r, int, mr::MapContext* ctx) {
+      NtgMapScratch* s = ctx->TaskState<NtgMapScratch>();
+      if (!LoadNestedGroup(r.value(), raw_star, num_stars, *shared_pattern,
+                           type_id, *shared_filters, *dict, s)) {
+        return;
       }
-    };
-
-    // Batch variant of `process`: same per-mapping logic, but the partial
-    // table is an insertion-ordered MultiAggTable and the key/value bytes
-    // are built in reused buffers. Flush order differs from the scalar
-    // std::map's sorted order; keys are unique per task and the shuffle
-    // sorts by key, so the post-shuffle stream is identical.
-    auto process_batch = [shared_groupings, batch, shared_pattern, dict,
-                          type_id, partial](const NestedTripleGroup& ntg,
-                                            MultiAggTable* table,
-                                            std::string* key_buf,
-                                            std::string* val_buf,
-                                            ntga::BindingExpansion* exp,
-                                            std::vector<rdf::TermId>* row_buf,
-                                            mr::MapContext* ctx) {
       for (int g : *batch) {
         const NtgaGrouping& grouping = (*shared_groupings)[g];
-        if (!ntga::SatisfiesAlpha(ntg, grouping.spec.alpha, type_id)) {
+        if (!ntga::SatisfiesAlpha(s->ntg, grouping.spec.alpha, type_id)) {
           continue;
         }
+        // Positions of group / agg vars within pattern_vars (tiny).
         auto pos_of = [&grouping](const std::string& v) {
           for (size_t i = 0; i < grouping.pattern_vars.size(); ++i) {
             if (grouping.pattern_vars[i] == v) return static_cast<int>(i);
           }
           return -1;
         };
-        ntga::ExpandBindingsInto(ntg, *shared_pattern, grouping.pattern_vars,
-                                 /*skip_unbound=*/true, exp);
-        for (size_t r = 0; r < exp->num_rows; ++r) {
-          const rdf::TermId* mapping = exp->row(r);
+        ntga::ExpandBindingsInto(s->ntg, *shared_pattern,
+                                 grouping.pattern_vars,
+                                 /*skip_unbound=*/true, &s->exp);
+        for (size_t row = 0; row < s->exp.num_rows; ++row) {
+          const rdf::TermId* mapping = s->exp.row(row);
           if (grouping.mapping_predicate) {
-            row_buf->assign(mapping, mapping + exp->width);
-            if (!grouping.mapping_predicate(*row_buf)) continue;
+            s->row_buf.assign(mapping, mapping + s->exp.width);
+            if (!grouping.mapping_predicate(s->row_buf)) continue;
           }
-          key_buf->clear();
-          mr::kernels::AppendDecimal(key_buf, static_cast<uint64_t>(g));
-          *key_buf += '#';
+          s->key_buf.clear();
+          mr::kernels::AppendDecimal(&s->key_buf, static_cast<uint64_t>(g));
+          s->key_buf += '#';
           bool first = true;
           for (const std::string& v : grouping.spec.group_vars) {
-            if (!first) *key_buf += ',';
+            if (!first) s->key_buf += ',';
             first = false;
             int i = pos_of(v);
             mr::kernels::AppendDecimal(
-                key_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
+                &s->key_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
           }
           if (partial) {
-            auto [id, inserted] = table->index.FindOrInsert(
-                mr::HashKey(*key_buf),
-                static_cast<uint32_t>(table->keys.size()),
-                [&](uint32_t cand) { return table->keys[cand] == *key_buf; });
+            MultiAggTable& table = s->table;
+            auto [id, inserted] = table.index.FindOrInsert(
+                mr::HashKey(s->key_buf),
+                static_cast<uint32_t>(table.keys.size()),
+                [&](uint32_t cand) { return table.keys[cand] == s->key_buf; });
             if (inserted) {
-              table->keys.push_back(*key_buf);
-              table->agg_rows.emplace_back();
+              table.keys.push_back(s->key_buf);
+              table.agg_rows.emplace_back();
               for (const ntga::AggSpec& a : grouping.spec.aggs) {
-                table->agg_rows.back().emplace_back(a.func, false,
-                                                    a.separator);
+                table.agg_rows.back().emplace_back(a.func, false,
+                                                   a.separator);
               }
             }
-            std::vector<Aggregator>& aggs = table->agg_rows[id];
+            std::vector<Aggregator>& aggs = table.agg_rows[id];
             for (size_t a = 0; a < grouping.spec.aggs.size(); ++a) {
               const ntga::AggSpec& spec = grouping.spec.aggs[a];
               if (spec.count_star) {
@@ -583,126 +477,45 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
               }
             }
           } else {
-            val_buf->assign("R|");
+            s->val_buf.assign("R|");
             bool farg = true;
             for (const ntga::AggSpec& spec : grouping.spec.aggs) {
-              if (!farg) *val_buf += ',';
+              if (!farg) s->val_buf += ',';
               farg = false;
               int i = pos_of(spec.var);
               mr::kernels::AppendDecimal(
-                  val_buf, spec.count_star || i < 0 ? rdf::kInvalidTermId
-                                                    : mapping[i]);
+                  &s->val_buf, spec.count_star || i < 0 ? rdf::kInvalidTermId
+                                                        : mapping[i]);
             }
-            ctx->Emit(*key_buf, *val_buf);
+            ctx->Emit(s->key_buf, s->val_buf);
           }
         }
       }
     };
-    auto flush_table = [](MultiAggTable* table, mr::MapContext* ctx) {
-      for (size_t id = 0; id < table->keys.size(); ++id) {
-        std::string value = "P";
-        for (const Aggregator& a : table->agg_rows[id]) {
-          value += '|';
-          value += a.SerializePartial();
-        }
-        ctx->Emit(table->keys[id], value);
-      }
-    };
-
-    if (options_.vectorized_kernels && star_mode) {
-      job.map_batch = [shared_pattern, shared_filters, dict, type_id,
-                       num_stars, process_batch, flush_table, partial](
-                          const mr::TaggedRecord* recs, size_t n,
-                          mr::MapContext* ctx) {
-        MultiAggTable table;
-        TripleGroup tg;
-        NestedTripleGroup ntg;
-        ntg.stars.resize(num_stars);
-        std::string key_buf, val_buf;
-        ntga::BindingExpansion exp;
-        std::vector<rdf::TermId> row_buf;
-        for (size_t i = 0; i < n; ++i) {
-          if (!ntga::ParseTripleGroupInto(recs[i].record->value(), &tg).ok()) {
-            continue;
-          }
-          auto filtered = FilterStarWithFilters(
-              tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
-          if (!filtered.has_value()) continue;
-          for (int s = 1; s < num_stars; ++s) {
-            ntg.stars[s].subject = rdf::kInvalidTermId;
-            ntg.stars[s].triples.clear();
-          }
-          ntg.stars[0] = std::move(*filtered);
-          process_batch(ntg, &table, &key_buf, &val_buf, &exp, &row_buf, ctx);
-        }
-        if (partial) flush_table(&table, ctx);
-      };
-    } else if (options_.vectorized_kernels) {
-      job.map_batch = [num_stars, process_batch, flush_table, partial](
-                          const mr::TaggedRecord* recs, size_t n,
-                          mr::MapContext* ctx) {
-        MultiAggTable table;
-        NestedTripleGroup ntg;
-        std::string key_buf, val_buf;
-        ntga::BindingExpansion exp;
-        std::vector<rdf::TermId> row_buf;
-        for (size_t i = 0; i < n; ++i) {
-          if (!ntga::ParseNestedInto(recs[i].record->value(), num_stars, &ntg)
-                   .ok()) {
-            continue;
-          }
-          process_batch(ntg, &table, &key_buf, &val_buf, &exp, &row_buf, ctx);
-        }
-        if (partial) flush_table(&table, ctx);
-      };
-    } else if (star_mode) {
-      job.map = [shared_pattern, shared_filters, dict, type_id, num_stars,
-                 process](const mr::Record& r, int, mr::MapContext* ctx) {
-        auto tg = ntga::ParseTripleGroup(r.value());
-        if (!tg.ok()) return;
-        auto filtered = FilterStarWithFilters(
-            *tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
-        if (!filtered.has_value()) return;
-        NestedTripleGroup ntg;
-        ntg.stars.resize(num_stars);
-        ntg.stars[0] = std::move(*filtered);
-        process(ntg, ctx);
-      };
-    } else {
-      job.map = [num_stars, process](const mr::Record& r, int,
-                                     mr::MapContext* ctx) {
-        auto parsed = ntga::ParseNested(r.value(), num_stars);
-        if (!parsed.ok()) return;
-        process(*parsed, ctx);
-      };
-    }
-    if (partial && !options_.vectorized_kernels) {
+    if (partial) {
       job.map_finish = [](mr::MapContext* ctx) {
-        MultiAggMap* multi_agg_map = ctx->TaskState<MultiAggMap>();
-        for (auto& [key, aggs] : *multi_agg_map) {
+        const MultiAggTable& table = ctx->TaskState<NtgMapScratch>()->table;
+        for (size_t id = 0; id < table.keys.size(); ++id) {
           std::string value = "P";
-          for (const Aggregator& a : aggs) {
+          for (const Aggregator& a : table.agg_rows[id]) {
             value += '|';
             value += a.SerializePartial();
           }
-          ctx->Emit(key, value);
+          ctx->Emit(table.keys[id], value);
         }
-        multi_agg_map->clear();
       };
     }
 
-    const bool batch_reduce = options_.vectorized_kernels;
-    job.reduce = [shared_groupings, dict, batch_reduce](
-                     std::string_view key, const mr::ValueSpan& values,
-                     mr::ReduceContext* ctx) {
-      // Batch mode reuses per-task scratch across key groups; the
-      // aggregator list itself must reset per group either way.
-      struct Scratch {
-        std::vector<rdf::TermId> args, row;
-        std::string val_buf;
-      };
-      Scratch local;
-      Scratch* s = batch_reduce ? ctx->TaskState<Scratch>() : &local;
+    // The aggregator list resets per key group; the decode and emit
+    // buffers are per-task scratch reused across groups.
+    struct ReduceScratch {
+      std::vector<rdf::TermId> args, row;
+      std::string val_buf;
+    };
+    job.reduce = [shared_groupings, dict](std::string_view key,
+                                          const mr::ValueSpan& values,
+                                          mr::ReduceContext* ctx) {
+      ReduceScratch* s = ctx->TaskState<ReduceScratch>();
       size_t hash_pos = key.find('#');
       if (hash_pos == std::string_view::npos) return;
       int64_t gid = 0;
@@ -800,16 +613,30 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
   std::string out_file = NextTmp(label + ":rows");
   job.output = out_file;
 
-  auto process = [shared_pattern, shared_vars, mapping_predicate](
-                     const NestedTripleGroup& ntg, mr::MapContext* ctx) {
+  const int raw_star = star_mode ? 0 : -1;
+  job.map = [shared_pattern, shared_filters, shared_vars, dict, type_id,
+             num_stars, raw_star, mapping_predicate](
+                const mr::Record& r, int, mr::MapContext* ctx) {
+    NtgMapScratch* s = ctx->TaskState<NtgMapScratch>();
+    if (!LoadNestedGroup(r.value(), raw_star, num_stars, *shared_pattern,
+                         type_id, *shared_filters, *dict, s)) {
+      return;
+    }
     // skip_unbound=false: a star the match did not fill (never the case
     // for all-primary patterns) or an absent optional property stays NULL
     // in the row, matching the relational NULL convention downstream.
+    ntga::ExpandBindingsInto(s->ntg, *shared_pattern, *shared_vars,
+                             /*skip_unbound=*/false, &s->exp);
     uint64_t emitted = 0;
-    for (const std::vector<rdf::TermId>& mapping : ntga::ExpandBindings(
-             ntg, *shared_pattern, *shared_vars, /*skip_unbound=*/false)) {
-      if (mapping_predicate && !mapping_predicate(mapping)) continue;
-      ctx->Emit("", EncodeRow(mapping));
+    for (size_t row = 0; row < s->exp.num_rows; ++row) {
+      const rdf::TermId* mapping = s->exp.row(row);
+      if (mapping_predicate) {
+        s->row_buf.assign(mapping, mapping + s->exp.width);
+        if (!mapping_predicate(s->row_buf)) continue;
+      }
+      s->val_buf.clear();
+      AppendRow(&s->val_buf, mapping, s->exp.width);
+      ctx->Emit("", s->val_buf);
       ++emitted;
     }
     // The triplegroup is the NTGA engines' native factorized form: this
@@ -817,74 +644,6 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
     // rows books itself against the flat rows it stood for.
     if (emitted > 0) ctx->NoteFactorizedGroup(emitted);
   };
-
-  if (options_.vectorized_kernels) {
-    job.map_batch = [shared_pattern, shared_filters, shared_vars, dict,
-                     type_id, num_stars, star_mode, mapping_predicate](
-                        const mr::TaggedRecord* recs, size_t n,
-                        mr::MapContext* ctx) {
-      TripleGroup tg;
-      NestedTripleGroup ntg;
-      ntg.stars.resize(num_stars);
-      ntga::BindingExpansion exp;
-      std::vector<rdf::TermId> row_buf;
-      std::string val_buf;
-      for (size_t i = 0; i < n; ++i) {
-        if (star_mode) {
-          if (!ntga::ParseTripleGroupInto(recs[i].record->value(), &tg).ok()) {
-            continue;
-          }
-          auto filtered = FilterStarWithFilters(
-              tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
-          if (!filtered.has_value()) continue;
-          for (int s = 1; s < num_stars; ++s) {
-            ntg.stars[s].subject = rdf::kInvalidTermId;
-            ntg.stars[s].triples.clear();
-          }
-          ntg.stars[0] = std::move(*filtered);
-        } else if (!ntga::ParseNestedInto(recs[i].record->value(), num_stars,
-                                          &ntg)
-                        .ok()) {
-          continue;
-        }
-        ntga::ExpandBindingsInto(ntg, *shared_pattern, *shared_vars,
-                                 /*skip_unbound=*/false, &exp);
-        uint64_t emitted = 0;
-        for (size_t r = 0; r < exp.num_rows; ++r) {
-          const rdf::TermId* mapping = exp.row(r);
-          if (mapping_predicate) {
-            row_buf.assign(mapping, mapping + exp.width);
-            if (!mapping_predicate(row_buf)) continue;
-          }
-          val_buf.clear();
-          AppendRow(&val_buf, mapping, exp.width);
-          ctx->Emit("", val_buf);
-          ++emitted;
-        }
-        if (emitted > 0) ctx->NoteFactorizedGroup(emitted);
-      }
-    };
-  } else if (star_mode) {
-    job.map = [shared_pattern, shared_filters, dict, type_id, num_stars,
-               process](const mr::Record& r, int, mr::MapContext* ctx) {
-      auto tg = ntga::ParseTripleGroup(r.value());
-      if (!tg.ok()) return;
-      auto filtered = FilterStarWithFilters(
-          *tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
-      if (!filtered.has_value()) return;
-      NestedTripleGroup ntg;
-      ntg.stars.resize(num_stars);
-      ntg.stars[0] = std::move(*filtered);
-      process(ntg, ctx);
-    };
-  } else {
-    job.map = [num_stars, process](const mr::Record& r, int,
-                                   mr::MapContext* ctx) {
-      auto parsed = ntga::ParseNested(r.value(), num_stars);
-      if (!parsed.ok()) return;
-      process(*parsed, ctx);
-    };
-  }
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
   (void)stats;
   return TableRef{out_file, columns};

@@ -117,7 +117,7 @@ void RelationalOps::Cleanup() {
 namespace {
 
 /// Decodes an input record according to its JoinInput layout, reusing
-/// `out`'s capacity (the batch kernels call this per record in a loop).
+/// `out`'s capacity.
 void DecodeInputRowInto(const JoinInput& input, const mr::Record& r,
                         std::vector<rdf::TermId>* out) {
   if (!input.is_vp) {
@@ -141,11 +141,10 @@ std::vector<rdf::TermId> DecodeInputRow(const JoinInput& input,
   return out;
 }
 
-/// Broadcast side table for the batch map-join kernel: one flat cell pool
-/// plus two CSR layers — rows over cells, and per-distinct-key groups over
-/// rows — probed through a HashIndex on the mixed key id. Rows keep file
-/// order within each group, matching the vector-of-vectors the scalar path
-/// builds.
+/// Broadcast side table of the flat map-join: one flat cell pool plus two
+/// CSR layers — rows over cells, and per-distinct-key groups over rows —
+/// probed through a HashIndex on the mixed key id. Rows keep file order
+/// within each group.
 struct BroadcastTable {
   mr::kernels::HashIndex index;
   std::vector<rdf::TermId> keys;    // distinct join key per dense id
@@ -199,14 +198,34 @@ void BuildBroadcast(const JoinInput& input,
   }
 }
 
-/// Per-reduce-task scratch of the batch repartition-join reduce: each
-/// side's rows in a flat cell pool + CSR row bounds, the current/next
+/// Per-map-task scratch (MapContext::TaskState) of the flat operators'
+/// maps: the decoded input row, the width-strided cross-product buffers
+/// and the key/value emit buffers, reused across the task's records.
+struct MapScratch {
+  std::vector<rdf::TermId> row, cur, next, pred_row;
+  std::string key_buf, val_buf;
+};
+
+/// Per-reduce-task scratch of the repartition-join reduce: each side's
+/// rows in a flat cell pool + CSR row bounds, the current/next
 /// cross-product buffers (width-strided), and the emit buffer.
 struct JoinReduceScratch {
   std::vector<std::vector<rdf::TermId>> side_cells;
   std::vector<std::vector<uint32_t>> side_end;
   std::vector<rdf::TermId> row, cur, next, pred_row;
   std::string val_buf;
+};
+
+/// Per-map-task state of GroupBy's map-side pre-aggregation (the
+/// relational analogue of Alg. 3's multiAggMap): an insertion-ordered
+/// open-addressing table — HashIndex over the encoded group key, dense
+/// side tables — plus the decode and key buffers. map_finish flushes it.
+struct PartialAggScratch {
+  mr::kernels::HashIndex index;
+  std::vector<std::string> keys;
+  std::vector<std::vector<Aggregator>> agg_rows;
+  std::vector<rdf::TermId> row;
+  std::string key_buf;
 };
 
 // ---------------------------------------------------------------------------
@@ -420,17 +439,6 @@ struct MapJoinFactSpec {
   std::vector<std::vector<int>> small_keep;
 };
 
-/// Fact-mode jobs always install the scalar map (sharded execution needs
-/// per-record attribution); when the kernel path is on, the batch variant
-/// is this pure per-record loop — emission-identical by construction.
-void InstallBatchLoop(mr::JobConfig* job) {
-  mr::MapFn scalar = job->map;
-  job->map_batch = [scalar](const mr::TaggedRecord* recs, size_t n,
-                            mr::MapContext* ctx) {
-    for (size_t i = 0; i < n; ++i) scalar(*recs[i].record, recs[i].tag, ctx);
-  };
-}
-
 }  // namespace
 
 StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
@@ -513,10 +521,10 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
   // Shared copies for the closures.
   auto ins = std::make_shared<std::vector<JoinInput>>(inputs);
 
-  if (map_join && options_.vectorized_kernels) {
-    // Batch kernel: CSR broadcast tables probed through HashIndex, flat
-    // width-strided cross-product buffers, one dispatch per split. Emits
-    // the exact records of the scalar map below, in the same order.
+  if (map_join) {
+    // CSR broadcast tables for every small input, probed through
+    // HashIndex; the big side streams through width-strided cross-product
+    // buffers kept in the task's scratch.
     auto tables =
         std::make_shared<std::vector<BroadcastTable>>(inputs.size());
     for (size_t i = 0; i < inputs.size(); ++i) {
@@ -525,138 +533,72 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
                               dataset_->dfs().Open(inputs[i].file));
       BuildBroadcast(inputs[i], f->records, join_idx[i], &(*tables)[i]);
     }
-    job.map_batch = [ins, tables, big, out_pos, join_idx, width,
-                     post_predicate](const mr::TaggedRecord* recs, size_t n,
-                                     mr::MapContext* ctx) {
-      const JoinInput& input = (*ins)[big];
-      std::vector<rdf::TermId> row, cur, next, pred_row;
-      std::string val_buf;
-      for (size_t ri = 0; ri < n; ++ri) {
-        if (recs[ri].tag != big) continue;  // broadcast copies: scan only
-        DecodeInputRowInto(input, *recs[ri].record, &row);
-        if (input.predicate && !input.predicate(row)) continue;
-        rdf::TermId key = row[join_idx[big]];
-        // Start from the big row, fold in each small side.
-        cur.assign(width, rdf::kInvalidTermId);
-        for (size_t c = 0; c < row.size(); ++c) {
-          cur[out_pos[big][c]] = row[c];
-        }
-        bool dead = false;
-        for (size_t i = 0; i < ins->size() && !dead; ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          const BroadcastTable& t = (*tables)[i];
-          uint32_t id =
-              t.index.Find(mr::kernels::MixId(key), [&](uint32_t cand) {
-                return t.keys[cand] == key;
-              });
-          if (id == mr::kernels::HashIndex::kNotFound) {
-            if (!(*ins)[i].outer) dead = true;  // inner miss: no output
-            continue;                           // outer: leave columns NULL
-          }
-          next.clear();
-          for (size_t p = 0; p < cur.size() / width; ++p) {
-            for (uint32_t g = t.GroupBegin(id); g < t.group_end[id]; ++g) {
-              uint32_t r2 = t.row_of[g];
-              size_t base = next.size();
-              next.insert(next.end(), cur.begin() + p * width,
-                          cur.begin() + (p + 1) * width);
-              uint32_t cb = t.RowBegin(r2);
-              for (uint32_t c = cb; c < t.row_end[r2]; ++c) {
-                next[base + out_pos[i][c - cb]] = t.cells[c];
-              }
-            }
-          }
-          cur.swap(next);
-        }
-        if (dead) continue;
-        for (size_t p = 0; p < cur.size() / width; ++p) {
-          if (post_predicate) {
-            pred_row.assign(cur.begin() + p * width,
-                            cur.begin() + (p + 1) * width);
-            if (!post_predicate(pred_row)) continue;
-          }
-          val_buf.clear();
-          AppendRow(&val_buf, cur.data() + p * width, width);
-          ctx->Emit("", val_buf);
-        }
-      }
-    };
-  } else if (map_join) {
-    // Broadcast hash tables for every small input.
-    auto hashes = std::make_shared<
-        std::vector<std::unordered_map<rdf::TermId,
-                                       std::vector<std::vector<rdf::TermId>>>>>();
-    hashes->resize(inputs.size());
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      if (static_cast<int>(i) == big) continue;
-      RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
-                              dataset_->dfs().Open(inputs[i].file));
-      for (const mr::Record& r : f->records) {
-        std::vector<rdf::TermId> row = DecodeInputRow(inputs[i], r);
-        if (inputs[i].predicate && !inputs[i].predicate(row)) continue;
-        (*hashes)[i][row[join_idx[i]]].push_back(std::move(row));
-      }
-    }
-    job.map = [ins, hashes, big, out_pos, join_idx, width, post_predicate](
+    job.map = [ins, tables, big, out_pos, join_idx, width, post_predicate](
                   const mr::Record& r, int tag, mr::MapContext* ctx) {
       if (tag != big) return;  // broadcast copies: scanned, not re-emitted
-      const JoinInput& input = (*ins)[tag];
-      std::vector<rdf::TermId> row = DecodeInputRow(input, r);
-      if (input.predicate && !input.predicate(row)) return;
-      rdf::TermId key = row[join_idx[tag]];
+      MapScratch* s = ctx->TaskState<MapScratch>();
+      const JoinInput& input = (*ins)[big];
+      DecodeInputRowInto(input, r, &s->row);
+      if (input.predicate && !input.predicate(s->row)) return;
+      rdf::TermId key = s->row[join_idx[big]];
       // Start from the big row, fold in each small side.
-      std::vector<std::vector<rdf::TermId>> results;
-      {
-        std::vector<rdf::TermId> base(width, rdf::kInvalidTermId);
-        for (size_t c = 0; c < row.size(); ++c) base[out_pos[tag][c]] = row[c];
-        results.push_back(std::move(base));
+      s->cur.assign(width, rdf::kInvalidTermId);
+      for (size_t c = 0; c < s->row.size(); ++c) {
+        s->cur[out_pos[big][c]] = s->row[c];
       }
       for (size_t i = 0; i < ins->size(); ++i) {
         if (i == static_cast<size_t>(big)) continue;
-        auto it = (*hashes)[i].find(key);
-        bool empty = it == (*hashes)[i].end() || it->second.empty();
-        if (empty) {
-          if (!(*ins)[i].outer) return;  // inner input missing: no output
+        const BroadcastTable& t = (*tables)[i];
+        uint32_t id =
+            t.index.Find(mr::kernels::MixId(key), [&](uint32_t cand) {
+              return t.keys[cand] == key;
+            });
+        if (id == mr::kernels::HashIndex::kNotFound) {
+          if (!(*ins)[i].outer) return;  // inner miss: no output
           continue;                      // outer: leave columns NULL
         }
-        std::vector<std::vector<rdf::TermId>> next;
-        for (const auto& partial : results) {
-          for (const auto& srow : it->second) {
-            std::vector<rdf::TermId> merged = partial;
-            for (size_t c = 0; c < srow.size(); ++c) {
-              merged[out_pos[i][c]] = srow[c];
+        s->next.clear();
+        for (size_t p = 0; p < s->cur.size() / width; ++p) {
+          for (uint32_t g = t.GroupBegin(id); g < t.group_end[id]; ++g) {
+            uint32_t r2 = t.row_of[g];
+            size_t base = s->next.size();
+            s->next.insert(s->next.end(), s->cur.begin() + p * width,
+                           s->cur.begin() + (p + 1) * width);
+            uint32_t cb = t.RowBegin(r2);
+            for (uint32_t c = cb; c < t.row_end[r2]; ++c) {
+              s->next[base + out_pos[i][c - cb]] = t.cells[c];
             }
-            next.push_back(std::move(merged));
           }
         }
-        results = std::move(next);
+        s->cur.swap(s->next);
       }
-      for (const auto& merged : results) {
-        if (post_predicate && !post_predicate(merged)) continue;
-        ctx->Emit("", EncodeRow(merged));
+      for (size_t p = 0; p < s->cur.size() / width; ++p) {
+        if (post_predicate) {
+          s->pred_row.assign(s->cur.begin() + p * width,
+                             s->cur.begin() + (p + 1) * width);
+          if (!post_predicate(s->pred_row)) continue;
+        }
+        s->val_buf.clear();
+        AppendRow(&s->val_buf, s->cur.data() + p * width, width);
+        ctx->Emit("", s->val_buf);
       }
     };
-  } else if (options_.vectorized_kernels) {
-    // Batch repartition join: one dispatch per split with all scratch in
-    // reused buffers, and a per-reduce-task scratch that keeps each side
-    // as a flat CSR pool instead of vector-of-vector rows.
-    job.map_batch = [ins, join_idx](const mr::TaggedRecord* recs, size_t n,
-                                    mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row;
-      std::string key_buf, val_buf;
-      for (size_t i = 0; i < n; ++i) {
-        const int tag = recs[i].tag;
-        const JoinInput& input = (*ins)[tag];
-        DecodeInputRowInto(input, *recs[i].record, &row);
-        if (input.predicate && !input.predicate(row)) continue;
-        key_buf.clear();
-        mr::kernels::AppendDecimal(&key_buf, row[join_idx[tag]]);
-        val_buf.clear();
-        mr::kernels::AppendDecimal(&val_buf, static_cast<uint64_t>(tag));
-        val_buf += '|';
-        AppendRow(&val_buf, row.data(), row.size());
-        ctx->Emit(key_buf, val_buf);
-      }
+  } else {
+    // Repartition join: the map tags each row with its side; the reduce
+    // keeps each side as a flat CSR pool in per-task scratch.
+    job.map = [ins, join_idx](const mr::Record& r, int tag,
+                              mr::MapContext* ctx) {
+      MapScratch* s = ctx->TaskState<MapScratch>();
+      const JoinInput& input = (*ins)[tag];
+      DecodeInputRowInto(input, r, &s->row);
+      if (input.predicate && !input.predicate(s->row)) return;
+      s->key_buf.clear();
+      mr::kernels::AppendDecimal(&s->key_buf, s->row[join_idx[tag]]);
+      s->val_buf.clear();
+      mr::kernels::AppendDecimal(&s->val_buf, static_cast<uint64_t>(tag));
+      s->val_buf += '|';
+      AppendRow(&s->val_buf, s->row.data(), s->row.size());
+      ctx->Emit(s->key_buf, s->val_buf);
     };
     job.reduce = [ins, out_pos, width, post_predicate](
                      std::string_view /*key*/, const mr::ValueSpan& values,
@@ -716,59 +658,6 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
         s->val_buf.clear();
         AppendRow(&s->val_buf, s->cur.data() + p * width, width);
         ctx->Emit("", s->val_buf);
-      }
-    };
-    // Pure function of (key, values): reducers may run concurrently.
-    job.reduce_parallel_safe = true;
-  } else {
-    // Repartition join.
-    job.map = [ins, join_idx](const mr::Record& r, int tag,
-                              mr::MapContext* ctx) {
-      const JoinInput& input = (*ins)[tag];
-      std::vector<rdf::TermId> row = DecodeInputRow(input, r);
-      if (input.predicate && !input.predicate(row)) return;
-      rdf::TermId key = row[join_idx[tag]];
-      ctx->Emit(std::to_string(key),
-                std::to_string(tag) + "|" + EncodeRow(row));
-    };
-    job.reduce = [ins, out_pos, width, post_predicate](
-                     std::string_view /*key*/, const mr::ValueSpan& values,
-                     mr::ReduceContext* ctx) {
-      std::vector<std::vector<std::vector<rdf::TermId>>> sides(ins->size());
-      for (std::string_view v : values) {
-        size_t bar = v.find('|');
-        if (bar == std::string_view::npos) continue;
-        int64_t tag = 0;
-        ParseInt64(v.substr(0, bar), &tag);
-        sides[tag].push_back(DecodeRow(v.substr(bar + 1)));
-      }
-      if (sides[0].empty()) return;
-      std::vector<std::vector<rdf::TermId>> results;
-      for (const auto& row : sides[0]) {
-        std::vector<rdf::TermId> base(width, rdf::kInvalidTermId);
-        for (size_t c = 0; c < row.size(); ++c) base[out_pos[0][c]] = row[c];
-        results.push_back(std::move(base));
-      }
-      for (size_t i = 1; i < ins->size(); ++i) {
-        if (sides[i].empty()) {
-          if (!(*ins)[i].outer) return;
-          continue;
-        }
-        std::vector<std::vector<rdf::TermId>> next;
-        for (const auto& partial : results) {
-          for (const auto& srow : sides[i]) {
-            std::vector<rdf::TermId> merged = partial;
-            for (size_t c = 0; c < srow.size(); ++c) {
-              merged[out_pos[i][c]] = srow[c];
-            }
-            next.push_back(std::move(merged));
-          }
-        }
-        results = std::move(next);
-      }
-      for (const auto& merged : results) {
-        if (post_predicate && !post_predicate(merged)) continue;
-        ctx->Emit("", EncodeRow(merged));
       }
     };
     // Pure function of (key, values): reducers may run concurrently.
@@ -913,7 +802,7 @@ StatusOr<TableRef> RelationalOps::FactJoin(
       const FactInputPlan& bp = (*plans)[static_cast<size_t>(big)];
       const bool fact_out = mjf->spec != nullptr;
 
-      // Flat fold of one big row (flat output) — the scalar map-join body.
+      // Flat fold of one big row (flat output).
       auto fold_row = [&](const std::vector<rdf::TermId>& row) {
         rdf::TermId key = row[static_cast<size_t>(join_idx[big])];
         std::vector<std::vector<rdf::TermId>> results;
@@ -1324,8 +1213,6 @@ StatusOr<TableRef> RelationalOps::FactJoin(
     job.reduce_parallel_safe = true;
   }
 
-  if (options_.vectorized_kernels) InstallBatchLoop(&job);
-
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats ignored, cluster_->Run(job));
   (void)ignored;
   if (out_spec != nullptr) {
@@ -1395,34 +1282,19 @@ StatusOr<TableRef> RelationalOps::UnionAll(
       std::vector<rdf::TermId> row;
       ForEachFlatRow(*spec, view, &row, emit);
     };
-    if (options_.vectorized_kernels) InstallBatchLoop(&job);
-  } else if (options_.vectorized_kernels) {
-    job.map_batch = [out_pos, width](const mr::TaggedRecord* recs, size_t n,
-                                     mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row, padded;
-      std::string val_buf;
-      for (size_t i = 0; i < n; ++i) {
-        DecodeRowInto(recs[i].record->value(), &row);
-        const std::vector<int>& pos = out_pos[recs[i].tag];
-        padded.assign(width, rdf::kInvalidTermId);
-        for (size_t c = 0; c < row.size() && c < pos.size(); ++c) {
-          padded[pos[c]] = row[c];
-        }
-        val_buf.clear();
-        AppendRow(&val_buf, padded);
-        ctx->Emit("", val_buf);
-      }
-    };
   } else {
     job.map = [out_pos, width](const mr::Record& r, int tag,
                                mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row = DecodeRow(r.value());
+      MapScratch* s = ctx->TaskState<MapScratch>();
+      DecodeRowInto(r.value(), &s->row);
       const std::vector<int>& pos = out_pos[tag];
-      std::vector<rdf::TermId> padded(width, rdf::kInvalidTermId);
-      for (size_t c = 0; c < row.size() && c < pos.size(); ++c) {
-        padded[pos[c]] = row[c];
+      s->cur.assign(width, rdf::kInvalidTermId);
+      for (size_t c = 0; c < s->row.size() && c < pos.size(); ++c) {
+        s->cur[pos[c]] = s->row[c];
       }
-      ctx->Emit("", EncodeRow(padded));
+      s->val_buf.clear();
+      AppendRow(&s->val_buf, s->cur);
+      ctx->Emit("", s->val_buf);
     };
   }
 
@@ -1594,10 +1466,9 @@ StatusOr<TableRef> RelationalOps::GroupBy(
       }
     };
     job.map_finish = flush_partials;
-    if (options_.vectorized_kernels) InstallBatchLoop(&job);
   } else if (input.factorized()) {
-    // Stream-decompress, then the flat scalar behavior per flat row (raw
-    // mode, or an order-sensitive aggregate slipped through).
+    // Stream-decompress, then the flat per-row behavior on each flat row
+    // (raw mode, or an order-sensitive aggregate slipped through).
     FactorizationPtr spec = input.factor;
     const bool partial = options_.partial_aggregation;
     job.map = [spec, key_idx, agg_idx, dict, make_aggs, partial](
@@ -1632,134 +1503,79 @@ StatusOr<TableRef> RelationalOps::GroupBy(
           });
     };
     if (options_.partial_aggregation) job.map_finish = flush_partials;
-    if (options_.vectorized_kernels) InstallBatchLoop(&job);
-  } else if (options_.partial_aggregation && options_.vectorized_kernels) {
-    // Batch kernel for map-side pre-aggregation: an insertion-ordered
-    // open-addressing table (HashIndex over the encoded group key) built
-    // in one dispatch per split, flushed at the end of the same call.
-    // Flush order differs from the scalar std::map's sorted order, but
-    // group keys are unique within a task and the shuffle sorts by key, so
-    // the post-shuffle stream — and every counter — is identical.
-    job.map_batch = [key_idx, agg_idx, dict, make_aggs](
-                        const mr::TaggedRecord* recs, size_t n,
-                        mr::MapContext* ctx) {
-      mr::kernels::HashIndex index;
-      std::vector<std::string> keys;
-      std::vector<std::vector<Aggregator>> agg_rows;
-      std::vector<rdf::TermId> row;
-      std::string key_buf;
-      for (size_t i = 0; i < n; ++i) {
-        DecodeRowInto(recs[i].record->value(), &row);
-        key_buf.clear();
-        for (size_t k = 0; k < key_idx.size(); ++k) {
-          if (k > 0) key_buf += ',';
-          mr::kernels::AppendDecimal(&key_buf, row[key_idx[k]]);
-        }
-        auto [id, inserted] = index.FindOrInsert(
-            mr::HashKey(key_buf), static_cast<uint32_t>(keys.size()),
-            [&](uint32_t cand) { return keys[cand] == key_buf; });
-        if (inserted) {
-          keys.push_back(key_buf);
-          agg_rows.push_back(make_aggs());
-        }
-        std::vector<Aggregator>& agg_list = agg_rows[id];
-        for (size_t a = 0; a < agg_idx.size(); ++a) {
-          if (agg_idx[a] < 0) {
-            agg_list[a].AddRow();
-          } else {
-            agg_list[a].AddTerm(row[agg_idx[a]], *dict);
-          }
-        }
-      }
-      for (size_t id = 0; id < keys.size(); ++id) {
-        std::string value = "P";
-        for (const Aggregator& a : agg_rows[id]) {
-          value += '|';
-          value += a.SerializePartial();
-        }
-        ctx->Emit(keys[id], value);
-      }
-    };
   } else if (options_.partial_aggregation) {
     // Hash-based map-side pre-aggregation (the relational analogue of
     // Alg. 3's multiAggMap). The table lives in per-task state so
-    // concurrent map tasks accumulate independently.
-    using PartialMap = std::map<std::string, std::vector<Aggregator>>;
-    job.map = [key_idx, agg_idx, dict, make_aggs](
-                  const mr::Record& r, int, mr::MapContext* ctx) {
-      PartialMap* partials = ctx->TaskState<PartialMap>();
-      std::vector<rdf::TermId> row = DecodeRow(r.value());
-      std::vector<rdf::TermId> key;
-      for (int i : key_idx) key.push_back(row[i]);
-      auto [it, inserted] = partials->emplace(EncodeRow(key), make_aggs());
+    // concurrent map tasks accumulate independently; map_finish flushes
+    // it in insertion order (keys are unique per task and the shuffle
+    // sorts by key).
+    job.map = [key_idx, agg_idx, dict, make_aggs](const mr::Record& r, int,
+                                                  mr::MapContext* ctx) {
+      PartialAggScratch* s = ctx->TaskState<PartialAggScratch>();
+      DecodeRowInto(r.value(), &s->row);
+      s->key_buf.clear();
+      for (size_t k = 0; k < key_idx.size(); ++k) {
+        if (k > 0) s->key_buf += ',';
+        mr::kernels::AppendDecimal(&s->key_buf, s->row[key_idx[k]]);
+      }
+      auto [id, inserted] = s->index.FindOrInsert(
+          mr::HashKey(s->key_buf), static_cast<uint32_t>(s->keys.size()),
+          [&](uint32_t cand) { return s->keys[cand] == s->key_buf; });
+      if (inserted) {
+        s->keys.push_back(s->key_buf);
+        s->agg_rows.push_back(make_aggs());
+      }
+      std::vector<Aggregator>& agg_list = s->agg_rows[id];
       for (size_t a = 0; a < agg_idx.size(); ++a) {
         if (agg_idx[a] < 0) {
-          it->second[a].AddRow();
+          agg_list[a].AddRow();
         } else {
-          it->second[a].AddTerm(row[agg_idx[a]], *dict);
+          agg_list[a].AddTerm(s->row[agg_idx[a]], *dict);
         }
       }
     };
     job.map_finish = [](mr::MapContext* ctx) {
-      PartialMap* partials = ctx->TaskState<PartialMap>();
-      for (auto& [key, agg_list] : *partials) {
+      PartialAggScratch* s = ctx->TaskState<PartialAggScratch>();
+      for (size_t id = 0; id < s->keys.size(); ++id) {
         std::string value = "P";
-        for (const Aggregator& a : agg_list) {
+        for (const Aggregator& a : s->agg_rows[id]) {
           value += '|';
           value += a.SerializePartial();
         }
-        ctx->Emit(key, value);
-      }
-      partials->clear();
-    };
-  } else if (options_.vectorized_kernels) {
-    job.map_batch = [key_idx, agg_idx](const mr::TaggedRecord* recs,
-                                       size_t n, mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row;
-      std::string key_buf, val_buf;
-      for (size_t i = 0; i < n; ++i) {
-        DecodeRowInto(recs[i].record->value(), &row);
-        key_buf.clear();
-        for (size_t k = 0; k < key_idx.size(); ++k) {
-          if (k > 0) key_buf += ',';
-          mr::kernels::AppendDecimal(&key_buf, row[key_idx[k]]);
-        }
-        val_buf.assign("R|");
-        for (size_t a = 0; a < agg_idx.size(); ++a) {
-          if (a > 0) val_buf += ',';
-          mr::kernels::AppendDecimal(
-              &val_buf, agg_idx[a] < 0 ? rdf::kInvalidTermId
-                                       : row[agg_idx[a]]);
-        }
-        ctx->Emit(key_buf, val_buf);
+        ctx->Emit(s->keys[id], value);
       }
     };
   } else {
     job.map = [key_idx, agg_idx](const mr::Record& r, int,
                                  mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row = DecodeRow(r.value());
-      std::vector<rdf::TermId> key;
-      for (int i : key_idx) key.push_back(row[i]);
-      std::vector<rdf::TermId> args;
-      for (int i : agg_idx) {
-        args.push_back(i < 0 ? rdf::kInvalidTermId : row[i]);
+      MapScratch* s = ctx->TaskState<MapScratch>();
+      DecodeRowInto(r.value(), &s->row);
+      s->key_buf.clear();
+      for (size_t k = 0; k < key_idx.size(); ++k) {
+        if (k > 0) s->key_buf += ',';
+        mr::kernels::AppendDecimal(&s->key_buf, s->row[key_idx[k]]);
       }
-      ctx->Emit(EncodeRow(key), "R|" + EncodeRow(args));
+      s->val_buf.assign("R|");
+      for (size_t a = 0; a < agg_idx.size(); ++a) {
+        if (a > 0) s->val_buf += ',';
+        mr::kernels::AppendDecimal(
+            &s->val_buf,
+            agg_idx[a] < 0 ? rdf::kInvalidTermId : s->row[agg_idx[a]]);
+      }
+      ctx->Emit(s->key_buf, s->val_buf);
     };
   }
 
-  const bool batch_reduce = options_.vectorized_kernels;
-  job.reduce = [agg_specs, dict, make_aggs, having, batch_reduce](
+  // The aggregator list resets per key group; the decode and emit buffers
+  // are per-task scratch reused across groups.
+  struct ReduceScratch {
+    std::vector<rdf::TermId> args, out_row;
+    std::string val_buf;
+  };
+  job.reduce = [agg_specs, dict, make_aggs, having](
                    std::string_view key, const mr::ValueSpan& values,
                    mr::ReduceContext* ctx) {
-    // Batch mode reuses per-task scratch (args/out_row/val_buf) across key
-    // groups; the aggregator list itself must reset per group either way.
-    struct Scratch {
-      std::vector<rdf::TermId> args, out_row;
-      std::string val_buf;
-    };
-    Scratch local;
-    Scratch* s = batch_reduce ? ctx->TaskState<Scratch>() : &local;
+    ReduceScratch* s = ctx->TaskState<ReduceScratch>();
     std::vector<Aggregator> agg_list = make_aggs();
     for (std::string_view v : values) {
       if (v.empty()) continue;
@@ -1861,31 +1677,18 @@ StatusOr<TableRef> RelationalOps::DistinctProject(
                        ctx->Emit(EncodeRow(projected), "");
                      });
     };
-    if (options_.vectorized_kernels) InstallBatchLoop(&job);
-  } else if (options_.vectorized_kernels) {
-    job.map_batch = [idx, keep_predicate](const mr::TaggedRecord* recs,
-                                          size_t n, mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row;
-      std::string key_buf;
-      for (size_t r = 0; r < n; ++r) {
-        DecodeRowInto(recs[r].record->value(), &row);
-        if (keep_predicate && !keep_predicate(row)) continue;
-        key_buf.clear();
-        for (size_t k = 0; k < idx.size(); ++k) {
-          if (k > 0) key_buf += ',';
-          mr::kernels::AppendDecimal(&key_buf, row[idx[k]]);
-        }
-        ctx->Emit(key_buf, "");
-      }
-    };
   } else {
     job.map = [idx, keep_predicate](const mr::Record& r, int,
                                     mr::MapContext* ctx) {
-      std::vector<rdf::TermId> row = DecodeRow(r.value());
-      if (keep_predicate && !keep_predicate(row)) return;
-      std::vector<rdf::TermId> projected;
-      for (int i : idx) projected.push_back(row[i]);
-      ctx->Emit(EncodeRow(projected), "");
+      MapScratch* s = ctx->TaskState<MapScratch>();
+      DecodeRowInto(r.value(), &s->row);
+      if (keep_predicate && !keep_predicate(s->row)) return;
+      s->key_buf.clear();
+      for (size_t k = 0; k < idx.size(); ++k) {
+        if (k > 0) s->key_buf += ',';
+        mr::kernels::AppendDecimal(&s->key_buf, s->row[idx[k]]);
+      }
+      ctx->Emit(s->key_buf, "");
     };
   }
   // Combiner dedups map-side; reduce emits one row per distinct key.

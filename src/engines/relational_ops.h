@@ -22,7 +22,7 @@ namespace rapida::engine {
 std::string EncodeRow(const std::vector<rdf::TermId>& row);
 std::vector<rdf::TermId> DecodeRow(std::string_view data);
 
-/// Scratch-reusing codec variants for the batch kernels: AppendRow appends
+/// Scratch-reusing codec variants for per-task buffers: AppendRow appends
 /// EncodeRow's exact bytes to `out`; DecodeRowInto overwrites `out` in
 /// place, reusing its capacity so per-record loops stop allocating once
 /// warm.

@@ -42,6 +42,13 @@ class BatchReduceContext : public ReduceContext {
   RecordBatch* out_;
 };
 
+/// One split row: a pointer to the input file's record view (key_hash /
+/// key_prefix already stamped) plus its input tag.
+struct TaggedRecord {
+  const Record* record = nullptr;
+  int tag = 0;
+};
+
 /// Half-open range of same-key records inside a sorted partition.
 struct GroupSpan {
   size_t begin = 0;
@@ -141,20 +148,9 @@ void Cluster::ResetHistory() {
 }
 
 StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
-  RAPIDA_CHECK(job.map != nullptr || job.map_batch != nullptr)
-      << "job '" << job.name << "' has no map fn";
+  RAPIDA_CHECK(job.map != nullptr) << "job '" << job.name << "' has no map fn";
   const int S = config_.num_shards > 1 ? config_.num_shards : 1;
   const bool sharded = S > 1;
-  if (sharded && job.map == nullptr) {
-    // Batch kernels emit in bulk, so per-input-record home attribution —
-    // the basis of the channel's edge accounting — is impossible. The
-    // scalar map path is byte-identical by the kernel contract; engines
-    // disable vectorized kernels when sharded.
-    return Status::InvalidArgument(
-        "job '" + job.name +
-        "' has only a batch map fn; sharded execution requires the scalar "
-        "map path (run engines with vectorized_kernels off)");
-  }
   if (observer_ != nullptr) {
     RAPIDA_RETURN_IF_ERROR(observer_->OnPhase(job.name, "setup"));
   }
@@ -267,41 +263,35 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     MapTaskResult& result = task_results[task];
     RecordBatch out;
     out.records.reserve(split.records.size());
-    BatchMapContext ctx(&out);
     // Sharded: home shard of each emitted record — the shard the producing
-    // input record lives on under the sharding scheme (combiner flushes
-    // belong to the task's shard: they are re-emissions of state that
-    // already lives where the mapper runs).
+    // input record lives on under the sharding scheme (map_finish flushes
+    // and combiner output belong to the task's shard: they are re-emissions
+    // of state that already lives where the mapper runs).
     std::vector<int> emit_homes;
     if (sharded) {
       shards_[static_cast<size_t>(task_shard[task])]->CountMapTask();
       emit_homes.reserve(split.records.size());
+    }
+    {
+      // Scoped so the map's TaskState scratch dies before the combine and
+      // scatter below.
+      BatchMapContext ctx(&out);
       for (const TaggedRecord& tr : split.records) {
-        size_t before = out.records.size();
+        const size_t before = out.records.size();
         job.map(*tr.record, tr.tag, &ctx);
-        if (out.records.size() != before) {
+        if (sharded && out.records.size() != before) {
           emit_homes.resize(out.records.size(),
                             AssignShard(tr.record->key_hash, config_.sharding,
                                         S));
         }
       }
-      if (job.map_finish) {
-        job.map_finish(&ctx);
-        emit_homes.resize(out.records.size(), task_shard[task]);
-      }
-    } else if (job.map_batch) {
-      job.map_batch(split.records.data(), split.records.size(), &ctx);
       if (job.map_finish) job.map_finish(&ctx);
-    } else {
-      for (const TaggedRecord& tr : split.records) {
-        job.map(*tr.record, tr.tag, &ctx);
-      }
-      if (job.map_finish) job.map_finish(&ctx);
+      if (sharded) emit_homes.resize(out.records.size(), task_shard[task]);
+      result.map_output_records = out.records.size();
+      result.map_output_bytes = ctx.bytes();
+      result.factorized_groups = ctx.factorized_groups();
+      result.factorized_flat_rows = ctx.factorized_flat_rows();
     }
-    result.map_output_records = out.records.size();
-    result.map_output_bytes = ctx.bytes();
-    result.factorized_groups = ctx.factorized_groups();
-    result.factorized_flat_rows = ctx.factorized_flat_rows();
 
     if (stats.map_only) {
       result.output = std::move(out);

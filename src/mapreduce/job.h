@@ -21,9 +21,11 @@ namespace rapida::mr {
 class TaskStateBase {
  public:
   /// How per-task accumulators (e.g. the paper's multiAggMap hash
-  /// pre-aggregation, Alg. 3) and batch-kernel scratch buffers stay
-  /// correct when tasks run concurrently: capture the immutable specs in
-  /// the lambda, keep the mutable state here.
+  /// pre-aggregation, Alg. 3) and reused scratch buffers stay correct
+  /// when tasks run concurrently: capture the immutable specs in the
+  /// lambda, keep the mutable state here. An operator keeps all of its
+  /// map-side state in one struct, so `map` and `map_finish` see the same
+  /// object.
   template <typename T>
   T* TaskState() {
     if (state_ == nullptr) state_ = std::make_unique<StateHolder<T>>();
@@ -72,8 +74,8 @@ class MapContext : public TaskStateBase {
 /// Sink for reduce-side emissions. Emit appends to the reduce task's
 /// record batch, exactly like MapContext::Emit. TaskState() is scoped
 /// to the reduce task (one shuffle partition, or the whole serial merge) —
-/// it persists *across* the task's key groups, which is what lets batch
-/// kernels reuse scratch buffers instead of reallocating per group.
+/// it persists *across* the task's key groups, which is what lets reduce
+/// functions reuse scratch buffers instead of reallocating per group.
 class ReduceContext : public TaskStateBase {
  public:
   virtual ~ReduceContext() = default;
@@ -126,26 +128,13 @@ class ValueSpan {
 /// Per-record map function. `input_tag` identifies which input file the
 /// record came from (0-based index into JobConfig::inputs) so joins can
 /// tag their sides — real MapReduce gets this from the input split path.
-/// May run concurrently with other map tasks; see MapContext.
+/// Scratch reused across records lives in MapContext::TaskState().
+/// Because every emission happens inside the call for one input record
+/// (or in map_finish), a sharded cluster knows the home shard of each
+/// emitted record. May run concurrently with other map tasks; see
+/// MapContext.
 using MapFn =
     std::function<void(const Record& record, int input_tag, MapContext*)>;
-
-/// One split row handed to a batch map kernel: a pointer to the input
-/// file's record view (key_hash / key_prefix already stamped) plus its
-/// input tag.
-struct TaggedRecord {
-  const Record* record = nullptr;
-  int tag = 0;
-};
-
-/// Batch-at-a-time map kernel: called once per input split with the whole
-/// split. Must emit exactly the records the per-record `map` would emit,
-/// in the same order — the runtime treats it as pure dispatch/layout
-/// optimization, and every counter (and therefore sim_seconds) is
-/// computed from the emissions, which are identical either way.
-using MapBatchFn =
-    std::function<void(const TaggedRecord* records, size_t count,
-                       MapContext*)>;
 
 /// Called once per mapper after its split is exhausted; used for map-side
 /// state flush (e.g. the paper's `multiAggMap` hash pre-aggregation,
@@ -164,12 +153,7 @@ struct JobConfig {
   std::vector<std::string> inputs;  // DFS file names
   std::string output;               // DFS file name
 
-  MapFn map;                 // required unless map_batch is set
-  /// Optional vectorized override of `map`: when set, the runtime hands
-  /// each split to this kernel instead of dispatching per record. Planners
-  /// install it only when the kernel path is enabled; the scalar `map`
-  /// stays the fallback (and the semantic reference).
-  MapBatchFn map_batch;
+  MapFn map;                 // required
   MapFinishFn map_finish;    // optional
   ReduceFn combine;          // optional (map-side, per mapper)
   ReduceFn reduce;           // null => map-only job (no shuffle)

@@ -40,12 +40,4 @@ void HashIndex::Clear() {
   count_ = 0;
 }
 
-void TokenizeValues(const TaggedRecord* records, size_t count, char sep,
-                    FieldColumns* out) {
-  out->Clear();
-  for (size_t i = 0; i < count; ++i) {
-    TokenizeRow(records[i].record->value(), sep, out);
-  }
-}
-
 }  // namespace rapida::mr::kernels

@@ -4,23 +4,16 @@
 #include <charconv>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "mapreduce/job.h"
-#include "mapreduce/record.h"
-
-/// Batch-at-a-time kernel primitives for the hot MapReduce inner loops.
+/// Primitives for the hot MapReduce inner loops.
 ///
-/// The operators built on these (star-join / map-join probing, grouped
-/// aggregation, field tokenization) process one whole split per dispatch
-/// instead of one record per std::function call, reuse the FNV-1a key
-/// hashes the data plane stamps at emit time, and keep all scratch in
-/// reused flat buffers. Kernels are a pure execution-layer substitution:
-/// they must emit byte-identical records in identical order to their
-/// scalar counterparts, so no logical counter (and hence no sim_seconds)
-/// can move.
+/// The operators built on these (map-join probing, grouped aggregation,
+/// the TG_AggJoin multiAggMap) probe open-addressing tables on FNV-1a key
+/// hashes (mr::HashKey) or mixed term ids, and keep their tables and
+/// key/value buffers in per-task scratch (MapContext / ReduceContext
+/// TaskState) that is reused across records.
 namespace rapida::mr::kernels {
 
 /// splitmix64 finalizer: turns raw integer keys (term ids) into
@@ -97,47 +90,6 @@ class HashIndex {
   size_t mask_ = 0;
   size_t count_ = 0;
 };
-
-/// CSR field-offset columns for a batch of tokenized strings: every row's
-/// fields appended to one flat vector, with cumulative row boundaries in
-/// `row_end`. Materialized once per batch, then scanned without re-finding
-/// separators or allocating per record.
-struct FieldColumns {
-  std::vector<std::string_view> fields;
-  std::vector<uint32_t> row_end;
-
-  void Clear() {
-    fields.clear();
-    row_end.clear();
-  }
-  size_t num_rows() const { return row_end.size(); }
-  size_t row_begin(size_t row) const {
-    return row == 0 ? 0 : row_end[row - 1];
-  }
-};
-
-/// Appends one row of fields split on `sep`, with FieldTokenizer's exact
-/// semantics: empty fields kept, "" yields one empty field, a trailing
-/// separator yields a trailing empty field.
-inline void TokenizeRow(std::string_view input, char sep,
-                        FieldColumns* out) {
-  size_t start = 0;
-  for (;;) {
-    size_t pos = input.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out->fields.push_back(input.substr(start));
-      break;
-    }
-    out->fields.push_back(input.substr(start, pos - start));
-    start = pos + 1;
-  }
-  out->row_end.push_back(static_cast<uint32_t>(out->fields.size()));
-}
-
-/// Batched FieldTokenizer: materializes the field offset columns for a
-/// whole split's values in one pass. Views point into the input records.
-void TokenizeValues(const TaggedRecord* records, size_t count, char sep,
-                    FieldColumns* out);
 
 /// Appends the decimal form of `v` — same bytes as std::to_string, without
 /// the temporary string.

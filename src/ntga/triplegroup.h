@@ -88,7 +88,7 @@ std::string SerializeNested(const NestedTripleGroup& ntg);
 StatusOr<NestedTripleGroup> ParseNested(std::string_view data,
                                         int num_stars);
 
-/// Scratch-reusing variants for the batch kernels: the *To serializers
+/// Scratch-reusing variants for per-task buffers: the *To serializers
 /// append to `out` (same bytes as their std::string counterparts), the
 /// *Into parsers overwrite `out` in place, reusing its vector/string
 /// capacity so per-record parse loops stop allocating once warm.

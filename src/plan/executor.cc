@@ -13,17 +13,10 @@ Status ExecutePlanMulti(
   if (plan.needs_vp) RAPIDA_RETURN_IF_ERROR(dataset->EnsureVpTables());
   if (plan.needs_tg) RAPIDA_RETURN_IF_ERROR(dataset->EnsureTripleGroups());
 
-  // Sharded execution requires the scalar operator path: the cluster's
-  // per-record emission attribution (channel edge accounting) cannot see
-  // inside a batch kernel. Scalar and batch are byte-identical by
-  // contract, so this only moves host wall time.
-  engine::EngineOptions exec_options = options;
-  if (exec_options.num_shards > 1) exec_options.vectorized_kernels = false;
-
   ExecContext ctx;
   ctx.dataset = dataset;
   ctx.cluster = cluster;
-  ctx.options = exec_options;
+  ctx.options = options;
   ctx.results = results;
 
   // The relational facade is always live (not just under needs_vp): the
@@ -32,13 +25,11 @@ Status ExecutePlanMulti(
   std::unique_ptr<engine::RelationalOps> rel;
   std::unique_ptr<engine::NtgaExec> ntga;
   rel = std::make_unique<engine::RelationalOps>(
-      cluster, dataset, exec_options,
-      exec_options.tmp_namespace + plan.tmp_tag);
+      cluster, dataset, options, options.tmp_namespace + plan.tmp_tag);
   ctx.rel = rel.get();
   if (plan.needs_tg) {
     ntga = std::make_unique<engine::NtgaExec>(
-        cluster, dataset, exec_options,
-        exec_options.tmp_namespace + plan.tmp_tag);
+        cluster, dataset, options, options.tmp_namespace + plan.tmp_tag);
     ctx.ntga = ntga.get();
   }
 

@@ -150,8 +150,8 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
         // NTGA plans are *natively* factorized — a triplegroup is exactly
         // the grouped form, and kExpandBindings is the engine's built-in
         // decompress boundary. Those nodes get display-only annotations
-        // (info, like vectorized-kernels) whether or not the pass is on,
-        // because the representation is the engine's own, not a choice.
+        // (info) whether or not the pass is on, because the
+        // representation is the engine's own, not a choice.
         for (PlanNode& n : plan->nodes) {
           switch (n.kind) {
             case OpKind::kTripleGroupLoad:
@@ -341,37 +341,6 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
       }});
 
   pm.Add(Pass{
-      // Sharded runs force the scalar path (per-record shuffle
-      // attribution); the annotation reflects what will actually execute.
-      "vectorized-kernels",
-      options.vectorized_kernels && options.num_shards <= 1,
-      [](PhysicalPlan* plan, bool enabled) {
-        // Dispatch annotation only: the batch kernels are byte-identical
-        // to the scalar operators by contract, so the choice is
-        // display-only `info` — fingerprints, cost estimates, and every
-        // counter stay exactly where the scalar path put them.
-        for (PlanNode& n : plan->nodes) {
-          switch (n.kind) {
-            case OpKind::kStarJoin:
-            case OpKind::kMapJoin:
-            case OpKind::kReduceJoin:
-            case OpKind::kLeftMapJoin:
-            case OpKind::kLeftReduceJoin:
-            case OpKind::kUnion:
-            case OpKind::kExpandBindings:
-            case OpKind::kNSplitAlphaJoin:
-            case OpKind::kAggJoin:
-            case OpKind::kGroupAggregate:
-            case OpKind::kDistinctExtract:
-              n.Info("kernel", enabled ? "batch" : "scalar");
-              break;
-            default:
-              break;
-          }
-        }
-      }});
-
-  pm.Add(Pass{
       "dead-column-prune", true,
       [](PhysicalPlan* plan, bool) {
         // Backward liveness: a column a node materializes is dead if no
@@ -428,7 +397,7 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
       [query](PhysicalPlan* plan, bool) {
         // Advisory: records whether a materialized result of this plan
         // admits algebraic patching under insert-only deltas. Info-only
-        // (like vectorized-kernels) so fingerprints stay put — the same
+        // so fingerprints stay put — the same
         // classification keys the materialization store's patch-vs-
         // recompute decision at mutation time.
         if (plan->nodes.empty()) return;

@@ -61,8 +61,8 @@ struct DiffOptions {
   /// exec_threads).
   bool check_cost_invariants = true;
   /// Optimizer pass toggles for the engines under test (the reference
-  /// evaluator ignores them). Used to force e.g. the vectorized-kernels
-  /// pass on or off across a whole corpus run.
+  /// evaluator ignores them). Used to force e.g. the factorize pass off
+  /// across a whole corpus run.
   engine::EngineOptions engine_options;
   /// Shard counts to additionally run every engine under (both placement
   /// schemes each), cross-checking each sharded run against the reference

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "engines/dataset.h"
+#include "engines/relational_ops.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
 #include "util/string_util.h"
@@ -103,12 +105,13 @@ TEST(AllocRegressionTest, ReduceJobStaysUnderPerRecordBudget) {
       << allocations << " allocations for " << kRecords << " records)";
 }
 
-// Same gate for a join-shaped job: two tagged inputs, batch map emitting
-// tag-prefixed values through reused buffers, and a cross-product reduce
-// whose side pools live in reduce TaskState so they warm up once per task
-// instead of reallocating per key group. This mirrors the shape of the
-// repartition-join batch kernel in RelationalOps::Join.
-TEST(AllocRegressionTest, JoinShapedBatchJobStaysUnderPerRecordBudget) {
+// Same gate for a join-shaped job: two tagged inputs, a per-record map
+// emitting tag-prefixed values through a value buffer kept in map
+// TaskState, and a cross-product reduce whose side pools live in reduce
+// TaskState, so both warm up once per task instead of reallocating per
+// record or key group. This mirrors the shape of the repartition join in
+// RelationalOps::Join.
+TEST(AllocRegressionTest, JoinShapedJobStaysUnderPerRecordBudget) {
   constexpr int kRowsPerSide = 10000;
   constexpr int kDistinctKeys = 2000;  // 5 rows per key per side.
 
@@ -131,21 +134,18 @@ TEST(AllocRegressionTest, JoinShapedBatchJobStaysUnderPerRecordBudget) {
   job.name = "alloc-regression-join";
   job.inputs = {"left", "right"};
   job.output = "out";
-  job.map_batch = [](const TaggedRecord* records, size_t count,
-                     MapContext* ctx) {
-    std::string val_buf;
-    for (size_t i = 0; i < count; ++i) {
-      std::string_view value = records[i].record->value();
-      std::string_view key = value.substr(0, value.find(','));
-      val_buf.assign(records[i].tag == 0 ? "L|" : "R|");
-      val_buf.append(value);
-      ctx->Emit(key, val_buf);
-    }
+  job.map = [](const Record& r, int tag, MapContext* ctx) {
+    std::string* val_buf = ctx->TaskState<std::string>();
+    std::string_view value = r.value();
+    std::string_view key = value.substr(0, value.find(','));
+    val_buf->assign(tag == 0 ? "L|" : "R|");
+    val_buf->append(value);
+    ctx->Emit(key, *val_buf);
   };
   job.reduce = [](std::string_view key, const ValueSpan& values,
                   ReduceContext* ctx) {
-    // Flat side pools: contiguous bytes plus end offsets, like the batch
-    // join kernel's CSR side buffers.
+    // Flat side pools: contiguous bytes plus end offsets, like the
+    // repartition join's CSR side buffers.
     struct JoinScratch {
       std::string left_bytes, right_bytes;
       std::vector<uint32_t> left_end, right_end;
@@ -188,11 +188,88 @@ TEST(AllocRegressionTest, JoinShapedBatchJobStaysUnderPerRecordBudget) {
   EXPECT_EQ(stats->output_records, static_cast<uint64_t>(kDistinctKeys) * 25);
 
   size_t allocations = g_allocations.load(std::memory_order_relaxed);
-  // The batch map reuses one value buffer and the reduce reuses per-task
-  // scratch, so the whole join costs O(tasks + buffer growth) allocations.
+  // The map and the reduce reuse per-task scratch, so the whole join costs
+  // O(tasks + buffer growth) allocations.
   EXPECT_LT(allocations, static_cast<size_t>(kInputRecords) / 2)
       << "join hot path regressed to per-record heap allocation ("
       << allocations << " allocations for " << kInputRecords << " records)";
+}
+
+// The operators themselves, on a 4-shard cluster: GroupBy with map-side
+// partial aggregation and the repartition Join keep their decode rows,
+// key/value buffers and partial tables in task scratch, so behind the
+// shard channel they stay under the same per-input-record budget.
+TEST(AllocRegressionTest, ShardedOperatorsStayUnderPerRecordBudget) {
+  constexpr int kRows = 10000;
+  constexpr int kJoinKeys = 2000;  // 5 rows per key per side.
+  constexpr int kGroups = 100;
+
+  engine::Dataset dataset{rdf::Graph()};
+  auto write_table = [&dataset](const std::string& name) {
+    RecordBatch records;
+    for (int i = 0; i < kRows; ++i) {
+      const std::vector<rdf::TermId> row = {
+          static_cast<rdf::TermId>(i % kJoinKeys),
+          static_cast<rdf::TermId>(i % kGroups),
+          static_cast<rdf::TermId>(910000000 + i)};
+      records.Add("", engine::EncodeRow(row));
+    }
+    return dataset.dfs().Write(name, std::move(records));
+  };
+  ASSERT_TRUE(write_table("left").ok());
+  ASSERT_TRUE(write_table("right").ok());
+
+  ClusterConfig config;
+  config.num_shards = 4;
+  Cluster cluster(config, &dataset.dfs());
+  engine::EngineOptions options;
+  options.num_shards = 4;
+  options.enable_map_joins = false;  // the repartition join
+  options.partial_aggregation = true;
+  engine::RelationalOps ops(&cluster, &dataset, options, "tmp:alloc");
+
+  engine::TableRef left;
+  left.file = "left";
+  left.columns = {"k", "g", "v"};
+  const std::vector<engine::RelationalOps::AggColumn> aggs = {
+      {sparql::AggFunc::kCount, "", true, "cnt", " "}};
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_seq_cst);
+  auto grouped = ops.GroupBy("group", left, {"g"}, aggs);
+  g_counting.store(false, std::memory_order_seq_cst);
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  size_t allocations = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LT(allocations, static_cast<size_t>(kRows) / 2)
+      << "sharded GroupBy regressed to per-record heap allocation ("
+      << allocations << " allocations for " << kRows << " records)";
+
+  engine::JoinInput lhs;
+  lhs.file = "left";
+  lhs.columns = {"k", "g", "v"};
+  lhs.join_column = "k";
+  engine::JoinInput rhs;
+  rhs.file = "right";
+  rhs.columns = {"k", "h", "w"};
+  rhs.join_column = "k";
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_seq_cst);
+  auto joined = ops.Join("join", {lhs, rhs}, nullptr);
+  g_counting.store(false, std::memory_order_seq_cst);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  allocations = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LT(allocations, static_cast<size_t>(2 * kRows) / 2)
+      << "sharded repartition Join regressed to per-record heap allocation ("
+      << allocations << " allocations for " << 2 * kRows << " records)";
+
+  ASSERT_EQ(cluster.history().size(), 2u);
+  EXPECT_EQ(cluster.history()[0].output_records,
+            static_cast<uint64_t>(kGroups));
+  EXPECT_EQ(cluster.history()[1].output_records,
+            static_cast<uint64_t>(kJoinKeys) * 25);
+  for (const JobStats& stats : cluster.history()) {
+    EXPECT_EQ(stats.num_shards, 4) << stats.name;
+    EXPECT_GT(stats.shuffle_cross_bytes, 0u) << stats.name;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Factorized (d-representation) intermediates: codec round-trips, the
 // weighted aggregator, and the byte-identity matrix — every factorized
 // pipeline must produce exactly the flat path's rows across exec_threads
-// x map-join x partial-aggregation x vectorized-kernel combinations,
+// x map-join x partial-aggregation combinations,
 // while materializing and shuffling fewer bytes on multi-valued data.
 #include "engines/factorized.h"
 
@@ -235,8 +235,7 @@ class FactorizeTest : public ::testing::Test {
   /// Star join -> inter-star join on the multi-valued x -> GroupBy (key in
   /// base, then key in a factor) -> DISTINCT projection.
   PipelineResult RunPipeline(int exec_threads, bool factorize, bool map_joins,
-                             bool partial_agg, bool vectorized,
-                             const std::string& ns) {
+                             bool partial_agg, const std::string& ns) {
     mr::ClusterConfig cfg;
     cfg.exec_threads = exec_threads;
     cfg.exec_split_bytes = 64;  // several map tasks even on tiny files
@@ -245,7 +244,6 @@ class FactorizeTest : public ::testing::Test {
     opt.enable_map_joins = map_joins;
     opt.map_join_threshold_bytes = 1 << 20;
     opt.partial_aggregation = partial_agg;
-    opt.vectorized_kernels = vectorized;
     opt.factorized_intermediates = factorize;
     RelationalOps ops(&cluster, &dataset_, opt, "tmp:" + ns);
 
@@ -309,7 +307,7 @@ class FactorizeTest : public ::testing::Test {
 };
 
 TEST_F(FactorizeTest, ByteIdentityMatrix) {
-  PipelineResult flat = RunPipeline(1, false, false, true, true, "flat");
+  PipelineResult flat = RunPipeline(1, false, false, true, "flat");
   ASSERT_FALSE(flat.star.empty());
   ASSERT_FALSE(flat.linked.empty());
   EXPECT_EQ(flat.groups, 0u);
@@ -318,30 +316,26 @@ TEST_F(FactorizeTest, ByteIdentityMatrix) {
   for (int threads : {1, 8}) {
     for (bool map_joins : {false, true}) {
       for (bool partial : {false, true}) {
-        for (bool vect : {false, true}) {
-          PipelineResult fact =
-              RunPipeline(threads, true, map_joins, partial, vect,
-                          "f" + std::to_string(run++));
-          std::string label = "threads=" + std::to_string(threads) +
-                              " mapjoin=" + std::to_string(map_joins) +
-                              " partial=" + std::to_string(partial) +
-                              " vect=" + std::to_string(vect);
-          EXPECT_EQ(fact.star, flat.star) << label;
-          EXPECT_EQ(fact.linked, flat.linked) << label;
-          EXPECT_EQ(fact.by_s, flat.by_s) << label;
-          EXPECT_EQ(fact.by_y, flat.by_y) << label;
-          EXPECT_EQ(fact.distinct, flat.distinct) << label;
-          // The d-representation must genuinely compress: fewer stored
-          // bytes than the flat star, whose exact size FlatStoredBytes
-          // reconstructs arithmetically.
-          EXPECT_LT(fact.star_stored, flat.star_stored) << label;
-          EXPECT_EQ(fact.star_flat_bytes, flat.star_stored) << label;
-          EXPECT_GT(fact.groups, 0u) << label;
-          EXPECT_GT(fact.flat_rows, fact.groups) << label;
-          // Partial decompression keeps the non-join factors compressed
-          // across the inter-star shuffle.
-          EXPECT_LT(fact.link_shuffle, flat.link_shuffle) << label;
-        }
+        PipelineResult fact = RunPipeline(threads, true, map_joins, partial,
+                                          "f" + std::to_string(run++));
+        std::string label = "threads=" + std::to_string(threads) +
+                            " mapjoin=" + std::to_string(map_joins) +
+                            " partial=" + std::to_string(partial);
+        EXPECT_EQ(fact.star, flat.star) << label;
+        EXPECT_EQ(fact.linked, flat.linked) << label;
+        EXPECT_EQ(fact.by_s, flat.by_s) << label;
+        EXPECT_EQ(fact.by_y, flat.by_y) << label;
+        EXPECT_EQ(fact.distinct, flat.distinct) << label;
+        // The d-representation must genuinely compress: fewer stored
+        // bytes than the flat star, whose exact size FlatStoredBytes
+        // reconstructs arithmetically.
+        EXPECT_LT(fact.star_stored, flat.star_stored) << label;
+        EXPECT_EQ(fact.star_flat_bytes, flat.star_stored) << label;
+        EXPECT_GT(fact.groups, 0u) << label;
+        EXPECT_GT(fact.flat_rows, fact.groups) << label;
+        // Partial decompression keeps the non-join factors compressed
+        // across the inter-star shuffle.
+        EXPECT_LT(fact.link_shuffle, flat.link_shuffle) << label;
       }
     }
   }

@@ -98,37 +98,6 @@ TEST(KernelsTest, RowCodecVariantsMatchScalar) {
   }
 }
 
-TEST(KernelsTest, TokenizeRowMatchesFieldTokenizer) {
-  for (const char* input : {"", "a", ";", "a;;b", "a;b;", ";a", "x,y;z"}) {
-    mr::kernels::FieldColumns cols;
-    mr::kernels::TokenizeRow(input, ';', &cols);
-    std::vector<std::string> batch(cols.fields.begin(), cols.fields.end());
-    std::vector<std::string> scalar;
-    FieldTokenizer fields(input, ';');
-    std::string_view part;
-    while (fields.Next(&part)) scalar.emplace_back(part);
-    EXPECT_EQ(batch, scalar) << "input: '" << input << "'";
-    EXPECT_EQ(cols.num_rows(), 1u);
-  }
-}
-
-TEST(KernelsTest, TokenizeValuesCoversWholeBatch) {
-  std::vector<std::string> values = {"1;2,3", "", "7;8,9;10,11"};
-  mr::RecordBatch records;
-  for (const std::string& v : values) records.Add("", v);
-  std::vector<mr::TaggedRecord> tagged(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    tagged[i] = mr::TaggedRecord{&records.records[i], 0};
-  }
-  mr::kernels::FieldColumns cols;
-  mr::kernels::TokenizeValues(tagged.data(), tagged.size(), ';', &cols);
-  ASSERT_EQ(cols.num_rows(), 3u);
-  EXPECT_EQ(cols.fields[cols.row_begin(0)], "1");
-  EXPECT_EQ(cols.fields[cols.row_begin(1)], "");
-  EXPECT_EQ(cols.row_end[2] - cols.row_begin(2), 3u);
-  EXPECT_EQ(cols.fields[cols.row_end[2] - 1], "10,11");
-}
-
 TEST(KernelsTest, TripleGroupCodecVariantsMatchScalar) {
   ntga::TripleGroup tg;
   tg.subject = 17;
@@ -160,16 +129,16 @@ TEST(KernelsTest, TripleGroupCodecVariantsMatchScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster-level matrix: the same word-count-shaped job run through a
-// scalar map and through map_batch must produce byte-identical output and
-// identical JobStats, for every exec_threads x combine combination.
+// Cluster-level matrix: a word-count-shaped job must produce byte-identical
+// output and the same JobStats at every exec_threads x combine x shards
+// combination as its 1-thread unsharded run.
 
 struct JobOutput {
   std::vector<std::pair<std::string, std::string>> records;
   mr::JobStats stats;
 };
 
-JobOutput RunCountJob(bool batch, bool combine, int threads) {
+JobOutput RunCountJob(bool combine, int threads, int shards) {
   mr::Dfs dfs;
   mr::RecordBatch input;
   for (int i = 0; i < 5000; ++i) {
@@ -182,27 +151,18 @@ JobOutput RunCountJob(bool batch, bool combine, int threads) {
 
   mr::ClusterConfig config;
   config.exec_threads = threads;
+  config.num_shards = shards;
   mr::Cluster cluster(config, &dfs);
 
   mr::JobConfig job;
   job.name = "count";
   job.inputs = {"in"};
   job.output = "out";
-  auto emit_tokens = [](std::string_view value, mr::MapContext* ctx) {
-    FieldTokenizer fields(value, ';');
+  job.map = [](const mr::Record& r, int, mr::MapContext* ctx) {
+    FieldTokenizer fields(r.value(), ';');
     std::string_view part;
     while (fields.Next(&part)) ctx->Emit(part, "1");
   };
-  if (batch) {
-    job.map_batch = [emit_tokens](const mr::TaggedRecord* recs, size_t n,
-                                  mr::MapContext* ctx) {
-      for (size_t i = 0; i < n; ++i) emit_tokens(recs[i].record->value(), ctx);
-    };
-  } else {
-    job.map = [emit_tokens](const mr::Record& r, int, mr::MapContext* ctx) {
-      emit_tokens(r.value(), ctx);
-    };
-  }
   auto sum = [](std::string_view key, const mr::ValueSpan& values,
                 mr::ReduceContext* ctx) {
     int64_t total = 0;
@@ -229,41 +189,57 @@ JobOutput RunCountJob(bool batch, bool combine, int threads) {
   return out;
 }
 
-void ExpectSameStats(const mr::JobStats& a, const mr::JobStats& b,
-                     const std::string& label) {
-  EXPECT_EQ(a.input_records, b.input_records) << label;
-  EXPECT_EQ(a.input_bytes, b.input_bytes) << label;
-  EXPECT_EQ(a.map_output_records, b.map_output_records) << label;
-  EXPECT_EQ(a.map_output_bytes, b.map_output_bytes) << label;
-  EXPECT_EQ(a.shuffle_records, b.shuffle_records) << label;
-  EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes) << label;
-  EXPECT_EQ(a.output_records, b.output_records) << label;
-  EXPECT_EQ(a.output_bytes, b.output_bytes) << label;
-  EXPECT_EQ(a.num_mappers, b.num_mappers) << label;
-  EXPECT_EQ(a.num_reducers, b.num_reducers) << label;
-  EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds) << label;
+/// Every counter of `run` must equal the unsharded reference's. A sharded
+/// run only splits its shuffle into shard-local and cross-shard bytes
+/// (which must add up to the total), and the cost model prices its shards
+/// as the cluster's nodes, so num_reducers and sim_seconds are compared
+/// only between unsharded runs.
+void ExpectSameStats(const mr::JobStats& run, const mr::JobStats& ref,
+                     int shards, const std::string& label) {
+  EXPECT_EQ(run.input_records, ref.input_records) << label;
+  EXPECT_EQ(run.input_bytes, ref.input_bytes) << label;
+  EXPECT_EQ(run.map_output_records, ref.map_output_records) << label;
+  EXPECT_EQ(run.map_output_bytes, ref.map_output_bytes) << label;
+  EXPECT_EQ(run.shuffle_records, ref.shuffle_records) << label;
+  EXPECT_EQ(run.shuffle_bytes, ref.shuffle_bytes) << label;
+  EXPECT_EQ(run.output_records, ref.output_records) << label;
+  EXPECT_EQ(run.output_bytes, ref.output_bytes) << label;
+  EXPECT_EQ(run.num_mappers, ref.num_mappers) << label;
+  EXPECT_EQ(run.factorized_groups, ref.factorized_groups) << label;
+  EXPECT_EQ(run.factorized_flat_rows, ref.factorized_flat_rows) << label;
+  EXPECT_EQ(run.shuffle_local_bytes + run.shuffle_cross_bytes,
+            run.shuffle_bytes)
+      << label;
+  if (shards <= 1) {
+    EXPECT_EQ(run.num_reducers, ref.num_reducers) << label;
+    EXPECT_DOUBLE_EQ(run.sim_seconds, ref.sim_seconds) << label;
+  }
 }
 
-TEST(KernelMatrixTest, BatchMapMatchesScalarAcrossThreadsAndCombine) {
-  JobOutput reference = RunCountJob(/*batch=*/false, /*combine=*/false, 1);
-  ASSERT_FALSE(reference.records.empty());
-  for (int threads : {1, 4, 8}) {
-    for (bool combine : {false, true}) {
-      std::string label = "threads=" + std::to_string(threads) +
-                          " combine=" + (combine ? "on" : "off");
-      JobOutput scalar = RunCountJob(false, combine, threads);
-      JobOutput batch = RunCountJob(true, combine, threads);
-      EXPECT_EQ(batch.records, scalar.records) << label;
-      ExpectSameStats(batch.stats, scalar.stats, label);
-      // Combine changes shuffle volume but never the reduced output.
-      EXPECT_EQ(batch.records, reference.records) << label;
+TEST(KernelMatrixTest, CountJobIdenticalAcrossThreadsCombineAndShards) {
+  JobOutput uncombined = RunCountJob(/*combine=*/false, 1, 1);
+  ASSERT_FALSE(uncombined.records.empty());
+  for (bool combine : {false, true}) {
+    JobOutput reference = RunCountJob(combine, 1, 1);
+    // Combine changes shuffle volume but never the reduced output.
+    EXPECT_EQ(reference.records, uncombined.records);
+    for (int threads : {1, 4, 8}) {
+      for (int shards : {1, 4}) {
+        std::string label = "threads=" + std::to_string(threads) +
+                            " combine=" + (combine ? "on" : "off") +
+                            " shards=" + std::to_string(shards);
+        JobOutput run = RunCountJob(combine, threads, shards);
+        EXPECT_EQ(run.records, reference.records) << label;
+        ExpectSameStats(run.stats, reference.stats, shards, label);
+      }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level matrix: every engine, vectorized_kernels on vs off, across
-// exec_threads — results and every per-job counter must be identical.
+// Engine-level matrix: every engine across exec_threads x map-side
+// combine (partial aggregation) x shards — results and every per-job
+// counter must equal the 1-thread unsharded run's.
 
 rdf::Graph BuildGraph() {
   rdf::Graph g;
@@ -327,13 +303,14 @@ struct EngineRun {
 };
 
 EngineRun RunEngine(engine::Engine* eng, const std::string& query_text,
-                    engine::Dataset* dataset, int threads) {
+                    engine::Dataset* dataset, int threads, int shards) {
   auto parsed = sparql::ParseQuery(query_text);
   EXPECT_TRUE(parsed.ok()) << parsed.status();
   auto query = analytics::AnalyzeQuery(**parsed);
   EXPECT_TRUE(query.ok()) << query.status();
   mr::ClusterConfig config;
   config.exec_threads = threads;
+  config.num_shards = shards;
   mr::Cluster cluster(config, &dataset->dfs());
   EngineRun out;
   auto result = eng->Execute(*query, dataset, &cluster, &out.stats);
@@ -342,31 +319,37 @@ EngineRun RunEngine(engine::Engine* eng, const std::string& query_text,
   return out;
 }
 
-TEST(KernelMatrixTest, EnginesByteIdenticalWithKernelsOnAndOff) {
+TEST(KernelMatrixTest, EnginesIdenticalAcrossThreadsCombineAndShards) {
   engine::Dataset dataset(BuildGraph());
-  engine::EngineOptions on, off;
-  on.vectorized_kernels = true;
-  off.vectorized_kernels = false;
   for (const char* query : {kOverlapQuery, kFilterQuery}) {
-    // The kernels-off single-thread run is the semantic reference.
-    std::map<std::string, EngineRun> reference;
-    for (const auto& eng : engine::MakeAllEngines(off)) {
-      reference[eng->name()] = RunEngine(eng.get(), query, &dataset, 1);
-    }
-    for (int threads : {1, 4, 8}) {
-      for (const auto& eng : engine::MakeAllEngines(on)) {
-        EngineRun run = RunEngine(eng.get(), query, &dataset, threads);
-        const EngineRun& ref = reference[eng->name()];
-        std::string label =
-            eng->name() + " threads=" + std::to_string(threads);
-        EXPECT_EQ(run.rows, ref.rows) << label;
-        ASSERT_EQ(run.stats.workflow.jobs.size(),
-                  ref.stats.workflow.jobs.size())
-            << label;
-        for (size_t j = 0; j < run.stats.workflow.jobs.size(); ++j) {
-          ExpectSameStats(run.stats.workflow.jobs[j],
-                          ref.stats.workflow.jobs[j],
-                          label + " job#" + std::to_string(j));
+    for (bool combine : {false, true}) {
+      engine::EngineOptions options;
+      options.partial_aggregation = combine;
+      std::map<std::string, EngineRun> reference;
+      for (const auto& eng : engine::MakeAllEngines(options)) {
+        reference[eng->name()] = RunEngine(eng.get(), query, &dataset, 1, 1);
+      }
+      for (int threads : {1, 4, 8}) {
+        for (int shards : {1, 4}) {
+          options.num_shards = shards;
+          for (const auto& eng : engine::MakeAllEngines(options)) {
+            EngineRun run =
+                RunEngine(eng.get(), query, &dataset, threads, shards);
+            const EngineRun& ref = reference[eng->name()];
+            std::string label = eng->name() +
+                                " threads=" + std::to_string(threads) +
+                                " combine=" + (combine ? "on" : "off") +
+                                " shards=" + std::to_string(shards);
+            EXPECT_EQ(run.rows, ref.rows) << label;
+            ASSERT_EQ(run.stats.workflow.jobs.size(),
+                      ref.stats.workflow.jobs.size())
+                << label;
+            for (size_t j = 0; j < run.stats.workflow.jobs.size(); ++j) {
+              ExpectSameStats(run.stats.workflow.jobs[j],
+                              ref.stats.workflow.jobs[j], shards,
+                              label + " job#" + std::to_string(j));
+            }
+          }
         }
       }
     }

@@ -1,6 +1,6 @@
 // OPTIONAL / UNION end-to-end coverage: left star-join and union-arm
 // semantics proven byte-identical across all four engines and the
-// reference evaluator over the exec_threads x combine x kernels matrix,
+// reference evaluator over the exec_threads x combine x shards matrix,
 // the analyzer's typed rejections for every out-of-scope shape, the
 // printer round-trip the shrinker depends on, the normalizer's
 // unbound-vs-empty-literal distinction, and a biased differential fuzz
@@ -136,7 +136,7 @@ NormalizedTable ReferenceResult(const std::string& query_text,
 
 // ---------------------------------------------------------------------------
 // Semantics matrix: every engine must reproduce the reference multiset for
-// every query at threads {1,4,8} x combine on/off x kernels on/off.
+// every query at threads {1,4,8} x combine on/off x shards {1,4}.
 
 TEST(OptionalUnionMatrixTest, AllEnginesMatchReferenceAcrossMatrix) {
   rdf::Graph ref_graph = BuildGraph();
@@ -149,16 +149,17 @@ TEST(OptionalUnionMatrixTest, AllEnginesMatchReferenceAcrossMatrix) {
     auto analyzed = analytics::AnalyzeQuery(**parsed);
     ASSERT_TRUE(analyzed.ok()) << analyzed.status();
 
-    for (bool kernels : {true, false}) {
+    for (int shards : {1, 4}) {
       for (bool combine : {true, false}) {
         engine::EngineOptions options;
-        options.vectorized_kernels = kernels;
         options.partial_aggregation = combine;
+        options.num_shards = shards;
         for (int threads : {1, 4, 8}) {
           engine::Dataset dataset(BuildGraph());
           mr::ClusterConfig config;
           config.exec_threads = threads;
           config.exec_split_bytes = 4 * 1024;
+          config.num_shards = shards;
           mr::Cluster cluster(config, &dataset.dfs());
           for (const auto& eng : engine::MakeAllEngines(options)) {
             engine::ExecStats stats;
@@ -167,7 +168,7 @@ TEST(OptionalUnionMatrixTest, AllEnginesMatchReferenceAcrossMatrix) {
             std::string label = eng->name() +
                                 " threads=" + std::to_string(threads) +
                                 " combine=" + (combine ? "on" : "off") +
-                                " kernels=" + (kernels ? "on" : "off");
+                                " shards=" + std::to_string(shards);
             ASSERT_TRUE(result.ok()) << label << ": " << result.status();
             std::string diff = CompareNormalized(
                 expected, Normalize(*result, dataset.dict()));

@@ -81,11 +81,6 @@ std::vector<PassConfig> AllConfigs() {
   }
   {
     EngineOptions o;
-    o.vectorized_kernels = false;
-    configs.push_back({"no_vectorized_kernels", o});
-  }
-  {
-    EngineOptions o;
     o.factorized_intermediates = false;
     configs.push_back({"no_factorize", o});
   }

@@ -348,25 +348,6 @@ TEST(ShardedClusterTest, MapOnlyOutputFollowsRecordHomes) {
   EXPECT_EQ(credited, 32u);
 }
 
-TEST(ShardedClusterTest, BatchOnlyJobsAreRejectedWhenSharded) {
-  Dfs dfs;
-  ClusterConfig cfg;
-  cfg.num_shards = 2;
-  Cluster cluster(cfg, &dfs);
-  ASSERT_TRUE(dfs.Write("input", KeyedInput(4)).ok());
-  JobConfig job;
-  job.name = "batch-only";
-  job.inputs = {"input"};
-  job.map_batch = [](const TaggedRecord* recs, size_t n, MapContext* ctx) {
-    for (size_t i = 0; i < n; ++i) {
-      ctx->Emit(recs[i].record->key(), recs[i].record->value());
-    }
-  };
-  auto stats = cluster.Run(job);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), Code::kInvalidArgument);
-}
-
 TEST(ShardedClusterTest, ResetHistoryClearsShardStateAndChannel) {
   Dfs dfs;
   ClusterConfig cfg;
