@@ -20,9 +20,9 @@
 # running the concurrency-sensitive suites (the parallel MapReduce
 # runtime — including the ValueSpan reduce-mode matrix in mapreduce_test
 # — the operator identity matrix in kernels_test over threads x combine x
-# shards, the engines on top of it, the sharded data plane in shard_test
-# — stressed across shards {1,2,4} x threads {1,8} — and the 32-session
-# service stress).
+# shards, the engines on top of it, the per-task placement booking in
+# shard_test — across shards {1,2,4,8} x threads {1,8} — and the
+# 32-session service stress).
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
 # against the unsharded baseline), a sharded serve smoke, and a perf
@@ -171,7 +171,7 @@ cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       storage_test rapida_serve
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
-# Every operator's map runs behind the shard channel at 4 shards.
+# Every operator runs at 4 shards, booking each emission's placement.
 ./build-asan/examples/rapida_fuzz --seeds=50 --shards=4
 echo "== ASan: OPTIONAL/UNION-biased fuzz (100 seeds) =="
 ./build-asan/examples/rapida_fuzz --grammar=opt-union --seeds=100
@@ -234,7 +234,7 @@ echo "== TSan: kernels_test (operators x exec_threads x combine x shards) =="
 ./build-tsan/tests/kernels_test
 echo "== TSan: engines_test =="
 ./build-tsan/tests/engines_test
-echo "== TSan: shard_test (channel stress + shards {1,2,4} x threads {1,8}) =="
+echo "== TSan: shard_test (placement booking, shards {1,2,4,8} x threads {1,8}) =="
 ./build-tsan/tests/shard_test
 echo "== TSan: service_stress_test (32 sessions + concurrent mutations) =="
 ./build-tsan/tests/service_stress_test

@@ -57,9 +57,10 @@ struct EngineOptions {
   /// `peval=local` node that shuffles a byte across shards fails the run.
   bool partial_evaluation = true;
   /// Shards of the data plane the plan is prepared for. Must match the
-  /// cluster's ClusterConfig::num_shards; 0/1 = unsharded. Operators run
-  /// the same maps at any shard count: this only feeds the
+  /// cluster's ClusterConfig::num_shards; 0/1 = unsharded (one shard).
+  /// The cluster books placement itself; this copy only feeds the
   /// partial-evaluation pass and the executor's check of its verdicts.
+  /// perfbench sets it, so it stays until the benchmark changes.
   int num_shards = 0;
   /// Placement scheme (must match ClusterConfig::sharding when sharded).
   mr::ShardingScheme sharding_scheme = mr::ShardingScheme::kHashSubject;

@@ -14,32 +14,65 @@ namespace rapida::mr {
 
 namespace {
 
-/// Map-side sink: copies key‖value into the task's batch (one arena
-/// append, view stamped on the spot) and accounts serialized bytes in the
-/// emit loop (cheaper than a second pass over the records).
-class BatchMapContext : public MapContext {
- public:
-  explicit BatchMapContext(RecordBatch* out) : out_(out) {}
-  void Emit(std::string_view key, std::string_view value) override {
-    bytes_ += key.size() + value.size() + 2;  // == Record::Bytes()
-    out_->Add(key, value);
-  }
-  uint64_t bytes() const { return bytes_; }
+/// What one sink emitted. Each record is booked from the sink's current
+/// `from` shard against the shard owning its key (OwnerShard): a shuffled
+/// byte is local iff the two agree, and an output byte belongs to `from`.
+/// Unsharded is S = 1, where every from and every owner is shard 0.
+struct Tally {
+  explicit Tally(int num_shards = 0)
+      : from_bytes(static_cast<size_t>(num_shards), 0) {}
 
- private:
-  RecordBatch* out_;
-  uint64_t bytes_ = 0;
+  uint64_t records = 0;
+  uint64_t local_bytes = 0;
+  uint64_t cross_bytes = 0;
+  std::vector<uint64_t> from_bytes;  // indexed by from shard
+  uint64_t factorized_groups = 0;
+  uint64_t factorized_flat_rows = 0;
+
+  uint64_t bytes() const { return local_bytes + cross_bytes; }
+  void Add(const Tally& o) {
+    records += o.records;
+    local_bytes += o.local_bytes;
+    cross_bytes += o.cross_bytes;
+    for (size_t s = 0; s < o.from_bytes.size(); ++s) {
+      from_bytes[s] += o.from_bytes[s];
+    }
+    factorized_groups += o.factorized_groups;
+    factorized_flat_rows += o.factorized_flat_rows;
+  }
 };
 
-class BatchReduceContext : public ReduceContext {
+/// The sink behind every map, combine and reduce context: copies
+/// key‖value into the task's batch (one arena append, view stamped on the
+/// spot) and books the record's placement in the emit loop.
+template <typename Context>
+class Sink : public Context {
  public:
-  explicit BatchReduceContext(RecordBatch* out) : out_(out) {}
+  Sink(RecordBatch* out, int num_shards)
+      : out_(out), num_shards_(num_shards), tally_(num_shards) {}
   void Emit(std::string_view key, std::string_view value) override {
     out_->Add(key, value);
+    const Record& r = out_->records.back();
+    const uint64_t bytes = r.Bytes();
+    tally_.records += 1;
+    tally_.from_bytes[static_cast<size_t>(from)] += bytes;
+    (OwnerShard(r.key_hash, num_shards_) == from ? tally_.local_bytes
+                                                 : tally_.cross_bytes) += bytes;
   }
+  /// The tally so far, with the context's factorized-group counts.
+  Tally Done() {
+    tally_.factorized_groups = this->factorized_groups();
+    tally_.factorized_flat_rows = this->factorized_flat_rows();
+    return std::move(tally_);
+  }
+
+  /// Shard the next emissions are booked from.
+  int from = 0;
 
  private:
   RecordBatch* out_;
+  const int num_shards_;
+  Tally tally_;
 };
 
 /// One split row: a pointer to the input file's record view (key_hash /
@@ -89,17 +122,8 @@ struct MapTaskResult {
   /// arenas behind the task's shuffle chunks (the views went to the
   /// partitions), kept until the reduce is done with them.
   RecordBatch output;
-  /// Sharded map-only jobs: home shard of each `output` record (parallel
-  /// array), for per-shard output accounting.
-  std::vector<int> output_homes;
-  uint64_t map_output_records = 0;
-  uint64_t map_output_bytes = 0;
-  uint64_t shuffle_records = 0;  // post-combine
-  uint64_t shuffle_bytes = 0;
-  uint64_t shuffle_local_bytes = 0;  // sharded: stayed on home shard
-  uint64_t shuffle_cross_bytes = 0;  // sharded: crossed a channel edge
-  uint64_t factorized_groups = 0;     // groups emitted by map/map_finish
-  uint64_t factorized_flat_rows = 0;  // flat rows those groups stand for
+  Tally map;      // every map and map_finish emission
+  Tally combine;  // the combiner's emissions, when the job has one
 };
 
 /// One shuffle partition while mappers are filling it: chunks of records
@@ -114,16 +138,7 @@ struct ShufflePartition {
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config, Dfs* dfs)
-    : config_(config), dfs_(dfs) {
-  if (config_.num_shards > 1) {
-    shards_.reserve(static_cast<size_t>(config_.num_shards));
-    for (int s = 0; s < config_.num_shards; ++s) {
-      shards_.push_back(
-          std::make_unique<Shard>(s, config_.num_shards, config_.sharding));
-    }
-    channel_ = std::make_unique<ShardChannel>(config_.num_shards);
-  }
-}
+    : config_(config), dfs_(dfs) {}
 
 Cluster::~Cluster() = default;
 
@@ -143,14 +158,11 @@ util::ThreadPool* Cluster::pool() {
 void Cluster::ResetHistory() {
   std::lock_guard<std::mutex> lock(mu_);
   history_.clear();
-  for (auto& shard : shards_) shard->Reset();
-  if (channel_ != nullptr) channel_->Reset();
 }
 
 StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   RAPIDA_CHECK(job.map != nullptr) << "job '" << job.name << "' has no map fn";
-  const int S = config_.num_shards > 1 ? config_.num_shards : 1;
-  const bool sharded = S > 1;
+  const int S = std::max(config_.num_shards, 1);
   if (observer_ != nullptr) {
     RAPIDA_RETURN_IF_ERROR(observer_->OnPhase(job.name, "setup"));
   }
@@ -158,17 +170,16 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   JobStats stats;
   stats.name = job.name;
   stats.map_only = job.reduce == nullptr;
-  stats.num_shards = sharded ? S : 0;
-  if (sharded) stats.shard_output_bytes.assign(static_cast<size_t>(S), 0);
+  stats.num_shards = S;
 
   // ---- read inputs & form splits ----
   // Each input file contributes ceil(stored/block) splits; records are
   // assigned to splits as contiguous chunks of their file (record i goes
   // to split base + i / per_split), which matches the "many mappers scan
   // disjoint blocks" behaviour closely enough for cost purposes while
-  // keeping execution deterministic. Sharding never changes split
-  // formation — that is what keeps results byte-identical at any shard
-  // count (per-task combiner state and emission order are untouched).
+  // keeping execution deterministic. Split formation never depends on
+  // the shard count, so per-task combiner state and emission order (and
+  // with them every result) are the same at any S.
   struct Split {
     std::vector<TaggedRecord> records;
   };
@@ -194,54 +205,16 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   if (splits.empty()) splits.resize(1);
   stats.num_mappers = static_cast<int>(splits.size());
 
-  // ---- sharded dispatch: assign each map task to the shard that homes
-  // the plurality of its records (lowest id wins ties), queue it there,
-  // and drain the per-shard queues into the dispatch order. Execution
-  // order of map tasks never affects results (each task's output is
-  // indexed by task, and shuffle chunks re-sort by task), so shard-local
-  // dispatch is free. ----
-  std::vector<int> task_shard;
-  std::vector<size_t> dispatch;
-  if (sharded) {
-    task_shard.resize(splits.size(), 0);
-    std::vector<uint64_t> votes(static_cast<size_t>(S));
-    for (size_t t = 0; t < splits.size(); ++t) {
-      std::fill(votes.begin(), votes.end(), 0);
-      for (const TaggedRecord& tr : splits[t].records) {
-        votes[static_cast<size_t>(AssignShard(tr.record->key_hash,
-                                              config_.sharding, S))]++;
-      }
-      int best = 0;
-      for (int s = 1; s < S; ++s) {
-        if (votes[static_cast<size_t>(s)] >
-            votes[static_cast<size_t>(best)]) {
-          best = s;
-        }
-      }
-      task_shard[t] = best;
-      shards_[static_cast<size_t>(best)]->EnqueueMapTask(t);
-    }
-    dispatch.reserve(splits.size());
-    for (int s = 0; s < S; ++s) {
-      while (auto t = shards_[static_cast<size_t>(s)]->DequeueMapTask()) {
-        dispatch.push_back(*t);
-      }
-    }
-  }
-
   util::ThreadPool* workers = pool();
-  // Shuffle partition count. Unsharded: one per executor so the reduce
-  // side can use the full pool. Sharded: one per shard — partition p IS
-  // shard p's reduce input, fed exclusively through the channel.
-  // hash(key) % R only decides which partition groups a key; outputs are
-  // re-merged into global key order below, so R never affects results or
-  // counters.
+  // Shuffle partition count: one per executor so the reduce side can use
+  // the full pool. hash(key) % R only decides which partition groups a
+  // key; outputs are re-merged into global key order below, so R never
+  // affects results or counters, and key ownership (OwnerShard) is booked
+  // per record at Emit rather than tied to a partition.
   const size_t num_partitions =
       stats.map_only
           ? 0
-          : (sharded ? static_cast<size_t>(S)
-                     : static_cast<size_t>(
-                           workers ? workers->num_threads() + 1 : 1));
+          : static_cast<size_t>(workers ? workers->num_threads() + 1 : 1);
 
   // ---- map phase (+ optional combine, partitioning per mapper) ----
   // Mappers run concurrently. Each emits into a task-local buffer,
@@ -258,44 +231,35 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     }
   };
 
-  auto map_body = [&](size_t task) {
+  run_tasks(splits.size(), [&](size_t task) {
     Split& split = splits[task];
     MapTaskResult& result = task_results[task];
     RecordBatch out;
     out.records.reserve(split.records.size());
-    // Sharded: home shard of each emitted record — the shard the producing
-    // input record lives on under the sharding scheme (map_finish flushes
-    // and combiner output belong to the task's shard: they are re-emissions
-    // of state that already lives where the mapper runs).
-    std::vector<int> emit_homes;
-    if (sharded) {
-      shards_[static_cast<size_t>(task_shard[task])]->CountMapTask();
-      emit_homes.reserve(split.records.size());
-    }
+    // A map emission is booked from the home shard of the input record
+    // whose map call emitted it. map_finish flushes and combiner output
+    // re-emit state the task built up, so they are booked from the task's
+    // plurality home (lowest id on ties).
+    std::vector<uint64_t> homes(static_cast<size_t>(S), 0);
+    int task_home = 0;
     {
       // Scoped so the map's TaskState scratch dies before the combine and
       // scatter below.
-      BatchMapContext ctx(&out);
+      Sink<MapContext> ctx(&out, S);
       for (const TaggedRecord& tr : split.records) {
-        const size_t before = out.records.size();
+        ctx.from = AssignShard(tr.record->key_hash, config_.sharding, S);
+        ++homes[static_cast<size_t>(ctx.from)];
         job.map(*tr.record, tr.tag, &ctx);
-        if (sharded && out.records.size() != before) {
-          emit_homes.resize(out.records.size(),
-                            AssignShard(tr.record->key_hash, config_.sharding,
-                                        S));
-        }
       }
+      task_home = static_cast<int>(
+          std::max_element(homes.begin(), homes.end()) - homes.begin());
+      ctx.from = task_home;
       if (job.map_finish) job.map_finish(&ctx);
-      if (sharded) emit_homes.resize(out.records.size(), task_shard[task]);
-      result.map_output_records = out.records.size();
-      result.map_output_bytes = ctx.bytes();
-      result.factorized_groups = ctx.factorized_groups();
-      result.factorized_flat_rows = ctx.factorized_flat_rows();
+      result.map = ctx.Done();
     }
 
     if (stats.map_only) {
       result.output = std::move(out);
-      result.output_homes = std::move(emit_homes);
       return;
     }
 
@@ -303,147 +267,82 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       // Combined output gets its own batch so the raw emissions (and their
       // pre-combine bytes) die as soon as the combiner is done.
       RecordBatch combined;
-      BatchReduceContext cctx(&combined);
+      Sink<ReduceContext> cctx(&combined, S);
+      cctx.from = task_home;
       std::vector<GroupSpan> groups = SortAndGroup(&out.records);
       for (const GroupSpan& span : groups) {
         job.combine(out.records[span.begin].key(),
                     SpanValues(out.records, span), &cctx);
       }
+      result.combine = cctx.Done();
       out = std::move(combined);
-      // Combined records are task-level re-aggregations: they live on the
-      // mapper's shard.
-      if (sharded) emit_homes.assign(out.records.size(), task_shard[task]);
     }
-    const std::vector<Record>& map_out = out.records;
 
     // Scatter into per-partition buckets, then one locked append each.
     // Partition choice reuses the hash stamped at Emit — no per-record
-    // std::hash here — and never affects results or counters: outputs are
-    // re-merged into global key order below. Sharded, the partition is
-    // the shard owning the key (OwnerShard is the same residue). Buckets
-    // are sized exactly up front, so no view array grows by doubling.
+    // std::hash here. Buckets are sized exactly up front, so no view
+    // array grows by doubling.
     std::vector<size_t> bucket_sizes(num_partitions, 0);
-    for (const Record& r : map_out) ++bucket_sizes[r.key_hash % num_partitions];
+    for (const Record& r : out.records) {
+      ++bucket_sizes[r.key_hash % num_partitions];
+    }
     std::vector<std::vector<Record>> buckets(num_partitions);
     for (size_t p = 0; p < num_partitions; ++p) {
       buckets[p].reserve(bucket_sizes[p]);
     }
-    if (sharded) {
-      // Each record flows from its home shard to the shard owning its
-      // key's reducer range; the channel is the only path into a shard's
-      // reduce input and accounts every (from -> to) edge.
-      std::vector<uint64_t> edge_bytes(static_cast<size_t>(S) * S, 0);
-      std::vector<uint64_t> edge_records(static_cast<size_t>(S) * S, 0);
-      for (size_t i = 0; i < map_out.size(); ++i) {
-        const Record& r = map_out[i];
-        result.shuffle_records += 1;
-        result.shuffle_bytes += r.Bytes();
-        const int to = OwnerShard(r.key_hash, S);
-        const int from = emit_homes[i];
-        edge_bytes[static_cast<size_t>(from) * S + to] += r.Bytes();
-        edge_records[static_cast<size_t>(from) * S + to] += 1;
-        if (from == to) {
-          result.shuffle_local_bytes += r.Bytes();
-        } else {
-          result.shuffle_cross_bytes += r.Bytes();
-        }
-        buckets[static_cast<size_t>(to)].push_back(r);
-      }
-      std::vector<uint64_t> by_from_bytes(static_cast<size_t>(S));
-      std::vector<uint64_t> by_from_records(static_cast<size_t>(S));
-      for (int to = 0; to < S; ++to) {
-        std::vector<Record>& chunk = buckets[static_cast<size_t>(to)];
-        if (chunk.empty()) continue;
-        for (int from = 0; from < S; ++from) {
-          by_from_bytes[static_cast<size_t>(from)] =
-              edge_bytes[static_cast<size_t>(from) * S + to];
-          by_from_records[static_cast<size_t>(from)] =
-              edge_records[static_cast<size_t>(from) * S + to];
-        }
-        ShufflePartition& part = partitions[static_cast<size_t>(to)];
-        channel_->Deliver(to, by_from_bytes.data(), by_from_records.data(),
-                          [&part, task, &chunk] {
-                            std::lock_guard<std::mutex> lock(part.mu);
-                            part.num_records += chunk.size();
-                            part.chunks.emplace_back(task, std::move(chunk));
-                          });
-      }
-    } else {
-      for (const Record& r : map_out) {
-        result.shuffle_records += 1;
-        result.shuffle_bytes += r.Bytes();
-        buckets[r.key_hash % num_partitions].push_back(r);
-      }
-      for (size_t p = 0; p < num_partitions; ++p) {
-        if (buckets[p].empty()) continue;
-        std::lock_guard<std::mutex> lock(partitions[p].mu);
-        partitions[p].num_records += buckets[p].size();
-        partitions[p].chunks.emplace_back(task, std::move(buckets[p]));
-      }
+    for (const Record& r : out.records) {
+      buckets[r.key_hash % num_partitions].push_back(r);
+    }
+    for (size_t p = 0; p < num_partitions; ++p) {
+      if (buckets[p].empty()) continue;
+      std::lock_guard<std::mutex> lock(partitions[p].mu);
+      partitions[p].num_records += buckets[p].size();
+      partitions[p].chunks.emplace_back(task, std::move(buckets[p]));
     }
     // The views now live in the partitions; the task keeps only the bytes.
     result.output.arenas = std::move(out.arenas);
-  };
-
-  run_tasks(splits.size(), [&](size_t i) {
-    map_body(sharded ? dispatch[i] : i);
   });
   splits.clear();  // every mapper is done with its split views
 
-  // ---- map barrier: merge per-task accumulators ----
+  // ---- map barrier: merge per-task tallies ----
   if (observer_ != nullptr && !stats.map_only) {
     RAPIDA_RETURN_IF_ERROR(observer_->OnPhase(job.name, "reduce"));
   }
+  Tally mapped(S);
+  Tally shuffled(S);  // what reaches the reducers: the post-combine output
   for (const MapTaskResult& r : task_results) {
-    stats.map_output_records += r.map_output_records;
-    stats.map_output_bytes += r.map_output_bytes;
-    stats.shuffle_records += r.shuffle_records;
-    stats.shuffle_bytes += r.shuffle_bytes;
-    stats.shuffle_local_bytes += r.shuffle_local_bytes;
-    stats.shuffle_cross_bytes += r.shuffle_cross_bytes;
-    stats.factorized_groups += r.factorized_groups;
-    stats.factorized_flat_rows += r.factorized_flat_rows;
+    mapped.Add(r.map);
+    shuffled.Add(job.combine ? r.combine : r.map);
   }
-  if (!sharded) {
-    // One address space: every shuffled byte is a local hand-off. (The
-    // 10-node cost model still prices the simulated network; these
-    // counters say what crosses *shard* boundaries, and there are none.)
-    stats.shuffle_local_bytes = stats.shuffle_bytes;
-    stats.shuffle_cross_bytes = 0;
-  }
+  stats.map_output_records = mapped.records;
+  stats.map_output_bytes = mapped.bytes();
+  stats.factorized_groups = mapped.factorized_groups;
+  stats.factorized_flat_rows = mapped.factorized_flat_rows;
 
+  // The job output's tally: the map emissions of a map-only job, the
+  // reduce emissions otherwise.
+  Tally written(S);
   RecordBatch output;
-  // Sharded: owner shard of every output record (parallel to
-  // output.records) — map-only records stay on their home shard; reduce
-  // records belong to the shard whose reducers own the group key.
-  std::vector<int> output_owner;
   if (stats.map_only) {
     // Map-only job: mapper outputs concatenate in split order; the output
     // adopts every task's arenas.
-    stats.shuffle_records = 0;
-    stats.shuffle_bytes = 0;
-    stats.shuffle_local_bytes = 0;
-    stats.shuffle_cross_bytes = 0;
+    written = std::move(mapped);
     stats.num_reducers = 0;
-    size_t total = 0;
-    for (const MapTaskResult& r : task_results) {
-      total += r.output.records.size();
-    }
-    output.records.reserve(total);
-    if (sharded) output_owner.reserve(total);
+    output.records.reserve(written.records);
     for (MapTaskResult& r : task_results) {
       output.records.insert(output.records.end(), r.output.records.begin(),
                             r.output.records.end());
       r.output.records = std::vector<Record>();  // free views as they move
-      if (sharded) {
-        output_owner.insert(output_owner.end(), r.output_homes.begin(),
-                            r.output_homes.end());
-      }
       for (auto& arena : r.output.arenas) {
         output.arenas.push_back(std::move(arena));
       }
     }
   } else {
+    stats.shuffle_records = shuffled.records;
+    stats.shuffle_bytes = shuffled.bytes();
+    stats.shuffle_local_bytes = shuffled.local_bytes;
+    stats.shuffle_cross_bytes = shuffled.cross_bytes;
+
     // ---- group phase: per partition, flatten in task order, sort,
     // group-adjacent. Runs one task per partition. ----
     std::vector<std::vector<Record>> part_records(num_partitions);
@@ -476,6 +375,13 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       part_groups.clear();
       task_results.clear();
     };
+    // A reduce emission is booked from the shard owning its group's key.
+    auto reduce_group = [&](const std::vector<Record>& records,
+                            const GroupSpan& span, Sink<ReduceContext>* rctx) {
+      const Record& head = records[span.begin];
+      rctx->from = OwnerShard(head.key_hash, S);
+      job.reduce(head.key(), SpanValues(records, span), rctx);
+    };
 
     if (job.reduce_parallel_safe && workers != nullptr &&
         num_partitions > 1) {
@@ -490,27 +396,20 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       };
       std::vector<RecordBatch> part_out(num_partitions);
       std::vector<std::vector<ReducedGroup>> part_spans(num_partitions);
-      std::vector<uint64_t> part_fgroups(num_partitions, 0);
-      std::vector<uint64_t> part_frows(num_partitions, 0);
+      std::vector<Tally> part_tally(num_partitions);
       run_tasks(num_partitions, [&](size_t p) {
         const std::vector<Record>& records = part_records[p];
-        RecordBatch& out = part_out[p];
-        BatchReduceContext rctx(&out);
+        Sink<ReduceContext> rctx(&part_out[p], S);
         part_spans[p].reserve(part_groups[p].size());
         for (const GroupSpan& span : part_groups[p]) {
-          size_t before = out.records.size();
-          const Record& head = records[span.begin];
-          job.reduce(head.key(), SpanValues(records, span), &rctx);
-          part_spans[p].push_back(
-              ReducedGroup{&head, p, before, out.records.size()});
+          size_t before = part_out[p].records.size();
+          reduce_group(records, span, &rctx);
+          part_spans[p].push_back(ReducedGroup{
+              &records[span.begin], p, before, part_out[p].records.size()});
         }
-        part_fgroups[p] = rctx.factorized_groups();
-        part_frows[p] = rctx.factorized_flat_rows();
+        part_tally[p] = rctx.Done();
       });
-      for (size_t p = 0; p < num_partitions; ++p) {
-        stats.factorized_groups += part_fgroups[p];
-        stats.factorized_flat_rows += part_frows[p];
-      }
+      for (const Tally& t : part_tally) written.Add(t);
       std::vector<ReducedGroup> all_groups;
       all_groups.reserve(distinct_keys);
       for (const auto& spans : part_spans) {
@@ -521,19 +420,11 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
                   return RecordKeyLess(*a.head, *b.head);
                 });
       release_reduce_input();
-      size_t total = 0;
-      for (const RecordBatch& out : part_out) total += out.records.size();
-      output.records.reserve(total);
-      if (sharded) output_owner.reserve(total);
+      output.records.reserve(written.records);
       for (const ReducedGroup& g : all_groups) {
         const std::vector<Record>& from = part_out[g.part].records;
         output.records.insert(output.records.end(), from.begin() + g.begin,
                               from.begin() + g.end);
-        // Sharded: partition index IS the owning shard.
-        if (sharded) {
-          output_owner.insert(output_owner.end(), g.end - g.begin,
-                              static_cast<int>(g.part));
-        }
       }
       for (RecordBatch& out : part_out) {
         for (auto& arena : out.arenas) {
@@ -546,7 +437,7 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       // the single-threaded runtime, so reduce fns that mutate shared
       // state (e.g. dictionary interning in aggregation finalizers) see
       // the exact same sequence of calls. ----
-      BatchReduceContext rctx(&output);
+      Sink<ReduceContext> rctx(&output, S);
       std::vector<size_t> next(num_partitions, 0);
       for (;;) {
         size_t best = num_partitions;
@@ -561,19 +452,14 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
           }
         }
         if (best == num_partitions) break;
-        const GroupSpan& span = part_groups[best][next[best]++];
-        job.reduce(part_records[best][span.begin].key(),
-                   SpanValues(part_records[best], span), &rctx);
-        // Sharded: everything this group emitted belongs to the owning
-        // partition's shard.
-        if (sharded) {
-          output_owner.resize(output.records.size(), static_cast<int>(best));
-        }
+        reduce_group(part_records[best], part_groups[best][next[best]++],
+                     &rctx);
       }
-      stats.factorized_groups += rctx.factorized_groups();
-      stats.factorized_flat_rows += rctx.factorized_flat_rows();
+      written = rctx.Done();
       release_reduce_input();
     }
+    stats.factorized_groups += written.factorized_groups;
+    stats.factorized_flat_rows += written.factorized_flat_rows;
   }
 
   auto stored_bytes = [&job](uint64_t logical) {
@@ -583,26 +469,12 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
                : logical;
   };
   stats.output_records = output.records.size();
-  stats.output_bytes = stored_bytes(output.LogicalBytes());
+  stats.output_bytes = stored_bytes(written.bytes());
+  for (uint64_t bytes : written.from_bytes) {
+    stats.shard_output_bytes.push_back(stored_bytes(bytes));
+  }
 
   if (!job.output.empty()) {
-    if (sharded) {
-      // Per-shard output accounting from the owner array: each shard is
-      // credited with the records it owns. The coordinator file below
-      // holds the only copy of the records.
-      std::vector<uint64_t> seg_records(static_cast<size_t>(S), 0);
-      std::vector<uint64_t> seg_bytes(static_cast<size_t>(S), 0);
-      for (size_t i = 0; i < output.records.size(); ++i) {
-        const size_t s = static_cast<size_t>(output_owner[i]);
-        seg_records[s] += 1;
-        seg_bytes[s] += output.records[i].Bytes();
-      }
-      for (size_t s = 0; s < static_cast<size_t>(S); ++s) {
-        if (seg_records[s] == 0) continue;
-        stats.shard_output_bytes[s] = stored_bytes(seg_bytes[s]);
-        shards_[s]->CountOutput(seg_records[s], stats.shard_output_bytes[s]);
-      }
-    }
     RAPIDA_RETURN_IF_ERROR(
         dfs_->Write(job.output, std::move(output), job.output_options));
   }
@@ -656,8 +528,8 @@ double Cluster::EstimateSimSeconds(const JobStats& stats) const {
                         ? 1
                         : std::max(config_.reduce_slots(), 1);
     if (config_.num_shards > 1) {
-      // Shard-aware shuffle pricing: only bytes that cross a channel edge
-      // pay the network rate; shard-local hand-offs move at disk speed.
+      // Shard-aware shuffle pricing: only bytes booked cross-shard pay
+      // the network rate; shard-local bytes move at disk speed.
       // Stats whose split doesn't reconcile (hand-built ablation stats)
       // conservatively price everything as crossing.
       double cross_bytes =

@@ -9,7 +9,6 @@
 #include "mapreduce/counters.h"
 #include "mapreduce/dfs.h"
 #include "mapreduce/job.h"
-#include "mapreduce/shard.h"
 #include "mapreduce/sharding.h"
 #include "util/statusor.h"
 
@@ -64,18 +63,18 @@ struct ClusterConfig {
   /// amortized across active tasks.
   double cpu_us_per_record = 5.0;
 
-  /// Shards of the data plane. <= 1 keeps the legacy single-address-space
-  /// runtime bit-for-bit (one shared Dfs, every shuffle byte booked
-  /// local). > 1 turns the cluster into a coordinator over num_shards
-  /// Shard objects: map tasks are dispatched through per-shard queues, all
-  /// shuffle data moves through the ShardChannel (with per-edge local vs
-  /// cross-shard accounting), each shard is credited with the share of
-  /// every job output it owns, and the cost model prices the shards as the
-  /// cluster's nodes. Results are byte-identical to the unsharded path at
-  /// any shard x thread combination — sharding changes placement,
-  /// transport accounting and the cost model, never execution order.
+  /// Shards of the data plane. Every job runs on S = max(num_shards, 1)
+  /// shards, so <= 1 is one shard that homes and owns every record. Each
+  /// emitted record is booked from the shard that produced it (for a map
+  /// emission, its input record's AssignShard home) against the shard
+  /// owning its key (OwnerShard); that booking is JobStats' local/cross
+  /// shuffle split and per-shard output bytes. Placement never changes
+  /// what runs, so results are byte-identical at any shard x thread
+  /// combination. The cost model prices num_shards > 1 shards as the
+  /// cluster's nodes, with shard-local shuffle bytes at disk speed; <= 1
+  /// prices num_nodes nodes whose whole shuffle crosses the network.
   int num_shards = 0;
-  /// How records are placed on shards (only meaningful when sharded).
+  /// How records are placed on shards (AssignShard's scheme).
   ShardingScheme sharding = ShardingScheme::kHashSubject;
 
   int map_slots() const {
@@ -139,13 +138,6 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   Dfs* dfs() { return dfs_; }
 
-  /// Sharded data plane (empty accessors when num_shards <= 1).
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  Shard* shard(int i) { return shards_[i].get(); }
-  const Shard* shard(int i) const { return shards_[i].get(); }
-  ShardChannel* channel() { return channel_.get(); }
-  const ShardChannel* channel() const { return channel_.get(); }
-
   /// Attaches (or detaches, nullptr) the observer consulted by Run. Not
   /// owned; must outlive any in-flight job.
   void SetObserver(ClusterObserver* observer) { observer_ = observer; }
@@ -166,9 +158,6 @@ class Cluster {
   std::mutex mu_;  // guards history_ and lazy pool_ creation
   std::vector<JobStats> history_;
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Populated iff config_.num_shards > 1.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<ShardChannel> channel_;
 };
 
 }  // namespace rapida::mr

@@ -20,11 +20,10 @@ struct JobStats {
   uint64_t map_output_bytes = 0;
   uint64_t shuffle_records = 0;     // after combine (map output to reducers)
   uint64_t shuffle_bytes = 0;
-  /// Honest shuffle placement split (always: local + cross ==
-  /// shuffle_bytes). Historically every post-combine byte was booked as if
-  /// it crossed the network; in fact combiner-local re-emissions whose
-  /// reducer lives on the producing shard never leave it. Unsharded runs
-  /// are one address space: everything is local, nothing crosses.
+  /// Shuffle placement split (always: local + cross == shuffle_bytes). A
+  /// post-combine record is local iff the shard it was emitted from owns
+  /// its key (OwnerShard). An unsharded job runs on one shard, so
+  /// everything is local and nothing crosses.
   uint64_t shuffle_local_bytes = 0;  // stayed on the producing shard
   uint64_t shuffle_cross_bytes = 0;  // crossed a shard boundary
   uint64_t output_records = 0;
@@ -44,10 +43,11 @@ struct JobStats {
 
   int num_mappers = 0;
   int num_reducers = 0;
-  /// Shards the job executed across (0 = legacy unsharded data plane).
+  /// Shards the job ran on: max(ClusterConfig::num_shards, 1).
   int num_shards = 0;
-  /// Per-shard output bytes (empty when unsharded): index s is the stored
-  /// size of the share of this job's output that shard s owns.
+  /// Per-shard output bytes (num_shards entries): index s is the stored
+  /// size of the share of this job's output emitted from shard s — a
+  /// map-only record's home shard, a reduce record's group-key owner.
   std::vector<uint64_t> shard_output_bytes;
 
   double sim_seconds = 0;   // simulated wall time from the cost model

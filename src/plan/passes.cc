@@ -426,8 +426,8 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
         // the storage layer already keyed those tables by — under the
         // locality scheme every such record's home shard IS its reducer's
         // shard, so est_shuffle_bytes is exactly 0 and the executor
-        // fails any run where a local node moves a byte across the
-        // channel. Everything else (inter-star joins, alpha-join n-splits,
+        // fails any run where a local node books a cross-shard byte.
+        // Everything else (inter-star joins, alpha-join n-splits,
         // aggregations over intermediates) keys its shuffle by values no
         // placement can anticipate: `peval=residual`, est_shuffle_bytes
         // is a display-only upper bound from the node's known input

@@ -56,9 +56,10 @@ class ServiceMetrics {
   /// Artifact dropped to recompute (non-incrementalizable or patch failed).
   void IncrStoreRecompute() { Add(&store_recomputes_); }
   /// Shuffle placement of one finished workflow: bytes that stayed on
-  /// their shard vs bytes that crossed the shard channel, plus each
-  /// shard's private output-segment bytes (per_shard index = shard id;
-  /// shorter vectors extend the tracked width).
+  /// the shard they were emitted from vs bytes that crossed to their
+  /// key's owner, plus each shard's share of the output bytes
+  /// (per_shard index = shard id; shorter vectors extend the tracked
+  /// width).
   void RecordShuffle(uint64_t local_bytes, uint64_t cross_bytes,
                      const std::vector<uint64_t>& per_shard_output_bytes);
   /// Factorized (d-representation) intermediates of one finished workflow:

@@ -189,8 +189,9 @@ DiffFailure RunDifferential(const FuzzCase& c, const DiffOptions& opts) {
         if (!diff.empty()) {
           return Fail("mismatch", run->name() + config_tag, threads, diff);
         }
-        // Shuffle accounting must always reconcile: every shuffled byte is
-        // either a shard-local hand-off or a channel crossing.
+        // Shuffle accounting must always reconcile: every shuffled byte
+        // either stays on the shard it was emitted from or crosses to the
+        // shard owning its key.
         for (const mr::JobStats& j : stats.workflow.jobs) {
           if (j.shuffle_local_bytes + j.shuffle_cross_bytes !=
               j.shuffle_bytes) {

@@ -197,8 +197,8 @@ TEST(AllocRegressionTest, JoinShapedJobStaysUnderPerRecordBudget) {
 
 // The operators themselves, on a 4-shard cluster: GroupBy with map-side
 // partial aggregation and the repartition Join keep their decode rows,
-// key/value buffers and partial tables in task scratch, so behind the
-// shard channel they stay under the same per-input-record budget.
+// key/value buffers and partial tables in task scratch, so on 4 shards
+// they stay under the same per-input-record budget.
 TEST(AllocRegressionTest, ShardedOperatorsStayUnderPerRecordBudget) {
   constexpr int kRows = 10000;
   constexpr int kJoinKeys = 2000;  // 5 rows per key per side.

@@ -1,8 +1,8 @@
 // Memory-footprint gate for the record plane: a record costs one 32-byte
 // view plus its key‖value bytes once. A size-tracking operator new counts
-// the live heap bytes, so the gates see every copy a Dfs file or a job
-// keeps: a per-record column, a second view array, a shard segment that
-// duplicates the output.
+// the live and the peak heap bytes, so the gates see every copy a Dfs file
+// or a job keeps: a per-record column, a second view array, a shard
+// segment that duplicates the output, a per-record placement array.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
 #include "mapreduce/record.h"
+#include "mapreduce/sharding.h"
 
 namespace {
 
@@ -21,12 +22,21 @@ namespace {
 // default new alignment), so frees on any thread keep the count exact.
 constexpr size_t kHeader = 16;
 std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};  // high-water mark of g_live_bytes
 
 void* TrackedAlloc(size_t n) {
   char* p = static_cast<char*>(std::malloc(n + kHeader));
   if (p == nullptr) return nullptr;
   *reinterpret_cast<size_t*>(p) = n;
-  g_live_bytes.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
+  const int64_t live =
+      g_live_bytes.fetch_add(static_cast<int64_t>(n),
+                             std::memory_order_relaxed) +
+      static_cast<int64_t>(n);
+  int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak_bytes.compare_exchange_weak(peak, live,
+                                             std::memory_order_relaxed)) {
+  }
   return p + kHeader;
 }
 
@@ -46,6 +56,12 @@ void* CheckedAlloc(size_t n) {
 }
 
 int64_t LiveBytes() { return g_live_bytes.load(std::memory_order_relaxed); }
+
+/// Restarts the high-water mark at the current live bytes.
+void ResetPeakBytes() {
+  g_peak_bytes.store(LiveBytes(), std::memory_order_relaxed);
+}
+int64_t PeakBytes() { return g_peak_bytes.load(std::memory_order_relaxed); }
 
 }  // namespace
 
@@ -170,6 +186,54 @@ TEST(RecordFootprintTest, ShardedReduceKeepsNoSecondCopyOfItsOutput) {
     ASSERT_TRUE(dfs.Delete("out").ok());
     EXPECT_LE(LiveBytes() - before, 4096) << "threads " << threads;
   }
+}
+
+TEST(RecordFootprintTest, ShardedJobPeaksNoHigherThanUnsharded) {
+  // Placement is booked per sink as records are emitted, never in a
+  // per-record home or owner array, so a sharded job's peak heap is the
+  // unsharded job's plus a few per-task counters.
+  constexpr int kRecords = 20000;
+  auto peak_above_baseline = [](int shards) -> int64_t {
+    Dfs dfs;
+    ClusterConfig cfg;
+    cfg.num_shards = shards;
+    cfg.sharding = ShardingScheme::kHashSubject;
+    cfg.exec_threads = 1;
+    Cluster cluster(cfg, &dfs);
+    RecordBatch input;
+    for (int i = 0; i < kRecords; ++i) {
+      input.Add(std::to_string(i), "v" + std::to_string(i * 7));
+    }
+    EXPECT_TRUE(dfs.Write("input", std::move(input)).ok());
+
+    JobConfig job;
+    job.name = "re-keying";
+    job.inputs = {"input"};
+    job.output = "out";
+    job.map = [](const Record& r, int, MapContext* ctx) {
+      ctx->Emit(r.value(), r.key());
+    };
+    job.reduce = [](std::string_view key, const ValueSpan& values,
+                    ReduceContext* ctx) {
+      ctx->Emit(key, values[0]);
+    };
+    JobConfig warm_up = job;
+    warm_up.output = "warm-up";
+    EXPECT_TRUE(cluster.Run(warm_up).ok());
+    EXPECT_TRUE(dfs.Delete("warm-up").ok());
+
+    const int64_t before = LiveBytes();
+    ResetPeakBytes();
+    auto stats = cluster.Run(job);
+    EXPECT_TRUE(stats.ok()) << stats.status();
+    return PeakBytes() - before;
+  };
+  const int64_t unsharded = peak_above_baseline(1);
+  const int64_t sharded = peak_above_baseline(4);
+  EXPECT_LE(sharded, unsharded + 4096)
+      << "4 shards peak " << sharded << " B vs " << unsharded
+      << " B unsharded: " << (sharded - unsharded) / kRecords
+      << " extra bytes per record";
 }
 
 }  // namespace
