@@ -16,7 +16,8 @@
 //     --explain              print the engine's physical plan (per-node
 //                            cycle/byte estimates, pass log) and exit
 //     --explain-json         the same plan as JSON
-//     --plan                 preview all four engines' cycle counts
+//     --plan                 each engine's estimated MR cycles, one
+//                            line per cycle (dataset-free plans)
 //     --trace                after running, print the executed MapReduce
 //                            workflow breakdown
 //
@@ -33,7 +34,6 @@
 #include "analytics/analytical_query.h"
 #include "analytics/reference_evaluator.h"
 #include "engines/engines.h"
-#include "engines/plan_preview.h"
 #include "plan/planner.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
@@ -224,8 +224,26 @@ int Run(const CliOptions& opts) {
       std::fprintf(stderr, "%s\n", q.status().ToString().c_str());
       return 1;
     }
-    for (const auto& preview : rapida::engine::PreviewAllPlans(*q)) {
-      std::printf("%s\n", preview.ToString().c_str());
+    // The dataset-free plan of each engine: its estimated cycle total and
+    // one line per cycle (the node that runs it).
+    for (const char* engine : {"Hive (Naive)", "Hive (MQO)",
+                               "RAPID+ (Naive)", "RAPIDAnalytics"}) {
+      auto physical = rapida::plan::PlanForEngine(
+          engine, *q, /*dataset=*/nullptr, rapida::engine::EngineOptions());
+      if (!physical.ok()) {
+        std::printf("%s: %s\n\n", engine,
+                    physical.status().ToString().c_str());
+        continue;
+      }
+      std::printf("%s: %d MR cycles\n", engine,
+                  physical->EstimatedCycles());
+      int cycle = 0;
+      for (const rapida::plan::PlanNode& n : physical->nodes) {
+        for (int c = 0; c < n.est_cycles; ++c) {
+          std::printf("  MR%d  %s\n", ++cycle, n.describe.c_str());
+        }
+      }
+      std::printf("\n");
     }
     return 0;
   }

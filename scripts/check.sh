@@ -14,8 +14,10 @@
 # the golden fixtures reproduces the committed files byte-for-byte, a
 # perf smoke that replays Fig. 8(a) and Fig. 8(b) at 8 threads and diffs
 # their deterministic per-query aggregates against committed goldens, an
-# AddressSanitizer run of the fuzz smoke (unsharded and at 4 shards) and
-# the EXPLAIN goldens, an UndefinedBehaviorSanitizer run of the record
+# AddressSanitizer run of the fuzz smoke (unsharded and at 4 shards), the
+# EXPLAIN and result goldens (every catalog query on all four engines, so
+# every plan node's exec closure runs under ASan) and the OPTIONAL/UNION
+# semantics matrix, an UndefinedBehaviorSanitizer run of the record
 # plane's suites and a 50-seed fuzz corpus, and a ThreadSanitizer build
 # running the concurrency-sensitive suites (the parallel MapReduce
 # runtime — including the ValueSpan reduce-mode matrix in mapreduce_test
@@ -168,7 +170,7 @@ echo "== AddressSanitizer fuzz smoke (RAPIDA_SANITIZE=address) =="
 cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
-      storage_test rapida_serve
+      golden_test optional_union_test storage_test rapida_serve
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -177,6 +179,10 @@ echo "== ASan: OPTIONAL/UNION-biased fuzz (100 seeds) =="
 ./build-asan/examples/rapida_fuzz --grammar=opt-union --seeds=100
 echo "== ASan: EXPLAIN goldens =="
 ./build-asan/tests/explain_golden_test
+echo "== ASan: result goldens (32 catalog queries x 4 engines) =="
+./build-asan/tests/golden_test
+echo "== ASan: OPTIONAL/UNION semantics matrix =="
+./build-asan/tests/optional_union_test
 
 echo "== ASan: storage suite (artifact recovery, IVM patch equivalence) =="
 ./build-asan/tests/storage_test

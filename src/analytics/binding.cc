@@ -177,8 +177,6 @@ void BindingTable::Distinct() {
   rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
 }
 
-void BindingTable::SortRows() { std::sort(rows_.begin(), rows_.end()); }
-
 std::vector<std::string> BindingTable::ToSortedStrings(
     const rdf::Dictionary& dict) const {
   // Canonical column order: sorted by variable name.

@@ -56,11 +56,6 @@ class BindingTable {
   /// Removes duplicate rows.
   void Distinct();
 
-  /// Deterministic row order (lexicographic by cell ids after rendering
-  /// normalization is NOT applied — ids are engine-dependent, so use
-  /// ToSortedStrings for cross-engine comparisons).
-  void SortRows();
-
   /// Renders every row as a "v1=x | v2=y" string (columns in a canonical
   /// name order), sorted — the stable form used to compare engines.
   std::vector<std::string> ToSortedStrings(const rdf::Dictionary& dict) const;

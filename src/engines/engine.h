@@ -79,26 +79,22 @@ struct EngineOptions {
 /// error, best effort), so consecutive runs see a clean DFS.
 class Engine {
  public:
+  explicit Engine(const EngineOptions& options = EngineOptions())
+      : options_(options) {}
   virtual ~Engine() = default;
 
   virtual std::string name() const = 0;
 
+  /// plan::RunPlanAsEngine over plan::PlanForEngine(name(), ...): the
+  /// engine's plan (its fallback shape included) is the program it runs.
+  /// Virtual so test wrappers can inject faults.
   virtual StatusOr<analytics::BindingTable> Execute(
       const analytics::AnalyticalQuery& query, Dataset* dataset,
-      mr::Cluster* cluster, ExecStats* stats) = 0;
-};
+      mr::Cluster* cluster, ExecStats* stats);
 
-/// Runs `fallback` on behalf of an optimizing engine whose rewriting does
-/// not apply to `query`, relabeling the stats with the outer engine's name
-/// on success (the workflow genuinely ran, just under the fallback plan).
-inline StatusOr<analytics::BindingTable> ExecuteFallback(
-    Engine* fallback, const std::string& outer_name,
-    const analytics::AnalyticalQuery& query, Dataset* dataset,
-    mr::Cluster* cluster, ExecStats* stats) {
-  auto result = fallback->Execute(query, dataset, cluster, stats);
-  if (result.ok() && stats != nullptr) stats->engine = outer_name;
-  return result;
-}
+ protected:
+  EngineOptions options_;
+};
 
 }  // namespace rapida::engine
 

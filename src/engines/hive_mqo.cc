@@ -2,10 +2,6 @@
 
 #include <set>
 
-#include "plan/executor.h"
-#include "plan/planner.h"
-#include "util/logging.h"
-
 namespace rapida::engine {
 
 // Secondary constant-object triples are rewritten to fresh marker
@@ -59,27 +55,6 @@ std::set<std::string> SecondaryVars(const ntga::CompositePattern& comp,
     }
   }
   return out;
-}
-
-StatusOr<analytics::BindingTable> HiveMqoEngine::Execute(
-    const analytics::AnalyticalQuery& query, Dataset* dataset,
-    mr::Cluster* cluster, ExecStats* stats) {
-  // MQO rewriting applies to exactly two overlapping graph patterns.
-  if (query.groupings.size() != 2) {
-    return ExecuteFallback(&fallback_, name(), query, dataset, cluster,
-                           stats);
-  }
-  // The rewriting itself (filter classification, Q_OPT compilation, the
-  // per-pattern extraction + GROUP BY pipeline) lives in plan::PlanHiveMqo.
-  RAPIDA_ASSIGN_OR_RETURN(plan::PhysicalPlan physical,
-                          plan::PlanHiveMqo(query, dataset, options_));
-  if (!physical.fallback_reason.empty()) {
-    RAPIDA_LOG(Info) << "MQO fallback (no overlap): "
-                     << physical.fallback_reason;
-    return ExecuteFallback(&fallback_, name(), query, dataset, cluster,
-                           stats);
-  }
-  return plan::RunPlanAsEngine(physical, dataset, cluster, options_, stats);
 }
 
 }  // namespace rapida::engine

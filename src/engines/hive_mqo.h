@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "engines/engine.h"
-#include "engines/hive_naive.h"
 #include "ntga/overlap.h"
 
 namespace rapida::engine {
@@ -47,18 +46,9 @@ std::set<std::string> SecondaryVars(const ntga::CompositePattern& comp,
 /// fall back to the naive plan.
 class HiveMqoEngine : public Engine {
  public:
-  explicit HiveMqoEngine(const EngineOptions& options = EngineOptions())
-      : options_(options), fallback_(options) {}
+  using Engine::Engine;
 
   std::string name() const override { return "Hive (MQO)"; }
-
-  StatusOr<analytics::BindingTable> Execute(
-      const analytics::AnalyticalQuery& query, Dataset* dataset,
-      mr::Cluster* cluster, ExecStats* stats) override;
-
- private:
-  EngineOptions options_;
-  HiveNaiveEngine fallback_;
 };
 
 }  // namespace rapida::engine

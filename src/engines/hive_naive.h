@@ -2,10 +2,8 @@
 #define RAPIDA_ENGINES_HIVE_NAIVE_H_
 
 #include <string>
-#include <vector>
 
 #include "engines/engine.h"
-#include "engines/relational_ops.h"
 
 namespace rapida::engine {
 
@@ -20,37 +18,10 @@ namespace rapida::engine {
 /// early projection, and map-side partial aggregation.
 class HiveNaiveEngine : public Engine {
  public:
-  explicit HiveNaiveEngine(const EngineOptions& options = EngineOptions())
-      : options_(options) {}
+  using Engine::Engine;
 
   std::string name() const override { return "Hive (Naive)"; }
-
-  StatusOr<analytics::BindingTable> Execute(
-      const analytics::AnalyticalQuery& query, Dataset* dataset,
-      mr::Cluster* cluster, ExecStats* stats) override;
-
- private:
-  EngineOptions options_;
 };
-
-/// Shared by HiveNaive and HiveMqo: compiles one grouping subquery's graph
-/// pattern into star-join + inter-star-join cycles and returns the
-/// pattern table. `outer_secondary` (MQO) joins the given secondary
-/// PropKeys with LEFT OUTER semantics instead of inner.
-///
-/// With `factorize` set the star and inter-star joins keep their outputs
-/// in d-representation (RelationalOps::Join's factorize_output): the
-/// returned TableRef then carries the factorization spec and flat-
-/// equivalent byte size, and every size-based decision inside (greedy
-/// join order) uses flat-equivalent bytes so the join tree is identical
-/// to the flat compilation. Joins with post-predicates and single-input
-/// scans stay flat exactly as RelationalOps::Join would leave them.
-StatusOr<TableRef> CompileHivePattern(
-    RelationalOps* ops, Dataset* dataset,
-    const ntga::StarGraph& pattern,
-    const std::vector<const sparql::Expr*>& filters,
-    const std::set<ntga::PropKey>* outer_secondary,
-    const std::string& label, bool factorize = false);
 
 }  // namespace rapida::engine
 

@@ -676,13 +676,7 @@ StatusOr<analytics::BindingTable> NtgaExec::FinalJoinProject(
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
   (void)stats;
 
-  analytics::BindingTable result(projected.columns);
-  for (const std::string& r : projected.rows) {
-    std::vector<rdf::TermId> row = DecodeRow(r);
-    row.resize(projected.columns.size(), rdf::kInvalidTermId);
-    result.AddRow(std::move(row));
-  }
-  return result;
+  return ToBindingTable(projected);
 }
 
 }  // namespace rapida::engine

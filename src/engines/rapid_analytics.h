@@ -4,8 +4,6 @@
 #include <string>
 
 #include "engines/engine.h"
-#include "engines/ntga_exec.h"
-#include "engines/rapid_plus.h"
 
 namespace rapida::engine {
 
@@ -20,19 +18,9 @@ namespace rapida::engine {
 /// RAPID+ plan.
 class RapidAnalyticsEngine : public Engine {
  public:
-  explicit RapidAnalyticsEngine(
-      const EngineOptions& options = EngineOptions())
-      : options_(options), fallback_(options) {}
+  using Engine::Engine;
 
   std::string name() const override { return "RAPIDAnalytics"; }
-
-  StatusOr<analytics::BindingTable> Execute(
-      const analytics::AnalyticalQuery& query, Dataset* dataset,
-      mr::Cluster* cluster, ExecStats* stats) override;
-
- private:
-  EngineOptions options_;
-  RapidPlusEngine fallback_;
 };
 
 }  // namespace rapida::engine

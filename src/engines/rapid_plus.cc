@@ -1,8 +1,6 @@
 #include "engines/rapid_plus.h"
 
 #include "engines/var_translate.h"
-#include "plan/executor.h"
-#include "plan/planner.h"
 
 namespace rapida::engine {
 
@@ -29,16 +27,6 @@ void SplitNtgaFilters(
   *mapping_predicate =
       residual.empty() ? nullptr
                        : CompilePredicate(residual, pattern_vars, dict);
-}
-
-StatusOr<analytics::BindingTable> RapidPlusEngine::Execute(
-    const analytics::AnalyticalQuery& query, Dataset* dataset,
-    mr::Cluster* cluster, ExecStats* stats) {
-  // The sequential NTGA pipeline (per grouping: pattern matching, then one
-  // TG Agg-Join cycle; final join) is emitted by plan::PlanRapidPlus.
-  RAPIDA_ASSIGN_OR_RETURN(plan::PhysicalPlan physical,
-                          plan::PlanRapidPlus(query, dataset, options_));
-  return plan::RunPlanAsEngine(physical, dataset, cluster, options_, stats);
 }
 
 }  // namespace rapida::engine

@@ -16,17 +16,9 @@ namespace rapida::engine {
 /// across groupings.
 class RapidPlusEngine : public Engine {
  public:
-  explicit RapidPlusEngine(const EngineOptions& options = EngineOptions())
-      : options_(options) {}
+  using Engine::Engine;
 
   std::string name() const override { return "RAPID+ (Naive)"; }
-
-  StatusOr<analytics::BindingTable> Execute(
-      const analytics::AnalyticalQuery& query, Dataset* dataset,
-      mr::Cluster* cluster, ExecStats* stats) override;
-
- private:
-  EngineOptions options_;
 };
 
 /// Splits a filter list into map-side pushable single-variable filters

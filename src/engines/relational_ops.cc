@@ -1745,6 +1745,16 @@ ProjectedResult JoinAndProject(std::vector<analytics::BindingTable> tables,
   return out;
 }
 
+analytics::BindingTable ToBindingTable(const ProjectedResult& projected) {
+  analytics::BindingTable out(projected.columns);
+  for (const std::string& r : projected.rows) {
+    std::vector<rdf::TermId> row = DecodeRow(r);
+    row.resize(projected.columns.size(), rdf::kInvalidTermId);
+    out.AddRow(std::move(row));
+  }
+  return out;
+}
+
 StatusOr<TableRef> RelationalOps::FinalJoinProject(
     const std::string& name_hint, const std::vector<TableRef>& inputs,
     const std::vector<sparql::SelectItem>& items) {

@@ -71,6 +71,11 @@ ProjectedResult JoinAndProject(std::vector<analytics::BindingTable> tables,
                                const std::vector<sparql::SelectItem>& items,
                                rdf::Dictionary* dict);
 
+/// `projected`'s rows as a result table, NULL-padded to its width. Over
+/// JoinAndProject this is the driver-side finish of a single-grouping
+/// query (no MR cycle).
+analytics::BindingTable ToBindingTable(const ProjectedResult& projected);
+
 /// One input of a relational join.
 struct JoinInput {
   std::string file;

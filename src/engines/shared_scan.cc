@@ -106,9 +106,7 @@ Status ExecuteCompositeBatch(
   // The whole pipeline — composite resolution, α conditions, the shared
   // filter-pushdown rule, the parallel Agg-Join and the per-query final
   // joins — is emitted as an operator DAG by plan::PlanCompositeBatch; the
-  // generic executor walks it. Callers keep the Reset-then-Execute
-  // protocol, so a cold triplegroup build stays part of the measured
-  // workflow, exactly as before.
+  // generic executor walks it.
   RAPIDA_ASSIGN_OR_RETURN(
       plan::PhysicalPlan physical,
       plan::PlanCompositeBatch(shared, queries, dataset, options));

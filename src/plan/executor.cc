@@ -1,8 +1,10 @@
 #include "plan/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 namespace rapida::plan {
 
@@ -18,6 +20,9 @@ Status ExecutePlanMulti(
   ctx.cluster = cluster;
   ctx.options = options;
   ctx.results = results;
+  int max_id = -1;
+  for (const PlanNode& node : plan.nodes) max_id = std::max(max_id, node.id);
+  ctx.outputs.resize(static_cast<size_t>(max_id + 1));
 
   // The relational facade is always live (not just under needs_vp): the
   // NTGA engines' OPTIONAL/UNION groupings left-join, union and group
@@ -41,26 +46,33 @@ Status ExecutePlanMulti(
   // Partial-evaluation contract: under the locality scheme, a node the
   // pass classified `peval=local` must run entirely shard-local — its
   // estimated cross-shard shuffle is exactly 0, and we hold the executed
-  // counters to it. Only nodes that own their exec are checked (fused
-  // chains and parallel-region members run under a neighbor's exec, so
-  // their jobs cannot be attributed to one node).
+  // counters to it. A node's own jobs are the last est_cycles its exec
+  // ran; any before them belong to the cost-only nodes charged to it (an
+  // α-join chain, parallel-region members).
   const bool enforce_peval =
       options.num_shards > 1 &&
       options.sharding_scheme == mr::ShardingScheme::kLocality;
-  auto peval_of = [](const PlanNode& node) -> const std::string* {
-    for (const auto& [k, v] : node.info) {
-      if (k == "peval") return &v;
-    }
-    return nullptr;
-  };
 
+  const size_t walk_start = cluster->history().size();
+  int estimated = 0;
   for (const PlanNode& node : plan.nodes) {
+    estimated += node.est_cycles;
     if (!node.exec) continue;
     const size_t jobs_before = cluster->history().size();
-    Status s = node.exec(&ctx);
+    Status s = node.exec(&ctx, node);
     if (!s.ok()) {
       cleanup();
       return s;
+    }
+    estimated -= std::exchange(ctx.unrun_cycles, 0);
+    const size_t ran = cluster->history().size() - walk_start;
+    if (ran != static_cast<size_t>(estimated)) {
+      cleanup();
+      return Status::Internal(
+          "cycle gate: after node #" + std::to_string(node.id) + " (" +
+          OpKindName(node.kind) + " '" + node.label + "') " +
+          std::to_string(ran) + " jobs ran, plan estimates " +
+          std::to_string(estimated));
     }
     {
       // Post-exec EXPLAIN annotation: flat rows / d-representation groups
@@ -84,10 +96,12 @@ Status ExecutePlanMulti(
       }
     }
     if (enforce_peval) {
-      const std::string* peval = peval_of(node);
+      const std::string* peval = FindEntry(node.info, "peval");
       if (peval != nullptr && *peval == "local") {
         const auto& history = cluster->history();
-        for (size_t j = jobs_before; j < history.size(); ++j) {
+        const size_t own = static_cast<size_t>(node.est_cycles);
+        for (size_t j = std::max(jobs_before, history.size() - own);
+             j < history.size(); ++j) {
           if (history[j].shuffle_cross_bytes != 0) {
             cleanup();
             return Status::Internal(
@@ -120,10 +134,6 @@ StatusOr<analytics::BindingTable> RunPlanAsEngine(
     const PhysicalPlan& plan, engine::Dataset* dataset, mr::Cluster* cluster,
     const engine::EngineOptions& options, engine::ExecStats* stats) {
   auto start = std::chrono::steady_clock::now();
-  if (plan.ensure_before_reset) {
-    if (plan.needs_vp) RAPIDA_RETURN_IF_ERROR(dataset->EnsureVpTables());
-    if (plan.needs_tg) RAPIDA_RETURN_IF_ERROR(dataset->EnsureTripleGroups());
-  }
   cluster->ResetHistory();
   StatusOr<analytics::BindingTable> result =
       ExecutePlan(plan, dataset, cluster, options);

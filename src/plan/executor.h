@@ -31,14 +31,26 @@ struct ExecContext {
   engine::RelationalOps* rel = nullptr;
   engine::NtgaExec* ntga = nullptr;
   std::vector<StatusOr<analytics::BindingTable>>* results = nullptr;
+  /// Per-run node outputs, indexed by PlanNode::id: the table (or, for a
+  /// VP scan folded into its join, the scan input) each exec produced.
+  std::vector<engine::JoinInput> outputs;
+  /// Cycles an exec budgeted but did not run because it recorded a
+  /// per-query failure in its result slot instead of aborting the walk
+  /// (shared-scan batches). The cycle gate discounts them.
+  int unrun_cycles = 0;
 };
 
 /// Walks `plan.nodes` front to back (the stored order is a topological
 /// order) running every non-null exec closure. Ensures the storage layout
-/// the plan declared (idempotent), builds the ops facades, and cleans up
-/// intermediates whether or not the walk succeeds. Does NOT touch the
-/// cluster's job history — the engine wrappers own the Ensure/ResetHistory
-/// ordering (see PhysicalPlan::ensure_before_reset).
+/// the plan declared (idempotent; the build writes DFS files and runs no
+/// job), builds the ops facades, and cleans up intermediates whether or
+/// not the walk succeeds.
+///
+/// The cycle gate: after each exec, the jobs run since the walk began must
+/// equal the summed est_cycles of the nodes walked so far, or the walk
+/// fails with Status::Internal naming the node. Exact per node wherever a
+/// node owns its exec; cost-only nodes (the α-join chain) are charged to
+/// the exec that follows them.
 Status ExecutePlanMulti(const PhysicalPlan& plan, engine::Dataset* dataset,
                         mr::Cluster* cluster,
                         const engine::EngineOptions& options,
@@ -49,11 +61,9 @@ StatusOr<analytics::BindingTable> ExecutePlan(
     const PhysicalPlan& plan, engine::Dataset* dataset, mr::Cluster* cluster,
     const engine::EngineOptions& options);
 
-/// The full engine protocol around one plan: ensure the declared storage
-/// layout (when ensure_before_reset — otherwise the build is measured),
-/// reset job history, execute, and on success fill `stats` from the
-/// cluster history under the plan's engine name. This is what the four
-/// Engine::Execute implementations are.
+/// The full engine protocol around one plan: reset job history, execute,
+/// and on success fill `stats` from the cluster history under the plan's
+/// engine name. This is what Engine::Execute is.
 StatusOr<analytics::BindingTable> RunPlanAsEngine(
     const PhysicalPlan& plan, engine::Dataset* dataset, mr::Cluster* cluster,
     const engine::EngineOptions& options, engine::ExecStats* stats);

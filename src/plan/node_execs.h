@@ -1,0 +1,65 @@
+#ifndef RAPIDA_PLAN_NODE_EXECS_H_
+#define RAPIDA_PLAN_NODE_EXECS_H_
+
+/// Internal to the planners: the execs of the relational plan nodes both
+/// planner families emit (left joins, UNION ALL, GROUP BY, the Decompress
+/// forwarders) and the helpers every relational exec shares. An exec reads
+/// its inputs' entries of ExecContext::outputs, runs exactly its node's
+/// job, and writes its own entry.
+
+#include <string>
+#include <vector>
+
+#include "engines/relational_ops.h"
+#include "ntga/operators.h"
+#include "plan/executor.h"
+#include "plan/plan.h"
+#include "sparql/ast.h"
+
+namespace rapida::plan::detail {
+
+/// The table node `id` produced.
+engine::TableRef TableOf(const ExecContext& ctx, int id);
+
+/// Records `table` as `node`'s output.
+void SetOutput(ExecContext* ctx, const PlanNode& node,
+               const engine::TableRef& table);
+
+/// The join variable of an `edge=?var` attr ("" when absent/disconnected).
+std::string EdgeVar(const PlanNode& node);
+
+/// True when the factorize pass marked the node's output `d-rep`.
+bool FactorizedOutput(const PlanNode& node);
+
+/// `filters` compiled over the columns a two-input join emits (left's,
+/// then right's unseen ones); null when there are none.
+engine::RowPredicate JoinPostPredicate(
+    const std::vector<const sparql::Expr*>& filters,
+    const engine::JoinInput& left, const engine::JoinInput& right,
+    const rdf::Dictionary* dict);
+
+/// kLeftReduceJoin / kLeftMapJoin: the `index`-th OPTIONAL left join of a
+/// branch, inputs {required side, optional side} on the `edge` variable;
+/// `post_filters` (the branch's, on its last left join) filter joined rows.
+NodeExec LeftJoinExec(size_t index,
+                      std::vector<const sparql::Expr*> post_filters);
+
+/// kUnion: one map-only UNION ALL over the branch tables.
+NodeExec UnionExec();
+
+/// kGroupAggregate: one GROUP BY over the input table, keyed by `keys`
+/// with `aggs`; `having` (not owned, may be null) is compiled over the
+/// grouped layout. The output is named `output_columns` (keys, then
+/// aggregates; a rewrite's original names for its translated keys).
+NodeExec GroupAggregateExec(std::vector<std::string> keys,
+                            std::vector<ntga::AggSpec> aggs,
+                            const sparql::Expr* having,
+                            std::vector<std::string> output_columns);
+
+/// Binds the cost-0 kDecompress nodes the factorize pass inserted: each
+/// forwards its input (the enumeration folds into the consumer's reader).
+void BindDecompress(PhysicalPlan* plan);
+
+}  // namespace rapida::plan::detail
+
+#endif  // RAPIDA_PLAN_NODE_EXECS_H_

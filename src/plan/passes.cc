@@ -14,13 +14,6 @@ namespace rapida::plan {
 
 namespace {
 
-const std::string* FindEntry(const AttrList& list, const std::string& key) {
-  for (const auto& [k, v] : list) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 std::vector<std::string> SplitCsv(const std::string& s) {
   std::vector<std::string> out;
   std::string cur;

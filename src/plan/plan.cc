@@ -198,6 +198,13 @@ std::string PhysicalPlan::FingerprintHash() const {
   return Fnv1aHex(Fingerprint());
 }
 
+const std::string* FindEntry(const AttrList& list, const std::string& key) {
+  for (const auto& [k, v] : list) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
 std::string Fnv1aHex(const std::string& data) {
   uint64_t h = 14695981039346656037ULL;
   for (unsigned char c : data) {

@@ -39,7 +39,8 @@ enum class OpKind {
 
 const char* OpKindName(OpKind kind);
 
-using NodeExec = std::function<Status(ExecContext*)>;
+struct PlanNode;
+using NodeExec = std::function<Status(ExecContext*, const PlanNode&)>;
 using AttrList = std::vector<std::pair<std::string, std::string>>;
 
 /// One operator of a physical plan.
@@ -67,12 +68,15 @@ struct PlanNode {
   /// input bytes). Excluded from Fingerprint, like est_bytes.
   uint64_t est_shuffle_bytes = 0;
   bool map_only = false;
-  /// Marker the planner's bind step uses to attach `exec` after the pass
-  /// pipeline ran (passes may move a tag when they reshape the DAG).
+  /// Marker the NTGA planners' bind step uses to attach `exec` after the
+  /// pass pipeline ran (passes may move a tag when they reshape the DAG).
   std::string bind_tag;
-  /// Runs this node's share of the work. Null on cost-only nodes (their
-  /// cycles are executed by a fused neighbor, e.g. a chain head or a
-  /// parallel region) and on every node of a dataset-free plan.
+  /// Runs exactly this node's `est_cycles` job(s), driven by its kind,
+  /// attrs and its inputs' outputs (ExecContext::outputs), and writes its
+  /// own output. Null on cost-only nodes — the NTGA α-join cycles, run by
+  /// the exec consuming the matches, and Agg-Joins folded into a parallel
+  /// region or a sequential Agg-Join batch, run by its last exec — and on
+  /// every node of a dataset-free plan.
   NodeExec exec;
 
   PlanNode& Attr(const std::string& key, const std::string& value) {
@@ -94,11 +98,6 @@ struct PhysicalPlan {
   std::string tmp_tag;  // intermediate-file tag, e.g. "tmp:hive"
   bool needs_vp = false;
   bool needs_tg = false;
-  /// Old engine behavior, kept bit-for-bit: every engine ensures its
-  /// storage layout *before* resetting job history — except the sharable
-  /// RAPIDAnalytics path, which resets first (so a cold triplegroup build
-  /// is part of its measured workflow, as before the refactor).
-  bool ensure_before_reset = true;
   /// Non-empty when the planner fell back to the engine's baseline shape
   /// (MQO -> naive, RAPIDAnalytics -> RAPID+).
   std::string fallback_reason;
@@ -134,6 +133,10 @@ struct PhysicalPlan {
  private:
   int next_id_ = 0;
 };
+
+/// The value of the first `key` entry of `list` (a node's attrs or info),
+/// or null when it has none.
+const std::string* FindEntry(const AttrList& list, const std::string& key);
 
 /// FNV-1a 64-bit over a string, as 16 lowercase hex digits.
 std::string Fnv1aHex(const std::string& data);

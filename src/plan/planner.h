@@ -14,25 +14,27 @@
 namespace rapida::plan {
 
 /// Per-engine planners: translate an AnalyticalQuery into the explicit
-/// operator DAG the engine will run, mirroring the engine's compiler
-/// exactly (same cycle structure, same labels, same fallback rules), then
-/// run PassManager::Default(options) over it.
+/// operator DAG the engine runs (its cycle structure, labels and fallback
+/// rules), then run PassManager::Default(options) over it. The plan is
+/// the program: each node's exec runs exactly that node's job(s), so
+/// EXPLAIN's node list is the list of jobs that run.
 ///
 /// With `dataset == nullptr` the plan is *structural*: built for EXPLAIN,
-/// previews and fingerprints, with every VP partition assumed present and
-/// no exec closures bound. With a dataset, the plan is executable — the
-/// Hive planners ensure the VP layout first (so plan-time partition checks
-/// and stored sizes equal run-time ones; the build happens before the
-/// engine resets job history, exactly as before), closures borrow `query`
-/// and `dataset`, and the plan must be executed within their lifetime.
-/// Plans are single-shot: engines re-plan on every Execute.
+/// `rapida_cli --plan` and fingerprints, with every VP partition assumed
+/// present and no exec closures bound. With a dataset, the plan is
+/// executable — the Hive planners ensure the VP layout first (so plan-time
+/// partition checks and stored sizes equal run-time ones), closures
+/// borrow `query` and `dataset`, and the plan must be executed within
+/// their lifetime. Plans are single-shot: engines re-plan on every
+/// Execute.
 StatusOr<PhysicalPlan> PlanHiveNaive(const analytics::AnalyticalQuery& query,
                                      engine::Dataset* dataset,
                                      const engine::EngineOptions& options);
 
 /// Falls back to the Hive (Naive) shape — renamed, with fallback_reason
-/// and the naive tmp tag — when the MQO rewriting does not apply; a
-/// composite-construction failure is an error (as in the engine).
+/// and the naive tmp tag — when the MQO rewriting does not apply (also for
+/// any query without exactly two groupings); a composite-construction
+/// failure is an error.
 StatusOr<PhysicalPlan> PlanHiveMqo(const analytics::AnalyticalQuery& query,
                                    engine::Dataset* dataset,
                                    const engine::EngineOptions& options);
@@ -41,9 +43,8 @@ StatusOr<PhysicalPlan> PlanRapidPlus(const analytics::AnalyticalQuery& query,
                                      engine::Dataset* dataset,
                                      const engine::EngineOptions& options);
 
-/// Falls back to the RAPID+ shape when the composite rewriting does not
-/// apply. On the sharable path the plan sets ensure_before_reset = false:
-/// a cold triplegroup build stays part of the measured workflow.
+/// Falls back to the RAPID+ shape — renamed, with fallback_reason — when
+/// the composite rewriting does not apply.
 StatusOr<PhysicalPlan> PlanRapidAnalytics(
     const analytics::AnalyticalQuery& query, engine::Dataset* dataset,
     const engine::EngineOptions& options);

@@ -6,10 +6,10 @@
 #include <vector>
 
 #include "engines/hive_mqo.h"
-#include "engines/hive_naive.h"
 #include "engines/relational_ops.h"
 #include "engines/var_translate.h"
 #include "plan/executor.h"
+#include "plan/node_execs.h"
 #include "plan/passes.h"
 #include "plan/planner.h"
 #include "plan/planner_util.h"
@@ -21,47 +21,154 @@ namespace {
 using analytics::AnalyticalQuery;
 using analytics::GroupingSubquery;
 
-/// Result of mirroring CompileHivePattern into plan nodes.
-struct HivePatternMirror {
-  int tail_id = -1;  // node producing the pattern table
-  bool short_circuited = false;
+/// Run-time state of one inter-star join chain under order=greedy, shared
+/// by the chain's nodes: the first orders the chain by the stars' stored
+/// sizes (flat-equivalent for factorized stars), each joins its step.
+struct GreedyChain {
+  std::vector<ntga::JoinEdge> joins;
+  std::vector<int> star_ids;  // node producing each star's join input
+  std::vector<detail::ChainStep> steps;
+  int acc = -1;  // node holding the accumulated table
 };
 
-/// Emits the node DAG CompileHivePattern will execute for one star graph:
-/// per-triple VP scans (cost 0 — folded into the consuming join), one
-/// star-join cycle per star with 2+ effective inputs, and stars-1
-/// inter-star join cycles. The mirror replays the compiler exactly,
-/// including single-variable filter pushdown order, synthetic column
-/// naming, the inner-first input sort, and — when `dataset` is given — the
-/// absent-partition rules (skipped optional scans, empty-table short
-/// circuit for a missing required partition, i.e. zero pattern cycles).
-HivePatternMirror EmitHivePattern(
-    PhysicalPlan* plan, engine::Dataset* dataset,
-    const ntga::StarGraph& pattern,
-    const std::vector<const sparql::Expr*>& filters,
-    const std::set<ntga::PropKey>* outer_secondary, const std::string& label) {
-  HivePatternMirror out;
+/// The greedy chain's `cycle`-th join: its two inputs and join variable.
+Status NextGreedyEdge(ExecContext* ctx, size_t cycle, GreedyChain* chain,
+                      engine::JoinInput* left, engine::JoinInput* right,
+                      std::string* var) {
+  if (cycle == 0) {
+    std::vector<uint64_t> sizes;
+    for (int id : chain->star_ids) {
+      const engine::JoinInput& star = ctx->outputs[id];
+      sizes.push_back(star.flat_bytes != 0
+                          ? star.flat_bytes
+                          : ctx->dataset->VpFileBytes(star.file));
+    }
+    chain->steps.clear();
+    chain->acc = chain->star_ids[detail::OrderHiveChain(
+        chain->star_ids.size(), chain->joins, std::move(sizes),
+        &chain->steps)];
+  }
+  if (cycle >= chain->steps.size()) {
+    return Status::InvalidArgument(
+        "graph pattern is not connected by join variables");
+  }
+  const detail::ChainStep& step = chain->steps[cycle];
+  *left = ctx->outputs[chain->acc];
+  *right = ctx->outputs[chain->star_ids[step.star]];
+  *var = chain->joins[step.edge].var;
+  return Status::OK();
+}
+
+/// Exec of the `cycle`-th inter-star join. Under order=textual the edge is
+/// the node's own (inputs {accumulated, new star}, `edge` attr); under
+/// order=greedy it is picked at run time from star sizes. `residual`
+/// (the last cycle's) filters the joined rows.
+NodeExec ChainJoinExec(size_t cycle, std::vector<const sparql::Expr*> residual,
+                       std::shared_ptr<GreedyChain> chain) {
+  return [cycle, residual = std::move(residual), chain](
+             ExecContext* ctx, const PlanNode& node) -> Status {
+    engine::JoinInput left;
+    engine::JoinInput right;
+    std::string var;
+    const std::string* order = FindEntry(node.attrs, "order");
+    const bool greedy = order != nullptr && *order == "greedy";
+    if (greedy) {
+      RAPIDA_RETURN_IF_ERROR(
+          NextGreedyEdge(ctx, cycle, chain.get(), &left, &right, &var));
+    } else {
+      var = detail::EdgeVar(node);
+      if (var.empty()) {
+        return Status::InvalidArgument(
+            "graph pattern is not connected by join variables");
+      }
+      left = ctx->outputs[node.inputs[0]];
+      right = ctx->outputs[node.inputs[1]];
+    }
+    left.join_column = right.join_column = var;
+    engine::RowPredicate post = detail::JoinPostPredicate(
+        residual, left, right, &ctx->dataset->graph().dict());
+    RAPIDA_ASSIGN_OR_RETURN(
+        engine::TableRef joined,
+        ctx->rel->Join(node.label + ":join" + std::to_string(cycle),
+                       {left, right}, post, detail::FactorizedOutput(node)));
+    // The accumulated side is the anchor's input with the joined table
+    // swapped in, so an anchor scan's map-side predicate is re-applied in
+    // later cycles: a no-op on their rows, but it makes a factorized
+    // accumulator stream flat, and the cycles' byte counters depend on it.
+    engine::JoinInput acc = std::move(left);
+    acc.file = joined.file;
+    acc.columns = joined.columns;
+    acc.is_vp = false;
+    acc.factor = joined.factor;
+    acc.flat_bytes = joined.flat_bytes;
+    ctx->outputs[node.id] = std::move(acc);
+    if (greedy) chain->acc = node.id;
+    return Status::OK();
+  };
+}
+
+/// Exec of one VP scan: its VP input with the pushed filters (or the
+/// constant-object equality) as map-side predicate. A scan costing one
+/// cycle (a single-triple pattern) also runs the `:scan` projection so
+/// downstream stages have a table.
+NodeExec VpScanExec(engine::JoinInput in, ntga::StarTriple triple,
+                    std::vector<const sparql::Expr*> pushed) {
+  return [in = std::move(in), triple = std::move(triple),
+          pushed = std::move(pushed)](ExecContext* ctx,
+                                      const PlanNode& node) -> Status {
+    engine::JoinInput scan = in;
+    const rdf::Dictionary& dict = ctx->dataset->graph().dict();
+    if (!triple.prop.is_type() && triple.object.is_var) {
+      scan.predicate = engine::CompilePredicate(pushed, scan.columns, &dict);
+    } else if (!triple.prop.is_type()) {
+      rdf::TermId c = dict.Lookup(triple.object.term);
+      scan.predicate = [c](const std::vector<rdf::TermId>& row) {
+        return row.size() > 1 && row[1] == c && c != rdf::kInvalidTermId;
+      };
+    }
+    if (node.est_cycles == 0) {
+      ctx->outputs[node.id] = std::move(scan);
+      return Status::OK();
+    }
+    RAPIDA_ASSIGN_OR_RETURN(engine::TableRef table,
+                            ctx->rel->Join(node.label + ":scan", {scan}));
+    detail::SetOutput(ctx, node, table);
+    return Status::OK();
+  };
+}
+
+/// Emits the node DAG of one star graph's relational evaluation: per-
+/// triple VP scans (cost 0 — folded into the consuming join), one star-
+/// join cycle per star with 2+ effective inputs, and stars-1 inter-star
+/// join cycles. Single-variable filters are pushed into the scan binding
+/// their variable, the rest ride the last inter-star join. Scan inputs
+/// are sorted inner-first (the runtime join streams input 0). With a
+/// dataset, absent partitions are resolved here — an absent optional scan
+/// is skipped, an absent required partition short-circuits the pattern to
+/// an empty table (zero pattern cycles) — and every node gets its exec.
+/// Returns the id of the node producing the pattern table.
+int EmitHivePattern(PhysicalPlan* plan, engine::Dataset* dataset,
+                    const ntga::StarGraph& pattern,
+                    const std::vector<const sparql::Expr*>& filters,
+                    const std::set<ntga::PropKey>* outer_secondary,
+                    const std::string& label) {
   const bool aware = dataset != nullptr;
 
   std::vector<bool> filter_used(filters.size(), false);
-  auto single_var_sigs = [&](const std::string& var) {
-    std::vector<std::string> sigs;
+  auto single_var_filters = [&](const std::string& var) {
+    std::vector<const sparql::Expr*> out;
     for (size_t i = 0; i < filters.size(); ++i) {
       if (filter_used[i]) continue;
       std::vector<std::string> vars = detail::ExprVars(*filters[i]);
       if (vars.size() == 1 && vars[0] == var) {
-        sigs.push_back(filters[i]->ToString());
+        out.push_back(filters[i]);
         filter_used[i] = true;
       }
     }
-    return sigs;
+    return out;
   };
 
-  struct StarMirror {
-    int tail = -1;
-    bool materialized = false;  // false: single input, folds into next join
-  };
-  std::vector<StarMirror> stars;
+  std::vector<int> star_ids;  // node producing each star's join input
   int synth = 0;
   for (size_t s = 0; s < pattern.stars.size(); ++s) {
     const ntga::StarPattern& star = pattern.stars[s];
@@ -74,31 +181,27 @@ HivePatternMirror EmitHivePattern(
     for (const ntga::StarTriple& t : star.triples) {
       bool outer =
           outer_secondary != nullptr && outer_secondary->count(t.prop) > 0;
-      std::string object_col;
+      std::vector<std::string> binds{star.subject_var};
       if (!t.prop.is_type()) {
-        object_col = t.ObjectVar();
+        std::string object_col = t.ObjectVar();
         if (object_col.empty()) object_col = "_c" + std::to_string(synth++);
+        binds.push_back(object_col);
       }
-      // The compiler consumes single-variable filters per triple *before*
-      // checking partition presence — replay that order exactly so the
-      // residual set matches.
-      std::vector<std::string> pushed;
+      // Single-variable filters are consumed per triple *before* partition
+      // presence is checked, so the residual set does not depend on it.
+      std::vector<const sparql::Expr*> pushed;
       if (!t.prop.is_type() && t.object.is_var) {
-        pushed = single_var_sigs(t.object.var);
+        pushed = single_var_filters(t.object.var);
       }
-      bool present = true;
-      uint64_t bytes = 0;
+      std::string file;
       if (aware) {
         const rdf::Dictionary& dict = dataset->graph().dict();
-        std::string file =
-            t.prop.is_type()
-                ? dataset->VpTypeFile(dict.LookupIri(t.prop.type_object))
-                : dataset->VpFile(dict.LookupIri(t.prop.property));
-        present = !file.empty();
-        if (present) bytes = dataset->VpFileBytes(file);
+        file = t.prop.is_type()
+                   ? dataset->VpTypeFile(dict.LookupIri(t.prop.type_object))
+                   : dataset->VpFile(dict.LookupIri(t.prop.property));
+        if (file.empty() && outer) continue;  // absent optional: NULLs
       }
-      if (!present && outer) continue;  // absent optional: all-NULL column
-      if (!present) {
+      if (aware && file.empty()) {
         PlanNode& empty = plan->AddNode(
             OpKind::kMaterialize, label,
             label + ": empty pattern table (required VP partition absent; "
@@ -106,9 +209,25 @@ HivePatternMirror EmitHivePattern(
             0);
         empty.Attr("triple", detail::TripleSig(t));
         empty.Info("reason", "vp-partition-missing");
-        out.tail_id = empty.id;
-        out.short_circuited = true;
-        return out;
+        std::vector<std::string> cols;
+        for (const ntga::StarPattern& sp : pattern.stars) {
+          cols.push_back(sp.subject_var);
+          for (const ntga::StarTriple& st : sp.triples) {
+            std::string ov = st.ObjectVar();
+            if (!ov.empty() &&
+                std::find(cols.begin(), cols.end(), ov) == cols.end()) {
+              cols.push_back(ov);
+            }
+          }
+        }
+        empty.exec = [cols](ExecContext* ctx, const PlanNode& node) -> Status {
+          std::string file = ctx->rel->NextTmp(node.label + ":empty");
+          RAPIDA_RETURN_IF_ERROR(ctx->dataset->dfs().Write(file, {}));
+          detail::SetOutput(ctx, node,
+                            engine::TableRef{file, cols, nullptr, 0});
+          return Status::OK();
+        };
+        return empty.id;
       }
       PlanNode& scan = plan->AddNode(
           OpKind::kVpScan, label,
@@ -121,13 +240,22 @@ HivePatternMirror EmitHivePattern(
                                 : sparql::ToSparqlText(t.object.term));
       }
       if (outer) scan.Attr("outer", "1");
-      for (const std::string& sig : pushed) scan.Attr("pushed_filter", sig);
-      std::vector<std::string> binds{star.subject_var};
-      if (!object_col.empty()) binds.push_back(object_col);
+      for (const sparql::Expr* f : pushed) {
+        scan.Attr("pushed_filter", f->ToString());
+      }
       scan.Attr("binds", detail::Csv(binds));
+      uint64_t bytes = 0;
       if (aware) {
+        bytes = dataset->VpFileBytes(file);
         scan.est_bytes = bytes;
         scan.Info("vp_bytes", std::to_string(bytes));
+        engine::JoinInput in;
+        in.file = file;
+        in.columns = binds;
+        in.is_vp = true;
+        in.join_column = star.subject_var;
+        in.outer = outer;
+        scan.exec = VpScanExec(std::move(in), t, std::move(pushed));
       }
       scans.push_back(ScanRec{scan.id, bytes, outer});
     }
@@ -137,80 +265,93 @@ HivePatternMirror EmitHivePattern(
                        return !a.outer && b.outer;
                      });
 
-    StarMirror sm;
     if (scans.size() == 1) {
-      sm.tail = scans[0].id;  // scan folds into the consuming join cycle
-    } else {
-      PlanNode& join = plan->AddNode(
-          OpKind::kStarJoin, label,
-          label + ": star-join (" + std::to_string(scans.size()) +
-              " VP tables, same subject key)",
-          1);
-      for (const ScanRec& r : scans) join.inputs.push_back(r.id);
-      join.Attr("subject", star.subject_var);
-      if (aware) {
-        uint64_t total = 0;
-        for (size_t i = 0; i < scans.size(); ++i) {
-          join.Info("in" + std::to_string(i) + "_bytes",
-                    std::to_string(scans[i].bytes));
-          if (scans[i].outer) {
-            join.Info("in" + std::to_string(i) + "_outer", "1");
-          }
-          total += scans[i].bytes;
-        }
-        join.est_bytes = total;
-      }
-      sm.tail = join.id;
-      sm.materialized = true;
+      star_ids.push_back(scans[0].id);  // folds into the consuming join
+      continue;
     }
-    stars.push_back(sm);
+    PlanNode& join = plan->AddNode(
+        OpKind::kStarJoin, label,
+        label + ": star-join (" + std::to_string(scans.size()) +
+            " VP tables, same subject key)",
+        1);
+    for (const ScanRec& r : scans) join.inputs.push_back(r.id);
+    join.Attr("subject", star.subject_var);
+    if (aware) {
+      uint64_t total = 0;
+      for (size_t i = 0; i < scans.size(); ++i) {
+        join.Info("in" + std::to_string(i) + "_bytes",
+                  std::to_string(scans[i].bytes));
+        if (scans[i].outer) {
+          join.Info("in" + std::to_string(i) + "_outer", "1");
+        }
+        total += scans[i].bytes;
+      }
+      join.est_bytes = total;
+      join.exec = [s](ExecContext* ctx, const PlanNode& node) -> Status {
+        std::vector<engine::JoinInput> inputs;
+        for (int in : node.inputs) inputs.push_back(ctx->outputs[in]);
+        RAPIDA_ASSIGN_OR_RETURN(
+            engine::TableRef joined,
+            ctx->rel->Join(node.label + ":star" + std::to_string(s), inputs,
+                           nullptr, detail::FactorizedOutput(node)));
+        detail::SetOutput(ctx, node, joined);
+        return Status::OK();
+      };
+    }
+    star_ids.push_back(join.id);
   }
 
   if (pattern.stars.size() == 1) {
-    if (!stars[0].materialized) {
-      // The single-input star was never materialized; the compiler runs
-      // one projection cycle so downstream stages have a table.
-      PlanNode* scan = plan->FindById(stars[0].tail);
-      scan->est_cycles = 1;
-      scan->describe = label + ": VP scan (single triple pattern)";
+    PlanNode* tail = plan->FindById(star_ids[0]);
+    if (tail->kind == OpKind::kVpScan) {
+      // The single-input star was never materialized: its scan runs one
+      // projection cycle so downstream stages have a table.
+      tail->est_cycles = 1;
+      tail->describe = label + ": VP scan (single triple pattern)";
     }
-    out.tail_id = stars[0].tail;
-    return out;
+    return star_ids[0];
   }
 
   // Inter-star join chain: anchor star 0, textual edge order (the greedy
   // pass marks these order=greedy and defers the edge choice to runtime).
-  std::vector<std::string> residual;
+  std::vector<const sparql::Expr*> residual;
   for (size_t i = 0; i < filters.size(); ++i) {
-    if (!filter_used[i]) residual.push_back(filters[i]->ToString());
+    if (!filter_used[i]) residual.push_back(filters[i]);
   }
-  std::vector<size_t> picks =
-      detail::SimulateHiveChain(pattern.stars.size(), pattern.joins);
-  std::vector<bool> joined(pattern.stars.size(), false);
-  joined[0] = true;
-  int acc = stars[0].tail;
+  std::vector<detail::ChainStep> steps;
+  detail::OrderHiveChain(pattern.stars.size(), pattern.joins, {}, &steps);
+  std::shared_ptr<GreedyChain> chain;
+  if (aware) {
+    chain = std::make_shared<GreedyChain>();
+    chain->joins = pattern.joins;
+    chain->star_ids = star_ids;
+  }
+  int acc = star_ids[0];
   size_t total = pattern.stars.size() - 1;
   for (size_t c = 0; c < total; ++c) {
     PlanNode& jn = plan->AddNode(OpKind::kReduceJoin, label,
                                  label + ": inter-star join", 1);
-    if (c < picks.size()) {
-      const ntga::JoinEdge& edge = pattern.joins[picks[c]];
-      int ns = joined[edge.star_a] ? edge.star_b : edge.star_a;
-      joined[ns] = true;
-      jn.Attr("edge", "?" + edge.var);
-      jn.inputs = {acc, stars[ns].tail};
+    if (c < steps.size()) {
+      jn.Attr("edge", "?" + pattern.joins[steps[c].edge].var);
+      jn.inputs = {acc, star_ids[steps[c].star]};
     } else {
-      // Not connected by join variables; the runtime reports the error.
+      // Not connected by join variables; the exec reports the error.
       jn.Attr("edge", "disconnected");
       jn.inputs = {acc};
     }
-    if (c + 1 == total) {
-      for (const std::string& sig : residual) jn.Attr("residual_filter", sig);
+    const bool last = c + 1 == total;
+    if (last) {
+      for (const sparql::Expr* f : residual) {
+        jn.Attr("residual_filter", f->ToString());
+      }
+    }
+    if (aware) {
+      jn.exec = ChainJoinExec(
+          c, last ? residual : std::vector<const sparql::Expr*>{}, chain);
     }
     acc = jn.id;
   }
-  out.tail_id = acc;
-  return out;
+  return acc;
 }
 
 /// Emits the pattern side of one grouping, OPTIONAL/UNION included: per
@@ -230,28 +371,29 @@ int EmitHiveGroupingTail(PhysicalPlan* plan, engine::Dataset* dataset,
         branches.size() > 1 ? label + ":b" + std::to_string(b) : label;
     std::vector<const sparql::Expr*> filters;
     for (const auto& f : *bv.filters) filters.push_back(f.get());
-    HivePatternMirror pm =
+    int tail =
         EmitHivePattern(plan, dataset, *bv.pattern, filters, nullptr, blabel);
-    int tail = pm.tail_id;
     for (size_t j = 0; j < bv.optionals->size(); ++j) {
       const analytics::OptionalTail& opt = (*bv.optionals)[j];
-      ntga::StarGraph og = detail::OptionalGraph(opt);
       std::vector<const sparql::Expr*> ofilters;
       for (const auto& f : opt.filters) ofilters.push_back(f.get());
-      HivePatternMirror om =
-          EmitHivePattern(plan, dataset, og, ofilters, nullptr,
-                          blabel + ":opt" + std::to_string(j));
+      int opt_tail = EmitHivePattern(plan, dataset, detail::OptionalGraph(opt),
+                                     ofilters, nullptr,
+                                     blabel + ":opt" + std::to_string(j));
       PlanNode& jn = plan->AddNode(
           OpKind::kLeftReduceJoin, blabel,
           blabel + ": left star-join (OPTIONAL; unmatched rows keep NULLs)",
           1);
-      jn.inputs = {tail, om.tail_id};
+      jn.inputs = {tail, opt_tail};
       jn.Attr("edge", "?" + opt.join_var);
+      std::vector<const sparql::Expr*> post;
       if (j + 1 == bv.optionals->size()) {
         for (const auto& f : *bv.post_filters) {
           jn.Attr("residual_filter", f->ToString());
+          post.push_back(f.get());
         }
       }
+      if (dataset != nullptr) jn.exec = detail::LeftJoinExec(j, post);
       tail = jn.id;
     }
     tails.push_back(tail);
@@ -264,105 +406,19 @@ int EmitHiveGroupingTail(PhysicalPlan* plan, engine::Dataset* dataset,
       1);
   un.map_only = true;
   un.inputs = tails;
+  if (dataset != nullptr) un.exec = detail::UnionExec();
   return un.id;
 }
 
-/// True when every aggregate of the grouping tolerates weighted
-/// (factorized) accumulation: COUNT/MIN/MAX/SAMPLE/GROUP_CONCAT are order-
-/// and partition-insensitive; SUM/AVG accumulate floating-point in data
-/// order, so their pipelines stay flat (Aggregator::AddTermWeighted doc).
-bool SafeFactorizeAggs(const GroupingSubquery& grouping) {
-  for (const ntga::AggSpec& a : grouping.aggs) {
-    if (a.func == sparql::AggFunc::kSum || a.func == sparql::AggFunc::kAvg) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Compiles the pattern side of one grouping at exec time, mirroring
-/// EmitHiveGroupingTail cycle for cycle: CompileHivePattern per branch and
-/// per OPTIONAL star, a left outer Join per tail (post-filters compiled as
-/// the last join's post-predicate), and one UNION ALL cycle across
-/// branches. Single-branch groupings whose aggregates are weighted-safe
-/// keep the join pipeline factorized (d-representation) end to end; the
-/// GROUP BY consumes the groups directly. UNION branches stay flat — the
-/// union cycle needs flat rows anyway.
-StatusOr<engine::TableRef> CompileGroupingPattern(
-    ExecContext* ctx, const GroupingSubquery& grouping,
-    const std::string& label) {
-  const rdf::Dictionary& dict = ctx->dataset->graph().dict();
-  std::vector<detail::BranchView> branches = detail::BranchesOf(grouping);
-  const bool fact = ctx->options.factorized_intermediates &&
-                    branches.size() == 1 && SafeFactorizeAggs(grouping);
-  std::vector<engine::TableRef> branch_tables;
-  for (size_t b = 0; b < branches.size(); ++b) {
-    const detail::BranchView& bv = branches[b];
-    std::string blabel =
-        branches.size() > 1 ? label + ":b" + std::to_string(b) : label;
-    std::vector<const sparql::Expr*> filters;
-    for (const auto& f : *bv.filters) filters.push_back(f.get());
-    RAPIDA_ASSIGN_OR_RETURN(
-        engine::TableRef cur,
-        engine::CompileHivePattern(ctx->rel, ctx->dataset, *bv.pattern,
-                                   filters, nullptr, blabel, fact));
-    for (size_t j = 0; j < bv.optionals->size(); ++j) {
-      const analytics::OptionalTail& opt = (*bv.optionals)[j];
-      ntga::StarGraph og = detail::OptionalGraph(opt);
-      std::vector<const sparql::Expr*> ofilters;
-      for (const auto& f : opt.filters) ofilters.push_back(f.get());
-      RAPIDA_ASSIGN_OR_RETURN(
-          engine::TableRef opt_table,
-          engine::CompileHivePattern(ctx->rel, ctx->dataset, og, ofilters,
-                                     nullptr,
-                                     blabel + ":opt" + std::to_string(j),
-                                     fact));
-      engine::JoinInput left;
-      left.file = cur.file;
-      left.columns = cur.columns;
-      left.join_column = opt.join_var;
-      left.factor = cur.factor;
-      left.flat_bytes = cur.flat_bytes;
-      engine::JoinInput right;
-      right.file = opt_table.file;
-      right.columns = opt_table.columns;
-      right.join_column = opt.join_var;
-      right.outer = true;
-      right.factor = opt_table.factor;
-      right.flat_bytes = opt_table.flat_bytes;
-      engine::RowPredicate post;
-      if (j + 1 == bv.optionals->size() && !bv.post_filters->empty()) {
-        std::vector<std::string> post_cols = left.columns;
-        for (const std::string& c : right.columns) {
-          if (std::find(post_cols.begin(), post_cols.end(), c) ==
-              post_cols.end()) {
-            post_cols.push_back(c);
-          }
-        }
-        std::vector<const sparql::Expr*> pfs;
-        for (const auto& f : *bv.post_filters) pfs.push_back(f.get());
-        post = engine::CompilePredicate(pfs, post_cols, &dict);
-      }
-      RAPIDA_ASSIGN_OR_RETURN(
-          engine::TableRef joined,
-          ctx->rel->Join(blabel + ":leftjoin" + std::to_string(j),
-                         {left, right}, post, fact));
-      cur = std::move(joined);
-    }
-    branch_tables.push_back(std::move(cur));
-  }
-  if (branch_tables.size() == 1) return branch_tables[0];
-  return ctx->rel->UnionAll(label + ":union", branch_tables);
-}
-
-/// Emits one relational GROUP BY cycle node.
+/// Emits one relational GROUP BY cycle node (with its exec when `bind`);
+/// `output_columns` names its output (keys, then aggregates).
 int EmitGroupAggregate(PhysicalPlan* plan, const std::string& label,
                        const std::string& describe,
                        const std::vector<std::string>& keys,
                        const std::vector<ntga::AggSpec>& aggs,
                        const sparql::Expr* having,
                        const std::vector<std::string>& output_columns,
-                       int input_id) {
+                       int input_id, bool bind) {
   PlanNode& n = plan->AddNode(OpKind::kGroupAggregate, label, describe, 1);
   if (input_id >= 0) n.inputs = {input_id};
   n.Attr("group_by", detail::Csv(keys));
@@ -376,103 +432,68 @@ int EmitGroupAggregate(PhysicalPlan* plan, const std::string& label,
   }
   n.Attr("uses", detail::Csv(uses));
   n.Attr("binds", detail::Csv(output_columns));
-  n.bind_tag = label;
+  if (bind) {
+    n.exec = detail::GroupAggregateExec(keys, aggs, having, output_columns);
+  }
   return n.id;
+}
+
+/// The relational query terminal, shared by the map-only kFinalJoin of a
+/// multi-grouping query and the driver-side kMaterialize of a single
+/// grouping: the result table, then the solution modifiers, into result
+/// slot 0.
+Status FinishRelational(ExecContext* ctx, const PlanNode& node,
+                        const AnalyticalQuery& query) {
+  std::vector<engine::TableRef> tables;
+  for (int in : node.inputs) tables.push_back(detail::TableOf(*ctx, in));
+  analytics::BindingTable result;
+  if (node.kind == OpKind::kMaterialize) {
+    RAPIDA_ASSIGN_OR_RETURN(analytics::BindingTable table,
+                            ctx->rel->ReadTable(tables[0]));
+    result = engine::ToBindingTable(engine::JoinAndProject(
+        {std::move(table)}, query.top_items, &ctx->dataset->dict()));
+  } else {
+    RAPIDA_ASSIGN_OR_RETURN(
+        engine::TableRef final_table,
+        ctx->rel->FinalJoinProject("final", tables, query.top_items));
+    RAPIDA_ASSIGN_OR_RETURN(result, ctx->rel->ReadTable(final_table));
+  }
+  analytics::ApplySolutionModifiers(query, ctx->dataset->dict(), &result);
+  (*ctx->results)[0] = std::move(result);
+  return Status::OK();
 }
 
 /// Emits the query-level terminal: a map-only final join for multi-
 /// grouping queries, a cost-0 driver-side projection otherwise. Carries
 /// the SELECT list and solution modifiers (fingerprint completeness).
-int EmitFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
-              const std::string& describe_join,
-              const std::string& describe_driver,
-              const std::vector<int>& grouping_ids, const std::string& tag) {
+void EmitFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
+               const std::vector<int>& grouping_ids, bool bind) {
   PlanNode* fin = nullptr;
   if (query.groupings.size() > 1) {
-    fin = &plan->AddNode(OpKind::kFinalJoin, "final", describe_join, 1);
+    fin = &plan->AddNode(OpKind::kFinalJoin, "final",
+                         "final: map-only join of grouping results", 1);
     fin->map_only = true;
   } else {
-    fin = &plan->AddNode(OpKind::kMaterialize, "final", describe_driver, 0);
+    fin = &plan->AddNode(
+        OpKind::kMaterialize, "final",
+        "final: driver-side projection of the grouping result", 0);
   }
   fin->inputs = grouping_ids;
   detail::AddModifierAttrs(fin, query);
   fin->Attr("uses", detail::Csv(detail::ModifierUses(query)));
-  fin->bind_tag = tag;
-  return fin->id;
-}
-
-/// Materializes the final BindingTable exactly as the pre-IR engines did:
-/// driver-side projection for a single grouping, FinalJoinProject +
-/// ReadTable otherwise; then solution modifiers, into result slot 0.
-Status FinishRelational(ExecContext* ctx, const AnalyticalQuery& query,
-                        const std::vector<engine::TableRef>& tables) {
-  StatusOr<analytics::BindingTable> result = Status::Internal("unset");
-  if (query.groupings.size() == 1) {
-    auto table = ctx->rel->ReadTable(tables[0]);
-    if (!table.ok()) return table.status();
-    rdf::Dictionary* dict = &ctx->dataset->dict();
-    engine::ProjectedResult projected =
-        engine::JoinAndProject({std::move(*table)}, query.top_items, dict);
-    analytics::BindingTable out(projected.columns);
-    for (const std::string& r : projected.rows) {
-      std::vector<rdf::TermId> row = engine::DecodeRow(r);
-      row.resize(projected.columns.size(), rdf::kInvalidTermId);
-      out.AddRow(std::move(row));
-    }
-    result = std::move(out);
-  } else {
-    auto final_table =
-        ctx->rel->FinalJoinProject("final", tables, query.top_items);
-    if (!final_table.ok()) return final_table.status();
-    auto table = ctx->rel->ReadTable(*final_table);
-    if (!table.ok()) return table.status();
-    result = std::move(*table);
-  }
-  analytics::ApplySolutionModifiers(query, ctx->dataset->dict(), &*result);
-  (*ctx->results)[0] = std::move(result);
-  return Status::OK();
-}
-
-void BindHiveNaive(PhysicalPlan* plan, const AnalyticalQuery& query) {
-  auto tables = std::make_shared<std::vector<engine::TableRef>>();
-  const AnalyticalQuery* q = &query;
-  for (size_t g = 0; g < query.groupings.size(); ++g) {
-    PlanNode* n = plan->FindByTag("g" + std::to_string(g));
-    n->exec = [q, g, tables](ExecContext* ctx) -> Status {
-      const GroupingSubquery& grouping = q->groupings[g];
-      std::string label = "g" + std::to_string(g);
-      auto pattern_table = CompileGroupingPattern(ctx, grouping, label);
-      if (!pattern_table.ok()) return pattern_table.status();
-      std::vector<engine::RelationalOps::AggColumn> aggs;
-      for (const ntga::AggSpec& a : grouping.aggs) {
-        aggs.push_back(engine::RelationalOps::AggColumn{
-            a.func, a.var, a.count_star, a.output_name, a.separator});
-      }
-      std::vector<std::string> grouped_columns = grouping.group_by;
-      for (const ntga::AggSpec& a : grouping.aggs) {
-        grouped_columns.push_back(a.output_name);
-      }
-      engine::RowPredicate having;
-      if (grouping.having != nullptr) {
-        having =
-            engine::CompilePredicate({grouping.having.get()}, grouped_columns,
-                                     &ctx->dataset->graph().dict());
-      }
-      auto grouped = ctx->rel->GroupBy(label + ":groupby", *pattern_table,
-                                       grouping.group_by, aggs, having);
-      if (!grouped.ok()) return grouped.status();
-      tables->push_back(std::move(*grouped));
-      return Status::OK();
+  if (bind) {
+    const AnalyticalQuery* q = &query;
+    fin->exec = [q](ExecContext* ctx, const PlanNode& node) {
+      return FinishRelational(ctx, node, *q);
     };
   }
-  plan->FindByTag("final")->exec = [q, tables](ExecContext* ctx) -> Status {
-    return FinishRelational(ctx, *q, *tables);
-  };
 }
 
 /// Everything the MQO rewrite derives from the composite before any job
-/// runs, shared between the plan structure and the exec closures (the
-/// closures must compile the exact graph/filters the nodes describe).
+/// runs: the graph and filters the Q_OPT nodes describe, and what each
+/// pattern's extraction and GROUP BY read. The extraction execs own it;
+/// the pattern and GROUP BY execs borrow its filters, so it lives as long
+/// as the plan.
 struct MqoState {
   ntga::CompositePattern comp;
   ntga::StarGraph composite_graph;
@@ -481,9 +502,7 @@ struct MqoState {
   std::vector<sparql::ExprPtr> composite_filters;
   std::vector<const sparql::Expr*> composite_filter_ptrs;
   std::vector<std::vector<sparql::ExprPtr>> extraction_filters;
-  // Exec-time intermediates.
-  engine::TableRef q_opt;
-  std::vector<engine::TableRef> grouping_tables;
+  std::vector<sparql::ExprPtr> havings;  // per pattern, translated
 };
 
 std::shared_ptr<MqoState> BuildMqoAnalysis(const AnalyticalQuery& query,
@@ -541,101 +560,14 @@ std::shared_ptr<MqoState> BuildMqoAnalysis(const AnalyticalQuery& query,
   return st;
 }
 
-void BindHiveMqo(PhysicalPlan* plan, const AnalyticalQuery& query,
-                 std::shared_ptr<MqoState> st) {
-  const AnalyticalQuery* q = &query;
-  plan->FindByTag("qopt")->exec = [st](ExecContext* ctx) -> Status {
-    // The materialized Q_OPT may stay factorized unconditionally: the
-    // per-pattern DISTINCT extractions dedup to flat tables, so the
-    // groupings' aggregates never see weighted input.
-    auto q_opt = engine::CompileHivePattern(
-        ctx->rel, ctx->dataset, st->composite_graph, st->composite_filter_ptrs,
-        &st->outer_props, "qopt", ctx->options.factorized_intermediates);
-    if (!q_opt.ok()) return q_opt.status();
-    st->q_opt = std::move(*q_opt);
-    return Status::OK();
-  };
-  for (size_t p = 0; p < 2; ++p) {
-    PlanNode* n = plan->FindByTag("p" + std::to_string(p));
-    n->exec = [q, p, st](ExecContext* ctx) -> Status {
-      const GroupingSubquery& grouping = q->groupings[p];
-      const rdf::Dictionary& dict = ctx->dataset->graph().dict();
-      std::vector<std::string> pattern_vars;
-      for (const auto& [orig, composite_var] : st->comp.var_map[p]) {
-        if (std::find(pattern_vars.begin(), pattern_vars.end(),
-                      composite_var) == pattern_vars.end()) {
-          pattern_vars.push_back(composite_var);
-        }
-      }
-      std::vector<std::string> sec_vars(st->pattern_sec_vars[p].begin(),
-                                        st->pattern_sec_vars[p].end());
-      std::vector<const sparql::Expr*> extr_filters;
-      for (const auto& f : st->extraction_filters[p]) {
-        extr_filters.push_back(f.get());
-      }
-      engine::RowPredicate filter_pred =
-          engine::CompilePredicate(extr_filters, st->q_opt.columns, &dict);
-      std::vector<int> sec_idx;
-      for (const std::string& v : sec_vars) {
-        int i = st->q_opt.ColumnIndex(v);
-        if (i >= 0) sec_idx.push_back(i);
-      }
-      engine::RowPredicate keep =
-          [sec_idx, filter_pred](const std::vector<rdf::TermId>& row) {
-            for (int i : sec_idx) {
-              if (row[i] == rdf::kInvalidTermId) return false;
-            }
-            return filter_pred == nullptr || filter_pred(row);
-          };
-      std::string label = "p" + std::to_string(p);
-      auto extracted = ctx->rel->DistinctProject(label + ":extract",
-                                                 st->q_opt, pattern_vars, keep);
-      if (!extracted.ok()) return extracted.status();
-
-      std::vector<std::string> translated_keys =
-          engine::MapVars(grouping.group_by, st->comp.var_map[p]);
-      std::vector<engine::RelationalOps::AggColumn> aggs;
-      for (const ntga::AggSpec& a : grouping.aggs) {
-        aggs.push_back(engine::RelationalOps::AggColumn{
-            a.func, engine::MapVar(a.var, st->comp.var_map[p]), a.count_star,
-            a.output_name, a.separator});
-      }
-      std::vector<std::string> grouped_columns = translated_keys;
-      for (const ntga::AggSpec& a : grouping.aggs) {
-        grouped_columns.push_back(a.output_name);
-      }
-      engine::RowPredicate having;
-      sparql::ExprPtr translated_having;
-      if (grouping.having != nullptr) {
-        translated_having =
-            engine::MapExprVars(*grouping.having, st->comp.var_map[p]);
-        having = engine::CompilePredicate({translated_having.get()},
-                                          grouped_columns, &dict);
-      }
-      auto grouped = ctx->rel->GroupBy(label + ":groupby", *extracted,
-                                       translated_keys, aggs, having);
-      if (!grouped.ok()) return grouped.status();
-      engine::TableRef renamed = *grouped;
-      for (size_t k = 0; k < grouping.group_by.size(); ++k) {
-        renamed.columns[k] = grouping.group_by[k];
-      }
-      st->grouping_tables.push_back(std::move(renamed));
-      return Status::OK();
-    };
-  }
-  plan->FindByTag("final")->exec = [q, st](ExecContext* ctx) -> Status {
-    return FinishRelational(ctx, *q, st->grouping_tables);
-  };
-}
-
 }  // namespace
 
 StatusOr<PhysicalPlan> PlanHiveNaive(const AnalyticalQuery& query,
                                      engine::Dataset* dataset,
                                      const engine::EngineOptions& options) {
-  // Ensure the VP layout before inspecting it (same jobs, still before the
-  // engine wrapper resets history — identical accounting to the old code).
+  // Ensure the VP layout before inspecting it (the build runs no job).
   if (dataset != nullptr) RAPIDA_RETURN_IF_ERROR(dataset->EnsureVpTables());
+  const bool bind = dataset != nullptr;
 
   PhysicalPlan plan;
   plan.engine = "Hive (Naive)";
@@ -655,14 +587,12 @@ StatusOr<PhysicalPlan> PlanHiveNaive(const AnalyticalQuery& query,
         &plan, label,
         label + ": GROUP BY" + (grouping.group_by.empty() ? " ALL" : ""),
         grouping.group_by, grouping.aggs, grouping.having.get(),
-        output_columns, tail_id));
+        output_columns, tail_id, bind));
   }
-  EmitFinal(&plan, query, "final: map-only join of grouping results",
-            "final: driver-side projection of the grouping result",
-            grouping_ids, "final");
+  EmitFinal(&plan, query, grouping_ids, bind);
 
   PassManager::Default(options, &query).Run(&plan);
-  if (dataset != nullptr) BindHiveNaive(&plan, query);
+  if (bind) detail::BindDecompress(&plan);
   return plan;
 }
 
@@ -679,8 +609,9 @@ StatusOr<PhysicalPlan> PlanHiveMqo(const AnalyticalQuery& query,
     return plan;
   }
   if (dataset != nullptr) RAPIDA_RETURN_IF_ERROR(dataset->EnsureVpTables());
+  const bool bind = dataset != nullptr;
 
-  auto st = BuildMqoAnalysis(query, std::move(check.comp));
+  std::shared_ptr<MqoState> st = BuildMqoAnalysis(query, std::move(check.comp));
 
   PhysicalPlan plan;
   plan.engine = "Hive (MQO)";
@@ -690,10 +621,12 @@ StatusOr<PhysicalPlan> PlanHiveMqo(const AnalyticalQuery& query,
       "composite Q_OPT materialized, then per-pattern extraction (early "
       "projection / partial aggregation cannot cross the boundary)");
 
-  HivePatternMirror pm =
-      EmitHivePattern(&plan, dataset, st->composite_graph,
-                      st->composite_filter_ptrs, &st->outer_props, "qopt");
-  plan.FindById(pm.tail_id)->bind_tag = "qopt";
+  // The materialized Q_OPT may stay factorized: the per-pattern DISTINCT
+  // extractions dedup to flat tables, so the groupings' aggregates never
+  // see weighted input (the factorize pass marks it from those sinks).
+  int qopt_id = EmitHivePattern(&plan, dataset, st->composite_graph,
+                                st->composite_filter_ptrs, &st->outer_props,
+                                "qopt");
 
   std::vector<int> grouping_ids;
   for (size_t p = 0; p < 2; ++p) {
@@ -709,7 +642,7 @@ StatusOr<PhysicalPlan> PlanHiveMqo(const AnalyticalQuery& query,
     PlanNode& ex = plan.AddNode(
         OpKind::kDistinctExtract, label,
         label + ": DISTINCT extraction from materialized Q_OPT", 1);
-    ex.inputs = {pm.tail_id};
+    ex.inputs = {qopt_id};
     ex.Attr("project", detail::Csv(pattern_vars));
     for (const std::string& v : st->pattern_sec_vars[p]) {
       ex.Attr("require_bound", v);
@@ -719,6 +652,38 @@ StatusOr<PhysicalPlan> PlanHiveMqo(const AnalyticalQuery& query,
     }
     ex.Attr("uses", detail::Csv(pattern_vars));
     ex.Attr("binds", detail::Csv(pattern_vars));
+    if (bind) {
+      // Keeps the rows whose pattern-specific (secondary) columns are all
+      // bound and that pass the pattern's extraction filters.
+      ex.exec = [st, p, pattern_vars](ExecContext* ctx,
+                                      const PlanNode& node) -> Status {
+        engine::TableRef q_opt = detail::TableOf(*ctx, node.inputs[0]);
+        std::vector<const sparql::Expr*> filters;
+        for (const auto& f : st->extraction_filters[p]) {
+          filters.push_back(f.get());
+        }
+        engine::RowPredicate filter_pred = engine::CompilePredicate(
+            filters, q_opt.columns, &ctx->dataset->graph().dict());
+        std::vector<int> sec_idx;
+        for (const std::string& v : st->pattern_sec_vars[p]) {
+          int i = q_opt.ColumnIndex(v);
+          if (i >= 0) sec_idx.push_back(i);
+        }
+        engine::RowPredicate keep =
+            [sec_idx, filter_pred](const std::vector<rdf::TermId>& row) {
+              for (int i : sec_idx) {
+                if (row[i] == rdf::kInvalidTermId) return false;
+              }
+              return filter_pred == nullptr || filter_pred(row);
+            };
+        RAPIDA_ASSIGN_OR_RETURN(
+            engine::TableRef extracted,
+            ctx->rel->DistinctProject(node.label + ":extract", q_opt,
+                                      pattern_vars, keep));
+        detail::SetOutput(ctx, node, extracted);
+        return Status::OK();
+      };
+    }
 
     std::vector<std::string> translated_keys =
         engine::MapVars(grouping.group_by, st->comp.var_map[p]);
@@ -728,25 +693,22 @@ StatusOr<PhysicalPlan> PlanHiveMqo(const AnalyticalQuery& query,
       ta.var = engine::MapVar(a.var, st->comp.var_map[p]);
       translated_aggs.push_back(std::move(ta));
     }
-    sparql::ExprPtr translated_having;
-    if (grouping.having != nullptr) {
-      translated_having =
-          engine::MapExprVars(*grouping.having, st->comp.var_map[p]);
-    }
+    st->havings.push_back(
+        grouping.having != nullptr
+            ? engine::MapExprVars(*grouping.having, st->comp.var_map[p])
+            : nullptr);
     std::vector<std::string> output_columns = grouping.group_by;
     for (const ntga::AggSpec& a : grouping.aggs) {
       output_columns.push_back(a.output_name);
     }
     grouping_ids.push_back(EmitGroupAggregate(
         &plan, label, label + ": GROUP BY", translated_keys, translated_aggs,
-        translated_having.get(), output_columns, ex.id));
+        st->havings.back().get(), output_columns, ex.id, bind));
   }
-  EmitFinal(&plan, query, "final: map-only join of grouping results",
-            "final: driver-side projection of the grouping result",
-            grouping_ids, "final");
+  EmitFinal(&plan, query, grouping_ids, bind);
 
   PassManager::Default(options, &query).Run(&plan);
-  if (dataset != nullptr) BindHiveMqo(&plan, query, st);
+  if (bind) detail::BindDecompress(&plan);
   return plan;
 }
 

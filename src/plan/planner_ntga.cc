@@ -13,6 +13,7 @@
 #include "engines/var_translate.h"
 #include "ntga/overlap.h"
 #include "plan/executor.h"
+#include "plan/node_execs.h"
 #include "plan/passes.h"
 #include "plan/planner.h"
 #include "plan/planner_util.h"
@@ -109,14 +110,41 @@ void AddAggAttrs(PlanNode* agg, const std::vector<std::string>& group_vars,
   agg->Attr("binds", detail::Csv(output_columns));
 }
 
+/// Exec of kExpandBindings: the α-join chain of `comp` (the cost-only
+/// kNSplitAlphaJoin nodes before it), then the expansion cycle.
+NodeExec ExpandBindingsExec(ntga::CompositePattern comp,
+                            std::vector<std::string> pattern_vars,
+                            const std::vector<sparql::ExprPtr>* filters) {
+  return [comp = std::move(comp), pattern_vars = std::move(pattern_vars),
+          filters](ExecContext* ctx, const PlanNode& node) -> Status {
+    const rdf::Dictionary& dict = ctx->dataset->graph().dict();
+    ntga::ResolvedPattern resolved = ntga::ResolvePattern(comp, dict);
+    std::vector<sparql::ExprPtr> owned;
+    engine::PushedFilters pushed;
+    engine::RowPredicate mapping_pred;
+    engine::SplitNtgaFilters(*filters, comp.var_map[0], pattern_vars, &dict,
+                             &owned, &pushed, &mapping_pred);
+    RAPIDA_ASSIGN_OR_RETURN(
+        engine::PatternMatches matches,
+        ctx->ntga->ComputePatternMatches(resolved, {}, pushed, node.label));
+    RAPIDA_ASSIGN_OR_RETURN(
+        engine::TableRef table,
+        ctx->ntga->ExpandToTable(resolved, matches, pushed, pattern_vars,
+                                 mapping_pred, node.label));
+    detail::SetOutput(ctx, node, table);
+    return Status::OK();
+  };
+}
+
 /// Emits the pattern side of one extended (OPTIONAL/UNION) grouping on the
 /// NTGA engine: per branch the α-join chain plus one map-only cycle
 /// expanding the matched triplegroups to relational rows, per OPTIONAL
 /// tail a folded star scan + expansion + left join cycle, then a UNION ALL
-/// node across branches. Returns the node id feeding the relational GROUP
+/// node across branches. With `bind`, every node but the cost-only α-join
+/// cycles gets its exec. Returns the node id feeding the relational GROUP
 /// BY.
 int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
-                         const std::string& label) {
+                         const std::string& label, bool bind) {
   std::vector<detail::BranchView> branches = detail::BranchesOf(grouping);
   std::vector<int> tails;
   for (size_t b = 0; b < branches.size(); ++b) {
@@ -151,6 +179,9 @@ int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
     ex.Attr("binds", detail::Csv(pattern_vars));
     for (const std::string& sig : residual_sigs) {
       ex.Attr("residual_filter", sig);
+    }
+    if (bind) {
+      ex.exec = ExpandBindingsExec(std::move(comp), pattern_vars, bv.filters);
     }
     int tail = ex.id;
 
@@ -188,6 +219,10 @@ int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
       for (const std::string& sig : oresidual) {
         oex.Attr("residual_filter", sig);
       }
+      if (bind) {
+        oex.exec = ExpandBindingsExec(std::move(ocomp), opattern_vars,
+                                      &opt.filters);
+      }
       // AddNode may reallocate the node vector; oex is dangling after it.
       const int oex_id = oex.id;
       PlanNode& jn = plan->AddNode(
@@ -196,11 +231,14 @@ int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
           1);
       jn.inputs = {tail, oex_id};
       jn.Attr("edge", "?" + opt.join_var);
+      std::vector<const sparql::Expr*> post;
       if (j + 1 == bv.optionals->size()) {
         for (const auto& f : *bv.post_filters) {
           jn.Attr("residual_filter", f->ToString());
+          post.push_back(f.get());
         }
       }
+      if (bind) jn.exec = detail::LeftJoinExec(j, post);
       tail = jn.id;
     }
     tails.push_back(tail);
@@ -213,6 +251,7 @@ int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
       1);
   un.map_only = true;
   un.inputs = tails;
+  if (bind) un.exec = detail::UnionExec();
   return un.id;
 }
 
@@ -240,153 +279,40 @@ int EmitNtgaFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
   return fin->id;
 }
 
-struct RplusState {
-  std::vector<analytics::BindingTable> agg_tables;
-  std::vector<std::string> agg_files;
-  std::vector<sparql::ExprPtr> owned_filters;
-};
-
-/// Exec-time mirror of EmitNtgaGroupingTail: computes the extended
-/// grouping's pattern table — per branch the α-join chain, the expansion
-/// cycle, one left join per OPTIONAL tail (post-filters as the last one's
-/// post-predicate), and a UNION ALL across branches — cycle for cycle.
-StatusOr<engine::TableRef> ComputeNtgaGroupingTable(
-    ExecContext* ctx, const GroupingSubquery& grouping,
-    const std::string& label, std::vector<sparql::ExprPtr>* owned_filters) {
-  const rdf::Dictionary& dict = ctx->dataset->graph().dict();
-  std::vector<detail::BranchView> branches = detail::BranchesOf(grouping);
-  // Same factorization rule as the Hive grouping compiler: single-branch
-  // patterns with weighted-safe aggregates keep the left-join tail in
-  // d-representation (the expanded NTG bindings themselves stay flat —
-  // triplegroups are the NTGA engines' own grouped form upstream of the
-  // expansion cycle).
-  bool safe_aggs = true;
-  for (const ntga::AggSpec& a : grouping.aggs) {
-    if (a.func == sparql::AggFunc::kSum || a.func == sparql::AggFunc::kAvg) {
-      safe_aggs = false;
-    }
+/// The NTGA query terminal over its groupings' aggregated tables: the
+/// driver-side projection of a single grouping (kMaterialize) or one
+/// map-only final join (kFinalJoin), then the solution modifiers.
+StatusOr<analytics::BindingTable> FinishNtga(
+    ExecContext* ctx, const PlanNode& node, const AnalyticalQuery& query,
+    std::vector<analytics::BindingTable> tables,
+    const std::vector<std::string>& files, const std::string& label) {
+  StatusOr<analytics::BindingTable> result = Status::Internal("unset");
+  if (node.kind == OpKind::kMaterialize) {
+    result = engine::ToBindingTable(engine::JoinAndProject(
+        std::move(tables), query.top_items, &ctx->dataset->dict()));
+  } else {
+    result = ctx->ntga->FinalJoinProject(std::move(tables), query.top_items,
+                                         files, label);
   }
-  const bool fact = ctx->options.factorized_intermediates &&
-                    branches.size() == 1 && safe_aggs;
-  std::vector<engine::TableRef> branch_tables;
-  for (size_t b = 0; b < branches.size(); ++b) {
-    const detail::BranchView& bv = branches[b];
-    std::string blabel =
-        branches.size() > 1 ? label + ":b" + std::to_string(b) : label;
-    ntga::CompositePattern comp = ntga::SinglePatternComposite(*bv.pattern);
-    ntga::ResolvedPattern resolved = ntga::ResolvePattern(comp, dict);
-    std::vector<std::string> pattern_vars;
-    for (const auto& [orig, composite_var] : comp.var_map[0]) {
-      pattern_vars.push_back(composite_var);
-    }
-    engine::PushedFilters pushed;
-    engine::RowPredicate mapping_pred;
-    engine::SplitNtgaFilters(*bv.filters, comp.var_map[0], pattern_vars,
-                             &dict, owned_filters, &pushed, &mapping_pred);
-    RAPIDA_ASSIGN_OR_RETURN(
-        engine::PatternMatches matches,
-        ctx->ntga->ComputePatternMatches(resolved, {}, pushed, blabel));
-    RAPIDA_ASSIGN_OR_RETURN(
-        engine::TableRef cur,
-        ctx->ntga->ExpandToTable(resolved, matches, pushed, pattern_vars,
-                                 mapping_pred, blabel));
-    for (size_t j = 0; j < bv.optionals->size(); ++j) {
-      const analytics::OptionalTail& opt = (*bv.optionals)[j];
-      std::string olabel = blabel + ":opt" + std::to_string(j);
-      ntga::CompositePattern ocomp =
-          ntga::SinglePatternComposite(detail::OptionalGraph(opt));
-      ntga::ResolvedPattern oresolved = ntga::ResolvePattern(ocomp, dict);
-      std::vector<std::string> opattern_vars;
-      for (const auto& [orig, composite_var] : ocomp.var_map[0]) {
-        opattern_vars.push_back(composite_var);
-      }
-      engine::PushedFilters opushed;
-      engine::RowPredicate opred;
-      engine::SplitNtgaFilters(opt.filters, ocomp.var_map[0], opattern_vars,
-                               &dict, owned_filters, &opushed, &opred);
-      RAPIDA_ASSIGN_OR_RETURN(
-          engine::PatternMatches omatches,
-          ctx->ntga->ComputePatternMatches(oresolved, {}, opushed, olabel));
-      RAPIDA_ASSIGN_OR_RETURN(
-          engine::TableRef opt_table,
-          ctx->ntga->ExpandToTable(oresolved, omatches, opushed,
-                                   opattern_vars, opred, olabel));
-      engine::JoinInput left;
-      left.file = cur.file;
-      left.columns = cur.columns;
-      left.join_column = opt.join_var;
-      left.factor = cur.factor;
-      left.flat_bytes = cur.flat_bytes;
-      engine::JoinInput right;
-      right.file = opt_table.file;
-      right.columns = opt_table.columns;
-      right.join_column = opt.join_var;
-      right.outer = true;
-      right.factor = opt_table.factor;
-      right.flat_bytes = opt_table.flat_bytes;
-      engine::RowPredicate post;
-      if (j + 1 == bv.optionals->size() && !bv.post_filters->empty()) {
-        std::vector<std::string> post_cols = left.columns;
-        for (const std::string& c : right.columns) {
-          if (std::find(post_cols.begin(), post_cols.end(), c) ==
-              post_cols.end()) {
-            post_cols.push_back(c);
-          }
-        }
-        std::vector<const sparql::Expr*> pfs;
-        for (const auto& f : *bv.post_filters) pfs.push_back(f.get());
-        post = engine::CompilePredicate(pfs, post_cols, &dict);
-      }
-      RAPIDA_ASSIGN_OR_RETURN(
-          engine::TableRef joined,
-          ctx->rel->Join(blabel + ":leftjoin" + std::to_string(j),
-                         {left, right}, post, fact));
-      cur = std::move(joined);
-    }
-    branch_tables.push_back(std::move(cur));
+  if (result.ok()) {
+    analytics::ApplySolutionModifiers(query, ctx->dataset->dict(), &*result);
   }
-  if (branch_tables.size() == 1) return branch_tables[0];
-  return ctx->rel->UnionAll(label + ":union", branch_tables);
+  return result;
 }
 
 void BindRapidPlus(PhysicalPlan* plan, const AnalyticalQuery& query) {
-  auto st = std::make_shared<RplusState>();
+  // The Agg-Joins' result tables, by node id, for the final join.
+  auto agg_tables =
+      std::make_shared<std::map<int, analytics::BindingTable>>();
   const AnalyticalQuery* q = &query;
   for (size_t g = 0; g < query.groupings.size(); ++g) {
+    const GroupingSubquery& grouping = query.groupings[g];
+    if (!grouping.IsConjunctive()) continue;  // relational tail: bound
     PlanNode* n = plan->FindByTag("g" + std::to_string(g));
-    n->exec = [q, g, st](ExecContext* ctx) -> Status {
+    n->exec = [q, g, agg_tables](ExecContext* ctx,
+                                 const PlanNode& node) -> Status {
       const GroupingSubquery& grouping = q->groupings[g];
       const rdf::Dictionary& dict = ctx->dataset->graph().dict();
-      std::string label = "g" + std::to_string(g);
-
-      if (!grouping.IsConjunctive()) {
-        auto table = ComputeNtgaGroupingTable(ctx, grouping, label,
-                                              &st->owned_filters);
-        if (!table.ok()) return table.status();
-        std::vector<engine::RelationalOps::AggColumn> aggs;
-        for (const ntga::AggSpec& a : grouping.aggs) {
-          aggs.push_back(engine::RelationalOps::AggColumn{
-              a.func, a.var, a.count_star, a.output_name, a.separator});
-        }
-        std::vector<std::string> grouped_columns = grouping.group_by;
-        for (const ntga::AggSpec& a : grouping.aggs) {
-          grouped_columns.push_back(a.output_name);
-        }
-        engine::RowPredicate having;
-        if (grouping.having != nullptr) {
-          having = engine::CompilePredicate({grouping.having.get()},
-                                            grouped_columns, &dict);
-        }
-        auto grouped = ctx->rel->GroupBy(label + ":groupby", *table,
-                                         grouping.group_by, aggs, having);
-        if (!grouped.ok()) return grouped.status();
-        st->agg_files.push_back(grouped->file);
-        auto btable = ctx->rel->ReadTable(*grouped);
-        if (!btable.ok()) return btable.status();
-        st->agg_tables.push_back(std::move(*btable));
-        return Status::OK();
-      }
-
       ntga::CompositePattern comp =
           ntga::SinglePatternComposite(grouping.pattern);
       ntga::ResolvedPattern resolved = ntga::ResolvePattern(comp, dict);
@@ -395,15 +321,15 @@ void BindRapidPlus(PhysicalPlan* plan, const AnalyticalQuery& query) {
       for (const auto& [orig, composite_var] : comp.var_map[0]) {
         pattern_vars.push_back(composite_var);
       }
+      std::vector<sparql::ExprPtr> owned;
       engine::PushedFilters pushed;
       engine::RowPredicate mapping_pred;
       engine::SplitNtgaFilters(grouping.filters, comp.var_map[0], pattern_vars,
-                               &dict, &st->owned_filters, &pushed,
-                               &mapping_pred);
+                               &dict, &owned, &pushed, &mapping_pred);
 
-      auto matches = ctx->ntga->ComputePatternMatches(resolved, {}, pushed,
-                                                      label);
-      if (!matches.ok()) return matches.status();
+      RAPIDA_ASSIGN_OR_RETURN(
+          engine::PatternMatches matches,
+          ctx->ntga->ComputePatternMatches(resolved, {}, pushed, node.label));
 
       engine::NtgaGrouping work;
       work.spec.group_vars = grouping.group_by;  // identity namespace
@@ -417,34 +343,38 @@ void BindRapidPlus(PhysicalPlan* plan, const AnalyticalQuery& query) {
       work.having = grouping.having.get();
 
       std::vector<std::string> files;
-      auto tables = ctx->ntga->RunAggJoins(resolved, *matches, pushed, {work},
-                                           /*parallel=*/false, label, &files);
-      if (!tables.ok()) return tables.status();
-      st->agg_tables.push_back(std::move((*tables)[0]));
-      st->agg_files.push_back(files[0]);
+      RAPIDA_ASSIGN_OR_RETURN(
+          std::vector<analytics::BindingTable> tables,
+          ctx->ntga->RunAggJoins(resolved, matches, pushed, {work},
+                                 /*parallel=*/false, node.label, &files));
+      (*agg_tables)[node.id] = std::move(tables[0]);
+      detail::SetOutput(ctx, node,
+                        engine::TableRef{files[0], work.output_columns,
+                                         nullptr, 0});
       return Status::OK();
     };
   }
-  plan->FindByTag("final")->exec = [q, st](ExecContext* ctx) -> Status {
-    StatusOr<analytics::BindingTable> result = Status::Internal("unset");
-    if (q->groupings.size() == 1) {
-      rdf::Dictionary* mdict = &ctx->dataset->dict();
-      engine::ProjectedResult projected = engine::JoinAndProject(
-          std::move(st->agg_tables), q->top_items, mdict);
-      analytics::BindingTable table(projected.columns);
-      for (const std::string& r : projected.rows) {
-        std::vector<rdf::TermId> row = engine::DecodeRow(r);
-        row.resize(projected.columns.size(), rdf::kInvalidTermId);
-        table.AddRow(std::move(row));
+  plan->FindByTag("final")->exec = [q, agg_tables](
+                                       ExecContext* ctx,
+                                       const PlanNode& node) -> Status {
+    // Relational GROUP BYs (OPTIONAL/UNION groupings) are read back here.
+    std::vector<analytics::BindingTable> tables;
+    std::vector<std::string> files;
+    for (int in : node.inputs) {
+      auto it = agg_tables->find(in);
+      if (it != agg_tables->end()) {
+        tables.push_back(std::move(it->second));
+      } else {
+        RAPIDA_ASSIGN_OR_RETURN(
+            analytics::BindingTable table,
+            ctx->rel->ReadTable(detail::TableOf(*ctx, in)));
+        tables.push_back(std::move(table));
       }
-      result = std::move(table);
-    } else {
-      result = ctx->ntga->FinalJoinProject(std::move(st->agg_tables),
-                                           q->top_items, st->agg_files,
-                                           "final");
+      files.push_back(ctx->outputs[in].file);
     }
-    if (!result.ok()) return result.status();
-    analytics::ApplySolutionModifiers(*q, ctx->dataset->dict(), &*result);
+    RAPIDA_ASSIGN_OR_RETURN(
+        analytics::BindingTable result,
+        FinishNtga(ctx, node, *q, std::move(tables), files, "final"));
     (*ctx->results)[0] = std::move(result);
     return Status::OK();
   };
@@ -467,7 +397,8 @@ struct RaState {
 };
 
 void BindCompositeBatch(PhysicalPlan* plan, std::shared_ptr<RaState> st) {
-  plan->FindByTag("gp")->exec = [st](ExecContext* ctx) -> Status {
+  plan->FindByTag("gp")->exec = [st](ExecContext* ctx,
+                                     const PlanNode&) -> Status {
     const rdf::Dictionary& dict = ctx->dataset->graph().dict();
     st->resolved = ntga::ResolvePattern(st->comp, dict);
 
@@ -566,7 +497,8 @@ void BindCompositeBatch(PhysicalPlan* plan, std::shared_ptr<RaState> st) {
     return Status::OK();
   };
 
-  plan->FindByTag("agg")->exec = [st](ExecContext* ctx) -> Status {
+  plan->FindByTag("agg")->exec = [st](ExecContext* ctx,
+                                      const PlanNode&) -> Status {
     auto tables = ctx->ntga->RunAggJoins(st->resolved, st->matches, st->pushed,
                                          st->work,
                                          ctx->options.parallel_agg_join, "agg",
@@ -578,7 +510,7 @@ void BindCompositeBatch(PhysicalPlan* plan, std::shared_ptr<RaState> st) {
 
   for (size_t q = 0; q < st->queries.size(); ++q) {
     PlanNode* n = plan->FindByTag("final" + std::to_string(q));
-    n->exec = [st, q](ExecContext* ctx) -> Status {
+    n->exec = [st, q](ExecContext* ctx, const PlanNode& node) -> Status {
       const AnalyticalQuery& query = *st->queries[q];
       size_t offset = st->offsets[q];
       size_t n_groupings = query.groupings.size();
@@ -592,27 +524,14 @@ void BindCompositeBatch(PhysicalPlan* plan, std::shared_ptr<RaState> st) {
           st->agg_files.begin() +
               static_cast<long>(
                   std::min(offset + n_groupings, st->agg_files.size())));
-
-      StatusOr<analytics::BindingTable> result = Status::Internal("unset");
-      if (n_groupings == 1) {
-        rdf::Dictionary* mdict = &ctx->dataset->dict();
-        engine::ProjectedResult projected = engine::JoinAndProject(
-            std::move(q_tables), query.top_items, mdict);
-        analytics::BindingTable table(projected.columns);
-        for (const std::string& r : projected.rows) {
-          std::vector<rdf::TermId> row = engine::DecodeRow(r);
-          row.resize(projected.columns.size(), rdf::kInvalidTermId);
-          table.AddRow(std::move(row));
-        }
-        result = std::move(table);
-      } else {
-        result = ctx->ntga->FinalJoinProject(
-            std::move(q_tables), query.top_items, q_files,
-            st->queries.size() == 1 ? "final" : "final" + std::to_string(q));
-      }
-      if (result.ok()) {
-        analytics::ApplySolutionModifiers(query, ctx->dataset->dict(),
-                                          &*result);
+      const size_t jobs_before = ctx->cluster->history().size();
+      StatusOr<analytics::BindingTable> result = FinishNtga(
+          ctx, node, query, std::move(q_tables), q_files,
+          st->queries.size() == 1 ? "final" : "final" + std::to_string(q));
+      if (!result.ok()) {
+        ctx->unrun_cycles +=
+            node.est_cycles -
+            static_cast<int>(ctx->cluster->history().size() - jobs_before);
       }
       // A per-query failure stays in its slot; the batch walk continues.
       (*ctx->results)[q] = std::move(result);
@@ -630,6 +549,7 @@ StatusOr<PhysicalPlan> PlanRapidPlus(const AnalyticalQuery& query,
   plan.engine = "RAPID+ (Naive)";
   plan.tmp_tag = "tmp:rplus";
   plan.needs_tg = true;
+  const bool bind = dataset != nullptr;
 
   std::vector<int> agg_ids;
   for (size_t g = 0; g < query.groupings.size(); ++g) {
@@ -639,7 +559,7 @@ StatusOr<PhysicalPlan> PlanRapidPlus(const AnalyticalQuery& query,
       // OPTIONAL/UNION grouping: NTGA pattern matching per branch, then a
       // relational left-join/union tail and a relational GROUP BY (the TG
       // Agg-Join only understands conjunctive star patterns).
-      int tail_id = EmitNtgaGroupingTail(&plan, grouping, label);
+      int tail_id = EmitNtgaGroupingTail(&plan, grouping, label, bind);
       PlanNode& agg = plan.AddNode(
           OpKind::kGroupAggregate, label,
           label + ": GROUP BY" + (grouping.group_by.empty() ? " ALL" : "") +
@@ -652,7 +572,11 @@ StatusOr<PhysicalPlan> PlanRapidPlus(const AnalyticalQuery& query,
       }
       AddAggAttrs(&agg, grouping.group_by, grouping.aggs,
                   grouping.having.get(), output_columns);
-      agg.bind_tag = label;
+      if (bind) {
+        agg.exec = detail::GroupAggregateExec(grouping.group_by, grouping.aggs,
+                                              grouping.having.get(),
+                                              output_columns);
+      }
       agg_ids.push_back(agg.id);
       continue;
     }
@@ -697,7 +621,10 @@ StatusOr<PhysicalPlan> PlanRapidPlus(const AnalyticalQuery& query,
   EmitNtgaFinal(&plan, query, "", agg_ids, "final");
 
   PassManager::Default(options, &query).Run(&plan);
-  if (dataset != nullptr) BindRapidPlus(&plan, query);
+  if (bind) {
+    BindRapidPlus(&plan, query);
+    detail::BindDecompress(&plan);
+  }
   return plan;
 }
 
@@ -722,9 +649,6 @@ StatusOr<PhysicalPlan> PlanCompositeBatch(
   plan.engine = "RAPIDAnalytics";
   plan.tmp_tag = "tmp:ra";
   plan.needs_tg = true;
-  // A cold triplegroup build belongs to the measured workflow on this
-  // path: the engine resets history BEFORE ensuring storage (as before).
-  plan.ensure_before_reset = false;
   plan.num_results = static_cast<int>(queries.size());
   if (queries.size() > 1) {
     plan.notes.push_back(

@@ -2,9 +2,10 @@
 #define RAPIDA_PLAN_PLANNER_UTIL_H_
 
 /// Internal helpers shared by the per-engine planners. Everything here
-/// feeds node *attrs* (identity, fingerprinted) or *info* (display-only);
-/// execution never depends on it.
+/// feeds node *attrs* (identity, fingerprinted), *info* (display-only) or
+/// edges; execution reads it only through the nodes.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -118,46 +119,63 @@ inline std::vector<std::string> ModifierUses(
   return uses;
 }
 
-/// Statically replays the non-greedy inter-star join-chain edge choice of
-/// CompileHivePattern: anchor star 0, then always the textually first
-/// pending edge that connects the joined set to a new star. Returns the
-/// picked edge indices in cycle order; fewer than stars-1 entries means
-/// the pattern is not connected (the runtime reports that error).
-inline std::vector<size_t> SimulateHiveChain(
-    size_t num_stars, const std::vector<ntga::JoinEdge>& joins) {
-  std::vector<size_t> picks;
-  if (num_stars < 2) return picks;
+/// One cycle of an inter-star join chain: the edge it joins on and the
+/// star it pulls in.
+struct ChainStep {
+  size_t edge = 0;
+  int star = 0;
+};
+
+/// The inter-star join chain's order, and the only copy of its rule: start
+/// at the smallest star by `sizes`, then each cycle takes the pending edge
+/// reaching the smallest star not yet joined (ties go to the first star /
+/// the textually first edge). With no sizes that is the textual order —
+/// star 0, then always the first pending edge — which the chain nodes'
+/// inputs and `edge` attrs record; under order=greedy the chain execs
+/// call it at run time with the stars' stored sizes. Appends the cycles to
+/// `steps` and returns the anchor star; fewer than stars-1 steps means the
+/// pattern is not connected (the exec reports that error).
+inline int OrderHiveChain(size_t num_stars,
+                          const std::vector<ntga::JoinEdge>& joins,
+                          std::vector<uint64_t> sizes,
+                          std::vector<ChainStep>* steps) {
+  sizes.resize(num_stars, 0);
+  int anchor = 0;
+  for (size_t s = 1; s < num_stars; ++s) {
+    if (sizes[s] < sizes[anchor]) anchor = static_cast<int>(s);
+  }
   std::vector<bool> joined(num_stars, false);
   std::vector<bool> done(joins.size(), false);
-  joined[0] = true;
-  size_t remaining = num_stars - 1;
-  while (remaining > 0) {
-    int pick = -1;
-    int new_star = -1;
+  if (num_stars > 0) joined[anchor] = true;
+  for (size_t c = 0; c + 1 < num_stars; ++c) {
+    ChainStep step;
+    bool found = false;
     for (size_t e = 0; e < joins.size(); ++e) {
       if (done[e]) continue;
       const ntga::JoinEdge& edge = joins[e];
+      int candidate = -1;
       if (joined[edge.star_a] && !joined[edge.star_b]) {
-        pick = static_cast<int>(e);
-        new_star = edge.star_b;
+        candidate = edge.star_b;
       } else if (joined[edge.star_b] && !joined[edge.star_a]) {
-        pick = static_cast<int>(e);
-        new_star = edge.star_a;
+        candidate = edge.star_a;
       }
-      if (pick >= 0) break;
+      if (candidate >= 0 && (!found || sizes[candidate] < sizes[step.star])) {
+        step = ChainStep{e, candidate};
+        found = true;
+      }
     }
-    if (pick < 0) break;  // disconnected
-    done[pick] = true;
-    joined[new_star] = true;
-    picks.push_back(static_cast<size_t>(pick));
-    --remaining;
+    if (!found) break;  // disconnected
+    done[step.edge] = true;
+    joined[step.star] = true;
+    steps->push_back(step);
   }
-  return picks;
+  return anchor;
 }
 
-/// Same for NtgaExec::ComputePatternMatches: the first cycle takes the
-/// textually first edge outright (anchoring both endpoints); later cycles
-/// take the first pending edge with exactly one endpoint joined.
+/// The α-join chain's edge choice (NtgaExec::ComputePatternMatches): the
+/// first cycle takes the textually first edge outright (anchoring both
+/// endpoints); later cycles take the first pending edge with exactly one
+/// endpoint joined.
 inline std::vector<size_t> SimulateNtgaChain(
     size_t num_stars, const std::vector<ntga::JoinEdge>& joins) {
   std::vector<size_t> picks;

@@ -1,16 +1,24 @@
 // The physical-plan IR: node/DAG mechanics, EXPLAIN determinism, the
 // optimizer pass toggles, canonical fingerprints under variable renaming,
-// and the service PlanCache's structural (level-2) hits.
+// the service PlanCache's structural (level-2) hits, the executor's
+// per-node cycle gate, and which nodes own an exec.
 #include "plan/plan.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
 #include "analytics/analytical_query.h"
+#include "plan/executor.h"
 #include "plan/passes.h"
 #include "plan/planner.h"
 #include "service/cache.h"
 #include "sparql/parser.h"
+#include "workload/bsbm.h"
 #include "workload/catalog.h"
+#include "workload/chem2bio.h"
+#include "workload/pubmed.h"
 
 namespace rapida::plan {
 namespace {
@@ -170,6 +178,110 @@ TEST(PlanIrTest, FallbackPlansCarryTheReason) {
   EXPECT_EQ(plan->engine, "Hive (MQO)");
   EXPECT_FALSE(plan->fallback_reason.empty());
   EXPECT_NE(plan->ExplainText().find("fallback:"), std::string::npos);
+}
+
+/// An exec running `jobs` trivial map-only jobs over a one-record file,
+/// then filling result slot 0 with an empty table.
+NodeExec TrivialJobs(int jobs) {
+  return [jobs](ExecContext* ctx, const PlanNode& node) -> Status {
+    for (int j = 0; j < jobs; ++j) {
+      mr::JobConfig job;
+      job.name = "n" + std::to_string(node.id) + ":job" + std::to_string(j);
+      job.inputs = {"gate:in"};
+      job.output = "gate:out" + std::to_string(j);
+      job.map = [](const mr::Record& r, int, mr::MapContext* mc) {
+        mc->Emit(r.key(), r.value());
+      };
+      RAPIDA_RETURN_IF_ERROR(ctx->cluster->Run(job).status());
+    }
+    (*ctx->results)[0] = analytics::BindingTable();
+    return Status::OK();
+  };
+}
+
+StatusOr<analytics::BindingTable> RunHandBuilt(const PhysicalPlan& plan) {
+  rdf::Graph graph;
+  graph.AddIri("s", "p", "o");
+  engine::Dataset dataset(std::move(graph));
+  mr::RecordBatch batch;
+  batch.Add("k", "v");
+  EXPECT_TRUE(dataset.dfs().Write("gate:in", std::move(batch)).ok());
+  mr::Cluster cluster(mr::ClusterConfig{}, &dataset.dfs());
+  return ExecutePlan(plan, &dataset, &cluster, engine::EngineOptions());
+}
+
+TEST(PlanIrTest, CycleGateRejectsANodeRunningMoreJobsThanItEstimates) {
+  PhysicalPlan plan;
+  plan.engine = "hand-built";
+  PlanNode& node = plan.AddNode(OpKind::kStarJoin, "g0", "g0: one cycle", 1);
+  node.exec = TrivialJobs(2);
+
+  auto result = RunHandBuilt(plan);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kInternal);
+  EXPECT_NE(result.status().message().find("#0"), std::string::npos)
+      << result.status();
+  EXPECT_NE(result.status().message().find("StarJoin"), std::string::npos)
+      << result.status();
+}
+
+TEST(PlanIrTest, CycleGateChargesCostOnlyNodesToTheExecAfterThem) {
+  PhysicalPlan plan;
+  plan.engine = "hand-built";
+  plan.AddNode(OpKind::kNSplitAlphaJoin, "g0", "g0: cost-only cycle", 1);
+  PlanNode& node = plan.AddNode(OpKind::kExpandBindings, "g0",
+                                "g0: runs the cycle before it and its own", 1);
+  node.inputs = {0};
+  node.exec = TrivialJobs(2);
+
+  auto result = RunHandBuilt(plan);
+  EXPECT_TRUE(result.ok()) << result.status();
+}
+
+engine::Dataset* CatalogDataset(const std::string& name) {
+  static auto* cache =
+      new std::map<std::string, std::unique_ptr<engine::Dataset>>();
+  auto it = cache->find(name);
+  if (it != cache->end()) return it->second.get();
+  rdf::Graph g;
+  if (name == "bsbm") {
+    workload::BsbmConfig cfg;
+    cfg.num_products = 60;
+    g = workload::GenerateBsbm(cfg);
+  } else if (name == "chem") {
+    workload::ChemConfig cfg;
+    cfg.num_assays = 60;
+    cfg.num_publications = 120;
+    g = workload::GenerateChem2Bio(cfg);
+  } else {
+    workload::PubmedConfig cfg;
+    cfg.num_publications = 60;
+    g = workload::GeneratePubmed(cfg);
+  }
+  return cache->emplace(name, std::make_unique<engine::Dataset>(std::move(g)))
+      .first->second.get();
+}
+
+TEST(PlanIrTest, EveryCostedNodeOwnsItsExecButTheNtgaChains) {
+  for (const workload::CatalogQuery& cq : workload::Catalog()) {
+    analytics::AnalyticalQuery query = Analyze(cq.sparql);
+    engine::Dataset* dataset = CatalogDataset(cq.dataset);
+    for (const char* engine : {"Hive (Naive)", "Hive (MQO)",
+                               "RAPID+ (Naive)", "RAPIDAnalytics"}) {
+      auto plan =
+          PlanForEngine(engine, query, dataset, engine::EngineOptions());
+      ASSERT_TRUE(plan.ok()) << cq.id << " on " << engine << ": "
+                             << plan.status();
+      for (const PlanNode& n : plan->nodes) {
+        if (n.est_cycles == 0 || n.exec) continue;
+        EXPECT_TRUE(n.kind == OpKind::kNSplitAlphaJoin ||
+                    n.kind == OpKind::kAggJoin)
+            << cq.id << " on " << engine << ": node #" << n.id << " ("
+            << OpKindName(n.kind) << ") costs " << n.est_cycles
+            << " cycle(s) but has no exec";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// PlanPreview must agree with the engines' actual compiled plans: for
-// EVERY catalog query and EVERY engine, preview cycle count == executed
-// cycle count. This welds the documentation/preview layer to the planner.
-#include "engines/plan_preview.h"
-
+// The dataset-free plan (what EXPLAIN and `rapida_cli --plan` show before
+// any data is loaded) must agree with the engines' executed workflows: for
+// EVERY catalog query and EVERY engine, its estimated cycle count ==
+// executed cycle count.
 #include <gtest/gtest.h>
 
 #include "engines/engines.h"
+#include "plan/planner.h"
 #include "sparql/parser.h"
 #include "workload/bsbm.h"
 #include "workload/catalog.h"
@@ -52,13 +52,14 @@ TEST_P(PlanPreviewMatchesExecution, CyclesAgree) {
   mr::Cluster cluster(mr::ClusterConfig{}, &dataset->dfs());
 
   for (const auto& eng : MakeAllEngines()) {
-    PlanPreview preview = PreviewPlan(eng->name(), *query);
+    auto physical = plan::PlanForEngine(eng->name(), *query, nullptr, {});
+    ASSERT_TRUE(physical.ok()) << eng->name() << ": " << physical.status();
     ExecStats stats;
     auto result = eng->Execute(*query, dataset, &cluster, &stats);
     ASSERT_TRUE(result.ok()) << eng->name() << ": " << result.status();
-    EXPECT_EQ(preview.cycles, stats.workflow.NumCycles())
-        << GetParam() << " on " << eng->name() << "\npreview:\n"
-        << preview.ToString();
+    EXPECT_EQ(physical->EstimatedCycles(), stats.workflow.NumCycles())
+        << GetParam() << " on " << eng->name() << "\nplan:\n"
+        << physical->ExplainText();
   }
 }
 
@@ -79,29 +80,46 @@ INSTANTIATE_TEST_SUITE_P(Catalog, PlanPreviewMatchesExecution,
                            return name;
                          });
 
-TEST(PlanPreviewTest, ToStringListsSteps) {
+/// The dataset-free plan's per-cycle lines, as `rapida_cli --plan` prints
+/// them.
+std::string CycleLines(const plan::PhysicalPlan& physical) {
+  std::string out;
+  int cycle = 0;
+  for (const plan::PlanNode& n : physical.nodes) {
+    for (int c = 0; c < n.est_cycles; ++c) {
+      out += "MR" + std::to_string(++cycle) + "  " + n.describe + "\n";
+    }
+  }
+  return out;
+}
+
+TEST(PlanPreviewTest, CycleLinesNameTheParallelAggJoin) {
   auto cq = workload::FindQuery("MG1");
   auto parsed = sparql::ParseQuery((*cq)->sparql);
   auto query = analytics::AnalyzeQuery(**parsed);
   ASSERT_TRUE(query.ok());
-  PlanPreview p = PreviewPlan("RAPIDAnalytics", *query);
-  EXPECT_EQ(p.cycles, 3);
-  std::string s = p.ToString();
-  EXPECT_NE(s.find("MR1"), std::string::npos);
-  EXPECT_NE(s.find("parallel TG Agg-Join"), std::string::npos);
-  EXPECT_NE(s.find("2 grouping-aggregations"), std::string::npos);
+  auto physical = plan::PlanForEngine("RAPIDAnalytics", *query, nullptr, {});
+  ASSERT_TRUE(physical.ok()) << physical.status();
+  EXPECT_EQ(physical->EstimatedCycles(), 3);
+  std::string s = CycleLines(*physical);
+  EXPECT_NE(s.find("MR1"), std::string::npos) << s;
+  EXPECT_NE(s.find("parallel TG Agg-Join"), std::string::npos) << s;
+  EXPECT_NE(s.find("2 grouping-aggregations"), std::string::npos) << s;
 }
 
-TEST(PlanPreviewTest, PreviewAllCoversFourEngines) {
+TEST(PlanPreviewTest, CyclesOfAllFourEngines) {
   auto cq = workload::FindQuery("MG3");
   auto parsed = sparql::ParseQuery((*cq)->sparql);
   auto query = analytics::AnalyzeQuery(**parsed);
   ASSERT_TRUE(query.ok());
-  auto all = PreviewAllPlans(*query);
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[0].cycles, 11);  // Hive (Naive)
-  EXPECT_EQ(all[2].cycles, 7);   // RAPID+
-  EXPECT_EQ(all[3].cycles, 4);   // RAPIDAnalytics
+  auto cycles = [&](const char* engine) {
+    auto physical = plan::PlanForEngine(engine, *query, nullptr, {});
+    EXPECT_TRUE(physical.ok()) << engine << ": " << physical.status();
+    return physical.ok() ? physical->EstimatedCycles() : -1;
+  };
+  EXPECT_EQ(cycles("Hive (Naive)"), 11);
+  EXPECT_EQ(cycles("RAPID+ (Naive)"), 7);
+  EXPECT_EQ(cycles("RAPIDAnalytics"), 4);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include "rdf/graph.h"
 #include "rdf/graph_index.h"
 #include "rdf/term.h"
-#include "rdf/vp_store.h"
 
 namespace rapida::rdf {
 namespace {
@@ -133,28 +132,6 @@ TEST(GraphIndexTest, AccessPaths) {
   EXPECT_TRUE(idx.Contains(s2, q, o3));
   EXPECT_FALSE(idx.Contains(s1, q, o3));
   EXPECT_TRUE(idx.ByProperty(d.LookupIri("nope")).empty());
-}
-
-TEST(VpStoreTest, PartitionsByProperty) {
-  Graph g;
-  g.AddIri("p1", kRdfType, "ProductType1");
-  g.AddIri("p2", kRdfType, "ProductType2");
-  g.AddInt("o1", "price", 100);
-  g.AddInt("o2", "price", 200);
-  g.AddIri("o1", "vendor", "v1");
-  VpStore vp(g);
-  const Dictionary& d = g.dict();
-
-  EXPECT_EQ(vp.Table(d.LookupIri("price")).size(), 2u);
-  EXPECT_EQ(vp.Table(d.LookupIri("vendor")).size(), 1u);
-  // rdf:type triples are not in the generic tables...
-  EXPECT_TRUE(vp.Table(g.TypeIdOrInvalid()).empty());
-  // ...but in per-object type tables.
-  EXPECT_EQ(vp.TypeTable(d.LookupIri("ProductType1")).size(), 1u);
-  EXPECT_EQ(vp.TypeTable(d.LookupIri("ProductType2")).size(), 1u);
-  EXPECT_GT(vp.TableBytes(d.LookupIri("price")), 0u);
-  EXPECT_GT(vp.TypeTableBytes(d.LookupIri("ProductType1")), 0u);
-  EXPECT_EQ(vp.Properties().size(), 2u);
 }
 
 }  // namespace
