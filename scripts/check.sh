@@ -16,8 +16,12 @@
 # their deterministic per-query aggregates against committed goldens, an
 # AddressSanitizer run of the fuzz smoke (unsharded and at 4 shards), the
 # EXPLAIN and result goldens (every catalog query on all four engines, so
-# every plan node's exec closure runs under ASan) and the OPTIONAL/UNION
-# semantics matrix, an UndefinedBehaviorSanitizer run of the record
+# every plan node's exec closure runs under ASan), the OPTIONAL/UNION
+# semantics matrix, the plan-IR suite (the per-node cycle gate, NTGA
+# execs that follow the plan, not the options), and the pass-toggle and
+# property suites (the greedy α-join order and sequential Agg-Joins
+# through all four engines, over chain state several execs share), an
+# UndefinedBehaviorSanitizer run of the record
 # plane's suites and a 50-seed fuzz corpus, and a ThreadSanitizer build
 # running the concurrency-sensitive suites (the parallel MapReduce
 # runtime — including the ValueSpan reduce-mode matrix in mapreduce_test
@@ -170,7 +174,8 @@ echo "== AddressSanitizer fuzz smoke (RAPIDA_SANITIZE=address) =="
 cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
-      golden_test optional_union_test storage_test rapida_serve
+      golden_test optional_union_test storage_test rapida_serve plan_ir_test \
+      pass_differential_test property_invariants_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -183,6 +188,11 @@ echo "== ASan: result goldens (32 catalog queries x 4 engines) =="
 ./build-asan/tests/golden_test
 echo "== ASan: OPTIONAL/UNION semantics matrix =="
 ./build-asan/tests/optional_union_test
+echo "== ASan: plan IR (per-node cycle gate, execs follow the plan) =="
+./build-asan/tests/plan_ir_test
+echo "== ASan: pass toggles and property invariants (greedy order, sequential Agg-Joins) =="
+./build-asan/tests/pass_differential_test
+./build-asan/tests/property_invariants_test
 
 echo "== ASan: storage suite (artifact recovery, IVM patch equivalence) =="
 ./build-asan/tests/storage_test

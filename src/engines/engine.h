@@ -21,7 +21,10 @@ struct ExecStats {
   double wall_seconds = 0;
 };
 
-/// Per-engine tuning knobs (the ablation benches flip these).
+/// Per-engine tuning knobs (the ablation benches flip these). The plan
+/// passes read the toggles and record each decision on the plan's nodes
+/// (`join`, `order`, `map_side_agg`, a parallel region); the NTGA execs
+/// read those nodes and none of the toggles.
 struct EngineOptions {
   /// Tables at or below this stored size can be broadcast for map-joins
   /// (Hive's hive.mapjoin.smalltable.filesize analogue).

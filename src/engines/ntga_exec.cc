@@ -128,10 +128,9 @@ bool LoadNestedGroup(std::string_view value, int raw_star, int num_stars,
 }  // namespace
 
 NtgaExec::NtgaExec(mr::Cluster* cluster, Dataset* dataset,
-                   const EngineOptions& options, std::string tmp_prefix)
+                   std::string tmp_prefix)
     : cluster_(cluster),
       dataset_(dataset),
-      options_(options),
       tmp_prefix_(std::move(tmp_prefix)) {}
 
 std::string NtgaExec::NextTmp(const std::string& hint) {
@@ -148,445 +147,315 @@ void NtgaExec::Cleanup() {
   temp_files_.clear();
 }
 
-StatusOr<PatternMatches> NtgaExec::ComputePatternMatches(
-    const ResolvedPattern& pattern,
-    const std::vector<ntga::AlphaCondition>& final_alphas,
-    const PushedFilters& pushed_filters, const std::string& label) {
-  RAPIDA_RETURN_IF_ERROR(dataset_->EnsureTripleGroups());
+StatusOr<std::string> NtgaExec::AlphaJoinCycle(
+    const ResolvedPattern& pattern, const PushedFilters& pushed_filters,
+    const std::vector<std::vector<std::string>>& star_files, size_t edge,
+    int star, const std::string& acc,
+    const std::vector<ntga::AlphaCondition>& alphas, const std::string& label,
+    size_t cycle) {
   const int num_stars = static_cast<int>(pattern.stars.size());
+  const rdf::Dictionary* dict = &dataset_->dict();
+  const rdf::TermId type_id = pattern.type_id;
 
-  auto star_files = [this, &pattern](int star) {
-    std::set<rdf::TermId> props;
-    for (const ntga::DataPropKey& k : pattern.stars[star].primary) {
-      props.insert(k.property);
+  // The accumulated (left) side holds the edge's other star.
+  const ntga::ResolvedJoin& join = pattern.joins[edge];
+  const bool pulls_b = star == join.star_b;
+  const int left_star = pulls_b ? join.star_a : join.star_b;
+  const ntga::JoinRole left_role = pulls_b ? join.role_a : join.role_b;
+  const ntga::DataPropKey left_prop = pulls_b ? join.prop_a : join.prop_b;
+  const ntga::JoinRole right_role = pulls_b ? join.role_b : join.role_a;
+  const ntga::DataPropKey right_prop = pulls_b ? join.prop_b : join.prop_a;
+
+  mr::JobConfig job;
+  job.name = label + ":alphajoin" + std::to_string(cycle);
+  std::vector<TagRole> roles;
+  if (acc.empty()) {
+    for (const std::string& f : star_files[left_star]) {
+      job.inputs.push_back(f);
+      roles.push_back(TagRole{false, left_star, true, left_role, left_prop});
     }
-    return dataset_->TgFilesCovering(props);
+  } else {
+    job.inputs.push_back(acc);
+    roles.push_back(TagRole{true, -1, true, left_role, left_prop});
+  }
+  for (const std::string& f : star_files[star]) {
+    job.inputs.push_back(f);
+    roles.push_back(TagRole{false, star, false, right_role, right_prop});
+  }
+  std::string out_file = NextTmp(label + ":aj" + std::to_string(cycle));
+  job.output = out_file;
+
+  // The job runs to completion inside Cluster::Run, so its closures may
+  // borrow the caller's pattern, filters and α conditions.
+  job.map = [roles = std::move(roles), &pattern, &pushed_filters, dict,
+             type_id, num_stars, left_star](const mr::Record& r, int tag,
+                                            mr::MapContext* ctx) {
+    const TagRole& role = roles[tag];
+    NtgMapScratch* s = ctx->TaskState<NtgMapScratch>();
+    if (!LoadNestedGroup(r.value(), role.is_nested ? -1 : role.star,
+                         num_stars, pattern, type_id, pushed_filters, *dict,
+                         s)) {
+      return;
+    }
+    int endpoint_star = role.is_nested ? left_star : role.star;
+    std::vector<rdf::TermId> keys =
+        ntga::JoinKeys(s->ntg, endpoint_star, role.role, role.prop, type_id);
+    s->val_buf.assign(role.left_side ? "L|" : "R|");
+    ntga::SerializeNestedTo(s->ntg, &s->val_buf);
+    for (rdf::TermId key : keys) {
+      s->key_buf.clear();
+      mr::kernels::AppendDecimal(&s->key_buf, key);
+      ctx->Emit(s->key_buf, s->val_buf);
+    }
   };
 
-  if (num_stars == 1) {
-    PatternMatches out;
-    out.star_files = star_files(0);
-    return out;
-  }
-
-  auto shared_pattern = std::make_shared<ResolvedPattern>(pattern);
-  auto shared_filters = std::make_shared<PushedFilters>(pushed_filters);
-  const rdf::Dictionary* dict = &dataset_->dict();
-  rdf::TermId type_id = pattern.type_id;
-
-  std::vector<bool> joined(num_stars, false);
-  std::vector<bool> edge_done(pattern.joins.size(), false);
-  std::string acc_file;  // empty until the first cycle completes
-  int acc_anchor = -1;   // star the accumulated side started from
-  int cycle = 0;
-  int remaining = num_stars;
-
-  // Greedy size-based ordering: estimate each star's input volume as the
-  // stored bytes of its covering triplegroup files.
-  const bool greedy = options_.greedy_join_order;
-  std::vector<uint64_t> star_bytes(num_stars, 0);
-  if (greedy) {
-    for (int s = 0; s < num_stars; ++s) {
-      for (const std::string& f : star_files(s)) {
-        auto file = dataset_->dfs().Open(f);
-        if (file.ok()) star_bytes[s] += (*file)->stored_bytes;
+  job.reduce = [&alphas, type_id, num_stars](std::string_view /*key*/,
+                                             const mr::ValueSpan& values,
+                                             mr::ReduceContext* ctx) {
+    AlphaReduceScratch* s = ctx->TaskState<AlphaReduceScratch>();
+    size_t nleft = 0, nright = 0;
+    for (std::string_view v : values) {
+      if (v.size() < 2) continue;
+      const bool is_left = v[0] == 'L';
+      std::vector<NestedTripleGroup>& pool = is_left ? s->left : s->right;
+      size_t& count = is_left ? nleft : nright;
+      if (count == pool.size()) pool.emplace_back();
+      if (!ntga::ParseNestedInto(v.substr(2), num_stars, &pool[count])
+               .ok()) {
+        continue;
       }
+      ++count;
     }
-  }
-
-  while (remaining > 0 || acc_file.empty()) {
-    // Pick the next edge: one endpoint joined (or, for the first cycle,
-    // any edge). Greedy mode minimizes the estimated size of the stars
-    // the cycle pulls in.
-    int pick = -1;
-    bool first_cycle = acc_file.empty();
-    uint64_t best_cost = 0;
-    for (size_t e = 0; e < pattern.joins.size(); ++e) {
-      if (edge_done[e]) continue;
-      const ntga::ResolvedJoin& edge = pattern.joins[e];
-      bool eligible =
-          first_cycle || joined[edge.star_a] != joined[edge.star_b];
-      if (!eligible) continue;
-      if (!greedy) {
-        pick = static_cast<int>(e);
-        break;
-      }
-      uint64_t cost = 0;
-      if (first_cycle) {
-        cost = star_bytes[edge.star_a] + star_bytes[edge.star_b];
-      } else {
-        cost = star_bytes[joined[edge.star_a] ? edge.star_b : edge.star_a];
-      }
-      if (pick < 0 || cost < best_cost) {
-        pick = static_cast<int>(e);
-        best_cost = cost;
-      }
-    }
-    if (pick < 0) {
-      return Status::InvalidArgument(
-          "graph pattern is not connected by join variables");
-    }
-    edge_done[pick] = true;
-    const ntga::ResolvedJoin& edge = pattern.joins[pick];
-
-    // Which endpoint is already in the accumulated side?
-    int left_star, right_star;
-    ntga::JoinRole left_role, right_role;
-    ntga::DataPropKey left_prop, right_prop;
-    if (first_cycle || joined[edge.star_a]) {
-      left_star = edge.star_a;
-      left_role = edge.role_a;
-      left_prop = edge.prop_a;
-      right_star = edge.star_b;
-      right_role = edge.role_b;
-      right_prop = edge.prop_b;
-    } else {
-      left_star = edge.star_b;
-      left_role = edge.role_b;
-      left_prop = edge.prop_b;
-      right_star = edge.star_a;
-      right_role = edge.role_a;
-      right_prop = edge.prop_a;
-    }
-
-    mr::JobConfig job;
-    job.name = label + ":alphajoin" + std::to_string(cycle);
-    std::vector<TagRole> roles;
-    if (first_cycle) {
-      for (const std::string& f : star_files(left_star)) {
-        job.inputs.push_back(f);
-        roles.push_back(TagRole{false, left_star, true, left_role, left_prop});
-      }
-      joined[left_star] = true;
-      acc_anchor = left_star;
-      --remaining;  // the anchor star joins the accumulated set
-    } else {
-      job.inputs.push_back(acc_file);
-      roles.push_back(TagRole{true, -1, true, left_role, left_prop});
-    }
-    for (const std::string& f : star_files(right_star)) {
-      job.inputs.push_back(f);
-      roles.push_back(
-          TagRole{false, right_star, false, right_role, right_prop});
-    }
-    joined[right_star] = true;
-    --remaining;
-    bool last_cycle = remaining == 0;
-
-    std::string out_file = NextTmp(label + ":aj" + std::to_string(cycle));
-    job.output = out_file;
-
-    auto shared_roles = std::make_shared<std::vector<TagRole>>(roles);
-    // The accumulated (nested) side's join endpoint is the left star of
-    // the current edge.
-    int nested_endpoint_star = left_star;
-    job.map = [shared_roles, shared_pattern, shared_filters, dict, type_id,
-               num_stars, nested_endpoint_star](
-                  const mr::Record& r, int tag, mr::MapContext* ctx) {
-      const TagRole& role = (*shared_roles)[tag];
-      NtgMapScratch* s = ctx->TaskState<NtgMapScratch>();
-      if (!LoadNestedGroup(r.value(), role.is_nested ? -1 : role.star,
-                           num_stars, *shared_pattern, type_id,
-                           *shared_filters, *dict, s)) {
-        return;
-      }
-      int endpoint_star = role.is_nested ? nested_endpoint_star : role.star;
-      std::vector<rdf::TermId> keys =
-          ntga::JoinKeys(s->ntg, endpoint_star, role.role, role.prop, type_id);
-      s->val_buf.assign(role.left_side ? "L|" : "R|");
-      ntga::SerializeNestedTo(s->ntg, &s->val_buf);
-      for (rdf::TermId key : keys) {
-        s->key_buf.clear();
-        mr::kernels::AppendDecimal(&s->key_buf, key);
-        ctx->Emit(s->key_buf, s->val_buf);
-      }
-    };
-
-    auto alphas = std::make_shared<std::vector<ntga::AlphaCondition>>(
-        last_cycle ? final_alphas : std::vector<ntga::AlphaCondition>{});
-    job.reduce = [alphas, type_id, num_stars](
-                     std::string_view /*key*/, const mr::ValueSpan& values,
-                     mr::ReduceContext* ctx) {
-      AlphaReduceScratch* s = ctx->TaskState<AlphaReduceScratch>();
-      size_t nleft = 0, nright = 0;
-      for (std::string_view v : values) {
-        if (v.size() < 2) continue;
-        const bool is_left = v[0] == 'L';
-        std::vector<NestedTripleGroup>& pool = is_left ? s->left : s->right;
-        size_t& count = is_left ? nleft : nright;
-        if (count == pool.size()) pool.emplace_back();
-        if (!ntga::ParseNestedInto(v.substr(2), num_stars, &pool[count])
-                 .ok()) {
-          continue;
+    for (size_t li = 0; li < nleft; ++li) {
+      for (size_t ri = 0; ri < nright; ++ri) {
+        const NestedTripleGroup& r = s->right[ri];
+        s->merged = s->left[li];  // copy-assign reuses capacity
+        for (int st = 0; st < num_stars; ++st) {
+          if (r.IsFilled(st)) s->merged.stars[st] = r.stars[st];
         }
-        ++count;
+        if (!ntga::SatisfiesAnyAlpha(s->merged, alphas, type_id)) continue;
+        s->buf.clear();
+        ntga::SerializeNestedTo(s->merged, &s->buf);
+        ctx->Emit("", s->buf);
       }
-      for (size_t li = 0; li < nleft; ++li) {
-        for (size_t ri = 0; ri < nright; ++ri) {
-          const NestedTripleGroup& r = s->right[ri];
-          s->merged = s->left[li];  // copy-assign reuses capacity
-          for (int st = 0; st < num_stars; ++st) {
-            if (r.IsFilled(st)) s->merged.stars[st] = r.stars[st];
-          }
-          if (!ntga::SatisfiesAnyAlpha(s->merged, *alphas, type_id)) {
-            continue;
-          }
-          s->buf.clear();
-          ntga::SerializeNestedTo(s->merged, &s->buf);
-          ctx->Emit("", s->buf);
-        }
-      }
-    };
-    // Pure function of (key, values): reducers may run concurrently.
-    job.reduce_parallel_safe = true;
+    }
+  };
+  // Pure function of (key, values): reducers may run concurrently.
+  job.reduce_parallel_safe = true;
 
-    RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
-    (void)stats;
-    acc_file = out_file;
-    ++cycle;
-    (void)acc_anchor;
-  }
-
-  PatternMatches out;
-  out.nested_file = acc_file;
-  return out;
+  RAPIDA_RETURN_IF_ERROR(cluster_->Run(job).status());
+  return out_file;
 }
 
 StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     const ResolvedPattern& pattern, const PatternMatches& matches,
     const PushedFilters& pushed_filters,
-    const std::vector<NtgaGrouping>& groupings, bool parallel,
-    const std::string& label, std::vector<std::string>* out_files) {
+    const std::vector<const NtgaGrouping*>& groupings, bool map_side_agg,
+    const std::string& name, const std::string& out_hint,
+    std::string* out_file) {
   const int num_stars = static_cast<int>(pattern.stars.size());
   const bool star_mode = matches.nested_file.empty();
   rdf::Dictionary* dict = &dataset_->dict();
   rdf::TermId type_id = pattern.type_id;
-  auto shared_pattern = std::make_shared<ResolvedPattern>(pattern);
-  auto shared_filters = std::make_shared<PushedFilters>(pushed_filters);
 
-  // Job batches: all groupings in one cycle (parallel Agg-Join, Fig. 6b)
-  // or one cycle each (Fig. 6a).
-  std::vector<std::vector<int>> batches;
-  if (parallel) {
-    std::vector<int> all(groupings.size());
-    for (size_t i = 0; i < groupings.size(); ++i) all[i] = static_cast<int>(i);
-    batches.push_back(all);
+  mr::JobConfig job;
+  job.name = name;
+  if (star_mode) {
+    job.inputs = matches.star_files;
   } else {
-    for (size_t i = 0; i < groupings.size(); ++i) {
-      batches.push_back({static_cast<int>(i)});
-    }
+    job.inputs = {matches.nested_file};
+  }
+  *out_file = NextTmp(out_hint);
+  job.output = *out_file;
+
+  // The reduce finds a key's grouping by its `gid#` prefix.
+  std::vector<const NtgaGrouping*> by_id;
+  for (const NtgaGrouping* g : groupings) {
+    const size_t id = static_cast<size_t>(g->id);
+    if (id >= by_id.size()) by_id.resize(id + 1);
+    by_id[id] = g;
   }
 
-  std::vector<std::string> out_file_of(groupings.size());
-  for (size_t b = 0; b < batches.size(); ++b) {
-    mr::JobConfig job;
-    job.name = label + ":aggjoin" + (parallel ? "(parallel)" : "") +
-               (batches.size() > 1 ? std::to_string(b) : "");
-    if (star_mode) {
-      job.inputs = matches.star_files;
-    } else {
-      job.inputs = {matches.nested_file};
+  // Per-mapper multiAggMap (Alg. 3): key "gid#grpkey" -> aggregators.
+  // Lives in the task's NtgMapScratch so concurrent map tasks accumulate
+  // into independent tables; map_finish flushes it in insertion order
+  // (keys are unique per task and the shuffle sorts by key). The job runs
+  // to completion inside Cluster::Run, so its closures may borrow the
+  // caller's pattern, filters and groupings.
+  const int raw_star = star_mode ? 0 : -1;
+  job.map = [&groupings, &pattern, &pushed_filters, dict, type_id, num_stars,
+             raw_star, map_side_agg](const mr::Record& r, int,
+                                     mr::MapContext* ctx) {
+    NtgMapScratch* s = ctx->TaskState<NtgMapScratch>();
+    if (!LoadNestedGroup(r.value(), raw_star, num_stars, pattern, type_id,
+                         pushed_filters, *dict, s)) {
+      return;
     }
-    std::string out_file =
-        NextTmp(label + ":agg" + std::to_string(b));
-    job.output = out_file;
-    for (int g : batches[b]) out_file_of[g] = out_file;
-
-    auto batch = std::make_shared<std::vector<int>>(batches[b]);
-    auto shared_groupings =
-        std::make_shared<std::vector<NtgaGrouping>>();
-    for (const NtgaGrouping& g : groupings) {
-      NtgaGrouping copy;
-      copy.spec = g.spec;
-      copy.pattern_vars = g.pattern_vars;
-      copy.output_columns = g.output_columns;
-      copy.mapping_predicate = g.mapping_predicate;
-      copy.having = g.having;
-      shared_groupings->push_back(std::move(copy));
-    }
-
-    // Per-mapper multiAggMap (Alg. 3): key "gid#grpkey" -> aggregators.
-    // Lives in the task's NtgMapScratch so concurrent map tasks accumulate
-    // into independent tables; map_finish flushes it in insertion order
-    // (keys are unique per task and the shuffle sorts by key).
-    const bool partial = options_.partial_aggregation;
-    const int raw_star = star_mode ? 0 : -1;
-    job.map = [shared_groupings, batch, shared_pattern, shared_filters, dict,
-               type_id, num_stars, raw_star, partial](
-                  const mr::Record& r, int, mr::MapContext* ctx) {
-      NtgMapScratch* s = ctx->TaskState<NtgMapScratch>();
-      if (!LoadNestedGroup(r.value(), raw_star, num_stars, *shared_pattern,
-                           type_id, *shared_filters, *dict, s)) {
-        return;
+    for (const NtgaGrouping* g : groupings) {
+      const NtgaGrouping& grouping = *g;
+      if (!ntga::SatisfiesAlpha(s->ntg, grouping.spec.alpha, type_id)) {
+        continue;
       }
-      for (int g : *batch) {
-        const NtgaGrouping& grouping = (*shared_groupings)[g];
-        if (!ntga::SatisfiesAlpha(s->ntg, grouping.spec.alpha, type_id)) {
-          continue;
+      // Positions of group / agg vars within pattern_vars (tiny).
+      auto pos_of = [&grouping](const std::string& v) {
+        for (size_t i = 0; i < grouping.pattern_vars.size(); ++i) {
+          if (grouping.pattern_vars[i] == v) return static_cast<int>(i);
         }
-        // Positions of group / agg vars within pattern_vars (tiny).
-        auto pos_of = [&grouping](const std::string& v) {
-          for (size_t i = 0; i < grouping.pattern_vars.size(); ++i) {
-            if (grouping.pattern_vars[i] == v) return static_cast<int>(i);
-          }
-          return -1;
-        };
-        ntga::ExpandBindingsInto(s->ntg, *shared_pattern,
-                                 grouping.pattern_vars,
-                                 /*skip_unbound=*/true, &s->exp);
-        for (size_t row = 0; row < s->exp.num_rows; ++row) {
-          const rdf::TermId* mapping = s->exp.row(row);
-          if (grouping.mapping_predicate) {
-            s->row_buf.assign(mapping, mapping + s->exp.width);
-            if (!grouping.mapping_predicate(s->row_buf)) continue;
-          }
-          s->key_buf.clear();
-          mr::kernels::AppendDecimal(&s->key_buf, static_cast<uint64_t>(g));
-          s->key_buf += '#';
-          bool first = true;
-          for (const std::string& v : grouping.spec.group_vars) {
-            if (!first) s->key_buf += ',';
-            first = false;
-            int i = pos_of(v);
-            mr::kernels::AppendDecimal(
-                &s->key_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
-          }
-          if (partial) {
-            MultiAggTable& table = s->table;
-            auto [id, inserted] = table.index.FindOrInsert(
-                mr::HashKey(s->key_buf),
-                static_cast<uint32_t>(table.keys.size()),
-                [&](uint32_t cand) { return table.keys[cand] == s->key_buf; });
-            if (inserted) {
-              table.keys.push_back(s->key_buf);
-              table.agg_rows.emplace_back();
-              for (const ntga::AggSpec& a : grouping.spec.aggs) {
-                table.agg_rows.back().emplace_back(a.func, false,
-                                                   a.separator);
-              }
-            }
-            std::vector<Aggregator>& aggs = table.agg_rows[id];
-            for (size_t a = 0; a < grouping.spec.aggs.size(); ++a) {
-              const ntga::AggSpec& spec = grouping.spec.aggs[a];
-              if (spec.count_star) {
-                aggs[a].AddRow();
-              } else {
-                int i = pos_of(spec.var);
-                aggs[a].AddTerm(i < 0 ? rdf::kInvalidTermId : mapping[i],
-                                *dict);
-              }
-            }
-          } else {
-            s->val_buf.assign("R|");
-            bool farg = true;
-            for (const ntga::AggSpec& spec : grouping.spec.aggs) {
-              if (!farg) s->val_buf += ',';
-              farg = false;
-              int i = pos_of(spec.var);
-              mr::kernels::AppendDecimal(
-                  &s->val_buf, spec.count_star || i < 0 ? rdf::kInvalidTermId
-                                                        : mapping[i]);
-            }
-            ctx->Emit(s->key_buf, s->val_buf);
-          }
-        }
-      }
-    };
-    if (partial) {
-      job.map_finish = [](mr::MapContext* ctx) {
-        const MultiAggTable& table = ctx->TaskState<NtgMapScratch>()->table;
-        for (size_t id = 0; id < table.keys.size(); ++id) {
-          std::string value = "P";
-          for (const Aggregator& a : table.agg_rows[id]) {
-            value += '|';
-            value += a.SerializePartial();
-          }
-          ctx->Emit(table.keys[id], value);
-        }
+        return -1;
       };
-    }
-
-    // The aggregator list resets per key group; the decode and emit
-    // buffers are per-task scratch reused across groups.
-    struct ReduceScratch {
-      std::vector<rdf::TermId> args, row;
-      std::string val_buf;
-    };
-    job.reduce = [shared_groupings, dict](std::string_view key,
-                                          const mr::ValueSpan& values,
-                                          mr::ReduceContext* ctx) {
-      ReduceScratch* s = ctx->TaskState<ReduceScratch>();
-      size_t hash_pos = key.find('#');
-      if (hash_pos == std::string_view::npos) return;
-      int64_t gid = 0;
-      ParseInt64(key.substr(0, hash_pos), &gid);
-      const NtgaGrouping& grouping = (*shared_groupings)[gid];
-      std::vector<Aggregator> aggs;
-      for (const ntga::AggSpec& a : grouping.spec.aggs) {
-        aggs.emplace_back(a.func, false, a.separator);
-      }
-      for (std::string_view v : values) {
-        if (v.empty()) continue;
-        if (v[0] == 'P') {
-          FieldTokenizer parts(v, '|');
-          std::string_view part;
-          parts.Next(&part);  // the "P" marker
-          for (size_t a = 0; a < aggs.size() && parts.Next(&part); ++a) {
-            auto partial = Aggregator::DeserializePartial(
-                grouping.spec.aggs[a].func, part,
-                grouping.spec.aggs[a].separator);
-            if (partial.ok()) aggs[a].Merge(*partial, *dict);
-          }
-        } else if (v[0] == 'R') {
-          DecodeRowInto(v.substr(2), &s->args);
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            if (grouping.spec.aggs[a].count_star) {
-              aggs[a].AddRow();
-            } else if (a < s->args.size()) {
-              aggs[a].AddTerm(s->args[a], *dict);
+      ntga::ExpandBindingsInto(s->ntg, pattern, grouping.pattern_vars,
+                               /*skip_unbound=*/true, &s->exp);
+      for (size_t row = 0; row < s->exp.num_rows; ++row) {
+        const rdf::TermId* mapping = s->exp.row(row);
+        if (grouping.mapping_predicate) {
+          s->row_buf.assign(mapping, mapping + s->exp.width);
+          if (!grouping.mapping_predicate(s->row_buf)) continue;
+        }
+        s->key_buf.clear();
+        mr::kernels::AppendDecimal(&s->key_buf,
+                                   static_cast<uint64_t>(grouping.id));
+        s->key_buf += '#';
+        bool first = true;
+        for (const std::string& v : grouping.spec.group_vars) {
+          if (!first) s->key_buf += ',';
+          first = false;
+          int i = pos_of(v);
+          mr::kernels::AppendDecimal(
+              &s->key_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
+        }
+        if (map_side_agg) {
+          MultiAggTable& table = s->table;
+          auto [id, inserted] = table.index.FindOrInsert(
+              mr::HashKey(s->key_buf),
+              static_cast<uint32_t>(table.keys.size()),
+              [&](uint32_t cand) { return table.keys[cand] == s->key_buf; });
+          if (inserted) {
+            table.keys.push_back(s->key_buf);
+            table.agg_rows.emplace_back();
+            for (const ntga::AggSpec& a : grouping.spec.aggs) {
+              table.agg_rows.back().emplace_back(a.func, false, a.separator);
             }
+          }
+          std::vector<Aggregator>& aggs = table.agg_rows[id];
+          for (size_t a = 0; a < grouping.spec.aggs.size(); ++a) {
+            const ntga::AggSpec& spec = grouping.spec.aggs[a];
+            if (spec.count_star) {
+              aggs[a].AddRow();
+            } else {
+              int i = pos_of(spec.var);
+              aggs[a].AddTerm(i < 0 ? rdf::kInvalidTermId : mapping[i],
+                              *dict);
+            }
+          }
+        } else {
+          s->val_buf.assign("R|");
+          bool farg = true;
+          for (const ntga::AggSpec& spec : grouping.spec.aggs) {
+            if (!farg) s->val_buf += ',';
+            farg = false;
+            int i = pos_of(spec.var);
+            mr::kernels::AppendDecimal(
+                &s->val_buf, spec.count_star || i < 0 ? rdf::kInvalidTermId
+                                                      : mapping[i]);
+          }
+          ctx->Emit(s->key_buf, s->val_buf);
+        }
+      }
+    }
+  };
+  if (map_side_agg) {
+    job.map_finish = [](mr::MapContext* ctx) {
+      const MultiAggTable& table = ctx->TaskState<NtgMapScratch>()->table;
+      for (size_t id = 0; id < table.keys.size(); ++id) {
+        std::string value = "P";
+        for (const Aggregator& a : table.agg_rows[id]) {
+          value += '|';
+          value += a.SerializePartial();
+        }
+        ctx->Emit(table.keys[id], value);
+      }
+    };
+  }
+
+  // The aggregator list resets per key group; the decode and emit
+  // buffers are per-task scratch reused across groups.
+  struct ReduceScratch {
+    std::vector<rdf::TermId> args, row;
+    std::string val_buf;
+  };
+  job.reduce = [&by_id, dict](std::string_view key,
+                              const mr::ValueSpan& values,
+                              mr::ReduceContext* ctx) {
+    ReduceScratch* s = ctx->TaskState<ReduceScratch>();
+    size_t hash_pos = key.find('#');
+    if (hash_pos == std::string_view::npos) return;
+    int64_t gid = 0;
+    ParseInt64(key.substr(0, hash_pos), &gid);
+    const NtgaGrouping& grouping = *by_id[gid];
+    std::vector<Aggregator> aggs;
+    for (const ntga::AggSpec& a : grouping.spec.aggs) {
+      aggs.emplace_back(a.func, false, a.separator);
+    }
+    for (std::string_view v : values) {
+      if (v.empty()) continue;
+      if (v[0] == 'P') {
+        FieldTokenizer parts(v, '|');
+        std::string_view part;
+        parts.Next(&part);  // the "P" marker
+        for (size_t a = 0; a < aggs.size() && parts.Next(&part); ++a) {
+          auto partial = Aggregator::DeserializePartial(
+              grouping.spec.aggs[a].func, part,
+              grouping.spec.aggs[a].separator);
+          if (partial.ok()) aggs[a].Merge(*partial, *dict);
+        }
+      } else if (v[0] == 'R') {
+        DecodeRowInto(v.substr(2), &s->args);
+        for (size_t a = 0; a < aggs.size(); ++a) {
+          if (grouping.spec.aggs[a].count_star) {
+            aggs[a].AddRow();
+          } else if (a < s->args.size()) {
+            aggs[a].AddTerm(s->args[a], *dict);
           }
         }
       }
-      DecodeRowInto(key.substr(hash_pos + 1), &s->row);
-      for (Aggregator& a : aggs) s->row.push_back(a.Finalize(dict));
-      s->val_buf.clear();
-      AppendRow(&s->val_buf, s->row);
-      ctx->Emit(key.substr(0, hash_pos), s->val_buf);
-    };
+    }
+    DecodeRowInto(key.substr(hash_pos + 1), &s->row);
+    for (Aggregator& a : aggs) s->row.push_back(a.Finalize(dict));
+    s->val_buf.clear();
+    AppendRow(&s->val_buf, s->row);
+    ctx->Emit(key.substr(0, hash_pos), s->val_buf);
+  };
 
-    RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
-    (void)stats;
-  }
+  RAPIDA_RETURN_IF_ERROR(cluster_->Run(job).status());
 
   // Collect per-grouping tables.
+  RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
+                          dataset_->dfs().Open(*out_file));
   std::vector<analytics::BindingTable> out;
-  for (size_t g = 0; g < groupings.size(); ++g) {
-    analytics::BindingTable table(groupings[g].output_columns);
-    RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
-                            dataset_->dfs().Open(out_file_of[g]));
-    std::string gid = std::to_string(g);
+  for (const NtgaGrouping* g : groupings) {
+    const NtgaGrouping& grouping = *g;
+    analytics::BindingTable table(grouping.output_columns);
+    std::string gid = std::to_string(grouping.id);
     for (const mr::Record& r : f->records) {
       if (r.key() != gid) continue;
       std::vector<rdf::TermId> row = DecodeRow(r.value());
-      row.resize(groupings[g].output_columns.size(), rdf::kInvalidTermId);
+      row.resize(grouping.output_columns.size(), rdf::kInvalidTermId);
       table.AddRow(std::move(row));
     }
     // GROUP BY ALL over no qualifying detail still yields the default row.
-    if (groupings[g].spec.group_vars.empty() && table.NumRows() == 0) {
+    if (grouping.spec.group_vars.empty() && table.NumRows() == 0) {
       std::vector<rdf::TermId> row;
-      for (const ntga::AggSpec& a : groupings[g].spec.aggs) {
+      for (const ntga::AggSpec& a : grouping.spec.aggs) {
         Aggregator empty(a.func, false, a.separator);
         row.push_back(empty.Finalize(dict));
       }
       table.AddRow(std::move(row));
     }
-    if (groupings[g].having != nullptr) {
-      analytics::FilterRowsByExpr(&table, *groupings[g].having, *dict);
+    if (grouping.having != nullptr) {
+      analytics::FilterRowsByExpr(&table, *grouping.having, *dict);
     }
     out.push_back(std::move(table));
   }
-  if (out_files != nullptr) *out_files = out_file_of;
   return out;
 }
 

@@ -8,7 +8,6 @@
 
 #include "analytics/binding.h"
 #include "engines/dataset.h"
-#include "engines/engine.h"
 #include "engines/relational_ops.h"
 #include "mapreduce/cluster.h"
 #include "ntga/operators.h"
@@ -33,6 +32,9 @@ struct NtgaGrouping {
   /// HAVING condition over output_columns (applied to the aggregated
   /// table, after the GROUP-BY-ALL default-row rule). Not owned.
   const sparql::Expr* having = nullptr;
+  /// The `gid#` prefix of its Agg-Join keys: the grouping's index among
+  /// its plan's Agg-Joins (0 for a RAPID+ grouping).
+  int id = 0;
 };
 
 /// Matches of a pattern: either a DFS file of serialized
@@ -45,33 +47,43 @@ struct PatternMatches {
   std::vector<std::string> star_files;
 };
 
-/// Physical NTGA plan builder shared by RAPID+ and RAPIDAnalytics: the MR
-/// renditions of TG_OptGrpFilter, TG_AlphaJoin (Alg. 2) and TG_AgJ
-/// (Alg. 3 with map-side multiAggMap pre-aggregation).
+/// The physical NTGA operators shared by RAPID+ and RAPIDAnalytics: the
+/// MR renditions of TG_OptGrpFilter, TG_AlphaJoin (Alg. 2) and TG_AgJ
+/// (Alg. 3 with map-side multiAggMap pre-aggregation). Each method runs
+/// exactly one job. The plan nodes' execs make every choice — the chain
+/// order, the filter split, map-side aggregation, which groupings share
+/// an Agg-Join — from the plan, so no EngineOptions reaches this class.
 class NtgaExec {
  public:
-  NtgaExec(mr::Cluster* cluster, Dataset* dataset,
-           const EngineOptions& options, std::string tmp_prefix);
+  NtgaExec(mr::Cluster* cluster, Dataset* dataset, std::string tmp_prefix);
 
-  /// Evaluates a resolved (composite) pattern: (k−1) α-join cycles for a
-  /// k-star pattern. `final_alphas` (disjunction; may be empty) filters
-  /// joined groups in the last cycle. `pushed_filters` are applied at
-  /// triple level during star matching.
-  StatusOr<PatternMatches> ComputePatternMatches(
+  /// One TG_AlphaJoin cycle of `pattern`'s chain, numbered `cycle`: joins
+  /// on `pattern.joins[edge]` the raw triplegroups of `star` with the
+  /// accumulated nested groups `acc` — or, in the first cycle (`acc`
+  /// empty), with the raw triplegroups of the edge's other star.
+  /// `star_files` holds each star's covering triplegroup files;
+  /// `pushed_filters` are applied at triple level during star matching.
+  /// `alphas` (a disjunction; empty keeps every group) filters the joined
+  /// groups. Returns the nested output file.
+  StatusOr<std::string> AlphaJoinCycle(
       const ntga::ResolvedPattern& pattern,
-      const std::vector<ntga::AlphaCondition>& final_alphas,
-      const PushedFilters& pushed_filters, const std::string& label);
+      const PushedFilters& pushed_filters,
+      const std::vector<std::vector<std::string>>& star_files, size_t edge,
+      int star, const std::string& acc,
+      const std::vector<ntga::AlphaCondition>& alphas,
+      const std::string& label, size_t cycle);
 
-  /// Runs the TG Agg-Join(s). `parallel` evaluates all groupings in one
-  /// MR cycle (Fig. 6b); otherwise one cycle per grouping (Fig. 6a /
-  /// RAPID+). Returns one table per grouping (all backed by shared agg
-  /// output files; rows are EncodeRow'd group keys + aggregate values).
-  /// `out_files` (optional) receives the backing DFS file per grouping.
+  /// One TG Agg-Join cycle named `name` over `groupings`: one grouping
+  /// (Fig. 6a / RAPID+) or a parallel region's members (Fig. 6b).
+  /// `map_side_agg` pre-aggregates in the map (Alg. 3's multiAggMap).
+  /// Returns one table per grouping (rows are EncodeRow'd group keys +
+  /// aggregate values), all backed by `*out_file`, named from `out_hint`.
   StatusOr<std::vector<analytics::BindingTable>> RunAggJoins(
       const ntga::ResolvedPattern& pattern, const PatternMatches& matches,
       const PushedFilters& pushed_filters,
-      const std::vector<NtgaGrouping>& groupings, bool parallel,
-      const std::string& label, std::vector<std::string>* out_files = nullptr);
+      const std::vector<const NtgaGrouping*>& groupings, bool map_side_agg,
+      const std::string& name, const std::string& out_hint,
+      std::string* out_file);
 
   /// One map-only cycle turning pattern matches into a relational table
   /// over `columns` (pattern variables): parses each nested group (or raw
@@ -101,7 +113,6 @@ class NtgaExec {
 
   mr::Cluster* cluster_;
   Dataset* dataset_;
-  EngineOptions options_;
   std::string tmp_prefix_;
   int counter_ = 0;
   std::vector<std::string> temp_files_;

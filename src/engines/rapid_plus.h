@@ -4,7 +4,6 @@
 #include <string>
 
 #include "engines/engine.h"
-#include "engines/ntga_exec.h"
 
 namespace rapida::engine {
 
@@ -20,18 +19,6 @@ class RapidPlusEngine : public Engine {
 
   std::string name() const override { return "RAPID+ (Naive)"; }
 };
-
-/// Splits a filter list into map-side pushable single-variable filters
-/// (keyed by composite variable) and a residual mapping-level predicate
-/// over `pattern_vars`. `owned` receives the translated expression clones
-/// (must outlive the returned structures).
-void SplitNtgaFilters(
-    const std::vector<sparql::ExprPtr>& filters,
-    const std::map<std::string, std::string>& var_map,
-    const std::vector<std::string>& pattern_vars,
-    const rdf::Dictionary* dict,
-    std::vector<sparql::ExprPtr>* owned, PushedFilters* pushed,
-    RowPredicate* mapping_predicate);
 
 }  // namespace rapida::engine
 

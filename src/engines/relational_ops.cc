@@ -441,6 +441,20 @@ struct MapJoinFactSpec {
 
 }  // namespace
 
+int MapJoinStreamedInput(const std::vector<uint64_t>& sizes,
+                         const std::vector<bool>& outer, uint64_t threshold) {
+  if (sizes.size() < 2) return -1;
+  size_t big = 0;
+  for (size_t i = 1; i < sizes.size(); ++i) {
+    if (sizes[i] > sizes[big]) big = i;
+  }
+  if (outer[big]) return -1;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    if (i != big && sizes[i] > threshold) return -1;
+  }
+  return static_cast<int>(big);
+}
+
 StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
                                        const std::vector<JoinInput>& inputs,
                                        RowPredicate post_predicate,
@@ -477,28 +491,22 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
   }
   const size_t width = out_columns.size();
 
-  // Map-join eligibility: every input but the largest fits the threshold,
-  // and the largest is not an outer input. Factorized inputs are sized by
-  // their FLAT equivalent so the strategy choice matches the flat path
-  // exactly (a factorized file is smaller; deciding on its stored size
-  // could flip the join strategy and with it the output row order).
-  int big = 0;
-  uint64_t big_bytes = 0;
-  std::vector<uint64_t> sizes(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    sizes[i] = inputs[i].flat_bytes != 0 ? inputs[i].flat_bytes
-                                         : dataset_->VpFileBytes(inputs[i].file);
-    if (sizes[i] > big_bytes) {
-      big_bytes = sizes[i];
-      big = static_cast<int>(i);
-    }
+  // Map-join eligibility (MapJoinStreamedInput). Factorized inputs are
+  // sized by their FLAT equivalent so the strategy choice matches the flat
+  // path exactly (a factorized file is smaller; deciding on its stored
+  // size could flip the join strategy and with it the output row order).
+  std::vector<uint64_t> sizes;
+  std::vector<bool> outer;
+  for (const JoinInput& in : inputs) {
+    sizes.push_back(in.flat_bytes != 0 ? in.flat_bytes
+                                       : dataset_->VpFileBytes(in.file));
+    outer.push_back(in.outer);
   }
-  bool map_join = options_.enable_map_joins && inputs.size() > 1;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    if (static_cast<int>(i) == big) continue;
-    if (sizes[i] > options_.map_join_threshold_bytes) map_join = false;
-  }
-  if (inputs[big].outer) map_join = false;
+  const int big = options_.enable_map_joins
+                      ? MapJoinStreamedInput(
+                            sizes, outer, options_.map_join_threshold_bytes)
+                      : -1;
+  const bool map_join = big >= 0;
 
   bool any_factorized = false;
   for (const JoinInput& in : inputs) {

@@ -100,6 +100,16 @@ struct JoinInput {
   uint64_t flat_bytes = 0;
 };
 
+/// The map-join rule, its one copy: a join broadcasts when it has at
+/// least 2 inputs, every input but the first largest by `sizes` is at
+/// most `threshold` bytes, and that largest input, the one that streams,
+/// is not `outer`. Returns the streamed input's index, or -1 for a
+/// repartition join. The map-join-selection pass applies it to a node's
+/// stored input sizes; RelationalOps::Join, when map-joins are enabled,
+/// to its inputs' run-time sizes.
+int MapJoinStreamedInput(const std::vector<uint64_t>& sizes,
+                         const std::vector<bool>& outer, uint64_t threshold);
+
 /// Builder for the Hive-style relational MR plans. Tracks the temp files
 /// it creates so the engine can clean up.
 class RelationalOps {

@@ -18,11 +18,11 @@ Status ExecutePlanMulti(
   ExecContext ctx;
   ctx.dataset = dataset;
   ctx.cluster = cluster;
-  ctx.options = options;
   ctx.results = results;
   int max_id = -1;
   for (const PlanNode& node : plan.nodes) max_id = std::max(max_id, node.id);
   ctx.outputs.resize(static_cast<size_t>(max_id + 1));
+  ctx.agg_tables.resize(ctx.outputs.size());
 
   // The relational facade is always live (not just under needs_vp): the
   // NTGA engines' OPTIONAL/UNION groupings left-join, union and group
@@ -34,7 +34,7 @@ Status ExecutePlanMulti(
   ctx.rel = rel.get();
   if (plan.needs_tg) {
     ntga = std::make_unique<engine::NtgaExec>(
-        cluster, dataset, options, options.tmp_namespace + plan.tmp_tag);
+        cluster, dataset, options.tmp_namespace + plan.tmp_tag);
     ctx.ntga = ntga.get();
   }
 
@@ -45,34 +45,37 @@ Status ExecutePlanMulti(
 
   // Partial-evaluation contract: under the locality scheme, a node the
   // pass classified `peval=local` must run entirely shard-local — its
-  // estimated cross-shard shuffle is exactly 0, and we hold the executed
-  // counters to it. A node's own jobs are the last est_cycles its exec
-  // ran; any before them belong to the cost-only nodes charged to it (an
-  // α-join chain, parallel-region members).
+  // estimated cross-shard shuffle is exactly 0, and we hold the jobs its
+  // exec ran to it.
   const bool enforce_peval =
       options.num_shards > 1 &&
       options.sharding_scheme == mr::ShardingScheme::kLocality;
 
-  const size_t walk_start = cluster->history().size();
-  int estimated = 0;
+  auto gate_error = [&](const PlanNode& node, const std::string& what) {
+    cleanup();
+    return Status::Internal("cycle gate: node #" + std::to_string(node.id) +
+                            " (" + OpKindName(node.kind) + " '" + node.label +
+                            "') " + what);
+  };
   for (const PlanNode& node : plan.nodes) {
-    estimated += node.est_cycles;
-    if (!node.exec) continue;
+    if (!node.exec) {
+      if (node.est_cycles == 0) continue;
+      return gate_error(node, "estimates " + std::to_string(node.est_cycles) +
+                                  " cycle(s) but has no exec");
+    }
     const size_t jobs_before = cluster->history().size();
     Status s = node.exec(&ctx, node);
     if (!s.ok()) {
       cleanup();
       return s;
     }
-    estimated -= std::exchange(ctx.unrun_cycles, 0);
-    const size_t ran = cluster->history().size() - walk_start;
-    if (ran != static_cast<size_t>(estimated)) {
-      cleanup();
-      return Status::Internal(
-          "cycle gate: after node #" + std::to_string(node.id) + " (" +
-          OpKindName(node.kind) + " '" + node.label + "') " +
-          std::to_string(ran) + " jobs ran, plan estimates " +
-          std::to_string(estimated));
+    const int expected =
+        node.est_cycles - std::exchange(ctx.unrun_cycles, 0);
+    const size_t ran = cluster->history().size() - jobs_before;
+    if (ran != static_cast<size_t>(expected)) {
+      return gate_error(node, "ran " + std::to_string(ran) +
+                                  " jobs, plan estimates " +
+                                  std::to_string(expected));
     }
     {
       // Post-exec EXPLAIN annotation: flat rows / d-representation groups
@@ -99,9 +102,7 @@ Status ExecutePlanMulti(
       const std::string* peval = FindEntry(node.info, "peval");
       if (peval != nullptr && *peval == "local") {
         const auto& history = cluster->history();
-        const size_t own = static_cast<size_t>(node.est_cycles);
-        for (size_t j = std::max(jobs_before, history.size() - own);
-             j < history.size(); ++j) {
+        for (size_t j = jobs_before; j < history.size(); ++j) {
           if (history[j].shuffle_cross_bytes != 0) {
             cleanup();
             return Status::Internal(

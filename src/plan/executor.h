@@ -1,6 +1,7 @@
 #ifndef RAPIDA_PLAN_EXECUTOR_H_
 #define RAPIDA_PLAN_EXECUTOR_H_
 
+#include <optional>
 #include <vector>
 
 #include "analytics/binding.h"
@@ -27,13 +28,15 @@ namespace rapida::plan {
 struct ExecContext {
   engine::Dataset* dataset = nullptr;
   mr::Cluster* cluster = nullptr;
-  engine::EngineOptions options;
   engine::RelationalOps* rel = nullptr;
   engine::NtgaExec* ntga = nullptr;
   std::vector<StatusOr<analytics::BindingTable>>* results = nullptr;
   /// Per-run node outputs, indexed by PlanNode::id: the table (or, for a
   /// VP scan folded into its join, the scan input) each exec produced.
   std::vector<engine::JoinInput> outputs;
+  /// The NTGA Agg-Joins' aggregated tables, driver-side, indexed like
+  /// `outputs` (which holds the DFS file backing each).
+  std::vector<std::optional<analytics::BindingTable>> agg_tables;
   /// Cycles an exec budgeted but did not run because it recorded a
   /// per-query failure in its result slot instead of aborting the walk
   /// (shared-scan batches). The cycle gate discounts them.
@@ -46,11 +49,10 @@ struct ExecContext {
 /// job), builds the ops facades, and cleans up intermediates whether or
 /// not the walk succeeds.
 ///
-/// The cycle gate: after each exec, the jobs run since the walk began must
-/// equal the summed est_cycles of the nodes walked so far, or the walk
-/// fails with Status::Internal naming the node. Exact per node wherever a
-/// node owns its exec; cost-only nodes (the α-join chain) are charged to
-/// the exec that follows them.
+/// The cycle gate, per node: the jobs each exec runs must equal its node's
+/// est_cycles less the cycles it reports unrun (ExecContext::unrun_cycles),
+/// and a node with est_cycles > 0 must own an exec. Either violation fails
+/// the walk with Status::Internal naming the node's id, kind and label.
 Status ExecutePlanMulti(const PhysicalPlan& plan, engine::Dataset* dataset,
                         mr::Cluster* cluster,
                         const engine::EngineOptions& options,

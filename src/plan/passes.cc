@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "engines/relational_ops.h"
 #include "storage/ivm.h"
 
 namespace rapida::plan {
@@ -79,18 +80,7 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
             n.Attr("join", "auto");
             continue;
           }
-          // Exact replica of RelationalOps::Join: the (first) largest
-          // input streams; all others must fit the broadcast threshold
-          // and the streamed input must not be outer.
-          size_t big = 0;
-          for (size_t i = 1; i < sizes.size(); ++i) {
-            if (sizes[i] > sizes[big]) big = i;
-          }
-          bool map_join = !outer[big];
-          for (size_t i = 0; i < sizes.size(); ++i) {
-            if (i != big && sizes[i] > threshold) map_join = false;
-          }
-          if (map_join) {
+          if (engine::MapJoinStreamedInput(sizes, outer, threshold) >= 0) {
             n.kind = left ? OpKind::kLeftMapJoin : OpKind::kMapJoin;
             n.map_only = true;
             n.Attr("join", "map");
@@ -292,15 +282,10 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
         bool folded =
             FindEntry(plan->nodes[agg_idx[0]].attrs, "fold") != nullptr;
         std::vector<int> input_ids;
-        std::string bind;
         for (size_t i : agg_idx) {
           PlanNode& n = plan->nodes[i];
           n.est_cycles = 0;  // evaluated inside the parallel region
           input_ids.push_back(n.id);
-          if (!n.bind_tag.empty()) {
-            bind = n.bind_tag;
-            n.bind_tag.clear();
-          }
         }
         size_t last = agg_idx.back();
         PlanNode& region = plan->AddNode(
@@ -310,7 +295,6 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
                 (folded ? " with star matching folded into map" : ""),
             1);
         region.inputs = input_ids;
-        region.bind_tag = bind;
         // AddNode appended the region; move it to just after the last
         // Agg-Join so the stored order stays topological.
         std::rotate(plan->nodes.begin() + static_cast<long>(last) + 1,

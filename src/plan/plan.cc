@@ -39,13 +39,6 @@ PlanNode& PhysicalPlan::AddNode(OpKind kind, std::string label,
   return nodes.back();
 }
 
-PlanNode* PhysicalPlan::FindByTag(const std::string& tag) {
-  for (PlanNode& n : nodes) {
-    if (n.bind_tag == tag) return &n;
-  }
-  return nullptr;
-}
-
 PlanNode* PhysicalPlan::FindById(int id) {
   for (PlanNode& n : nodes) {
     if (n.id == id) return &n;

@@ -68,15 +68,14 @@ struct PlanNode {
   /// input bytes). Excluded from Fingerprint, like est_bytes.
   uint64_t est_shuffle_bytes = 0;
   bool map_only = false;
-  /// Marker the NTGA planners' bind step uses to attach `exec` after the
-  /// pass pipeline ran (passes may move a tag when they reshape the DAG).
-  std::string bind_tag;
   /// Runs exactly this node's `est_cycles` job(s), driven by its kind,
   /// attrs and its inputs' outputs (ExecContext::outputs), and writes its
-  /// own output. Null on cost-only nodes — the NTGA α-join cycles, run by
-  /// the exec consuming the matches, and Agg-Joins folded into a parallel
-  /// region or a sequential Agg-Join batch, run by its last exec — and on
-  /// every node of a dataset-free plan.
+  /// own output. The planners bind it when they emit the node; the nodes
+  /// a pass inserts (Decompress, a parallel region) are bound after the
+  /// passes. A cost-0 node's exec runs no job: a triplegroup load
+  /// resolves its chain, an Agg-Join folded into a parallel region
+  /// publishes its grouping. Null on every node of a dataset-free plan;
+  /// the executor rejects a node with `est_cycles > 0` and no exec.
   NodeExec exec;
 
   PlanNode& Attr(const std::string& key, const std::string& value) {
@@ -112,7 +111,6 @@ struct PhysicalPlan {
   PlanNode& AddNode(OpKind kind, std::string label, std::string describe,
                     int est_cycles);
 
-  PlanNode* FindByTag(const std::string& tag);
   PlanNode* FindById(int id);
   const PlanNode* FindById(int id) const;
 

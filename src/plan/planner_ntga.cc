@@ -1,13 +1,13 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "engines/ntga_exec.h"
-#include "engines/rapid_plus.h"
 #include "engines/relational_ops.h"
 #include "engines/shared_scan.h"
 #include "engines/var_translate.h"
@@ -26,25 +26,122 @@ namespace {
 using analytics::AnalyticalQuery;
 using analytics::GroupingSubquery;
 
+/// An Agg-Join folded into a parallel region, as its exec published it
+/// for the region's: its grouping and its `map_side_agg` choice.
+struct FoldedAggJoin {
+  engine::NtgaGrouping grouping;
+  bool map_side_agg = false;
+};
+
+/// One NTGA pattern-matching chain, a triplegroup load and its α-joins,
+/// shared by the execs of its nodes and of its consumers. The planner
+/// fills the composite, the filter split and the textual order; the load
+/// resolves the pattern, and each α-join cycle advances the matches.
+struct NtgaChain {
+  ntga::CompositePattern comp;
+  /// The translated filters; `pushed` and the consumers' residuals point
+  /// into them.
+  std::vector<sparql::ExprPtr> filters;
+  engine::PushedFilters pushed;
+  /// The chain order: the textual one the `edge` attrs record, replaced
+  /// at run time under order=greedy.
+  std::vector<detail::ChainStep> steps;
+  ntga::ResolvedPattern resolved;
+  std::vector<ntga::AlphaCondition> alphas;  // per pattern of `comp`
+  std::vector<std::vector<std::string>> star_files;  // per star
+  engine::PatternMatches matches;
+  std::map<int, FoldedAggJoin> folded;  // by Agg-Join node id
+};
+
 struct NtgaEmit {
   int load_id = -1;
   int tail_id = -1;
+  std::shared_ptr<NtgaChain> chain;
 };
 
+/// Exec of a triplegroup load (no job): resolves its chain's composite
+/// against the dictionary, derives each pattern's α condition, and picks
+/// each star's covering triplegroup files.
+NodeExec TripleGroupLoadExec(std::shared_ptr<NtgaChain> chain) {
+  return [chain](ExecContext* ctx, const PlanNode&) -> Status {
+    NtgaChain& c = *chain;
+    c.resolved = ntga::ResolvePattern(c.comp, ctx->dataset->dict());
+    c.alphas.clear();
+    for (const auto& secondary : c.resolved.pattern_secondary) {
+      ntga::AlphaCondition cond;
+      for (const auto& [star, keys] : secondary) {
+        for (const ntga::DataPropKey& k : keys) {
+          cond.push_back(ntga::AlphaConstraint{star, k, true});
+        }
+      }
+      c.alphas.push_back(std::move(cond));
+    }
+    c.star_files.clear();
+    for (const ntga::ResolvedStar& star : c.resolved.stars) {
+      std::set<rdf::TermId> props;
+      for (const ntga::DataPropKey& k : star.primary) props.insert(k.property);
+      c.star_files.push_back(ctx->dataset->TgFilesCovering(props));
+    }
+    c.matches = engine::PatternMatches{};
+    if (c.star_files.size() == 1) c.matches.star_files = c.star_files[0];
+    return Status::OK();
+  };
+}
+
+/// Exec of the chain's `cycle`-th α-join: one TG_AlphaJoin job on its
+/// step of the chain order. Under order=greedy the first cycle orders the
+/// whole chain from the stars' covering triplegroup bytes. The last cycle
+/// applies the patterns' α conditions.
+NodeExec AlphaJoinExec(std::shared_ptr<NtgaChain> chain, size_t cycle) {
+  return [chain, cycle](ExecContext* ctx, const PlanNode& node) -> Status {
+    NtgaChain& c = *chain;
+    const std::string* order = FindEntry(node.attrs, "order");
+    if (cycle == 0 && order != nullptr && *order == "greedy") {
+      std::vector<uint64_t> sizes;
+      for (const std::vector<std::string>& files : c.star_files) {
+        uint64_t bytes = 0;
+        for (const std::string& f : files) {
+          auto file = ctx->dataset->dfs().Open(f);
+          if (file.ok()) bytes += (*file)->stored_bytes;
+        }
+        sizes.push_back(bytes);
+      }
+      c.steps = detail::OrderNtgaChain(c.star_files.size(), c.comp.joins,
+                                       std::move(sizes));
+    }
+    if (cycle >= c.steps.size()) {
+      return Status::InvalidArgument(
+          "graph pattern is not connected by join variables");
+    }
+    const std::vector<ntga::AlphaCondition> none;
+    const bool last = cycle + 2 == c.star_files.size();
+    RAPIDA_ASSIGN_OR_RETURN(
+        c.matches.nested_file,
+        ctx->ntga->AlphaJoinCycle(c.resolved, c.pushed, c.star_files,
+                                  c.steps[cycle].edge, c.steps[cycle].star,
+                                  c.matches.nested_file,
+                                  last ? c.alphas : none, node.label, cycle));
+    return Status::OK();
+  };
+}
+
 /// Emits the NTGA pattern-matching chain for a composite: one cost-0
-/// triplegroup load plus (k-1) α-join cycles (a one-star pattern folds
-/// matching into the Agg-Join map — zero chain cycles, as in
-/// NtgaExec::ComputePatternMatches).
-NtgaEmit EmitNtgaPattern(PhysicalPlan* plan, const ntga::CompositePattern& comp,
-                         const std::string& label, bool ra_style) {
-  size_t k = comp.stars.size();
+/// triplegroup load plus (k-1) α-join cycles in the textual order (a
+/// one-star pattern folds matching into its consumer's map: zero chain
+/// cycles). With `bind`, each node gets its exec.
+NtgaEmit EmitNtgaPattern(PhysicalPlan* plan, ntga::CompositePattern comp,
+                         const std::string& label, bool ra_style, bool bind) {
+  auto chain = std::make_shared<NtgaChain>();
+  chain->comp = std::move(comp);
+  const ntga::CompositePattern& cp = chain->comp;
+  size_t k = cp.stars.size();
   PlanNode& load = plan->AddNode(
       OpKind::kTripleGroupLoad, label,
       label + ": triplegroup scan (" + std::to_string(k) +
           (ra_style ? " composite star" : " star") + (k == 1 ? "" : "s") + ")",
       0);
   for (size_t s = 0; s < k; ++s) {
-    const ntga::CompositeStar& cs = comp.stars[s];
+    const ntga::CompositeStar& cs = cp.stars[s];
     std::string sig = cs.subject_var + "|";
     for (size_t t = 0; t < cs.triples.size(); ++t) {
       if (t > 0) sig += "&";
@@ -54,7 +151,7 @@ NtgaEmit EmitNtgaPattern(PhysicalPlan* plan, const ntga::CompositePattern& comp,
     load.Attr("star" + std::to_string(s), sig);
   }
   std::vector<std::string> binds;
-  for (const ntga::CompositeStar& cs : comp.stars) {
+  for (const ntga::CompositeStar& cs : cp.stars) {
     binds.push_back(cs.subject_var);
     for (const ntga::StarTriple& t : cs.triples) {
       std::string v = t.ObjectVar();
@@ -65,12 +162,15 @@ NtgaEmit EmitNtgaPattern(PhysicalPlan* plan, const ntga::CompositePattern& comp,
     }
   }
   load.Attr("binds", detail::Csv(binds));
+  if (bind) load.exec = TripleGroupLoadExec(chain);
 
   // `load` is a reference into plan->nodes: the AddNode calls below may
   // reallocate, so keep only its id from here on.
-  const int load_id = load.id;
-  int tail = load_id;
-  std::vector<size_t> picks = detail::SimulateNtgaChain(k, comp.joins);
+  NtgaEmit out;
+  out.load_id = load.id;
+  out.tail_id = load.id;
+  out.chain = chain;
+  chain->steps = detail::OrderNtgaChain(k, cp.joins, {});
   for (size_t c = 0; c + 1 < k; ++c) {
     bool last = c + 2 == k;
     PlanNode& jn = plan->AddNode(
@@ -79,18 +179,132 @@ NtgaEmit EmitNtgaPattern(PhysicalPlan* plan, const ntga::CompositePattern& comp,
                        (last ? " (α filtering)" : "")
                  : label + ": TG star-filter + join",
         1);
-    jn.inputs = {tail};
-    if (c < picks.size()) {
-      jn.Attr("edge", "?" + comp.joins[picks[c]].var);
+    jn.inputs = {out.tail_id};
+    if (c < chain->steps.size()) {
+      jn.Attr("edge", "?" + cp.joins[chain->steps[c].edge].var);
     } else {
       jn.Attr("edge", "disconnected");
     }
-    tail = jn.id;
+    if (bind) jn.exec = AlphaJoinExec(chain, c);
+    out.tail_id = jn.id;
   }
-  NtgaEmit out;
-  out.load_id = load_id;
-  out.tail_id = tail;
   return out;
+}
+
+/// The NTGA filter split, computed once at plan time: `filters[g]` is
+/// translated through the composite's var_map[g]. A filter over one
+/// variable is pushed into star matching and recorded on the `load` node
+/// — in a shared scan, only when every grouping has the identical
+/// translated filter, and then once. Returns each grouping's residual
+/// filters, evaluated per solution mapping.
+std::vector<std::vector<const sparql::Expr*>> SplitFilters(
+    NtgaChain* chain,
+    const std::vector<const std::vector<sparql::ExprPtr>*>& filters,
+    bool shared_scan, PlanNode* load) {
+  struct Translated {
+    std::string var;  // empty unless the filter has one variable
+    std::string sig;  // "var|filter"
+    const sparql::Expr* expr = nullptr;
+  };
+  std::vector<std::vector<Translated>> translated(filters.size());
+  std::vector<std::set<std::string>> sigs(filters.size());
+  for (size_t g = 0; g < filters.size(); ++g) {
+    for (const auto& f : *filters[g]) {
+      sparql::ExprPtr t = engine::MapExprVars(*f, chain->comp.var_map[g]);
+      std::vector<std::string> vars = detail::ExprVars(*t);
+      Translated tf;
+      tf.expr = t.get();
+      if (vars.size() == 1) {
+        tf.var = vars[0];
+        tf.sig = tf.var + "|" + t->ToString();
+        sigs[g].insert(tf.sig);
+      }
+      translated[g].push_back(std::move(tf));
+      chain->filters.push_back(std::move(t));
+    }
+  }
+  std::set<std::string> pushed_sigs;
+  std::vector<std::vector<const sparql::Expr*>> residual(filters.size());
+  for (size_t g = 0; g < filters.size(); ++g) {
+    for (const Translated& tf : translated[g]) {
+      bool push = !tf.var.empty();
+      for (size_t o = 0; shared_scan && push && o < sigs.size(); ++o) {
+        push = sigs[o].count(tf.sig) > 0;
+      }
+      if (!push) {
+        residual[g].push_back(tf.expr);
+      } else if (!shared_scan || pushed_sigs.insert(tf.sig).second) {
+        chain->pushed[tf.var].push_back(tf.expr);
+        load->Attr("pushed_filter", tf.sig);
+      }
+    }
+  }
+  return residual;
+}
+
+/// The composite variables of pattern `p` of `comp`, in var_map order.
+std::vector<std::string> PatternVars(const ntga::CompositePattern& comp,
+                                     size_t p) {
+  std::vector<std::string> vars;
+  for (const auto& [orig, composite_var] : comp.var_map[p]) {
+    if (std::find(vars.begin(), vars.end(), composite_var) == vars.end()) {
+      vars.push_back(composite_var);
+    }
+  }
+  return vars;
+}
+
+/// Exec of kExpandBindings: the one expansion cycle over its chain's
+/// matches; `residual` is compiled over `pattern_vars`.
+NodeExec ExpandBindingsExec(std::shared_ptr<NtgaChain> chain,
+                            std::vector<std::string> pattern_vars,
+                            std::vector<const sparql::Expr*> residual) {
+  return [chain, pattern_vars = std::move(pattern_vars),
+          residual = std::move(residual)](ExecContext* ctx,
+                                          const PlanNode& node) -> Status {
+    engine::RowPredicate mapping_pred =
+        residual.empty() ? nullptr
+                         : engine::CompilePredicate(residual, pattern_vars,
+                                                    &ctx->dataset->dict());
+    RAPIDA_ASSIGN_OR_RETURN(
+        engine::TableRef table,
+        ctx->ntga->ExpandToTable(chain->resolved, chain->matches,
+                                 chain->pushed, pattern_vars, mapping_pred,
+                                 node.label));
+    detail::SetOutput(ctx, node, table);
+    return Status::OK();
+  };
+}
+
+/// Emits one pattern's NTGA chain and the map-only cycle expanding its
+/// matches to relational rows; returns the expansion's id.
+int EmitExpandedPattern(PhysicalPlan* plan, const ntga::StarGraph& pattern,
+                        const std::vector<sparql::ExprPtr>& filters,
+                        const std::string& label, bool bind) {
+  NtgaEmit chain = EmitNtgaPattern(plan, ntga::SinglePatternComposite(pattern),
+                                   label, /*ra_style=*/false, bind);
+  std::vector<const sparql::Expr*> residual =
+      SplitFilters(chain.chain.get(), {&filters}, /*shared_scan=*/false,
+                   plan->FindById(chain.load_id))[0];
+  const bool fold = chain.chain->comp.stars.size() == 1;
+  std::vector<std::string> pattern_vars = PatternVars(chain.chain->comp, 0);
+  PlanNode& ex = plan->AddNode(
+      OpKind::kExpandBindings, label,
+      label + ": TG bindings -> relational rows" +
+          (fold ? " (star matching folded into map)" : ""),
+      1);
+  ex.map_only = true;
+  ex.inputs = {chain.tail_id};
+  if (fold) ex.Attr("fold", "map");
+  ex.Attr("binds", detail::Csv(pattern_vars));
+  for (const sparql::Expr* f : residual) {
+    ex.Attr("residual_filter", f->ToString());
+  }
+  if (bind) {
+    ex.exec = ExpandBindingsExec(chain.chain, std::move(pattern_vars),
+                                 std::move(residual));
+  }
+  return ex.id;
 }
 
 void AddAggAttrs(PlanNode* agg, const std::vector<std::string>& group_vars,
@@ -110,39 +324,141 @@ void AddAggAttrs(PlanNode* agg, const std::vector<std::string>& group_vars,
   agg->Attr("binds", detail::Csv(output_columns));
 }
 
-/// Exec of kExpandBindings: the α-join chain of `comp` (the cost-only
-/// kNSplitAlphaJoin nodes before it), then the expansion cycle.
-NodeExec ExpandBindingsExec(ntga::CompositePattern comp,
-                            std::vector<std::string> pattern_vars,
-                            const std::vector<sparql::ExprPtr>* filters) {
-  return [comp = std::move(comp), pattern_vars = std::move(pattern_vars),
-          filters](ExecContext* ctx, const PlanNode& node) -> Status {
-    const rdf::Dictionary& dict = ctx->dataset->graph().dict();
-    ntga::ResolvedPattern resolved = ntga::ResolvePattern(comp, dict);
-    std::vector<sparql::ExprPtr> owned;
-    engine::PushedFilters pushed;
-    engine::RowPredicate mapping_pred;
-    engine::SplitNtgaFilters(*filters, comp.var_map[0], pattern_vars, &dict,
-                             &owned, &pushed, &mapping_pred);
+/// Records an Agg-Join's aggregated table, and the DFS file backing it, as
+/// node `id`'s output.
+void SetAggOutput(ExecContext* ctx, int id,
+                  const engine::NtgaGrouping& grouping,
+                  analytics::BindingTable table, const std::string& file) {
+  engine::JoinInput& out = ctx->outputs[static_cast<size_t>(id)];
+  out.file = file;
+  out.columns = grouping.output_columns;
+  ctx->agg_tables[static_cast<size_t>(id)] = std::move(table);
+}
+
+/// Exec of one TG Agg-Join: completes its grouping with its pattern's α
+/// condition and the compiled residual predicate, then runs its one job
+/// — or, folded into a parallel region (est_cycles 0), publishes the
+/// grouping in its chain for the region's exec.
+NodeExec AggJoinExec(std::shared_ptr<NtgaChain> chain,
+                     engine::NtgaGrouping work,
+                     std::vector<const sparql::Expr*> residual,
+                     std::string job_suffix) {
+  return [chain, work = std::move(work), residual = std::move(residual),
+          job_suffix = std::move(job_suffix)](
+             ExecContext* ctx, const PlanNode& node) -> Status {
+    engine::NtgaGrouping grouping = work;
+    const size_t pattern = static_cast<size_t>(grouping.id);
+    if (pattern < chain->alphas.size()) {
+      grouping.spec.alpha = chain->alphas[pattern];
+    }
+    if (!residual.empty()) {
+      grouping.mapping_predicate = engine::CompilePredicate(
+          residual, grouping.pattern_vars, &ctx->dataset->dict());
+    }
+    const std::string* agg = FindEntry(node.attrs, "map_side_agg");
+    const bool map_side_agg = agg != nullptr && *agg == "partial";
+    if (node.est_cycles == 0) {
+      chain->folded[node.id] = FoldedAggJoin{std::move(grouping), map_side_agg};
+      return Status::OK();
+    }
+    std::string file;
     RAPIDA_ASSIGN_OR_RETURN(
-        engine::PatternMatches matches,
-        ctx->ntga->ComputePatternMatches(resolved, {}, pushed, node.label));
-    RAPIDA_ASSIGN_OR_RETURN(
-        engine::TableRef table,
-        ctx->ntga->ExpandToTable(resolved, matches, pushed, pattern_vars,
-                                 mapping_pred, node.label));
-    detail::SetOutput(ctx, node, table);
+        std::vector<analytics::BindingTable> tables,
+        ctx->ntga->RunAggJoins(
+            chain->resolved, chain->matches, chain->pushed, {&grouping},
+            map_side_agg, node.label + ":aggjoin" + job_suffix,
+            node.label + ":agg" + std::to_string(grouping.id), &file));
+    SetAggOutput(ctx, node.id, grouping, std::move(tables[0]), file);
     return Status::OK();
   };
+}
+
+/// Exec of a parallel region over its chain's Agg-Joins (Fig. 6b): one
+/// job over the groupings its members published, filling each member's
+/// output.
+NodeExec ParallelAggJoinExec(std::shared_ptr<NtgaChain> chain) {
+  return [chain](ExecContext* ctx, const PlanNode& node) -> Status {
+    std::vector<const engine::NtgaGrouping*> groupings;
+    bool map_side_agg = false;
+    for (int in : node.inputs) {
+      auto it = chain->folded.find(in);
+      if (it == chain->folded.end()) {
+        return Status::Internal("parallel region member #" +
+                                std::to_string(in) + " published nothing");
+      }
+      groupings.push_back(&it->second.grouping);
+      map_side_agg = it->second.map_side_agg;
+    }
+    std::string file;
+    RAPIDA_ASSIGN_OR_RETURN(
+        std::vector<analytics::BindingTable> tables,
+        ctx->ntga->RunAggJoins(chain->resolved, chain->matches, chain->pushed,
+                               groupings, map_side_agg,
+                               node.label + ":aggjoin(parallel)",
+                               node.label + ":agg0", &file));
+    for (size_t i = 0; i < groupings.size(); ++i) {
+      SetAggOutput(ctx, node.inputs[i], *groupings[i], std::move(tables[i]),
+                   file);
+    }
+    return Status::OK();
+  };
+}
+
+/// Emits the TG Agg-Join of `grouping`, pattern `gid` of `chain`'s
+/// composite (also its `gid#` key prefix), on the chain's matches. Its job
+/// is named `label:aggjoin` + `job_suffix`.
+int EmitAggJoin(PhysicalPlan* plan, const NtgaEmit& chain,
+                const GroupingSubquery& grouping, int gid,
+                std::vector<const sparql::Expr*> residual,
+                const std::string& label, const std::string& describe,
+                std::string job_suffix, bool bind) {
+  const ntga::CompositePattern& comp = chain.chain->comp;
+  const std::map<std::string, std::string>& var_map = comp.var_map[gid];
+  engine::NtgaGrouping work;
+  work.id = gid;
+  work.spec.group_vars = engine::MapVars(grouping.group_by, var_map);
+  for (const ntga::AggSpec& a : grouping.aggs) {
+    ntga::AggSpec translated = a;
+    translated.var = engine::MapVar(a.var, var_map);
+    work.spec.aggs.push_back(std::move(translated));
+  }
+  work.pattern_vars = PatternVars(comp, static_cast<size_t>(gid));
+  work.output_columns = grouping.group_by;  // original names
+  for (const ntga::AggSpec& a : grouping.aggs) {
+    work.output_columns.push_back(a.output_name);
+  }
+  work.having = grouping.having.get();
+
+  PlanNode& agg = plan->AddNode(OpKind::kAggJoin, label, describe, 1);
+  agg.inputs = {chain.tail_id};
+  if (comp.stars.size() == 1) agg.Attr("fold", "map");
+  AddAggAttrs(&agg, work.spec.group_vars, work.spec.aggs, work.having,
+              work.output_columns);
+  // The α condition restricting this grouping to its own pattern.
+  std::string alpha;
+  for (const auto& [star, props] : comp.pattern_secondary[gid]) {
+    for (const ntga::PropKey& p : props) {
+      if (!alpha.empty()) alpha += "&";
+      alpha += "s" + std::to_string(star) + ":" + p.ToString();
+    }
+  }
+  if (!alpha.empty()) agg.Attr("alpha", alpha);
+  for (const sparql::Expr* f : residual) {
+    agg.Attr("residual_filter", f->ToString());
+  }
+  if (bind) {
+    agg.exec = AggJoinExec(chain.chain, std::move(work), std::move(residual),
+                           std::move(job_suffix));
+  }
+  return agg.id;
 }
 
 /// Emits the pattern side of one extended (OPTIONAL/UNION) grouping on the
 /// NTGA engine: per branch the α-join chain plus one map-only cycle
 /// expanding the matched triplegroups to relational rows, per OPTIONAL
 /// tail a folded star scan + expansion + left join cycle, then a UNION ALL
-/// node across branches. With `bind`, every node but the cost-only α-join
-/// cycles gets its exec. Returns the node id feeding the relational GROUP
-/// BY.
+/// node across branches. With `bind`, every node gets its exec. Returns
+/// the node id feeding the relational GROUP BY.
 int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
                          const std::string& label, bool bind) {
   std::vector<detail::BranchView> branches = detail::BranchesOf(grouping);
@@ -151,80 +467,14 @@ int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
     const detail::BranchView& bv = branches[b];
     std::string blabel =
         branches.size() > 1 ? label + ":b" + std::to_string(b) : label;
-    ntga::CompositePattern comp = ntga::SinglePatternComposite(*bv.pattern);
-    size_t k = comp.stars.size();
-    NtgaEmit chain = EmitNtgaPattern(plan, comp, blabel, /*ra_style=*/false);
-    std::vector<std::string> pattern_vars;
-    for (const auto& [orig, composite_var] : comp.var_map[0]) {
-      pattern_vars.push_back(composite_var);
-    }
-    std::vector<std::string> residual_sigs;
-    for (const auto& f : *bv.filters) {
-      std::vector<std::string> vars = detail::ExprVars(*f);
-      if (vars.size() == 1) {
-        plan->FindById(chain.load_id)
-            ->Attr("pushed_filter", vars[0] + "|" + f->ToString());
-      } else {
-        residual_sigs.push_back(f->ToString());
-      }
-    }
-    PlanNode& ex = plan->AddNode(
-        OpKind::kExpandBindings, blabel,
-        blabel + ": TG bindings -> relational rows" +
-            (k == 1 ? " (star matching folded into map)" : ""),
-        1);
-    ex.map_only = true;
-    ex.inputs = {chain.tail_id};
-    if (k == 1) ex.Attr("fold", "map");
-    ex.Attr("binds", detail::Csv(pattern_vars));
-    for (const std::string& sig : residual_sigs) {
-      ex.Attr("residual_filter", sig);
-    }
-    if (bind) {
-      ex.exec = ExpandBindingsExec(std::move(comp), pattern_vars, bv.filters);
-    }
-    int tail = ex.id;
-
+    int tail = EmitExpandedPattern(plan, *bv.pattern, *bv.filters, blabel,
+                                   bind);
     for (size_t j = 0; j < bv.optionals->size(); ++j) {
       const analytics::OptionalTail& opt = (*bv.optionals)[j];
-      std::string olabel = blabel + ":opt" + std::to_string(j);
-      ntga::CompositePattern ocomp =
-          ntga::SinglePatternComposite(detail::OptionalGraph(opt));
-      NtgaEmit ochain = EmitNtgaPattern(plan, ocomp, olabel,
-                                       /*ra_style=*/false);
-      std::vector<std::string> opattern_vars;
-      for (const auto& [orig, composite_var] : ocomp.var_map[0]) {
-        opattern_vars.push_back(composite_var);
-      }
-      std::vector<std::string> oresidual;
-      for (const auto& f : opt.filters) {
-        std::vector<std::string> vars = detail::ExprVars(*f);
-        if (vars.size() == 1) {
-          plan->FindById(ochain.load_id)
-              ->Attr("pushed_filter", vars[0] + "|" + f->ToString());
-        } else {
-          oresidual.push_back(f->ToString());
-        }
-      }
-      PlanNode& oex = plan->AddNode(
-          OpKind::kExpandBindings, olabel,
-          olabel +
-              ": TG bindings -> relational rows (star matching folded into "
-              "map)",
-          1);
-      oex.map_only = true;
-      oex.inputs = {ochain.tail_id};
-      oex.Attr("fold", "map");
-      oex.Attr("binds", detail::Csv(opattern_vars));
-      for (const std::string& sig : oresidual) {
-        oex.Attr("residual_filter", sig);
-      }
-      if (bind) {
-        oex.exec = ExpandBindingsExec(std::move(ocomp), opattern_vars,
-                                      &opt.filters);
-      }
-      // AddNode may reallocate the node vector; oex is dangling after it.
-      const int oex_id = oex.id;
+      int oex_id = EmitExpandedPattern(plan, detail::OptionalGraph(opt),
+                                       opt.filters,
+                                       blabel + ":opt" + std::to_string(j),
+                                       bind);
       PlanNode& jn = plan->AddNode(
           OpKind::kLeftReduceJoin, blabel,
           blabel + ": left star-join (OPTIONAL; unmatched rows keep NULLs)",
@@ -255,9 +505,60 @@ int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
   return un.id;
 }
 
+/// Exec of the NTGA query terminal filling result `slot` from its inputs
+/// (an Agg-Join's aggregated table, or a relational GROUP BY's output read
+/// back): the driver-side projection of a single grouping (kMaterialize)
+/// or one map-only final join named `label` (kFinalJoin), then the
+/// solution modifiers. A per-query failure stays in the slot, with the
+/// cycles it left unrun, so the other queries of a shared-scan batch
+/// still finish.
+NodeExec NtgaFinalExec(const AnalyticalQuery* query, size_t slot,
+                       std::string label) {
+  return [query, slot, label = std::move(label)](
+             ExecContext* ctx, const PlanNode& node) -> Status {
+    std::vector<analytics::BindingTable> tables;
+    std::vector<std::string> files;
+    for (int in : node.inputs) {
+      std::optional<analytics::BindingTable>& agg =
+          ctx->agg_tables[static_cast<size_t>(in)];
+      if (agg.has_value()) {
+        tables.push_back(std::move(*agg));
+      } else {
+        RAPIDA_ASSIGN_OR_RETURN(
+            analytics::BindingTable table,
+            ctx->rel->ReadTable(detail::TableOf(*ctx, in)));
+        tables.push_back(std::move(table));
+      }
+      files.push_back(ctx->outputs[static_cast<size_t>(in)].file);
+    }
+    const size_t jobs_before = ctx->cluster->history().size();
+    StatusOr<analytics::BindingTable> result = Status::Internal("unset");
+    if (node.kind == OpKind::kMaterialize) {
+      result = engine::ToBindingTable(engine::JoinAndProject(
+          std::move(tables), query->top_items, &ctx->dataset->dict()));
+    } else {
+      result = ctx->ntga->FinalJoinProject(std::move(tables),
+                                           query->top_items, files, label);
+    }
+    if (result.ok()) {
+      analytics::ApplySolutionModifiers(*query, ctx->dataset->dict(),
+                                        &*result);
+    } else {
+      ctx->unrun_cycles +=
+          node.est_cycles -
+          static_cast<int>(ctx->cluster->history().size() - jobs_before);
+    }
+    (*ctx->results)[slot] = std::move(result);
+    return Status::OK();
+  };
+}
+
+/// Emits the query terminal over `inputs` (one map-only final join, or a
+/// driver-side projection for a single grouping) with its solution
+/// modifiers, filling result `slot`.
 int EmitNtgaFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
                   const std::string& suffix, const std::vector<int>& inputs,
-                  const std::string& tag) {
+                  size_t slot, std::string label, bool bind) {
   PlanNode* fin = nullptr;
   if (query.groupings.size() > 1) {
     fin = &plan->AddNode(OpKind::kFinalJoin, "final",
@@ -275,269 +576,8 @@ int EmitNtgaFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
   fin->inputs = inputs;
   detail::AddModifierAttrs(fin, query);
   fin->Attr("uses", detail::Csv(detail::ModifierUses(query)));
-  fin->bind_tag = tag;
+  if (bind) fin->exec = NtgaFinalExec(&query, slot, std::move(label));
   return fin->id;
-}
-
-/// The NTGA query terminal over its groupings' aggregated tables: the
-/// driver-side projection of a single grouping (kMaterialize) or one
-/// map-only final join (kFinalJoin), then the solution modifiers.
-StatusOr<analytics::BindingTable> FinishNtga(
-    ExecContext* ctx, const PlanNode& node, const AnalyticalQuery& query,
-    std::vector<analytics::BindingTable> tables,
-    const std::vector<std::string>& files, const std::string& label) {
-  StatusOr<analytics::BindingTable> result = Status::Internal("unset");
-  if (node.kind == OpKind::kMaterialize) {
-    result = engine::ToBindingTable(engine::JoinAndProject(
-        std::move(tables), query.top_items, &ctx->dataset->dict()));
-  } else {
-    result = ctx->ntga->FinalJoinProject(std::move(tables), query.top_items,
-                                         files, label);
-  }
-  if (result.ok()) {
-    analytics::ApplySolutionModifiers(query, ctx->dataset->dict(), &*result);
-  }
-  return result;
-}
-
-void BindRapidPlus(PhysicalPlan* plan, const AnalyticalQuery& query) {
-  // The Agg-Joins' result tables, by node id, for the final join.
-  auto agg_tables =
-      std::make_shared<std::map<int, analytics::BindingTable>>();
-  const AnalyticalQuery* q = &query;
-  for (size_t g = 0; g < query.groupings.size(); ++g) {
-    const GroupingSubquery& grouping = query.groupings[g];
-    if (!grouping.IsConjunctive()) continue;  // relational tail: bound
-    PlanNode* n = plan->FindByTag("g" + std::to_string(g));
-    n->exec = [q, g, agg_tables](ExecContext* ctx,
-                                 const PlanNode& node) -> Status {
-      const GroupingSubquery& grouping = q->groupings[g];
-      const rdf::Dictionary& dict = ctx->dataset->graph().dict();
-      ntga::CompositePattern comp =
-          ntga::SinglePatternComposite(grouping.pattern);
-      ntga::ResolvedPattern resolved = ntga::ResolvePattern(comp, dict);
-
-      std::vector<std::string> pattern_vars;
-      for (const auto& [orig, composite_var] : comp.var_map[0]) {
-        pattern_vars.push_back(composite_var);
-      }
-      std::vector<sparql::ExprPtr> owned;
-      engine::PushedFilters pushed;
-      engine::RowPredicate mapping_pred;
-      engine::SplitNtgaFilters(grouping.filters, comp.var_map[0], pattern_vars,
-                               &dict, &owned, &pushed, &mapping_pred);
-
-      RAPIDA_ASSIGN_OR_RETURN(
-          engine::PatternMatches matches,
-          ctx->ntga->ComputePatternMatches(resolved, {}, pushed, node.label));
-
-      engine::NtgaGrouping work;
-      work.spec.group_vars = grouping.group_by;  // identity namespace
-      work.spec.aggs = grouping.aggs;
-      work.pattern_vars = pattern_vars;
-      work.output_columns = grouping.group_by;
-      for (const ntga::AggSpec& a : grouping.aggs) {
-        work.output_columns.push_back(a.output_name);
-      }
-      work.mapping_predicate = mapping_pred;
-      work.having = grouping.having.get();
-
-      std::vector<std::string> files;
-      RAPIDA_ASSIGN_OR_RETURN(
-          std::vector<analytics::BindingTable> tables,
-          ctx->ntga->RunAggJoins(resolved, matches, pushed, {work},
-                                 /*parallel=*/false, node.label, &files));
-      (*agg_tables)[node.id] = std::move(tables[0]);
-      detail::SetOutput(ctx, node,
-                        engine::TableRef{files[0], work.output_columns,
-                                         nullptr, 0});
-      return Status::OK();
-    };
-  }
-  plan->FindByTag("final")->exec = [q, agg_tables](
-                                       ExecContext* ctx,
-                                       const PlanNode& node) -> Status {
-    // Relational GROUP BYs (OPTIONAL/UNION groupings) are read back here.
-    std::vector<analytics::BindingTable> tables;
-    std::vector<std::string> files;
-    for (int in : node.inputs) {
-      auto it = agg_tables->find(in);
-      if (it != agg_tables->end()) {
-        tables.push_back(std::move(it->second));
-      } else {
-        RAPIDA_ASSIGN_OR_RETURN(
-            analytics::BindingTable table,
-            ctx->rel->ReadTable(detail::TableOf(*ctx, in)));
-        tables.push_back(std::move(table));
-      }
-      files.push_back(ctx->outputs[in].file);
-    }
-    RAPIDA_ASSIGN_OR_RETURN(
-        analytics::BindingTable result,
-        FinishNtga(ctx, node, *q, std::move(tables), files, "final"));
-    (*ctx->results)[0] = std::move(result);
-    return Status::OK();
-  };
-}
-
-struct RaState {
-  ntga::CompositePattern comp;  // copied: must outlive the SharedScanPlan
-  std::vector<const AnalyticalQuery*> queries;
-  std::vector<const GroupingSubquery*> flat;
-  std::vector<size_t> offsets;
-  // Exec-time intermediates, produced along the chain.
-  ntga::ResolvedPattern resolved;
-  std::vector<ntga::AlphaCondition> alphas;
-  engine::PushedFilters pushed;
-  std::vector<sparql::ExprPtr> owned_filters;
-  std::vector<engine::NtgaGrouping> work;
-  engine::PatternMatches matches;
-  std::vector<analytics::BindingTable> tables;
-  std::vector<std::string> agg_files;
-};
-
-void BindCompositeBatch(PhysicalPlan* plan, std::shared_ptr<RaState> st) {
-  plan->FindByTag("gp")->exec = [st](ExecContext* ctx,
-                                     const PlanNode&) -> Status {
-    const rdf::Dictionary& dict = ctx->dataset->graph().dict();
-    st->resolved = ntga::ResolvePattern(st->comp, dict);
-
-    st->alphas.clear();
-    for (size_t p = 0; p < st->resolved.pattern_secondary.size(); ++p) {
-      ntga::AlphaCondition cond;
-      for (const auto& [star, keys] : st->resolved.pattern_secondary[p]) {
-        for (const ntga::DataPropKey& k : keys) {
-          cond.push_back(ntga::AlphaConstraint{star, k, true});
-        }
-      }
-      st->alphas.push_back(std::move(cond));
-    }
-
-    struct TranslatedFilter {
-      std::string var;
-      std::string sig;
-      const sparql::Expr* raw = nullptr;
-    };
-    std::vector<std::vector<TranslatedFilter>> grouping_filters(
-        st->flat.size());
-    std::vector<std::set<std::string>> grouping_sigs(st->flat.size());
-    for (size_t g = 0; g < st->flat.size(); ++g) {
-      for (const auto& f : st->flat[g]->filters) {
-        sparql::ExprPtr translated =
-            engine::MapExprVars(*f, st->comp.var_map[g]);
-        std::vector<std::string> vars;
-        translated->CollectVars(&vars);
-        TranslatedFilter tf;
-        tf.raw = translated.get();
-        if (vars.size() == 1) {
-          tf.var = vars[0];
-          tf.sig = tf.var + "|" + translated->ToString();
-          grouping_sigs[g].insert(tf.sig);
-        }
-        st->owned_filters.push_back(std::move(translated));
-        grouping_filters[g].push_back(std::move(tf));
-      }
-    }
-
-    st->work.resize(st->flat.size());
-    std::set<std::string> pushed_signatures;
-    for (size_t g = 0; g < st->flat.size(); ++g) {
-      const GroupingSubquery& grouping = *st->flat[g];
-      const auto& var_map = st->comp.var_map[g];
-
-      std::vector<std::string> pattern_vars;
-      for (const auto& [orig, composite_var] : var_map) {
-        if (std::find(pattern_vars.begin(), pattern_vars.end(),
-                      composite_var) == pattern_vars.end()) {
-          pattern_vars.push_back(composite_var);
-        }
-      }
-
-      std::vector<const sparql::Expr*> residual;
-      for (const TranslatedFilter& tf : grouping_filters[g]) {
-        bool shared_by_all = !tf.var.empty();
-        for (size_t o = 0; shared_by_all && o < grouping_sigs.size(); ++o) {
-          if (grouping_sigs[o].count(tf.sig) == 0) shared_by_all = false;
-        }
-        if (shared_by_all) {
-          if (pushed_signatures.insert(tf.sig).second) {
-            st->pushed[tf.var].push_back(tf.raw);
-          }
-        } else {
-          residual.push_back(tf.raw);
-        }
-      }
-      engine::RowPredicate mapping_pred =
-          residual.empty()
-              ? nullptr
-              : engine::CompilePredicate(residual, pattern_vars, &dict);
-
-      engine::NtgaGrouping& w = st->work[g];
-      w.spec.group_vars = engine::MapVars(grouping.group_by, var_map);
-      for (const ntga::AggSpec& a : grouping.aggs) {
-        ntga::AggSpec translated = a;
-        translated.var = engine::MapVar(a.var, var_map);
-        w.spec.aggs.push_back(std::move(translated));
-      }
-      w.spec.alpha =
-          st->alphas.size() > g ? st->alphas[g] : ntga::AlphaCondition{};
-      w.pattern_vars = pattern_vars;
-      w.output_columns = grouping.group_by;  // original names
-      for (const ntga::AggSpec& a : grouping.aggs) {
-        w.output_columns.push_back(a.output_name);
-      }
-      w.mapping_predicate = mapping_pred;
-      w.having = grouping.having.get();
-    }
-
-    auto matches = ctx->ntga->ComputePatternMatches(st->resolved, st->alphas,
-                                                    st->pushed, "gp");
-    if (!matches.ok()) return matches.status();
-    st->matches = std::move(*matches);
-    return Status::OK();
-  };
-
-  plan->FindByTag("agg")->exec = [st](ExecContext* ctx,
-                                      const PlanNode&) -> Status {
-    auto tables = ctx->ntga->RunAggJoins(st->resolved, st->matches, st->pushed,
-                                         st->work,
-                                         ctx->options.parallel_agg_join, "agg",
-                                         &st->agg_files);
-    if (!tables.ok()) return tables.status();
-    st->tables = std::move(*tables);
-    return Status::OK();
-  };
-
-  for (size_t q = 0; q < st->queries.size(); ++q) {
-    PlanNode* n = plan->FindByTag("final" + std::to_string(q));
-    n->exec = [st, q](ExecContext* ctx, const PlanNode& node) -> Status {
-      const AnalyticalQuery& query = *st->queries[q];
-      size_t offset = st->offsets[q];
-      size_t n_groupings = query.groupings.size();
-      std::vector<analytics::BindingTable> q_tables;
-      q_tables.reserve(n_groupings);
-      for (size_t i = 0; i < n_groupings; ++i) {
-        q_tables.push_back(std::move(st->tables[offset + i]));
-      }
-      std::vector<std::string> q_files(
-          st->agg_files.begin() + static_cast<long>(offset),
-          st->agg_files.begin() +
-              static_cast<long>(
-                  std::min(offset + n_groupings, st->agg_files.size())));
-      const size_t jobs_before = ctx->cluster->history().size();
-      StatusOr<analytics::BindingTable> result = FinishNtga(
-          ctx, node, query, std::move(q_tables), q_files,
-          st->queries.size() == 1 ? "final" : "final" + std::to_string(q));
-      if (!result.ok()) {
-        ctx->unrun_cycles +=
-            node.est_cycles -
-            static_cast<int>(ctx->cluster->history().size() - jobs_before);
-      }
-      // A per-query failure stays in its slot; the batch walk continues.
-      (*ctx->results)[q] = std::move(result);
-      return Status::OK();
-    };
-  }
 }
 
 }  // namespace
@@ -580,51 +620,23 @@ StatusOr<PhysicalPlan> PlanRapidPlus(const AnalyticalQuery& query,
       agg_ids.push_back(agg.id);
       continue;
     }
-    ntga::CompositePattern comp =
-        ntga::SinglePatternComposite(grouping.pattern);
-    size_t k = comp.stars.size();
-    NtgaEmit chain = EmitNtgaPattern(&plan, comp, label, /*ra_style=*/false);
-
-    // Filter split (identity variable namespace): single-variable filters
-    // are pushed into the triplegroup scan, the rest stay a mapping-level
-    // predicate on the Agg-Join.
-    std::vector<std::string> residual_sigs;
-    for (const auto& f : grouping.filters) {
-      std::vector<std::string> vars = detail::ExprVars(*f);
-      if (vars.size() == 1) {
-        plan.FindById(chain.load_id)
-            ->Attr("pushed_filter", vars[0] + "|" + f->ToString());
-      } else {
-        residual_sigs.push_back(f->ToString());
-      }
-    }
-
-    PlanNode& agg = plan.AddNode(
-        OpKind::kAggJoin, label,
+    NtgaEmit chain =
+        EmitNtgaPattern(&plan, ntga::SinglePatternComposite(grouping.pattern),
+                        label, /*ra_style=*/false, bind);
+    std::vector<const sparql::Expr*> residual =
+        SplitFilters(chain.chain.get(), {&grouping.filters},
+                     /*shared_scan=*/false, plan.FindById(chain.load_id))[0];
+    const bool fold = chain.chain->comp.stars.size() == 1;
+    agg_ids.push_back(EmitAggJoin(
+        &plan, chain, grouping, 0, std::move(residual), label,
         label + ": TG Agg-Join" +
-            (k == 1 ? " (star matching folded into map)" : ""),
-        1);
-    agg.inputs = {chain.tail_id};
-    if (k == 1) agg.Attr("fold", "map");
-    std::vector<std::string> output_columns = grouping.group_by;
-    for (const ntga::AggSpec& a : grouping.aggs) {
-      output_columns.push_back(a.output_name);
-    }
-    AddAggAttrs(&agg, grouping.group_by, grouping.aggs, grouping.having.get(),
-                output_columns);
-    for (const std::string& sig : residual_sigs) {
-      agg.Attr("residual_filter", sig);
-    }
-    agg.bind_tag = label;
-    agg_ids.push_back(agg.id);
+            (fold ? " (star matching folded into map)" : ""),
+        "", bind));
   }
-  EmitNtgaFinal(&plan, query, "", agg_ids, "final");
+  EmitNtgaFinal(&plan, query, "", agg_ids, 0, "final", bind);
 
   PassManager::Default(options, &query).Run(&plan);
-  if (bind) {
-    BindRapidPlus(&plan, query);
-    detail::BindDecompress(&plan);
-  }
+  if (bind) detail::BindDecompress(&plan);
   return plan;
 }
 
@@ -633,8 +645,7 @@ StatusOr<PhysicalPlan> PlanCompositeBatch(
     const std::vector<const AnalyticalQuery*>& queries,
     engine::Dataset* dataset, const engine::EngineOptions& options) {
   RAPIDA_CHECK(shared.sharable) << "PlanCompositeBatch on unsharable plan";
-  const ntga::CompositePattern& comp = shared.comp;
-  size_t k = comp.stars.size();
+  const bool bind = dataset != nullptr;
 
   std::vector<const GroupingSubquery*> flat;
   std::vector<size_t> offsets(queries.size(), 0);
@@ -657,82 +668,23 @@ StatusOr<PhysicalPlan> PlanCompositeBatch(
         "pattern cycles");
   }
 
-  NtgaEmit chain = EmitNtgaPattern(&plan, comp, "gp", /*ra_style=*/true);
-  plan.FindById(chain.tail_id)->bind_tag = "gp";
+  NtgaEmit chain =
+      EmitNtgaPattern(&plan, shared.comp, "gp", /*ra_style=*/true, bind);
+  std::vector<const std::vector<sparql::ExprPtr>*> filters;
+  for (const GroupingSubquery* g : flat) filters.push_back(&g->filters);
+  std::vector<std::vector<const sparql::Expr*>> residual =
+      SplitFilters(chain.chain.get(), filters, /*shared_scan=*/true,
+                   plan.FindById(chain.load_id));
 
-  // Shared-scan filter pushdown rule, statically replayed for the plan
-  // attrs: a single-variable filter is pushed into the composite scan only
-  // when the identical translated filter appears in EVERY flattened
-  // grouping; everything else stays that grouping's mapping predicate.
-  std::vector<std::set<std::string>> grouping_sigs(flat.size());
-  std::vector<std::vector<std::pair<std::string, std::string>>> translated(
-      flat.size());  // (sig-or-empty, text) per filter
-  for (size_t g = 0; g < flat.size(); ++g) {
-    for (const auto& f : flat[g]->filters) {
-      sparql::ExprPtr t = engine::MapExprVars(*f, comp.var_map[g]);
-      std::vector<std::string> vars = detail::ExprVars(*t);
-      std::string sig;
-      if (vars.size() == 1) {
-        sig = vars[0] + "|" + t->ToString();
-        grouping_sigs[g].insert(sig);
-      }
-      translated[g].emplace_back(sig, t->ToString());
-    }
-  }
-  std::set<std::string> pushed_signatures;
-  std::vector<std::vector<std::string>> residual_sigs(flat.size());
-  for (size_t g = 0; g < flat.size(); ++g) {
-    for (const auto& [sig, text] : translated[g]) {
-      bool shared_by_all = !sig.empty();
-      for (size_t o = 0; shared_by_all && o < grouping_sigs.size(); ++o) {
-        if (grouping_sigs[o].count(sig) == 0) shared_by_all = false;
-      }
-      if (shared_by_all) {
-        if (pushed_signatures.insert(sig).second) {
-          plan.FindById(chain.load_id)->Attr("pushed_filter", sig);
-        }
-      } else {
-        residual_sigs[g].push_back(text);
-      }
-    }
-  }
-
+  const bool fold = shared.comp.stars.size() == 1;
   std::vector<int> agg_ids;
   for (size_t g = 0; g < flat.size(); ++g) {
-    const GroupingSubquery& grouping = *flat[g];
-    PlanNode& agg = plan.AddNode(
-        OpKind::kAggJoin, "agg",
+    agg_ids.push_back(EmitAggJoin(
+        &plan, chain, *flat[g], static_cast<int>(g), std::move(residual[g]),
+        "agg",
         "agg: TG Agg-Join (grouping-aggregation " + std::to_string(g) + ")" +
-            (k == 1 ? " with star matching folded into map" : ""),
-        1);
-    agg.inputs = {chain.tail_id};
-    if (k == 1) agg.Attr("fold", "map");
-    std::vector<ntga::AggSpec> translated_aggs;
-    for (const ntga::AggSpec& a : grouping.aggs) {
-      ntga::AggSpec ta = a;
-      ta.var = engine::MapVar(a.var, comp.var_map[g]);
-      translated_aggs.push_back(std::move(ta));
-    }
-    std::vector<std::string> output_columns = grouping.group_by;
-    for (const ntga::AggSpec& a : grouping.aggs) {
-      output_columns.push_back(a.output_name);
-    }
-    AddAggAttrs(&agg, engine::MapVars(grouping.group_by, comp.var_map[g]),
-                translated_aggs, grouping.having.get(), output_columns);
-    // The α condition restricting this grouping to its own pattern.
-    std::string alpha;
-    for (const auto& [star, props] : comp.pattern_secondary[g]) {
-      for (const ntga::PropKey& p : props) {
-        if (!alpha.empty()) alpha += "&";
-        alpha += "s" + std::to_string(star) + ":" + p.ToString();
-      }
-    }
-    if (!alpha.empty()) agg.Attr("alpha", alpha);
-    for (const std::string& sig : residual_sigs[g]) {
-      agg.Attr("residual_filter", sig);
-    }
-    if (g + 1 == flat.size()) agg.bind_tag = "agg";
-    agg_ids.push_back(agg.id);
+            (fold ? " with star matching folded into map" : ""),
+        flat.size() > 1 ? std::to_string(g) : "", bind));
   }
 
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -741,21 +693,21 @@ StatusOr<PhysicalPlan> PlanCompositeBatch(
     std::vector<int> in_ids(
         agg_ids.begin() + static_cast<long>(offsets[q]),
         agg_ids.begin() + static_cast<long>(offsets[q] + n));
-    EmitNtgaFinal(
-        &plan, query,
-        queries.size() > 1 ? " (query " + std::to_string(q) + ")" : "",
-        in_ids, "final" + std::to_string(q));
+    const bool batch = queries.size() > 1;
+    EmitNtgaFinal(&plan, query,
+                  batch ? " (query " + std::to_string(q) + ")" : "", in_ids,
+                  q, batch ? "final" + std::to_string(q) : "final", bind);
   }
 
   PassManager::Default(options, queries.size() == 1 ? queries[0] : nullptr)
       .Run(&plan);
-  if (dataset != nullptr) {
-    auto st = std::make_shared<RaState>();
-    st->comp = comp;
-    st->queries = queries;
-    st->flat = std::move(flat);
-    st->offsets = std::move(offsets);
-    BindCompositeBatch(&plan, st);
+  if (bind) {
+    for (PlanNode& node : plan.nodes) {
+      if (node.kind == OpKind::kParallelRegion) {
+        node.exec = ParallelAggJoinExec(chain.chain);
+      }
+    }
+    detail::BindDecompress(&plan);
   }
   return plan;
 }

@@ -172,44 +172,51 @@ inline int OrderHiveChain(size_t num_stars,
   return anchor;
 }
 
-/// The α-join chain's edge choice (NtgaExec::ComputePatternMatches): the
-/// first cycle takes the textually first edge outright (anchoring both
-/// endpoints); later cycles take the first pending edge with exactly one
-/// endpoint joined.
-inline std::vector<size_t> SimulateNtgaChain(
-    size_t num_stars, const std::vector<ntga::JoinEdge>& joins) {
-  std::vector<size_t> picks;
-  if (num_stars < 2) return picks;
+/// The α-join chain's order, and the only copy of its rule: the first
+/// cycle takes the edge whose two stars are smallest together by `sizes`
+/// and anchors its first star; each later cycle takes the pending edge
+/// reaching the smallest star not yet joined. Ties go to the textually
+/// first edge. With no sizes that is the textual order (the first edge,
+/// then always the first pending edge with one star joined), which the
+/// planner records in the α-join nodes' `edge` attrs; under order=greedy
+/// the first α-join exec calls it with the stars' covering triplegroup
+/// bytes. Each step's `star` is the star its cycle pulls in; the edge's
+/// other star is on the accumulated side. Fewer than stars-1 steps means
+/// the pattern is not connected (the exec reports that error).
+inline std::vector<ChainStep> OrderNtgaChain(
+    size_t num_stars, const std::vector<ntga::JoinEdge>& joins,
+    std::vector<uint64_t> sizes) {
+  sizes.resize(num_stars, 0);
   std::vector<bool> joined(num_stars, false);
   std::vector<bool> done(joins.size(), false);
-  bool first_cycle = true;
-  size_t remaining = num_stars;
-  while (remaining > 0) {
+  std::vector<ChainStep> steps;
+  for (size_t c = 0; c + 1 < num_stars; ++c) {
     int pick = -1;
+    uint64_t best = 0;
     for (size_t e = 0; e < joins.size(); ++e) {
       if (done[e]) continue;
       const ntga::JoinEdge& edge = joins[e];
-      if (first_cycle || joined[edge.star_a] != joined[edge.star_b]) {
+      uint64_t cost = 0;
+      if (c == 0) {
+        cost = sizes[edge.star_a] + sizes[edge.star_b];
+      } else if (joined[edge.star_a] != joined[edge.star_b]) {
+        cost = sizes[joined[edge.star_a] ? edge.star_b : edge.star_a];
+      } else {
+        continue;
+      }
+      if (pick < 0 || cost < best) {
         pick = static_cast<int>(e);
-        break;
+        best = cost;
       }
     }
     if (pick < 0) break;  // disconnected
-    done[pick] = true;
     const ntga::JoinEdge& edge = joins[pick];
-    if (first_cycle) {
-      joined[edge.star_a] = true;
-      --remaining;
-      first_cycle = false;
-    }
-    int right = joined[edge.star_a] ? edge.star_b : edge.star_a;
-    if (!joined[right]) {
-      joined[right] = true;
-      --remaining;
-    }
-    picks.push_back(static_cast<size_t>(pick));
+    int star = c == 0 || joined[edge.star_a] ? edge.star_b : edge.star_a;
+    done[pick] = true;
+    joined[edge.star_a] = joined[edge.star_b] = true;
+    steps.push_back(ChainStep{static_cast<size_t>(pick), star});
   }
-  return picks;
+  return steps;
 }
 
 }  // namespace rapida::plan::detail

@@ -1,7 +1,8 @@
 // The physical-plan IR: node/DAG mechanics, EXPLAIN determinism, the
 // optimizer pass toggles, canonical fingerprints under variable renaming,
 // the service PlanCache's structural (level-2) hits, the executor's
-// per-node cycle gate, and which nodes own an exec.
+// per-node cycle gate, that every costed node owns an exec, and that the
+// NTGA execs follow the plan rather than the execution options.
 #include "plan/plan.h"
 
 #include <gtest/gtest.h>
@@ -60,10 +61,8 @@ TEST(PlanIrTest, NodeAndDagBasics) {
   const int scan_id = scan.id;
   PlanNode& join = plan.AddNode(OpKind::kStarJoin, "g0", "g0: star-join", 1);
   join.inputs = {scan_id};
-  join.bind_tag = "g0";
 
   EXPECT_EQ(plan.EstimatedCycles(), 1);
-  EXPECT_EQ(plan.FindByTag("g0")->kind, OpKind::kStarJoin);
   EXPECT_EQ(plan.FindById(scan_id)->attrs[0].second, "p");
 
   std::string text = plan.ExplainText();
@@ -225,17 +224,23 @@ TEST(PlanIrTest, CycleGateRejectsANodeRunningMoreJobsThanItEstimates) {
       << result.status();
 }
 
-TEST(PlanIrTest, CycleGateChargesCostOnlyNodesToTheExecAfterThem) {
+TEST(PlanIrTest, CycleGateRejectsACostedNodeWithoutAnExec) {
   PhysicalPlan plan;
   plan.engine = "hand-built";
-  plan.AddNode(OpKind::kNSplitAlphaJoin, "g0", "g0: cost-only cycle", 1);
+  plan.AddNode(OpKind::kNSplitAlphaJoin, "g0", "g0: costed, no exec", 1);
   PlanNode& node = plan.AddNode(OpKind::kExpandBindings, "g0",
                                 "g0: runs the cycle before it and its own", 1);
   node.inputs = {0};
   node.exec = TrivialJobs(2);
 
   auto result = RunHandBuilt(plan);
-  EXPECT_TRUE(result.ok()) << result.status();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kInternal);
+  EXPECT_NE(result.status().message().find("#0"), std::string::npos)
+      << result.status();
+  EXPECT_NE(result.status().message().find("NSplitAlphaJoin"),
+            std::string::npos)
+      << result.status();
 }
 
 engine::Dataset* CatalogDataset(const std::string& name) {
@@ -262,23 +267,73 @@ engine::Dataset* CatalogDataset(const std::string& name) {
       .first->second.get();
 }
 
-TEST(PlanIrTest, EveryCostedNodeOwnsItsExecButTheNtgaChains) {
+TEST(PlanIrTest, EveryCostedNodeOwnsItsExec) {
+  engine::EngineOptions sequential;
+  sequential.parallel_agg_join = false;
+  engine::EngineOptions greedy;
+  greedy.greedy_join_order = true;
   for (const workload::CatalogQuery& cq : workload::Catalog()) {
     analytics::AnalyticalQuery query = Analyze(cq.sparql);
     engine::Dataset* dataset = CatalogDataset(cq.dataset);
     for (const char* engine : {"Hive (Naive)", "Hive (MQO)",
                                "RAPID+ (Naive)", "RAPIDAnalytics"}) {
-      auto plan =
-          PlanForEngine(engine, query, dataset, engine::EngineOptions());
-      ASSERT_TRUE(plan.ok()) << cq.id << " on " << engine << ": "
-                             << plan.status();
-      for (const PlanNode& n : plan->nodes) {
-        if (n.est_cycles == 0 || n.exec) continue;
-        EXPECT_TRUE(n.kind == OpKind::kNSplitAlphaJoin ||
-                    n.kind == OpKind::kAggJoin)
-            << cq.id << " on " << engine << ": node #" << n.id << " ("
-            << OpKindName(n.kind) << ") costs " << n.est_cycles
-            << " cycle(s) but has no exec";
+      for (const engine::EngineOptions& options :
+           {engine::EngineOptions(), sequential, greedy}) {
+        auto plan = PlanForEngine(engine, query, dataset, options);
+        ASSERT_TRUE(plan.ok()) << cq.id << " on " << engine << ": "
+                               << plan.status();
+        for (const PlanNode& n : plan->nodes) {
+          EXPECT_TRUE(n.est_cycles == 0 || n.exec)
+              << cq.id << " on " << engine << ": node #" << n.id << " ("
+              << OpKindName(n.kind) << ") costs " << n.est_cycles
+              << " cycle(s) but has no exec";
+        }
+      }
+    }
+  }
+}
+
+TEST(PlanIrTest, NtgaExecutionFollowsThePlanNotTheOptions) {
+  // Execution options that contradict the plan's recorded choices: the
+  // NTGA execs must follow the nodes (parallel region, map_side_agg,
+  // order), not these.
+  engine::EngineOptions flipped;
+  flipped.parallel_agg_join = false;
+  flipped.partial_aggregation = false;
+  flipped.greedy_join_order = true;
+  engine::Dataset* dataset = CatalogDataset("bsbm");
+  for (const char* id : {"MG1", "MG3"}) {
+    analytics::AnalyticalQuery query = Analyze(CatalogText(id));
+    for (const char* engine : {"RAPID+ (Naive)", "RAPIDAnalytics"}) {
+      std::vector<analytics::BindingTable> results;
+      std::vector<std::vector<mr::JobStats>> jobs;
+      for (const engine::EngineOptions& options :
+           {engine::EngineOptions(), flipped}) {
+        auto plan =
+            PlanForEngine(engine, query, dataset, engine::EngineOptions());
+        ASSERT_TRUE(plan.ok()) << plan.status();
+        mr::Cluster cluster(mr::ClusterConfig{}, &dataset->dfs());
+        auto result = ExecutePlan(*plan, dataset, &cluster, options);
+        ASSERT_TRUE(result.ok()) << id << " on " << engine << ": "
+                                 << result.status();
+        results.push_back(std::move(*result));
+        jobs.push_back(cluster.history());
+      }
+      EXPECT_EQ(results[0].vars(), results[1].vars()) << id << " " << engine;
+      EXPECT_EQ(results[0].rows(), results[1].rows()) << id << " " << engine;
+      ASSERT_EQ(jobs[0].size(), jobs[1].size()) << id << " " << engine;
+      for (size_t j = 0; j < jobs[0].size(); ++j) {
+        const mr::JobStats& a = jobs[0][j];
+        const mr::JobStats& b = jobs[1][j];
+        SCOPED_TRACE(std::string(id) + " on " + engine + ", job " + a.name);
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.input_records, b.input_records);
+        EXPECT_EQ(a.input_bytes, b.input_bytes);
+        EXPECT_EQ(a.shuffle_records, b.shuffle_records);
+        EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+        EXPECT_EQ(a.output_records, b.output_records);
+        EXPECT_EQ(a.output_bytes, b.output_bytes);
+        EXPECT_EQ(a.sim_seconds, b.sim_seconds);
       }
     }
   }
