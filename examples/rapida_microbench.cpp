@@ -8,7 +8,7 @@
 //   rapida_microbench [--rows=N] [--repeat=K] [--json[=PATH]]
 //
 // Benches:
-//   hash-join probe   kernels::HashIndex + CSR groups vs
+//   hash-join probe   util::HashIndex + CSR groups vs
 //                     std::unordered_map<TermId, vector<vector<TermId>>>
 //   batch aggregate   insertion-ordered HashIndex aggregation table vs
 //                     std::map<std::string, vector<Aggregator>>
@@ -33,12 +33,14 @@
 #include "mapreduce/kernels.h"
 #include "mapreduce/record.h"
 #include "rdf/dictionary.h"
+#include "util/hash_index.h"
 
 namespace {
 
 using rapida::analytics::Aggregator;
 using rapida::engine::AppendRow;
 namespace kernels = rapida::mr::kernels;
+namespace util = rapida::util;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -108,13 +110,13 @@ BenchResult BenchHashJoinProbe(size_t rows, int repeat) {
   });
 
   double batch_s = BestOf(repeat, [&] {
-    kernels::HashIndex index;
+    util::HashIndex index;
     index.Reserve(build_keys.size());
     std::vector<uint32_t> keys;
     std::vector<std::vector<uint32_t>> cells_of;  // grouped build rows
     for (uint32_t k : build_keys) {
       auto [id, inserted] = index.FindOrInsert(
-          kernels::MixId(k), static_cast<uint32_t>(keys.size()),
+          util::MixId(k), static_cast<uint32_t>(keys.size()),
           [&](uint32_t cand) { return keys[cand] == k; });
       if (inserted) {
         keys.push_back(k);
@@ -124,10 +126,10 @@ BenchResult BenchHashJoinProbe(size_t rows, int repeat) {
     }
     uint64_t sum = 0;
     for (uint32_t k : probe_keys) {
-      uint32_t id = index.Find(kernels::MixId(k), [&](uint32_t cand) {
+      uint32_t id = index.Find(util::MixId(k), [&](uint32_t cand) {
         return keys[cand] == k;
       });
-      if (id == kernels::HashIndex::kNotFound) continue;
+      if (id == util::HashIndex::kNotFound) continue;
       for (uint32_t c : cells_of[id]) sum += c;
     }
     batch_sum = sum;
@@ -181,7 +183,7 @@ BenchResult BenchBatchAggregate(size_t rows, int repeat) {
   });
 
   double batch_s = BestOf(repeat, [&] {
-    kernels::HashIndex index;
+    util::HashIndex index;
     std::vector<std::string> keys;
     std::vector<std::vector<Aggregator>> agg_rows;
     std::string key_buf;

@@ -29,6 +29,10 @@
 # shards, the engines on top of it, the per-task placement booking in
 # shard_test — across shards {1,2,4,8} x threads {1,8} — and the
 # 32-session service stress).
+# The term store (rdf_test: arena-backed dictionary, TermView lifetime
+# across growth and moves, 8 writer threads interning overlapping terms
+# while readers call Get/Lookup/AsNumber) runs under all three sanitizers:
+# ASan, UBSan and TSan.
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
 # against the unsharded baseline), a sharded serve smoke, and a perf
@@ -175,7 +179,7 @@ cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       golden_test optional_union_test storage_test rapida_serve plan_ir_test \
-      pass_differential_test property_invariants_test
+      pass_differential_test property_invariants_test rdf_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -193,6 +197,9 @@ echo "== ASan: plan IR (per-node cycle gate, execs follow the plan) =="
 echo "== ASan: pass toggles and property invariants (greedy order, sequential Agg-Joins) =="
 ./build-asan/tests/pass_differential_test
 ./build-asan/tests/property_invariants_test
+
+echo "== ASan: rdf_test (term store: arena views, concurrent interning) =="
+./build-asan/tests/rdf_test
 
 echo "== ASan: storage suite (artifact recovery, IVM patch equivalence) =="
 ./build-asan/tests/storage_test
@@ -223,7 +230,7 @@ echo "== UndefinedBehaviorSanitizer build (RAPIDA_SANITIZE=undefined) =="
 cmake -B build-ubsan -S . -DRAPIDA_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-ubsan -j "$JOBS" --target \
-      mapreduce_test kernels_test shard_test storage_test rapida_fuzz
+      mapreduce_test kernels_test shard_test storage_test rdf_test rapida_fuzz
 echo "== UBSan: mapreduce_test =="
 ./build-ubsan/tests/mapreduce_test
 echo "== UBSan: kernels_test =="
@@ -232,6 +239,8 @@ echo "== UBSan: shard_test =="
 ./build-ubsan/tests/shard_test
 echo "== UBSan: storage_test (record codec truncation / corruption) =="
 ./build-ubsan/tests/storage_test
+echo "== UBSan: rdf_test (term store entry bitfields, arena views) =="
+./build-ubsan/tests/rdf_test
 echo "== UBSan: differential fuzz (50 seeds) =="
 ./build-ubsan/examples/rapida_fuzz --seeds=50
 
@@ -240,7 +249,7 @@ cmake -B build-tsan -S . -DRAPIDA_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-tsan -j "$JOBS" --target \
       thread_pool_test mapreduce_test kernels_test engines_test \
-      shard_test service_stress_test bench_factorize
+      shard_test service_stress_test rdf_test bench_factorize
 
 echo "== TSan: thread_pool_test =="
 ./build-tsan/tests/thread_pool_test
@@ -254,6 +263,9 @@ echo "== TSan: shard_test (placement booking, shards {1,2,4,8} x threads {1,8}) 
 ./build-tsan/tests/shard_test
 echo "== TSan: service_stress_test (32 sessions + concurrent mutations) =="
 ./build-tsan/tests/service_stress_test
+
+echo "== TSan: rdf_test (8 writers interning, readers through index growth) =="
+./build-tsan/tests/rdf_test
 
 echo "== TSan: bench_factorize (flat/factorized byte identity at 8 threads) =="
 RAPIDA_FACTORIZE_JSON="$SCRATCH/BENCH_factorize_tsan.json" \

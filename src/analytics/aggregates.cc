@@ -95,7 +95,7 @@ rdf::TermId Aggregator::Finalize(rdf::Dictionary* dict) const {
       std::vector<std::string> texts;
       texts.reserve(concat_values_.size());
       for (rdf::TermId id : concat_values_) {
-        texts.push_back(dict->Get(id).text);
+        texts.emplace_back(dict->Get(id).text);
       }
       std::sort(texts.begin(), texts.end());
       return dict->InternLiteral(JoinStrings(texts, separator_));

@@ -197,7 +197,7 @@ std::vector<std::string> BindingTable::ToSortedStrings(
       if (row[i] == rdf::kInvalidTermId) {
         line += "<unbound>";
       } else {
-        const rdf::Term& t = dict.Get(row[i]);
+        const rdf::TermView t = dict.Get(row[i]);
         // Numeric literals render canonically so "5" and "5.0" agree.
         auto num = dict.AsNumber(row[i]);
         if (t.is_literal() && num.has_value()) {

@@ -25,8 +25,8 @@ int CompareTerms(const rdf::Dictionary& dict, rdf::TermId a, rdf::TermId b) {
     if (*na > *nb) return 1;
     return 0;
   }
-  const rdf::Term& ta = dict.Get(a);
-  const rdf::Term& tb = dict.Get(b);
+  const rdf::TermView ta = dict.Get(a);
+  const rdf::TermView tb = dict.Get(b);
   if (ta.kind != tb.kind) {
     return static_cast<int>(ta.kind) < static_cast<int>(tb.kind) ? -1 : 1;
   }
@@ -37,12 +37,13 @@ int CompareTerms(const rdf::Dictionary& dict, rdf::TermId a, rdf::TermId b) {
 
 std::string DisplayTerm(const rdf::Dictionary& dict, rdf::TermId id) {
   if (id == rdf::kInvalidTermId) return "∅";
-  const rdf::Term& t = dict.Get(id);
+  const rdf::TermView t = dict.Get(id);
   if (t.is_iri()) {
     size_t pos = t.text.find_last_of("/#");
-    return pos == std::string::npos ? t.text : t.text.substr(pos + 1);
+    return std::string(pos == std::string::npos ? t.text
+                                                : t.text.substr(pos + 1));
   }
-  return t.text;
+  return std::string(t.text);
 }
 
 }  // namespace rapida::analytics

@@ -7,6 +7,7 @@
 #include "analytics/aggregates.h"
 #include "mapreduce/kernels.h"
 #include "sparql/expr_eval.h"
+#include "util/hash_index.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -81,7 +82,7 @@ struct AlphaReduceScratch {
 /// Alg. 3's multiAggMap for the TG_AggJoin map: an insertion-ordered
 /// HashIndex over the encoded "gid#grpkey" string with dense side tables.
 struct MultiAggTable {
-  mr::kernels::HashIndex index;
+  util::HashIndex index;
   std::vector<std::string> keys;
   std::vector<std::vector<Aggregator>> agg_rows;
 };

@@ -10,6 +10,7 @@
 #include "analytics/value.h"
 #include "mapreduce/kernels.h"
 #include "sparql/expr_eval.h"
+#include "util/hash_index.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -146,7 +147,7 @@ std::vector<rdf::TermId> DecodeInputRow(const JoinInput& input,
 /// probed through a HashIndex on the mixed key id. Rows keep file order
 /// within each group.
 struct BroadcastTable {
-  mr::kernels::HashIndex index;
+  util::HashIndex index;
   std::vector<rdf::TermId> keys;    // distinct join key per dense id
   std::vector<uint32_t> group_end;  // CSR: rows of key id g are
                                     //   row_of[group_end[g-1]..group_end[g])
@@ -172,7 +173,7 @@ void BuildBroadcast(const JoinInput& input,
     if (input.predicate && !input.predicate(row)) continue;
     rdf::TermId k = row[key_col];
     auto [id, inserted] = t->index.FindOrInsert(
-        mr::kernels::MixId(k), static_cast<uint32_t>(t->keys.size()),
+        util::MixId(k), static_cast<uint32_t>(t->keys.size()),
         [&](uint32_t cand) { return t->keys[cand] == k; });
     if (inserted) {
       t->keys.push_back(k);
@@ -221,7 +222,7 @@ struct JoinReduceScratch {
 /// open-addressing table — HashIndex over the encoded group key, dense
 /// side tables — plus the decode and key buffers. map_finish flushes it.
 struct PartialAggScratch {
-  mr::kernels::HashIndex index;
+  util::HashIndex index;
   std::vector<std::string> keys;
   std::vector<std::vector<Aggregator>> agg_rows;
   std::vector<rdf::TermId> row;
@@ -558,10 +559,10 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
         if (i == static_cast<size_t>(big)) continue;
         const BroadcastTable& t = (*tables)[i];
         uint32_t id =
-            t.index.Find(mr::kernels::MixId(key), [&](uint32_t cand) {
+            t.index.Find(util::MixId(key), [&](uint32_t cand) {
               return t.keys[cand] == key;
             });
-        if (id == mr::kernels::HashIndex::kNotFound) {
+        if (id == util::HashIndex::kNotFound) {
           if (!(*ins)[i].outer) return;  // inner miss: no output
           continue;                      // outer: leave columns NULL
         }

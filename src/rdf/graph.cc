@@ -5,8 +5,14 @@
 namespace rapida::rdf {
 
 void Graph::Add(TermId s, TermId p, TermId o) {
-  Triple t{s, p, o};
-  if (triple_set_.insert(t).second) triples_.push_back(t);
+  const Triple t{s, p, o};
+  auto [pos, inserted] = triple_index_.FindOrInsert(
+      util::MixId(TripleHash()(t)), static_cast<uint32_t>(triples_.size()),
+      [&](uint32_t cand) { return triples_[cand] == t; });
+  if (!inserted) return;
+  triples_.push_back(t);
+  serialized_bytes_ += dict_.Get(s).text.size() + dict_.Get(p).text.size() +
+                       dict_.Get(o).text.size() + 8;  // separators + " .\n"
 }
 
 void Graph::Add(const Term& s, const Term& p, const Term& o) {
@@ -48,15 +54,6 @@ std::vector<Graph::SubjectGroup> Graph::SubjectGroups() const {
     groups.back().triples.push_back(t);
   }
   return groups;
-}
-
-uint64_t Graph::EstimateSerializedBytes() const {
-  uint64_t total = 0;
-  for (const Triple& t : triples_) {
-    total += dict_.Get(t.s).text.size() + dict_.Get(t.p).text.size() +
-             dict_.Get(t.o).text.size() + 8;  // separators + " .\n"
-  }
-  return total;
 }
 
 }  // namespace rapida::rdf

@@ -5,11 +5,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dictionary.h"
 #include "rdf/triple.h"
+#include "util/hash_index.h"
 
 namespace rapida::rdf {
 
@@ -20,6 +20,11 @@ namespace rapida::rdf {
 /// *serialized* partitions derived from a Graph (vertical partitions for the
 /// Hive engines, subject triplegroups for the NTGA engines); the Graph
 /// itself is the loading/bookkeeping structure.
+///
+/// Triples live once, in insertion order, in `triples_`. The set semantics
+/// come from a util::HashIndex whose ids are positions in `triples_` (8
+/// bytes per slot, DESIGN.md §17), so deduplication stores no second copy
+/// of a triple.
 class Graph {
  public:
   Graph() = default;
@@ -66,13 +71,16 @@ class Graph {
   std::vector<SubjectGroup> SubjectGroups() const;
 
   /// Rough serialized size in bytes, as the DFS would store it in N-Triples
-  /// text. Used by the cost model to size inputs.
-  uint64_t EstimateSerializedBytes() const;
+  /// text: the three terms' text plus 8 separator bytes per triple. Used by
+  /// the cost model to size inputs. A running total kept by Add, so the
+  /// call is O(1).
+  uint64_t EstimateSerializedBytes() const { return serialized_bytes_; }
 
  private:
   Dictionary dict_;
   std::vector<Triple> triples_;
-  std::unordered_set<Triple, TripleHash> triple_set_;
+  util::HashIndex triple_index_;  // triple hash -> position in triples_
+  uint64_t serialized_bytes_ = 0;
 };
 
 }  // namespace rapida::rdf

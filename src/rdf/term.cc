@@ -4,7 +4,7 @@ namespace rapida::rdf {
 
 namespace {
 // Escapes characters that N-Triples requires escaping inside literals.
-std::string EscapeLiteral(const std::string& s) {
+std::string EscapeLiteral(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
@@ -32,15 +32,17 @@ std::string EscapeLiteral(const std::string& s) {
 }
 }  // namespace
 
-std::string Term::ToNTriples() const {
+std::string Term::ToNTriples() const { return TermView(*this).ToNTriples(); }
+
+std::string TermView::ToNTriples() const {
   switch (kind) {
     case TermKind::kIri:
-      return "<" + text + ">";
+      return std::string("<").append(text).append(">");
     case TermKind::kBlank:
-      return "_:" + text;
+      return std::string("_:").append(text);
     case TermKind::kLiteral: {
       std::string out = "\"" + EscapeLiteral(text) + "\"";
-      if (!datatype.empty()) out += "^^<" + datatype + ">";
+      if (!datatype.empty()) out.append("^^<").append(datatype).append(">");
       return out;
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace rapida::rdf {
@@ -48,6 +49,39 @@ struct Term {
 
   /// N-Triples surface form: <iri>, "literal"^^<dt>, or _:label.
   std::string ToNTriples() const;
+};
+
+/// A read-only view of a term: what Dictionary::Get returns. The views
+/// point into the dictionary's arena and stay valid for the dictionary's
+/// lifetime, across later interns and moves of the dictionary. A Term
+/// converts implicitly, so functions taking a TermView accept query
+/// constants too; the way back is the explicit ToTerm(), which copies.
+struct TermView {
+  TermKind kind = TermKind::kIri;
+  std::string_view text;
+  std::string_view datatype;
+
+  TermView() = default;
+  TermView(TermKind k, std::string_view t, std::string_view dt)
+      : kind(k), text(t), datatype(dt) {}
+  TermView(const Term& t)  // NOLINT
+      : kind(t.kind), text(t.text), datatype(t.datatype) {}
+
+  bool is_iri() const { return kind == TermKind::kIri; }
+  bool is_literal() const { return kind == TermKind::kLiteral; }
+  bool is_blank() const { return kind == TermKind::kBlank; }
+
+  friend bool operator==(const TermView& a, const TermView& b) {
+    return a.kind == b.kind && a.text == b.text && a.datatype == b.datatype;
+  }
+
+  /// N-Triples surface form: <iri>, "literal"^^<dt>, or _:label.
+  std::string ToNTriples() const;
+
+  /// An owning copy.
+  Term ToTerm() const {
+    return Term{kind, std::string(text), std::string(datatype)};
+  }
 };
 
 /// Well-known IRIs.

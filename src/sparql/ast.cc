@@ -24,16 +24,14 @@ const char* AggFuncName(AggFunc f) {
   return "?";
 }
 
-std::string ToSparqlText(const rdf::Term& term) {
-  if (term.is_iri()) return "<" + term.text + ">";
-  if (term.is_blank()) return "_:" + term.text;
-  if (term.datatype == rdf::kXsdInteger) return term.text;
+std::string ToSparqlText(rdf::TermView term) {
+  if (term.is_iri() || term.is_blank()) return term.ToNTriples();
+  if (term.datatype == rdf::kXsdInteger) return std::string(term.text);
   if (term.datatype == rdf::kXsdDouble) {
+    std::string out(term.text);
     // The lexer only reads a decimal if it sees '.' or an exponent.
-    if (term.text.find_first_of(".eE") == std::string::npos) {
-      return term.text + ".0";
-    }
-    return term.text;
+    if (out.find_first_of(".eE") == std::string::npos) out += ".0";
+    return out;
   }
   std::string out = "\"";
   for (char c : term.text) {

@@ -13,7 +13,7 @@ namespace rapida::sparql {
 /// IRIs as <...>, xsd numeric literals bare, other literals quoted (with
 /// \" \\ \n \t escapes). Datatypes beyond the numeric ones have no surface
 /// syntax in this subset and print as plain quoted strings.
-std::string ToSparqlText(const rdf::Term& term);
+std::string ToSparqlText(rdf::TermView term);
 
 /// A node in a triple pattern: either a variable ("?x") or a constant term.
 struct TermOrVar {

@@ -20,9 +20,9 @@ std::optional<int> Compare(const EvalValue& a, const EvalValue& b,
   if (a.kind == EvalValue::Kind::kBool && b.kind == EvalValue::Kind::kBool) {
     return (a.b ? 1 : 0) - (b.b ? 1 : 0);
   }
-  const rdf::Term* ta = GetTerm(a, dict);
-  const rdf::Term* tb = GetTerm(b, dict);
-  if (ta == nullptr || tb == nullptr) return std::nullopt;
+  std::optional<rdf::TermView> ta = GetTerm(a, dict);
+  std::optional<rdf::TermView> tb = GetTerm(b, dict);
+  if (!ta.has_value() || !tb.has_value()) return std::nullopt;
   // Different term kinds are incomparable (SPARQL type error); callers
   // resolve '=' to false and '!=' to true.
   if (ta->kind != tb->kind) return std::nullopt;
@@ -35,11 +35,12 @@ std::optional<int> Compare(const EvalValue& a, const EvalValue& b,
 
 }  // namespace
 
-const rdf::Term* GetTerm(const EvalValue& v, const rdf::Dictionary& dict) {
-  if (v.kind != EvalValue::Kind::kTerm) return nullptr;
-  if (v.term_ptr != nullptr) return v.term_ptr;
-  if (v.term == rdf::kInvalidTermId) return nullptr;
-  return &dict.Get(v.term);
+std::optional<rdf::TermView> GetTerm(const EvalValue& v,
+                                     const rdf::Dictionary& dict) {
+  if (v.kind != EvalValue::Kind::kTerm) return std::nullopt;
+  if (v.term_ptr != nullptr) return *v.term_ptr;
+  if (v.term == rdf::kInvalidTermId) return std::nullopt;
+  return dict.Get(v.term);
 }
 
 std::optional<double> ToNumber(const EvalValue& v,
@@ -48,8 +49,8 @@ std::optional<double> ToNumber(const EvalValue& v,
     case EvalValue::Kind::kNum:
       return v.num;
     case EvalValue::Kind::kTerm: {
-      const rdf::Term* t = GetTerm(v, dict);
-      if (t == nullptr || !t->is_literal()) return std::nullopt;
+      std::optional<rdf::TermView> t = GetTerm(v, dict);
+      if (!t.has_value() || !t->is_literal()) return std::nullopt;
       double d = 0;
       if (!ParseDouble(t->text, &d)) return std::nullopt;
       return d;
@@ -147,8 +148,8 @@ EvalValue EvaluateExpr(const Expr& expr, const VarResolver& resolve,
     }
     case Expr::Kind::kRegex: {
       EvalValue v = EvaluateExpr(*expr.children[0], resolve, dict);
-      const rdf::Term* t = GetTerm(v, dict);
-      if (t == nullptr) return EvalValue::Error();
+      std::optional<rdf::TermView> t = GetTerm(v, dict);
+      if (!t.has_value()) return EvalValue::Error();
       // The catalog (and the paper's queries) only uses substring regexes,
       // optionally case-insensitive.
       bool ci = expr.regex_flags.find('i') != std::string::npos;

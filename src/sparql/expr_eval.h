@@ -68,8 +68,10 @@ bool EffectiveBool(const EvalValue& v);
 std::optional<double> ToNumber(const EvalValue& v,
                                const rdf::Dictionary& dict);
 
-/// The term a kTerm value denotes (dict-interned or query-literal).
-const rdf::Term* GetTerm(const EvalValue& v, const rdf::Dictionary& dict);
+/// The term a kTerm value denotes (dict-interned or query-literal), or
+/// nullopt for any other value.
+std::optional<rdf::TermView> GetTerm(const EvalValue& v,
+                                     const rdf::Dictionary& dict);
 
 }  // namespace rapida::sparql
 

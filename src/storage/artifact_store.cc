@@ -167,7 +167,7 @@ void AppendCell(rdf::TermId id, const rdf::Dictionary& dict,
     value->push_back(kCellUnbound);
     return;
   }
-  const rdf::Term& term = dict.Get(id);
+  const rdf::TermView term = dict.Get(id);
   switch (term.kind) {
     case rdf::TermKind::kIri:
       value->push_back(kCellIri);

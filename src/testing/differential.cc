@@ -20,7 +20,8 @@ std::vector<TripleSpec> DecodeGraph(const rdf::Graph& graph) {
   out.reserve(graph.size());
   const rdf::Dictionary& dict = graph.dict();
   for (const rdf::Triple& t : graph.triples()) {
-    out.push_back({dict.Get(t.s), dict.Get(t.p), dict.Get(t.o)});
+    out.push_back({dict.Get(t.s).ToTerm(), dict.Get(t.p).ToTerm(),
+                   dict.Get(t.o).ToTerm()});
   }
   return out;
 }

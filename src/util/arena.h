@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rapida::util {
@@ -18,11 +19,25 @@ namespace rapida::util {
 /// batch, so the hot emit path is one Concat plus a pointer bump — no
 /// per-record operator new. Records outlive the emitting callback because
 /// the arenas move with the batch into the Dfs::File (blocks never move).
+/// rdf::Dictionary keeps its term bytes in one, so moving a dictionary
+/// moves the blocks' ownership and every view into them stays valid.
 class Arena {
  public:
   Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
+  /// The source is left empty; views into the moved blocks stay valid.
+  Arena(Arena&& other) noexcept { *this = std::move(other); }
+  Arena& operator=(Arena&& other) noexcept {
+    if (this != &other) {
+      blocks_ = std::move(other.blocks_);
+      other.blocks_.clear();
+      cursor_ = std::exchange(other.cursor_, nullptr);
+      remaining_ = std::exchange(other.remaining_, 0);
+      next_block_bytes_ = std::exchange(other.next_block_bytes_, kFirstBlock);
+    }
+    return *this;
+  }
 
   /// Copies the concatenation a+b in one contiguous allocation and returns
   /// a view of the copy, valid (at a stable address) for the arena's

@@ -1,5 +1,6 @@
 #include "util/random.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace rapida {
@@ -41,22 +42,6 @@ double Random::NextDouble() {
 
 bool Random::Bernoulli(double p) { return NextDouble() < p; }
 
-uint64_t Random::Zipf(uint64_t n, double s) {
-  if (n <= 1) return 0;
-  // Inverse-CDF sampling over the truncated zeta distribution. The
-  // normalization constant is computed on the fly; n is small (tens to a
-  // few thousand categories) in all generators, so this stays cheap.
-  double norm = 0.0;
-  for (uint64_t i = 1; i <= n; ++i) norm += 1.0 / std::pow(i, s);
-  double u = NextDouble() * norm;
-  double cum = 0.0;
-  for (uint64_t i = 1; i <= n; ++i) {
-    cum += 1.0 / std::pow(i, s);
-    if (u <= cum) return i - 1;
-  }
-  return n - 1;
-}
-
 Random Random::Fork() {
   // A draw from the parent keyed with an odd constant: child state is
   // re-expanded through the SplitMix64 constructor, so parent and child
@@ -73,6 +58,26 @@ Random Random::Split(uint64_t stream_id) const {
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;
   return Random(h);
+}
+
+ZipfTable::ZipfTable(uint64_t n, double s) {
+  if (n <= 1) return;
+  // Summed in rank order: the sum at rank r is the same double a linear
+  // scan over the ranks reaches there, so a draw picks the rank that scan
+  // would pick.
+  cum_.reserve(n);
+  double cum = 0.0;
+  for (uint64_t i = 1; i <= n; ++i) {
+    cum += 1.0 / std::pow(i, s);
+    cum_.push_back(cum);
+  }
+}
+
+uint64_t ZipfTable::Sample(Random* rng) const {
+  if (cum_.empty()) return 0;
+  const double u = rng->NextDouble() * cum_.back();
+  const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
+  return std::min<uint64_t>(it - cum_.begin(), cum_.size() - 1);
 }
 
 }  // namespace rapida

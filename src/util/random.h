@@ -2,6 +2,7 @@
 #define RAPIDA_UTIL_RANDOM_H_
 
 #include <cstdint>
+#include <vector>
 
 namespace rapida {
 
@@ -27,11 +28,6 @@ class Random {
   /// True with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Zipf-distributed rank in [0, n): rank r chosen with probability
-  /// proportional to 1/(r+1)^s. Used to produce the skewed entity
-  /// popularity typical of RDF datasets (few hot product types / journals).
-  uint64_t Zipf(uint64_t n, double s);
-
   /// Returns an independent child stream, advancing this stream by exactly
   /// one draw. Use when several consumers (dataset generator, query
   /// generator, scheduler) must each see a deterministic sequence that does
@@ -47,6 +43,25 @@ class Random {
  private:
   uint64_t state0_;
   uint64_t state1_;
+};
+
+/// Zipf-distributed ranks in [0, n): rank r is drawn with probability
+/// proportional to 1/(r+1)^s. Used to produce the skewed entity popularity
+/// typical of RDF datasets (few hot product types / journals). The
+/// cumulative weights are summed once, at construction, so a draw is one
+/// NextDouble and a binary search; a generator builds one table per
+/// distribution and draws from it.
+class ZipfTable {
+ public:
+  ZipfTable(uint64_t n, double s);
+
+  /// Inverse-CDF draw: the first rank whose cumulative weight reaches
+  /// NextDouble() scaled by the total weight. For n <= 1 it returns 0 and
+  /// consumes no draw.
+  uint64_t Sample(Random* rng) const;
+
+ private:
+  std::vector<double> cum_;  // cum_[r] = sum of 1/(i+1)^s for i <= r
 };
 
 }  // namespace rapida

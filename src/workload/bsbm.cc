@@ -25,22 +25,26 @@ rdf::Graph GenerateBsbm(const BsbmConfig& config) {
   const std::string valid_from_p = N("validFrom");
   const std::string valid_to_p = N("validTo");
 
+  const ZipfTable country_zipf(config.num_countries, 0.8);
+  const ZipfTable type_zipf(config.num_product_types, 1.1);
+  const ZipfTable feature_zipf(config.num_features, 0.7);
+
   // Vendors.
   for (int v = 0; v < config.num_vendors; ++v) {
     std::string vendor = N("Vendor" + std::to_string(v + 1));
-    uint64_t c = rng.Zipf(config.num_countries, 0.8);
+    uint64_t c = country_zipf.Sample(&rng);
     g.AddIri(vendor, country_p, N("Country" + std::to_string(c + 1)));
   }
 
   // Products with Zipf-popular types and 1-4 features.
   for (int p = 0; p < config.num_products; ++p) {
     std::string product = N("Product" + std::to_string(p + 1));
-    uint64_t t = rng.Zipf(config.num_product_types, 1.1);
+    uint64_t t = type_zipf.Sample(&rng);
     g.AddIri(product, type_p, N("ProductType" + std::to_string(t + 1)));
     g.AddLit(product, label_p, "product label " + std::to_string(p + 1));
     int n_features = 1 + static_cast<int>(rng.Uniform(4));
     for (int f = 0; f < n_features; ++f) {
-      uint64_t feat = rng.Zipf(config.num_features, 0.7);
+      uint64_t feat = feature_zipf.Sample(&rng);
       g.AddIri(product, feature_p,
                N("ProductFeature" + std::to_string(feat + 1)));
     }

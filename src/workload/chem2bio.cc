@@ -14,6 +14,12 @@ std::string N(const std::string& local) { return kChemNs + local; }
 rdf::Graph GenerateChem2Bio(const ChemConfig& config) {
   rdf::Graph g;
   Random rng(config.seed);
+  const ZipfTable interaction_gene_zipf(config.num_genes, 0.8);
+  const ZipfTable compound_zipf(config.num_compounds, 0.6);
+  const ZipfTable assay_gene_zipf(config.num_genes, 0.7);
+  const ZipfTable effect_zipf(5, 0.5);
+  const ZipfTable medline_gene_zipf(config.num_genes, 0.9);
+  const ZipfTable disease_zipf(config.num_diseases, 0.8);
 
   // --- gene entries: gi (literal id) + geneSymbol ---
   for (int i = 0; i < config.num_genes; ++i) {
@@ -36,7 +42,7 @@ rdf::Graph GenerateChem2Bio(const ChemConfig& config) {
   int num_interactions = config.num_drugs * 3;
   for (int i = 0; i < num_interactions; ++i) {
     std::string di = N("Interaction" + std::to_string(i + 1));
-    uint64_t gene = rng.Zipf(config.num_genes, 0.8);
+    uint64_t gene = interaction_gene_zipf.Sample(&rng);
     g.AddLit(di, N("gene"), "GENE" + std::to_string(gene + 1));
     uint64_t drug = rng.Uniform(config.num_drugs);
     g.AddIri(di, N("DBID"), N("Drug" + std::to_string(drug + 1)));
@@ -46,10 +52,10 @@ rdf::Graph GenerateChem2Bio(const ChemConfig& config) {
   for (int i = 0; i < config.num_assays; ++i) {
     std::string b = N("BioAssay" + std::to_string(i + 1));
     g.AddInt(b, N("CID"),
-             1 + static_cast<int64_t>(rng.Zipf(config.num_compounds, 0.6)));
+             1 + static_cast<int64_t>(compound_zipf.Sample(&rng)));
     g.AddLit(b, N("outcome"), rng.Bernoulli(0.6) ? "active" : "inactive");
     g.AddInt(b, N("Score"), static_cast<int64_t>(rng.Uniform(100)));
-    uint64_t gene = rng.Zipf(config.num_genes, 0.7);
+    uint64_t gene = assay_gene_zipf.Sample(&rng);
     g.AddInt(b, N("assay_gi"), 100000 + static_cast<int64_t>(gene));
   }
 
@@ -77,7 +83,7 @@ rdf::Graph GenerateChem2Bio(const ChemConfig& config) {
                             "dizziness", "rash"};
   for (int i = 0; i < config.num_sider_records; ++i) {
     std::string s = N("Sider" + std::to_string(i + 1));
-    uint64_t e = rng.Zipf(5, 0.5);
+    uint64_t e = effect_zipf.Sample(&rng);
     std::string effect = std::string(kEffects[e]);
     if (rng.Bernoulli(0.3)) effect += " severe";
     g.AddLit(s, N("side_effect"), effect);
@@ -98,12 +104,12 @@ rdf::Graph GenerateChem2Bio(const ChemConfig& config) {
   // --- Medline publications (LARGE): gene + side_effect + disease ---
   for (int i = 0; i < config.num_publications; ++i) {
     std::string pmid = N("PMID" + std::to_string(i + 1));
-    uint64_t gene = rng.Zipf(config.num_genes, 0.9);
+    uint64_t gene = medline_gene_zipf.Sample(&rng);
     g.AddIri(pmid, N("medline_gene"), N("GeneEntry" + std::to_string(gene + 1)));
     uint64_t e = rng.Uniform(5);
     g.AddLit(pmid, N("side_effect"), kEffects[e]);
     if (rng.Bernoulli(0.7)) {
-      uint64_t d = rng.Zipf(config.num_diseases, 0.8);
+      uint64_t d = disease_zipf.Sample(&rng);
       g.AddIri(pmid, N("disease"), N("Disease" + std::to_string(d + 1)));
     }
   }

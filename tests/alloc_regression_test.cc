@@ -7,6 +7,8 @@
 // representation pays 2+ allocations per record at emit alone once
 // payloads exceed the small-string buffer — an order of magnitude over
 // this budget.
+// The dictionary is held to a stricter bar: interning or looking up a
+// term that already exists allocates nothing at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +22,7 @@
 #include "engines/relational_ops.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
+#include "rdf/dictionary.h"
 #include "util/string_util.h"
 
 namespace {
@@ -270,6 +273,43 @@ TEST(AllocRegressionTest, ShardedOperatorsStayUnderPerRecordBudget) {
     EXPECT_EQ(stats.num_shards, 4) << stats.name;
     EXPECT_GT(stats.shuffle_cross_bytes, 0u) << stats.name;
   }
+}
+
+TEST(AllocRegressionTest, InterningAnExistingTermAllocatesNothing) {
+  // Every text is longer than the small-string buffer, so a key string or
+  // a Term built per call would show up as an allocation.
+  const rdf::Term iri = rdf::Term::Iri("http://example.org/vocab/Resource42");
+  const rdf::Term typed =
+      rdf::Term::Literal("1234567890123456789", rdf::kXsdInteger);
+  const std::string plain = "a plain literal longer than sixteen bytes";
+  rdf::Dictionary dict;
+  const rdf::TermId iri_id = dict.Intern(iri);
+  const rdf::TermId typed_id = dict.Intern(typed);
+  const rdf::TermId plain_id = dict.InternLiteral(plain);
+  const rdf::TermId int_id = dict.InternInt(-1234567890123);
+  for (int i = 0; i < 100; ++i) dict.InternIri("filler" + std::to_string(i));
+
+  bool same_ids = true;
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_seq_cst);
+  for (int i = 0; i < 1000; ++i) {
+    same_ids &= dict.Intern(iri) == iri_id;
+    same_ids &= dict.Intern(typed) == typed_id;
+    same_ids &= dict.InternIri(iri.text) == iri_id;
+    same_ids &= dict.InternLiteral(typed.text, typed.datatype) == typed_id;
+    same_ids &= dict.InternLiteral(plain) == plain_id;
+    same_ids &= dict.InternInt(-1234567890123) == int_id;
+    same_ids &= dict.Lookup(iri) == iri_id;
+    same_ids &= dict.Lookup(typed) == typed_id;
+    same_ids &= dict.LookupIri(iri.text) == iri_id;
+    same_ids &= dict.Get(typed_id) == typed;
+    same_ids &= dict.AsNumber(typed_id).has_value();
+  }
+  g_counting.store(false, std::memory_order_seq_cst);
+  EXPECT_TRUE(same_ids);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
+      << "a dictionary hit allocated";
+  EXPECT_EQ(dict.size(), 104u);
 }
 
 }  // namespace

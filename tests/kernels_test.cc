@@ -13,6 +13,7 @@
 #include "mapreduce/dfs.h"
 #include "ntga/triplegroup.h"
 #include "sparql/parser.h"
+#include "util/hash_index.h"
 #include "util/string_util.h"
 
 namespace rapida {
@@ -27,11 +28,11 @@ using engine::EncodeRow;
 // Primitive kernels.
 
 TEST(HashIndexTest, FindOrInsertGrowsAndFinds) {
-  mr::kernels::HashIndex index;
+  util::HashIndex index;
   std::vector<uint64_t> keys;
   for (uint64_t k = 0; k < 10000; ++k) {
     auto [id, inserted] = index.FindOrInsert(
-        mr::kernels::MixId(k), static_cast<uint32_t>(keys.size()),
+        util::MixId(k), static_cast<uint32_t>(keys.size()),
         [&](uint32_t cand) { return keys[cand] == k; });
     ASSERT_TRUE(inserted);
     ASSERT_EQ(id, keys.size());
@@ -39,28 +40,28 @@ TEST(HashIndexTest, FindOrInsertGrowsAndFinds) {
   }
   EXPECT_EQ(index.size(), 10000u);
   for (uint64_t k = 0; k < 10000; ++k) {
-    uint32_t id = index.Find(mr::kernels::MixId(k), [&](uint32_t cand) {
+    uint32_t id = index.Find(util::MixId(k), [&](uint32_t cand) {
       return keys[cand] == k;
     });
     ASSERT_EQ(id, k);
     auto [again, inserted] = index.FindOrInsert(
-        mr::kernels::MixId(k), 0xdeadu,
+        util::MixId(k), 0xdeadu,
         [&](uint32_t cand) { return keys[cand] == k; });
     EXPECT_FALSE(inserted);
     EXPECT_EQ(again, k);
   }
-  EXPECT_EQ(index.Find(mr::kernels::MixId(999999), [](uint32_t) {
+  EXPECT_EQ(index.Find(util::MixId(999999), [](uint32_t) {
     return true;
-  }), mr::kernels::HashIndex::kNotFound);
+  }), util::HashIndex::kNotFound);
   index.Clear();
   EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.Find(mr::kernels::MixId(1), [](uint32_t) { return true; }),
-            mr::kernels::HashIndex::kNotFound);
+  EXPECT_EQ(index.Find(util::MixId(1), [](uint32_t) { return true; }),
+            util::HashIndex::kNotFound);
 }
 
 TEST(HashIndexTest, ResolvesHashCollisionsThroughEq) {
   // Force every key onto one hash: correctness must come from eq().
-  mr::kernels::HashIndex index;
+  util::HashIndex index;
   std::vector<int> keys;
   for (int k = 0; k < 64; ++k) {
     auto [id, inserted] = index.FindOrInsert(

@@ -432,7 +432,7 @@ TEST_F(AggJoinFig5Test, GroupsByFeatureCountryWithAlpha) {
       AggJoin(detail, pattern_, spec, nullptr, &dict_);
   ASSERT_EQ(out.size(), 2u);  // (Feat1,UK), (Feat2,DE)
   for (const AggregatedGroup& g : out) {
-    std::string feature = dict_.Get(g.key[0]).text;
+    std::string_view feature = dict_.Get(g.key[0]).text;
     if (feature == "Feat1") {
       EXPECT_EQ(dict_.Get(g.key[1]).text, "UK");
       EXPECT_DOUBLE_EQ(*dict_.AsNumber(g.values[0]), 500);  // 100+400

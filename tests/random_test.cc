@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 namespace rapida {
@@ -42,10 +44,11 @@ TEST(RandomTest, BernoulliExtremes) {
   }
 }
 
-TEST(RandomTest, ZipfSkewsTowardsLowRanks) {
+TEST(ZipfTableTest, SkewsTowardsLowRanks) {
   Random r(3);
+  const ZipfTable zipf(10, 1.0);
   std::vector<int> counts(10, 0);
-  for (int i = 0; i < 10000; ++i) ++counts[r.Zipf(10, 1.0)];
+  for (int i = 0; i < 10000; ++i) ++counts[zipf.Sample(&r)];
   // Rank 0 must be the most frequent; last rank far less frequent.
   for (int i = 1; i < 10; ++i) EXPECT_GE(counts[0], counts[i]);
   EXPECT_GT(counts[0], counts[9] * 3);
@@ -100,10 +103,48 @@ TEST(RandomTest, SplitStreamsDoNotShiftWhenSiblingDrawsMore) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(query_a.Next(), query_b.Next());
 }
 
-TEST(RandomTest, ZipfBoundaries) {
+TEST(ZipfTableTest, Boundaries) {
   Random r(5);
-  EXPECT_EQ(r.Zipf(1, 1.0), 0u);
-  for (int i = 0; i < 100; ++i) EXPECT_LT(r.Zipf(5, 0.5), 5u);
+  EXPECT_EQ(ZipfTable(1, 1.0).Sample(&r), 0u);
+  const ZipfTable five(5, 0.5);
+  for (int i = 0; i < 100; ++i) EXPECT_LT(five.Sample(&r), 5u);
+}
+
+TEST(ZipfTableTest, SingleRankConsumesNoDraw) {
+  Random a(11), b(11);
+  EXPECT_EQ(ZipfTable(1, 0.9).Sample(&a), 0u);
+  EXPECT_EQ(ZipfTable(0, 0.9).Sample(&a), 0u);
+  EXPECT_EQ(a.Next(), b.Next());
+}
+
+/// The per-draw inverse-CDF scan the generators used before ZipfTable:
+/// recompute the normalization, then walk the ranks.
+uint64_t LinearScanZipf(Random* rng, uint64_t n, double s) {
+  if (n <= 1) return 0;
+  double norm = 0.0;
+  for (uint64_t i = 1; i <= n; ++i) norm += 1.0 / std::pow(i, s);
+  double u = rng->NextDouble() * norm;
+  double cum = 0.0;
+  for (uint64_t i = 1; i <= n; ++i) {
+    cum += 1.0 / std::pow(i, s);
+    if (u <= cum) return i - 1;
+  }
+  return n - 1;
+}
+
+TEST(ZipfTableTest, DrawsMatchTheLinearScan) {
+  const std::pair<uint64_t, double> kShapes[] = {
+      {1, 1.0}, {5, 0.5}, {10, 1.1}, {40, 0.7}, {200, 0.8}, {400, 0.6}};
+  for (const auto& [n, s] : kShapes) {
+    const ZipfTable zipf(n, s);
+    Random table_rng(n * 31 + 7), scan_rng(n * 31 + 7);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(zipf.Sample(&table_rng), LinearScanZipf(&scan_rng, n, s))
+          << "n=" << n << " s=" << s << " draw " << i;
+    }
+    // Both consumed the same draws, so the streams are still in step.
+    EXPECT_EQ(table_rng.Next(), scan_rng.Next());
+  }
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
-// Memory-footprint gate for the record plane: a record costs one 32-byte
-// view plus its key‖value bytes once. A size-tracking operator new counts
-// the live and the peak heap bytes, so the gates see every copy a Dfs file
-// or a job keeps: a per-record column, a second view array, a shard
-// segment that duplicates the output, a per-record placement array.
+// Memory-footprint gates for the record plane and the term store. A record
+// costs one 32-byte view plus its key‖value bytes once; a dictionary term
+// costs its text once plus a small entry, and a graph triple its 12 bytes
+// plus one index slot. A size-tracking operator new counts the live and
+// the peak heap bytes, so the gates see every copy a Dfs file or a job
+// keeps (a per-record column, a second view array, a shard segment that
+// duplicates the output, a per-record placement array) and every per-term
+// or per-triple node the term store would allocate.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -15,6 +19,8 @@
 #include "mapreduce/dfs.h"
 #include "mapreduce/record.h"
 #include "mapreduce/sharding.h"
+#include "rdf/dictionary.h"
+#include "rdf/graph.h"
 
 namespace {
 
@@ -234,6 +240,82 @@ TEST(RecordFootprintTest, ShardedJobPeaksNoHigherThanUnsharded) {
       << "4 shards peak " << sharded << " B vs " << unsharded
       << " B unsharded: " << (sharded - unsharded) / kRecords
       << " extra bytes per record";
+}
+
+// ---------------------------------------------------------------------------
+// The term store (DESIGN.md §17): a dictionary term costs its text once
+// plus a small fixed overhead, and a graph triple costs its 12 bytes plus
+// one index slot, with no per-term or per-triple node allocations.
+
+// Per-term allowance beyond the text: the 24-byte entry, about 8-21 bytes
+// of index slots (8-byte slots at load 0.375-0.75), arena block slack and
+// the deque's block map. A per-term key string, a node-based map entry or
+// a doubling entry vector right after it grows does not fit.
+constexpr int64_t kDictBytesPerTerm = 64;
+// Per-triple allowance: 12 bytes of triples_ at up to 2x vector slack plus
+// 8-byte index slots at load >= 0.375. A node-based set does not fit.
+constexpr int64_t kGraphBytesPerTriple = 45;
+
+TEST(TermStoreFootprintTest, DictionaryHoldsTextPlusSmallEntryPerTerm) {
+  constexpr int kIris = 50000;
+  constexpr int kIntegers = 20000;
+  int64_t text_bytes = 0;
+  const int64_t before = LiveBytes();
+  {
+    rdf::Dictionary dict;
+    char buf[64];
+    for (int i = 0; i < kIris; ++i) {
+      const int n = std::snprintf(buf, sizeof(buf),
+                                  "http://example.org/res/%07d", i);
+      dict.InternIri(std::string_view(buf, static_cast<size_t>(n)));
+      text_bytes += n;
+    }
+    for (int i = 0; i < kIntegers; ++i) {
+      const int n = std::snprintf(buf, sizeof(buf), "%d", 1000000 + i);
+      dict.InternLiteral(std::string_view(buf, static_cast<size_t>(n)),
+                         rdf::kXsdInteger);
+      text_bytes += n;
+    }
+    ASSERT_EQ(dict.size(), static_cast<size_t>(kIris + kIntegers));
+    const int64_t held = LiveBytes() - before;
+    const int64_t terms = kIris + kIntegers;
+    std::printf("dictionary: %lld text bytes, %.1f bytes per term beyond "
+                "the text\n",
+                static_cast<long long>(text_bytes),
+                static_cast<double>(held - text_bytes) / terms);
+    EXPECT_LE(held, text_bytes + terms * kDictBytesPerTerm)
+        << (held - text_bytes) / terms << " bytes per term beyond the text";
+  }
+  EXPECT_LE(LiveBytes() - before, 1024) << "destroying the dictionary leaked";
+}
+
+TEST(TermStoreFootprintTest, GraphHoldsEachTripleOncePlusOneIndexSlot) {
+  constexpr int kSubjects = 1000, kProperties = 10, kObjects = 10;
+  constexpr int64_t kTriples = kSubjects * kProperties * kObjects;
+  rdf::Graph g;
+  std::vector<rdf::TermId> subjects, properties, objects;
+  for (int i = 0; i < kSubjects; ++i) {
+    subjects.push_back(g.dict().InternIri("s" + std::to_string(i)));
+  }
+  for (int i = 0; i < kProperties; ++i) {
+    properties.push_back(g.dict().InternIri("p" + std::to_string(i)));
+  }
+  for (int i = 0; i < kObjects; ++i) {
+    objects.push_back(g.dict().InternIri("o" + std::to_string(i)));
+  }
+  const int64_t before = LiveBytes();
+  for (rdf::TermId s : subjects) {
+    for (rdf::TermId p : properties) {
+      for (rdf::TermId o : objects) g.Add(s, p, o);
+    }
+  }
+  for (rdf::TermId s : subjects) g.Add(s, properties[0], objects[0]);
+  ASSERT_EQ(g.size(), static_cast<size_t>(kTriples));
+  const int64_t held = LiveBytes() - before;
+  std::printf("graph: %.1f bytes per triple\n",
+              static_cast<double>(held) / kTriples);
+  EXPECT_LE(held, kTriples * kGraphBytesPerTriple)
+      << held / kTriples << " bytes per triple";
 }
 
 }  // namespace

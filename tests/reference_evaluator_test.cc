@@ -105,7 +105,7 @@ TEST_F(ReferenceEvaluatorTest, GroupByWithCountAndSum) {
   const rdf::Dictionary& d = g_.dict();
   int pi = t.VarIndex("p"), ci = t.VarIndex("cnt"), si = t.VarIndex("sum");
   for (const auto& row : t.rows()) {
-    std::string p = d.Get(row[pi]).text;
+    std::string_view p = d.Get(row[pi]).text;
     double cnt = *d.AsNumber(row[ci]);
     double sum = *d.AsNumber(row[si]);
     if (p == "p1") {
@@ -155,7 +155,7 @@ TEST_F(ReferenceEvaluatorTest, MultiValuedPropertyMultipliesSolutions) {
   ASSERT_EQ(t.NumRows(), 2u);
   const rdf::Dictionary& d = g_.dict();
   for (const auto& row : t.rows()) {
-    std::string f = d.Get(row[0]).text;
+    std::string_view f = d.Get(row[0]).text;
     double sum = *d.AsNumber(row[1]);
     if (f == "f1") {
       EXPECT_DOUBLE_EQ(sum, 350);  // o1+o2 (p1) + o3 (p2)

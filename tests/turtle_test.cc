@@ -51,9 +51,9 @@ TEST(TurtleTest, TypedAndTaggedLiterals) {
     <s> <r> "plain" .
   )");
   ASSERT_EQ(g.size(), 3u);
-  const Term& typed = g.dict().Get(g.triples()[0].o);
+  const TermView typed = g.dict().Get(g.triples()[0].o);
   EXPECT_EQ(typed.datatype, "http://www.w3.org/2001/XMLSchema#integer");
-  const Term& tagged = g.dict().Get(g.triples()[1].o);
+  const TermView tagged = g.dict().Get(g.triples()[1].o);
   EXPECT_EQ(tagged.datatype, "@en");
 }
 

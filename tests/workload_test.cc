@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "engines/dataset.h"
 #include "rdf/ntriples.h"
 #include "workload/bsbm.h"
 #include "workload/chem2bio.h"
@@ -111,6 +114,59 @@ TEST(WorkloadRoundTripTest, GeneratedGraphsSurviveNTriplesRoundTrip) {
   ASSERT_TRUE(rdf::ParseNTriples(text, &reloaded).ok());
   EXPECT_EQ(reloaded.size(), g.size());
   EXPECT_EQ(rdf::WriteNTriples(reloaded), text);
+}
+
+/// Content hash, triple count and term count of one generated dataset.
+struct Pin {
+  uint64_t content_hash;
+  size_t triples;
+  size_t terms;
+};
+
+Pin PinOf(rdf::Graph g) {
+  const size_t triples = g.size();
+  const size_t terms = g.dict().size();
+  engine::Dataset dataset(std::move(g));
+  return Pin{dataset.ContentHash(), triples, terms};
+}
+
+// The generators' output at seed 1, pinned: content hash (order-free, over
+// the N-Triples text), triple count and term count. Any change to the
+// random draws or to the order or set of what gets interned moves these.
+TEST(GeneratorPinTest, OutputAtSeedOneIsPinned) {
+  BsbmConfig bsbm_large;
+  bsbm_large.num_products = 8000;
+  bsbm_large.seed = 1;
+  BsbmConfig bsbm;
+  bsbm.seed = 1;
+  PubmedConfig pubmed_small;
+  pubmed_small.num_publications = 1500;
+  pubmed_small.seed = 1;
+  PubmedConfig pubmed;
+  pubmed.seed = 1;
+  ChemConfig chem;
+  chem.seed = 1;
+  const struct {
+    const char* name;
+    Pin got;
+    Pin want;
+  } kCases[] = {
+      {"bsbm(8000)", PinOf(GenerateBsbm(bsbm_large)),
+       {0x209252c458793940ull, 126197, 61432}},
+      {"pubmed(1500)", PinOf(GeneratePubmed(pubmed_small)),
+       {0x2b9d6b08d16372ebull, 23458, 2744}},
+      {"bsbm", PinOf(GenerateBsbm(bsbm)),
+       {0x2ff0f5b3454a90bcull, 15813, 9950}},
+      {"chem2bio", PinOf(GenerateChem2Bio(chem)),
+       {0xdbd008eed32215adull, 24348, 9212}},
+      {"pubmed", PinOf(GeneratePubmed(pubmed)),
+       {0x2bdfd037465987bfull, 30962, 3244}},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(c.got.content_hash, c.want.content_hash) << c.name;
+    EXPECT_EQ(c.got.triples, c.want.triples) << c.name;
+    EXPECT_EQ(c.got.terms, c.want.terms) << c.name;
+  }
 }
 
 }  // namespace
