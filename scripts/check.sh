@@ -32,7 +32,9 @@
 # The term store (rdf_test: arena-backed dictionary, TermView lifetime
 # across growth and moves, 8 writer threads interning overlapping terms
 # while readers call Get/Lookup/AsNumber) runs under all three sanitizers:
-# ASan, UBSan and TSan.
+# ASan, UBSan and TSan. The relational operators' row reader hands out
+# views into group payloads, so factorize_test and relational_ops_test run
+# under ASan and UBSan.
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
 # against the unsharded baseline), a sharded serve smoke, and a perf
@@ -179,7 +181,8 @@ cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       golden_test optional_union_test storage_test rapida_serve plan_ir_test \
-      pass_differential_test property_invariants_test rdf_test
+      pass_differential_test property_invariants_test rdf_test \
+      factorize_test relational_ops_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -200,6 +203,10 @@ echo "== ASan: pass toggles and property invariants (greedy order, sequential Ag
 
 echo "== ASan: rdf_test (term store: arena views, concurrent interning) =="
 ./build-asan/tests/rdf_test
+
+echo "== ASan: relational operators (row reader over flat rows and groups) =="
+./build-asan/tests/factorize_test
+./build-asan/tests/relational_ops_test
 
 echo "== ASan: storage suite (artifact recovery, IVM patch equivalence) =="
 ./build-asan/tests/storage_test
@@ -230,7 +237,8 @@ echo "== UndefinedBehaviorSanitizer build (RAPIDA_SANITIZE=undefined) =="
 cmake -B build-ubsan -S . -DRAPIDA_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-ubsan -j "$JOBS" --target \
-      mapreduce_test kernels_test shard_test storage_test rdf_test rapida_fuzz
+      mapreduce_test kernels_test shard_test storage_test rdf_test rapida_fuzz \
+      factorize_test relational_ops_test
 echo "== UBSan: mapreduce_test =="
 ./build-ubsan/tests/mapreduce_test
 echo "== UBSan: kernels_test =="
@@ -241,6 +249,9 @@ echo "== UBSan: storage_test (record codec truncation / corruption) =="
 ./build-ubsan/tests/storage_test
 echo "== UBSan: rdf_test (term store entry bitfields, arena views) =="
 ./build-ubsan/tests/rdf_test
+echo "== UBSan: relational operators (row reader over flat rows and groups) =="
+./build-ubsan/tests/factorize_test
+./build-ubsan/tests/relational_ops_test
 echo "== UBSan: differential fuzz (50 seeds) =="
 ./build-ubsan/examples/rapida_fuzz --seeds=50
 

@@ -23,8 +23,10 @@ struct ExecStats {
 
 /// Per-engine tuning knobs (the ablation benches flip these). The plan
 /// passes read the toggles and record each decision on the plan's nodes
-/// (`join`, `order`, `map_side_agg`, a parallel region); the NTGA execs
-/// read those nodes and none of the toggles.
+/// (`join`, `order`, `map_side_agg`, a parallel region); the execs read
+/// those nodes and none of the toggles. Only `join=auto` nodes, whose
+/// inputs have no plan-time size, still apply `map_join_threshold_bytes`
+/// at run time.
 struct EngineOptions {
   /// Tables at or below this stored size can be broadcast for map-joins
   /// (Hive's hive.mapjoin.smalltable.filesize analogue).

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
+#include <limits>
 #include <memory>
-#include <unordered_map>
 
 #include "analytics/aggregates.h"
 #include "analytics/value.h"
@@ -92,11 +91,11 @@ RowPredicate CompilePredicate(
 }
 
 RelationalOps::RelationalOps(mr::Cluster* cluster, Dataset* dataset,
-                             const EngineOptions& options,
+                             uint64_t map_join_threshold_bytes,
                              std::string tmp_prefix)
     : cluster_(cluster),
       dataset_(dataset),
-      options_(options),
+      map_join_threshold_bytes_(map_join_threshold_bytes),
       tmp_prefix_(std::move(tmp_prefix)) {}
 
 std::string RelationalOps::NextTmp(const std::string& hint) {
@@ -117,72 +116,163 @@ void RelationalOps::Cleanup() {
 
 namespace {
 
-/// Decodes an input record according to its JoinInput layout, reusing
-/// `out`'s capacity.
-void DecodeInputRowInto(const JoinInput& input, const mr::Record& r,
-                        std::vector<rdf::TermId>* out) {
-  if (!input.is_vp) {
-    DecodeRowInto(r.value(), out);
-    return;
+/// A flat table's layout as a d-representation: every column in the base
+/// and no factors. A flat EncodeRow record is, byte for byte, a group of
+/// this layout, so flat and factorized tables share one reader.
+FactorizationPtr FlatLayout(size_t width) {
+  auto spec = std::make_shared<Factorization>();
+  spec->width = static_cast<int>(width);
+  for (size_t c = 0; c < width; ++c) {
+    spec->base_cols.push_back(static_cast<int>(c));
   }
-  out->clear();
-  int64_t s = 0;
-  ParseDigits(r.key(), &s);
-  out->push_back(static_cast<rdf::TermId>(s));
-  if (input.columns.size() == 1) return;
-  int64_t o = 0;
-  ParseDigits(r.value(), &o);
-  out->push_back(static_cast<rdf::TermId>(o));
+  return spec;
 }
 
-std::vector<rdf::TermId> DecodeInputRow(const JoinInput& input,
-                                        const mr::Record& r) {
-  std::vector<rdf::TermId> out;
-  DecodeInputRowInto(input, r, &out);
-  return out;
+/// How an input's records hold its rows: VP pairs (key = subject id,
+/// value = object id; a one-column type table reads the subject only), or
+/// group records of `groups` (FlatLayout for a flat table).
+struct RowSource {
+  bool is_vp = false;
+  FactorizationPtr groups;
+};
+
+RowSource SourceOf(const TableRef& t) {
+  return RowSource{false, t.factor ? t.factor : FlatLayout(t.columns.size())};
 }
 
-/// Broadcast side table of the flat map-join: one flat cell pool plus two
-/// CSR layers — rows over cells, and per-distinct-key groups over rows —
-/// probed through a HashIndex on the mixed key id. Rows keep file order
-/// within each group.
+RowSource SourceOf(const JoinInput& in) {
+  return RowSource{in.is_vp,
+                   in.factor ? in.factor : FlatLayout(in.columns.size())};
+}
+
+/// The row reader: turns a record into the flat rows it stands for, in
+/// canonical order (factor 0 outermost), reusing its buffers across
+/// records. It is the only code that knows the three record layouts: a VP
+/// pair, a flat row (the zero-factor group) and a group record. A row is
+/// width-sized and valid only during the callback.
+class RowReader {
+ public:
+  template <typename Fn>
+  void ForEachRow(const RowSource& src, const mr::Record& r, Fn&& fn) {
+    if (!src.is_vp) {
+      ForEachRow(*src.groups, r.value(), fn);
+      return;
+    }
+    int64_t s = 0;
+    ParseDigits(r.key(), &s);
+    row_.assign(1, static_cast<rdf::TermId>(s));
+    if (src.groups->width > 1) {
+      int64_t o = 0;
+      ParseDigits(r.value(), &o);
+      row_.push_back(static_cast<rdf::TermId>(o));
+    }
+    fn(row_);
+  }
+
+  /// The flat rows of one encoded group of `layout` (a record value or a
+  /// shuffled payload).
+  template <typename Fn>
+  void ForEachRow(const Factorization& layout, std::string_view value,
+                  Fn&& fn) {
+    if (ParseGroup(value, layout.factors.size(), &view_)) {
+      ForEachFlatRow(layout, view_, &row_, fn);
+    }
+  }
+
+  /// `value` parsed as one group of `layout`, for the paths that keep
+  /// groups whole; null when malformed. Valid until the next call.
+  const GroupView* Group(const Factorization& layout, std::string_view value) {
+    return ParseGroup(value, layout.factors.size(), &view_) ? &view_ : nullptr;
+  }
+
+ private:
+  GroupView view_;
+  std::vector<rdf::TermId> row_;
+};
+
+/// Appends `row`'s cells at `idx`, comma-joined (an EncodeRow of them).
+void AppendCells(std::string* out, const std::vector<rdf::TermId>& row,
+                 const std::vector<int>& idx) {
+  for (size_t k = 0; k < idx.size(); ++k) {
+    if (k > 0) *out += ',';
+    mr::kernels::AppendDecimal(out, row[static_cast<size_t>(idx[k])]);
+  }
+}
+
+/// A row's cells inside a flat cell pool.
+struct CellRange {
+  const rdf::TermId* begin;
+  const rdf::TermId* end;
+};
+
+/// Rows in one flat cell pool with CSR bounds, in arrival order.
+struct RowPool {
+  std::vector<rdf::TermId> cells;
+  std::vector<uint32_t> end;  // row r's cells: cells[Begin(r) .. end[r])
+
+  size_t size() const { return end.size(); }
+  void Clear() {
+    cells.clear();
+    end.clear();
+  }
+  void Add(const std::vector<rdf::TermId>& row) {
+    cells.insert(cells.end(), row.begin(), row.end());
+    end.push_back(static_cast<uint32_t>(cells.size()));
+  }
+  CellRange Row(size_t r) const {
+    const uint32_t b = r == 0 ? 0 : end[r - 1];
+    return CellRange{cells.data() + b, cells.data() + end[r]};
+  }
+};
+
+/// Broadcast side table of a map-join: the side's rows in a RowPool, grouped
+/// by join key through a CSR layer over row indices (file order within a
+/// group) and probed through a HashIndex on the mixed key id.
 struct BroadcastTable {
   util::HashIndex index;
   std::vector<rdf::TermId> keys;    // distinct join key per dense id
   std::vector<uint32_t> group_end;  // CSR: rows of key id g are
                                     //   row_of[group_end[g-1]..group_end[g])
   std::vector<uint32_t> row_of;     // row indices grouped by key id
-  std::vector<uint32_t> row_end;    // CSR: cells of row r
-  std::vector<rdf::TermId> cells;   // row payloads in arrival order
+  RowPool rows;
 
   uint32_t GroupBegin(uint32_t id) const {
     return id == 0 ? 0 : group_end[id - 1];
   }
-  uint32_t RowBegin(uint32_t r) const { return r == 0 ? 0 : row_end[r - 1]; }
+  uint32_t Find(rdf::TermId key) const {
+    return index.Find(util::MixId(key),
+                      [&](uint32_t cand) { return keys[cand] == key; });
+  }
+  size_t GroupSize(uint32_t id) const { return group_end[id] - GroupBegin(id); }
+  /// The k-th row (file order) of key id `id`.
+  CellRange Row(uint32_t id, size_t k) const {
+    return rows.Row(row_of[GroupBegin(id) + k]);
+  }
 };
 
 void BuildBroadcast(const JoinInput& input,
                     const std::vector<mr::Record>& records, int key_col,
                     BroadcastTable* t) {
+  const RowSource source = SourceOf(input);
+  RowReader reader;
   std::vector<uint32_t> key_id_of_row;
   std::vector<uint32_t> counts;
-  std::vector<rdf::TermId> row;
   t->index.Reserve(records.size());
   for (const mr::Record& r : records) {
-    DecodeInputRowInto(input, r, &row);
-    if (input.predicate && !input.predicate(row)) continue;
-    rdf::TermId k = row[key_col];
-    auto [id, inserted] = t->index.FindOrInsert(
-        util::MixId(k), static_cast<uint32_t>(t->keys.size()),
-        [&](uint32_t cand) { return t->keys[cand] == k; });
-    if (inserted) {
-      t->keys.push_back(k);
-      counts.push_back(0);
-    }
-    ++counts[id];
-    key_id_of_row.push_back(id);
-    t->cells.insert(t->cells.end(), row.begin(), row.end());
-    t->row_end.push_back(static_cast<uint32_t>(t->cells.size()));
+    reader.ForEachRow(source, r, [&](const std::vector<rdf::TermId>& row) {
+      if (input.predicate && !input.predicate(row)) return;
+      rdf::TermId k = row[static_cast<size_t>(key_col)];
+      auto [id, inserted] = t->index.FindOrInsert(
+          util::MixId(k), static_cast<uint32_t>(t->keys.size()),
+          [&](uint32_t cand) { return t->keys[cand] == k; });
+      if (inserted) {
+        t->keys.push_back(k);
+        counts.push_back(0);
+      }
+      ++counts[id];
+      key_id_of_row.push_back(id);
+      t->rows.Add(row);
+    });
   }
   // Counting-sort scatter: group rows by key id, file order within a group.
   t->group_end.resize(counts.size());
@@ -199,42 +289,60 @@ void BuildBroadcast(const JoinInput& input,
   }
 }
 
-/// Per-map-task scratch (MapContext::TaskState) of the flat operators'
-/// maps: the decoded input row, the width-strided cross-product buffers
-/// and the key/value emit buffers, reused across the task's records.
-struct MapScratch {
-  std::vector<rdf::TermId> row, cur, next, pred_row;
-  std::string key_buf, val_buf;
-};
-
-/// Per-reduce-task scratch of the repartition-join reduce: each side's
-/// rows in a flat cell pool + CSR row bounds, the current/next
-/// cross-product buffers (width-strided), and the emit buffer.
-struct JoinReduceScratch {
-  std::vector<std::vector<rdf::TermId>> side_cells;
-  std::vector<std::vector<uint32_t>> side_end;
-  std::vector<rdf::TermId> row, cur, next, pred_row;
+/// The flat fold's buffers: the current and next width-strided cross
+/// products, the post-predicate row and the emit buffer.
+struct FoldBuffers {
+  std::vector<rdf::TermId> cur, next, pred_row;
   std::string val_buf;
 };
 
-/// Per-map-task state of GroupBy's map-side pre-aggregation (the
-/// relational analogue of Alg. 3's multiAggMap): an insertion-ordered
-/// open-addressing table — HashIndex over the encoded group key, dense
-/// side tables — plus the decode and key buffers. map_finish flushes it.
-struct PartialAggScratch {
-  util::HashIndex index;
-  std::vector<std::string> keys;
-  std::vector<std::vector<Aggregator>> agg_rows;
-  std::vector<rdf::TermId> row;
+/// One step of the flat fold: crosses every width-strided row of `f->cur`
+/// with `n` side rows (`row(k)` gives the k-th one's cells), writing each
+/// side row's cells over a copy of the current row at their output
+/// positions `pos`.
+template <typename SideRow>
+void CrossSide(FoldBuffers* f, size_t width, size_t n,
+               const std::vector<int>& pos, SideRow&& row) {
+  f->next.clear();
+  for (size_t p = 0; p < f->cur.size() / width; ++p) {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t base = f->next.size();
+      f->next.insert(f->next.end(), f->cur.begin() + p * width,
+                     f->cur.begin() + (p + 1) * width);
+      const CellRange cells = row(k);
+      for (const rdf::TermId* c = cells.begin; c != cells.end; ++c) {
+        f->next[base + static_cast<size_t>(pos[c - cells.begin])] = *c;
+      }
+    }
+  }
+  f->cur.swap(f->next);
+}
+
+/// Emits the fold's joined rows that pass `post`.
+template <typename Ctx>
+void EmitJoined(FoldBuffers* f, size_t width, const RowPredicate& post,
+                Ctx* ctx) {
+  for (size_t p = 0; p < f->cur.size() / width; ++p) {
+    if (post) {
+      f->pred_row.assign(f->cur.begin() + p * width,
+                         f->cur.begin() + (p + 1) * width);
+      if (!post(f->pred_row)) continue;
+    }
+    f->val_buf.clear();
+    AppendRow(&f->val_buf, f->cur.data() + p * width, width);
+    ctx->Emit("", f->val_buf);
+  }
+}
+
+/// Per-map-task scratch (MapContext::TaskState) of the relational maps:
+/// the row reader, the fold buffers, the group encoder with its cell rows,
+/// and the key buffer, reused across the task's records.
+struct MapScratch : FoldBuffers {
+  RowReader reader;
+  GroupEncoder enc;
+  std::vector<rdf::TermId> cells, factor_row;
   std::string key_buf;
 };
-
-// ---------------------------------------------------------------------------
-// Factorized (d-representation) join machinery — see engines/factorized.h
-// and DESIGN.md §16. A join runs in "fact mode" when any input is
-// factorized or a factorized output was requested; the flat paths above
-// stay byte-for-byte untouched otherwise.
-// ---------------------------------------------------------------------------
 
 /// Where a column position lives inside a Factorization.
 struct CellLoc {
@@ -278,103 +386,178 @@ std::string_view FactorSegment(const GroupView& g, size_t f) {
   return std::string_view(lo, static_cast<size_t>(hi - lo));
 }
 
-/// How the fact-mode map handles one join input.
-struct FactInputPlan {
-  FactorizationPtr spec;     // null: flat side (emits "F" rows)
-  /// Layout of the partial groups this side emits ("G" payloads), in the
-  /// INPUT table's coordinates. Equal to `spec` when the join column sits
-  /// in the base; base extended by the join factor otherwise.
+// ---------------------------------------------------------------------------
+// Join sides and factorized join outputs — see engines/factorized.h and
+// DESIGN.md §16. Every input streams flat rows through the RowReader except
+// a *grouped* one (factorized, no map-side predicate), whose groups cross
+// the shuffle or pass through the map-join whole.
+// ---------------------------------------------------------------------------
+
+/// How Join reads and ships one input.
+struct JoinSide {
+  RowSource source;       // the input's records
+  FactorizationPtr flat;  // its rows as shipped flat: FlatLayout(columns)
+  /// Grouped sides only: the partial groups the side ships, in the input's
+  /// coordinates. Equal to the input's layout when the join column sits in
+  /// the base; the base extended by the join factor otherwise.
   FactorizationPtr partial;
-  int join_factor = -1;  // >= 0: partially decompress this factor
-  int join_slot = -1;    // slot in base_cols / cell idx in factors[join_factor]
-  bool stream = false;   // decompress in the map (input predicate present)
+  int join_factor = -1;  // >= 0: the factor holding the join column
+  int join_slot = -1;    // slot in base_cols / factors[join_factor]; -1 in
+                         //   the base = uncovered (every row joins NULL)
+  /// An outer miss's partial group: one all-NULL row per partial factor.
+  std::vector<std::string> null_segments;
 
-  bool grouped() const { return spec != nullptr && !stream; }
+  bool grouped() const { return partial != nullptr; }
 };
 
-/// One collected partial group on the reduce side.
-struct FactEntry {
-  std::vector<rdf::TermId> base;   // decoded partial-base cells
-  std::vector<std::string> fsegs;  // owned factor segments
-  std::vector<uint64_t> frows;     // rows per factor
-};
-
-/// Synthesizes the outer-miss entry: NULL base cells + one all-NULL row
-/// per factor.
-FactEntry NullEntry(const Factorization& partial) {
-  FactEntry e;
-  e.base.assign(partial.base_cols.size(), rdf::kInvalidTermId);
-  for (const auto& cols : partial.factors) {
-    std::string seg;
-    for (size_t c = 0; c < cols.size(); ++c) {
-      if (c > 0) seg += ',';
-      seg += '0';
-    }
-    e.fsegs.push_back(std::move(seg));
-    e.frows.push_back(1);
-  }
-  return e;
-}
-
-/// Computes each input's fact-mode map plan.
-std::vector<FactInputPlan> BuildFactInputPlans(
-    const std::vector<JoinInput>& inputs, const std::vector<int>& join_idx) {
-  std::vector<FactInputPlan> plans(inputs.size());
+std::vector<JoinSide> PlanSides(const std::vector<JoinInput>& inputs,
+                                const std::vector<int>& join_idx) {
+  std::vector<JoinSide> sides(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
-    if (inputs[i].factor == nullptr) continue;
-    FactInputPlan& p = plans[i];
-    p.spec = inputs[i].factor;
-    if (inputs[i].predicate != nullptr) {
-      p.stream = true;  // predicates see flat rows: stream-decompress
+    JoinSide& side = sides[i];
+    side.source = SourceOf(inputs[i]);
+    side.flat = FlatLayout(inputs[i].columns.size());
+    // Predicates see flat rows, so a factorized input with one streams.
+    if (inputs[i].factor == nullptr || inputs[i].predicate != nullptr) {
       continue;
     }
-    std::vector<CellLoc> loc = LocateCells(*p.spec);
-    const CellLoc jl = loc[static_cast<size_t>(join_idx[i])];
+    const Factorization& spec = *inputs[i].factor;
+    const CellLoc jl = LocateCells(spec)[static_cast<size_t>(join_idx[i])];
     if (jl.kind == CellLoc::kFactor) {
-      p.join_factor = jl.factor;
-      p.join_slot = jl.slot;
+      side.join_factor = jl.factor;
+      side.join_slot = jl.slot;
       auto partial = std::make_shared<Factorization>();
-      partial->width = p.spec->width;
-      partial->base_cols = p.spec->base_cols;
-      const auto& jcols = p.spec->factors[static_cast<size_t>(jl.factor)];
+      partial->width = spec.width;
+      partial->base_cols = spec.base_cols;
+      const auto& jcols = spec.factors[static_cast<size_t>(jl.factor)];
       partial->base_cols.insert(partial->base_cols.end(), jcols.begin(),
                                 jcols.end());
-      for (size_t f = 0; f < p.spec->factors.size(); ++f) {
-        if (static_cast<int>(f) == jl.factor) continue;
-        partial->factors.push_back(p.spec->factors[f]);
+      for (size_t f = 0; f < spec.factors.size(); ++f) {
+        if (static_cast<int>(f) != jl.factor) {
+          partial->factors.push_back(spec.factors[f]);
+        }
       }
-      p.partial = std::move(partial);
+      side.partial = std::move(partial);
     } else {
-      // Join column in the base (or uncovered: every flat row joins NULL).
-      p.join_slot = jl.kind == CellLoc::kBase ? jl.slot : -1;
-      p.partial = p.spec;
+      side.join_slot = jl.kind == CellLoc::kBase ? jl.slot : -1;
+      side.partial = inputs[i].factor;
+    }
+    for (const auto& cols : side.partial->factors) {
+      std::string seg;
+      for (size_t c = 0; c < cols.size(); ++c) seg += c > 0 ? ",0" : "0";
+      side.null_segments.push_back(std::move(seg));
     }
   }
-  return plans;
+  return sides;
 }
 
-/// Per-side assembly of the factorized OUTPUT spec of a repartition join:
-/// base = [join position] ++ each grouped side's kept partial-base slots;
-/// factors = sides in order (flat side -> one factor of its non-join
-/// columns; grouped side -> its partial factors). Returns null when any
-/// output position would be claimed twice (the flat fold's overwrite
-/// semantics cannot be represented) — callers then emit flat.
-struct FactOutAssembly {
+/// Encodes the partial groups a grouped side's record ships into `enc`,
+/// calling emit(join key) after each: the whole group when the join column
+/// sits in the base, else one group per row of the join factor, that row
+/// moved into the base and every other factor kept as it is.
+template <typename Fn>
+void ForEachPartialGroup(const JoinSide& side, const GroupView& view,
+                         std::vector<rdf::TermId>* cells, GroupEncoder* enc,
+                         Fn&& emit) {
+  const Factorization& spec = *side.source.groups;
+  if (side.join_factor < 0) {
+    rdf::TermId key = rdf::kInvalidTermId;
+    if (side.join_slot >= 0) {
+      DecodeFactorRowInto(view.base, spec.base_cols.size(), cells);
+      key = (*cells)[static_cast<size_t>(side.join_slot)];
+    }
+    enc->Start();
+    enc->AddRawBase(view.base);
+    for (size_t g = 0; g < spec.factors.size(); ++g) {
+      enc->AddRawFactor(FactorSegment(view, g), view.FactorRows(g));
+    }
+    emit(key);
+    return;
+  }
+  const size_t j = static_cast<size_t>(side.join_factor);
+  for (size_t t = view.FactorBegin(j); t < view.factor_end[j]; ++t) {
+    DecodeFactorRowInto(view.rows[t], spec.factors[j].size(), cells);
+    const rdf::TermId key = (*cells)[static_cast<size_t>(side.join_slot)];
+    enc->Start();
+    enc->AddRawBase(view.base);
+    for (rdf::TermId c : *cells) enc->AddBaseCell(c);
+    for (size_t g = 0; g < spec.factors.size(); ++g) {
+      if (g != j) enc->AddRawFactor(FactorSegment(view, g), view.FactorRows(g));
+    }
+    emit(key);
+  }
+}
+
+/// A join's factorized output layout plus what each side contributes. A
+/// null `spec` means the output stays flat: some output position would be
+/// claimed twice, and the flat fold's overwrite semantics cannot be
+/// represented.
+struct FactOutput {
   FactorizationPtr spec;
-  /// Per side: partial-base slots appended to the output base (grouped
-  /// sides), or input column indices encoded as factor rows (flat sides).
+  /// Repartition joins, grouped sides: partial-base slots appended to the
+  /// output base.
   std::vector<std::vector<int>> base_keep;
-  std::vector<std::vector<int>> flat_cols;
+  /// Sides contributing one factor of their flat rows (a map-join's
+  /// broadcast sides, a repartition join's flat sides): the input columns
+  /// each factor row carries.
+  std::vector<std::vector<int>> factor_cols;
 };
 
-FactOutAssembly BuildFactOutput(const std::vector<JoinInput>& inputs,
-                                const std::vector<FactInputPlan>& plans,
-                                const std::vector<std::vector<int>>& out_pos,
-                                const std::vector<int>& join_idx,
-                                size_t width) {
-  FactOutAssembly out;
+/// Map-join output: the streamed side in the base (a grouped one: its
+/// partial base, then its partial factors), one factor per broadcast side.
+FactOutput MapJoinOutput(const std::vector<JoinInput>& inputs,
+                         const std::vector<JoinSide>& sides,
+                         const std::vector<std::vector<int>>& out_pos,
+                         const std::vector<int>& join_idx, size_t big,
+                         size_t width) {
+  FactOutput out;
+  out.factor_cols.resize(inputs.size());
+  auto spec = std::make_shared<Factorization>();
+  spec->width = static_cast<int>(width);
+  std::vector<bool> covered(width, false);
+  bool ok = true;
+  auto claim = [&covered, &ok](int pos) {
+    if (covered[static_cast<size_t>(pos)]) ok = false;
+    covered[static_cast<size_t>(pos)] = true;
+    return pos;
+  };
+  const std::vector<int>& big_pos = out_pos[big];
+  if (sides[big].grouped()) {
+    for (int c : sides[big].partial->base_cols) {
+      spec->base_cols.push_back(claim(big_pos[static_cast<size_t>(c)]));
+    }
+    for (const auto& cols : sides[big].partial->factors) {
+      std::vector<int> f;
+      for (int c : cols) f.push_back(claim(big_pos[static_cast<size_t>(c)]));
+      spec->factors.push_back(std::move(f));
+    }
+  } else {
+    for (int pos : big_pos) spec->base_cols.push_back(claim(pos));
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (i == big) continue;
+    std::vector<int> f;
+    for (size_t c = 0; c < inputs[i].columns.size(); ++c) {
+      if (static_cast<int>(c) == join_idx[i]) continue;
+      f.push_back(claim(out_pos[i][c]));
+      out.factor_cols[i].push_back(static_cast<int>(c));
+    }
+    spec->factors.push_back(std::move(f));
+  }
+  if (ok) out.spec = std::move(spec);
+  return out;
+}
+
+/// Repartition-join output: base = [join key] ++ each grouped side's kept
+/// partial-base slots; factors = sides in order (a flat side: one factor
+/// of its non-join columns; a grouped side: its partial factors).
+FactOutput RepartitionOutput(const std::vector<JoinInput>& inputs,
+                             const std::vector<JoinSide>& sides,
+                             const std::vector<std::vector<int>>& out_pos,
+                             const std::vector<int>& join_idx, size_t width) {
+  FactOutput out;
   out.base_keep.resize(inputs.size());
-  out.flat_cols.resize(inputs.size());
+  out.factor_cols.resize(inputs.size());
   auto spec = std::make_shared<Factorization>();
   spec->width = static_cast<int>(width);
   std::vector<bool> covered(width, false);
@@ -388,8 +571,8 @@ FactOutAssembly BuildFactOutput(const std::vector<JoinInput>& inputs,
   };
   // Base: join key first, then each grouped side's kept partial-base slots.
   for (size_t i = 0; i < inputs.size(); ++i) {
-    if (!plans[i].grouped()) continue;
-    const Factorization& partial = *plans[i].partial;
+    if (!sides[i].grouped()) continue;
+    const Factorization& partial = *sides[i].partial;
     for (size_t s = 0; s < partial.base_cols.size(); ++s) {
       const int in_col = partial.base_cols[s];
       if (in_col == join_idx[i]) continue;  // == the key; emitted once
@@ -402,9 +585,8 @@ FactOutAssembly BuildFactOutput(const std::vector<JoinInput>& inputs,
   }
   // Factors: sides in order.
   for (size_t i = 0; i < inputs.size(); ++i) {
-    if (plans[i].grouped()) {
-      const Factorization& partial = *plans[i].partial;
-      for (const auto& cols : partial.factors) {
+    if (sides[i].grouped()) {
+      for (const auto& cols : sides[i].partial->factors) {
         std::vector<int> f;
         for (int in_col : cols) {
           const int pos = out_pos[i][static_cast<size_t>(in_col)];
@@ -413,31 +595,56 @@ FactOutAssembly BuildFactOutput(const std::vector<JoinInput>& inputs,
         }
         spec->factors.push_back(std::move(f));
       }
-    } else {
-      std::vector<int> f;
-      std::vector<int> keep;
-      for (size_t c = 0; c < inputs[i].columns.size(); ++c) {
-        if (static_cast<int>(c) == join_idx[i]) continue;
-        const int pos = out_pos[i][static_cast<size_t>(c)];
-        if (pos == join_out) continue;  // duplicate of the key column
-        if (!claim(pos)) return out;
-        f.push_back(pos);
-        keep.push_back(static_cast<int>(c));
-      }
-      spec->factors.push_back(std::move(f));
-      out.flat_cols[i] = std::move(keep);
+      continue;
     }
+    std::vector<int> f;
+    for (size_t c = 0; c < inputs[i].columns.size(); ++c) {
+      if (static_cast<int>(c) == join_idx[i]) continue;
+      const int pos = out_pos[i][c];
+      if (pos == join_out) continue;  // duplicate of the key column
+      if (!claim(pos)) return out;
+      f.push_back(pos);
+      out.factor_cols[i].push_back(static_cast<int>(c));
+    }
+    spec->factors.push_back(std::move(f));
   }
   out.spec = std::move(spec);
   return out;
 }
 
-/// Factorized-output spec of a map-join (big side -> base + its factors,
-/// one factor per small side) plus each small side's kept column indices.
-/// Null spec = the output stays flat.
-struct MapJoinFactSpec {
-  FactorizationPtr spec;
-  std::vector<std::vector<int>> small_keep;
+/// Splits a repartition join's shuffled value, `<tag>|<flat row>` or
+/// `<tag>#<partial group>`; false when malformed.
+bool SplitTagged(std::string_view v, size_t* tag, bool* group,
+                 std::string_view* payload) {
+  const size_t bar = v.find_first_of("|#");
+  if (bar == std::string_view::npos) return false;
+  int64_t t = 0;
+  ParseInt64(v.substr(0, bar), &t);
+  *tag = static_cast<size_t>(t);
+  *group = v[bar] == '#';
+  *payload = v.substr(bar + 1);
+  return true;
+}
+
+/// One shuffled partial group on the group reduce's side: its decoded base
+/// cells and its factor segments (views into the reduce's values, or into
+/// the side's null segments).
+struct GroupEntry {
+  std::vector<rdf::TermId> base;
+  std::vector<std::string_view> segments;
+  std::vector<uint64_t> rows;
+};
+
+/// Per-reduce-task scratch of the repartition join: each side's flat rows
+/// in a RowPool, the grouped sides' entries and the group encoder.
+struct JoinReduceScratch : FoldBuffers {
+  RowReader reader;
+  std::vector<RowPool> pools;
+  std::vector<std::vector<GroupEntry>> entries;
+  std::vector<std::string> flat_segments;
+  std::vector<size_t> idx;
+  std::vector<rdf::TermId> null_row;
+  GroupEncoder enc;
 };
 
 }  // namespace
@@ -458,6 +665,7 @@ int MapJoinStreamedInput(const std::vector<uint64_t>& sizes,
 
 StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
                                        const std::vector<JoinInput>& inputs,
+                                       JoinStrategy strategy,
                                        RowPredicate post_predicate,
                                        bool factorize_output) {
   RAPIDA_CHECK(!inputs.empty());
@@ -492,30 +700,37 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
   }
   const size_t width = out_columns.size();
 
-  // Map-join eligibility (MapJoinStreamedInput). Factorized inputs are
-  // sized by their FLAT equivalent so the strategy choice matches the flat
-  // path exactly (a factorized file is smaller; deciding on its stored
-  // size could flip the join strategy and with it the output row order).
-  std::vector<uint64_t> sizes;
-  std::vector<bool> outer;
-  for (const JoinInput& in : inputs) {
-    sizes.push_back(in.flat_bytes != 0 ? in.flat_bytes
-                                       : dataset_->VpFileBytes(in.file));
-    outer.push_back(in.outer);
+  // The streamed input of a map-join (MapJoinStreamedInput): a `map` node
+  // broadcasts every input but the largest, an `auto` node only those
+  // within the threshold. Factorized inputs are sized by their FLAT
+  // equivalent so the choice matches the flat path exactly (a factorized
+  // file is smaller; deciding on its stored size could flip the join
+  // strategy and with it the output row order).
+  int big = -1;
+  if (strategy != JoinStrategy::kRepartition) {
+    std::vector<uint64_t> sizes;
+    std::vector<bool> outer;
+    for (const JoinInput& in : inputs) {
+      sizes.push_back(in.flat_bytes != 0 ? in.flat_bytes
+                                         : dataset_->VpFileBytes(in.file));
+      outer.push_back(in.outer);
+    }
+    big = MapJoinStreamedInput(sizes, outer,
+                               strategy == JoinStrategy::kMap
+                                   ? std::numeric_limits<uint64_t>::max()
+                                   : map_join_threshold_bytes_);
   }
-  const int big = options_.enable_map_joins
-                      ? MapJoinStreamedInput(
-                            sizes, outer, options_.map_join_threshold_bytes)
-                      : -1;
   const bool map_join = big >= 0;
 
-  bool any_factorized = false;
-  for (const JoinInput& in : inputs) {
-    if (in.factor != nullptr) any_factorized = true;
-  }
-  if (any_factorized || factorize_output) {
-    return FactJoin(name_hint, inputs, post_predicate, factorize_output,
-                    map_join, big, out_columns, out_pos, join_idx);
+  auto ins = std::make_shared<const std::vector<JoinInput>>(inputs);
+  auto sides =
+      std::make_shared<const std::vector<JoinSide>>(PlanSides(inputs, join_idx));
+  auto fact = std::make_shared<FactOutput>();
+  if (factorize_output && post_predicate == nullptr && inputs.size() >= 2) {
+    *fact = map_join ? MapJoinOutput(inputs, *sides, out_pos, join_idx,
+                                     static_cast<size_t>(big), width)
+                     : RepartitionOutput(inputs, *sides, out_pos, join_idx,
+                                         width);
   }
 
   TableRef out;
@@ -527,13 +742,10 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
   for (const JoinInput& in : inputs) job.inputs.push_back(in.file);
   job.output = out.file;
 
-  // Shared copies for the closures.
-  auto ins = std::make_shared<std::vector<JoinInput>>(inputs);
-
   if (map_join) {
-    // CSR broadcast tables for every small input, probed through
-    // HashIndex; the big side streams through width-strided cross-product
-    // buffers kept in the task's scratch.
+    // Every other input is broadcast; the streamed one folds each row
+    // through the broadcast tables (flat output), or becomes one group per
+    // row or partial group with one factor per broadcast side.
     auto tables =
         std::make_shared<std::vector<BroadcastTable>>(inputs.size());
     for (size_t i = 0; i < inputs.size(); ++i) {
@@ -542,690 +754,262 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
                               dataset_->dfs().Open(inputs[i].file));
       BuildBroadcast(inputs[i], f->records, join_idx[i], &(*tables)[i]);
     }
-    job.map = [ins, tables, big, out_pos, join_idx, width, post_predicate](
-                  const mr::Record& r, int tag, mr::MapContext* ctx) {
-      if (tag != big) return;  // broadcast copies: scanned, not re-emitted
+    const size_t b = static_cast<size_t>(big);
+    job.map = [ins, sides, fact, tables, b, out_pos, join_idx, width,
+               post_predicate](const mr::Record& r, int tag,
+                               mr::MapContext* ctx) {
+      if (static_cast<size_t>(tag) != b) return;  // broadcast copies
       MapScratch* s = ctx->TaskState<MapScratch>();
-      const JoinInput& input = (*ins)[big];
-      DecodeInputRowInto(input, r, &s->row);
-      if (input.predicate && !input.predicate(s->row)) return;
-      rdf::TermId key = s->row[join_idx[big]];
-      // Start from the big row, fold in each small side.
-      s->cur.assign(width, rdf::kInvalidTermId);
-      for (size_t c = 0; c < s->row.size(); ++c) {
-        s->cur[out_pos[big][c]] = s->row[c];
-      }
-      for (size_t i = 0; i < ins->size(); ++i) {
-        if (i == static_cast<size_t>(big)) continue;
-        const BroadcastTable& t = (*tables)[i];
-        uint32_t id =
-            t.index.Find(util::MixId(key), [&](uint32_t cand) {
-              return t.keys[cand] == key;
-            });
-        if (id == util::HashIndex::kNotFound) {
-          if (!(*ins)[i].outer) return;  // inner miss: no output
-          continue;                      // outer: leave columns NULL
-        }
-        s->next.clear();
-        for (size_t p = 0; p < s->cur.size() / width; ++p) {
-          for (uint32_t g = t.GroupBegin(id); g < t.group_end[id]; ++g) {
-            uint32_t r2 = t.row_of[g];
-            size_t base = s->next.size();
-            s->next.insert(s->next.end(), s->cur.begin() + p * width,
-                           s->cur.begin() + (p + 1) * width);
-            uint32_t cb = t.RowBegin(r2);
-            for (uint32_t c = cb; c < t.row_end[r2]; ++c) {
-              s->next[base + out_pos[i][c - cb]] = t.cells[c];
-            }
+      const JoinInput& input = (*ins)[b];
+      const JoinSide& side = (*sides)[b];
+      // Closes the group in s->enc with one factor per broadcast side: the
+      // rows matching `key`, or one all-NULL row for an outer miss. An
+      // inner miss emits nothing.
+      auto emit_group = [&](rdf::TermId key) {
+        for (size_t i = 0; i < ins->size(); ++i) {
+          if (i == b) continue;
+          const BroadcastTable& t = (*tables)[i];
+          const std::vector<int>& cols = fact->factor_cols[i];
+          const uint32_t id = t.Find(key);
+          if (id == util::HashIndex::kNotFound && !(*ins)[i].outer) return;
+          s->enc.StartFactor();
+          if (id == util::HashIndex::kNotFound) {
+            s->factor_row.assign(cols.size(), rdf::kInvalidTermId);
+            s->enc.AddFactorRow(s->factor_row.data(), cols.size());
+            continue;
+          }
+          for (size_t k = 0; k < t.GroupSize(id); ++k) {
+            const CellRange row = t.Row(id, k);
+            s->factor_row.clear();
+            for (int c : cols) s->factor_row.push_back(row.begin[c]);
+            s->enc.AddFactorRow(s->factor_row.data(), cols.size());
           }
         }
-        s->cur.swap(s->next);
-      }
-      for (size_t p = 0; p < s->cur.size() / width; ++p) {
-        if (post_predicate) {
-          s->pred_row.assign(s->cur.begin() + p * width,
-                             s->cur.begin() + (p + 1) * width);
-          if (!post_predicate(s->pred_row)) continue;
+        ctx->Emit("", s->enc.Finish());
+        ctx->NoteFactorizedGroup(s->enc.flat_rows());
+      };
+      if (fact->spec != nullptr && side.grouped()) {
+        if (const GroupView* view =
+                s->reader.Group(*side.source.groups, r.value())) {
+          ForEachPartialGroup(side, *view, &s->cells, &s->enc, emit_group);
         }
-        s->val_buf.clear();
-        AppendRow(&s->val_buf, s->cur.data() + p * width, width);
-        ctx->Emit("", s->val_buf);
+        return;
       }
+      s->reader.ForEachRow(
+          side.source, r, [&](const std::vector<rdf::TermId>& row) {
+            if (input.predicate && !input.predicate(row)) return;
+            const rdf::TermId key = row[static_cast<size_t>(join_idx[b])];
+            if (fact->spec != nullptr) {
+              s->enc.Start();
+              for (rdf::TermId c : row) s->enc.AddBaseCell(c);
+              emit_group(key);
+              return;
+            }
+            s->cur.assign(width, rdf::kInvalidTermId);
+            for (size_t c = 0; c < row.size(); ++c) {
+              s->cur[static_cast<size_t>(out_pos[b][c])] = row[c];
+            }
+            for (size_t i = 0; i < ins->size(); ++i) {
+              if (i == b) continue;
+              const BroadcastTable& t = (*tables)[i];
+              const uint32_t id = t.Find(key);
+              if (id == util::HashIndex::kNotFound) {
+                if (!(*ins)[i].outer) return;  // inner miss: no output
+                continue;                      // outer: leave columns NULL
+              }
+              CrossSide(s, width, t.GroupSize(id), out_pos[i],
+                        [&](size_t k) { return t.Row(id, k); });
+            }
+            EmitJoined(s, width, post_predicate, ctx);
+          });
     };
   } else {
-    // Repartition join: the map tags each row with its side; the reduce
-    // keeps each side as a flat CSR pool in per-task scratch.
-    job.map = [ins, join_idx](const mr::Record& r, int tag,
-                              mr::MapContext* ctx) {
+    // Repartition join: the map tags each flat row `<tag>|` and each
+    // grouped side's partial group `<tag>#`, keyed by the join value.
+    job.map = [ins, sides, join_idx](const mr::Record& r, int tag,
+                                     mr::MapContext* ctx) {
       MapScratch* s = ctx->TaskState<MapScratch>();
-      const JoinInput& input = (*ins)[tag];
-      DecodeInputRowInto(input, r, &s->row);
-      if (input.predicate && !input.predicate(s->row)) return;
-      s->key_buf.clear();
-      mr::kernels::AppendDecimal(&s->key_buf, s->row[join_idx[tag]]);
-      s->val_buf.clear();
-      mr::kernels::AppendDecimal(&s->val_buf, static_cast<uint64_t>(tag));
-      s->val_buf += '|';
-      AppendRow(&s->val_buf, s->row.data(), s->row.size());
-      ctx->Emit(s->key_buf, s->val_buf);
+      const JoinSide& side = (*sides)[static_cast<size_t>(tag)];
+      auto emit = [&](rdf::TermId key, char marker, auto&& append_payload) {
+        s->key_buf.clear();
+        mr::kernels::AppendDecimal(&s->key_buf, key);
+        s->val_buf.clear();
+        mr::kernels::AppendDecimal(&s->val_buf, static_cast<uint64_t>(tag));
+        s->val_buf += marker;
+        append_payload();
+        ctx->Emit(s->key_buf, s->val_buf);
+      };
+      if (side.grouped()) {
+        if (const GroupView* view =
+                s->reader.Group(*side.source.groups, r.value())) {
+          ForEachPartialGroup(side, *view, &s->cells, &s->enc,
+                              [&](rdf::TermId key) {
+                                emit(key, '#', [&] {
+                                  s->val_buf += s->enc.Finish();
+                                });
+                              });
+        }
+        return;
+      }
+      const JoinInput& input = (*ins)[static_cast<size_t>(tag)];
+      s->reader.ForEachRow(
+          side.source, r, [&](const std::vector<rdf::TermId>& row) {
+            if (input.predicate && !input.predicate(row)) return;
+            emit(row[static_cast<size_t>(join_idx[static_cast<size_t>(tag)])],
+                 '|', [&] { AppendRow(&s->val_buf, row); });
+          });
     };
-    job.reduce = [ins, out_pos, width, post_predicate](
-                     std::string_view /*key*/, const mr::ValueSpan& values,
-                     mr::ReduceContext* ctx) {
-      JoinReduceScratch* s = ctx->TaskState<JoinReduceScratch>();
-      s->side_cells.resize(ins->size());
-      s->side_end.resize(ins->size());
-      for (size_t i = 0; i < ins->size(); ++i) {
-        s->side_cells[i].clear();
-        s->side_end[i].clear();
-      }
-      for (std::string_view v : values) {
-        size_t bar = v.find('|');
-        if (bar == std::string_view::npos) continue;
-        int64_t tag = 0;
-        ParseInt64(v.substr(0, bar), &tag);
-        DecodeRowInto(v.substr(bar + 1), &s->row);
-        auto& cells = s->side_cells[tag];
-        cells.insert(cells.end(), s->row.begin(), s->row.end());
-        s->side_end[tag].push_back(static_cast<uint32_t>(cells.size()));
-      }
-      if (s->side_end[0].empty()) return;
-      s->cur.clear();
-      for (size_t r = 0; r < s->side_end[0].size(); ++r) {
-        size_t base = s->cur.size();
-        s->cur.resize(base + width, rdf::kInvalidTermId);
-        uint32_t cb = r == 0 ? 0 : s->side_end[0][r - 1];
-        for (uint32_t c = cb; c < s->side_end[0][r]; ++c) {
-          s->cur[base + out_pos[0][c - cb]] = s->side_cells[0][c];
+    if (fact->spec == nullptr) {
+      // Flat output: every side's rows (groups decompressed) into its
+      // pool, then the fold from one all-NULL row across the sides.
+      job.reduce = [ins, sides, out_pos, width, post_predicate](
+                       std::string_view /*key*/, const mr::ValueSpan& values,
+                       mr::ReduceContext* ctx) {
+        JoinReduceScratch* s = ctx->TaskState<JoinReduceScratch>();
+        s->pools.resize(ins->size());
+        for (RowPool& pool : s->pools) pool.Clear();
+        for (std::string_view v : values) {
+          size_t tag;
+          bool group;
+          std::string_view payload;
+          if (!SplitTagged(v, &tag, &group, &payload)) continue;
+          const JoinSide& side = (*sides)[tag];
+          RowPool& pool = s->pools[tag];
+          s->reader.ForEachRow(
+              group ? *side.partial : *side.flat, payload,
+              [&pool](const std::vector<rdf::TermId>& row) { pool.Add(row); });
         }
-      }
-      for (size_t i = 1; i < ins->size(); ++i) {
-        if (s->side_end[i].empty()) {
-          if (!(*ins)[i].outer) return;
-          continue;
+        s->cur.assign(width, rdf::kInvalidTermId);
+        for (size_t i = 0; i < ins->size(); ++i) {
+          const RowPool& pool = s->pools[i];
+          if (pool.size() == 0) {
+            if (!(*ins)[i].outer) return;  // inner miss (input 0 never outer)
+            continue;
+          }
+          CrossSide(s, width, pool.size(), out_pos[i],
+                    [&pool](size_t k) { return pool.Row(k); });
         }
-        s->next.clear();
-        for (size_t p = 0; p < s->cur.size() / width; ++p) {
-          for (size_t r = 0; r < s->side_end[i].size(); ++r) {
-            size_t base = s->next.size();
-            s->next.insert(s->next.end(), s->cur.begin() + p * width,
-                           s->cur.begin() + (p + 1) * width);
-            uint32_t cb = r == 0 ? 0 : s->side_end[i][r - 1];
-            for (uint32_t c = cb; c < s->side_end[i][r]; ++c) {
-              s->next[base + out_pos[i][c - cb]] = s->side_cells[i][c];
+        EmitJoined(s, width, post_predicate, ctx);
+      };
+    } else {
+      // Factorized output: cross the grouped sides' partial groups per
+      // key; each flat side contributes one factor shared by every group.
+      std::vector<size_t> grouped;
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        if ((*sides)[i].grouped()) grouped.push_back(i);
+      }
+      job.reduce = [ins, sides, fact, grouped](std::string_view key,
+                                               const mr::ValueSpan& values,
+                                               mr::ReduceContext* ctx) {
+        JoinReduceScratch* s = ctx->TaskState<JoinReduceScratch>();
+        const size_t n = ins->size();
+        s->pools.resize(n);
+        s->entries.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+          s->pools[i].Clear();
+          s->entries[i].clear();
+        }
+        for (std::string_view v : values) {
+          size_t tag;
+          bool group;
+          std::string_view payload;
+          if (!SplitTagged(v, &tag, &group, &payload)) continue;
+          const JoinSide& side = (*sides)[tag];
+          if (!group) {
+            RowPool& pool = s->pools[tag];
+            s->reader.ForEachRow(
+                *side.flat, payload,
+                [&pool](const std::vector<rdf::TermId>& row) { pool.Add(row); });
+            continue;
+          }
+          const GroupView* gv = s->reader.Group(*side.partial, payload);
+          if (gv == nullptr) continue;
+          GroupEntry& e = s->entries[tag].emplace_back();
+          DecodeFactorRowInto(gv->base, side.partial->base_cols.size(),
+                              &e.base);
+          for (size_t g = 0; g < side.partial->factors.size(); ++g) {
+            e.segments.push_back(FactorSegment(*gv, g));
+            e.rows.push_back(gv->FactorRows(g));
+          }
+        }
+        for (size_t i = 0; i < n; ++i) {
+          const JoinSide& side = (*sides)[i];
+          if (side.grouped() ? !s->entries[i].empty()
+                             : s->pools[i].size() > 0) {
+            continue;
+          }
+          if (!(*ins)[i].outer) return;  // inner miss (input 0 never outer)
+          if (side.grouped()) {
+            GroupEntry& e = s->entries[i].emplace_back();
+            e.base.assign(side.partial->base_cols.size(),
+                          rdf::kInvalidTermId);
+            e.segments.assign(side.null_segments.begin(),
+                              side.null_segments.end());
+            e.rows.assign(side.null_segments.size(), 1);
+          } else {
+            s->null_row.assign((*ins)[i].columns.size(), rdf::kInvalidTermId);
+            s->pools[i].Add(s->null_row);
+          }
+        }
+        int64_t kv = 0;
+        ParseDigits(key, &kv);
+        s->flat_segments.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+          if ((*sides)[i].grouped()) continue;
+          std::string& seg = s->flat_segments[i];
+          seg.clear();
+          for (size_t r = 0; r < s->pools[i].size(); ++r) {
+            if (r > 0) seg += ';';
+            const CellRange row = s->pools[i].Row(r);
+            const std::vector<int>& cols = fact->factor_cols[i];
+            for (size_t k = 0; k < cols.size(); ++k) {
+              if (k > 0) seg += ',';
+              mr::kernels::AppendDecimal(&seg, row.begin[cols[k]]);
             }
           }
         }
-        s->cur.swap(s->next);
-      }
-      for (size_t p = 0; p < s->cur.size() / width; ++p) {
-        if (post_predicate) {
-          s->pred_row.assign(s->cur.begin() + p * width,
-                             s->cur.begin() + (p + 1) * width);
-          if (!post_predicate(s->pred_row)) continue;
+        s->idx.assign(grouped.size(), 0);
+        GroupEncoder& enc = s->enc;
+        for (;;) {
+          enc.Start();
+          enc.AddBaseCell(static_cast<rdf::TermId>(kv));
+          for (size_t gi = 0; gi < grouped.size(); ++gi) {
+            const size_t i = grouped[gi];
+            const GroupEntry& e = s->entries[i][s->idx[gi]];
+            for (int slot : fact->base_keep[i]) {
+              enc.AddBaseCell(e.base[static_cast<size_t>(slot)]);
+            }
+          }
+          for (size_t i = 0, gi = 0; i < n; ++i) {
+            if (!(*sides)[i].grouped()) {
+              enc.AddRawFactor(s->flat_segments[i], s->pools[i].size());
+              continue;
+            }
+            const GroupEntry& e = s->entries[i][s->idx[gi++]];
+            for (size_t g = 0; g < e.segments.size(); ++g) {
+              enc.AddRawFactor(e.segments[g], e.rows[g]);
+            }
+          }
+          ctx->Emit("", enc.Finish());
+          ctx->NoteFactorizedGroup(enc.flat_rows());
+          size_t g = grouped.size();
+          for (;;) {
+            if (g == 0) return;
+            --g;
+            if (++s->idx[g] < s->entries[grouped[g]].size()) break;
+            s->idx[g] = 0;
+          }
         }
-        s->val_buf.clear();
-        AppendRow(&s->val_buf, s->cur.data() + p * width, width);
-        ctx->Emit("", s->val_buf);
-      }
-    };
+      };
+    }
     // Pure function of (key, values): reducers may run concurrently.
     job.reduce_parallel_safe = true;
   }
 
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats ignored, cluster_->Run(job));
   (void)ignored;
-  return out;
-}
-
-StatusOr<TableRef> RelationalOps::FactJoin(
-    const std::string& name_hint, const std::vector<JoinInput>& inputs,
-    RowPredicate post_predicate, bool factorize_output, bool map_join,
-    int big, const std::vector<std::string>& out_columns,
-    const std::vector<std::vector<int>>& out_pos,
-    const std::vector<int>& join_idx) {
-  const size_t width = out_columns.size();
-  auto ins = std::make_shared<std::vector<JoinInput>>(inputs);
-  auto plans = std::make_shared<std::vector<FactInputPlan>>(
-      BuildFactInputPlans(inputs, join_idx));
-
-  TableRef out;
-  out.file = NextTmp(name_hint);
-  out.columns = out_columns;
-
-  mr::JobConfig job;
-  job.name = name_hint + (map_join ? " (map-join)" : "");
-  for (const JoinInput& in : inputs) job.inputs.push_back(in.file);
-  job.output = out.file;
-
-  FactorizationPtr out_spec;
-
-  if (map_join) {
-    // ---- map-only path: broadcast every small side (factorized smalls
-    // are decompressed at build time), stream the big side. Factorized
-    // output: one group record per big row (or per big partial group)
-    // instead of the enumerated cross product. ----
-    auto hashes = std::make_shared<std::vector<
-        std::unordered_map<rdf::TermId,
-                           std::vector<std::vector<rdf::TermId>>>>>();
-    hashes->resize(inputs.size());
-    {
-      GroupView gv;
-      std::vector<rdf::TermId> tmp_row;
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        if (static_cast<int>(i) == big) continue;
-        RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
-                                dataset_->dfs().Open(inputs[i].file));
-        for (const mr::Record& r : f->records) {
-          if ((*plans)[i].spec != nullptr) {
-            if (!ParseGroup(r.value(), (*plans)[i].spec->factors.size(), &gv)) {
-              continue;
-            }
-            ForEachFlatRow(*(*plans)[i].spec, gv, &tmp_row,
-                           [&](const std::vector<rdf::TermId>& fr) {
-                             if (inputs[i].predicate &&
-                                 !inputs[i].predicate(fr)) {
-                               return;
-                             }
-                             (*hashes)[i][fr[static_cast<size_t>(
-                                               join_idx[i])]]
-                                 .push_back(fr);
-                           });
-          } else {
-            std::vector<rdf::TermId> row = DecodeInputRow(inputs[i], r);
-            if (inputs[i].predicate && !inputs[i].predicate(row)) continue;
-            (*hashes)[i][row[static_cast<size_t>(join_idx[i])]].push_back(
-                std::move(row));
-          }
-        }
-      }
-    }
-
-    // Output spec: big side -> base (+ its factors when grouped), one
-    // factor per small side. Any double-claimed position => stay flat.
-    auto mjf = std::make_shared<MapJoinFactSpec>();
-    if (factorize_output && post_predicate == nullptr) {
-      auto spec = std::make_shared<Factorization>();
-      spec->width = static_cast<int>(width);
-      std::vector<bool> covered(width, false);
-      bool ok = true;
-      auto claim = [&covered, &ok](int pos) {
-        if (covered[static_cast<size_t>(pos)]) {
-          ok = false;
-          return;
-        }
-        covered[static_cast<size_t>(pos)] = true;
-      };
-      const FactInputPlan& bp = (*plans)[static_cast<size_t>(big)];
-      if (bp.grouped()) {
-        for (int c : bp.partial->base_cols) {
-          const int pos = out_pos[static_cast<size_t>(big)]
-                                 [static_cast<size_t>(c)];
-          claim(pos);
-          spec->base_cols.push_back(pos);
-        }
-        for (const auto& cols : bp.partial->factors) {
-          std::vector<int> f;
-          for (int c : cols) {
-            const int pos = out_pos[static_cast<size_t>(big)]
-                                   [static_cast<size_t>(c)];
-            claim(pos);
-            f.push_back(pos);
-          }
-          spec->factors.push_back(std::move(f));
-        }
-      } else {
-        for (size_t c = 0; c < inputs[static_cast<size_t>(big)].columns.size();
-             ++c) {
-          const int pos = out_pos[static_cast<size_t>(big)][c];
-          claim(pos);
-          spec->base_cols.push_back(pos);
-        }
-      }
-      mjf->small_keep.resize(inputs.size());
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        if (static_cast<int>(i) == big) continue;
-        std::vector<int> f;
-        std::vector<int> keep;
-        for (size_t c = 0; c < inputs[i].columns.size(); ++c) {
-          if (static_cast<int>(c) == join_idx[i]) continue;
-          const int pos = out_pos[i][c];
-          claim(pos);
-          f.push_back(pos);
-          keep.push_back(static_cast<int>(c));
-        }
-        spec->factors.push_back(std::move(f));
-        mjf->small_keep[i] = std::move(keep);
-      }
-      if (ok) {
-        mjf->spec = spec;
-        out_spec = spec;
-      }
-    }
-
-    job.map = [ins, plans, hashes, big, out_pos, join_idx, width,
-               post_predicate, mjf](const mr::Record& r, int tag,
-                                    mr::MapContext* ctx) {
-      if (tag != big) return;  // broadcast copies: scanned, not re-emitted
-      const JoinInput& input = (*ins)[static_cast<size_t>(big)];
-      const FactInputPlan& bp = (*plans)[static_cast<size_t>(big)];
-      const bool fact_out = mjf->spec != nullptr;
-
-      // Flat fold of one big row (flat output).
-      auto fold_row = [&](const std::vector<rdf::TermId>& row) {
-        rdf::TermId key = row[static_cast<size_t>(join_idx[big])];
-        std::vector<std::vector<rdf::TermId>> results;
-        {
-          std::vector<rdf::TermId> base(width, rdf::kInvalidTermId);
-          for (size_t c = 0; c < row.size(); ++c) {
-            base[static_cast<size_t>(out_pos[static_cast<size_t>(big)][c])] =
-                row[c];
-          }
-          results.push_back(std::move(base));
-        }
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          auto it = (*hashes)[i].find(key);
-          bool empty = it == (*hashes)[i].end() || it->second.empty();
-          if (empty) {
-            if (!(*ins)[i].outer) return;
-            continue;
-          }
-          std::vector<std::vector<rdf::TermId>> next;
-          for (const auto& partial : results) {
-            for (const auto& srow : it->second) {
-              std::vector<rdf::TermId> merged = partial;
-              for (size_t c = 0; c < srow.size(); ++c) {
-                merged[static_cast<size_t>(out_pos[i][c])] = srow[c];
-              }
-              next.push_back(std::move(merged));
-            }
-          }
-          results = std::move(next);
-        }
-        for (const auto& merged : results) {
-          if (post_predicate && !post_predicate(merged)) continue;
-          ctx->Emit("", EncodeRow(merged));
-        }
-      };
-
-      // One output group per big row (factorized output, flat big side).
-      auto group_row = [&](const std::vector<rdf::TermId>& row) {
-        rdf::TermId key = row[static_cast<size_t>(join_idx[big])];
-        std::vector<const std::vector<std::vector<rdf::TermId>>*> matches(
-            ins->size(), nullptr);
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          auto it = (*hashes)[i].find(key);
-          bool empty = it == (*hashes)[i].end() || it->second.empty();
-          if (empty) {
-            if (!(*ins)[i].outer) return;  // inner miss: no output
-            continue;                      // outer: NULL factor row below
-          }
-          matches[i] = &it->second;
-        }
-        GroupEncoder enc;
-        enc.Start();
-        for (size_t c = 0; c < row.size(); ++c) enc.AddBaseCell(row[c]);
-        std::vector<rdf::TermId> cells;
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          const auto& keep = mjf->small_keep[i];
-          enc.StartFactor();
-          if (matches[i] == nullptr) {
-            cells.assign(keep.size(), rdf::kInvalidTermId);
-            enc.AddFactorRow(cells.data(), cells.size());
-          } else {
-            for (const auto& srow : *matches[i]) {
-              cells.clear();
-              for (int c : keep) {
-                cells.push_back(srow[static_cast<size_t>(c)]);
-              }
-              enc.AddFactorRow(cells.data(), cells.size());
-            }
-          }
-        }
-        ctx->Emit("", enc.Finish());
-        ctx->NoteFactorizedGroup(enc.flat_rows());
-      };
-
-      if (bp.spec == nullptr) {
-        std::vector<rdf::TermId> row = DecodeInputRow(input, r);
-        if (input.predicate && !input.predicate(row)) return;
-        if (fact_out) {
-          group_row(row);
-        } else {
-          fold_row(row);
-        }
-        return;
-      }
-      GroupView view;
-      if (!ParseGroup(r.value(), bp.spec->factors.size(), &view)) return;
-      if (bp.stream || (!fact_out && bp.grouped())) {
-        // Stream-decompress the big side (predicate present, or the output
-        // must be flat anyway).
-        std::vector<rdf::TermId> row;
-        ForEachFlatRow(*bp.spec, view, &row,
-                       [&](const std::vector<rdf::TermId>& fr) {
-                         if (input.predicate && !input.predicate(fr)) return;
-                         if (fact_out) {
-                           group_row(fr);
-                         } else {
-                           fold_row(fr);
-                         }
-                       });
-        return;
-      }
-
-      // Grouped big side, factorized output: pass the group through,
-      // appending one matched factor per small side.
-      auto append_smalls = [&](GroupEncoder* enc, rdf::TermId key) {
-        std::vector<rdf::TermId> cells;
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          const auto& keep = mjf->small_keep[i];
-          auto it = (*hashes)[i].find(key);
-          bool empty = it == (*hashes)[i].end() || it->second.empty();
-          enc->StartFactor();
-          if (empty) {
-            cells.assign(keep.size(), rdf::kInvalidTermId);
-            enc->AddFactorRow(cells.data(), cells.size());
-          } else {
-            for (const auto& srow : it->second) {
-              cells.clear();
-              for (int c : keep) cells.push_back(srow[static_cast<size_t>(c)]);
-              enc->AddFactorRow(cells.data(), cells.size());
-            }
-          }
-        }
-      };
-      auto probe_all = [&](rdf::TermId key) {
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big) || (*ins)[i].outer) continue;
-          auto it = (*hashes)[i].find(key);
-          if (it == (*hashes)[i].end() || it->second.empty()) return false;
-        }
-        return true;
-      };
-
-      GroupEncoder enc;
-      if (bp.join_factor < 0) {
-        rdf::TermId key = rdf::kInvalidTermId;
-        if (bp.join_slot >= 0) {
-          std::vector<rdf::TermId> base;
-          DecodeFactorRowInto(view.base, bp.spec->base_cols.size(), &base);
-          key = base[static_cast<size_t>(bp.join_slot)];
-        }
-        if (!probe_all(key)) return;
-        enc.Start();
-        enc.AddRawBase(view.base);
-        for (size_t g = 0; g < bp.spec->factors.size(); ++g) {
-          enc.AddRawFactor(FactorSegment(view, g), view.FactorRows(g));
-        }
-        append_smalls(&enc, key);
-        ctx->Emit("", enc.Finish());
-        ctx->NoteFactorizedGroup(enc.flat_rows());
-        return;
-      }
-      // Join column inside a factor: bind one of its rows per emission.
-      const size_t j = static_cast<size_t>(bp.join_factor);
-      const auto& jcols = bp.spec->factors[j];
-      std::vector<rdf::TermId> cells;
-      for (size_t t = view.FactorBegin(j); t < view.factor_end[j]; ++t) {
-        DecodeFactorRowInto(view.rows[t], jcols.size(), &cells);
-        rdf::TermId key = cells[static_cast<size_t>(bp.join_slot)];
-        if (!probe_all(key)) continue;
-        enc.Start();
-        enc.AddRawBase(view.base);
-        for (rdf::TermId c : cells) enc.AddBaseCell(c);
-        for (size_t g = 0; g < bp.spec->factors.size(); ++g) {
-          if (g == j) continue;
-          enc.AddRawFactor(FactorSegment(view, g), view.FactorRows(g));
-        }
-        append_smalls(&enc, key);
-        ctx->Emit("", enc.Finish());
-        ctx->NoteFactorizedGroup(enc.flat_rows());
-      }
-    };
-  } else {
-    // ---- repartition path ----
-    std::shared_ptr<FactOutAssembly> asmbl;
-    if (factorize_output && post_predicate == nullptr && inputs.size() >= 2) {
-      asmbl = std::make_shared<FactOutAssembly>(
-          BuildFactOutput(inputs, *plans, out_pos, join_idx, width));
-      out_spec = asmbl->spec;
-    }
-
-    job.map = [ins, plans, join_idx](const mr::Record& r, int tag,
-                                     mr::MapContext* ctx) {
-      const JoinInput& input = (*ins)[static_cast<size_t>(tag)];
-      const FactInputPlan& p = (*plans)[static_cast<size_t>(tag)];
-      if (p.spec == nullptr) {
-        std::vector<rdf::TermId> row = DecodeInputRow(input, r);
-        if (input.predicate && !input.predicate(row)) return;
-        ctx->Emit(std::to_string(row[static_cast<size_t>(join_idx[tag])]),
-                  std::to_string(tag) + "|" + EncodeRow(row));
-        return;
-      }
-      GroupView view;
-      if (!ParseGroup(r.value(), p.spec->factors.size(), &view)) return;
-      if (p.stream) {
-        std::vector<rdf::TermId> row;
-        ForEachFlatRow(
-            *p.spec, view, &row, [&](const std::vector<rdf::TermId>& fr) {
-              if (input.predicate && !input.predicate(fr)) return;
-              ctx->Emit(
-                  std::to_string(fr[static_cast<size_t>(join_idx[tag])]),
-                  std::to_string(tag) + "|" + EncodeRow(fr));
-            });
-        return;
-      }
-      if (p.join_factor < 0) {
-        // Join column in the base (or uncovered: NULL): ship the whole
-        // group through the shuffle untouched.
-        rdf::TermId key = rdf::kInvalidTermId;
-        if (p.join_slot >= 0) {
-          std::vector<rdf::TermId> base;
-          DecodeFactorRowInto(view.base, p.spec->base_cols.size(), &base);
-          key = base[static_cast<size_t>(p.join_slot)];
-        }
-        std::string val = std::to_string(tag) + "#";
-        val.append(r.value());
-        ctx->Emit(std::to_string(key), val);
-        return;
-      }
-      // Partial decompression: consume the join factor into the partial
-      // base, one emission per join-factor row; every other factor stays
-      // compressed across the shuffle.
-      const size_t j = static_cast<size_t>(p.join_factor);
-      const auto& jcols = p.spec->factors[j];
-      std::vector<rdf::TermId> cells;
-      for (size_t t = view.FactorBegin(j); t < view.factor_end[j]; ++t) {
-        DecodeFactorRowInto(view.rows[t], jcols.size(), &cells);
-        std::string val = std::to_string(tag) + "#";
-        val.append(view.base.data(), view.base.size());
-        if (!p.spec->base_cols.empty()) val += ',';
-        AppendRow(&val, cells);
-        for (size_t g = 0; g < p.spec->factors.size(); ++g) {
-          if (g == j) continue;
-          val += '|';
-          std::string_view seg = FactorSegment(view, g);
-          val.append(seg.data(), seg.size());
-        }
-        ctx->Emit(std::to_string(cells[static_cast<size_t>(p.join_slot)]),
-                  val);
-      }
-    };
-
-    if (out_spec != nullptr) {
-      // Factorized output: cross the sides' partial groups per key; flat
-      // sides contribute one shared factor each.
-      job.reduce = [ins, plans, asmbl](std::string_view key,
-                                       const mr::ValueSpan& values,
-                                       mr::ReduceContext* ctx) {
-        const size_t n = ins->size();
-        std::vector<std::vector<std::vector<rdf::TermId>>> rows(n);
-        std::vector<std::vector<FactEntry>> entries(n);
-        GroupView gv;
-        for (std::string_view v : values) {
-          size_t bar = v.find_first_of("|#");
-          if (bar == std::string_view::npos || bar + 1 >= v.size()) continue;
-          int64_t tag = 0;
-          ParseInt64(v.substr(0, bar), &tag);
-          const char kind = v[bar] == '|' ? 'F' : 'G';
-          std::string_view payload = v.substr(bar + 1);
-          if (kind == 'F') {
-            rows[static_cast<size_t>(tag)].push_back(DecodeRow(payload));
-            continue;
-          }
-          const Factorization& partial =
-              *(*plans)[static_cast<size_t>(tag)].partial;
-          if (!ParseGroup(payload, partial.factors.size(), &gv)) continue;
-          FactEntry e;
-          DecodeFactorRowInto(gv.base, partial.base_cols.size(), &e.base);
-          for (size_t g = 0; g < partial.factors.size(); ++g) {
-            e.fsegs.emplace_back(FactorSegment(gv, g));
-            e.frows.push_back(gv.FactorRows(g));
-          }
-          entries[static_cast<size_t>(tag)].push_back(std::move(e));
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const bool grouped = (*plans)[i].grouped();
-          const bool present = grouped ? !entries[i].empty() : !rows[i].empty();
-          if (present) continue;
-          if (i == 0 || !(*ins)[i].outer) return;  // inner miss
-          if (grouped) {
-            entries[i].push_back(NullEntry(*(*plans)[i].partial));
-          } else {
-            rows[i].emplace_back((*ins)[i].columns.size(),
-                                 rdf::kInvalidTermId);
-          }
-        }
-        int64_t kv = 0;
-        ParseDigits(key, &kv);
-        // Flat sides' factor segments are shared by every emitted group.
-        std::vector<std::string> flat_seg(n);
-        std::vector<uint64_t> flat_count(n);
-        for (size_t i = 0; i < n; ++i) {
-          if ((*plans)[i].grouped()) continue;
-          const auto& keep = asmbl->flat_cols[i];
-          std::string& seg = flat_seg[i];
-          for (const auto& row : rows[i]) {
-            if (flat_count[i] > 0) seg += ';';
-            ++flat_count[i];
-            bool first = true;
-            for (int c : keep) {
-              if (!first) seg += ',';
-              first = false;
-              mr::kernels::AppendDecimal(&seg, row[static_cast<size_t>(c)]);
-            }
-          }
-        }
-        std::vector<size_t> gsides;
-        for (size_t i = 0; i < n; ++i) {
-          if ((*plans)[i].grouped()) gsides.push_back(i);
-        }
-        std::vector<size_t> idx(gsides.size(), 0);
-        GroupEncoder enc;
-        for (;;) {
-          enc.Start();
-          enc.AddBaseCell(static_cast<rdf::TermId>(kv));
-          for (size_t gi = 0; gi < gsides.size(); ++gi) {
-            const FactEntry& e = entries[gsides[gi]][idx[gi]];
-            for (int slot : asmbl->base_keep[gsides[gi]]) {
-              enc.AddBaseCell(e.base[static_cast<size_t>(slot)]);
-            }
-          }
-          for (size_t i = 0, gi = 0; i < n; ++i) {
-            if ((*plans)[i].grouped()) {
-              const FactEntry& e = entries[i][idx[gi]];
-              for (size_t g = 0; g < e.fsegs.size(); ++g) {
-                enc.AddRawFactor(e.fsegs[g], e.frows[g]);
-              }
-              ++gi;
-            } else {
-              enc.AddRawFactor(flat_seg[i], flat_count[i]);
-            }
-          }
-          ctx->Emit("", enc.Finish());
-          ctx->NoteFactorizedGroup(enc.flat_rows());
-          size_t g = gsides.size();
-          for (;;) {
-            if (g == 0) return;
-            --g;
-            if (++idx[g] < entries[gsides[g]].size()) break;
-            idx[g] = 0;
-          }
-        }
-      };
-    } else {
-      // Flat output: decompress every side, then the standard fold.
-      const size_t w = width;
-      job.reduce = [ins, plans, out_pos, w, post_predicate](
-                       std::string_view /*key*/, const mr::ValueSpan& values,
-                       mr::ReduceContext* ctx) {
-        std::vector<std::vector<std::vector<rdf::TermId>>> sides(ins->size());
-        GroupView gv;
-        std::vector<rdf::TermId> scratch;
-        for (std::string_view v : values) {
-          size_t bar = v.find_first_of("|#");
-          if (bar == std::string_view::npos || bar + 1 >= v.size()) continue;
-          int64_t tag = 0;
-          ParseInt64(v.substr(0, bar), &tag);
-          const char kind = v[bar] == '|' ? 'F' : 'G';
-          std::string_view payload = v.substr(bar + 1);
-          auto& side = sides[static_cast<size_t>(tag)];
-          if (kind == 'F') {
-            side.push_back(DecodeRow(payload));
-            continue;
-          }
-          const Factorization& partial =
-              *(*plans)[static_cast<size_t>(tag)].partial;
-          if (!ParseGroup(payload, partial.factors.size(), &gv)) continue;
-          ForEachFlatRow(partial, gv, &scratch,
-                         [&side](const std::vector<rdf::TermId>& fr) {
-                           side.push_back(fr);
-                         });
-        }
-        if (sides[0].empty()) return;
-        std::vector<std::vector<rdf::TermId>> results;
-        for (const auto& row : sides[0]) {
-          std::vector<rdf::TermId> base(w, rdf::kInvalidTermId);
-          for (size_t c = 0; c < row.size(); ++c) {
-            base[static_cast<size_t>(out_pos[0][c])] = row[c];
-          }
-          results.push_back(std::move(base));
-        }
-        for (size_t i = 1; i < ins->size(); ++i) {
-          if (sides[i].empty()) {
-            if (!(*ins)[i].outer) return;
-            continue;
-          }
-          std::vector<std::vector<rdf::TermId>> next;
-          for (const auto& partial : results) {
-            for (const auto& srow : sides[i]) {
-              std::vector<rdf::TermId> merged = partial;
-              for (size_t c = 0; c < srow.size(); ++c) {
-                merged[static_cast<size_t>(out_pos[i][c])] = srow[c];
-              }
-              next.push_back(std::move(merged));
-            }
-          }
-          results = std::move(next);
-        }
-        for (const auto& merged : results) {
-          if (post_predicate && !post_predicate(merged)) continue;
-          ctx->Emit("", EncodeRow(merged));
-        }
-      };
-    }
-    job.reduce_parallel_safe = true;
-  }
-
-  RAPIDA_ASSIGN_OR_RETURN(mr::JobStats ignored, cluster_->Run(job));
-  (void)ignored;
-  if (out_spec != nullptr) {
-    out.factor = out_spec;
+  if (fact->spec != nullptr) {
+    out.factor = fact->spec;
     RAPIDA_ASSIGN_OR_RETURN(out.flat_bytes, FlatStoredBytes(out));
   }
   return out;
@@ -1262,60 +1046,97 @@ StatusOr<TableRef> RelationalOps::UnionAll(
   for (const TableRef& t : inputs) job.inputs.push_back(t.file);
   job.output = out.file;
 
-  bool any_factorized = false;
-  for (const TableRef& t : inputs) any_factorized |= t.factorized();
-
-  if (any_factorized) {
-    // Stream-decompress factorized branches: UNION output must be flat
-    // (branch layouts differ) and rows enumerate in exact flat order.
-    auto factors = std::make_shared<std::vector<FactorizationPtr>>();
-    for (const TableRef& t : inputs) factors->push_back(t.factor);
-    job.map = [factors, out_pos, width](const mr::Record& r, int tag,
-                                        mr::MapContext* ctx) {
-      const std::vector<int>& pos = out_pos[static_cast<size_t>(tag)];
-      std::vector<rdf::TermId> padded(width, rdf::kInvalidTermId);
-      auto emit = [&](const std::vector<rdf::TermId>& row) {
-        padded.assign(width, rdf::kInvalidTermId);
-        for (size_t c = 0; c < row.size() && c < pos.size(); ++c) {
-          padded[static_cast<size_t>(pos[c])] = row[c];
-        }
-        ctx->Emit("", EncodeRow(padded));
-      };
-      const FactorizationPtr& spec = (*factors)[static_cast<size_t>(tag)];
-      if (spec == nullptr) {
-        emit(DecodeRow(r.value()));
-        return;
-      }
-      GroupView view;
-      if (!ParseGroup(r.value(), spec->factors.size(), &view)) return;
-      std::vector<rdf::TermId> row;
-      ForEachFlatRow(*spec, view, &row, emit);
-    };
-  } else {
-    job.map = [out_pos, width](const mr::Record& r, int tag,
-                               mr::MapContext* ctx) {
-      MapScratch* s = ctx->TaskState<MapScratch>();
-      DecodeRowInto(r.value(), &s->row);
-      const std::vector<int>& pos = out_pos[tag];
-      s->cur.assign(width, rdf::kInvalidTermId);
-      for (size_t c = 0; c < s->row.size() && c < pos.size(); ++c) {
-        s->cur[pos[c]] = s->row[c];
-      }
-      s->val_buf.clear();
-      AppendRow(&s->val_buf, s->cur);
-      ctx->Emit("", s->val_buf);
-    };
-  }
+  // Factorized branches decompress here: UNION output is flat (branch
+  // layouts differ), and rows enumerate in exact flat order.
+  auto sources = std::make_shared<std::vector<RowSource>>();
+  for (const TableRef& t : inputs) sources->push_back(SourceOf(t));
+  job.map = [sources, out_pos, width](const mr::Record& r, int tag,
+                                      mr::MapContext* ctx) {
+    MapScratch* s = ctx->TaskState<MapScratch>();
+    const std::vector<int>& pos = out_pos[static_cast<size_t>(tag)];
+    s->reader.ForEachRow(
+        (*sources)[static_cast<size_t>(tag)], r,
+        [&](const std::vector<rdf::TermId>& row) {
+          s->cur.assign(width, rdf::kInvalidTermId);
+          for (size_t c = 0; c < row.size() && c < pos.size(); ++c) {
+            s->cur[static_cast<size_t>(pos[c])] = row[c];
+          }
+          s->val_buf.clear();
+          AppendRow(&s->val_buf, s->cur);
+          ctx->Emit("", s->val_buf);
+        });
+  };
 
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
   (void)stats;
   return out;
 }
 
+namespace {
+
+std::vector<Aggregator> MakeAggregators(
+    const std::vector<RelationalOps::AggColumn>& specs) {
+  std::vector<Aggregator> aggs;
+  for (const RelationalOps::AggColumn& a : specs) {
+    aggs.emplace_back(a.func, /*distinct=*/false, a.separator);
+  }
+  return aggs;
+}
+
+/// GroupBy's map-side pre-aggregation table (the relational analogue of
+/// Alg. 3's multiAggMap): an insertion-ordered open-addressing table — a
+/// HashIndex over the encoded group keys, dense aggregator rows.
+struct PartialTable {
+  util::HashIndex index;
+  std::vector<std::string> keys;
+  std::vector<std::vector<Aggregator>> rows;
+
+  std::vector<Aggregator>& Find(
+      const std::string& key,
+      const std::vector<RelationalOps::AggColumn>& specs) {
+    auto [id, inserted] = index.FindOrInsert(
+        mr::HashKey(key), static_cast<uint32_t>(keys.size()),
+        [&](uint32_t cand) { return keys[cand] == key; });
+    if (inserted) {
+      keys.push_back(key);
+      rows.push_back(MakeAggregators(specs));
+    }
+    return rows[id];
+  }
+
+  /// Emits one `P|partial|...` value per key, in insertion order (keys are
+  /// unique per task and the shuffle sorts by key).
+  void Flush(std::string* val_buf, mr::MapContext* ctx) const {
+    for (size_t id = 0; id < keys.size(); ++id) {
+      val_buf->assign("P");
+      for (const Aggregator& a : rows[id]) {
+        *val_buf += '|';
+        *val_buf += a.SerializePartial();
+      }
+      ctx->Emit(keys[id], *val_buf);
+    }
+  }
+};
+
+/// Per-map-task state of GroupBy, shared by map and map_finish: the row
+/// reader, the partial table, the key/value buffers and the weighted
+/// path's decoded group (base cells, every factor's rows in one pool, the
+/// odometer over key-bearing factors).
+struct GroupByScratch {
+  RowReader reader;
+  PartialTable partials;
+  std::string key_buf, val_buf;
+  std::vector<rdf::TermId> base, factor_cells, cells;
+  std::vector<size_t> factor_begin, idx;
+};
+
+}  // namespace
+
 StatusOr<TableRef> RelationalOps::GroupBy(
     const std::string& name_hint, const TableRef& input,
     const std::vector<std::string>& key_columns,
-    const std::vector<AggColumn>& aggs, RowPredicate having) {
+    const std::vector<AggColumn>& aggs, bool map_side_agg,
+    RowPredicate having) {
   std::vector<int> key_idx;
   for (const std::string& k : key_columns) {
     int i = input.ColumnIndex(k);
@@ -1352,99 +1173,87 @@ StatusOr<TableRef> RelationalOps::GroupBy(
   job.inputs = {input.file};
   job.output = out.file;
 
-  auto make_aggs = [agg_specs]() {
-    std::vector<Aggregator> out_aggs;
-    for (const AggColumn& a : *agg_specs) {
-      out_aggs.emplace_back(a.func, /*distinct=*/false, a.separator);
-    }
-    return out_aggs;
-  };
-
-  using PartialMap = std::map<std::string, std::vector<Aggregator>>;
-  auto flush_partials = [](mr::MapContext* ctx) {
-    PartialMap* partials = ctx->TaskState<PartialMap>();
-    for (auto& [key, agg_list] : *partials) {
-      std::string value = "P";
-      for (const Aggregator& a : agg_list) {
-        value += '|';
-        value += a.SerializePartial();
-      }
-      ctx->Emit(key, value);
-    }
-    partials->clear();
-  };
-
-  bool weighted_safe = options_.partial_aggregation;
+  bool weighted = input.factorized() && map_side_agg;
   for (const AggColumn& a : aggs) {
     // Float addition is grouping-sensitive: SUM/AVG pipelines must see the
     // same add order as the flat path, so they are never aggregated by
     // weight (the planner also keeps them flat upstream).
     if (a.func == sparql::AggFunc::kSum || a.func == sparql::AggFunc::kAvg) {
-      weighted_safe = false;
+      weighted = false;
     }
   }
 
-  if (input.factorized() && weighted_safe) {
+  if (weighted) {
     // Weighted direct path: aggregate group records WITHOUT enumerating
     // their flat rows — the multiplicity of every cell is a product of the
     // other factors' row counts. This is where the factorization factor
-    // turns into saved work.
+    // turns into saved work. Key-bearing factors are enumerated (their
+    // rows split the group across keys) in factor order, last fastest;
+    // the rest contribute multiplicity only.
     FactorizationPtr spec = input.factor;
     auto loc = std::make_shared<std::vector<CellLoc>>(LocateCells(*spec));
-    auto is_e = std::make_shared<std::vector<bool>>(spec->factors.size(),
-                                                    false);
+    auto odometer_slot =
+        std::make_shared<std::vector<int>>(spec->factors.size(), -1);
+    std::vector<size_t> key_factors;
     for (int k : key_idx) {
-      if ((*loc)[static_cast<size_t>(k)].kind == CellLoc::kFactor) {
-        (*is_e)[static_cast<size_t>((*loc)[static_cast<size_t>(k)].factor)] =
-            true;
+      const CellLoc& l = (*loc)[static_cast<size_t>(k)];
+      if (l.kind == CellLoc::kFactor) {
+        (*odometer_slot)[static_cast<size_t>(l.factor)] = 0;
       }
     }
-    job.map = [spec, loc, is_e, key_idx, agg_idx, dict, make_aggs](
-                  const mr::Record& r, int, mr::MapContext* ctx) {
-      GroupView view;
-      if (!ParseGroup(r.value(), spec->factors.size(), &view)) return;
-      PartialMap* partials = ctx->TaskState<PartialMap>();
+    for (size_t f = 0; f < spec->factors.size(); ++f) {
+      if ((*odometer_slot)[f] < 0) continue;
+      (*odometer_slot)[f] = static_cast<int>(key_factors.size());
+      key_factors.push_back(f);
+    }
+    job.map = [spec, loc, odometer_slot, key_factors, key_idx, agg_idx,
+               agg_specs, dict](const mr::Record& r, int,
+                                mr::MapContext* ctx) {
+      GroupByScratch* s = ctx->TaskState<GroupByScratch>();
+      const GroupView* view = s->reader.Group(*spec, r.value());
+      if (view == nullptr) return;
       const size_t nf = spec->factors.size();
-      std::vector<rdf::TermId> base(static_cast<size_t>(spec->width),
-                                    rdf::kInvalidTermId);
-      DecodeCellsInto(view.base, spec->base_cols, &base);
-      // Decode every factor's rows; key-bearing factors are enumerated
-      // (their rows split the group across keys), the rest contribute
-      // multiplicity only.
-      std::vector<std::vector<std::vector<rdf::TermId>>> cells(nf);
-      std::vector<size_t> efactors;
+      s->base.assign(static_cast<size_t>(spec->width), rdf::kInvalidTermId);
+      DecodeCellsInto(view->base, spec->base_cols, &s->base);
+      s->factor_cells.clear();
+      s->factor_begin.resize(nf);
       uint64_t mult = 1;
       for (size_t f = 0; f < nf; ++f) {
-        const size_t rows = view.FactorRows(f);
+        const size_t rows = view->FactorRows(f);
         if (rows == 0) return;  // empty factor: zero flat rows
-        cells[f].resize(rows);
+        s->factor_begin[f] = s->factor_cells.size();
         for (size_t t = 0; t < rows; ++t) {
-          DecodeFactorRowInto(view.rows[view.FactorBegin(f) + t],
-                              spec->factors[f].size(), &cells[f][t]);
+          DecodeFactorRowInto(view->rows[view->FactorBegin(f) + t],
+                              spec->factors[f].size(), &s->cells);
+          s->factor_cells.insert(s->factor_cells.end(), s->cells.begin(),
+                                 s->cells.end());
         }
-        if ((*is_e)[f]) {
-          efactors.push_back(f);
-        } else {
-          mult *= rows;
-        }
+        if ((*odometer_slot)[f] < 0) mult *= rows;
       }
-      std::vector<size_t> idx(efactors.size(), 0);
-      std::vector<rdf::TermId> key;
+      // Cell `slot` of row `t` of factor `f`.
+      auto factor_cell = [&](size_t f, size_t t, int slot) {
+        return s->factor_cells[s->factor_begin[f] +
+                               t * spec->factors[f].size() +
+                               static_cast<size_t>(slot)];
+      };
+      s->idx.assign(key_factors.size(), 0);
       auto cell_at = [&](int pos) -> rdf::TermId {
         const CellLoc& l = (*loc)[static_cast<size_t>(pos)];
         if (l.kind != CellLoc::kFactor) {
-          return base[static_cast<size_t>(pos)];  // base cell or NULL
+          return s->base[static_cast<size_t>(pos)];  // base cell or NULL
         }
         const size_t f = static_cast<size_t>(l.factor);
-        size_t which = 0;
-        while (efactors[which] != f) ++which;
-        return cells[f][idx[which]][static_cast<size_t>(l.slot)];
+        return factor_cell(
+            f, s->idx[static_cast<size_t>((*odometer_slot)[f])], l.slot);
       };
       for (;;) {
-        key.clear();
-        for (int k : key_idx) key.push_back(cell_at(k));
-        auto [it, inserted] = partials->emplace(EncodeRow(key), make_aggs());
-        std::vector<Aggregator>& agg_list = it->second;
+        s->key_buf.clear();
+        for (size_t k = 0; k < key_idx.size(); ++k) {
+          if (k > 0) s->key_buf += ',';
+          mr::kernels::AppendDecimal(&s->key_buf, cell_at(key_idx[k]));
+        }
+        std::vector<Aggregator>& agg_list =
+            s->partials.Find(s->key_buf, *agg_specs);
         for (size_t a = 0; a < agg_idx.size(); ++a) {
           if (agg_idx[a] < 0) {
             agg_list[a].AddRowWeighted(mult);
@@ -1452,126 +1261,68 @@ StatusOr<TableRef> RelationalOps::GroupBy(
           }
           const CellLoc& l = (*loc)[static_cast<size_t>(agg_idx[a])];
           if (l.kind == CellLoc::kFactor &&
-              !(*is_e)[static_cast<size_t>(l.factor)]) {
+              (*odometer_slot)[static_cast<size_t>(l.factor)] < 0) {
             // Aggregated column varies within a multiplicity factor: each
             // of its rows appears in mult / rows-of-factor flat rows.
             const size_t f = static_cast<size_t>(l.factor);
-            const uint64_t w = mult / cells[f].size();
-            for (const auto& frow : cells[f]) {
-              agg_list[a].AddTermWeighted(frow[static_cast<size_t>(l.slot)],
-                                          *dict, w);
+            const size_t rows = view->FactorRows(f);
+            for (size_t t = 0; t < rows; ++t) {
+              agg_list[a].AddTermWeighted(factor_cell(f, t, l.slot), *dict,
+                                          mult / rows);
             }
           } else {
             agg_list[a].AddTermWeighted(cell_at(agg_idx[a]), *dict, mult);
           }
         }
-        size_t e = efactors.size();
+        size_t e = key_factors.size();
         for (;;) {
           if (e == 0) return;
           --e;
-          if (++idx[e] < cells[efactors[e]].size()) break;
-          idx[e] = 0;
+          if (++s->idx[e] < view->FactorRows(key_factors[e])) break;
+          s->idx[e] = 0;
         }
       }
     };
-    job.map_finish = flush_partials;
-  } else if (input.factorized()) {
-    // Stream-decompress, then the flat per-row behavior on each flat row
-    // (raw mode, or an order-sensitive aggregate slipped through).
-    FactorizationPtr spec = input.factor;
-    const bool partial = options_.partial_aggregation;
-    job.map = [spec, key_idx, agg_idx, dict, make_aggs, partial](
+  } else {
+    // Every other GroupBy reads flat rows (factorized input decompresses
+    // here): pre-aggregated into the partial table, or shipped raw.
+    auto source = std::make_shared<RowSource>(SourceOf(input));
+    job.map = [source, key_idx, agg_idx, agg_specs, dict, map_side_agg](
                   const mr::Record& r, int, mr::MapContext* ctx) {
-      GroupView view;
-      if (!ParseGroup(r.value(), spec->factors.size(), &view)) return;
-      std::vector<rdf::TermId> row;
-      ForEachFlatRow(
-          *spec, view, &row, [&](const std::vector<rdf::TermId>& fr) {
-            std::vector<rdf::TermId> key;
-            for (int i : key_idx) key.push_back(fr[static_cast<size_t>(i)]);
-            if (partial) {
-              PartialMap* partials = ctx->TaskState<PartialMap>();
-              auto [it, inserted] =
-                  partials->emplace(EncodeRow(key), make_aggs());
+      GroupByScratch* s = ctx->TaskState<GroupByScratch>();
+      s->reader.ForEachRow(
+          *source, r, [&](const std::vector<rdf::TermId>& row) {
+            s->key_buf.clear();
+            AppendCells(&s->key_buf, row, key_idx);
+            if (map_side_agg) {
+              std::vector<Aggregator>& agg_list =
+                  s->partials.Find(s->key_buf, *agg_specs);
               for (size_t a = 0; a < agg_idx.size(); ++a) {
                 if (agg_idx[a] < 0) {
-                  it->second[a].AddRow();
+                  agg_list[a].AddRow();
                 } else {
-                  it->second[a].AddTerm(fr[static_cast<size_t>(agg_idx[a])],
-                                        *dict);
+                  agg_list[a].AddTerm(row[static_cast<size_t>(agg_idx[a])],
+                                      *dict);
                 }
               }
               return;
             }
-            std::vector<rdf::TermId> args;
-            for (int i : agg_idx) {
-              args.push_back(i < 0 ? rdf::kInvalidTermId
-                                   : fr[static_cast<size_t>(i)]);
+            s->val_buf.assign("R|");
+            for (size_t a = 0; a < agg_idx.size(); ++a) {
+              if (a > 0) s->val_buf += ',';
+              mr::kernels::AppendDecimal(
+                  &s->val_buf, agg_idx[a] < 0
+                                   ? rdf::kInvalidTermId
+                                   : row[static_cast<size_t>(agg_idx[a])]);
             }
-            ctx->Emit(EncodeRow(key), "R|" + EncodeRow(args));
+            ctx->Emit(s->key_buf, s->val_buf);
           });
     };
-    if (options_.partial_aggregation) job.map_finish = flush_partials;
-  } else if (options_.partial_aggregation) {
-    // Hash-based map-side pre-aggregation (the relational analogue of
-    // Alg. 3's multiAggMap). The table lives in per-task state so
-    // concurrent map tasks accumulate independently; map_finish flushes
-    // it in insertion order (keys are unique per task and the shuffle
-    // sorts by key).
-    job.map = [key_idx, agg_idx, dict, make_aggs](const mr::Record& r, int,
-                                                  mr::MapContext* ctx) {
-      PartialAggScratch* s = ctx->TaskState<PartialAggScratch>();
-      DecodeRowInto(r.value(), &s->row);
-      s->key_buf.clear();
-      for (size_t k = 0; k < key_idx.size(); ++k) {
-        if (k > 0) s->key_buf += ',';
-        mr::kernels::AppendDecimal(&s->key_buf, s->row[key_idx[k]]);
-      }
-      auto [id, inserted] = s->index.FindOrInsert(
-          mr::HashKey(s->key_buf), static_cast<uint32_t>(s->keys.size()),
-          [&](uint32_t cand) { return s->keys[cand] == s->key_buf; });
-      if (inserted) {
-        s->keys.push_back(s->key_buf);
-        s->agg_rows.push_back(make_aggs());
-      }
-      std::vector<Aggregator>& agg_list = s->agg_rows[id];
-      for (size_t a = 0; a < agg_idx.size(); ++a) {
-        if (agg_idx[a] < 0) {
-          agg_list[a].AddRow();
-        } else {
-          agg_list[a].AddTerm(s->row[agg_idx[a]], *dict);
-        }
-      }
-    };
+  }
+  if (map_side_agg) {
     job.map_finish = [](mr::MapContext* ctx) {
-      PartialAggScratch* s = ctx->TaskState<PartialAggScratch>();
-      for (size_t id = 0; id < s->keys.size(); ++id) {
-        std::string value = "P";
-        for (const Aggregator& a : s->agg_rows[id]) {
-          value += '|';
-          value += a.SerializePartial();
-        }
-        ctx->Emit(s->keys[id], value);
-      }
-    };
-  } else {
-    job.map = [key_idx, agg_idx](const mr::Record& r, int,
-                                 mr::MapContext* ctx) {
-      MapScratch* s = ctx->TaskState<MapScratch>();
-      DecodeRowInto(r.value(), &s->row);
-      s->key_buf.clear();
-      for (size_t k = 0; k < key_idx.size(); ++k) {
-        if (k > 0) s->key_buf += ',';
-        mr::kernels::AppendDecimal(&s->key_buf, s->row[key_idx[k]]);
-      }
-      s->val_buf.assign("R|");
-      for (size_t a = 0; a < agg_idx.size(); ++a) {
-        if (a > 0) s->val_buf += ',';
-        mr::kernels::AppendDecimal(
-            &s->val_buf,
-            agg_idx[a] < 0 ? rdf::kInvalidTermId : s->row[agg_idx[a]]);
-      }
-      ctx->Emit(s->key_buf, s->val_buf);
+      GroupByScratch* s = ctx->TaskState<GroupByScratch>();
+      s->partials.Flush(&s->val_buf, ctx);
     };
   }
 
@@ -1581,11 +1332,11 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     std::vector<rdf::TermId> args, out_row;
     std::string val_buf;
   };
-  job.reduce = [agg_specs, dict, make_aggs, having](
-                   std::string_view key, const mr::ValueSpan& values,
-                   mr::ReduceContext* ctx) {
+  job.reduce = [agg_specs, dict, having](std::string_view key,
+                                         const mr::ValueSpan& values,
+                                         mr::ReduceContext* ctx) {
     ReduceScratch* s = ctx->TaskState<ReduceScratch>();
-    std::vector<Aggregator> agg_list = make_aggs();
+    std::vector<Aggregator> agg_list = MakeAggregators(*agg_specs);
     for (std::string_view v : values) {
       if (v.empty()) continue;
       if (v[0] == 'P') {
@@ -1665,41 +1416,20 @@ StatusOr<TableRef> RelationalOps::DistinctProject(
   job.name = name_hint;
   job.inputs = {input.file};
   job.output = out.file;
-  if (input.factorized()) {
-    // Stream-decompress group records; the reduce-side dedup makes the
-    // enumeration order immaterial (DISTINCT is order-insensitive), which
-    // is exactly why the planner may factorize up to this sink.
-    FactorizationPtr spec = input.factor;
-    job.map = [spec, idx, keep_predicate](const mr::Record& r, int,
+  // Factorized input decompresses here; the reduce-side dedup makes the
+  // enumeration order immaterial (DISTINCT is order-insensitive), which
+  // is exactly why the planner may factorize up to this sink.
+  auto source = std::make_shared<RowSource>(SourceOf(input));
+  job.map = [source, idx, keep_predicate](const mr::Record& r, int,
                                           mr::MapContext* ctx) {
-      GroupView view;
-      if (!ParseGroup(r.value(), spec->factors.size(), &view)) return;
-      std::vector<rdf::TermId> row;
-      std::vector<rdf::TermId> projected;
-      ForEachFlatRow(*spec, view, &row,
-                     [&](const std::vector<rdf::TermId>& fr) {
-                       if (keep_predicate && !keep_predicate(fr)) return;
-                       projected.clear();
-                       for (int i : idx) {
-                         projected.push_back(fr[static_cast<size_t>(i)]);
-                       }
-                       ctx->Emit(EncodeRow(projected), "");
-                     });
-    };
-  } else {
-    job.map = [idx, keep_predicate](const mr::Record& r, int,
-                                    mr::MapContext* ctx) {
-      MapScratch* s = ctx->TaskState<MapScratch>();
-      DecodeRowInto(r.value(), &s->row);
-      if (keep_predicate && !keep_predicate(s->row)) return;
+    MapScratch* s = ctx->TaskState<MapScratch>();
+    s->reader.ForEachRow(*source, r, [&](const std::vector<rdf::TermId>& row) {
+      if (keep_predicate && !keep_predicate(row)) return;
       s->key_buf.clear();
-      for (size_t k = 0; k < idx.size(); ++k) {
-        if (k > 0) s->key_buf += ',';
-        mr::kernels::AppendDecimal(&s->key_buf, s->row[idx[k]]);
-      }
+      AppendCells(&s->key_buf, row, idx);
       ctx->Emit(s->key_buf, "");
-    };
-  }
+    });
+  };
   // Combiner dedups map-side; reduce emits one row per distinct key.
   job.combine = [](std::string_view key, const mr::ValueSpan&,
                    mr::ReduceContext* ctx) { ctx->Emit(key, ""); };
@@ -1804,29 +1534,18 @@ StatusOr<TableRef> RelationalOps::FinalJoinProject(
   return out;
 }
 
+
 StatusOr<analytics::BindingTable> RelationalOps::ReadTable(
     const TableRef& table) {
   RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                           dataset_->dfs().Open(table.file));
   analytics::BindingTable out(table.columns);
-  if (table.factorized()) {
-    GroupView view;
-    std::vector<rdf::TermId> row;
-    for (const mr::Record& r : f->records) {
-      if (!ParseGroup(r.value(), table.factor->factors.size(), &view)) continue;
-      ForEachFlatRow(*table.factor, view, &row,
-                     [&out, &table](const std::vector<rdf::TermId>& fr) {
-                       std::vector<rdf::TermId> flat = fr;
-                       flat.resize(table.columns.size(), rdf::kInvalidTermId);
-                       out.AddRow(std::move(flat));
-                     });
-    }
-    return out;
-  }
+  const RowSource source = SourceOf(table);
+  RowReader reader;
   for (const mr::Record& r : f->records) {
-    std::vector<rdf::TermId> row = DecodeRow(r.value());
-    row.resize(table.columns.size(), rdf::kInvalidTermId);
-    out.AddRow(std::move(row));
+    reader.ForEachRow(source, r, [&out](const std::vector<rdf::TermId>& row) {
+      out.AddRow(row);
+    });
   }
   return out;
 }
@@ -1838,10 +1557,11 @@ StatusOr<uint64_t> RelationalOps::FlatStoredBytes(const TableRef& table) const {
   RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                           dataset_->dfs().Open(table.file));
   uint64_t bytes = 0;
-  GroupView view;
+  RowReader reader;
   for (const mr::Record& r : f->records) {
-    if (!ParseGroup(r.value(), table.factor->factors.size(), &view)) continue;
-    bytes += FlatRecordBytes(*table.factor, view);
+    if (const GroupView* g = reader.Group(*table.factor, r.value())) {
+      bytes += FlatRecordBytes(*table.factor, *g);
+    }
   }
   return bytes;
 }

@@ -105,23 +105,30 @@ struct JoinInput {
 /// most `threshold` bytes, and that largest input, the one that streams,
 /// is not `outer`. Returns the streamed input's index, or -1 for a
 /// repartition join. The map-join-selection pass applies it to a node's
-/// stored input sizes; RelationalOps::Join, when map-joins are enabled,
-/// to its inputs' run-time sizes.
+/// stored input sizes; RelationalOps::Join, for a `join=auto` node, to
+/// its inputs' run-time sizes.
 int MapJoinStreamedInput(const std::vector<uint64_t>& sizes,
                          const std::vector<bool>& outer, uint64_t threshold);
+
+/// A join node's `join` attr: the strategy the map-join-selection pass
+/// chose. `kMap` broadcasts every input but the largest, `kRepartition`
+/// shuffles every input, and `kAuto` (inputs without plan-time sizes)
+/// applies MapJoinStreamedInput to the run-time sizes.
+enum class JoinStrategy { kAuto, kMap, kRepartition };
 
 /// Builder for the Hive-style relational MR plans. Tracks the temp files
 /// it creates so the engine can clean up.
 class RelationalOps {
  public:
+  /// `map_join_threshold_bytes` bounds the broadcast sides of a
+  /// `JoinStrategy::kAuto` join.
   RelationalOps(mr::Cluster* cluster, Dataset* dataset,
-                const EngineOptions& options, std::string tmp_prefix);
+                uint64_t map_join_threshold_bytes, std::string tmp_prefix);
 
   /// Equi-joins any number of inputs on their join columns in ONE MR cycle
-  /// (Hive merges same-key multi-way joins). Becomes a map-only map-join
-  /// cycle when every input but the largest is under the threshold and
-  /// map-joins are enabled. `post_predicate` filters joined rows before
-  /// the output is written.
+  /// (Hive merges same-key multi-way joins) with the given strategy; a
+  /// map-join is a map-only cycle. `post_predicate` filters joined rows
+  /// before the output is written.
   ///
   /// `factorize_output` requests a factorized (d-representation) output:
   /// one group record per join match instead of the enumerated cross
@@ -135,6 +142,7 @@ class RelationalOps {
   /// sink such as GroupBy or DISTINCT, which the planner guarantees).
   StatusOr<TableRef> Join(const std::string& name_hint,
                           const std::vector<JoinInput>& inputs,
+                          JoinStrategy strategy,
                           RowPredicate post_predicate = nullptr,
                           bool factorize_output = false);
 
@@ -146,7 +154,7 @@ class RelationalOps {
   StatusOr<TableRef> UnionAll(const std::string& name_hint,
                               const std::vector<TableRef>& inputs);
 
-  /// GROUP BY cycle with optional map-side partial aggregation.
+  /// GROUP BY cycle; `map_side_agg` pre-aggregates in the map.
   struct AggColumn {
     sparql::AggFunc func = sparql::AggFunc::kCount;
     std::string column;  // empty for COUNT(*)
@@ -160,7 +168,7 @@ class RelationalOps {
                              const TableRef& input,
                              const std::vector<std::string>& key_columns,
                              const std::vector<AggColumn>& aggs,
-                             RowPredicate having = nullptr);
+                             bool map_side_agg, RowPredicate having = nullptr);
 
   /// DISTINCT projection cycle (reduce-side dedup) — the MQO extraction
   /// step. `keep_predicate` selects qualifying rows in the map phase.
@@ -184,7 +192,6 @@ class RelationalOps {
 
   mr::Cluster* cluster() { return cluster_; }
   Dataset* dataset() { return dataset_; }
-  const EngineOptions& options() const { return options_; }
 
   /// Reserves a fresh temp file name (cleaned up by Cleanup()).
   std::string NextTmp(const std::string& hint);
@@ -195,19 +202,9 @@ class RelationalOps {
   StatusOr<uint64_t> FlatStoredBytes(const TableRef& table) const;
 
  private:
-  /// Join in fact mode: at least one factorized input, or a factorized
-  /// output requested. Receives the layout and strategy Join computed.
-  StatusOr<TableRef> FactJoin(const std::string& name_hint,
-                              const std::vector<JoinInput>& inputs,
-                              RowPredicate post_predicate,
-                              bool factorize_output, bool map_join, int big,
-                              const std::vector<std::string>& out_columns,
-                              const std::vector<std::vector<int>>& out_pos,
-                              const std::vector<int>& join_idx);
-
   mr::Cluster* cluster_;
   Dataset* dataset_;
-  EngineOptions options_;
+  uint64_t map_join_threshold_bytes_;
   std::string tmp_prefix_;
   int counter_ = 0;
   std::vector<std::string> temp_files_;

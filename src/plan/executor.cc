@@ -30,7 +30,8 @@ Status ExecutePlanMulti(
   std::unique_ptr<engine::RelationalOps> rel;
   std::unique_ptr<engine::NtgaExec> ntga;
   rel = std::make_unique<engine::RelationalOps>(
-      cluster, dataset, options, options.tmp_namespace + plan.tmp_tag);
+      cluster, dataset, options.map_join_threshold_bytes,
+      options.tmp_namespace + plan.tmp_tag);
   ctx.rel = rel.get();
   if (plan.needs_tg) {
     ntga = std::make_unique<engine::NtgaExec>(

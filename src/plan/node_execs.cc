@@ -39,6 +39,13 @@ bool FactorizedOutput(const PlanNode& node) {
   return factorize != nullptr && *factorize == "d-rep";
 }
 
+engine::JoinStrategy JoinStrategyOf(const PlanNode& node) {
+  const std::string* join = FindEntry(node.attrs, "join");
+  if (join == nullptr || *join == "auto") return engine::JoinStrategy::kAuto;
+  return *join == "map" ? engine::JoinStrategy::kMap
+                        : engine::JoinStrategy::kRepartition;
+}
+
 engine::RowPredicate JoinPostPredicate(
     const std::vector<const sparql::Expr*>& filters,
     const engine::JoinInput& left, const engine::JoinInput& right,
@@ -66,7 +73,8 @@ NodeExec LeftJoinExec(size_t index,
     RAPIDA_ASSIGN_OR_RETURN(
         engine::TableRef joined,
         ctx->rel->Join(node.label + ":leftjoin" + std::to_string(index),
-                       {left, right}, post, FactorizedOutput(node)));
+                       {left, right}, JoinStrategyOf(node), post,
+                       FactorizedOutput(node)));
     SetOutput(ctx, node, joined);
     return Status::OK();
   };
@@ -102,11 +110,12 @@ NodeExec GroupAggregateExec(std::vector<std::string> keys,
       having_pred = engine::CompilePredicate({having}, grouped,
                                              &ctx->dataset->graph().dict());
     }
+    const std::string* agg = FindEntry(node.attrs, "map_side_agg");
     RAPIDA_ASSIGN_OR_RETURN(
         engine::TableRef grouped_table,
         ctx->rel->GroupBy(node.label + ":groupby",
                           TableOf(*ctx, node.inputs[0]), keys, columns,
-                          having_pred));
+                          agg != nullptr && *agg == "partial", having_pred));
     grouped_table.columns = output_columns;
     SetOutput(ctx, node, grouped_table);
     return Status::OK();

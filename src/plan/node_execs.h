@@ -31,6 +31,10 @@ std::string EdgeVar(const PlanNode& node);
 /// True when the factorize pass marked the node's output `d-rep`.
 bool FactorizedOutput(const PlanNode& node);
 
+/// The join strategy the map-join-selection pass recorded in the node's
+/// `join` attr (`auto` when absent).
+engine::JoinStrategy JoinStrategyOf(const PlanNode& node);
+
 /// `filters` compiled over the columns a two-input join emits (left's,
 /// then right's unseen ones); null when there are none.
 engine::RowPredicate JoinPostPredicate(
@@ -39,8 +43,9 @@ engine::RowPredicate JoinPostPredicate(
     const rdf::Dictionary* dict);
 
 /// kLeftReduceJoin / kLeftMapJoin: the `index`-th OPTIONAL left join of a
-/// branch, inputs {required side, optional side} on the `edge` variable;
-/// `post_filters` (the branch's, on its last left join) filter joined rows.
+/// branch, inputs {required side, optional side} on the `edge` variable,
+/// with the node's `join` strategy; `post_filters` (the branch's, on its
+/// last left join) filter joined rows.
 NodeExec LeftJoinExec(size_t index,
                       std::vector<const sparql::Expr*> post_filters);
 
@@ -48,7 +53,8 @@ NodeExec LeftJoinExec(size_t index,
 NodeExec UnionExec();
 
 /// kGroupAggregate: one GROUP BY over the input table, keyed by `keys`
-/// with `aggs`; `having` (not owned, may be null) is compiled over the
+/// with `aggs`, pre-aggregating in the map when the node's `map_side_agg`
+/// is `partial`; `having` (not owned, may be null) is compiled over the
 /// grouped layout. The output is named `output_columns` (keys, then
 /// aggregates; a rewrite's original names for its translated keys).
 NodeExec GroupAggregateExec(std::vector<std::string> keys,

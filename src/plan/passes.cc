@@ -156,9 +156,9 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
         // mark the join pipeline above it `factorize=d-rep`. Joins that
         // carry a residual post-filter emit flat (predicates see flat
         // rows): `off:post-filter`, but their *inputs* may still be
-        // factorized (FactJoin stream-decompresses). UNION arms stay flat
-        // (the union cycle concatenates flat rows), so the walk stops
-        // there — exactly the grouping-level rule the exec closures
+        // factorized (Join's row reader decompresses them). UNION arms
+        // stay flat (the union cycle concatenates flat rows), so the walk
+        // stops there — exactly the grouping-level rule the exec closures
         // apply. These are identity attrs (they change what the cycles
         // emit), so they are fingerprinted, unlike the NTGA info above.
         auto is_join = [](OpKind k) {

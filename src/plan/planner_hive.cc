@@ -90,7 +90,8 @@ NodeExec ChainJoinExec(size_t cycle, std::vector<const sparql::Expr*> residual,
     RAPIDA_ASSIGN_OR_RETURN(
         engine::TableRef joined,
         ctx->rel->Join(node.label + ":join" + std::to_string(cycle),
-                       {left, right}, post, detail::FactorizedOutput(node)));
+                       {left, right}, detail::JoinStrategyOf(node), post,
+                       detail::FactorizedOutput(node)));
     // The accumulated side is the anchor's input with the joined table
     // swapped in, so an anchor scan's map-side predicate is re-applied in
     // later cycles: a no-op on their rows, but it makes a factorized
@@ -130,8 +131,11 @@ NodeExec VpScanExec(engine::JoinInput in, ntga::StarTriple triple,
       ctx->outputs[node.id] = std::move(scan);
       return Status::OK();
     }
-    RAPIDA_ASSIGN_OR_RETURN(engine::TableRef table,
-                            ctx->rel->Join(node.label + ":scan", {scan}));
+    // One input: nothing to broadcast, so the projection repartitions.
+    RAPIDA_ASSIGN_OR_RETURN(
+        engine::TableRef table,
+        ctx->rel->Join(node.label + ":scan", {scan},
+                       engine::JoinStrategy::kRepartition));
     detail::SetOutput(ctx, node, table);
     return Status::OK();
   };
@@ -293,7 +297,8 @@ int EmitHivePattern(PhysicalPlan* plan, engine::Dataset* dataset,
         RAPIDA_ASSIGN_OR_RETURN(
             engine::TableRef joined,
             ctx->rel->Join(node.label + ":star" + std::to_string(s), inputs,
-                           nullptr, detail::FactorizedOutput(node)));
+                           detail::JoinStrategyOf(node), nullptr,
+                           detail::FactorizedOutput(node)));
         detail::SetOutput(ctx, node, joined);
         return Status::OK();
       };

@@ -115,15 +115,6 @@ std::vector<JobScheduler::SessionStats> JobScheduler::AllStats() const {
   return sessions_;
 }
 
-double JobScheduler::MakespanSimSeconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double makespan = 0;
-  for (const SessionStats& s : sessions_) {
-    makespan = std::max(makespan, s.busy_until_sim_s);
-  }
-  return makespan;
-}
-
 double JobScheduler::TotalDemandSimSeconds() const {
   std::lock_guard<std::mutex> lock(mu_);
   double total = 0;

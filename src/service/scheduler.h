@@ -65,10 +65,6 @@ class JobScheduler {
   std::vector<SessionStats> AllStats() const;
   int num_sessions() const;
 
-  /// Simulated completion time of all accounted work (max over sessions)
-  /// — the burst makespan the service bench reports.
-  double MakespanSimSeconds() const;
-
   /// Σ raw demand over all sessions (what a serial, share-nothing replay
   /// of the same jobs would cost in simulated time).
   double TotalDemandSimSeconds() const;

@@ -225,11 +225,9 @@ TEST(AllocRegressionTest, ShardedOperatorsStayUnderPerRecordBudget) {
   ClusterConfig config;
   config.num_shards = 4;
   Cluster cluster(config, &dataset.dfs());
-  engine::EngineOptions options;
-  options.num_shards = 4;
-  options.enable_map_joins = false;  // the repartition join
-  options.partial_aggregation = true;
-  engine::RelationalOps ops(&cluster, &dataset, options, "tmp:alloc");
+  engine::RelationalOps ops(&cluster, &dataset,
+                            engine::EngineOptions().map_join_threshold_bytes,
+                            "tmp:alloc");
 
   engine::TableRef left;
   left.file = "left";
@@ -238,7 +236,7 @@ TEST(AllocRegressionTest, ShardedOperatorsStayUnderPerRecordBudget) {
       {sparql::AggFunc::kCount, "", true, "cnt", " "}};
   g_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_seq_cst);
-  auto grouped = ops.GroupBy("group", left, {"g"}, aggs);
+  auto grouped = ops.GroupBy("group", left, {"g"}, aggs, true);
   g_counting.store(false, std::memory_order_seq_cst);
   ASSERT_TRUE(grouped.ok()) << grouped.status();
   size_t allocations = g_allocations.load(std::memory_order_relaxed);
@@ -256,7 +254,7 @@ TEST(AllocRegressionTest, ShardedOperatorsStayUnderPerRecordBudget) {
   rhs.join_column = "k";
   g_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_seq_cst);
-  auto joined = ops.Join("join", {lhs, rhs}, nullptr);
+  auto joined = ops.Join("join", {lhs, rhs}, engine::JoinStrategy::kRepartition);
   g_counting.store(false, std::memory_order_seq_cst);
   ASSERT_TRUE(joined.ok()) << joined.status();
   allocations = g_allocations.load(std::memory_order_relaxed);
@@ -272,6 +270,105 @@ TEST(AllocRegressionTest, ShardedOperatorsStayUnderPerRecordBudget) {
   for (const JobStats& stats : cluster.history()) {
     EXPECT_EQ(stats.num_shards, 4) << stats.name;
     EXPECT_GT(stats.shuffle_cross_bytes, 0u) << stats.name;
+  }
+}
+
+// Factorized input: a multi-valued star kept as d-representation groups
+// (9 flat rows per group) feeds a SUM GroupBy with partial aggregation
+// (the stream path: SUM is never aggregated by weight) and a Join with a
+// post-predicate (flat output) under both strategies. The row reader
+// decodes every group into reused task buffers, so each operator stays
+// under the same budget, counted in the flat rows its input stands for.
+TEST(AllocRegressionTest, FactorizedInputsStayUnderPerRowBudget) {
+  constexpr int kSubjects = 2000;
+  constexpr int kValues = 3;  // x and y values per subject
+  constexpr int kGroups = 50;
+  constexpr size_t kStarRows = size_t{kSubjects} * kValues * kValues;
+
+  engine::Dataset dataset{rdf::Graph()};
+  rdf::Dictionary& dict = dataset.dict();
+  auto write_vp = [&dataset](const std::string& name, int per_subject,
+                             const auto& object) {
+    RecordBatch records;
+    for (int s = 1; s <= kSubjects; ++s) {
+      for (int k = 0; k < per_subject; ++k) {
+        records.Add(std::to_string(s), std::to_string(object(s, k)));
+      }
+    }
+    return dataset.dfs().Write(name, std::move(records));
+  };
+  ASSERT_TRUE(write_vp("vp:x", kValues, [&dict](int s, int k) {
+                return dict.InternInt(10 * s + k);
+              }).ok());
+  ASSERT_TRUE(write_vp("vp:y", kValues, [&dict](int s, int k) {
+                return dict.InternInt(100000 + 10 * s + k);
+              }).ok());
+  ASSERT_TRUE(write_vp("vp:g", 1, [&dict](int s, int) {
+                return dict.InternInt(s % kGroups);
+              }).ok());
+  ASSERT_TRUE(write_vp("vp:w", 1, [](int s, int) { return 500000 + s; }).ok());
+  auto vp = [](const std::string& file, const std::string& object) {
+    engine::JoinInput in;
+    in.file = file;
+    in.columns = {"s", object};
+    in.is_vp = true;
+    in.join_column = "s";
+    return in;
+  };
+
+  Cluster cluster(ClusterConfig{}, &dataset.dfs());
+  engine::RelationalOps ops(&cluster, &dataset,
+                            engine::EngineOptions().map_join_threshold_bytes,
+                            "tmp:alloc-fact");
+  auto star = ops.Join("star", {vp("vp:x", "x"), vp("vp:y", "y"),
+                                vp("vp:g", "g")},
+                       engine::JoinStrategy::kRepartition, nullptr,
+                       /*factorize_output=*/true);
+  ASSERT_TRUE(star.ok()) << star.status();
+  ASSERT_TRUE(star->factorized());
+  ASSERT_EQ(cluster.history().back().output_records,
+            static_cast<uint64_t>(kSubjects));
+
+  const std::vector<engine::RelationalOps::AggColumn> sum = {
+      {sparql::AggFunc::kSum, "x", false, "sum", " "}};
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_seq_cst);
+  auto grouped = ops.GroupBy("sum", *star, {"g"}, sum, true);
+  g_counting.store(false, std::memory_order_seq_cst);
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  EXPECT_EQ(cluster.history().back().output_records,
+            static_cast<uint64_t>(kGroups));
+  size_t allocations = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LT(allocations, kStarRows / 2)
+      << "GroupBy over factorized input regressed to per-row heap "
+         "allocation ("
+      << allocations << " allocations for " << kStarRows << " flat rows)";
+
+  engine::JoinInput star_in;
+  star_in.file = star->file;
+  star_in.columns = star->columns;
+  star_in.join_column = "s";
+  star_in.factor = star->factor;
+  star_in.flat_bytes = star->flat_bytes;
+  const engine::RowPredicate even_x = [](const std::vector<rdf::TermId>& row) {
+    return row[1] % 2 == 0;
+  };
+  constexpr size_t kJoinRows = kStarRows + kSubjects;
+  for (engine::JoinStrategy strategy :
+       {engine::JoinStrategy::kRepartition, engine::JoinStrategy::kMap}) {
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_seq_cst);
+    auto joined =
+        ops.Join("post", {star_in, vp("vp:w", "w")}, strategy, even_x);
+    g_counting.store(false, std::memory_order_seq_cst);
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    EXPECT_FALSE(joined->factorized());
+    EXPECT_GT(cluster.history().back().output_records, 0u);
+    allocations = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_LT(allocations, kJoinRows / 2)
+        << cluster.history().back().name
+        << " over factorized input regressed to per-row heap allocation ("
+        << allocations << " allocations for " << kJoinRows << " flat rows)";
   }
 }
 

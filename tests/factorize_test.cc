@@ -16,6 +16,7 @@
 #include "engines/dataset.h"
 #include "engines/engines.h"
 #include "engines/relational_ops.h"
+#include "mapreduce/record.h"
 #include "sparql/parser.h"
 #include "workload/catalog.h"
 #include "workload/pubmed.h"
@@ -131,6 +132,40 @@ TEST(FactorizedCodec, RawSegmentPassThrough) {
   EXPECT_EQ(enc.flat_rows(), 3u);
 }
 
+TEST(FactorizedCodec, FlatRowIsTheZeroFactorGroup) {
+  // The invariant the relational operators' one row reader rests on: an
+  // EncodeRow record is a group with every column in the base and no
+  // factors, so it parses, enumerates and sizes as one.
+  const Rows rows = {{},
+                     {rdf::kInvalidTermId},
+                     {42},
+                     {7, rdf::kInvalidTermId, 123456789},
+                     {rdf::kInvalidTermId, rdf::kInvalidTermId},
+                     {1, 22, 333, rdf::kInvalidTermId, 55555}};
+  for (const Row& row : rows) {
+    SCOPED_TRACE("width " + std::to_string(row.size()) + ": '" +
+                 EncodeRow(row) + "'");
+    mr::RecordBatch batch;
+    batch.Add("", EncodeRow(row));
+    const mr::Record& record = batch.records[0];
+
+    Factorization flat;
+    flat.width = static_cast<int>(row.size());
+    for (size_t c = 0; c < row.size(); ++c) {
+      flat.base_cols.push_back(static_cast<int>(c));
+    }
+    GroupView view;
+    ASSERT_TRUE(ParseGroup(record.value(), 0, &view));
+    EXPECT_EQ(view.FlatRows(), 1u);
+    Rows enumerated;
+    Row scratch;
+    ForEachFlatRow(flat, view, &scratch,
+                   [&enumerated](const Row& r) { enumerated.push_back(r); });
+    EXPECT_EQ(enumerated, Rows{row});
+    EXPECT_EQ(FlatRecordBytes(flat, view), record.Bytes());
+  }
+}
+
 TEST(WeightedAggregator, MatchesSequentialAdds) {
   rdf::Dictionary dict;
   rdf::TermId a = dict.InternInt(3), b = dict.InternInt(11);
@@ -240,18 +275,15 @@ class FactorizeTest : public ::testing::Test {
     cfg.exec_threads = exec_threads;
     cfg.exec_split_bytes = 64;  // several map tasks even on tiny files
     mr::Cluster cluster(cfg, &dataset_.dfs());
-    EngineOptions opt;
-    opt.enable_map_joins = map_joins;
-    opt.map_join_threshold_bytes = 1 << 20;
-    opt.partial_aggregation = partial_agg;
-    opt.factorized_intermediates = factorize;
-    RelationalOps ops(&cluster, &dataset_, opt, "tmp:" + ns);
+    RelationalOps ops(&cluster, &dataset_, 1 << 20, "tmp:" + ns);
+    const JoinStrategy join =
+        map_joins ? JoinStrategy::kAuto : JoinStrategy::kRepartition;
 
     PipelineResult out;
     auto star = ops.Join("star",
                          {VpInput("vp:a", "s", "x"), VpInput("vp:b", "s", "y"),
                           VpInput("vp:c", "s", "z", /*outer=*/true)},
-                         nullptr, factorize);
+                         join, nullptr, factorize);
     EXPECT_TRUE(star.ok()) << star.status();
     EXPECT_EQ(star->factorized(), factorize);
     out.star = SortedRows(&ops, *star);
@@ -267,7 +299,7 @@ class FactorizeTest : public ::testing::Test {
     star_in.factor = star->factor;
     star_in.flat_bytes = star->flat_bytes;
     auto linked =
-        ops.Join("link", {star_in, VpInput("vp:d", "x", "w")}, nullptr,
+        ops.Join("link", {star_in, VpInput("vp:d", "x", "w")}, join, nullptr,
                  factorize);
     EXPECT_TRUE(linked.ok()) << linked.status();
     out.linked = SortedRows(&ops, *linked);
@@ -280,7 +312,7 @@ class FactorizeTest : public ::testing::Test {
         {sparql::AggFunc::kMin, "w", false, "minw", " "},
         {sparql::AggFunc::kMax, "y", false, "maxy", " "},
         {sparql::AggFunc::kSample, "x", false, "sx", " "}};
-    auto by_s = ops.GroupBy("by_s", *linked, {"s"}, aggs);
+    auto by_s = ops.GroupBy("by_s", *linked, {"s"}, aggs, partial_agg);
     EXPECT_TRUE(by_s.ok()) << by_s.status();
     out.by_s = SortedRows(&ops, *by_s);
 
@@ -288,7 +320,7 @@ class FactorizeTest : public ::testing::Test {
     std::vector<RelationalOps::AggColumn> aggs2 = {
         {sparql::AggFunc::kCount, "", true, "cnt", " "},
         {sparql::AggFunc::kMin, "x", false, "minx", " "}};
-    auto by_y = ops.GroupBy("by_y", *linked, {"y"}, aggs2);
+    auto by_y = ops.GroupBy("by_y", *linked, {"y"}, aggs2, partial_agg);
     EXPECT_TRUE(by_y.ok()) << by_y.status();
     out.by_y = SortedRows(&ops, *by_y);
 
@@ -345,13 +377,14 @@ TEST_F(FactorizeTest, StarJoinDecompressesInExactFlatOrder) {
   mr::ClusterConfig cfg;
   cfg.exec_threads = 1;
   mr::Cluster cluster(cfg, &dataset_.dfs());
-  EngineOptions opt;
-  opt.enable_map_joins = false;
-  RelationalOps ops(&cluster, &dataset_, opt, "tmp:order");
+  RelationalOps ops(&cluster, &dataset_,
+                    EngineOptions().map_join_threshold_bytes, "tmp:order");
   std::vector<JoinInput> inputs = {VpInput("vp:a", "s", "x"),
                                    VpInput("vp:b", "s", "y")};
-  auto flat = ops.Join("s1", inputs, nullptr, false);
-  auto fact = ops.Join("s2", inputs, nullptr, true);
+  auto flat = ops.Join("s1", inputs, JoinStrategy::kRepartition, nullptr,
+                       false);
+  auto fact = ops.Join("s2", inputs, JoinStrategy::kRepartition, nullptr,
+                       true);
   ASSERT_TRUE(flat.ok() && fact.ok());
   ASSERT_TRUE(fact->factorized());
   auto ft = ops.ReadTable(*flat);
@@ -363,12 +396,12 @@ TEST_F(FactorizeTest, StarJoinDecompressesInExactFlatOrder) {
 TEST_F(FactorizeTest, UnionAllDecompressesFactorizedBranches) {
   mr::ClusterConfig cfg;
   mr::Cluster cluster(cfg, &dataset_.dfs());
-  EngineOptions opt;
-  RelationalOps ops(&cluster, &dataset_, opt, "tmp:u");
+  RelationalOps ops(&cluster, &dataset_,
+                    EngineOptions().map_join_threshold_bytes, "tmp:u");
   std::vector<JoinInput> inputs = {VpInput("vp:a", "s", "x"),
                                    VpInput("vp:b", "s", "y")};
-  auto flat = ops.Join("s1", inputs, nullptr, false);
-  auto fact = ops.Join("s2", inputs, nullptr, true);
+  auto flat = ops.Join("s1", inputs, JoinStrategy::kAuto, nullptr, false);
+  auto fact = ops.Join("s2", inputs, JoinStrategy::kAuto, nullptr, true);
   ASSERT_TRUE(flat.ok() && fact.ok());
   mr::RecordBatch extra;
   extra.Add("", EncodeRow({I(42), I(43)}));
@@ -392,18 +425,19 @@ TEST_F(FactorizeTest, SumKeepsOutputFlatButCorrect) {
   // (integer-valued sums are exact either way).
   mr::ClusterConfig cfg;
   mr::Cluster cluster(cfg, &dataset_.dfs());
-  EngineOptions opt;
-  opt.enable_map_joins = false;
-  RelationalOps ops(&cluster, &dataset_, opt, "tmp:sum");
+  RelationalOps ops(&cluster, &dataset_,
+                    EngineOptions().map_join_threshold_bytes, "tmp:sum");
   std::vector<JoinInput> inputs = {VpInput("vp:a", "s", "x"),
                                    VpInput("vp:b", "s", "y")};
-  auto flat = ops.Join("s1", inputs, nullptr, false);
-  auto fact = ops.Join("s2", inputs, nullptr, true);
+  auto flat = ops.Join("s1", inputs, JoinStrategy::kRepartition, nullptr,
+                       false);
+  auto fact = ops.Join("s2", inputs, JoinStrategy::kRepartition, nullptr,
+                       true);
   ASSERT_TRUE(flat.ok() && fact.ok());
   std::vector<RelationalOps::AggColumn> aggs = {
       {sparql::AggFunc::kSum, "y", false, "sy", " "}};
-  auto g1 = ops.GroupBy("g1", *flat, {"s"}, aggs);
-  auto g2 = ops.GroupBy("g2", *fact, {"s"}, aggs);
+  auto g1 = ops.GroupBy("g1", *flat, {"s"}, aggs, true);
+  auto g2 = ops.GroupBy("g2", *fact, {"s"}, aggs, true);
   ASSERT_TRUE(g1.ok() && g2.ok());
   auto r1 = ops.ReadTable(*g1);
   auto r2 = ops.ReadTable(*g2);
@@ -499,8 +533,9 @@ class Mg13FixtureTest : public ::testing::Test {
     o.num_shards = shards;
     // Repartition joins, the paper's naive-Hive shape: the star join both
     // shuffles and materializes its cross product, so the byte gates
-    // below measure the d-representation on both axes. (Map-join FactJoin
-    // coverage comes from the all-engines matrix, which keeps defaults.)
+    // below measure the d-representation on both axes. (Map-join coverage
+    // over factorized inputs comes from the all-engines matrix, which
+    // keeps defaults.)
     o.enable_map_joins = false;
     HiveNaiveEngine eng(o);
     return RunEngine(&eng, threads, shards);

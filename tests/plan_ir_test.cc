@@ -2,13 +2,16 @@
 // optimizer pass toggles, canonical fingerprints under variable renaming,
 // the service PlanCache's structural (level-2) hits, the executor's
 // per-node cycle gate, that every costed node owns an exec, and that the
-// NTGA execs follow the plan rather than the execution options.
+// NTGA and relational execs follow the plan rather than the execution
+// options.
 #include "plan/plan.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "analytics/analytical_query.h"
 #include "plan/executor.h"
@@ -293,18 +296,18 @@ TEST(PlanIrTest, EveryCostedNodeOwnsItsExec) {
   }
 }
 
-TEST(PlanIrTest, NtgaExecutionFollowsThePlanNotTheOptions) {
-  // Execution options that contradict the plan's recorded choices: the
-  // NTGA execs must follow the nodes (parallel region, map_side_agg,
-  // order), not these.
-  engine::EngineOptions flipped;
-  flipped.parallel_agg_join = false;
-  flipped.partial_aggregation = false;
-  flipped.greedy_join_order = true;
+/// Plans each of `ids` (BSBM catalog queries) on each of `engines` with
+/// default options, then executes every plan under the default options and
+/// under `flipped`, whose toggles contradict the choices the plan records:
+/// the execs must follow the nodes, so the rows and every job (name,
+/// records, bytes, sim_seconds) must be the same under both.
+void ExpectExecutionFollowsThePlan(const std::vector<const char*>& ids,
+                                   const std::vector<const char*>& engines,
+                                   const engine::EngineOptions& flipped) {
   engine::Dataset* dataset = CatalogDataset("bsbm");
-  for (const char* id : {"MG1", "MG3"}) {
+  for (const char* id : ids) {
     analytics::AnalyticalQuery query = Analyze(CatalogText(id));
-    for (const char* engine : {"RAPID+ (Naive)", "RAPIDAnalytics"}) {
+    for (const char* engine : engines) {
       std::vector<analytics::BindingTable> results;
       std::vector<std::vector<mr::JobStats>> jobs;
       for (const engine::EngineOptions& options :
@@ -337,6 +340,28 @@ TEST(PlanIrTest, NtgaExecutionFollowsThePlanNotTheOptions) {
       }
     }
   }
+}
+
+TEST(PlanIrTest, NtgaExecutionFollowsThePlanNotTheOptions) {
+  // The NTGA execs must follow the nodes (parallel region, map_side_agg,
+  // order), not these.
+  engine::EngineOptions flipped;
+  flipped.parallel_agg_join = false;
+  flipped.partial_aggregation = false;
+  flipped.greedy_join_order = true;
+  ExpectExecutionFollowsThePlan({"MG1", "MG3"},
+                                {"RAPID+ (Naive)", "RAPIDAnalytics"}, flipped);
+}
+
+TEST(PlanIrTest, RelationalExecutionFollowsThePlanNotTheOptions) {
+  // The relational execs must follow the nodes (`join`, `map_side_agg`),
+  // not these: MG1's star joins broadcast and its GroupBys pre-aggregate
+  // as planned, and so do MG-OPT's OPTIONAL left joins.
+  engine::EngineOptions flipped;
+  flipped.enable_map_joins = false;
+  flipped.partial_aggregation = false;
+  ExpectExecutionFollowsThePlan({"MG1", "MG-OPT"},
+                                {"Hive (Naive)", "Hive (MQO)"}, flipped);
 }
 
 }  // namespace

@@ -16,7 +16,8 @@ class RelationalOpsTest : public ::testing::Test {
   RelationalOpsTest()
       : dataset_(rdf::Graph()),
         cluster_(mr::ClusterConfig{}, &dataset_.dfs()),
-        ops_(&cluster_, &dataset_, EngineOptions(), "tmp:test") {}
+        ops_(&cluster_, &dataset_, EngineOptions().map_join_threshold_bytes,
+             "tmp:test") {}
 
   /// Writes an intermediate-format table into the DFS.
   TableRef WriteTable(const std::string& name,
@@ -60,10 +61,9 @@ TEST_F(RelationalOpsTest, MultiWayStarJoinOnSubject) {
               {"s", "y"}, true, "s", false, nullptr};
   JoinInput c{WriteVp("c", {{1, 12}, {2, 22}}),
               {"s", "z"}, true, "s", false, nullptr};
-  EngineOptions no_mapjoin;
-  no_mapjoin.enable_map_joins = false;
-  RelationalOps ops(&cluster_, &dataset_, no_mapjoin, "tmp:x");
-  auto t = ops.Join("star", {a, b, c}, nullptr);
+  RelationalOps ops(&cluster_, &dataset_,
+                    EngineOptions().map_join_threshold_bytes, "tmp:x");
+  auto t = ops.Join("star", {a, b, c}, JoinStrategy::kRepartition);
   ASSERT_TRUE(t.ok()) << t.status();
   EXPECT_EQ(t->columns, (std::vector<std::string>{"s", "x", "y", "z"}));
   auto rows = Rows(*t);
@@ -78,15 +78,12 @@ TEST_F(RelationalOpsTest, MapJoinEqualsReduceJoin) {
   JoinInput small{WriteVp("small", {{1, 100}, {2, 200}}),
                   {"s", "y"}, true, "s", false, nullptr};
 
-  EngineOptions map_on;
-  map_on.map_join_threshold_bytes = 1 << 20;
-  RelationalOps ops_map(&cluster_, &dataset_, map_on, "tmp:m");
-  EngineOptions map_off;
-  map_off.enable_map_joins = false;
-  RelationalOps ops_red(&cluster_, &dataset_, map_off, "tmp:r");
+  RelationalOps ops_map(&cluster_, &dataset_, 1 << 20, "tmp:m");
+  RelationalOps ops_red(&cluster_, &dataset_,
+                        EngineOptions().map_join_threshold_bytes, "tmp:r");
 
-  auto t1 = ops_map.Join("j", {big, small}, nullptr);
-  auto t2 = ops_red.Join("j", {big, small}, nullptr);
+  auto t1 = ops_map.Join("j", {big, small}, JoinStrategy::kAuto);
+  auto t2 = ops_red.Join("j", {big, small}, JoinStrategy::kRepartition);
   ASSERT_TRUE(t1.ok() && t2.ok());
   EXPECT_EQ(Rows(*t1), Rows(*t2));
   // The map-join cycle must actually be map-only.
@@ -104,7 +101,7 @@ TEST_F(RelationalOpsTest, OuterInputPadsNulls) {
                  {"s", "x"}, true, "s", false, nullptr};
   JoinInput opt{WriteVp("opt", {{1, 99}}),
                 {"s", "y"}, true, "s", true, nullptr};
-  auto t = ops_.Join("outer", {base, opt}, nullptr);
+  auto t = ops_.Join("outer", {base, opt}, JoinStrategy::kAuto);
   ASSERT_TRUE(t.ok()) << t.status();
   auto rows = Rows(*t);
   ASSERT_EQ(rows.size(), 2u);
@@ -120,7 +117,7 @@ TEST_F(RelationalOpsTest, PredicatesAndPostPredicate) {
               }};
   JoinInput b{WriteVp("b", {{1, 11}, {2, 21}, {3, 31}}),
               {"s", "y"}, true, "s", false, nullptr};
-  auto t = ops_.Join("filtered", {a, b},
+  auto t = ops_.Join("filtered", {a, b}, JoinStrategy::kAuto,
                      [](const std::vector<rdf::TermId>& row) {
                        return row[0] != 3;  // drop subject 3 post-join
                      });
@@ -141,11 +138,10 @@ TEST_F(RelationalOpsTest, GroupByPartialAndRawAgree) {
       {sparql::AggFunc::kCount, "v", false, "cnt", " "},
       {sparql::AggFunc::kSum, "v", false, "sum", " "}};
 
-  EngineOptions raw;
-  raw.partial_aggregation = false;
-  RelationalOps ops_raw(&cluster_, &dataset_, raw, "tmp:raw");
-  auto partial = ops_.GroupBy("g", input, {"k"}, aggs);
-  auto direct = ops_raw.GroupBy("g", input, {"k"}, aggs);
+  RelationalOps ops_raw(&cluster_, &dataset_,
+                        EngineOptions().map_join_threshold_bytes, "tmp:raw");
+  auto partial = ops_.GroupBy("g", input, {"k"}, aggs, true);
+  auto direct = ops_raw.GroupBy("g", input, {"k"}, aggs, false);
   ASSERT_TRUE(partial.ok() && direct.ok());
   EXPECT_EQ(Rows(*partial), Rows(*direct));
 
@@ -171,7 +167,7 @@ TEST_F(RelationalOpsTest, GroupByHavingFiltersInReduce) {
   RowPredicate having = [&dict](const std::vector<rdf::TermId>& row) {
     return *dict.AsNumber(row[1]) >= 2;
   };
-  auto t = ops_.GroupBy("g", input, {"k"}, aggs, having);
+  auto t = ops_.GroupBy("g", input, {"k"}, aggs, true, having);
   ASSERT_TRUE(t.ok());
   auto rows = Rows(*t);
   ASSERT_EQ(rows.size(), 1u);
