@@ -34,7 +34,11 @@
 # while readers call Get/Lookup/AsNumber) runs under all three sanitizers:
 # ASan, UBSan and TSan. The relational operators' row reader hands out
 # views into group payloads, so factorize_test and relational_ops_test run
-# under ASan and UBSan.
+# under ASan and UBSan. Result tables are one flat cell array shared by
+# their copies until one writes, and callers read rows as spans into it:
+# binding_test and reference_evaluator_test run under ASan and UBSan, and
+# binding_test (8 threads copying one shared table and writing their own
+# copies) under TSan.
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
 # against the unsharded baseline), a sharded serve smoke, and a perf
@@ -182,7 +186,7 @@ cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       golden_test optional_union_test storage_test rapida_serve plan_ir_test \
       pass_differential_test property_invariants_test rdf_test \
-      factorize_test relational_ops_test
+      factorize_test relational_ops_test binding_test reference_evaluator_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -207,6 +211,10 @@ echo "== ASan: rdf_test (term store: arena views, concurrent interning) =="
 echo "== ASan: relational operators (row reader over flat rows and groups) =="
 ./build-asan/tests/factorize_test
 ./build-asan/tests/relational_ops_test
+
+echo "== ASan: result tables (flat cells, shared copies, row spans) =="
+./build-asan/tests/binding_test
+./build-asan/tests/reference_evaluator_test
 
 echo "== ASan: storage suite (artifact recovery, IVM patch equivalence) =="
 ./build-asan/tests/storage_test
@@ -238,7 +246,7 @@ cmake -B build-ubsan -S . -DRAPIDA_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-ubsan -j "$JOBS" --target \
       mapreduce_test kernels_test shard_test storage_test rdf_test rapida_fuzz \
-      factorize_test relational_ops_test
+      factorize_test relational_ops_test binding_test reference_evaluator_test
 echo "== UBSan: mapreduce_test =="
 ./build-ubsan/tests/mapreduce_test
 echo "== UBSan: kernels_test =="
@@ -252,6 +260,9 @@ echo "== UBSan: rdf_test (term store entry bitfields, arena views) =="
 echo "== UBSan: relational operators (row reader over flat rows and groups) =="
 ./build-ubsan/tests/factorize_test
 ./build-ubsan/tests/relational_ops_test
+echo "== UBSan: result tables (flat cells, shared copies, row spans) =="
+./build-ubsan/tests/binding_test
+./build-ubsan/tests/reference_evaluator_test
 echo "== UBSan: differential fuzz (50 seeds) =="
 ./build-ubsan/examples/rapida_fuzz --seeds=50
 
@@ -260,7 +271,7 @@ cmake -B build-tsan -S . -DRAPIDA_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-tsan -j "$JOBS" --target \
       thread_pool_test mapreduce_test kernels_test engines_test \
-      shard_test service_stress_test rdf_test bench_factorize
+      shard_test service_stress_test rdf_test binding_test bench_factorize
 
 echo "== TSan: thread_pool_test =="
 ./build-tsan/tests/thread_pool_test
@@ -277,6 +288,9 @@ echo "== TSan: service_stress_test (32 sessions + concurrent mutations) =="
 
 echo "== TSan: rdf_test (8 writers interning, readers through index growth) =="
 ./build-tsan/tests/rdf_test
+
+echo "== TSan: binding_test (8 threads copy one shared table, write their own) =="
+./build-tsan/tests/binding_test
 
 echo "== TSan: bench_factorize (flat/factorized byte identity at 8 threads) =="
 RAPIDA_FACTORIZE_JSON="$SCRATCH/BENCH_factorize_tsan.json" \

@@ -1,6 +1,10 @@
 #ifndef RAPIDA_ANALYTICS_BINDING_H_
 #define RAPIDA_ANALYTICS_BINDING_H_
 
+#include <initializer_list>
+#include <memory>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,23 +21,57 @@ namespace rapida::analytics {
 /// final result type of every engine: computed values (aggregates,
 /// arithmetic) are interned into the dictionary via InternNumber so rows
 /// stay uniform TermId vectors and results compare exactly across engines.
+///
+/// Layout: one row-major cell array of NumRows() x NumCols() TermIds (4 B
+/// per cell) plus an explicit row count, so zero-column rows (the unit
+/// table of a BGP) exist too. Copies share the cell array until one of
+/// them writes: every mutator first takes a private copy when the array is
+/// shared, so a copy costs its column names, not its cells. The result
+/// cache hands out such copies. A span from Row(), MutableRow() or rows()
+/// is invalidated by any mutator call on the same table.
 class BindingTable {
  public:
   BindingTable() = default;
   explicit BindingTable(std::vector<std::string> vars)
       : vars_(std::move(vars)) {}
-
   const std::vector<std::string>& vars() const { return vars_; }
-  const std::vector<std::vector<rdf::TermId>>& rows() const { return rows_; }
-  std::vector<std::vector<rdf::TermId>>& mutable_rows() { return rows_; }
-  size_t NumRows() const { return rows_.size(); }
+  size_t NumRows() const { return cells_ ? cells_->rows : 0; }
   size_t NumCols() const { return vars_.size(); }
+
+  /// Row `r` (< NumRows()) as a span of NumCols() cells.
+  std::span<const rdf::TermId> Row(size_t r) const {
+    return {cells_->ids.data() + r * NumCols(), NumCols()};
+  }
+  /// Every row as a span, in order (a random-access view).
+  auto rows() const {
+    return std::views::iota(size_t{0}, NumRows()) |
+           std::views::transform([this](size_t r) { return Row(r); });
+  }
+  /// Bytes the cell array holds (its capacity), shared or not.
+  size_t CellBytes() const {
+    return cells_ ? cells_->ids.capacity() * sizeof(rdf::TermId) : 0;
+  }
 
   /// Index of `var` or -1.
   int VarIndex(const std::string& var) const;
 
-  /// Appends a row; must have vars().size() cells.
-  void AddRow(std::vector<rdf::TermId> row);
+  /// Appends a row; must have NumCols() cells and must not point into this
+  /// table.
+  void AddRow(std::span<const rdf::TermId> row);
+  void AddRow(std::initializer_list<rdf::TermId> row) {
+    AddRow(std::span<const rdf::TermId>(row.begin(), row.size()));
+  }
+  /// Row `r`'s cells, writable.
+  std::span<rdf::TermId> MutableRow(size_t r);
+  /// Sizes the cell array for `rows` rows in total.
+  void ReserveRows(size_t rows);
+  /// Keeps the first `n` rows (no-op when there are at most `n`).
+  void TruncateRows(size_t n);
+  /// Removes the first `n` rows (all of them when there are at most `n`).
+  void DropFrontRows(size_t n);
+  /// Replaces the column names positionally; `names` must have NumCols()
+  /// entries. The cells are untouched (and stay shared).
+  void RenameColumns(std::vector<std::string> names);
 
   /// Natural (inner) hash join on all shared variable names; columns of
   /// `right` not in `this` are appended. With no shared vars this is a
@@ -53,7 +91,8 @@ class BindingTable {
   /// Projects to `vars` in order (vars must exist).
   StatusOr<BindingTable> Project(const std::vector<std::string>& vars) const;
 
-  /// Removes duplicate rows.
+  /// Removes duplicate rows; the survivors come out in ascending
+  /// (lexicographic TermId) order.
   void Distinct();
 
   /// Renders every row as a "v1=x | v2=y" string (columns in a canonical
@@ -64,8 +103,17 @@ class BindingTable {
   std::string ToString(const rdf::Dictionary& dict, size_t max_rows = 20) const;
 
  private:
+  /// The cells and their row count (a row of zero columns still counts).
+  struct Cells {
+    std::vector<rdf::TermId> ids;  // row-major, NumCols() per row
+    size_t rows = 0;
+  };
+  /// The cells, private to this table: allocated on first use and cloned
+  /// while another copy shares them. Every cell mutator calls it.
+  Cells& Own();
+
   std::vector<std::string> vars_;
-  std::vector<std::vector<rdf::TermId>> rows_;
+  std::shared_ptr<Cells> cells_;  // null: no rows yet
 };
 
 /// Keeps only rows for which `condition` is effectively true, resolving

@@ -46,7 +46,7 @@ EvalValue EvalWithAggregates(const Expr& expr, const BindingTable& table,
       const Expr& arg = *expr.children[0];
       auto resolve = [&table, r](const std::string& v) {
         int i = table.VarIndex(v);
-        return i < 0 ? rdf::kInvalidTermId : table.rows()[r][i];
+        return i < 0 ? rdf::kInvalidTermId : table.Row(r)[i];
       };
       if (arg.kind == Expr::Kind::kVar) {
         agg.AddTerm(resolve(arg.var), *dict);
@@ -98,7 +98,7 @@ EvalValue EvalWithAggregates(const Expr& expr, const BindingTable& table,
   size_t r0 = group_rows[0];
   auto resolve = [&table, r0](const std::string& v) {
     int i = table.VarIndex(v);
-    return i < 0 ? rdf::kInvalidTermId : table.rows()[r0][i];
+    return i < 0 ? rdf::kInvalidTermId : table.Row(r0)[i];
   };
   return sparql::EvaluateExpr(expr, resolve, *dict);
 }
@@ -180,7 +180,7 @@ StatusOr<BindingTable> ReferenceEvaluator::EvaluatePattern(
   // FILTERs.
   if (!pattern.filters.empty()) {
     BindingTable filtered(table.vars());
-    for (const auto& row : table.rows()) {
+    for (const std::span<const rdf::TermId> row : table.rows()) {
       bool keep = true;
       auto resolve = [&table, &row](const std::string& v) {
         int i = table.VarIndex(v);
@@ -269,7 +269,8 @@ Status ReferenceEvaluator::ExtendByTriplePattern(const TriplePattern& tp,
     return Status::OK();
   }
 
-  for (const auto& row : table->rows()) {
+  std::vector<rdf::TermId> new_row;
+  for (const std::span<const rdf::TermId> row : table->rows()) {
     auto id_of = [&row](const Pos& p) {
       if (p.is_const) return p.const_id;
       if (p.col >= 0) return row[p.col];
@@ -281,11 +282,11 @@ Status ReferenceEvaluator::ExtendByTriplePattern(const TriplePattern& tp,
 
     auto emit = [&](rdf::TermId s, rdf::TermId p, rdf::TermId o) {
       if (s_eq_o_new && s != o) return;
-      std::vector<rdf::TermId> new_row = row;
+      new_row.assign(row.begin(), row.end());
       if (!sp.new_var.empty()) new_row.push_back(s);
       if (!pp.new_var.empty()) new_row.push_back(p);
       if (!op.new_var.empty() && !s_eq_o_new) new_row.push_back(o);
-      out.AddRow(std::move(new_row));
+      out.AddRow(new_row);
     };
 
     if (p_id != rdf::kInvalidTermId) {
@@ -328,13 +329,14 @@ StatusOr<BindingTable> ReferenceEvaluator::ApplyGroupingAndSelect(
     // Row-wise projection with optional computed expressions.
     std::vector<std::string> names = query.ColumnNames();
     BindingTable out(names);
-    for (const auto& row : input.rows()) {
+    out.ReserveRows(input.NumRows());
+    std::vector<rdf::TermId> out_row;
+    for (const std::span<const rdf::TermId> row : input.rows()) {
       auto resolve = [&input, &row](const std::string& v) {
         int i = input.VarIndex(v);
         return i < 0 ? rdf::kInvalidTermId : row[i];
       };
-      std::vector<rdf::TermId> out_row;
-      out_row.reserve(query.items.size());
+      out_row.clear();
       for (const SelectItem& item : query.items) {
         if (item.expr == nullptr) {
           out_row.push_back(resolve(item.name));
@@ -343,7 +345,7 @@ StatusOr<BindingTable> ReferenceEvaluator::ApplyGroupingAndSelect(
           out_row.push_back(ValueToTermId(v, dict));
         }
       }
-      out.AddRow(std::move(out_row));
+      out.AddRow(out_row);
     }
     if (query.distinct) out.Distinct();
     return out;
@@ -367,7 +369,7 @@ StatusOr<BindingTable> ReferenceEvaluator::ApplyGroupingAndSelect(
   for (size_t r = 0; r < input.NumRows(); ++r) {
     std::vector<rdf::TermId> key;
     key.reserve(key_cols.size());
-    for (int c : key_cols) key.push_back(input.rows()[r][c]);
+    for (int c : key_cols) key.push_back(input.Row(r)[c]);
     groups[std::move(key)].push_back(r);
   }
   if (query.group_by.empty() && groups.empty()) {
@@ -376,9 +378,10 @@ StatusOr<BindingTable> ReferenceEvaluator::ApplyGroupingAndSelect(
 
   std::vector<std::string> names = query.ColumnNames();
   BindingTable out(names);
+  out.ReserveRows(groups.size());
+  std::vector<rdf::TermId> out_row;
   for (const auto& [key, rows] : groups) {
-    std::vector<rdf::TermId> out_row;
-    out_row.reserve(query.items.size());
+    out_row.clear();
     for (const SelectItem& item : query.items) {
       if (item.expr == nullptr) {
         // Plain variable: must be one of the grouping variables.
@@ -409,7 +412,7 @@ StatusOr<BindingTable> ReferenceEvaluator::ApplyGroupingAndSelect(
         out_row.push_back(ValueToTermId(v, dict));
       }
     }
-    out.AddRow(std::move(out_row));
+    out.AddRow(out_row);
   }
   if (query.distinct) out.Distinct();
   return out;

@@ -80,10 +80,12 @@ inline uint64_t DigitCount(rdf::TermId v) {
 void DecodeCellsInto(std::string_view encoded, const std::vector<int>& cols,
                      std::vector<rdf::TermId>* row);
 
-/// Reusable scratch for flat enumeration of parsed groups.
+/// Reusable scratch for flat enumeration of parsed groups: the row being
+/// enumerated and the odometer over the factors. Once warm, enumeration
+/// allocates nothing.
 struct FlatScratch {
-  GroupView view;
   std::vector<rdf::TermId> row;
+  std::vector<size_t> odometer;
 };
 
 /// Enumerates the flat rows of one parsed group in canonical order
@@ -92,7 +94,8 @@ struct FlatScratch {
 /// callback.
 template <typename Fn>
 void ForEachFlatRow(const Factorization& spec, const GroupView& g,
-                    std::vector<rdf::TermId>* row, Fn&& fn) {
+                    FlatScratch* scratch, Fn&& fn) {
+  std::vector<rdf::TermId>* row = &scratch->row;
   row->assign(static_cast<size_t>(spec.width), rdf::kInvalidTermId);
   DecodeCellsInto(g.base, spec.base_cols, row);
   // Iterative odometer, last factor fastest: factor 0 outermost.
@@ -104,7 +107,8 @@ void ForEachFlatRow(const Factorization& spec, const GroupView& g,
   for (size_t f = 0; f < nf; ++f) {
     if (g.FactorRows(f) == 0) return;  // empty factor: zero flat rows
   }
-  std::vector<size_t> idx(nf, 0);
+  std::vector<size_t>& idx = scratch->odometer;
+  idx.assign(nf, 0);
   for (size_t f = 0; f < nf; ++f) {
     DecodeCellsInto(g.rows[g.FactorBegin(f)], spec.factors[f], row);
   }

@@ -433,24 +433,25 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
   RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                           dataset_->dfs().Open(*out_file));
   std::vector<analytics::BindingTable> out;
+  std::vector<rdf::TermId> row;
   for (const NtgaGrouping* g : groupings) {
     const NtgaGrouping& grouping = *g;
     analytics::BindingTable table(grouping.output_columns);
     std::string gid = std::to_string(grouping.id);
     for (const mr::Record& r : f->records) {
       if (r.key() != gid) continue;
-      std::vector<rdf::TermId> row = DecodeRow(r.value());
+      DecodeRowInto(r.value(), &row);
       row.resize(grouping.output_columns.size(), rdf::kInvalidTermId);
-      table.AddRow(std::move(row));
+      table.AddRow(row);
     }
     // GROUP BY ALL over no qualifying detail still yields the default row.
     if (grouping.spec.group_vars.empty() && table.NumRows() == 0) {
-      std::vector<rdf::TermId> row;
+      row.clear();
       for (const ntga::AggSpec& a : grouping.spec.aggs) {
         Aggregator empty(a.func, false, a.separator);
         row.push_back(empty.Finalize(dict));
       }
-      table.AddRow(std::move(row));
+      table.AddRow(row);
     }
     if (grouping.having != nullptr) {
       analytics::FilterRowsByExpr(&table, *grouping.having, *dict);

@@ -145,6 +145,24 @@ RowSource SourceOf(const JoinInput& in) {
                    in.factor ? in.factor : FlatLayout(in.columns.size())};
 }
 
+/// The output layout of several inputs (Join, UnionAll): the first input's
+/// columns, then each later input's unseen ones. `out_pos[i][c]` is the
+/// output position of input i's column c.
+template <typename Input>
+std::vector<std::string> UnifiedLayout(const std::vector<Input>& inputs,
+                                       std::vector<std::vector<int>>* out_pos) {
+  std::vector<std::string> out = inputs[0].columns;
+  out_pos->assign(inputs.size(), {});
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    for (const std::string& name : inputs[i].columns) {
+      auto it = std::find(out.begin(), out.end(), name);
+      (*out_pos)[i].push_back(static_cast<int>(it - out.begin()));
+      if (it == out.end()) out.push_back(name);
+    }
+  }
+  return out;
+}
+
 /// The row reader: turns a record into the flat rows it stands for, in
 /// canonical order (factor 0 outermost), reusing its buffers across
 /// records. It is the only code that knows the three record layouts: a VP
@@ -160,13 +178,14 @@ class RowReader {
     }
     int64_t s = 0;
     ParseDigits(r.key(), &s);
-    row_.assign(1, static_cast<rdf::TermId>(s));
+    std::vector<rdf::TermId>& row = flat_.row;
+    row.assign(1, static_cast<rdf::TermId>(s));
     if (src.groups->width > 1) {
       int64_t o = 0;
       ParseDigits(r.value(), &o);
-      row_.push_back(static_cast<rdf::TermId>(o));
+      row.push_back(static_cast<rdf::TermId>(o));
     }
-    fn(row_);
+    fn(row);
   }
 
   /// The flat rows of one encoded group of `layout` (a record value or a
@@ -175,7 +194,7 @@ class RowReader {
   void ForEachRow(const Factorization& layout, std::string_view value,
                   Fn&& fn) {
     if (ParseGroup(value, layout.factors.size(), &view_)) {
-      ForEachFlatRow(layout, view_, &row_, fn);
+      ForEachFlatRow(layout, view_, &flat_, fn);
     }
   }
 
@@ -187,7 +206,7 @@ class RowReader {
 
  private:
   GroupView view_;
-  std::vector<rdf::TermId> row_;
+  FlatScratch flat_;
 };
 
 /// Appends `row`'s cells at `idx`, comma-joined (an EncodeRow of them).
@@ -669,26 +688,15 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
                                        RowPredicate post_predicate,
                                        bool factorize_output) {
   RAPIDA_CHECK(!inputs.empty());
-  // Output layout: first input's columns, then the unseen columns of each
-  // later input. Per input: mapping from its columns to output positions,
-  // and the index of its join column.
-  std::vector<std::string> out_columns = inputs[0].columns;
-  std::vector<std::vector<int>> out_pos(inputs.size());
-  std::vector<int> join_idx(inputs.size());
+  std::vector<std::vector<int>> out_pos;
+  const std::vector<std::string> out_columns = UnifiedLayout(inputs, &out_pos);
+  // Per input: the index of its join column.
+  std::vector<int> join_idx(inputs.size(), -1);
   for (size_t i = 0; i < inputs.size(); ++i) {
-    join_idx[i] = -1;
     for (size_t c = 0; c < inputs[i].columns.size(); ++c) {
-      const std::string& name = inputs[i].columns[c];
-      if (name == inputs[i].join_column) join_idx[i] = static_cast<int>(c);
-      auto it = std::find(out_columns.begin(), out_columns.end(), name);
-      int pos;
-      if (it == out_columns.end()) {
-        pos = static_cast<int>(out_columns.size());
-        out_columns.push_back(name);
-      } else {
-        pos = static_cast<int>(it - out_columns.begin());
+      if (inputs[i].columns[c] == inputs[i].join_column) {
+        join_idx[i] = static_cast<int>(c);
       }
-      out_pos[i].push_back(pos);
     }
     if (join_idx[i] < 0) {
       return Status::InvalidArgument("join column '" + inputs[i].join_column +
@@ -1018,23 +1026,8 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
 StatusOr<TableRef> RelationalOps::UnionAll(
     const std::string& name_hint, const std::vector<TableRef>& inputs) {
   RAPIDA_CHECK(!inputs.empty());
-  // Unified layout plus, per input, the mapping from its columns to
-  // output positions (same scheme as Join's layout).
-  std::vector<std::string> out_columns = inputs[0].columns;
-  std::vector<std::vector<int>> out_pos(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    for (const std::string& name : inputs[i].columns) {
-      auto it = std::find(out_columns.begin(), out_columns.end(), name);
-      int pos;
-      if (it == out_columns.end()) {
-        pos = static_cast<int>(out_columns.size());
-        out_columns.push_back(name);
-      } else {
-        pos = static_cast<int>(it - out_columns.begin());
-      }
-      out_pos[i].push_back(pos);
-    }
-  }
+  std::vector<std::vector<int>> out_pos;
+  const std::vector<std::string> out_columns = UnifiedLayout(inputs, &out_pos);
   const size_t width = out_columns.size();
 
   TableRef out;
@@ -1451,12 +1444,14 @@ ProjectedResult JoinAndProject(std::vector<analytics::BindingTable> tables,
 
   ProjectedResult out;
   for (const sparql::SelectItem& item : items) out.columns.push_back(item.name);
-  for (const auto& row : joined.rows()) {
+  out.rows.reserve(joined.NumRows());
+  std::vector<rdf::TermId> out_row;
+  for (const std::span<const rdf::TermId> row : joined.rows()) {
     auto resolve = [&joined, &row](const std::string& v) {
       int i = joined.VarIndex(v);
       return i < 0 ? rdf::kInvalidTermId : row[i];
     };
-    std::vector<rdf::TermId> out_row;
+    out_row.clear();
     for (const sparql::SelectItem& item : items) {
       if (item.expr == nullptr) {
         out_row.push_back(resolve(item.name));
@@ -1486,10 +1481,12 @@ ProjectedResult JoinAndProject(std::vector<analytics::BindingTable> tables,
 
 analytics::BindingTable ToBindingTable(const ProjectedResult& projected) {
   analytics::BindingTable out(projected.columns);
+  out.ReserveRows(projected.rows.size());
+  std::vector<rdf::TermId> row;
   for (const std::string& r : projected.rows) {
-    std::vector<rdf::TermId> row = DecodeRow(r);
+    DecodeRowInto(r, &row);
     row.resize(projected.columns.size(), rdf::kInvalidTermId);
-    out.AddRow(std::move(row));
+    out.AddRow(row);
   }
   return out;
 }
@@ -1540,6 +1537,8 @@ StatusOr<analytics::BindingTable> RelationalOps::ReadTable(
   RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                           dataset_->dfs().Open(table.file));
   analytics::BindingTable out(table.columns);
+  // A flat file holds one row per record; a factorized one more.
+  out.ReserveRows(f->records.size());
   const RowSource source = SourceOf(table);
   RowReader reader;
   for (const mr::Record& r : f->records) {

@@ -86,9 +86,10 @@ std::string ResultCache::Key(const std::string& fingerprint,
 
 uint64_t ResultCache::TableBytes(const analytics::BindingTable& table) {
   uint64_t bytes = 0;
-  for (const std::string& v : table.vars()) bytes += v.size() + 16;
-  bytes += table.NumRows() * table.NumCols() * sizeof(rdf::TermId);
-  return bytes + 64;
+  for (const std::string& v : table.vars()) {
+    bytes += sizeof(std::string) + v.size();
+  }
+  return bytes + table.CellBytes() + 64;
 }
 
 std::shared_ptr<const analytics::BindingTable> ResultCache::Get(
@@ -104,10 +105,8 @@ std::shared_ptr<const analytics::BindingTable> ResultCache::Get(
   return it->second->table;
 }
 
-void ResultCache::Put(const std::string& key, analytics::BindingTable table,
-                      uint64_t serialized_bytes) {
-  uint64_t bytes =
-      serialized_bytes > 0 ? serialized_bytes + 64 : TableBytes(table);
+void ResultCache::Put(const std::string& key, analytics::BindingTable table) {
+  const uint64_t bytes = TableBytes(table);
   if (bytes > byte_budget_) return;
   // Key layout is "<dataset>@v<version>\n<fingerprint>".
   std::string dataset = key.substr(0, key.find('@'));

@@ -80,6 +80,10 @@ class PlanCache {
 /// the LRU) — there is no explicit flush to forget. Cached tables store
 /// TermIds; the dictionary is append-only under mutation, so ids in a
 /// table cached at any version render identically forever.
+///
+/// An entry is billed what it keeps alive (TableBytes): its column names
+/// and its cell array. Tables share cells with their copies, so a hit
+/// copied into a response adds only that copy's column names.
 /// Thread-safe.
 class ResultCache {
  public:
@@ -88,17 +92,18 @@ class ResultCache {
   static std::string Key(const std::string& fingerprint,
                          const std::string& dataset, uint64_t version);
 
-  /// Returns a copy of the cached table, or nullptr on miss.
+  /// Returns the cached table (shared with the cache, immutable), or
+  /// nullptr on miss.
   std::shared_ptr<const analytics::BindingTable> Get(const std::string& key);
 
-  /// Inserts (or refreshes) `table` under `key`. A table larger than the
-  /// whole budget is not cached. `serialized_bytes`, when non-zero, is the
-  /// table's serialized (d-representation) footprint and replaces the flat
-  /// NumRows x NumCols estimate in the LRU charge — tables served from
-  /// factorized artifacts are billed at the size they actually cost to
-  /// keep, not the row count they decompress to.
-  void Put(const std::string& key, analytics::BindingTable table,
-           uint64_t serialized_bytes = 0);
+  /// Inserts (or refreshes) `table` under `key`, billed TableBytes(table).
+  /// A table larger than the whole budget is not cached.
+  void Put(const std::string& key, analytics::BindingTable table);
+
+  /// What an entry holding `table` keeps alive: its column names (string
+  /// headers and text), its cell array's capacity (shared cells included),
+  /// and a fixed 64 B for the entry itself.
+  static uint64_t TableBytes(const analytics::BindingTable& table);
 
   /// What a wholesale invalidation actually dropped — surfaced in the
   /// service metrics so mutation cost is observable, not silent.
@@ -126,7 +131,6 @@ class ResultCache {
     uint64_t bytes = 0;
   };
 
-  static uint64_t TableBytes(const analytics::BindingTable& table);
   void EvictToFitLocked();
 
   const uint64_t byte_budget_;

@@ -383,25 +383,18 @@ bool QueryService::TryStore(Pending* p) {
   // rename the stored canonical columns positionally to this query's own.
   std::vector<std::string> names = p->plan->TopColumnNames();
   if (names.size() != table->NumCols()) return false;
-  analytics::BindingTable renamed(std::move(names));
-  renamed.mutable_rows() = std::move(table->mutable_rows());
+  table->RenameColumns(std::move(names));
 
   if (options_.enable_result_cache) {
-    // A factorized artifact's honest footprint is its serialized size;
-    // charging the decompressed row count would evict the exact entries
-    // factorization made cheap to keep.
-    uint64_t serialized_bytes = 0;
-    if (!art->meta.factorization.empty()) {
-      serialized_bytes = art->rows.LogicalBytes();
-    }
+    // The entry shares the decoded cells with the response.
     result_cache_.Put(
         ResultCache::Key(p->fingerprint, p->spec.dataset, dataset->version()),
-        analytics::BindingTable(renamed), serialized_bytes);
+        *table);
   }
   metrics_.IncrStoreHit();
   // Zero MapReduce jobs: a store hit never touches the cluster, so its
   // simulated demand (and scheduler charge) is zero by construction.
-  Response r = MakeResponse(p, std::move(renamed), Clock::now(),
+  Response r = MakeResponse(p, std::move(*table), Clock::now(),
                             /*sim_seconds=*/0, /*sched_sim_seconds=*/0,
                             /*batch_size=*/1, /*cache_hit=*/false);
   r.store_hit = true;
@@ -528,8 +521,9 @@ void QueryService::ServeBatch(std::vector<std::unique_ptr<Pending>>* batch) {
   uint64_t version = dataset->version();
 
   // In-batch dedup: identical fingerprints execute once; followers get a
-  // copy of the leader's table (with the cost split among them) whether
-  // or not the result cache is on — dedup is batching, not caching.
+  // copy of the leader's table, sharing its cells (with the cost split
+  // among them) whether or not the result cache is on — dedup is batching,
+  // not caching.
   std::vector<Pending*> leaders;
   std::map<std::string, size_t> leader_of;  // fingerprint -> leaders index
   std::vector<std::vector<Pending*>> followers;

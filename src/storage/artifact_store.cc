@@ -229,7 +229,7 @@ mr::RecordBatch SerializeTable(const analytics::BindingTable& table,
                                const rdf::Dictionary& dict) {
   mr::RecordBatch batch;
   std::string value;
-  for (const std::vector<rdf::TermId>& row : table.rows()) {
+  for (const std::span<const rdf::TermId> row : table.rows()) {
     value.clear();
     for (rdf::TermId id : row) AppendCell(id, dict, &value);
     batch.Add(/*key=*/{}, value);
@@ -241,11 +241,12 @@ StatusOr<analytics::BindingTable> DeserializeTable(
     const mr::RecordBatch& rows, const std::vector<std::string>& columns,
     rdf::Dictionary* dict) {
   analytics::BindingTable table(columns);
+  table.ReserveRows(rows.records.size());
+  std::vector<rdf::TermId> row;
   for (const mr::Record& r : rows.records) {
     std::string_view value = r.value();
     size_t offset = 0;
-    std::vector<rdf::TermId> row;
-    row.reserve(columns.size());
+    row.clear();
     while (offset < value.size()) {
       rdf::TermId id = rdf::kInvalidTermId;
       RAPIDA_RETURN_IF_ERROR(DecodeCell(value, &offset, dict, &id));
@@ -256,7 +257,7 @@ StatusOr<analytics::BindingTable> DeserializeTable(
           "artifact row has " + std::to_string(row.size()) + " cells for " +
           std::to_string(columns.size()) + " columns");
     }
-    table.AddRow(std::move(row));
+    table.AddRow(row);
   }
   return table;
 }
@@ -264,9 +265,9 @@ StatusOr<analytics::BindingTable> DeserializeTable(
 bool FactorizeTable(const analytics::BindingTable& table,
                     const rdf::Dictionary& dict, mr::RecordBatch* rows,
                     std::string* spec) {
-  const auto& data = table.rows();
+  const size_t nrows = table.NumRows();
   const size_t ncols = table.NumCols();
-  if (ncols < 2 || data.empty()) return false;
+  if (ncols < 2 || nrows == 0) return false;
 
   // Cell-encoded byte length per distinct TermId, memoized — needed both
   // to size the flat baseline and to cost the factor vectors.
@@ -288,17 +289,17 @@ bool FactorizeTable(const analytics::BindingTable& table,
   // records carry "g" / "f<j>" keys.
   uint64_t flat_bytes = 0, fact_bytes = 0;
 
-  for (size_t begin = 0; begin < data.size();) {
+  for (size_t begin = 0; begin < nrows;) {
     size_t end = begin;
-    while (end < data.size() && data[end][0] == data[begin][0]) ++end;
+    while (end < nrows && table.Row(end)[0] == table.Row(begin)[0]) ++end;
     Group g;
-    g.base = data[begin][0];
+    g.base = table.Row(begin)[0];
     g.factors.assign(ncols - 1, {});
     uint64_t row_len = 0;
     for (size_t c = 1; c < ncols; ++c) {
       std::vector<rdf::TermId>& vals = g.factors[c - 1];
       for (size_t r = begin; r < end; ++r) {
-        rdf::TermId id = data[r][c];
+        rdf::TermId id = table.Row(r)[c];
         bool seen = false;
         for (rdf::TermId v : vals) {
           if (v == id) { seen = true; break; }
@@ -317,10 +318,10 @@ bool FactorizeTable(const analytics::BindingTable& table,
       for (size_t c = 1; c < ncols; ++c) {
         const std::vector<rdf::TermId>& vals = g.factors[c - 1];
         stride /= vals.size();
-        if (data[r][c] != vals[(rel / stride) % vals.size()]) return false;
+        if (table.Row(r)[c] != vals[(rel / stride) % vals.size()]) return false;
       }
       row_len = 0;
-      for (size_t c = 0; c < ncols; ++c) row_len += len_of(data[r][c]);
+      for (size_t c = 0; c < ncols; ++c) row_len += len_of(table.Row(r)[c]);
       flat_bytes += row_len + 2;
     }
     fact_bytes += len_of(g.base) + 1 + 2;  // "g" record
@@ -338,17 +339,17 @@ bool FactorizeTable(const analytics::BindingTable& table,
   std::string value;
   // Second pass emits the records (the first pass proved the shape and
   // the byte win without holding every factor vector alive at once).
-  for (size_t begin = 0; begin < data.size();) {
+  for (size_t begin = 0; begin < nrows;) {
     size_t end = begin;
-    while (end < data.size() && data[end][0] == data[begin][0]) ++end;
+    while (end < nrows && table.Row(end)[0] == table.Row(begin)[0]) ++end;
     value.clear();
-    AppendCell(data[begin][0], dict, &value);
+    AppendCell(table.Row(begin)[0], dict, &value);
     batch.Add("g", value);
     for (size_t c = 1; c < ncols; ++c) {
       std::string key = "f" + std::to_string(c - 1);
       std::vector<rdf::TermId> vals;
       for (size_t r = begin; r < end; ++r) {
-        rdf::TermId id = data[r][c];
+        rdf::TermId id = table.Row(r)[c];
         bool seen = false;
         for (rdf::TermId v : vals) {
           if (v == id) { seen = true; break; }
@@ -442,6 +443,7 @@ StatusOr<analytics::BindingTable> DeserializeArtifact(const Artifact& artifact,
 
   rdf::TermId base = rdf::kInvalidTermId;
   std::vector<std::vector<rdf::TermId>> factors(factor_cols.size());
+  std::vector<rdf::TermId> row;
   bool open = false;
   auto flush = [&]() -> Status {
     if (!open) return Status::OK();
@@ -454,15 +456,15 @@ StatusOr<analytics::BindingTable> DeserializeArtifact(const Artifact& artifact,
       product *= vals.size();
     }
     // Odometer enumeration, factor 0 outermost — the encoder's order.
+    row.assign(ncols, rdf::kInvalidTermId);
+    row[base_col] = base;
     for (size_t rel = 0; rel < product; ++rel) {
-      std::vector<rdf::TermId> row(ncols, rdf::kInvalidTermId);
-      row[base_col] = base;
       size_t stride = product;
       for (size_t j = 0; j < factors.size(); ++j) {
         stride /= factors[j].size();
         row[factor_cols[j]] = factors[j][(rel / stride) % factors[j].size()];
       }
-      table.AddRow(std::move(row));
+      table.AddRow(row);
     }
     for (auto& vals : factors) vals.clear();
     return Status::OK();

@@ -466,7 +466,7 @@ StatusOr<analytics::BindingTable> PatchGroupAgg(
   for (size_t r = 0; r < out.NumRows(); ++r) {
     std::vector<rdf::TermId> key;
     key.reserve(key_cols.size());
-    for (size_t i : key_cols) key.push_back(out.rows()[r][i]);
+    for (size_t i : key_cols) key.push_back(out.Row(r)[i]);
     base_index.emplace(std::move(key), r);
   }
 
@@ -479,10 +479,10 @@ StatusOr<analytics::BindingTable> PatchGroupAgg(
         row[i] = cols[i].is_agg ? delta_aggs[cols[i].idx].Finalize(dict)
                                 : key[cols[i].idx];
       }
-      out.AddRow(std::move(row));
+      out.AddRow(row);
       continue;
     }
-    std::vector<rdf::TermId>& row = out.mutable_rows()[found->second];
+    const std::span<rdf::TermId> row = out.MutableRow(found->second);
     for (size_t i = 0; i < cols.size(); ++i) {
       if (!cols[i].is_agg) continue;
       const ntga::AggSpec& spec = g.aggs[cols[i].idx];
@@ -557,11 +557,13 @@ StatusOr<analytics::BindingTable> PatchResult(
         err = s;
         return;
       }
-      out.AddRow(std::move(row));
+      out.AddRow(row);
     });
   } else {  // kDistinct
-    std::set<std::vector<rdf::TermId>> seen(out.rows().begin(),
-                                            out.rows().end());
+    std::set<std::vector<rdf::TermId>> seen;
+    for (const std::span<const rdf::TermId> row : out.rows()) {
+      seen.emplace(row.begin(), row.end());
+    }
     enumerator.Enumerate([&](const Assignment& a) {
       if (!err.ok()) return;
       std::vector<rdf::TermId> row;
@@ -570,7 +572,7 @@ StatusOr<analytics::BindingTable> PatchResult(
         err = s;
         return;
       }
-      if (seen.insert(row).second) out.AddRow(std::move(row));
+      if (seen.insert(row).second) out.AddRow(row);
     });
   }
   RAPIDA_RETURN_IF_ERROR(err);

@@ -70,8 +70,7 @@ class FaultyEngine : public engine::Engine {
     analytics::BindingTable table = std::move(result).value();
     bool perturbed = false;
     if (fault_ == FaultKind::kPerturbAggregate) {
-      std::vector<rdf::TermId>& row = table.mutable_rows()[0];
-      for (rdf::TermId& cell : row) {
+      for (rdf::TermId& cell : table.MutableRow(0)) {
         if (auto num = dataset->dict().AsNumber(cell)) {
           cell = dataset->dict().InternDouble(*num + 1);
           perturbed = true;
@@ -80,7 +79,7 @@ class FaultyEngine : public engine::Engine {
       }
     }
     if (fault_ == FaultKind::kDropRow || !perturbed) {
-      table.mutable_rows().pop_back();
+      table.TruncateRows(table.NumRows() - 1);
     }
     return table;
   }

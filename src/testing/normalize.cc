@@ -100,7 +100,7 @@ NormalizedTable Normalize(const analytics::BindingTable& table,
   });
   for (size_t i : order) out.columns.push_back(table.vars()[i]);
   out.rows.reserve(table.NumRows());
-  for (const std::vector<rdf::TermId>& row : table.rows()) {
+  for (const std::span<const rdf::TermId> row : table.rows()) {
     std::vector<NormalizedCell> cells;
     cells.reserve(order.size());
     for (size_t i : order) cells.push_back(DecodeCell(row[i], dict));

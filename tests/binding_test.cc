@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <thread>
+#include <vector>
+
+#include "analytics/value.h"
 #include "rdf/dictionary.h"
+#include "rows_of.h"
 
 namespace rapida::analytics {
 namespace {
@@ -135,6 +142,180 @@ TEST_F(BindingTest, ToStringTruncates) {
   for (int i = 0; i < 30; ++i) t.AddRow({T("v" + std::to_string(i))});
   std::string s = t.ToString(dict_, 5);
   EXPECT_NE(s.find("30 rows total"), std::string::npos);
+}
+
+using Rows = std::vector<std::vector<rdf::TermId>>;
+
+TEST_F(BindingTest, ZeroColumnRowsAreCounted) {
+  // The reference evaluator's unit table: one row of no cells.
+  BindingTable unit{std::vector<std::string>{}};
+  unit.AddRow({});
+  unit.AddRow({});
+  EXPECT_EQ(unit.NumCols(), 0u);
+  EXPECT_EQ(unit.NumRows(), 2u);
+  EXPECT_TRUE(unit.Row(1).empty());
+  EXPECT_EQ(RowsOf(unit), (Rows{{}, {}}));
+
+  BindingTable r({"b"});
+  r.AddRow({T("b1")});
+  r.AddRow({T("b2")});
+  EXPECT_EQ(unit.Join(r).NumRows(), 4u);  // cross product with two units
+
+  BindingTable copy = unit;
+  unit.Distinct();
+  EXPECT_EQ(unit.NumRows(), 1u);
+  EXPECT_EQ(copy.NumRows(), 2u);
+  copy.TruncateRows(0);
+  EXPECT_EQ(copy.NumRows(), 0u);
+}
+
+TEST_F(BindingTest, UnionAllWidensANonEmptyTable) {
+  BindingTable t({"a"});
+  t.AddRow({T("a1")});
+  t.AddRow({T("a2")});
+  BindingTable other({"b", "a"});
+  other.AddRow({T("b1"), T("a3")});
+  other.AddRow({T("b2"), rdf::kInvalidTermId});
+  t.UnionAll(other);
+  EXPECT_EQ(t.vars(), (std::vector<std::string>{"a", "b"}));
+  const rdf::TermId u = rdf::kInvalidTermId;
+  EXPECT_EQ(RowsOf(t), (Rows{{T("a1"), u},
+                             {T("a2"), u},
+                             {T("a3"), T("b1")},
+                             {u, T("b2")}}));
+}
+
+/// Rows of random terms (IRIs, integers, unbound) with many duplicates.
+Rows RandomRows(rdf::Dictionary* dict, size_t n, size_t width,
+                uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<rdf::TermId> pool = {rdf::kInvalidTermId};
+  for (int i = 0; i < 4; ++i) {
+    pool.push_back(dict->InternIri("r" + std::to_string(i)));
+    pool.push_back(dict->InternInt(i * 7 - 5));
+  }
+  Rows rows(n, std::vector<rdf::TermId>(width));
+  for (auto& row : rows) {
+    for (auto& cell : row) cell = pool[rng() % pool.size()];
+  }
+  return rows;
+}
+
+BindingTable TableOf(const std::vector<std::string>& vars, const Rows& rows) {
+  BindingTable t(vars);
+  for (const auto& row : rows) t.AddRow(row);
+  return t;
+}
+
+TEST_F(BindingTest, DistinctMatchesAVectorOfRowsOracle) {
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    Rows rows = RandomRows(&dict_, 200, 3, seed);
+    BindingTable t = TableOf({"a", "b", "c"}, rows);
+    t.Distinct();
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    EXPECT_EQ(RowsOf(t), rows) << "seed " << seed;
+  }
+}
+
+TEST_F(BindingTest, OrderLimitOffsetMatchesAVectorOfRowsOracle) {
+  const std::vector<sparql::OrderKey> order_by = {{"b", false},
+                                                  {"a", true},
+                                                  {"missing", false}};
+  struct Window {
+    int64_t limit;
+    int64_t offset;
+  };
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    for (Window w : {Window{-1, 0}, Window{10, 0}, Window{10, 7},
+                     Window{-1, 195}, Window{5, 500}, Window{0, 3}}) {
+      Rows rows = RandomRows(&dict_, 200, 3, seed);
+      BindingTable t = TableOf({"a", "b", "c"}, rows);
+      ApplyOrderLimit(&t, order_by, w.limit, w.offset, dict_);
+
+      // Oracle: a stable sort of the rows themselves, then the window.
+      std::stable_sort(rows.begin(), rows.end(),
+                       [&](const auto& x, const auto& y) {
+                         int c = CompareTerms(dict_, x[1], y[1]);
+                         if (c != 0) return c < 0;
+                         c = CompareTerms(dict_, x[0], y[0]);
+                         return c > 0;
+                       });
+      const size_t begin = std::min<size_t>(w.offset, rows.size());
+      size_t end = rows.size();
+      if (w.limit >= 0) end = std::min(end, begin + w.limit);
+      EXPECT_EQ(RowsOf(t), Rows(rows.begin() + begin, rows.begin() + end))
+          << "seed " << seed << " limit " << w.limit << " offset "
+          << w.offset;
+    }
+  }
+}
+
+TEST_F(BindingTest, CopiesStayIndependentWhicheverWrites) {
+  BindingTable original({"a", "b"});
+  original.AddRow({T("a1"), T("b1")});
+  original.AddRow({T("a2"), T("b2")});
+  const Rows before = RowsOf(original);
+
+  // The copy writes: the original keeps its cells.
+  BindingTable copy = original;
+  copy.MutableRow(0)[1] = T("changed");
+  copy.AddRow({T("a3"), T("b3")});
+  EXPECT_EQ(RowsOf(original), before);
+  EXPECT_EQ(copy.Row(0)[1], T("changed"));
+  EXPECT_EQ(copy.NumRows(), 3u);
+
+  // The original writes: a copy taken before keeps the old cells.
+  BindingTable snapshot = original;
+  original.MutableRow(1)[0] = T("changed");
+  original.DropFrontRows(1);
+  EXPECT_EQ(RowsOf(snapshot), before);
+  EXPECT_EQ(RowsOf(original), (Rows{{T("changed"), T("b2")}}));
+
+  // Assignment shares too; truncation and renaming stay private.
+  BindingTable assigned;
+  assigned = snapshot;
+  assigned.TruncateRows(1);
+  assigned.RenameColumns({"x", "y"});
+  EXPECT_EQ(RowsOf(snapshot), before);
+  EXPECT_EQ(snapshot.vars(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(RowsOf(assigned), (Rows{before[0]}));
+  EXPECT_EQ(assigned.vars(), (std::vector<std::string>{"x", "y"}));
+
+  // A moved-from table is empty, and the target keeps the cells.
+  BindingTable moved = std::move(snapshot);
+  EXPECT_EQ(snapshot.NumRows(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(snapshot.NumCols(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(RowsOf(moved), before);
+}
+
+TEST_F(BindingTest, ConcurrentCopiesWriteTheirOwnCells) {
+  // One shared table, copied by 8 threads at once; each thread writes its
+  // own copies. The shared cells never change.
+  BindingTable shared({"a", "b"});
+  for (rdf::TermId r = 1; r <= 500; ++r) shared.AddRow({r, r + 1000});
+  const Rows before = RowsOf(shared);
+  std::vector<std::thread> threads;
+  std::vector<int> wrong(8, 0);
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&shared, &wrong, t] {
+      const rdf::TermId mark = 100000 + static_cast<rdf::TermId>(t);
+      for (size_t k = 0; k < 50; ++k) {
+        BindingTable mine = shared;
+        mine.MutableRow(k)[0] = mark;
+        mine.AddRow({mark, mark});
+        BindingTable again = mine;
+        again.DropFrontRows(1);
+        if (mine.Row(k)[0] != mark || mine.NumRows() != 501 ||
+            again.NumRows() != 500 || shared.Row(k)[0] != k + 1) {
+          wrong[t]++;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong, std::vector<int>(8, 0));
+  EXPECT_EQ(RowsOf(shared), before);
 }
 
 }  // namespace

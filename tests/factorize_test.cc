@@ -20,6 +20,7 @@
 #include "sparql/parser.h"
 #include "workload/catalog.h"
 #include "workload/pubmed.h"
+#include "rows_of.h"
 
 namespace rapida::engine {
 namespace {
@@ -58,7 +59,7 @@ TEST(FactorizedCodec, EncodeParseEnumerate) {
   EXPECT_EQ(view.FlatRows(), 6u);
 
   Rows flat;
-  Row scratch;
+  FlatScratch scratch;
   ForEachFlatRow(spec, view, &scratch,
                  [&flat](const Row& r) { flat.push_back(r); });
   // Factor 0 outermost, factor 1 innermost: canonical flat order.
@@ -92,7 +93,7 @@ TEST(FactorizedCodec, ZeroColumnFactorIsPureMultiplicity) {
   GroupView view;
   ASSERT_TRUE(ParseGroup(value, 1, &view));
   Rows flat;
-  Row scratch;
+  FlatScratch scratch;
   ForEachFlatRow(spec, view, &scratch,
                  [&flat](const Row& r) { flat.push_back(r); });
   EXPECT_EQ(flat, (Rows{{5}, {5}, {5}}));
@@ -113,7 +114,7 @@ TEST(FactorizedCodec, UncoveredPositionsReadNull) {
   GroupView view;
   ASSERT_TRUE(ParseGroup(enc.Finish(), 1, &view));
   Rows flat;
-  Row scratch;
+  FlatScratch scratch;
   ForEachFlatRow(spec, view, &scratch,
                  [&flat](const Row& rr) { flat.push_back(rr); });
   EXPECT_EQ(flat, (Rows{{4, rdf::kInvalidTermId, 9}}));
@@ -158,7 +159,7 @@ TEST(FactorizedCodec, FlatRowIsTheZeroFactorGroup) {
     ASSERT_TRUE(ParseGroup(record.value(), 0, &view));
     EXPECT_EQ(view.FlatRows(), 1u);
     Rows enumerated;
-    Row scratch;
+    FlatScratch scratch;
     ForEachFlatRow(flat, view, &scratch,
                    [&enumerated](const Row& r) { enumerated.push_back(r); });
     EXPECT_EQ(enumerated, Rows{row});
@@ -262,7 +263,7 @@ class FactorizeTest : public ::testing::Test {
   Rows SortedRows(RelationalOps* ops, const TableRef& t) {
     auto table = ops->ReadTable(t);
     EXPECT_TRUE(table.ok()) << table.status();
-    Rows rows = table->rows();
+    Rows rows = RowsOf(*table);
     std::sort(rows.begin(), rows.end());
     return rows;
   }
@@ -390,7 +391,7 @@ TEST_F(FactorizeTest, StarJoinDecompressesInExactFlatOrder) {
   auto ft = ops.ReadTable(*flat);
   auto kt = ops.ReadTable(*fact);
   ASSERT_TRUE(ft.ok() && kt.ok());
-  EXPECT_EQ(ft->rows(), kt->rows());  // unsorted: exact enumeration order
+  EXPECT_EQ(RowsOf(*ft), RowsOf(*kt));  // unsorted: exact enumeration order
 }
 
 TEST_F(FactorizeTest, UnionAllDecompressesFactorizedBranches) {
@@ -413,7 +414,7 @@ TEST_F(FactorizeTest, UnionAllDecompressesFactorizedBranches) {
   auto r1 = ops.ReadTable(*u_flat);
   auto r2 = ops.ReadTable(*u_fact);
   ASSERT_TRUE(r1.ok() && r2.ok());
-  Rows a = r1->rows(), b = r2->rows();
+  Rows a = RowsOf(*r1), b = RowsOf(*r2);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
@@ -442,7 +443,7 @@ TEST_F(FactorizeTest, SumKeepsOutputFlatButCorrect) {
   auto r1 = ops.ReadTable(*g1);
   auto r2 = ops.ReadTable(*g2);
   ASSERT_TRUE(r1.ok() && r2.ok());
-  Rows a = r1->rows(), b = r2->rows();
+  Rows a = RowsOf(*r1), b = RowsOf(*r2);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);

@@ -15,6 +15,7 @@
 #include "sparql/parser.h"
 #include "util/hash_index.h"
 #include "util/string_util.h"
+#include "rows_of.h"
 
 namespace rapida {
 namespace {
@@ -316,7 +317,7 @@ EngineRun RunEngine(engine::Engine* eng, const std::string& query_text,
   EngineRun out;
   auto result = eng->Execute(*query, dataset, &cluster, &out.stats);
   EXPECT_TRUE(result.ok()) << eng->name() << ": " << result.status();
-  if (result.ok()) out.rows = result->rows();
+  if (result.ok()) out.rows = RowsOf(*result);
   return out;
 }
 

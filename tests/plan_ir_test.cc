@@ -23,6 +23,7 @@
 #include "workload/catalog.h"
 #include "workload/chem2bio.h"
 #include "workload/pubmed.h"
+#include "rows_of.h"
 
 namespace rapida::plan {
 namespace {
@@ -323,7 +324,7 @@ void ExpectExecutionFollowsThePlan(const std::vector<const char*>& ids,
         jobs.push_back(cluster.history());
       }
       EXPECT_EQ(results[0].vars(), results[1].vars()) << id << " " << engine;
-      EXPECT_EQ(results[0].rows(), results[1].rows()) << id << " " << engine;
+      EXPECT_EQ(RowsOf(results[0]), RowsOf(results[1])) << id << " " << engine;
       ASSERT_EQ(jobs[0].size(), jobs[1].size()) << id << " " << engine;
       for (size_t j = 0; j < jobs[0].size(); ++j) {
         const mr::JobStats& a = jobs[0][j];

@@ -5,7 +5,9 @@
 // the peak heap bytes, so the gates see every copy a Dfs file or a job
 // keeps (a per-record column, a second view array, a shard segment that
 // duplicates the output, a per-record placement array) and every per-term
-// or per-triple node the term store would allocate.
+// or per-triple node the term store would allocate. A result table holds
+// 4 bytes per cell in one array, and its copies (result-cache hits) share
+// that array.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,12 +17,16 @@
 #include <new>
 #include <string>
 
+#include "analytics/binding.h"
+#include "engines/dataset.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
 #include "mapreduce/record.h"
 #include "mapreduce/sharding.h"
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
+#include "service/cache.h"
+#include "service/query_service.h"
 
 namespace {
 
@@ -316,6 +322,83 @@ TEST(TermStoreFootprintTest, GraphHoldsEachTripleOncePlusOneIndexSlot) {
               static_cast<double>(held) / kTriples);
   EXPECT_LE(held, kTriples * kGraphBytesPerTriple)
       << held / kTriples << " bytes per triple";
+}
+
+TEST(ResultTableFootprintTest, FlatTableHoldsFourBytesPerCell) {
+  constexpr size_t kRows = 10000, kCols = 5;
+  constexpr int64_t kCellBytes = kRows * kCols * sizeof(rdf::TermId);
+  const int64_t before = LiveBytes();
+  {
+    analytics::BindingTable table({"c0", "c1", "c2", "c3", "c4"});
+    std::vector<rdf::TermId> row(kCols);
+    for (size_t r = 0; r < kRows; ++r) {
+      for (size_t c = 0; c < kCols; ++c) {
+        row[c] = static_cast<rdf::TermId>(r * kCols + c + 1);
+      }
+      table.AddRow(row);
+    }
+    const int64_t held = LiveBytes() - before;
+    std::printf("result table: %.2f bytes per cell\n",
+                static_cast<double>(held) / (kRows * kCols));
+    // Growth by half leaves at most 1.5x the cells, plus the column names
+    // and the array's control block.
+    EXPECT_LE(held, kCellBytes * 3 / 2 + 1024);
+
+    // The cache bills what the table keeps alive.
+    const int64_t billed =
+        static_cast<int64_t>(service::ResultCache::TableBytes(table));
+    EXPECT_GE(billed, held * 3 / 4);
+    EXPECT_LE(billed, held * 5 / 4);
+
+    // A copy shares the cells: it adds its column names only.
+    const int64_t before_copy = LiveBytes();
+    analytics::BindingTable copy = table;
+    EXPECT_EQ(copy.NumRows(), kRows);
+    EXPECT_LE(LiveBytes() - before_copy,
+              static_cast<int64_t>(kCols * sizeof(std::string)));
+  }
+  EXPECT_LE(LiveBytes() - before, 0) << "destroying the tables leaked";
+}
+
+TEST(ResultTableFootprintTest, CacheHitResponsesShareTheCachedCells) {
+  constexpr int kSubjects = 2000;
+  constexpr int kHeld = 1000;
+  rdf::Graph g;
+  for (int i = 0; i < kSubjects; ++i) {
+    g.AddInt("s" + std::to_string(i), "v", i);
+  }
+  engine::Dataset dataset(std::move(g));
+  service::ServiceOptions options;
+  options.workers = 1;
+  service::QueryService svc(options);
+  svc.RegisterDataset("d", &dataset);
+  const int session = svc.OpenSession("client");
+  const service::QuerySpec spec{
+      "SELECT ?s (SUM(?v) AS ?t) { ?s <v> ?v } GROUP BY ?s", "d"};
+
+  service::Response first = svc.Execute(session, spec);
+  ASSERT_TRUE(first.result.ok()) << first.result.status();
+  ASSERT_EQ(first.result->NumRows(), static_cast<size_t>(kSubjects));
+  const rdf::TermId* cells = first.result->Row(0).data();
+
+  std::vector<service::Response> held;
+  held.reserve(kHeld);
+  held.push_back(svc.Execute(session, spec));  // warms the hit path
+  const int64_t before = LiveBytes();
+  for (int i = 1; i < kHeld; ++i) held.push_back(svc.Execute(session, spec));
+  const int64_t per_response = (LiveBytes() - before) / (kHeld - 1);
+  std::printf("cache-hit response: %lld bytes held for %zu bytes of cells\n",
+              static_cast<long long>(per_response),
+              first.result->CellBytes());
+  for (const service::Response& r : held) {
+    ASSERT_TRUE(r.result_cache_hit);
+    ASSERT_TRUE(r.result.ok());
+    // No table copies: every hit reads the one cached cell array.
+    EXPECT_EQ(r.result->Row(0).data(), cells);
+  }
+  // The response's own strings and column names, not its 16,000 cell
+  // bytes.
+  EXPECT_LT(per_response, 1024);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "engines/dataset.h"
+#include "rows_of.h"
 
 namespace rapida::engine {
 namespace {
@@ -43,7 +44,7 @@ class RelationalOpsTest : public ::testing::Test {
   std::vector<std::vector<rdf::TermId>> Rows(const TableRef& t) {
     auto table = ops_.ReadTable(t);
     EXPECT_TRUE(table.ok());
-    auto rows = table->rows();
+    auto rows = RowsOf(*table);
     std::sort(rows.begin(), rows.end());
     return rows;
   }
