@@ -38,7 +38,10 @@
 # their copies until one writes, and callers read rows as spans into it:
 # binding_test and reference_evaluator_test run under ASan and UBSan, and
 # binding_test (8 threads copying one shared table and writing their own
-# copies) under TSan.
+# copies) under TSan. The shuffle is a sort-merge whose reduce reads views
+# into the map tasks' sorted runs, which must outlive every key range:
+# mapreduce_test (the merge's edge-case matrix) and shard_test run under
+# ASan as well as UBSan and TSan.
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
 # against the unsharded baseline), a sharded serve smoke, and a perf
@@ -186,7 +189,8 @@ cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       golden_test optional_union_test storage_test rapida_serve plan_ir_test \
       pass_differential_test property_invariants_test rdf_test \
-      factorize_test relational_ops_test binding_test reference_evaluator_test
+      factorize_test relational_ops_test binding_test reference_evaluator_test \
+      mapreduce_test shard_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -215,6 +219,10 @@ echo "== ASan: relational operators (row reader over flat rows and groups) =="
 echo "== ASan: result tables (flat cells, shared copies, row spans) =="
 ./build-asan/tests/binding_test
 ./build-asan/tests/reference_evaluator_test
+
+echo "== ASan: MapReduce runtime (sorted runs, key-range merge, shards) =="
+./build-asan/tests/mapreduce_test
+./build-asan/tests/shard_test
 
 echo "== ASan: storage suite (artifact recovery, IVM patch equivalence) =="
 ./build-asan/tests/storage_test

@@ -51,12 +51,6 @@ std::string EncodeRow(const std::vector<rdf::TermId>& row) {
   return out;
 }
 
-std::vector<rdf::TermId> DecodeRow(std::string_view data) {
-  std::vector<rdf::TermId> out;
-  DecodeRowInto(data, &out);
-  return out;
-}
-
 int TableRef::ColumnIndex(const std::string& name) const {
   for (size_t i = 0; i < columns.size(); ++i) {
     if (columns[i] == name) return static_cast<int>(i);

@@ -20,12 +20,11 @@ namespace rapida::engine {
 /// Row codec for relational intermediates: TermIds joined by ','
 /// (kInvalidTermId encodes SQL NULL).
 std::string EncodeRow(const std::vector<rdf::TermId>& row);
-std::vector<rdf::TermId> DecodeRow(std::string_view data);
 
 /// Scratch-reusing codec variants for per-task buffers: AppendRow appends
-/// EncodeRow's exact bytes to `out`; DecodeRowInto overwrites `out` in
-/// place, reusing its capacity so per-record loops stop allocating once
-/// warm.
+/// EncodeRow's exact bytes to `out`; DecodeRowInto overwrites `out` with
+/// the decoded row in place, reusing its capacity so per-record loops stop
+/// allocating once warm.
 void AppendRow(std::string* out, const rdf::TermId* row, size_t n);
 void AppendRow(std::string* out, const std::vector<rdf::TermId>& row);
 void DecodeRowInto(std::string_view data, std::vector<rdf::TermId>* out);

@@ -82,58 +82,86 @@ struct TaggedRecord {
   int tag = 0;
 };
 
-/// Half-open range of same-key records inside a sorted partition.
-struct GroupSpan {
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// Stable-sorts `records` by (prefix, key) in place and returns the group
-/// spans in ascending key order. The precomputed 8-byte prefix resolves
-/// the vast majority of comparisons on one uint64_t; ties fall back to the
-/// full key bytes, so the order is exactly `a.key < b.key`. Stability
-/// keeps each group's values in arrival order, so the result is exactly
-/// what the old per-key grouping produced.
-std::vector<GroupSpan> SortAndGroup(std::vector<Record>* records) {
-  std::stable_sort(records->begin(), records->end(), RecordKeyLess);
-  std::vector<GroupSpan> groups;
-  size_t i = 0;
-  while (i < records->size()) {
-    size_t j = i + 1;
-    while (j < records->size() &&
-           RecordKeyEq((*records)[j], (*records)[i])) {
-      ++j;
-    }
-    groups.push_back(GroupSpan{i, j});
-    i = j;
-  }
-  return groups;
+/// One past the last record of the group of equal keys starting at
+/// `head`, scanning no further than `end`.
+const Record* GroupEnd(const Record* head, const Record* end) {
+  const Record* e = head + 1;
+  while (e != end && RecordKeyEq(*e, *head)) ++e;
+  return e;
 }
 
-/// Zero-copy view of one group's values inside the sorted records.
-ValueSpan SpanValues(const std::vector<Record>& records,
-                     const GroupSpan& span) {
-  return ValueSpan(records.data() + span.begin, records.data() + span.end);
+/// Appends `from`'s views to `to` and adopts its arenas; `from`'s view
+/// array is freed as soon as it has moved.
+void AppendBatch(RecordBatch* from, RecordBatch* to) {
+  to->records.insert(to->records.end(), from->records.begin(),
+                     from->records.end());
+  from->records = std::vector<Record>();
+  for (auto& arena : from->arenas) to->arenas.push_back(std::move(arena));
 }
 
-/// One mapper's private results, merged into JobStats at the map barrier.
+/// One map task's private results, merged into JobStats at the map barrier.
 struct MapTaskResult {
-  /// Map-only jobs: this task's final records. Reduce jobs: only the
-  /// arenas behind the task's shuffle chunks (the views went to the
-  /// partitions), kept until the reduce is done with them.
-  RecordBatch output;
+  /// Map-only jobs: this task's final records. Reduce jobs: the task's
+  /// sorted run, its post-combine output in key order (views and arenas),
+  /// which the reduce merges in place and releases once every key range
+  /// is done with it.
+  RecordBatch run;
   Tally map;      // every map and map_finish emission
   Tally combine;  // the combiner's emissions, when the job has one
+  bool rekeyed = false;  // the combiner emitted under another group's key
 };
 
-/// One shuffle partition while mappers are filling it: chunks of records
-/// tagged with the producing task index, appended under the partition's
-/// own mutex (mappers touching different partitions never contend).
-struct ShufflePartition {
-  std::mutex mu;
-  std::vector<std::pair<size_t, std::vector<Record>>> chunks;
-  uint64_t num_records = 0;
+/// Up to n - 1 strictly increasing splitter keys that cut the runs' key
+/// space into n ranges of about equal record counts: keys sampled at an
+/// even stride over the concatenated runs, sorted, and taken at even
+/// quantiles. Splitters are full keys (RecordKeyLess), so keys sharing an
+/// 8-byte prefix still spread; equal picks collapse, so a key space with
+/// fewer distinct keys than ranges gets fewer ranges.
+std::vector<Record> PickSplitters(const std::vector<MapTaskResult>& tasks,
+                                  size_t n) {
+  uint64_t total = 0;
+  for (const MapTaskResult& task : tasks) total += task.run.records.size();
+  std::vector<Record> splitters;
+  if (n <= 1 || total == 0) return splitters;
+  constexpr uint64_t kSamplesPerRange = 32;
+  const uint64_t stride = std::max<uint64_t>(1, total / (n * kSamplesPerRange));
+  std::vector<Record> samples;
+  uint64_t next = stride / 2;  // index of the next sample over all runs
+  uint64_t base = 0;           // index of the current run's first record
+  for (const MapTaskResult& task : tasks) {
+    const std::vector<Record>& run = task.run.records;
+    for (; next < base + run.size(); next += stride) {
+      samples.push_back(run[next - base]);
+    }
+    base += run.size();
+  }
+  std::sort(samples.begin(), samples.end(), RecordKeyLess);
+  for (size_t i = 1; i < n; ++i) {
+    const Record& s = samples[i * samples.size() / n];
+    if (splitters.empty() || RecordKeyLess(splitters.back(), s)) {
+      splitters.push_back(s);
+    }
+  }
+  return splitters;
+}
+
+/// A run's unmerged slice within one key range.
+struct Cursor {
+  const Record* head = nullptr;
+  const Record* end = nullptr;
+  size_t run = 0;  // map task index
 };
+
+/// Merge-heap order (std::push_heap / pop_heap keep the greatest on top):
+/// the smallest (head key, run index) comes out first, so a key held by
+/// several runs is taken from them in run order.
+bool MergesAfter(const Cursor& a, const Cursor& b) {
+  if (a.head->key_prefix != b.head->key_prefix) {
+    return a.head->key_prefix > b.head->key_prefix;
+  }
+  const int c = a.head->key().compare(b.head->key());
+  return c != 0 ? c > 0 : a.run > b.run;
+}
 
 }  // namespace
 
@@ -206,22 +234,6 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   stats.num_mappers = static_cast<int>(splits.size());
 
   util::ThreadPool* workers = pool();
-  // Shuffle partition count: one per executor so the reduce side can use
-  // the full pool. hash(key) % R only decides which partition groups a
-  // key; outputs are re-merged into global key order below, so R never
-  // affects results or counters, and key ownership (OwnerShard) is booked
-  // per record at Emit rather than tied to a partition.
-  const size_t num_partitions =
-      stats.map_only
-          ? 0
-          : static_cast<size_t>(workers ? workers->num_threads() + 1 : 1);
-
-  // ---- map phase (+ optional combine, partitioning per mapper) ----
-  // Mappers run concurrently. Each emits into a task-local buffer,
-  // combines locally, then scatters its output into the shared shuffle
-  // partitions; only that last append takes a (per-partition) lock.
-  std::vector<MapTaskResult> task_results(splits.size());
-  std::vector<ShufflePartition> partitions(num_partitions);
   auto run_tasks = [workers](size_t n,
                              const std::function<void(size_t)>& fn) {
     if (workers != nullptr && n > 1) {
@@ -231,10 +243,16 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     }
   };
 
+  // ---- map phase: map, sort, combine; each task keeps its sorted run ----
+  // Map tasks run concurrently and share nothing: each emits into its own
+  // batch, stable-sorts it by key once (a key's values keep their emission
+  // order) and, when the job has a combiner, folds the sorted groups in
+  // place. The run stays with its task until the reduce has merged it.
+  std::vector<MapTaskResult> task_results(splits.size());
   run_tasks(splits.size(), [&](size_t task) {
     Split& split = splits[task];
     MapTaskResult& result = task_results[task];
-    RecordBatch out;
+    RecordBatch& out = result.run;
     out.records.reserve(split.records.size());
     // A map emission is booked from the home shard of the input record
     // whose map call emitted it. map_finish flushes and combiner output
@@ -243,8 +261,8 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     std::vector<uint64_t> homes(static_cast<size_t>(S), 0);
     int task_home = 0;
     {
-      // Scoped so the map's TaskState scratch dies before the combine and
-      // scatter below.
+      // Scoped so the map's TaskState scratch dies before the sort and
+      // combine below.
       Sink<MapContext> ctx(&out, S);
       for (const TaggedRecord& tr : split.records) {
         ctx.from = AssignShard(tr.record->key_hash, config_.sharding, S);
@@ -257,50 +275,41 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       if (job.map_finish) job.map_finish(&ctx);
       result.map = ctx.Done();
     }
+    if (stats.map_only) return;
 
-    if (stats.map_only) {
-      result.output = std::move(out);
+    std::stable_sort(out.records.begin(), out.records.end(), RecordKeyLess);
+    if (!job.combine) {
+      // The run lives until the reduce is done: one view per record, not
+      // the emission array's growth slack.
+      out.records.shrink_to_fit();
       return;
     }
-
-    if (job.combine) {
-      // Combined output gets its own batch so the raw emissions (and their
-      // pre-combine bytes) die as soon as the combiner is done.
-      RecordBatch combined;
-      Sink<ReduceContext> cctx(&combined, S);
-      cctx.from = task_home;
-      std::vector<GroupSpan> groups = SortAndGroup(&out.records);
-      for (const GroupSpan& span : groups) {
-        job.combine(out.records[span.begin].key(),
-                    SpanValues(out.records, span), &cctx);
+    // The combiner emits under each group's key, so its output is again a
+    // sorted run. It gets its own batch, so the raw emissions (and their
+    // pre-combine bytes) die as soon as it is done.
+    const Record* const end = out.records.data() + out.records.size();
+    size_t num_groups = 0;
+    for (const Record* g = out.records.data(); g != end; g = GroupEnd(g, end)) {
+      ++num_groups;
+    }
+    RecordBatch combined;
+    combined.records.reserve(num_groups);
+    Sink<ReduceContext> cctx(&combined, S);
+    cctx.from = task_home;
+    for (const Record* g = out.records.data(); g != end;) {
+      const Record* group_end = GroupEnd(g, end);
+      const size_t before = combined.records.size();
+      job.combine(g->key(), ValueSpan(g, group_end), &cctx);
+      if (!std::all_of(combined.records.begin() + before,
+                       combined.records.end(),
+                       [g](const Record& r) { return RecordKeyEq(r, *g); })) {
+        result.rekeyed = true;
+        return;
       }
-      result.combine = cctx.Done();
-      out = std::move(combined);
+      g = group_end;
     }
-
-    // Scatter into per-partition buckets, then one locked append each.
-    // Partition choice reuses the hash stamped at Emit — no per-record
-    // std::hash here. Buckets are sized exactly up front, so no view
-    // array grows by doubling.
-    std::vector<size_t> bucket_sizes(num_partitions, 0);
-    for (const Record& r : out.records) {
-      ++bucket_sizes[r.key_hash % num_partitions];
-    }
-    std::vector<std::vector<Record>> buckets(num_partitions);
-    for (size_t p = 0; p < num_partitions; ++p) {
-      buckets[p].reserve(bucket_sizes[p]);
-    }
-    for (const Record& r : out.records) {
-      buckets[r.key_hash % num_partitions].push_back(r);
-    }
-    for (size_t p = 0; p < num_partitions; ++p) {
-      if (buckets[p].empty()) continue;
-      std::lock_guard<std::mutex> lock(partitions[p].mu);
-      partitions[p].num_records += buckets[p].size();
-      partitions[p].chunks.emplace_back(task, std::move(buckets[p]));
-    }
-    // The views now live in the partitions; the task keeps only the bytes.
-    result.output.arenas = std::move(out.arenas);
+    result.combine = cctx.Done();
+    out = std::move(combined);
   });
   splits.clear();  // every mapper is done with its split views
 
@@ -311,6 +320,11 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   Tally mapped(S);
   Tally shuffled(S);  // what reaches the reducers: the post-combine output
   for (const MapTaskResult& r : task_results) {
+    if (r.rekeyed) {
+      return Status::Internal("job '" + job.name +
+                              "': its combiner emitted a record under a key "
+                              "other than its group's");
+    }
     mapped.Add(r.map);
     shuffled.Add(job.combine ? r.combine : r.map);
   }
@@ -329,137 +343,106 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     written = std::move(mapped);
     stats.num_reducers = 0;
     output.records.reserve(written.records);
-    for (MapTaskResult& r : task_results) {
-      output.records.insert(output.records.end(), r.output.records.begin(),
-                            r.output.records.end());
-      r.output.records = std::vector<Record>();  // free views as they move
-      for (auto& arena : r.output.arenas) {
-        output.arenas.push_back(std::move(arena));
-      }
-    }
+    for (MapTaskResult& r : task_results) AppendBatch(&r.run, &output);
   } else {
     stats.shuffle_records = shuffled.records;
     stats.shuffle_bytes = shuffled.bytes();
     stats.shuffle_local_bytes = shuffled.local_bytes;
     stats.shuffle_cross_bytes = shuffled.cross_bytes;
 
-    // ---- group phase: per partition, flatten in task order, sort,
-    // group-adjacent. Runs one task per partition. ----
-    std::vector<std::vector<Record>> part_records(num_partitions);
-    std::vector<std::vector<GroupSpan>> part_groups(num_partitions);
-    run_tasks(num_partitions, [&](size_t p) {
-      ShufflePartition& part = partitions[p];
-      std::sort(part.chunks.begin(), part.chunks.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      std::vector<Record>& flat = part_records[p];
-      flat.reserve(part.num_records);
-      for (auto& [task, chunk] : part.chunks) {
-        flat.insert(flat.end(), chunk.begin(), chunk.end());
-        chunk = std::vector<Record>();  // release each chunk as it drains
+    // ---- reduce phase: merge the runs, one task per key range ----
+    // A parallel-safe reduce splits the key space into pool-width ranges;
+    // any other reduce is the same merge over one range on the calling
+    // thread, so a reduce with side effects (aggregate finalizers interning
+    // into the shared rdf::Dictionary) sees its calls in global key order
+    // at any exec_threads. Ranges are contiguous in key order, so their
+    // outputs concatenate into exactly the one-range output.
+    const size_t width =
+        job.reduce_parallel_safe && workers != nullptr
+            ? static_cast<size_t>(workers->num_threads()) + 1
+            : 1;
+    const std::vector<Record> splitters = PickSplitters(task_results, width);
+    const size_t num_ranges = splitters.size() + 1;
+    // Boundary k of a run: where range k starts (k = num_ranges: its end).
+    auto cut = [&splitters, num_ranges](const std::vector<Record>& run,
+                                        size_t k) {
+      const Record* begin = run.data();
+      if (k == 0) return begin;
+      if (k == num_ranges) return begin + run.size();
+      return begin + (std::lower_bound(run.begin(), run.end(),
+                                       splitters[k - 1], RecordKeyLess) -
+                      run.begin());
+    };
+    std::vector<RecordBatch> range_out(num_ranges);
+    std::vector<Tally> range_tally(num_ranges);
+    std::vector<uint64_t> range_keys(num_ranges, 0);
+    // A heap keyed on (head key, run index) merges the range's run slices:
+    // reduce sees each key once, in ascending order, with its values in
+    // (map task, emission) order — straight from the run when one run
+    // holds the key, gathered into a reused buffer when several do. A
+    // reduce emission is booked from the shard owning its group's key.
+    run_tasks(num_ranges, [&](size_t range) {
+      std::vector<Cursor> heap;
+      for (size_t t = 0; t < task_results.size(); ++t) {
+        const std::vector<Record>& run = task_results[t].run.records;
+        Cursor c{cut(run, range), cut(run, range + 1), t};
+        if (c.head != c.end) heap.push_back(c);
       }
-      part.chunks.clear();
-      part_groups[p] = SortAndGroup(&flat);
+      std::make_heap(heap.begin(), heap.end(), MergesAfter);
+      Sink<ReduceContext> rctx(&range_out[range], S);
+      std::vector<Cursor> holders;  // the runs holding the current key
+      std::vector<Record> gather;
+      while (!heap.empty()) {
+        holders.clear();
+        do {
+          std::pop_heap(heap.begin(), heap.end(), MergesAfter);
+          holders.push_back(heap.back());
+          heap.pop_back();
+        } while (!heap.empty() &&
+                 RecordKeyEq(*heap.front().head, *holders[0].head));
+        const Record head = *holders[0].head;
+        ValueSpan values;
+        if (holders.size() == 1) {
+          Cursor& c = holders[0];
+          const Record* group_end = GroupEnd(c.head, c.end);
+          values = ValueSpan(c.head, group_end);
+          c.head = group_end;
+        } else {
+          gather.clear();
+          for (Cursor& c : holders) {
+            const Record* group_end = GroupEnd(c.head, c.end);
+            gather.insert(gather.end(), c.head, group_end);
+            c.head = group_end;
+          }
+          values = ValueSpan(gather.data(), gather.data() + gather.size());
+        }
+        rctx.from = OwnerShard(head.key_hash, S);
+        job.reduce(head.key(), values, &rctx);
+        ++range_keys[range];
+        for (const Cursor& c : holders) {
+          if (c.head == c.end) continue;
+          heap.push_back(c);
+          std::push_heap(heap.begin(), heap.end(), MergesAfter);
+        }
+      }
+      range_tally[range] = rctx.Done();
     });
-
-    size_t distinct_keys = 0;
-    for (const auto& groups : part_groups) distinct_keys += groups.size();
+    uint64_t distinct_keys = 0;
+    for (size_t r = 0; r < num_ranges; ++r) {
+      written.Add(range_tally[r]);
+      distinct_keys += range_keys[r];
+    }
     stats.num_reducers =
         std::min<int>(config_.reduce_slots(),
                       std::max<int>(1, static_cast<int>(distinct_keys)));
-
-    // Once the reduce no longer references its input, the sorted
-    // partitions and the map-side arenas they view go, so the output is
-    // assembled and written without the shuffle alive beside it.
-    auto release_reduce_input = [&] {
-      part_records.clear();
-      part_groups.clear();
-      task_results.clear();
-    };
-    // A reduce emission is booked from the shard owning its group's key.
-    auto reduce_group = [&](const std::vector<Record>& records,
-                            const GroupSpan& span, Sink<ReduceContext>* rctx) {
-      const Record& head = records[span.begin];
-      rctx->from = OwnerShard(head.key_hash, S);
-      job.reduce(head.key(), SpanValues(records, span), rctx);
-    };
-
-    if (job.reduce_parallel_safe && workers != nullptr &&
-        num_partitions > 1) {
-      // ---- parallel reduce: each partition reduces its own key groups,
-      // recording the output span per group; spans are then concatenated
-      // in ascending input-key order, which reproduces the serial path's
-      // output byte-for-byte. ----
-      struct ReducedGroup {
-        const Record* head;  // the group's first input record (sort key)
-        size_t part;
-        size_t begin, end;  // span in part_out[part].records
-      };
-      std::vector<RecordBatch> part_out(num_partitions);
-      std::vector<std::vector<ReducedGroup>> part_spans(num_partitions);
-      std::vector<Tally> part_tally(num_partitions);
-      run_tasks(num_partitions, [&](size_t p) {
-        const std::vector<Record>& records = part_records[p];
-        Sink<ReduceContext> rctx(&part_out[p], S);
-        part_spans[p].reserve(part_groups[p].size());
-        for (const GroupSpan& span : part_groups[p]) {
-          size_t before = part_out[p].records.size();
-          reduce_group(records, span, &rctx);
-          part_spans[p].push_back(ReducedGroup{
-              &records[span.begin], p, before, part_out[p].records.size()});
-        }
-        part_tally[p] = rctx.Done();
-      });
-      for (const Tally& t : part_tally) written.Add(t);
-      std::vector<ReducedGroup> all_groups;
-      all_groups.reserve(distinct_keys);
-      for (const auto& spans : part_spans) {
-        all_groups.insert(all_groups.end(), spans.begin(), spans.end());
-      }
-      std::sort(all_groups.begin(), all_groups.end(),
-                [](const ReducedGroup& a, const ReducedGroup& b) {
-                  return RecordKeyLess(*a.head, *b.head);
-                });
-      release_reduce_input();
-      output.records.reserve(written.records);
-      for (const ReducedGroup& g : all_groups) {
-        const std::vector<Record>& from = part_out[g.part].records;
-        output.records.insert(output.records.end(), from.begin() + g.begin,
-                              from.begin() + g.end);
-      }
-      for (RecordBatch& out : part_out) {
-        for (auto& arena : out.arenas) {
-          output.arenas.push_back(std::move(arena));
-        }
-      }
-    } else {
-      // ---- serial reduce: k-way merge of the sorted partitions invokes
-      // the reduce fn once per key in *global* key order — identical to
-      // the single-threaded runtime, so reduce fns that mutate shared
-      // state (e.g. dictionary interning in aggregation finalizers) see
-      // the exact same sequence of calls. ----
-      Sink<ReduceContext> rctx(&output, S);
-      std::vector<size_t> next(num_partitions, 0);
-      for (;;) {
-        size_t best = num_partitions;
-        const Record* best_head = nullptr;
-        for (size_t p = 0; p < num_partitions; ++p) {
-          if (next[p] >= part_groups[p].size()) continue;
-          const Record& head =
-              part_records[p][part_groups[p][next[p]].begin];
-          if (best_head == nullptr || RecordKeyLess(head, *best_head)) {
-            best = p;
-            best_head = &head;
-          }
-        }
-        if (best == num_partitions) break;
-        reduce_group(part_records[best], part_groups[best][next[best]++],
-                     &rctx);
-      }
-      written = rctx.Done();
-      release_reduce_input();
-    }
     stats.factorized_groups += written.factorized_groups;
     stats.factorized_flat_rows += written.factorized_flat_rows;
+
+    // The runs and their arenas go before the output is assembled, so the
+    // shuffle and the output are never both alive at full size.
+    task_results.clear();
+    output.records.reserve(written.records);
+    for (RecordBatch& part : range_out) AppendBatch(&part, &output);
   }
 
   auto stored_bytes = [&job](uint64_t logical) {

@@ -46,10 +46,11 @@ struct ClusterConfig {
   /// shuffle bytes up 1.1% and sim_seconds up 0.06%.
   uint64_t exec_split_bytes = 1024 * 1024;
 
-  /// Host threads executing map/reduce tasks. 0 = hardware_concurrency;
-  /// 1 = the serial path. Any value produces byte-identical outputs and
-  /// identical counters/simulated seconds — this knob only changes real
-  /// wall time, which Cluster::Run reports in JobStats::wall_seconds.
+  /// Host threads executing map tasks and, for a parallel-safe reduce, its
+  /// key ranges (one range per thread). 0 = hardware_concurrency; 1 = every
+  /// task on the calling thread. Any value produces byte-identical outputs
+  /// and identical counters/simulated seconds — this knob only changes
+  /// real wall time, which Cluster::Run reports in JobStats::wall_seconds.
   int exec_threads = 0;
 
   /// Fixed per-job cost: JVM spin-up, scheduling, commit (seconds).

@@ -73,8 +73,9 @@ class MapContext : public TaskStateBase {
 
 /// Sink for reduce-side emissions. Emit appends to the reduce task's
 /// record batch, exactly like MapContext::Emit. TaskState() is scoped
-/// to the reduce task (one shuffle partition, or the whole serial merge) —
-/// it persists *across* the task's key groups, which is what lets reduce
+/// to the reduce task (one key range of the merge: one of a parallel-safe
+/// reduce's pool-width ranges, or the whole key space otherwise) — it
+/// persists *across* the task's key groups, which is what lets reduce
 /// functions reuse scratch buffers instead of reallocating per group.
 class ReduceContext : public TaskStateBase {
  public:
@@ -82,10 +83,12 @@ class ReduceContext : public TaskStateBase {
   virtual void Emit(std::string_view key, std::string_view value) = 0;
 };
 
-/// Zero-copy view of one key group's values: the group's records sit
-/// contiguously in the sorted shuffle partition, and iterating a ValueSpan
-/// yields each record's value as a string_view into that partition. Valid
-/// only for the duration of the reduce/combine call it is passed to.
+/// Zero-copy view of one key group's values in (map task, emission) order:
+/// a slice of one map task's sorted run when one run holds the key, or the
+/// merge's reused gather buffer, filled in run order, when several do.
+/// Iterating a ValueSpan yields each record's value as a string_view into
+/// the run's bytes. Valid only for the duration of the reduce/combine call
+/// it is passed to.
 class ValueSpan {
  public:
   ValueSpan() = default;
@@ -142,8 +145,8 @@ using MapFn =
 using MapFinishFn = std::function<void(MapContext*)>;
 
 /// Reduce (and combine) function: one distinct key with all its values.
-/// The key and the spanned values point into the sorted partition and stay
-/// valid only for this call; copy anything that must outlive it.
+/// The key and the spanned values point into the map tasks' sorted runs
+/// and stay valid only for this call; copy anything that must outlive it.
 using ReduceFn = std::function<void(std::string_view key,
                                     const ValueSpan& values, ReduceContext*)>;
 
@@ -153,18 +156,25 @@ struct JobConfig {
   std::vector<std::string> inputs;  // DFS file names
   std::string output;               // DFS file name
 
-  MapFn map;                 // required
-  MapFinishFn map_finish;    // optional
-  ReduceFn combine;          // optional (map-side, per mapper)
-  ReduceFn reduce;           // null => map-only job (no shuffle)
+  MapFn map;               // required
+  MapFinishFn map_finish;  // optional
+  /// Optional map-side fold: each map task sorts its emissions by key and
+  /// calls the combiner once per key group, in key order. A combiner must
+  /// emit under its group's key, so the task's output stays a sorted run
+  /// (nothing re-sorts it); Run fails the job with Status::Internal when a
+  /// combiner emits under any other key.
+  ReduceFn combine;
+  ReduceFn reduce;  // null => map-only job (no shuffle)
 
   /// Whether `reduce` may be invoked from several threads at once (for
   /// different keys). Safe only for pure functions of (key, values) —
-  /// joins, distinct-projections. Leave false (the default) when reduce
-  /// touches shared mutable state; the runtime then calls it serially in
-  /// global key order, exactly like the single-threaded path, which in
-  /// particular keeps rdf::Dictionary interning deterministic for
-  /// aggregation finalizers.
+  /// joins, distinct-projections; the merge then splits the key space into
+  /// pool-width ranges that reduce concurrently. Leave false (the default)
+  /// when reduce touches shared mutable state; the merge then runs as one
+  /// range on the calling thread, calling reduce in global key order, which
+  /// in particular keeps rdf::Dictionary interning deterministic for
+  /// aggregation finalizers. Either way the output is the same records in
+  /// the same order.
   bool reduce_parallel_safe = false;
 
   /// Storage options for the output file (e.g. Hive writes ORC-compressed

@@ -12,7 +12,8 @@
 namespace rapida::mr {
 
 /// 64-bit FNV-1a over the key bytes. Computed once per record at emit time
-/// and reused for shuffle partitioning, so the hot loops never rehash.
+/// and reused for shard placement (AssignShard, OwnerShard), so the hot
+/// loops never rehash.
 inline uint64_t HashKey(std::string_view key) {
   uint64_t h = 14695981039346656037ull;
   for (char c : key) {
@@ -42,8 +43,8 @@ inline uint64_t KeyPrefix(std::string_view key) {
 /// by the value bytes, in an arena owned by the producing map/reduce
 /// context (or the RecordBatch / Dfs::File it moved into). `key_prefix`
 /// and `key_hash` are stamped once when the record is created; every
-/// later copy (shuffle buckets, sorted partitions, job output) moves only
-/// the view, never the bytes.
+/// later copy (a sorted run, the merge's gather buffer, the job output)
+/// moves only the view, never the bytes.
 struct Record {
   const char* data = nullptr;
   uint32_t key_size = 0;

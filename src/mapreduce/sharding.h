@@ -25,8 +25,8 @@ enum class ShardingScheme {
   kLocality,
 };
 
-/// splitmix64 finalizer: decorrelates placement from the reducer partition
-/// residue (which is plain key_hash mod N).
+/// splitmix64 finalizer: decorrelates placement from the owner residue
+/// (OwnerShard: plain key_hash mod N).
 inline uint64_t Splitmix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

@@ -142,8 +142,11 @@ TEST(ResolvedPatternTest, MissingPrimaryConstantMakesUnsatisfiable) {
 
 TEST(RelationalRowCodecTest, RoundTrip) {
   std::vector<rdf::TermId> row = {1, 0, 42, 7};
-  EXPECT_EQ(DecodeRow(EncodeRow(row)), row);
-  EXPECT_TRUE(DecodeRow("").empty());
+  std::vector<rdf::TermId> decoded = {9};
+  DecodeRowInto(EncodeRow(row), &decoded);
+  EXPECT_EQ(decoded, row);
+  DecodeRowInto("", &decoded);
+  EXPECT_TRUE(decoded.empty());
   EXPECT_EQ(EncodeRow({}), "");
 }
 

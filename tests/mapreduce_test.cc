@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
@@ -377,12 +381,18 @@ TEST(ParallelClusterTest, ThreadCountDoesNotChangeResults) {
 }
 
 // The ValueSpan handed to reduce exposes the group through size(),
-// operator[], and iteration, all views into the sorted partition.
+// operator[], and iteration, all views into the merged runs. One key's
+// values spread over several map tasks arrive in (map task, emission)
+// order, whether one run holds them or several do.
 TEST_F(ClusterTest, ValueSpanAccessorsAgree) {
   RecordBatch input;
-  input.Add("k", "alpha");
-  input.Add("k", "beta");
-  input.Add("k", "gamma");
+  std::string expected;
+  for (int i = 0; i < 30; ++i) {
+    const std::string value = "v" + std::to_string(100 + i);
+    input.Add("k", value);
+    expected += value + "|";
+  }
+  input.Add("solo", "only");
   ASSERT_TRUE(dfs_.Write("input", std::move(input)).ok());
   JobConfig job;
   job.name = "span";
@@ -406,52 +416,187 @@ TEST_F(ClusterTest, ValueSpanAccessorsAgree) {
     EXPECT_EQ(by_index, by_iter);
     ctx->Emit(key, by_iter);
   };
-  auto stats = cluster_.Run(job);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  auto out = dfs_.Open("out");
-  // stable_sort keeps a group's values in arrival order.
-  EXPECT_EQ((*out)->records[0].value(), "alpha|beta|gamma|");
+  for (uint64_t split_bytes : {uint64_t{1} << 20, uint64_t{64}}) {
+    ClusterConfig cfg;
+    cfg.exec_split_bytes = split_bytes;
+    Cluster cluster(cfg, &dfs_);
+    auto stats = cluster.Run(job);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->num_mappers > 1, split_bytes == 64);
+    auto out = dfs_.Open("out");
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ((*out)->records.size(), 2u);
+    EXPECT_EQ((*out)->records[0].key(), "k");
+    EXPECT_EQ((*out)->records[0].value(), expected);
+    EXPECT_EQ((*out)->records[1].value(), "only|");
+  }
 }
 
-// The full reduce-mode matrix: combine feeding either the serial
-// k-way-merge reduce or the parallel-safe reduce, at 1/4/8 execution
-// threads, must produce byte-identical output files and identical
-// counters in every cell.
-TEST(ParallelClusterTest, ValueSpanReduceModesAreByteIdentical) {
-  struct RunResult {
-    JobStats stats;
-    std::vector<std::string> lines;
-  };
-  std::vector<RunResult> runs;
-  for (bool parallel_safe_reduce : {false, true}) {
-    for (int threads : {1, 4, 8}) {
-      Dfs dfs;
-      WriteDeterminismInputs(&dfs);
-      ClusterConfig cfg;
-      cfg.exec_split_bytes = 256;
-      cfg.exec_threads = threads;
-      Cluster cluster(cfg, &dfs);
-      JobConfig job = DeterminismJob();  // combine == reduce == sum
-      job.reduce_parallel_safe = parallel_safe_reduce;
-      auto stats = cluster.Run(job);
-      ASSERT_TRUE(stats.ok()) << stats.status();
-      auto out = dfs.Open("out");
-      ASSERT_TRUE(out.ok());
-      RunResult run;
-      run.stats = *stats;
-      for (const Record& r : (*out)->records) {
-        run.lines.push_back(std::string(r.key()) + "\t" +
-                            std::string(r.value()));
+// Inputs for the reduce-mode matrix, including the merge's edge cases.
+// Each input record's value lists the keys its map call emits; the value
+// emitted is "<record>.<position>", so an output line shows the order its
+// key's values arrived in.
+std::vector<std::pair<std::string, std::string>> MergeInput(
+    const std::string& shape) {
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (int i = 0; i < 240; ++i) {
+    std::string keys;
+    if (shape == "words") {
+      // Word-count lines like WriteDeterminismInputs': 6 words out of 50.
+      for (int w = 0; w < 6; ++w) {
+        keys += " w" + std::to_string((i * 7 + w * 13) % 50);
       }
-      runs.push_back(std::move(run));
+    } else if (shape == "hot-key-in-every-task") {
+      keys = "hot k" + std::to_string(i % 37);
+    } else if (shape == "one-key") {
+      keys = "same same";
+    } else if (shape == "distinct-keys") {
+      keys = "d" + std::to_string(1000 + i);
+    } else if (shape == "empty-tasks") {
+      // Whole splits (about a dozen records each) emit nothing.
+      if (i % 60 < 30) keys = "e" + std::to_string(i % 11);
+    } else if (shape == "shared-prefix") {
+      // Every key shares its first 20 bytes, so the splitters tie on the
+      // 8-byte prefix and cut on the full key.
+      keys = "http://example.org/k" + std::to_string(i % 53) +
+             " http://example.org/k" + std::to_string((i * 7) % 41);
+    }
+    rows.emplace_back(std::to_string(i), keys);
+  }
+  return rows;
+}
+
+// The full reduce-mode matrix over the merge's edge cases:
+// reduce_parallel_safe x exec_threads x shards x combine. Every cell's
+// output lines must equal the oracle's (keys ascending, each key's values
+// in input order, which is (map task, emission) order because splits are
+// contiguous), and its counters the 1-thread serial run's with the same
+// shards and combiner.
+TEST(ParallelClusterTest, ValueSpanReduceModesAreByteIdentical) {
+  // Reduce and combine both join their values in order, so a combined
+  // run's output equals an uncombined one's.
+  ReduceFn join = [](std::string_view key, const ValueSpan& values,
+                     ReduceContext* ctx) {
+    std::string joined;
+    for (std::string_view v : values) {
+      if (!joined.empty()) joined += '|';
+      joined += v;
+    }
+    ctx->Emit(key, joined);
+  };
+  for (const char* shape : {"words", "hot-key-in-every-task", "one-key",
+                            "distinct-keys", "empty-tasks",
+                            "shared-prefix"}) {
+    std::map<std::string, std::string> oracle;
+    for (const auto& [record, keys] : MergeInput(shape)) {
+      FieldTokenizer words(keys, ' ');
+      std::string_view word;
+      int position = 0;
+      while (words.Next(&word)) {
+        if (word.empty()) continue;
+        std::string& joined = oracle[std::string(word)];
+        if (!joined.empty()) joined += '|';
+        joined += record + "." + std::to_string(position++);
+      }
+    }
+    std::vector<std::string> reference_lines;
+    for (const auto& [key, joined] : oracle) {
+      reference_lines.push_back(key + "\t" + joined);
+    }
+    for (int shards : {1, 4}) {
+      for (bool combine : {false, true}) {
+        std::optional<JobStats> baseline;
+        for (bool parallel_safe : {false, true}) {
+          for (int threads : {1, 4, 8}) {
+            const std::string cell =
+                std::string(shape) + " shards=" + std::to_string(shards) +
+                " combine=" + std::to_string(combine) + " parallel_safe=" +
+                std::to_string(parallel_safe) +
+                " threads=" + std::to_string(threads);
+            SCOPED_TRACE(cell);
+            Dfs dfs;
+            RecordBatch input;
+            for (const auto& [k, v] : MergeInput(shape)) input.Add(k, v);
+            ASSERT_TRUE(dfs.Write("input", std::move(input)).ok());
+            ClusterConfig cfg;
+            cfg.exec_split_bytes = 128;
+            cfg.exec_threads = threads;
+            cfg.num_shards = shards;
+            Cluster cluster(cfg, &dfs);
+            JobConfig job;
+            job.name = "merge";
+            job.inputs = {"input"};
+            job.output = "out";
+            job.map = [](const Record& r, int, MapContext* ctx) {
+              FieldTokenizer words(r.value(), ' ');
+              std::string_view word;
+              int position = 0;
+              while (words.Next(&word)) {
+                if (word.empty()) continue;
+                ctx->Emit(word, std::string(r.key()) + "." +
+                                    std::to_string(position++));
+              }
+            };
+            if (combine) job.combine = join;
+            job.reduce = join;
+            job.reduce_parallel_safe = parallel_safe;
+            auto stats = cluster.Run(job);
+            ASSERT_TRUE(stats.ok()) << stats.status();
+            EXPECT_GT(stats->num_mappers, 8);
+            auto out = dfs.Open("out");
+            ASSERT_TRUE(out.ok());
+            std::vector<std::string> lines;
+            for (const Record& r : (*out)->records) {
+              lines.push_back(std::string(r.key()) + "\t" +
+                              std::string(r.value()));
+            }
+            EXPECT_EQ(lines, reference_lines);
+            if (!baseline.has_value()) {
+              baseline = *stats;
+              continue;
+            }
+            ExpectSameStats(*baseline, *stats);
+            EXPECT_EQ(stats->shuffle_local_bytes,
+                      baseline->shuffle_local_bytes);
+            EXPECT_EQ(stats->shuffle_cross_bytes,
+                      baseline->shuffle_cross_bytes);
+            EXPECT_EQ(stats->shard_output_bytes, baseline->shard_output_bytes);
+            EXPECT_EQ(stats->sim_seconds, baseline->sim_seconds);
+          }
+        }
+      }
     }
   }
-  for (size_t i = 1; i < runs.size(); ++i) {
-    ExpectSameStats(runs[0].stats, runs[i].stats);
-    EXPECT_EQ(runs[0].lines, runs[i].lines)
-        << "reduce mode/thread cell " << i
-        << " diverged from the serial single-thread baseline";
-  }
+}
+
+// A combiner must emit under its group's key: the runs stay sorted only
+// then, and the runtime never re-sorts them. A re-keying combiner fails
+// the job with an Internal error naming it.
+TEST_F(ClusterTest, RekeyingCombinerFailsTheJob) {
+  RecordBatch input;
+  input.Add("a", "1");
+  input.Add("b", "2");
+  ASSERT_TRUE(dfs_.Write("input", std::move(input)).ok());
+  JobConfig job;
+  job.name = "rekeying-combine";
+  job.inputs = {"input"};
+  job.output = "out";
+  job.map = [](const Record& r, int, MapContext* ctx) {
+    ctx->Emit(r.key(), r.value());
+  };
+  job.combine = [](std::string_view key, const ValueSpan& values,
+                   ReduceContext* ctx) {
+    ctx->Emit(std::string(key) + "'", values[0]);
+  };
+  job.reduce = [](std::string_view key, const ValueSpan& values,
+                  ReduceContext* ctx) { ctx->Emit(key, values[0]); };
+  auto stats = cluster_.Run(job);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), Code::kInternal);
+  EXPECT_NE(stats.status().message().find("rekeying-combine"),
+            std::string::npos)
+      << stats.status();
+  EXPECT_FALSE(dfs_.Open("out").ok());
 }
 
 // Map-only jobs concatenate task outputs in split order regardless of the

@@ -248,6 +248,67 @@ TEST(RecordFootprintTest, ShardedJobPeaksNoHigherThanUnsharded) {
       << " extra bytes per record";
 }
 
+// The shuffle is a sort-merge: each map task keeps its sorted run, and the
+// reduce merges the runs in place, so a job holds one view per shuffled
+// record plus its key‖value bytes once, beside its output. The job below
+// peaks at 143-163 B per shuffled record that way (about 22 B of key).
+// A scatter into partition buckets, a flattened partition copy, per-group
+// span tables or a key-order table of reduced groups each add 16-32 B per
+// record or group and do not fit.
+constexpr int64_t kShufflePeakPerRecord = 190;
+
+TEST(RecordFootprintTest, DistinctJobPeaksWithinPerRecordBudget) {
+  // DistinctProject's shape: one map task emits each row once as a key
+  // (about 22 B), the combiner and the reduce keep one record per key.
+  constexpr int kKeys = 80000;
+  for (bool parallel_safe : {true, false}) {
+    Dfs dfs;
+    ClusterConfig cfg;
+    cfg.exec_threads = parallel_safe ? 4 : 1;
+    cfg.exec_split_bytes = uint64_t{1} << 30;  // one map task
+    Cluster cluster(cfg, &dfs);
+    RecordBatch input;
+    for (int i = 0; i < kKeys; ++i) {
+      input.Add("", std::to_string(1000000 + i) + "," +
+                        std::to_string(2000000 + 7 * i) + "," +
+                        std::to_string(3000000 + 13 * i));
+    }
+    ASSERT_TRUE(dfs.Write("input", std::move(input)).ok());
+
+    JobConfig job;
+    job.name = "distinct";
+    job.inputs = {"input"};
+    job.output = "out";
+    job.map = [](const Record& r, int, MapContext* ctx) {
+      ctx->Emit(r.value(), "");
+    };
+    job.combine = [](std::string_view key, const ValueSpan&,
+                     ReduceContext* ctx) { ctx->Emit(key, ""); };
+    job.reduce = [](std::string_view key, const ValueSpan&,
+                    ReduceContext* ctx) { ctx->Emit("", key); };
+    job.reduce_parallel_safe = parallel_safe;
+    JobConfig warm_up = job;
+    warm_up.output = "warm-up";
+    ASSERT_TRUE(cluster.Run(warm_up).ok());
+    ASSERT_TRUE(dfs.Delete("warm-up").ok());
+
+    const int64_t before = LiveBytes();
+    ResetPeakBytes();
+    auto stats = cluster.Run(job);
+    const int64_t peak = PeakBytes() - before;
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ASSERT_EQ(stats->num_mappers, 1);
+    ASSERT_EQ(stats->shuffle_records, static_cast<uint64_t>(kKeys));
+    const int64_t records = static_cast<int64_t>(stats->shuffle_records);
+    std::printf("distinct job, %s reduce: peak %.1f B per shuffled record\n",
+                parallel_safe ? "4-thread parallel-safe" : "1-thread serial",
+                static_cast<double>(peak) / static_cast<double>(records));
+    EXPECT_LE(peak, records * kShufflePeakPerRecord)
+        << (parallel_safe ? "parallel-safe" : "serial") << " reduce: "
+        << peak / records << " B per shuffled record";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The term store (DESIGN.md §17): a dictionary term costs its text once
 // plus a small fixed overhead, and a graph triple costs its 12 bytes plus
