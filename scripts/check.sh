@@ -41,14 +41,19 @@
 # copies) under TSan. The shuffle is a sort-merge whose reduce reads views
 # into the map tasks' sorted runs, which must outlive every key range:
 # mapreduce_test (the merge's edge-case matrix) and shard_test run under
-# ASan as well as UBSan and TSan.
+# ASan as well as UBSan and TSan. One aggregation fold serves every
+# engine's GROUP BY and TG Agg-Join and reads those views too:
+# engines_test runs under ASan and UBSan, and kernels_test (every
+# operator over threads x combine x shards) under ASan as well.
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
-# against the unsharded baseline), a sharded serve smoke, and a perf
-# smoke running bench_shard (BENCH_shard.json must show byte-identical
-# results at every shard count, >= 3x speedup at 8 shards on fig8a, and
-# strictly fewer cross-shard bytes under the locality scheme than under
-# hash-by-subject on fig8a).
+# against the unsharded baseline), a sharded serve smoke run three times
+# that must report one shard_output_bytes split (placement never depends
+# on thread timing), and a perf smoke running bench_shard
+# (BENCH_shard.json must show byte-identical results at every shard
+# count, >= 3x speedup at 8 shards on fig8a, and strictly fewer
+# cross-shard bytes under the locality scheme than under hash-by-subject
+# on fig8a).
 # The factorized-intermediates path adds: a 100-seed multi-valued-star
 # corpus (--grammar=multival, repeated with --no-factorize to pin the
 # flat fallback), and a perf smoke running bench_factorize twice (plain
@@ -78,8 +83,23 @@ ctest --test-dir build -L plan --output-on-failure -j "$JOBS"
 echo "== query service smoke (catalog equivalence, cold/hot/32 sessions) =="
 ./build/examples/rapida_serve --smoke
 
-echo "== query service smoke, sharded data plane (4 shards, locality) =="
-./build/examples/rapida_serve --smoke --shards=4 --scheme=locality
+echo "== query service smoke, sharded data plane (4 shards, locality, 3 runs) =="
+# Per-shard output bytes follow from the data alone, never from which
+# task a thread finished first: three runs must report one split.
+SPLITS="$SCRATCH/serve-splits.txt"
+for RUN in 1 2 3; do
+  ./build/examples/rapida_serve --smoke --shards=4 --scheme=locality \
+      > "$SCRATCH/serve-shard.txt"
+  tail -1 "$SCRATCH/serve-shard.txt"
+  grep -o '"shard_output_bytes":\[[0-9,]*\]' "$SCRATCH/serve-shard.txt" \
+      >> "$SPLITS"
+done
+if [ "$(sort -u "$SPLITS" | wc -l)" -ne 1 ]; then
+  echo "sharded serve smoke FAILED: the shard_output_bytes split differs" \
+       "across 3 runs:" >&2
+  sort "$SPLITS" | uniq -c >&2
+  exit 1
+fi
 
 echo "== materialization store: cold publish -> cross-process warm restart =="
 STORE_DIR="$SCRATCH/store"
@@ -190,7 +210,7 @@ cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       golden_test optional_union_test storage_test rapida_serve plan_ir_test \
       pass_differential_test property_invariants_test rdf_test \
       factorize_test relational_ops_test binding_test reference_evaluator_test \
-      mapreduce_test shard_test
+      mapreduce_test shard_test engines_test kernels_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -224,6 +244,10 @@ echo "== ASan: MapReduce runtime (sorted runs, key-range merge, shards) =="
 ./build-asan/tests/mapreduce_test
 ./build-asan/tests/shard_test
 
+echo "== ASan: engines_test, kernels_test (every engine's aggregation fold) =="
+./build-asan/tests/engines_test
+./build-asan/tests/kernels_test
+
 echo "== ASan: storage suite (artifact recovery, IVM patch equivalence) =="
 ./build-asan/tests/storage_test
 
@@ -254,7 +278,8 @@ cmake -B build-ubsan -S . -DRAPIDA_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-ubsan -j "$JOBS" --target \
       mapreduce_test kernels_test shard_test storage_test rdf_test rapida_fuzz \
-      factorize_test relational_ops_test binding_test reference_evaluator_test
+      factorize_test relational_ops_test binding_test reference_evaluator_test \
+      engines_test
 echo "== UBSan: mapreduce_test =="
 ./build-ubsan/tests/mapreduce_test
 echo "== UBSan: kernels_test =="
@@ -271,6 +296,8 @@ echo "== UBSan: relational operators (row reader over flat rows and groups) =="
 echo "== UBSan: result tables (flat cells, shared copies, row spans) =="
 ./build-ubsan/tests/binding_test
 ./build-ubsan/tests/reference_evaluator_test
+echo "== UBSan: engines_test (every engine's aggregation fold) =="
+./build-ubsan/tests/engines_test
 echo "== UBSan: differential fuzz (50 seeds) =="
 ./build-ubsan/examples/rapida_fuzz --seeds=50
 

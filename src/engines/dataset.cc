@@ -190,12 +190,4 @@ std::vector<std::string> Dataset::TgFilesCovering(
   return out;
 }
 
-std::vector<std::string> Dataset::AllTgFiles() const {
-  std::lock_guard<std::mutex> lock(layout_mu_);
-  std::vector<std::string> out;
-  out.reserve(tg_files_.size());
-  for (const auto& [name, ec] : tg_files_) out.push_back(name);
-  return out;
-}
-
 }  // namespace rapida::engine

@@ -108,10 +108,9 @@ class Dataset {
 
   /// Triplegroup files whose equivalence class contains all of the given
   /// properties (property-level; the type object is checked at scan time).
+  /// The empty set selects every triplegroup file.
   std::vector<std::string> TgFilesCovering(
       const std::set<rdf::TermId>& properties) const;
-  /// All triplegroup files.
-  std::vector<std::string> AllTgFiles() const;
 
  private:
   rdf::Graph graph_;

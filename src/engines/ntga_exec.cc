@@ -1,19 +1,14 @@
 #include "engines/ntga_exec.h"
 
 #include <algorithm>
-#include <atomic>
-#include <set>
 
-#include "analytics/aggregates.h"
 #include "mapreduce/kernels.h"
 #include "sparql/expr_eval.h"
-#include "util/hash_index.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace rapida::engine {
 
-using analytics::Aggregator;
 using ntga::NestedTripleGroup;
 using ntga::ResolvedPattern;
 using ntga::ResolvedStar;
@@ -79,25 +74,17 @@ struct AlphaReduceScratch {
   std::string buf;
 };
 
-/// Alg. 3's multiAggMap for the TG_AggJoin map: an insertion-ordered
-/// HashIndex over the encoded "gid#grpkey" string with dense side tables.
-struct MultiAggTable {
-  util::HashIndex index;
-  std::vector<std::string> keys;
-  std::vector<std::vector<Aggregator>> agg_rows;
-};
-
 /// Per-map-task scratch of the NTGA maps (MapContext::TaskState): parse
 /// targets, the binding expansion and the key/value emit buffers, reused
-/// across the task's records, plus the TG_AggJoin pre-aggregation table
-/// that map_finish flushes.
+/// across the task's records, plus the TG_AggJoin's aggregation table
+/// (Alg. 3's multiAggMap) that map_finish flushes.
 struct NtgMapScratch {
   TripleGroup tg;
   NestedTripleGroup ntg;
   ntga::BindingExpansion exp;
   std::vector<rdf::TermId> row_buf;
   std::string key_buf, val_buf;
-  MultiAggTable table;
+  AggMap agg;
 };
 
 /// Parses one map input record into `s->ntg`. `raw_star` < 0: the record
@@ -269,41 +256,49 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
   *out_file = NextTmp(out_hint);
   job.output = *out_file;
 
-  // The reduce finds a key's grouping by its `gid#` prefix.
+  // The reduce finds a key's grouping by its `gid#` prefix; the map reads
+  // each grouping's key and aggregate cells at their positions in its
+  // pattern_vars (-1: not a pattern variable, read as NULL).
+  struct Positions {
+    std::vector<int> keys, args;
+  };
   std::vector<const NtgaGrouping*> by_id;
+  std::vector<Positions> positions;
   for (const NtgaGrouping* g : groupings) {
     const size_t id = static_cast<size_t>(g->id);
     if (id >= by_id.size()) by_id.resize(id + 1);
     by_id[id] = g;
+    auto pos_of = [g](const std::string& v) {
+      auto it = std::find(g->pattern_vars.begin(), g->pattern_vars.end(), v);
+      return it == g->pattern_vars.end()
+                 ? -1
+                 : static_cast<int>(it - g->pattern_vars.begin());
+    };
+    Positions& p = positions.emplace_back();
+    for (const std::string& v : g->spec.group_vars) p.keys.push_back(pos_of(v));
+    for (const ntga::AggSpec& a : g->spec.aggs) {
+      p.args.push_back(a.count_star ? -1 : pos_of(a.var));
+    }
   }
 
-  // Per-mapper multiAggMap (Alg. 3): key "gid#grpkey" -> aggregators.
-  // Lives in the task's NtgMapScratch so concurrent map tasks accumulate
-  // into independent tables; map_finish flushes it in insertion order
-  // (keys are unique per task and the shuffle sorts by key). The job runs
-  // to completion inside Cluster::Run, so its closures may borrow the
-  // caller's pattern, filters and groupings.
+  // Each qualifying solution mapping goes into the aggregation shuffle
+  // under its "gid#grpkey" key. The job runs to completion inside
+  // Cluster::Run, so its closures may borrow the caller's pattern, filters
+  // and groupings.
   const int raw_star = star_mode ? 0 : -1;
-  job.map = [&groupings, &pattern, &pushed_filters, dict, type_id, num_stars,
-             raw_star, map_side_agg](const mr::Record& r, int,
-                                     mr::MapContext* ctx) {
+  job.map = [&groupings, &positions, &pattern, &pushed_filters, dict,
+             type_id, num_stars, raw_star, map_side_agg](
+                const mr::Record& r, int, mr::MapContext* ctx) {
     NtgMapScratch* s = ctx->TaskState<NtgMapScratch>();
     if (!LoadNestedGroup(r.value(), raw_star, num_stars, pattern, type_id,
                          pushed_filters, *dict, s)) {
       return;
     }
-    for (const NtgaGrouping* g : groupings) {
-      const NtgaGrouping& grouping = *g;
+    for (size_t g = 0; g < groupings.size(); ++g) {
+      const NtgaGrouping& grouping = *groupings[g];
       if (!ntga::SatisfiesAlpha(s->ntg, grouping.spec.alpha, type_id)) {
         continue;
       }
-      // Positions of group / agg vars within pattern_vars (tiny).
-      auto pos_of = [&grouping](const std::string& v) {
-        for (size_t i = 0; i < grouping.pattern_vars.size(); ++i) {
-          if (grouping.pattern_vars[i] == v) return static_cast<int>(i);
-        }
-        return -1;
-      };
       ntga::ExpandBindingsInto(s->ntg, pattern, grouping.pattern_vars,
                                /*skip_unbound=*/true, &s->exp);
       for (size_t row = 0; row < s->exp.num_rows; ++row) {
@@ -316,114 +311,34 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
         mr::kernels::AppendDecimal(&s->key_buf,
                                    static_cast<uint64_t>(grouping.id));
         s->key_buf += '#';
-        bool first = true;
-        for (const std::string& v : grouping.spec.group_vars) {
-          if (!first) s->key_buf += ',';
-          first = false;
-          int i = pos_of(v);
+        const std::vector<int>& keys = positions[g].keys;
+        for (size_t k = 0; k < keys.size(); ++k) {
+          if (k > 0) s->key_buf += ',';
           mr::kernels::AppendDecimal(
-              &s->key_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
+              &s->key_buf, keys[k] < 0 ? rdf::kInvalidTermId
+                                       : mapping[static_cast<size_t>(keys[k])]);
         }
-        if (map_side_agg) {
-          MultiAggTable& table = s->table;
-          auto [id, inserted] = table.index.FindOrInsert(
-              mr::HashKey(s->key_buf),
-              static_cast<uint32_t>(table.keys.size()),
-              [&](uint32_t cand) { return table.keys[cand] == s->key_buf; });
-          if (inserted) {
-            table.keys.push_back(s->key_buf);
-            table.agg_rows.emplace_back();
-            for (const ntga::AggSpec& a : grouping.spec.aggs) {
-              table.agg_rows.back().emplace_back(a.func, false, a.separator);
-            }
-          }
-          std::vector<Aggregator>& aggs = table.agg_rows[id];
-          for (size_t a = 0; a < grouping.spec.aggs.size(); ++a) {
-            const ntga::AggSpec& spec = grouping.spec.aggs[a];
-            if (spec.count_star) {
-              aggs[a].AddRow();
-            } else {
-              int i = pos_of(spec.var);
-              aggs[a].AddTerm(i < 0 ? rdf::kInvalidTermId : mapping[i],
-                              *dict);
-            }
-          }
-        } else {
-          s->val_buf.assign("R|");
-          bool farg = true;
-          for (const ntga::AggSpec& spec : grouping.spec.aggs) {
-            if (!farg) s->val_buf += ',';
-            farg = false;
-            int i = pos_of(spec.var);
-            mr::kernels::AppendDecimal(
-                &s->val_buf, spec.count_star || i < 0 ? rdf::kInvalidTermId
-                                                      : mapping[i]);
-          }
-          ctx->Emit(s->key_buf, s->val_buf);
-        }
+        s->agg.Add(s->key_buf, mapping, positions[g].args,
+                   grouping.spec.aggs, map_side_agg, *dict, ctx);
       }
     }
   };
   if (map_side_agg) {
     job.map_finish = [](mr::MapContext* ctx) {
-      const MultiAggTable& table = ctx->TaskState<NtgMapScratch>()->table;
-      for (size_t id = 0; id < table.keys.size(); ++id) {
-        std::string value = "P";
-        for (const Aggregator& a : table.agg_rows[id]) {
-          value += '|';
-          value += a.SerializePartial();
-        }
-        ctx->Emit(table.keys[id], value);
-      }
+      ctx->TaskState<NtgMapScratch>()->agg.Flush(ctx);
     };
   }
 
-  // The aggregator list resets per key group; the decode and emit
-  // buffers are per-task scratch reused across groups.
-  struct ReduceScratch {
-    std::vector<rdf::TermId> args, row;
-    std::string val_buf;
-  };
   job.reduce = [&by_id, dict](std::string_view key,
                               const mr::ValueSpan& values,
                               mr::ReduceContext* ctx) {
-    ReduceScratch* s = ctx->TaskState<ReduceScratch>();
+    AggReduceScratch* s = ctx->TaskState<AggReduceScratch>();
     size_t hash_pos = key.find('#');
     if (hash_pos == std::string_view::npos) return;
     int64_t gid = 0;
     ParseInt64(key.substr(0, hash_pos), &gid);
-    const NtgaGrouping& grouping = *by_id[gid];
-    std::vector<Aggregator> aggs;
-    for (const ntga::AggSpec& a : grouping.spec.aggs) {
-      aggs.emplace_back(a.func, false, a.separator);
-    }
-    for (std::string_view v : values) {
-      if (v.empty()) continue;
-      if (v[0] == 'P') {
-        FieldTokenizer parts(v, '|');
-        std::string_view part;
-        parts.Next(&part);  // the "P" marker
-        for (size_t a = 0; a < aggs.size() && parts.Next(&part); ++a) {
-          auto partial = Aggregator::DeserializePartial(
-              grouping.spec.aggs[a].func, part,
-              grouping.spec.aggs[a].separator);
-          if (partial.ok()) aggs[a].Merge(*partial, *dict);
-        }
-      } else if (v[0] == 'R') {
-        DecodeRowInto(v.substr(2), &s->args);
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          if (grouping.spec.aggs[a].count_star) {
-            aggs[a].AddRow();
-          } else if (a < s->args.size()) {
-            aggs[a].AddTerm(s->args[a], *dict);
-          }
-        }
-      }
-    }
-    DecodeRowInto(key.substr(hash_pos + 1), &s->row);
-    for (Aggregator& a : aggs) s->row.push_back(a.Finalize(dict));
-    s->val_buf.clear();
-    AppendRow(&s->val_buf, s->row);
+    FoldAggGroup(key.substr(hash_pos + 1), by_id[gid]->spec.aggs, values,
+                 dict, s);
     ctx->Emit(key.substr(0, hash_pos), s->val_buf);
   };
 
@@ -446,12 +361,7 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     }
     // GROUP BY ALL over no qualifying detail still yields the default row.
     if (grouping.spec.group_vars.empty() && table.NumRows() == 0) {
-      row.clear();
-      for (const ntga::AggSpec& a : grouping.spec.aggs) {
-        Aggregator empty(a.func, false, a.separator);
-        row.push_back(empty.Finalize(dict));
-      }
-      table.AddRow(row);
+      table.AddRow(EmptyGroupRow(grouping.spec.aggs, dict));
     }
     if (grouping.having != nullptr) {
       analytics::FilterRowsByExpr(&table, *grouping.having, *dict);
@@ -518,36 +428,6 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
   (void)stats;
   return TableRef{out_file, columns};
-}
-
-StatusOr<analytics::BindingTable> NtgaExec::FinalJoinProject(
-    std::vector<analytics::BindingTable> agg_tables,
-    const std::vector<sparql::SelectItem>& items,
-    const std::vector<std::string>& agg_files, const std::string& label) {
-  rdf::Dictionary* dict = &dataset_->dict();
-  ProjectedResult projected =
-      JoinAndProject(std::move(agg_tables), items, dict);
-
-  // One map-only cycle: scan the aggregated outputs, emit the joined
-  // projection once.
-  mr::JobConfig job;
-  job.name = label + ":finaljoin (map-only)";
-  std::set<std::string> distinct_inputs(agg_files.begin(), agg_files.end());
-  job.inputs.assign(distinct_inputs.begin(), distinct_inputs.end());
-  std::string out_file = NextTmp(label + ":result");
-  job.output = out_file;
-  auto rows = std::make_shared<std::vector<std::string>>(projected.rows);
-  // Exactly one of the (possibly concurrent) mappers emits the rows.
-  auto emitted = std::make_shared<std::atomic<bool>>(false);
-  job.map = [](const mr::Record&, int, mr::MapContext*) {};
-  job.map_finish = [rows, emitted](mr::MapContext* ctx) {
-    if (emitted->exchange(true)) return;
-    for (const std::string& r : *rows) ctx->Emit("", r);
-  };
-  RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
-  (void)stats;
-
-  return ToBindingTable(projected);
 }
 
 }  // namespace rapida::engine

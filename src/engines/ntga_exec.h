@@ -49,10 +49,15 @@ struct PatternMatches {
 
 /// The physical NTGA operators shared by RAPID+ and RAPIDAnalytics: the
 /// MR renditions of TG_OptGrpFilter, TG_AlphaJoin (Alg. 2) and TG_AgJ
-/// (Alg. 3 with map-side multiAggMap pre-aggregation). Each method runs
-/// exactly one job. The plan nodes' execs make every choice — the chain
-/// order, the filter split, map-side aggregation, which groupings share
-/// an Agg-Join — from the plan, so no EngineOptions reaches this class.
+/// (Alg. 3). The Agg-Join owns what is NTGA-specific — its `gid#` keys,
+/// the α filter, the binding expansion and HAVING after the job — and
+/// aggregates through RelationalOps' aggregation shuffle (AggMap,
+/// FoldAggGroup), the one GROUP BY copy; the final join is
+/// RelationalOps::FinalJoinProject, as for the relational engines. Each
+/// method runs exactly one job. The plan nodes' execs make every choice —
+/// the chain order, the filter split, map-side aggregation, which
+/// groupings share an Agg-Join — from the plan, so no EngineOptions
+/// reaches this class.
 class NtgaExec {
  public:
   NtgaExec(mr::Cluster* cluster, Dataset* dataset, std::string tmp_prefix);
@@ -75,7 +80,8 @@ class NtgaExec {
 
   /// One TG Agg-Join cycle named `name` over `groupings`: one grouping
   /// (Fig. 6a / RAPID+) or a parallel region's members (Fig. 6b).
-  /// `map_side_agg` pre-aggregates in the map (Alg. 3's multiAggMap).
+  /// `map_side_agg` pre-aggregates in the map (Alg. 3's multiAggMap, the
+  /// aggregation shuffle's AggMap).
   /// Returns one table per grouping (rows are EncodeRow'd group keys +
   /// aggregate values), all backed by `*out_file`, named from `out_hint`.
   StatusOr<std::vector<analytics::BindingTable>> RunAggJoins(
@@ -98,13 +104,6 @@ class NtgaExec {
                                    const std::vector<std::string>& columns,
                                    RowPredicate mapping_predicate,
                                    const std::string& label);
-
-  /// Final map-only cycle: joins the aggregated tables and evaluates the
-  /// top-level items; returns the result.
-  StatusOr<analytics::BindingTable> FinalJoinProject(
-      std::vector<analytics::BindingTable> agg_tables,
-      const std::vector<sparql::SelectItem>& items,
-      const std::vector<std::string>& agg_files, const std::string& label);
 
   void Cleanup();
 

@@ -1,9 +1,9 @@
 #include "engines/relational_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <memory>
+#include <set>
 
 #include "analytics/aggregates.h"
 #include "analytics/value.h"
@@ -1062,57 +1062,119 @@ StatusOr<TableRef> RelationalOps::UnionAll(
 namespace {
 
 std::vector<Aggregator> MakeAggregators(
-    const std::vector<RelationalOps::AggColumn>& specs) {
-  std::vector<Aggregator> aggs;
-  for (const RelationalOps::AggColumn& a : specs) {
-    aggs.emplace_back(a.func, /*distinct=*/false, a.separator);
+    const std::vector<ntga::AggSpec>& aggs) {
+  std::vector<Aggregator> out;
+  for (const ntga::AggSpec& a : aggs) {
+    out.emplace_back(a.func, /*distinct=*/false, a.separator);
   }
-  return aggs;
+  return out;
 }
 
-/// GroupBy's map-side pre-aggregation table (the relational analogue of
-/// Alg. 3's multiAggMap): an insertion-ordered open-addressing table — a
-/// HashIndex over the encoded group keys, dense aggregator rows.
-struct PartialTable {
-  util::HashIndex index;
-  std::vector<std::string> keys;
-  std::vector<std::vector<Aggregator>> rows;
+}  // namespace
 
-  std::vector<Aggregator>& Find(
-      const std::string& key,
-      const std::vector<RelationalOps::AggColumn>& specs) {
-    auto [id, inserted] = index.FindOrInsert(
-        mr::HashKey(key), static_cast<uint32_t>(keys.size()),
-        [&](uint32_t cand) { return keys[cand] == key; });
-    if (inserted) {
-      keys.push_back(key);
-      rows.push_back(MakeAggregators(specs));
-    }
-    return rows[id];
+std::vector<Aggregator>& AggMap::Partials(
+    std::string_view key, const std::vector<ntga::AggSpec>& aggs) {
+  auto [id, inserted] = index_.FindOrInsert(
+      mr::HashKey(key), static_cast<uint32_t>(keys_.size()),
+      [&](uint32_t cand) { return keys_[cand] == key; });
+  if (inserted) {
+    keys_.emplace_back(key);
+    rows_.push_back(MakeAggregators(aggs));
   }
+  return rows_[id];
+}
 
-  /// Emits one `P|partial|...` value per key, in insertion order (keys are
-  /// unique per task and the shuffle sorts by key).
-  void Flush(std::string* val_buf, mr::MapContext* ctx) const {
-    for (size_t id = 0; id < keys.size(); ++id) {
-      val_buf->assign("P");
-      for (const Aggregator& a : rows[id]) {
-        *val_buf += '|';
-        *val_buf += a.SerializePartial();
+void AggMap::Add(std::string_view key, const rdf::TermId* row,
+                 const std::vector<int>& args,
+                 const std::vector<ntga::AggSpec>& aggs, bool map_side_agg,
+                 const rdf::Dictionary& dict, mr::MapContext* ctx) {
+  auto cell = [&](size_t a) {
+    return aggs[a].count_star || args[a] < 0
+               ? rdf::kInvalidTermId
+               : row[static_cast<size_t>(args[a])];
+  };
+  if (map_side_agg) {
+    std::vector<Aggregator>& partials = Partials(key, aggs);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      if (aggs[a].count_star) {
+        partials[a].AddRow();
+      } else {
+        partials[a].AddTerm(cell(a), dict);
       }
-      ctx->Emit(keys[id], *val_buf);
+    }
+    return;
+  }
+  val_buf_.assign("R|");
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (a > 0) val_buf_ += ',';
+    mr::kernels::AppendDecimal(&val_buf_, cell(a));
+  }
+  ctx->Emit(key, val_buf_);
+}
+
+void AggMap::Flush(mr::MapContext* ctx) {
+  for (size_t id = 0; id < keys_.size(); ++id) {
+    val_buf_.assign("P");
+    for (const Aggregator& a : rows_[id]) {
+      val_buf_ += '|';
+      val_buf_ += a.SerializePartial();
+    }
+    ctx->Emit(keys_[id], val_buf_);
+  }
+}
+
+void FoldAggGroup(std::string_view key_cells,
+                  const std::vector<ntga::AggSpec>& aggs,
+                  const mr::ValueSpan& values, rdf::Dictionary* dict,
+                  AggReduceScratch* s) {
+  std::vector<Aggregator> folded = MakeAggregators(aggs);
+  for (std::string_view v : values) {
+    if (v.empty()) continue;
+    if (v[0] == 'P') {
+      FieldTokenizer parts(v, '|');
+      std::string_view part;
+      parts.Next(&part);  // the "P" marker
+      for (size_t a = 0; a < folded.size() && parts.Next(&part); ++a) {
+        auto partial = Aggregator::DeserializePartial(aggs[a].func, part,
+                                                      aggs[a].separator);
+        if (partial.ok()) folded[a].Merge(*partial, *dict);
+      }
+    } else if (v[0] == 'R') {
+      DecodeRowInto(v.substr(2), &s->args);
+      for (size_t a = 0; a < folded.size() && a < s->args.size(); ++a) {
+        if (aggs[a].count_star) {
+          folded[a].AddRow();
+        } else {
+          folded[a].AddTerm(s->args[a], *dict);
+        }
+      }
     }
   }
-};
+  DecodeRowInto(key_cells, &s->row);
+  for (const Aggregator& a : folded) s->row.push_back(a.Finalize(dict));
+  s->val_buf.clear();
+  AppendRow(&s->val_buf, s->row);
+}
+
+std::vector<rdf::TermId> EmptyGroupRow(const std::vector<ntga::AggSpec>& aggs,
+                                       rdf::Dictionary* dict) {
+  std::vector<rdf::TermId> row;
+  for (const Aggregator& a : MakeAggregators(aggs)) {
+    row.push_back(a.Finalize(dict));
+  }
+  return row;
+}
+
+namespace {
 
 /// Per-map-task state of GroupBy, shared by map and map_finish: the row
-/// reader, the partial table, the key/value buffers and the weighted
-/// path's decoded group (base cells, every factor's rows in one pool, the
+/// reader, the aggregation table, the key buffer and the weighted path's
+/// decoded group (base cells, every factor's rows in one pool, the
 /// odometer over key-bearing factors).
 struct GroupByScratch {
   RowReader reader;
-  PartialTable partials;
-  std::string key_buf, val_buf;
+  AggMap agg;
+  std::string key_buf;
   std::vector<rdf::TermId> base, factor_cells, cells;
   std::vector<size_t> factor_begin, idx;
 };
@@ -1122,7 +1184,7 @@ struct GroupByScratch {
 StatusOr<TableRef> RelationalOps::GroupBy(
     const std::string& name_hint, const TableRef& input,
     const std::vector<std::string>& key_columns,
-    const std::vector<AggColumn>& aggs, bool map_side_agg,
+    const std::vector<ntga::AggSpec>& aggs, bool map_side_agg,
     RowPredicate having) {
   std::vector<int> key_idx;
   for (const std::string& k : key_columns) {
@@ -1134,14 +1196,14 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     key_idx.push_back(i);
   }
   std::vector<int> agg_idx;
-  for (const AggColumn& a : aggs) {
+  for (const ntga::AggSpec& a : aggs) {
     if (a.count_star) {
       agg_idx.push_back(-1);
       continue;
     }
-    int i = input.ColumnIndex(a.column);
+    int i = input.ColumnIndex(a.var);
     if (i < 0) {
-      return Status::InvalidArgument("aggregate column '" + a.column +
+      return Status::InvalidArgument("aggregate column '" + a.var +
                                      "' not in input");
     }
     agg_idx.push_back(i);
@@ -1150,10 +1212,10 @@ StatusOr<TableRef> RelationalOps::GroupBy(
   TableRef out;
   out.file = NextTmp(name_hint);
   out.columns = key_columns;
-  for (const AggColumn& a : aggs) out.columns.push_back(a.output_name);
+  for (const ntga::AggSpec& a : aggs) out.columns.push_back(a.output_name);
 
   rdf::Dictionary* dict = &dataset_->dict();
-  auto agg_specs = std::make_shared<std::vector<AggColumn>>(aggs);
+  auto agg_specs = std::make_shared<std::vector<ntga::AggSpec>>(aggs);
 
   mr::JobConfig job;
   job.name = name_hint;
@@ -1161,7 +1223,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
   job.output = out.file;
 
   bool weighted = input.factorized() && map_side_agg;
-  for (const AggColumn& a : aggs) {
+  for (const ntga::AggSpec& a : aggs) {
     // Float addition is grouping-sensitive: SUM/AVG pipelines must see the
     // same add order as the flat path, so they are never aggregated by
     // weight (the planner also keeps them flat upstream).
@@ -1240,7 +1302,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
           mr::kernels::AppendDecimal(&s->key_buf, cell_at(key_idx[k]));
         }
         std::vector<Aggregator>& agg_list =
-            s->partials.Find(s->key_buf, *agg_specs);
+            s->agg.Partials(s->key_buf, *agg_specs);
         for (size_t a = 0; a < agg_idx.size(); ++a) {
           if (agg_idx[a] < 0) {
             agg_list[a].AddRowWeighted(mult);
@@ -1272,7 +1334,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     };
   } else {
     // Every other GroupBy reads flat rows (factorized input decompresses
-    // here): pre-aggregated into the partial table, or shipped raw.
+    // here) into the aggregation shuffle: pre-aggregated, or shipped raw.
     auto source = std::make_shared<RowSource>(SourceOf(input));
     job.map = [source, key_idx, agg_idx, agg_specs, dict, map_side_agg](
                   const mr::Record& r, int, mr::MapContext* ctx) {
@@ -1281,77 +1343,23 @@ StatusOr<TableRef> RelationalOps::GroupBy(
           *source, r, [&](const std::vector<rdf::TermId>& row) {
             s->key_buf.clear();
             AppendCells(&s->key_buf, row, key_idx);
-            if (map_side_agg) {
-              std::vector<Aggregator>& agg_list =
-                  s->partials.Find(s->key_buf, *agg_specs);
-              for (size_t a = 0; a < agg_idx.size(); ++a) {
-                if (agg_idx[a] < 0) {
-                  agg_list[a].AddRow();
-                } else {
-                  agg_list[a].AddTerm(row[static_cast<size_t>(agg_idx[a])],
-                                      *dict);
-                }
-              }
-              return;
-            }
-            s->val_buf.assign("R|");
-            for (size_t a = 0; a < agg_idx.size(); ++a) {
-              if (a > 0) s->val_buf += ',';
-              mr::kernels::AppendDecimal(
-                  &s->val_buf, agg_idx[a] < 0
-                                   ? rdf::kInvalidTermId
-                                   : row[static_cast<size_t>(agg_idx[a])]);
-            }
-            ctx->Emit(s->key_buf, s->val_buf);
+            s->agg.Add(s->key_buf, row.data(), agg_idx, *agg_specs,
+                       map_side_agg, *dict, ctx);
           });
     };
   }
   if (map_side_agg) {
     job.map_finish = [](mr::MapContext* ctx) {
-      GroupByScratch* s = ctx->TaskState<GroupByScratch>();
-      s->partials.Flush(&s->val_buf, ctx);
+      ctx->TaskState<GroupByScratch>()->agg.Flush(ctx);
     };
   }
 
-  // The aggregator list resets per key group; the decode and emit buffers
-  // are per-task scratch reused across groups.
-  struct ReduceScratch {
-    std::vector<rdf::TermId> args, out_row;
-    std::string val_buf;
-  };
   job.reduce = [agg_specs, dict, having](std::string_view key,
                                          const mr::ValueSpan& values,
                                          mr::ReduceContext* ctx) {
-    ReduceScratch* s = ctx->TaskState<ReduceScratch>();
-    std::vector<Aggregator> agg_list = MakeAggregators(*agg_specs);
-    for (std::string_view v : values) {
-      if (v.empty()) continue;
-      if (v[0] == 'P') {
-        FieldTokenizer parts(v, '|');
-        std::string_view part;
-        parts.Next(&part);  // the "P" marker
-        for (size_t a = 0; a < agg_list.size() && parts.Next(&part); ++a) {
-          auto partial = Aggregator::DeserializePartial(
-              (*agg_specs)[a].func, part, (*agg_specs)[a].separator);
-          if (partial.ok()) agg_list[a].Merge(*partial, *dict);
-        }
-      } else if (v[0] == 'R') {
-        DecodeRowInto(v.substr(2), &s->args);
-        for (size_t a = 0; a < agg_list.size() && a < s->args.size(); ++a) {
-          if ((*agg_specs)[a].count_star) {
-            agg_list[a].AddRow();
-          } else {
-            agg_list[a].AddTerm(s->args[a], *dict);
-          }
-        }
-      }
-    }
-    DecodeRowInto(key, &s->out_row);
-    for (Aggregator& a : agg_list) s->out_row.push_back(a.Finalize(dict));
-    if (having != nullptr && !having(s->out_row)) return;
-    s->val_buf.clear();
-    AppendRow(&s->val_buf, s->out_row);
-    ctx->Emit("", s->val_buf);
+    AggReduceScratch* s = ctx->TaskState<AggReduceScratch>();
+    FoldAggGroup(key, *agg_specs, values, dict, s);
+    if (having == nullptr || having(s->row)) ctx->Emit("", s->val_buf);
   };
 
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
@@ -1367,11 +1375,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                             dataset_->dfs().Open(out.file));
     if (f->records.empty() && in_f->records.empty()) {
-      std::vector<rdf::TermId> row;
-      for (const AggColumn& a : aggs) {
-        Aggregator empty(a.func, false, a.separator);
-        row.push_back(empty.Finalize(dict));
-      }
+      std::vector<rdf::TermId> row = EmptyGroupRow(aggs, dict);
       if (having == nullptr || having(row)) {
         mr::RecordBatch batch;
         batch.Add("", EncodeRow(row));
@@ -1429,16 +1433,17 @@ StatusOr<TableRef> RelationalOps::DistinctProject(
   return out;
 }
 
-ProjectedResult JoinAndProject(std::vector<analytics::BindingTable> tables,
-                               const std::vector<sparql::SelectItem>& items,
-                               rdf::Dictionary* dict) {
+analytics::BindingTable JoinAndProject(
+    std::vector<analytics::BindingTable> tables,
+    const std::vector<sparql::SelectItem>& items, rdf::Dictionary* dict) {
   RAPIDA_CHECK(!tables.empty());
   analytics::BindingTable joined = std::move(tables[0]);
   for (size_t i = 1; i < tables.size(); ++i) joined = joined.Join(tables[i]);
 
-  ProjectedResult out;
-  for (const sparql::SelectItem& item : items) out.columns.push_back(item.name);
-  out.rows.reserve(joined.NumRows());
+  std::vector<std::string> columns;
+  for (const sparql::SelectItem& item : items) columns.push_back(item.name);
+  analytics::BindingTable out(std::move(columns));
+  out.ReserveRows(joined.NumRows());
   std::vector<rdf::TermId> out_row;
   for (const std::span<const rdf::TermId> row : joined.rows()) {
     auto resolve = [&joined, &row](const std::string& v) {
@@ -1468,63 +1473,41 @@ ProjectedResult JoinAndProject(std::vector<analytics::BindingTable> tables,
           out_row.push_back(rdf::kInvalidTermId);
       }
     }
-    out.rows.push_back(EncodeRow(out_row));
+    out.AddRow(out_row);
   }
   return out;
 }
 
-analytics::BindingTable ToBindingTable(const ProjectedResult& projected) {
-  analytics::BindingTable out(projected.columns);
-  out.ReserveRows(projected.rows.size());
-  std::vector<rdf::TermId> row;
-  for (const std::string& r : projected.rows) {
-    DecodeRowInto(r, &row);
-    row.resize(projected.columns.size(), rdf::kInvalidTermId);
-    out.AddRow(row);
-  }
-  return out;
-}
-
-StatusOr<TableRef> RelationalOps::FinalJoinProject(
-    const std::string& name_hint, const std::vector<TableRef>& inputs,
+StatusOr<analytics::BindingTable> RelationalOps::FinalJoinProject(
+    const std::string& job_name, std::vector<analytics::BindingTable> tables,
+    const std::vector<std::string>& input_files,
     const std::vector<sparql::SelectItem>& items) {
-  RAPIDA_CHECK(!inputs.empty());
-  rdf::Dictionary* dict = &dataset_->dict();
+  analytics::BindingTable projected =
+      JoinAndProject(std::move(tables), items, &dataset_->dict());
 
-  // Load every input locally (they are small aggregated tables) and join
-  // them with the well-tested BindingTable logic.
-  std::vector<analytics::BindingTable> tables;
-  for (const TableRef& in : inputs) {
-    RAPIDA_ASSIGN_OR_RETURN(analytics::BindingTable t, ReadTable(in));
-    tables.push_back(std::move(t));
-  }
-  ProjectedResult projected = JoinAndProject(std::move(tables), items, dict);
-  std::vector<std::string> result_rows = std::move(projected.rows);
-
-  // Model the work as one map-only broadcast-join cycle: the job scans all
-  // inputs (honest byte accounting) and one mapper emits the result.
-  TableRef out;
-  out.file = NextTmp(name_hint);
-  out.columns = std::move(projected.columns);
-
+  // Model the work as one map-only broadcast-join cycle: the job scans
+  // every input (honest byte accounting) and task 0 emits the result. The
+  // job runs to completion inside Cluster::Run, so map_finish may borrow
+  // the table.
   mr::JobConfig job;
-  job.name = name_hint + " (map-only)";
-  for (const TableRef& t : inputs) job.inputs.push_back(t.file);
-  job.output = out.file;
-  auto rows = std::make_shared<std::vector<std::string>>(
-      std::move(result_rows));
-  // Exactly one of the (possibly concurrent) mappers emits the rows.
-  auto emitted = std::make_shared<std::atomic<bool>>(false);
+  job.name = job_name;
+  std::set<std::string> distinct_inputs(input_files.begin(),
+                                        input_files.end());
+  job.inputs.assign(distinct_inputs.begin(), distinct_inputs.end());
+  job.output = NextTmp("result");
   job.map = [](const mr::Record&, int, mr::MapContext*) {};
-  job.map_finish = [rows, emitted](mr::MapContext* ctx) {
-    if (emitted->exchange(true)) return;
-    for (const std::string& r : *rows) ctx->Emit("", r);
+  job.map_finish = [&projected](mr::MapContext* ctx) {
+    if (ctx->task() != 0) return;
+    std::string value;
+    for (std::span<const rdf::TermId> row : projected.rows()) {
+      value.clear();
+      AppendRow(&value, row.data(), row.size());
+      ctx->Emit("", value);
+    }
   };
-  RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
-  (void)stats;
-  return out;
+  RAPIDA_RETURN_IF_ERROR(cluster_->Run(job).status());
+  return projected;
 }
-
 
 StatusOr<analytics::BindingTable> RelationalOps::ReadTable(
     const TableRef& table) {

@@ -7,12 +7,15 @@
 #include <string_view>
 #include <vector>
 
+#include "analytics/aggregates.h"
 #include "analytics/binding.h"
 #include "engines/dataset.h"
 #include "engines/engine.h"
 #include "engines/factorized.h"
 #include "mapreduce/cluster.h"
+#include "ntga/operators.h"
 #include "sparql/ast.h"
+#include "util/hash_index.h"
 #include "util/statusor.h"
 
 namespace rapida::engine {
@@ -60,20 +63,72 @@ RowPredicate CompilePredicate(
     const std::vector<std::string>& columns, const rdf::Dictionary* dict);
 
 /// Joins the given (small, in-memory) tables on shared column names and
-/// evaluates the top-level select items per joined row. Shared by the
-/// final map-only cycle of every engine.
-struct ProjectedResult {
-  std::vector<std::string> columns;
-  std::vector<std::string> rows;  // EncodeRow'd values (record keys are "")
-};
-ProjectedResult JoinAndProject(std::vector<analytics::BindingTable> tables,
-                               const std::vector<sparql::SelectItem>& items,
-                               rdf::Dictionary* dict);
+/// evaluates the top-level select items per joined row: the projected
+/// table, one column per item. Alone it is the driver-side finish of a
+/// single-grouping query; RelationalOps::FinalJoinProject wraps it in
+/// every engine's final map-only cycle.
+analytics::BindingTable JoinAndProject(
+    std::vector<analytics::BindingTable> tables,
+    const std::vector<sparql::SelectItem>& items, rdf::Dictionary* dict);
 
-/// `projected`'s rows as a result table, NULL-padded to its width. Over
-/// JoinAndProject this is the driver-side finish of a single-grouping
-/// query (no MR cycle).
-analytics::BindingTable ToBindingTable(const ProjectedResult& projected);
+/// The aggregation shuffle, one copy for GROUP BY (RelationalOps::GroupBy)
+/// and the TG Agg-Join (NtgaExec::RunAggJoins): Alg. 3's multiAggMap and
+/// Hive's map-side partial GROUP BY are one algorithm. A shuffled value
+/// is `P|<partial>|...` (one serialized partial state per aggregate) or
+/// `R|<cell>,...` (one detail row's aggregated cells); nothing else
+/// writes or parses them.
+///
+/// Map side: each map task keeps one AggMap in its TaskState, folds its
+/// detail rows in with Add, and calls Flush from map_finish.
+class AggMap {
+ public:
+  /// `key`'s partial aggregators, created empty from `aggs` on first
+  /// sight (the weighted factorized GROUP BY adds to them directly).
+  std::vector<analytics::Aggregator>& Partials(
+      std::string_view key, const std::vector<ntga::AggSpec>& aggs);
+
+  /// One detail row of group `key`: aggregate a reads `row[args[a]]`
+  /// (NULL when args[a] < 0; COUNT(*) reads nothing). With `map_side_agg`
+  /// the row folds into Partials(key); otherwise it is emitted as an `R|`
+  /// value.
+  void Add(std::string_view key, const rdf::TermId* row,
+           const std::vector<int>& args,
+           const std::vector<ntga::AggSpec>& aggs, bool map_side_agg,
+           const rdf::Dictionary& dict, mr::MapContext* ctx);
+
+  /// Emits one `P|` value per key, in insertion order (keys are unique
+  /// per task, and the task's run is sorted by key afterwards).
+  void Flush(mr::MapContext* ctx);
+
+ private:
+  util::HashIndex index_;
+  std::vector<std::string> keys_;
+  std::vector<std::vector<analytics::Aggregator>> rows_;
+  std::string val_buf_;
+};
+
+/// Per-reduce-task scratch of an aggregation reduce (ReduceContext::
+/// TaskState), reused across key groups.
+struct AggReduceScratch {
+  std::vector<rdf::TermId> args;  // one `R|` value's cells
+  std::vector<rdf::TermId> row;   // the group's output row
+  std::string val_buf;            // `row`, EncodeRow'd
+};
+
+/// The reduce fold of one key group: `s->row` becomes the group key's
+/// cells (`key_cells`, EncodeRow'd), then each aggregate's finalized term
+/// over the group's `P|` partials (merged) and `R|` raw cells (added),
+/// and `s->val_buf` its encoding. Every aggregation reduce finalizes, and
+/// so interns, here.
+void FoldAggGroup(std::string_view key_cells,
+                  const std::vector<ntga::AggSpec>& aggs,
+                  const mr::ValueSpan& values, rdf::Dictionary* dict,
+                  AggReduceScratch* s);
+
+/// GROUP BY ALL's row over no detail rows: each aggregate's empty-group
+/// value (SPARQL: COUNT 0, MIN/MAX unbound).
+std::vector<rdf::TermId> EmptyGroupRow(const std::vector<ntga::AggSpec>& aggs,
+                                       rdf::Dictionary* dict);
 
 /// One input of a relational join.
 struct JoinInput {
@@ -115,8 +170,11 @@ int MapJoinStreamedInput(const std::vector<uint64_t>& sizes,
 /// applies MapJoinStreamedInput to the run-time sizes.
 enum class JoinStrategy { kAuto, kMap, kRepartition };
 
-/// Builder for the Hive-style relational MR plans. Tracks the temp files
-/// it creates so the engine can clean up.
+/// Builder for the Hive-style relational MR plans, and the one home of
+/// what every engine shares: the aggregation shuffle (GroupBy here, the
+/// TG Agg-Join in NtgaExec) and the final join (FinalJoinProject), which
+/// all four engines' query terminals run. Tracks the temp files it
+/// creates so the engine can clean up.
 class RelationalOps {
  public:
   /// `map_join_threshold_bytes` bounds the broadcast sides of a
@@ -153,20 +211,15 @@ class RelationalOps {
   StatusOr<TableRef> UnionAll(const std::string& name_hint,
                               const std::vector<TableRef>& inputs);
 
-  /// GROUP BY cycle; `map_side_agg` pre-aggregates in the map.
-  struct AggColumn {
-    sparql::AggFunc func = sparql::AggFunc::kCount;
-    std::string column;  // empty for COUNT(*)
-    bool count_star = false;
-    std::string output_name;
-    std::string separator = " ";  // GROUP_CONCAT only
-  };
-  /// `having` (optional) filters aggregated rows in the reduce phase; it
-  /// sees the output layout (key columns then aggregate columns).
+  /// GROUP BY cycle over the aggregation shuffle (AggMap, FoldAggGroup);
+  /// each aggregate reads the input column named by its `var`, and
+  /// `map_side_agg` pre-aggregates in the map. `having` (optional) filters
+  /// aggregated rows in the reduce phase; it sees the output layout (key
+  /// columns then aggregate columns).
   StatusOr<TableRef> GroupBy(const std::string& name_hint,
                              const TableRef& input,
                              const std::vector<std::string>& key_columns,
-                             const std::vector<AggColumn>& aggs,
+                             const std::vector<ntga::AggSpec>& aggs,
                              bool map_side_agg, RowPredicate having = nullptr);
 
   /// DISTINCT projection cycle (reduce-side dedup) — the MQO extraction
@@ -176,11 +229,15 @@ class RelationalOps {
                                      const std::vector<std::string>& columns,
                                      RowPredicate keep_predicate);
 
-  /// Final map-only cycle: joins the (small) grouping outputs on shared
-  /// column names via broadcast hash joins, evaluates the top-level select
-  /// items, and writes the result table.
-  StatusOr<TableRef> FinalJoinProject(
-      const std::string& name_hint, const std::vector<TableRef>& inputs,
+  /// The final map-only cycle of every engine, named `job_name`: joins the
+  /// (small, driver-side) grouping results `tables` on shared column names,
+  /// evaluates the top-level select `items` and returns the projected
+  /// table. The job scans `input_files`, the files backing `tables`
+  /// (distinct, sorted), for honest byte accounting, and map task 0 writes
+  /// the result rows, so their shard is the same at any exec_threads.
+  StatusOr<analytics::BindingTable> FinalJoinProject(
+      const std::string& job_name, std::vector<analytics::BindingTable> tables,
+      const std::vector<std::string>& input_files,
       const std::vector<sparql::SelectItem>& items);
 
   /// Reads a result table into a BindingTable.

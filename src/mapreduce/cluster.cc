@@ -66,6 +66,9 @@ class Sink : public Context {
     return std::move(tally_);
   }
 
+  /// Map sinks only: the task index MapContext::task() reports.
+  void SetTask(size_t task) { this->task_ = task; }
+
   /// Shard the next emissions are booked from.
   int from = 0;
 
@@ -264,6 +267,7 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       // Scoped so the map's TaskState scratch dies before the sort and
       // combine below.
       Sink<MapContext> ctx(&out, S);
+      ctx.SetTask(task);
       for (const TaggedRecord& tr : split.records) {
         ctx.from = AssignShard(tr.record->key_hash, config_.sharding, S);
         ++homes[static_cast<size_t>(ctx.from)];

@@ -69,6 +69,15 @@ class MapContext : public TaskStateBase {
   /// on the spot, so temporaries are fine; no per-record heap allocation
   /// happens on this path.
   virtual void Emit(std::string_view key, std::string_view value) = 0;
+
+  /// This map task's index in split order (inputs in JobConfig order,
+  /// each file's splits in record order). Every job has a task 0, so a
+  /// job that must emit something exactly once emits it from task 0,
+  /// whatever order concurrent tasks finish in.
+  size_t task() const { return task_; }
+
+ protected:
+  size_t task_ = 0;
 };
 
 /// Sink for reduce-side emissions. Emit appends to the reduce task's

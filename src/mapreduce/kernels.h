@@ -7,8 +7,9 @@
 
 /// Primitives for the hot MapReduce inner loops.
 ///
-/// The operators built on these (map-join probing, grouped aggregation,
-/// the TG_AggJoin multiAggMap) probe util::HashIndex tables on FNV-1a key
+/// The operators built on these (map-join probing, and the one
+/// aggregation shuffle whose AggMap serves both GROUP BY and the TG
+/// Agg-Join's multiAggMap) probe util::HashIndex tables on FNV-1a key
 /// hashes (mr::HashKey) or mixed term ids (util::MixId), and keep their
 /// tables and key/value buffers in per-task scratch (MapContext /
 /// ReduceContext TaskState) that is reused across records.

@@ -24,9 +24,10 @@ Status ExecutePlanMulti(
   ctx.outputs.resize(static_cast<size_t>(max_id + 1));
   ctx.agg_tables.resize(ctx.outputs.size());
 
-  // The relational facade is always live (not just under needs_vp): the
-  // NTGA engines' OPTIONAL/UNION groupings left-join, union and group
-  // their expanded intermediates relationally without touching VP tables.
+  // The relational facade is always live (not just under needs_vp): every
+  // engine's final join runs there, and the NTGA engines' OPTIONAL/UNION
+  // groupings left-join, union and group their expanded intermediates
+  // relationally without touching VP tables.
   std::unique_ptr<engine::RelationalOps> rel;
   std::unique_ptr<engine::NtgaExec> ntga;
   rel = std::make_unique<engine::RelationalOps>(

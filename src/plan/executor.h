@@ -17,10 +17,11 @@ namespace rapida::plan {
 
 /// Execution-time context handed to every PlanNode::exec closure.
 ///
-/// `rel` is always live (OPTIONAL/UNION groupings of the NTGA engines use
-/// it without VP tables), `ntga` iff the plan declared needs_tg; both are
-/// constructed with the plan's tmp tag under options.tmp_namespace so
-/// intermediate-file naming matches the pre-IR engines exactly. `results`
+/// `rel` is always live (every engine's final join runs there, and the
+/// NTGA engines' OPTIONAL/UNION groupings use it without VP tables),
+/// `ntga` iff the plan declared needs_tg; both are constructed with the
+/// plan's tmp tag under options.tmp_namespace so intermediate-file naming
+/// matches the pre-IR engines exactly. `results`
 /// has PhysicalPlan::num_results slots, pre-filled with
 /// Status::Internal("unset"); terminal nodes fill their slot (per-query
 /// failures also go into the slot — only shared-phase failures abort the

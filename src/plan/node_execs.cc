@@ -1,7 +1,10 @@
 #include "plan/node_execs.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
+
+#include "plan/planner_util.h"
 
 namespace rapida::plan::detail {
 
@@ -91,6 +94,9 @@ NodeExec UnionExec() {
   };
 }
 
+namespace {
+
+/// Exec of the GROUP BY node EmitGroupAggregate emits.
 NodeExec GroupAggregateExec(std::vector<std::string> keys,
                             std::vector<ntga::AggSpec> aggs,
                             const sparql::Expr* having,
@@ -98,28 +104,97 @@ NodeExec GroupAggregateExec(std::vector<std::string> keys,
   return [keys = std::move(keys), aggs = std::move(aggs), having,
           output_columns = std::move(output_columns)](
              ExecContext* ctx, const PlanNode& node) -> Status {
-    std::vector<engine::RelationalOps::AggColumn> columns;
-    std::vector<std::string> grouped = keys;
-    for (const ntga::AggSpec& a : aggs) {
-      columns.push_back(engine::RelationalOps::AggColumn{
-          a.func, a.var, a.count_star, a.output_name, a.separator});
-      grouped.push_back(a.output_name);
-    }
     engine::RowPredicate having_pred;
     if (having != nullptr) {
-      having_pred = engine::CompilePredicate({having}, grouped,
-                                             &ctx->dataset->graph().dict());
+      having_pred = engine::CompilePredicate(
+          {having}, GroupedColumns(keys, aggs), &ctx->dataset->graph().dict());
     }
     const std::string* agg = FindEntry(node.attrs, "map_side_agg");
     RAPIDA_ASSIGN_OR_RETURN(
         engine::TableRef grouped_table,
         ctx->rel->GroupBy(node.label + ":groupby",
-                          TableOf(*ctx, node.inputs[0]), keys, columns,
+                          TableOf(*ctx, node.inputs[0]), keys, aggs,
                           agg != nullptr && *agg == "partial", having_pred));
     grouped_table.columns = output_columns;
     SetOutput(ctx, node, grouped_table);
     return Status::OK();
   };
+}
+
+/// Exec of the query terminal EmitFinal emits: its inputs are Agg-Join
+/// tables (ExecContext::agg_tables) or relational tables read back.
+NodeExec FinalExec(const analytics::AnalyticalQuery* query, size_t slot,
+                   std::string job_name) {
+  return [query, slot, job_name = std::move(job_name)](
+             ExecContext* ctx, const PlanNode& node) -> Status {
+    std::vector<analytics::BindingTable> tables;
+    std::vector<std::string> files;
+    for (int in : node.inputs) {
+      std::optional<analytics::BindingTable>& agg =
+          ctx->agg_tables[static_cast<size_t>(in)];
+      if (agg.has_value()) {
+        tables.push_back(std::move(*agg));
+      } else {
+        RAPIDA_ASSIGN_OR_RETURN(analytics::BindingTable table,
+                                ctx->rel->ReadTable(TableOf(*ctx, in)));
+        tables.push_back(std::move(table));
+      }
+      files.push_back(ctx->outputs[static_cast<size_t>(in)].file);
+    }
+    const size_t jobs_before = ctx->cluster->history().size();
+    StatusOr<analytics::BindingTable> result = Status::Internal("unset");
+    if (node.kind == OpKind::kMaterialize) {
+      result = engine::JoinAndProject(std::move(tables), query->top_items,
+                                      &ctx->dataset->dict());
+    } else {
+      result = ctx->rel->FinalJoinProject(job_name, std::move(tables), files,
+                                          query->top_items);
+    }
+    if (result.ok()) {
+      analytics::ApplySolutionModifiers(*query, ctx->dataset->dict(),
+                                        &*result);
+    } else {
+      ctx->unrun_cycles +=
+          node.est_cycles -
+          static_cast<int>(ctx->cluster->history().size() - jobs_before);
+    }
+    (*ctx->results)[slot] = std::move(result);
+    return Status::OK();
+  };
+}
+
+}  // namespace
+
+int EmitGroupAggregate(PhysicalPlan* plan, const std::string& label,
+                       const std::string& describe,
+                       const std::vector<std::string>& keys,
+                       const std::vector<ntga::AggSpec>& aggs,
+                       const sparql::Expr* having,
+                       const std::vector<std::string>& output_columns,
+                       int input_id, bool bind) {
+  PlanNode& n = plan->AddNode(OpKind::kGroupAggregate, label, describe, 1);
+  if (input_id >= 0) n.inputs = {input_id};
+  AddAggAttrs(&n, keys, aggs, having, output_columns);
+  if (bind) n.exec = GroupAggregateExec(keys, aggs, having, output_columns);
+  return n.id;
+}
+
+int EmitFinal(PhysicalPlan* plan, const analytics::AnalyticalQuery& query,
+              const std::vector<int>& inputs, const std::string& join_describe,
+              const std::string& project_describe, size_t slot,
+              std::string job_name, bool bind) {
+  PlanNode* fin = nullptr;
+  if (query.groupings.size() > 1) {
+    fin = &plan->AddNode(OpKind::kFinalJoin, "final", join_describe, 1);
+    fin->map_only = true;
+  } else {
+    fin = &plan->AddNode(OpKind::kMaterialize, "final", project_describe, 0);
+  }
+  fin->inputs = inputs;
+  AddModifierAttrs(fin, query);
+  fin->Attr("uses", Csv(ModifierUses(query)));
+  if (bind) fin->exec = FinalExec(&query, slot, std::move(job_name));
+  return fin->id;
 }
 
 void BindDecompress(PhysicalPlan* plan) {

@@ -415,83 +415,13 @@ int EmitHiveGroupingTail(PhysicalPlan* plan, engine::Dataset* dataset,
   return un.id;
 }
 
-/// Emits one relational GROUP BY cycle node (with its exec when `bind`);
-/// `output_columns` names its output (keys, then aggregates).
-int EmitGroupAggregate(PhysicalPlan* plan, const std::string& label,
-                       const std::string& describe,
-                       const std::vector<std::string>& keys,
-                       const std::vector<ntga::AggSpec>& aggs,
-                       const sparql::Expr* having,
-                       const std::vector<std::string>& output_columns,
-                       int input_id, bool bind) {
-  PlanNode& n = plan->AddNode(OpKind::kGroupAggregate, label, describe, 1);
-  if (input_id >= 0) n.inputs = {input_id};
-  n.Attr("group_by", detail::Csv(keys));
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    n.Attr("agg" + std::to_string(i), detail::AggSig(aggs[i]));
-  }
-  if (having != nullptr) n.Attr("having", having->ToString());
-  std::vector<std::string> uses = keys;
-  for (const ntga::AggSpec& a : aggs) {
-    if (!a.count_star) uses.push_back(a.var);
-  }
-  n.Attr("uses", detail::Csv(uses));
-  n.Attr("binds", detail::Csv(output_columns));
-  if (bind) {
-    n.exec = detail::GroupAggregateExec(keys, aggs, having, output_columns);
-  }
-  return n.id;
-}
-
-/// The relational query terminal, shared by the map-only kFinalJoin of a
-/// multi-grouping query and the driver-side kMaterialize of a single
-/// grouping: the result table, then the solution modifiers, into result
-/// slot 0.
-Status FinishRelational(ExecContext* ctx, const PlanNode& node,
-                        const AnalyticalQuery& query) {
-  std::vector<engine::TableRef> tables;
-  for (int in : node.inputs) tables.push_back(detail::TableOf(*ctx, in));
-  analytics::BindingTable result;
-  if (node.kind == OpKind::kMaterialize) {
-    RAPIDA_ASSIGN_OR_RETURN(analytics::BindingTable table,
-                            ctx->rel->ReadTable(tables[0]));
-    result = engine::ToBindingTable(engine::JoinAndProject(
-        {std::move(table)}, query.top_items, &ctx->dataset->dict()));
-  } else {
-    RAPIDA_ASSIGN_OR_RETURN(
-        engine::TableRef final_table,
-        ctx->rel->FinalJoinProject("final", tables, query.top_items));
-    RAPIDA_ASSIGN_OR_RETURN(result, ctx->rel->ReadTable(final_table));
-  }
-  analytics::ApplySolutionModifiers(query, ctx->dataset->dict(), &result);
-  (*ctx->results)[0] = std::move(result);
-  return Status::OK();
-}
-
-/// Emits the query-level terminal: a map-only final join for multi-
-/// grouping queries, a cost-0 driver-side projection otherwise. Carries
-/// the SELECT list and solution modifiers (fingerprint completeness).
-void EmitFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
-               const std::vector<int>& grouping_ids, bool bind) {
-  PlanNode* fin = nullptr;
-  if (query.groupings.size() > 1) {
-    fin = &plan->AddNode(OpKind::kFinalJoin, "final",
-                         "final: map-only join of grouping results", 1);
-    fin->map_only = true;
-  } else {
-    fin = &plan->AddNode(
-        OpKind::kMaterialize, "final",
-        "final: driver-side projection of the grouping result", 0);
-  }
-  fin->inputs = grouping_ids;
-  detail::AddModifierAttrs(fin, query);
-  fin->Attr("uses", detail::Csv(detail::ModifierUses(query)));
-  if (bind) {
-    const AnalyticalQuery* q = &query;
-    fin->exec = [q](ExecContext* ctx, const PlanNode& node) {
-      return FinishRelational(ctx, node, *q);
-    };
-  }
+/// The relational family's query terminal over its GROUP BY nodes.
+void EmitRelationalFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
+                         const std::vector<int>& grouping_ids, bool bind) {
+  detail::EmitFinal(plan, query, grouping_ids,
+                    "final: map-only join of grouping results",
+                    "final: driver-side projection of the grouping result", 0,
+                    "final (map-only)", bind);
 }
 
 /// Everything the MQO rewrite derives from the composite before any job
@@ -584,17 +514,14 @@ StatusOr<PhysicalPlan> PlanHiveNaive(const AnalyticalQuery& query,
     const GroupingSubquery& grouping = query.groupings[g];
     std::string label = "g" + std::to_string(g);
     int tail_id = EmitHiveGroupingTail(&plan, dataset, grouping, label);
-    std::vector<std::string> output_columns = grouping.group_by;
-    for (const ntga::AggSpec& a : grouping.aggs) {
-      output_columns.push_back(a.output_name);
-    }
-    grouping_ids.push_back(EmitGroupAggregate(
+    grouping_ids.push_back(detail::EmitGroupAggregate(
         &plan, label,
         label + ": GROUP BY" + (grouping.group_by.empty() ? " ALL" : ""),
         grouping.group_by, grouping.aggs, grouping.having.get(),
-        output_columns, tail_id, bind));
+        detail::GroupedColumns(grouping.group_by, grouping.aggs), tail_id,
+        bind));
   }
-  EmitFinal(&plan, query, grouping_ids, bind);
+  EmitRelationalFinal(&plan, query, grouping_ids, bind);
 
   PassManager::Default(options, &query).Run(&plan);
   if (bind) detail::BindDecompress(&plan);
@@ -702,15 +629,13 @@ StatusOr<PhysicalPlan> PlanHiveMqo(const AnalyticalQuery& query,
         grouping.having != nullptr
             ? engine::MapExprVars(*grouping.having, st->comp.var_map[p])
             : nullptr);
-    std::vector<std::string> output_columns = grouping.group_by;
-    for (const ntga::AggSpec& a : grouping.aggs) {
-      output_columns.push_back(a.output_name);
-    }
-    grouping_ids.push_back(EmitGroupAggregate(
+    grouping_ids.push_back(detail::EmitGroupAggregate(
         &plan, label, label + ": GROUP BY", translated_keys, translated_aggs,
-        st->havings.back().get(), output_columns, ex.id, bind));
+        st->havings.back().get(),
+        detail::GroupedColumns(grouping.group_by, grouping.aggs), ex.id,
+        bind));
   }
-  EmitFinal(&plan, query, grouping_ids, bind);
+  EmitRelationalFinal(&plan, query, grouping_ids, bind);
 
   PassManager::Default(options, &query).Run(&plan);
   if (bind) detail::BindDecompress(&plan);

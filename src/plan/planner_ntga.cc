@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -307,23 +306,6 @@ int EmitExpandedPattern(PhysicalPlan* plan, const ntga::StarGraph& pattern,
   return ex.id;
 }
 
-void AddAggAttrs(PlanNode* agg, const std::vector<std::string>& group_vars,
-                 const std::vector<ntga::AggSpec>& aggs,
-                 const sparql::Expr* having,
-                 const std::vector<std::string>& output_columns) {
-  agg->Attr("group_by", detail::Csv(group_vars));
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    agg->Attr("agg" + std::to_string(i), detail::AggSig(aggs[i]));
-  }
-  if (having != nullptr) agg->Attr("having", having->ToString());
-  std::vector<std::string> uses = group_vars;
-  for (const ntga::AggSpec& a : aggs) {
-    if (!a.count_star) uses.push_back(a.var);
-  }
-  agg->Attr("uses", detail::Csv(uses));
-  agg->Attr("binds", detail::Csv(output_columns));
-}
-
 /// Records an Agg-Join's aggregated table, and the DFS file backing it, as
 /// node `id`'s output.
 void SetAggOutput(ExecContext* ctx, int id,
@@ -423,17 +405,15 @@ int EmitAggJoin(PhysicalPlan* plan, const NtgaEmit& chain,
     work.spec.aggs.push_back(std::move(translated));
   }
   work.pattern_vars = PatternVars(comp, static_cast<size_t>(gid));
-  work.output_columns = grouping.group_by;  // original names
-  for (const ntga::AggSpec& a : grouping.aggs) {
-    work.output_columns.push_back(a.output_name);
-  }
+  work.output_columns =  // original names
+      detail::GroupedColumns(grouping.group_by, grouping.aggs);
   work.having = grouping.having.get();
 
   PlanNode& agg = plan->AddNode(OpKind::kAggJoin, label, describe, 1);
   agg.inputs = {chain.tail_id};
   if (comp.stars.size() == 1) agg.Attr("fold", "map");
-  AddAggAttrs(&agg, work.spec.group_vars, work.spec.aggs, work.having,
-              work.output_columns);
+  detail::AddAggAttrs(&agg, work.spec.group_vars, work.spec.aggs,
+                      work.having, work.output_columns);
   // The α condition restricting this grouping to its own pattern.
   std::string alpha;
   for (const auto& [star, props] : comp.pattern_secondary[gid]) {
@@ -505,79 +485,17 @@ int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
   return un.id;
 }
 
-/// Exec of the NTGA query terminal filling result `slot` from its inputs
-/// (an Agg-Join's aggregated table, or a relational GROUP BY's output read
-/// back): the driver-side projection of a single grouping (kMaterialize)
-/// or one map-only final join named `label` (kFinalJoin), then the
-/// solution modifiers. A per-query failure stays in the slot, with the
-/// cycles it left unrun, so the other queries of a shared-scan batch
-/// still finish.
-NodeExec NtgaFinalExec(const AnalyticalQuery* query, size_t slot,
-                       std::string label) {
-  return [query, slot, label = std::move(label)](
-             ExecContext* ctx, const PlanNode& node) -> Status {
-    std::vector<analytics::BindingTable> tables;
-    std::vector<std::string> files;
-    for (int in : node.inputs) {
-      std::optional<analytics::BindingTable>& agg =
-          ctx->agg_tables[static_cast<size_t>(in)];
-      if (agg.has_value()) {
-        tables.push_back(std::move(*agg));
-      } else {
-        RAPIDA_ASSIGN_OR_RETURN(
-            analytics::BindingTable table,
-            ctx->rel->ReadTable(detail::TableOf(*ctx, in)));
-        tables.push_back(std::move(table));
-      }
-      files.push_back(ctx->outputs[static_cast<size_t>(in)].file);
-    }
-    const size_t jobs_before = ctx->cluster->history().size();
-    StatusOr<analytics::BindingTable> result = Status::Internal("unset");
-    if (node.kind == OpKind::kMaterialize) {
-      result = engine::ToBindingTable(engine::JoinAndProject(
-          std::move(tables), query->top_items, &ctx->dataset->dict()));
-    } else {
-      result = ctx->ntga->FinalJoinProject(std::move(tables),
-                                           query->top_items, files, label);
-    }
-    if (result.ok()) {
-      analytics::ApplySolutionModifiers(*query, ctx->dataset->dict(),
-                                        &*result);
-    } else {
-      ctx->unrun_cycles +=
-          node.est_cycles -
-          static_cast<int>(ctx->cluster->history().size() - jobs_before);
-    }
-    (*ctx->results)[slot] = std::move(result);
-    return Status::OK();
-  };
-}
-
-/// Emits the query terminal over `inputs` (one map-only final join, or a
-/// driver-side projection for a single grouping) with its solution
-/// modifiers, filling result `slot`.
+/// The NTGA family's query terminal over `inputs`, filling result `slot`;
+/// `suffix` tells a shared-scan batch's queries apart, and its final join
+/// is named `label:finaljoin`.
 int EmitNtgaFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
                   const std::string& suffix, const std::vector<int>& inputs,
-                  size_t slot, std::string label, bool bind) {
-  PlanNode* fin = nullptr;
-  if (query.groupings.size() > 1) {
-    fin = &plan->AddNode(OpKind::kFinalJoin, "final",
-                         "final: map-only join of aggregated triplegroups" +
-                             suffix,
-                         1);
-    fin->map_only = true;
-  } else {
-    fin = &plan->AddNode(
-        OpKind::kMaterialize, "final",
-        "final: driver-side projection of the aggregated triplegroup" +
-            suffix,
-        0);
-  }
-  fin->inputs = inputs;
-  detail::AddModifierAttrs(fin, query);
-  fin->Attr("uses", detail::Csv(detail::ModifierUses(query)));
-  if (bind) fin->exec = NtgaFinalExec(&query, slot, std::move(label));
-  return fin->id;
+                  size_t slot, const std::string& label, bool bind) {
+  return detail::EmitFinal(
+      plan, query, inputs,
+      "final: map-only join of aggregated triplegroups" + suffix,
+      "final: driver-side projection of the aggregated triplegroup" + suffix,
+      slot, label + ":finaljoin (map-only)", bind);
 }
 
 }  // namespace
@@ -600,24 +518,13 @@ StatusOr<PhysicalPlan> PlanRapidPlus(const AnalyticalQuery& query,
       // relational left-join/union tail and a relational GROUP BY (the TG
       // Agg-Join only understands conjunctive star patterns).
       int tail_id = EmitNtgaGroupingTail(&plan, grouping, label, bind);
-      PlanNode& agg = plan.AddNode(
-          OpKind::kGroupAggregate, label,
+      agg_ids.push_back(detail::EmitGroupAggregate(
+          &plan, label,
           label + ": GROUP BY" + (grouping.group_by.empty() ? " ALL" : "") +
               " (relational)",
-          1);
-      agg.inputs = {tail_id};
-      std::vector<std::string> output_columns = grouping.group_by;
-      for (const ntga::AggSpec& a : grouping.aggs) {
-        output_columns.push_back(a.output_name);
-      }
-      AddAggAttrs(&agg, grouping.group_by, grouping.aggs,
-                  grouping.having.get(), output_columns);
-      if (bind) {
-        agg.exec = detail::GroupAggregateExec(grouping.group_by, grouping.aggs,
-                                              grouping.having.get(),
-                                              output_columns);
-      }
-      agg_ids.push_back(agg.id);
+          grouping.group_by, grouping.aggs, grouping.having.get(),
+          detail::GroupedColumns(grouping.group_by, grouping.aggs), tail_id,
+          bind));
       continue;
     }
     NtgaEmit chain =

@@ -83,6 +83,36 @@ inline std::string AggSig(const ntga::AggSpec& a) {
          a.output_name;
 }
 
+/// A grouping's output columns: its keys, then its aggregates' names.
+inline std::vector<std::string> GroupedColumns(
+    const std::vector<std::string>& keys,
+    const std::vector<ntga::AggSpec>& aggs) {
+  std::vector<std::string> columns = keys;
+  for (const ntga::AggSpec& a : aggs) columns.push_back(a.output_name);
+  return columns;
+}
+
+/// Records a grouping-aggregation's identity on its node, a relational
+/// GROUP BY or a TG Agg-Join alike: the keys, each aggregate's signature,
+/// HAVING, the variables it reads (`uses`) and the columns it names
+/// (`binds`).
+inline void AddAggAttrs(PlanNode* node, const std::vector<std::string>& keys,
+                        const std::vector<ntga::AggSpec>& aggs,
+                        const sparql::Expr* having,
+                        const std::vector<std::string>& output_columns) {
+  node->Attr("group_by", Csv(keys));
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    node->Attr("agg" + std::to_string(i), AggSig(aggs[i]));
+  }
+  if (having != nullptr) node->Attr("having", having->ToString());
+  std::vector<std::string> uses = keys;
+  for (const ntga::AggSpec& a : aggs) {
+    if (!a.count_star) uses.push_back(a.var);
+  }
+  node->Attr("uses", Csv(uses));
+  node->Attr("binds", Csv(output_columns));
+}
+
 /// Records the query-level solution modifiers and SELECT list on the
 /// plan's terminal node, completing the fingerprint's semantic coverage.
 inline void AddModifierAttrs(PlanNode* node,

@@ -234,7 +234,7 @@ TEST(AllocRegressionTest, ShardedOperatorsStayUnderPerRecordBudget) {
   engine::TableRef left;
   left.file = "left";
   left.columns = {"k", "g", "v"};
-  const std::vector<engine::RelationalOps::AggColumn> aggs = {
+  const std::vector<ntga::AggSpec> aggs = {
       {sparql::AggFunc::kCount, "", true, "cnt", " "}};
   g_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_seq_cst);
@@ -335,7 +335,7 @@ TEST(AllocRegressionTest, FactorizedInputsStayUnderPerRowBudget) {
   ASSERT_EQ(cluster.history().back().output_records,
             static_cast<uint64_t>(kSubjects));
 
-  const std::vector<engine::RelationalOps::AggColumn> sum = {
+  const std::vector<ntga::AggSpec> sum = {
       {sparql::AggFunc::kSum, "x", false, "sum", " "}};
   g_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_seq_cst);

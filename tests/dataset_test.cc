@@ -59,7 +59,7 @@ TEST(DatasetTest, TripleGroupsPartitionedByEquivalenceClass) {
   ASSERT_TRUE(d.EnsureTripleGroups().ok());
   // ECs: {type,label,feature} (p1), {type,label} (p2), {product,price}
   // (o1,o2) -> 3 files.
-  EXPECT_EQ(d.AllTgFiles().size(), 3u);
+  EXPECT_EQ(d.TgFilesCovering({}).size(), 3u);
 
   const rdf::Dictionary& dict = d.graph().dict();
   rdf::TermId product = dict.LookupIri("product");
@@ -124,7 +124,7 @@ TEST(DatasetTest, SingleFileModeCoversEverything) {
   opts.tg_partition_by_ec = false;
   Dataset d(SmallGraph(), opts);
   ASSERT_TRUE(d.EnsureTripleGroups().ok());
-  EXPECT_EQ(d.AllTgFiles().size(), 1u);
+  EXPECT_EQ(d.TgFilesCovering({}).size(), 1u);
   const rdf::Dictionary& dict = d.graph().dict();
   // Every property request resolves to the single file.
   EXPECT_EQ(d.TgFilesCovering({dict.LookupIri("price")}).size(), 1u);

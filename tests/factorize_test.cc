@@ -308,7 +308,7 @@ class FactorizeTest : public ::testing::Test {
       if (j.name.rfind("link", 0) == 0) out.link_shuffle = j.shuffle_bytes;
     }
 
-    std::vector<RelationalOps::AggColumn> aggs = {
+    std::vector<ntga::AggSpec> aggs = {
         {sparql::AggFunc::kCount, "", true, "cnt", " "},
         {sparql::AggFunc::kMin, "w", false, "minw", " "},
         {sparql::AggFunc::kMax, "y", false, "maxy", " "},
@@ -318,7 +318,7 @@ class FactorizeTest : public ::testing::Test {
     out.by_s = SortedRows(&ops, *by_s);
 
     // Key inside a factor: the group-by must enumerate that factor only.
-    std::vector<RelationalOps::AggColumn> aggs2 = {
+    std::vector<ntga::AggSpec> aggs2 = {
         {sparql::AggFunc::kCount, "", true, "cnt", " "},
         {sparql::AggFunc::kMin, "x", false, "minx", " "}};
     auto by_y = ops.GroupBy("by_y", *linked, {"y"}, aggs2, partial_agg);
@@ -435,7 +435,7 @@ TEST_F(FactorizeTest, SumKeepsOutputFlatButCorrect) {
   auto fact = ops.Join("s2", inputs, JoinStrategy::kRepartition, nullptr,
                        true);
   ASSERT_TRUE(flat.ok() && fact.ok());
-  std::vector<RelationalOps::AggColumn> aggs = {
+  std::vector<ntga::AggSpec> aggs = {
       {sparql::AggFunc::kSum, "y", false, "sy", " "}};
   auto g1 = ops.GroupBy("g1", *flat, {"s"}, aggs, true);
   auto g2 = ops.GroupBy("g2", *fact, {"s"}, aggs, true);

@@ -129,30 +129,93 @@ TEST_F(RelationalOpsTest, PredicatesAndPostPredicate) {
 }
 
 TEST_F(RelationalOpsTest, GroupByPartialAndRawAgree) {
+  // Every aggregate function through the aggregation shuffle: pre-
+  // aggregated partials (map_side_agg on) and raw cells (off), each from
+  // one map task and from one task per record, where the reduce merges
+  // several tasks' partials. The number column holds a NULL, which only
+  // COUNT(*) counts.
   rdf::Dictionary& dict = dataset_.dict();
   rdf::TermId k1 = dict.InternIri("k1"), k2 = dict.InternIri("k2");
+  rdf::TermId ia = dict.InternIri("a"), ib = dict.InternIri("b"),
+              ic = dict.InternIri("c");
   rdf::TermId v5 = dict.InternInt(5), v7 = dict.InternInt(7),
-              v2 = dict.InternInt(2);
-  TableRef input = WriteTable("rows", {"k", "v"},
-                              {{k1, v5}, {k1, v7}, {k2, v2}, {k1, v2}});
-  std::vector<RelationalOps::AggColumn> aggs = {
-      {sparql::AggFunc::kCount, "v", false, "cnt", " "},
-      {sparql::AggFunc::kSum, "v", false, "sum", " "}};
+              v2 = dict.InternInt(2), v9 = dict.InternInt(9);
+  const rdf::TermId null = rdf::kInvalidTermId;
+  TableRef input = WriteTable("rows", {"k", "v", "w"},
+                              {{k1, v5, ib},
+                               {k1, v7, ia},
+                               {k2, v2, ic},
+                               {k1, v2, ic},
+                               {k1, null, ib},
+                               {k2, v9, ic}});
+  using sparql::AggFunc;
+  std::vector<ntga::AggSpec> aggs = {
+      {AggFunc::kCount, "", true, "rows", " "},
+      {AggFunc::kCount, "v", false, "cnt", " "},
+      {AggFunc::kSum, "v", false, "sum", " "},
+      {AggFunc::kAvg, "v", false, "avg", " "},
+      {AggFunc::kMin, "v", false, "minv", " "},
+      {AggFunc::kMax, "v", false, "maxv", " "},
+      {AggFunc::kMin, "w", false, "minw", " "},
+      {AggFunc::kMax, "w", false, "maxw", " "},
+      {AggFunc::kSample, "w", false, "sample", " "},
+      {AggFunc::kGroupConcat, "v", false, "concat", ";"}};
 
-  RelationalOps ops_raw(&cluster_, &dataset_,
-                        EngineOptions().map_join_threshold_bytes, "tmp:raw");
-  auto partial = ops_.GroupBy("g", input, {"k"}, aggs, true);
-  auto direct = ops_raw.GroupBy("g", input, {"k"}, aggs, false);
-  ASSERT_TRUE(partial.ok() && direct.ok());
-  EXPECT_EQ(Rows(*partial), Rows(*direct));
+  std::vector<std::vector<std::vector<rdf::TermId>>> results;
+  for (uint64_t split_bytes : {uint64_t{1} << 20, uint64_t{1}}) {
+    mr::ClusterConfig config;
+    config.exec_split_bytes = split_bytes;
+    mr::Cluster cluster(config, &dataset_.dfs());
+    for (bool map_side_agg : {true, false}) {
+      RelationalOps ops(&cluster, &dataset_,
+                        EngineOptions().map_join_threshold_bytes, "tmp:agg");
+      auto grouped = ops.GroupBy("g", input, {"k"}, aggs, map_side_agg);
+      ASSERT_TRUE(grouped.ok()) << grouped.status();
+      // One map task, or one per byte: each record in a task of its own.
+      const int mappers = cluster.history().back().num_mappers;
+      if (split_bytes == 1) {
+        EXPECT_GE(mappers, 6);
+      } else {
+        EXPECT_EQ(mappers, 1);
+      }
+      results.push_back(Rows(*grouped));
+    }
+  }
+  for (size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i], results[0]) << "setting " << i;
+  }
 
-  // Spot-check the values: k1 -> cnt 3, sum 14.
-  auto rows = Rows(*partial);
+  ASSERT_EQ(results[0].size(), 2u);
   const rdf::Dictionary& d = dataset_.dict();
-  for (const auto& row : rows) {
+  auto num = [&d](rdf::TermId id) { return *d.AsNumber(id); };
+  auto text = [&d](rdf::TermId id) { return std::string(d.Get(id).text); };
+  for (const auto& row : results[0]) {
+    ASSERT_EQ(row.size(), 11u);
     if (row[0] == k1) {
-      EXPECT_DOUBLE_EQ(*d.AsNumber(row[1]), 3);
-      EXPECT_DOUBLE_EQ(*d.AsNumber(row[2]), 14);
+      // k1: v = 5, 7, 2, NULL; w = b, a, c, b.
+      EXPECT_DOUBLE_EQ(num(row[1]), 4);
+      EXPECT_DOUBLE_EQ(num(row[2]), 3);
+      EXPECT_DOUBLE_EQ(num(row[3]), 14);
+      EXPECT_NEAR(num(row[4]), 14.0 / 3, 1e-9);  // a rounded literal
+      EXPECT_EQ(row[5], v2);
+      EXPECT_EQ(row[6], v7);
+      EXPECT_EQ(row[7], ia);
+      EXPECT_EQ(row[8], ic);
+      EXPECT_EQ(row[9], ia);  // SAMPLE: the smallest term id
+      EXPECT_EQ(text(row[10]), "2;5;7");
+    } else {
+      // k2: v = 2, 9; w = c, c.
+      EXPECT_EQ(row[0], k2);
+      EXPECT_DOUBLE_EQ(num(row[1]), 2);
+      EXPECT_DOUBLE_EQ(num(row[2]), 2);
+      EXPECT_DOUBLE_EQ(num(row[3]), 11);
+      EXPECT_DOUBLE_EQ(num(row[4]), 5.5);
+      EXPECT_EQ(row[5], v2);
+      EXPECT_EQ(row[6], v9);
+      EXPECT_EQ(row[7], ic);
+      EXPECT_EQ(row[8], ic);
+      EXPECT_EQ(row[9], ic);
+      EXPECT_EQ(text(row[10]), "2;9");
     }
   }
 }
@@ -163,7 +226,7 @@ TEST_F(RelationalOpsTest, GroupByHavingFiltersInReduce) {
   rdf::TermId v1 = dict.InternInt(1);
   TableRef input =
       WriteTable("rows", {"k", "v"}, {{k1, v1}, {k1, v1}, {k2, v1}});
-  std::vector<RelationalOps::AggColumn> aggs = {
+  std::vector<ntga::AggSpec> aggs = {
       {sparql::AggFunc::kCount, "v", false, "cnt", " "}};
   RowPredicate having = [&dict](const std::vector<rdf::TermId>& row) {
     return *dict.AsNumber(row[1]) >= 2;

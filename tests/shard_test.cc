@@ -1,9 +1,9 @@
 // Sharded data plane: placement-scheme determinism, key ownership,
 // shuffle-byte conservation, the locality scheme's zero-cross guarantee
 // for key-preserving jobs, the combiner's placement rule, per-shard
-// output ownership, and the full byte-identity matrix (every engine,
-// shard counts x thread counts, both schemes) through the differential
-// harness. Every placement expectation is recomputed here from
+// output ownership, the final join's thread-independent output shard,
+// and the full byte-identity matrix (every engine, shard counts x thread
+// counts, both schemes) through the differential harness. Every placement expectation is recomputed here from
 // AssignShard/OwnerShard over the job's input or output file.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "engines/dataset.h"
+#include "engines/relational_ops.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
 #include "mapreduce/sharding.h"
@@ -374,6 +376,59 @@ TEST(ShardedClusterTest, ShardedSlotsScaleTheCostModel) {
   all_cross.shuffle_cross_bytes = stats.shuffle_bytes;
   EXPECT_LT(c8.EstimateSimSeconds(stats),
             c8.EstimateSimSeconds(all_cross));
+}
+
+TEST(ShardedClusterTest, FinalJoinOutputShardIsIndependentOfThreads) {
+  // The final join's result rows are booked from the home shard of the
+  // map task that emits them. Its two input files home to different
+  // shards, and the first (task 0's, inputs sorted) is large, so a task
+  // racing to emit would usually be task 1. Task 0 must emit at
+  // exec_threads 8 in every run, as it does at exec_threads 1.
+  constexpr int kShards = 4;
+  const std::string ka = "a";
+  const int home_a =
+      AssignShard(HashKey(ka), ShardingScheme::kHashSubject, kShards);
+  std::string kb;
+  for (int i = 0; kb.empty(); ++i) {
+    std::string k = "b" + std::to_string(i);
+    if (AssignShard(HashKey(k), ShardingScheme::kHashSubject, kShards) !=
+        home_a) {
+      kb = k;
+    }
+  }
+  engine::Dataset dataset{rdf::Graph()};
+  RecordBatch a, b;
+  for (int i = 0; i < 20000; ++i) a.Add(ka, "1");
+  b.Add(kb, "2");
+  ASSERT_TRUE(dataset.dfs().Write("in:a", std::move(a)).ok());
+  ASSERT_TRUE(dataset.dfs().Write("in:b", std::move(b)).ok());
+  auto run = [&dataset](Cluster* cluster) {
+    engine::RelationalOps ops(cluster, &dataset, 0, "tmp:final");
+    analytics::BindingTable t({"x"});
+    t.AddRow({1});
+    t.AddRow({2});
+    std::vector<sparql::SelectItem> items(1);
+    items[0].name = "x";
+    auto result = ops.FinalJoinProject("final (map-only)", {t},
+                                       {"in:b", "in:a"}, items);
+    EXPECT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->NumRows(), 2u);
+    ops.Cleanup();
+    return cluster->history().back().shard_output_bytes;
+  };
+  ClusterConfig cfg;
+  cfg.num_shards = kShards;
+  cfg.sharding = ShardingScheme::kHashSubject;
+  cfg.exec_threads = 1;
+  Cluster serial_cluster(cfg, &dataset.dfs());
+  const std::vector<uint64_t> serial = run(&serial_cluster);
+  ASSERT_EQ(serial.size(), static_cast<size_t>(kShards));
+  EXPECT_GT(serial[static_cast<size_t>(home_a)], 0u);
+  cfg.exec_threads = 8;
+  Cluster cluster(cfg, &dataset.dfs());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(run(&cluster), serial) << "run " << i;
+  }
 }
 
 // ---- full-engine byte-identity matrix ----
