@@ -94,12 +94,9 @@ FactRun RunConfig(const PartSpec& part, const std::string& query_id,
       rapida::bench::ClusterModel(part.workload, part.scale, /*num_nodes=*/1);
   cluster_cfg.exec_threads = 8;
   cluster_cfg.num_shards = shards;
-  cluster_cfg.sharding = rapida::mr::ShardingScheme::kLocality;
 
   rapida::engine::EngineOptions options;
   options.factorized_intermediates = factorize;
-  options.num_shards = shards;
-  options.sharding_scheme = rapida::mr::ShardingScheme::kLocality;
   if (part.map_joins) {
     options.map_join_threshold_bytes = 8 * 1024;  // as in the fig8 benches
   } else {

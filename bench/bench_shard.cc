@@ -1,18 +1,18 @@
 // Shard scale-out sweep on the Fig. 8 multi-grouping workloads: MG1-MG4
 // on BSBM-small (the Fig. 8a setup) and BSBM-large (Fig. 8b), executed by
-// RAPIDAnalytics on the sharded data plane at 1 / 2 / 4 / 8 shards under
-// both placement schemes, against the single-node unsharded baseline.
+// RAPIDAnalytics on the sharded data plane at 1 / 2 / 4 / 8 shards
+// (hash-by-subject placement), against the single-node unsharded
+// baseline.
 //
-// Three things are on trial, all recorded per row in BENCH_shard.json
+// Two things are on trial, both recorded per row in BENCH_shard.json
 // (one JSON object per line; path overridable via RAPIDA_SHARD_JSON):
 //  - byte identity: every sharded configuration must produce exactly the
 //    unsharded result (compared via the sorted rendered rows' hash) — a
 //    violation makes this binary exit nonzero;
 //  - scale-out: sim_seconds shrink as shards are added, because the
-//    shards are the cost model's nodes (speedup column, baseline / row);
-//  - locality: the locality-aware scheme must move strictly fewer
-//    cross-shard bytes than hash-by-subject (scripts/check.sh asserts
-//    this, and the >= 3x speedup at 8 shards, from the JSON).
+//    shards are the cost model's nodes (speedup column, baseline / row;
+//    scripts/check.sh asserts >= 3x at 8 shards on fig8a from the JSON).
+// Each row also records its shard-local and cross-shard shuffle bytes.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -59,8 +59,7 @@ uint64_t HashResult(const rapida::analytics::BindingTable& table,
 }
 
 ShardRun RunConfig(const std::string& query_id, const std::string& workload,
-                   Scale scale, int shards,
-                   rapida::mr::ShardingScheme scheme) {
+                   Scale scale, int shards) {
   ShardRun out;
   auto cq = rapida::workload::FindQuery(query_id);
   if (!cq.ok()) {
@@ -88,12 +87,9 @@ ShardRun RunConfig(const std::string& query_id, const std::string& workload,
       rapida::bench::ClusterModel(workload, scale, /*num_nodes=*/1);
   cluster_cfg.exec_threads = 8;
   cluster_cfg.num_shards = shards;
-  cluster_cfg.sharding = scheme;
 
   rapida::engine::EngineOptions options;
   options.map_join_threshold_bytes = 8 * 1024;  // as in the fig8 benches
-  options.num_shards = shards;
-  options.sharding_scheme = scheme;
   auto eng = rapida::bench::MakeEngine("RAPIDAnalytics", options);
 
   rapida::mr::Cluster cluster(cluster_cfg, &dataset->dfs());
@@ -148,54 +144,42 @@ int main() {
     for (const std::string& q : queries) {
       ShardRun baseline;
       for (int shards : shard_counts) {
-        std::vector<rapida::mr::ShardingScheme> schemes;
+        ShardRun r = RunConfig(q, w.workload, w.scale, shards);
+        if (!r.ok) {
+          std::fprintf(stderr, "%s/%s shards=%d failed: %s\n", w.bench,
+                       q.c_str(), shards, r.error.c_str());
+          violations++;
+          continue;
+        }
+        const char* scheme_name = shards <= 1 ? "none" : "hash-subject";
+        bool identical = true;
+        double speedup = 1.0;
         if (shards <= 1) {
-          schemes = {rapida::mr::ShardingScheme::kHashSubject};
+          baseline = r;
         } else {
-          schemes = {rapida::mr::ShardingScheme::kHashSubject,
-                     rapida::mr::ShardingScheme::kLocality};
-        }
-        for (rapida::mr::ShardingScheme scheme : schemes) {
-          ShardRun r = RunConfig(q, w.workload, w.scale, shards, scheme);
-          if (!r.ok) {
-            std::fprintf(stderr, "%s/%s shards=%d failed: %s\n", w.bench,
-                         q.c_str(), shards, r.error.c_str());
-            violations++;
-            continue;
+          identical = baseline.ok && r.result_hash == baseline.result_hash &&
+                      r.result_rows == baseline.result_rows;
+          if (r.sim_seconds > 0) {
+            speedup = baseline.sim_seconds / r.sim_seconds;
           }
-          const char* scheme_name =
-              shards <= 1 ? "none"
-                          : rapida::mr::ShardingSchemeName(scheme);
-          bool identical = true;
-          double speedup = 1.0;
-          if (shards <= 1) {
-            baseline = r;
-          } else {
-            identical = baseline.ok &&
-                        r.result_hash == baseline.result_hash &&
-                        r.result_rows == baseline.result_rows;
-            if (r.sim_seconds > 0) {
-              speedup = baseline.sim_seconds / r.sim_seconds;
-            }
-            if (!identical) violations++;
-          }
-          std::printf("%-5s %-7d %-13s %12.1f %14" PRIu64 " %14" PRIu64
-                      " %8.2fx %s\n",
-                      q.c_str(), shards, scheme_name, r.sim_seconds,
-                      r.local_bytes, r.cross_bytes, speedup,
-                      identical ? "yes" : "NO <-- VIOLATION");
-          std::fprintf(
-              json,
-              "{\"bench\":\"%s\",\"query\":\"%s\",\"engine\":"
-              "\"RAPIDAnalytics\",\"shards\":%d,\"scheme\":\"%s\","
-              "\"sim_seconds\":%.2f,\"cycles\":%d,\"shuffle_bytes\":%" PRIu64
-              ",\"local_bytes\":%" PRIu64 ",\"cross_bytes\":%" PRIu64
-              ",\"result_rows\":%zu,\"result_hash\":\"%016" PRIx64
-              "\",\"identical\":%d,\"speedup\":%.3f}\n",
-              w.bench, q.c_str(), shards, scheme_name, r.sim_seconds,
-              r.cycles, r.shuffle_bytes, r.local_bytes, r.cross_bytes,
-              r.result_rows, r.result_hash, identical ? 1 : 0, speedup);
+          if (!identical) violations++;
         }
+        std::printf("%-5s %-7d %-13s %12.1f %14" PRIu64 " %14" PRIu64
+                    " %8.2fx %s\n",
+                    q.c_str(), shards, scheme_name, r.sim_seconds,
+                    r.local_bytes, r.cross_bytes, speedup,
+                    identical ? "yes" : "NO <-- VIOLATION");
+        std::fprintf(
+            json,
+            "{\"bench\":\"%s\",\"query\":\"%s\",\"engine\":"
+            "\"RAPIDAnalytics\",\"shards\":%d,\"scheme\":\"%s\","
+            "\"sim_seconds\":%.2f,\"cycles\":%d,\"shuffle_bytes\":%" PRIu64
+            ",\"local_bytes\":%" PRIu64 ",\"cross_bytes\":%" PRIu64
+            ",\"result_rows\":%zu,\"result_hash\":\"%016" PRIx64
+            "\",\"identical\":%d,\"speedup\":%.3f}\n",
+            w.bench, q.c_str(), shards, scheme_name, r.sim_seconds, r.cycles,
+            r.shuffle_bytes, r.local_bytes, r.cross_bytes, r.result_rows,
+            r.result_hash, identical ? 1 : 0, speedup);
       }
     }
     std::printf("\n");

@@ -14,10 +14,10 @@
 //                                    # sabotage RAPIDAnalytics, prove the
 //                                    # harness catches + shrinks the bug
 //   rapida_fuzz --shards=4           # additionally run every engine on a
-//                                    # 4-shard data plane (both placement
-//                                    # schemes), cross-checking results +
-//                                    # cycle/shuffle counters against the
-//                                    # unsharded baseline (comma list ok)
+//                                    # 4-shard data plane, cross-checking
+//                                    # results + cycle/shuffle counters
+//                                    # against the unsharded baseline
+//                                    # (comma list ok)
 //   rapida_fuzz --grammar=opt-union  # bias the query generator hard
 //                                    # toward OPTIONAL tails and UNION
 //                                    # chains (default grammar includes

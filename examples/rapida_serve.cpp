@@ -38,8 +38,6 @@
 //   --shards N                   with --smoke: run the service's data
 //                                plane across N shards (results must
 //                                still match the unsharded oracle)
-//   --scheme S                   placement scheme for --shards:
-//                                hash-subject (default) or locality
 //   --out FILE                   bench output (default BENCH_service.json)
 #include <atomic>
 #include <chrono>
@@ -249,8 +247,7 @@ int IvmMutateCheck(const std::string& scratch_dir) {
   return failures;
 }
 
-int Smoke(const std::string& store_dir, bool expect_warm, int shards,
-          rapida::mr::ShardingScheme scheme) {
+int Smoke(const std::string& store_dir, bool expect_warm, int shards) {
   Datasets data = BuildDatasets();
 
   // Oracle results, computed before the service touches anything.
@@ -271,7 +268,6 @@ int Smoke(const std::string& store_dir, bool expect_warm, int shards,
   // Sharded smoke: the service runs its data plane across N shards; every
   // result must still match the unsharded direct oracle byte-for-byte.
   smoke_opts.cluster.num_shards = shards;
-  smoke_opts.cluster.sharding = scheme;
   QueryService svc(smoke_opts);
   RegisterAll(&svc, &data);
   int session = svc.OpenSession("smoke");
@@ -627,8 +623,6 @@ int main(int argc, char** argv) {
   bool expect_warm = false;
   int passes = 2;
   int shards = 0;
-  rapida::mr::ShardingScheme scheme =
-      rapida::mr::ShardingScheme::kHashSubject;
   std::string out_path;
   std::string store_dir;
   for (int i = 1; i < argc; ++i) {
@@ -646,18 +640,13 @@ int main(int argc, char** argv) {
       passes = std::atoi(argv[++i]);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       shards = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--scheme=", 9) == 0) {
-      if (!rapida::mr::ParseShardingScheme(argv[i] + 9, &scheme)) {
-        std::fprintf(stderr, "unknown --scheme: %s\n", argv[i] + 9);
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--store DIR] [--expect-warm] "
                    "[--bench-store] [--passes N] [--shards N] "
-                   "[--scheme hash-subject|locality] [--out FILE]\n",
+                   "[--out FILE]\n",
                    argv[0]);
       return 2;
     }
@@ -665,6 +654,6 @@ int main(int argc, char** argv) {
   if (bench_store) {
     return BenchStore(out_path.empty() ? "BENCH_store.json" : out_path);
   }
-  if (smoke) return Smoke(store_dir, expect_warm, shards, scheme);
+  if (smoke) return Smoke(store_dir, expect_warm, shards);
   return Bench(passes, out_path.empty() ? "BENCH_service.json" : out_path);
 }

@@ -45,15 +45,13 @@
 # engine's GROUP BY and TG Agg-Join and reads those views too:
 # engines_test runs under ASan and UBSan, and kernels_test (every
 # operator over threads x combine x shards) under ASan as well.
-# The sharded data plane adds its own gates: a sharded pass over the fuzz
-# corpus (every engine at 4 shards, both placement schemes, cross-checked
-# against the unsharded baseline), a sharded serve smoke run three times
-# that must report one shard_output_bytes split (placement never depends
-# on thread timing), and a perf smoke running bench_shard
-# (BENCH_shard.json must show byte-identical results at every shard
-# count, >= 3x speedup at 8 shards on fig8a, and strictly fewer
-# cross-shard bytes under the locality scheme than under hash-by-subject
-# on fig8a).
+# The sharded data plane (hash-by-subject placement) adds its own gates:
+# a sharded pass over the fuzz corpus (every engine at 4 shards,
+# cross-checked against the unsharded baseline), a sharded serve smoke
+# run three times that must report one shard_output_bytes split
+# (placement never depends on thread timing), and a perf smoke running
+# bench_shard (BENCH_shard.json must show byte-identical results at every
+# shard count and >= 3x speedup at 8 shards on fig8a).
 # The factorized-intermediates path adds: a 100-seed multi-valued-star
 # corpus (--grammar=multival, repeated with --no-factorize to pin the
 # flat fallback), and a perf smoke running bench_factorize twice (plain
@@ -83,13 +81,12 @@ ctest --test-dir build -L plan --output-on-failure -j "$JOBS"
 echo "== query service smoke (catalog equivalence, cold/hot/32 sessions) =="
 ./build/examples/rapida_serve --smoke
 
-echo "== query service smoke, sharded data plane (4 shards, locality, 3 runs) =="
+echo "== query service smoke, sharded data plane (4 shards, 3 runs) =="
 # Per-shard output bytes follow from the data alone, never from which
 # task a thread finished first: three runs must report one split.
 SPLITS="$SCRATCH/serve-splits.txt"
 for RUN in 1 2 3; do
-  ./build/examples/rapida_serve --smoke --shards=4 --scheme=locality \
-      > "$SCRATCH/serve-shard.txt"
+  ./build/examples/rapida_serve --smoke --shards=4 > "$SCRATCH/serve-shard.txt"
   tail -1 "$SCRATCH/serve-shard.txt"
   grep -o '"shard_output_bytes":\[[0-9,]*\]' "$SCRATCH/serve-shard.txt" \
       >> "$SPLITS"
@@ -125,9 +122,9 @@ echo "== differential fuzz corpus (200 seeds, 4 engines x 2 thread cfgs) =="
 ctest --test-dir build -C fuzz -R rapida_fuzz_corpus --output-on-failure
 
 echo "== differential fuzz corpus, sharded data plane (4 shards) =="
-# Every engine additionally runs at 4 shards under both placement schemes;
-# each sharded run must match the reference result AND the unsharded
-# baseline's cycle count and total shuffled bytes.
+# Every engine additionally runs at 4 shards; each sharded run must match
+# the reference result AND the unsharded baseline's cycle count and total
+# shuffled bytes.
 ./build/examples/rapida_fuzz --seeds=200 --shards=4
 
 echo "== differential fuzz, OPTIONAL/UNION-biased grammar (100 seeds) =="
@@ -167,8 +164,8 @@ for FIG in fig8a fig8b; do
 done
 
 echo "== perf smoke: shard scale-out sweep (BENCH_shard.json gates) =="
-# bench_shard exits nonzero on any byte-identity violation; the JSON gates
-# below additionally pin the scale-out and locality claims on fig8a.
+# bench_shard exits nonzero on any byte-identity violation; the JSON gate
+# below additionally pins the scale-out claim on fig8a.
 ./build/bench/bench_shard > /dev/null
 python3 - <<'EOF'
 import json
@@ -181,19 +178,10 @@ assert not bad, "sharded results diverged from unsharded: %s" % bad
 fig8a = [r for r in rows if r["bench"] == "fig8a"]
 base = sum(r["sim_seconds"] for r in fig8a if r["shards"] == 1)
 best8 = sum(r["sim_seconds"] for r in fig8a
-            if r["shards"] == 8 and r["scheme"] == "locality")
+            if r["shards"] == 8 and r["scheme"] == "hash-subject")
 speedup = base / best8
 assert speedup >= 3.0, "fig8a speedup at 8 shards %.2fx < 3x" % speedup
-
-hash_cross = sum(r["cross_bytes"] for r in fig8a
-                 if r["shards"] > 1 and r["scheme"] == "hash-subject")
-loc_cross = sum(r["cross_bytes"] for r in fig8a
-                if r["shards"] > 1 and r["scheme"] == "locality")
-assert loc_cross < hash_cross, (
-    "locality cross-shard bytes %d not < hash-subject %d"
-    % (loc_cross, hash_cross))
-print("shard bench OK: %.2fx at 8 shards, locality cross %d < hash %d"
-      % (speedup, loc_cross, hash_cross))
+print("shard bench OK: %.2fx at 8 shards" % speedup)
 EOF
 
 echo "== perf smoke: factorized intermediates (BENCH_factorize.json gates) =="

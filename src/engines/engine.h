@@ -53,21 +53,11 @@ struct EngineOptions {
   /// next, instead of the query's textual order. Cycle counts are
   /// unchanged; intermediate sizes shrink on chain-shaped patterns.
   bool greedy_join_order = false;
-  /// Partial-evaluation planning: classify each plan node as shard-local
-  /// (fully evaluable on each shard without communication — map-only
-  /// stages, and star joins over base VP/triplegroup inputs whose keys
-  /// co-locate under the locality scheme) or residual (needs a cross-
-  /// shard phase), and annotate est_shuffle_bytes accordingly. The
-  /// executor enforces the local class: under the locality scheme a
-  /// `peval=local` node that shuffles a byte across shards fails the run.
-  bool partial_evaluation = true;
-  /// Shards of the data plane the plan is prepared for. Must match the
-  /// cluster's ClusterConfig::num_shards; 0/1 = unsharded (one shard).
-  /// The cluster books placement itself; this copy only feeds the
-  /// partial-evaluation pass and the executor's check of its verdicts.
-  /// perfbench sets it, so it stays until the benchmark changes.
+  /// Copies of the cluster's shape (ClusterConfig::num_shards and
+  /// ::sharding). The cluster books placement itself, and no planner,
+  /// pass or exec reads these two; they stay only because perfbench sets
+  /// and reads them, until the benchmark next changes.
   int num_shards = 0;
-  /// Placement scheme (must match ClusterConfig::sharding when sharded).
   mr::ShardingScheme sharding_scheme = mr::ShardingScheme::kHashSubject;
   /// Prefix prepended to every intermediate DFS file name the engine
   /// creates ("" for exclusive-cluster runs). Concurrent queries sharing

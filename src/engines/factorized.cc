@@ -155,12 +155,6 @@ void GroupEncoder::AddFactorRow(const rdf::TermId* cells, size_t n) {
   }
 }
 
-void GroupEncoder::AddRawFactorRow(std::string_view encoded) {
-  if (rows_in_factor_ > 0) buf_ += ';';
-  ++rows_in_factor_;
-  buf_ += encoded;
-}
-
 void GroupEncoder::AddRawFactor(std::string_view segment, uint64_t rows) {
   StartFactor();
   buf_ += segment;

@@ -131,7 +131,7 @@ void ForEachFlatRow(const Factorization& spec, const GroupView& g,
 
 /// Streaming encoder for group records; reusable across groups. Usage:
 ///   enc.Start(); enc.AddBaseCell(id)...;
-///   enc.StartFactor(); enc.AddFactorRow(...) / AddRawFactorRow(...);
+///   enc.StartFactor(); enc.AddFactorRow(...);
 ///   ... enc.Finish();
 /// Finish() returns the record value; flat_rows() feeds the factorization
 /// counters (flat rows the emitted group stands for).
@@ -151,9 +151,6 @@ class GroupEncoder {
   void StartFactor();
   /// One factor row from decoded cells.
   void AddFactorRow(const rdf::TermId* cells, size_t n);
-  /// One factor row whose encoded bytes are already available (pass-through
-  /// of an upstream segment's row; no re-encode).
-  void AddRawFactorRow(std::string_view encoded);
   /// Appends a whole pre-encoded factor segment of `rows` rows. The caller
   /// vouches the segment matches the output spec's factor layout.
   void AddRawFactor(std::string_view segment, uint64_t rows);

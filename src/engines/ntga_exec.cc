@@ -115,25 +115,8 @@ bool LoadNestedGroup(std::string_view value, int raw_star, int num_stars,
 
 }  // namespace
 
-NtgaExec::NtgaExec(mr::Cluster* cluster, Dataset* dataset,
-                   std::string tmp_prefix)
-    : cluster_(cluster),
-      dataset_(dataset),
-      tmp_prefix_(std::move(tmp_prefix)) {}
-
-std::string NtgaExec::NextTmp(const std::string& hint) {
-  std::string name =
-      tmp_prefix_ + ":" + std::to_string(counter_++) + ":" + hint;
-  temp_files_.push_back(name);
-  return name;
-}
-
-void NtgaExec::Cleanup() {
-  for (const std::string& f : temp_files_) {
-    if (dataset_->dfs().Exists(f)) (void)dataset_->dfs().Delete(f);
-  }
-  temp_files_.clear();
-}
+NtgaExec::NtgaExec(RelationalOps* rel)
+    : rel_(rel), cluster_(rel->cluster()), dataset_(rel->dataset()) {}
 
 StatusOr<std::string> NtgaExec::AlphaJoinCycle(
     const ResolvedPattern& pattern, const PushedFilters& pushed_filters,
@@ -170,7 +153,7 @@ StatusOr<std::string> NtgaExec::AlphaJoinCycle(
     job.inputs.push_back(f);
     roles.push_back(TagRole{false, star, false, right_role, right_prop});
   }
-  std::string out_file = NextTmp(label + ":aj" + std::to_string(cycle));
+  std::string out_file = rel_->NextTmp(label + ":aj" + std::to_string(cycle));
   job.output = out_file;
 
   // The job runs to completion inside Cluster::Run, so its closures may
@@ -253,7 +236,7 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
   } else {
     job.inputs = {matches.nested_file};
   }
-  *out_file = NextTmp(out_hint);
+  *out_file = rel_->NextTmp(out_hint);
   job.output = *out_file;
 
   // The reduce finds a key's grouping by its `gid#` prefix; the map reads
@@ -391,7 +374,7 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
   } else {
     job.inputs = {matches.nested_file};
   }
-  std::string out_file = NextTmp(label + ":rows");
+  std::string out_file = rel_->NextTmp(label + ":rows");
   job.output = out_file;
 
   const int raw_star = star_mode ? 0 : -1;

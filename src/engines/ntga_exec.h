@@ -57,10 +57,11 @@ struct PatternMatches {
 /// method runs exactly one job. The plan nodes' execs make every choice —
 /// the chain order, the filter split, map-side aggregation, which
 /// groupings share an Agg-Join — from the plan, so no EngineOptions
-/// reaches this class.
+/// reaches this class. Its files are named by `rel` (RelationalOps::
+/// NextTmp), whose Cleanup deletes them with the relational ones.
 class NtgaExec {
  public:
-  NtgaExec(mr::Cluster* cluster, Dataset* dataset, std::string tmp_prefix);
+  explicit NtgaExec(RelationalOps* rel);
 
   /// One TG_AlphaJoin cycle of `pattern`'s chain, numbered `cycle`: joins
   /// on `pattern.joins[edge]` the raw triplegroups of `star` with the
@@ -105,16 +106,10 @@ class NtgaExec {
                                    RowPredicate mapping_predicate,
                                    const std::string& label);
 
-  void Cleanup();
-
  private:
-  std::string NextTmp(const std::string& hint);
-
+  RelationalOps* rel_;
   mr::Cluster* cluster_;
   Dataset* dataset_;
-  std::string tmp_prefix_;
-  int counter_ = 0;
-  std::vector<std::string> temp_files_;
 };
 
 }  // namespace rapida::engine

@@ -173,8 +173,9 @@ enum class JoinStrategy { kAuto, kMap, kRepartition };
 /// Builder for the Hive-style relational MR plans, and the one home of
 /// what every engine shares: the aggregation shuffle (GroupBy here, the
 /// TG Agg-Join in NtgaExec) and the final join (FinalJoinProject), which
-/// all four engines' query terminals run. Tracks the temp files it
-/// creates so the engine can clean up.
+/// all four engines' query terminals run. Names and tracks every
+/// intermediate file of a plan, NtgaExec's too, so one Cleanup deletes
+/// them all.
 class RelationalOps {
  public:
   /// `map_join_threshold_bytes` bounds the broadcast sides of a

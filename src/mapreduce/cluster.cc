@@ -269,7 +269,7 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       Sink<MapContext> ctx(&out, S);
       ctx.SetTask(task);
       for (const TaggedRecord& tr : split.records) {
-        ctx.from = AssignShard(tr.record->key_hash, config_.sharding, S);
+        ctx.from = AssignShard(tr.record->key_hash, S);
         ++homes[static_cast<size_t>(ctx.from)];
         job.map(*tr.record, tr.tag, &ctx);
       }

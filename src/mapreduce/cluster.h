@@ -78,7 +78,9 @@ struct ClusterConfig {
   /// cluster's nodes, with shard-local shuffle bytes at disk speed; <= 1
   /// prices num_nodes nodes whose whole shuffle crosses the network.
   int num_shards = 0;
-  /// How records are placed on shards (AssignShard's scheme).
+  /// How records are placed on shards. Hash-by-subject is the one scheme
+  /// and nothing here reads this field; it stays only because perfbench
+  /// sets and reads it, until the benchmark next changes.
   ShardingScheme sharding = ShardingScheme::kHashSubject;
 
   int map_slots() const {

@@ -90,11 +90,6 @@ void Dfs::SetCapacityLimit(uint64_t bytes) {
   capacity_limit_ = bytes;
 }
 
-uint64_t Dfs::capacity_limit() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_limit_;
-}
-
 uint64_t Dfs::LifetimeBytesWritten() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lifetime_bytes_written_;

@@ -80,7 +80,6 @@ class Dfs {
 
   /// 0 = unlimited.
   void SetCapacityLimit(uint64_t bytes);
-  uint64_t capacity_limit() const;
 
   /// Lifetime write counter (includes overwritten/deleted data) — the
   /// "materialization volume" a workflow caused.

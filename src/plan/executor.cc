@@ -27,34 +27,19 @@ Status ExecutePlanMulti(
   // The relational facade is always live (not just under needs_vp): every
   // engine's final join runs there, and the NTGA engines' OPTIONAL/UNION
   // groupings left-join, union and group their expanded intermediates
-  // relationally without touching VP tables.
-  std::unique_ptr<engine::RelationalOps> rel;
+  // relationally without touching VP tables. It names every intermediate
+  // file, the NTGA execs' too, so one Cleanup deletes them all.
+  engine::RelationalOps rel(cluster, dataset, options.map_join_threshold_bytes,
+                            options.tmp_namespace + plan.tmp_tag);
+  ctx.rel = &rel;
   std::unique_ptr<engine::NtgaExec> ntga;
-  rel = std::make_unique<engine::RelationalOps>(
-      cluster, dataset, options.map_join_threshold_bytes,
-      options.tmp_namespace + plan.tmp_tag);
-  ctx.rel = rel.get();
   if (plan.needs_tg) {
-    ntga = std::make_unique<engine::NtgaExec>(
-        cluster, dataset, options.tmp_namespace + plan.tmp_tag);
+    ntga = std::make_unique<engine::NtgaExec>(&rel);
     ctx.ntga = ntga.get();
   }
 
-  auto cleanup = [&] {
-    if (rel != nullptr) rel->Cleanup();
-    if (ntga != nullptr) ntga->Cleanup();
-  };
-
-  // Partial-evaluation contract: under the locality scheme, a node the
-  // pass classified `peval=local` must run entirely shard-local — its
-  // estimated cross-shard shuffle is exactly 0, and we hold the jobs its
-  // exec ran to it.
-  const bool enforce_peval =
-      options.num_shards > 1 &&
-      options.sharding_scheme == mr::ShardingScheme::kLocality;
-
   auto gate_error = [&](const PlanNode& node, const std::string& what) {
-    cleanup();
+    rel.Cleanup();
     return Status::Internal("cycle gate: node #" + std::to_string(node.id) +
                             " (" + OpKindName(node.kind) + " '" + node.label +
                             "') " + what);
@@ -68,7 +53,7 @@ Status ExecutePlanMulti(
     const size_t jobs_before = cluster->history().size();
     Status s = node.exec(&ctx, node);
     if (!s.ok()) {
-      cleanup();
+      rel.Cleanup();
       return s;
     }
     const int expected =
@@ -79,47 +64,26 @@ Status ExecutePlanMulti(
                                   " jobs, plan estimates " +
                                   std::to_string(expected));
     }
-    {
-      // Post-exec EXPLAIN annotation: flat rows / d-representation groups
-      // over the jobs this node's exec ran. Info is display-only and
-      // excluded from Fingerprint, and plans are built per execution, so
-      // mutating it through the const ref is safe (same contract as the
-      // passes' dataset-dependent info).
-      uint64_t fgroups = 0;
-      uint64_t frows = 0;
-      const auto& history = cluster->history();
-      for (size_t j = jobs_before; j < history.size(); ++j) {
-        fgroups += history[j].factorized_groups;
-        frows += history[j].factorized_flat_rows;
-      }
-      if (fgroups > 0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.2f",
-                      static_cast<double>(frows) /
-                          static_cast<double>(fgroups));
-        const_cast<PlanNode&>(node).Info("factorization_factor", buf);
-      }
+    // Post-exec EXPLAIN annotation: flat rows / d-representation groups
+    // over the jobs this node's exec ran. Info is display-only and
+    // excluded from Fingerprint, and plans are built per execution, so
+    // mutating it through the const ref is safe (same contract as the
+    // passes' dataset-dependent info).
+    uint64_t fgroups = 0;
+    uint64_t frows = 0;
+    const auto& history = cluster->history();
+    for (size_t j = jobs_before; j < history.size(); ++j) {
+      fgroups += history[j].factorized_groups;
+      frows += history[j].factorized_flat_rows;
     }
-    if (enforce_peval) {
-      const std::string* peval = FindEntry(node.info, "peval");
-      if (peval != nullptr && *peval == "local") {
-        const auto& history = cluster->history();
-        for (size_t j = jobs_before; j < history.size(); ++j) {
-          if (history[j].shuffle_cross_bytes != 0) {
-            cleanup();
-            return Status::Internal(
-                "partial-evaluation contract violated: node #" +
-                std::to_string(node.id) + " (" + OpKindName(node.kind) +
-                ") is peval=local but job '" + history[j].name +
-                "' shuffled " +
-                std::to_string(history[j].shuffle_cross_bytes) +
-                " bytes across shards");
-          }
-        }
-      }
+    if (fgroups > 0) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.2f",
+                    static_cast<double>(frows) / static_cast<double>(fgroups));
+      const_cast<PlanNode&>(node).Info("factorization_factor", buf);
     }
   }
-  cleanup();
+  rel.Cleanup();
   return Status::OK();
 }
 

@@ -63,6 +63,44 @@ engine::RowPredicate JoinPostPredicate(
   return engine::CompilePredicate(filters, columns, dict);
 }
 
+namespace {
+
+/// One pattern branch of a grouping, viewed uniformly: a conjunctive (or
+/// OPTIONAL-extended) grouping is a single branch over its own fields; a
+/// UNION grouping exposes its already-distributed arms. EmitGroupingTail
+/// iterates branches so both shapes share one lowering.
+struct BranchView {
+  const ntga::StarGraph* pattern = nullptr;
+  const std::vector<sparql::ExprPtr>* filters = nullptr;
+  const std::vector<analytics::OptionalTail>* optionals = nullptr;
+  const std::vector<sparql::ExprPtr>* post_filters = nullptr;
+};
+
+std::vector<BranchView> BranchesOf(const analytics::GroupingSubquery& g) {
+  std::vector<BranchView> out;
+  if (g.union_branches.empty()) {
+    out.push_back(
+        BranchView{&g.pattern, &g.filters, &g.optionals, &g.post_filters});
+  } else {
+    for (const analytics::PatternBranch& b : g.union_branches) {
+      out.push_back(
+          BranchView{&b.pattern, &b.filters, &b.optionals, &b.post_filters});
+    }
+  }
+  return out;
+}
+
+/// The OPTIONAL tail as the one-star graph both engines compile it from.
+ntga::StarGraph OptionalGraph(const analytics::OptionalTail& opt) {
+  ntga::StarGraph graph;
+  graph.stars.push_back(opt.star);
+  return graph;
+}
+
+/// kLeftReduceJoin / kLeftMapJoin: the `index`-th OPTIONAL left join of a
+/// branch, inputs {required side, optional side} on the `edge` variable,
+/// with the node's `join` strategy; `post_filters` (the branch's, on its
+/// last left join) filter joined rows.
 NodeExec LeftJoinExec(size_t index,
                       std::vector<const sparql::Expr*> post_filters) {
   return [index, post_filters = std::move(post_filters)](
@@ -83,6 +121,7 @@ NodeExec LeftJoinExec(size_t index,
   };
 }
 
+/// kUnion: one map-only UNION ALL over the branch tables.
 NodeExec UnionExec() {
   return [](ExecContext* ctx, const PlanNode& node) -> Status {
     std::vector<engine::TableRef> arms;
@@ -93,8 +132,6 @@ NodeExec UnionExec() {
     return Status::OK();
   };
 }
-
-namespace {
 
 /// Exec of the GROUP BY node EmitGroupAggregate emits.
 NodeExec GroupAggregateExec(std::vector<std::string> keys,
@@ -195,6 +232,51 @@ int EmitFinal(PhysicalPlan* plan, const analytics::AnalyticalQuery& query,
   fin->Attr("uses", Csv(ModifierUses(query)));
   if (bind) fin->exec = FinalExec(&query, slot, std::move(job_name));
   return fin->id;
+}
+
+int EmitGroupingTail(PhysicalPlan* plan,
+                     const analytics::GroupingSubquery& grouping,
+                     const std::string& label, bool bind,
+                     const PatternEmitter& emit_pattern) {
+  std::vector<BranchView> branches = BranchesOf(grouping);
+  std::vector<int> tails;
+  for (size_t b = 0; b < branches.size(); ++b) {
+    const BranchView& bv = branches[b];
+    std::string blabel =
+        branches.size() > 1 ? label + ":b" + std::to_string(b) : label;
+    int tail = emit_pattern(*bv.pattern, *bv.filters, blabel);
+    for (size_t j = 0; j < bv.optionals->size(); ++j) {
+      const analytics::OptionalTail& opt = (*bv.optionals)[j];
+      int opt_tail = emit_pattern(OptionalGraph(opt), opt.filters,
+                                  blabel + ":opt" + std::to_string(j));
+      PlanNode& jn = plan->AddNode(
+          OpKind::kLeftReduceJoin, blabel,
+          blabel + ": left star-join (OPTIONAL; unmatched rows keep NULLs)",
+          1);
+      jn.inputs = {tail, opt_tail};
+      jn.Attr("edge", "?" + opt.join_var);
+      std::vector<const sparql::Expr*> post;
+      if (j + 1 == bv.optionals->size()) {
+        for (const auto& f : *bv.post_filters) {
+          jn.Attr("residual_filter", f->ToString());
+          post.push_back(f.get());
+        }
+      }
+      if (bind) jn.exec = LeftJoinExec(j, post);
+      tail = jn.id;
+    }
+    tails.push_back(tail);
+  }
+  if (tails.size() == 1) return tails[0];
+  PlanNode& un = plan->AddNode(
+      OpKind::kUnion, label,
+      label + ": UNION ALL (" + std::to_string(tails.size()) +
+          " join-distributed branches)",
+      1);
+  un.map_only = true;
+  un.inputs = tails;
+  if (bind) un.exec = UnionExec();
+  return un.id;
 }
 
 void BindDecompress(PhysicalPlan* plan) {

@@ -3,17 +3,20 @@
 
 /// Internal to the planners: the execs of the relational plan nodes both
 /// planner families emit (left joins, UNION ALL, GROUP BY, the Decompress
-/// forwarders), the emitters of the nodes both families share (GROUP BY
-/// and the query terminal), and the helpers every relational exec shares.
+/// forwarders), the emitters of the nodes both families share (an
+/// OPTIONAL/UNION grouping's tail, GROUP BY and the query terminal), and
+/// the helpers every relational exec shares.
 /// An exec reads its inputs' entries of ExecContext::outputs, runs exactly
 /// its node's job, and writes its own entry.
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "analytics/analytical_query.h"
 #include "engines/relational_ops.h"
 #include "ntga/operators.h"
+#include "ntga/star_pattern.h"
 #include "plan/executor.h"
 #include "plan/plan.h"
 #include "sparql/ast.h"
@@ -44,15 +47,25 @@ engine::RowPredicate JoinPostPredicate(
     const engine::JoinInput& left, const engine::JoinInput& right,
     const rdf::Dictionary* dict);
 
-/// kLeftReduceJoin / kLeftMapJoin: the `index`-th OPTIONAL left join of a
-/// branch, inputs {required side, optional side} on the `edge` variable,
-/// with the node's `join` strategy; `post_filters` (the branch's, on its
-/// last left join) filter joined rows.
-NodeExec LeftJoinExec(size_t index,
-                      std::vector<const sparql::Expr*> post_filters);
+/// Emits the nodes of one grouping's pattern `pattern` with its
+/// `filters`, labelled `label`, and returns the id of the node producing
+/// its rows. Each planner family passes its own.
+using PatternEmitter = std::function<int(
+    const ntga::StarGraph& pattern,
+    const std::vector<sparql::ExprPtr>& filters, const std::string& label)>;
 
-/// kUnion: one map-only UNION ALL over the branch tables.
-NodeExec UnionExec();
+/// Emits the pattern side of one grouping, OPTIONAL/UNION included: per
+/// branch its required pattern (`emit_pattern`), then per OPTIONAL tail
+/// the tail's one-star pattern and one left star-join cycle (the branch's
+/// post-filters ride the last one as its residual predicate), then a
+/// UNION ALL node when the grouping has join-distributed arms. With
+/// `bind`, the left joins and the union get their execs. A conjunctive
+/// grouping emits only its pattern. Returns the node id feeding the
+/// grouping's GROUP BY.
+int EmitGroupingTail(PhysicalPlan* plan,
+                     const analytics::GroupingSubquery& grouping,
+                     const std::string& label, bool bind,
+                     const PatternEmitter& emit_pattern);
 
 /// Emits one kGroupAggregate node over `input_id` (none when < 0) with
 /// its aggregate attrs and, when `bind`, its exec: one GROUP BY over the

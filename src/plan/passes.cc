@@ -391,60 +391,6 @@ PassManager PassManager::Default(const engine::EngineOptions& options,
         final_node.Info("ivm_detail", d.detail);
       }});
 
-  const int num_shards = options.num_shards;
-  pm.Add(Pass{
-      "partial-evaluation", options.partial_evaluation,
-      [num_shards](PhysicalPlan* plan, bool enabled) {
-        // Splits the plan into a shard-local phase and a cross-shard
-        // residual (partial evaluation over the sharded data plane).
-        // `peval=local` nodes are fully evaluable shard-by-shard without
-        // communication: map-only stages shuffle nothing, and star joins
-        // over base VP/triplegroup inputs repartition on the subject key
-        // the storage layer already keyed those tables by — under the
-        // locality scheme every such record's home shard IS its reducer's
-        // shard, so est_shuffle_bytes is exactly 0 and the executor
-        // fails any run where a local node books a cross-shard byte.
-        // Everything else (inter-star joins, alpha-join n-splits,
-        // aggregations over intermediates) keys its shuffle by values no
-        // placement can anticipate: `peval=residual`, est_shuffle_bytes
-        // is a display-only upper bound from the node's known input
-        // bytes. Annotations are `info` + est_shuffle_bytes only, so
-        // fingerprints and cycle counts stay put.
-        if (!enabled) return;
-        for (PlanNode& n : plan->nodes) {
-          bool local = n.map_only || n.kind == OpKind::kVpScan ||
-                       n.kind == OpKind::kTripleGroupLoad;
-          if (!local && n.kind == OpKind::kStarJoin && !n.inputs.empty()) {
-            local = true;
-            for (int in : n.inputs) {
-              const PlanNode* p = plan->FindById(in);
-              if (p == nullptr || (p->kind != OpKind::kVpScan &&
-                                   p->kind != OpKind::kTripleGroupLoad)) {
-                local = false;
-                break;
-              }
-            }
-          }
-          n.Info("peval", local ? "local" : "residual");
-          n.est_shuffle_bytes = local ? 0 : n.est_bytes;
-          if (n.kind == OpKind::kParallelRegion) {
-            // Shard placement of the region's sibling branches: round-
-            // robin over the shards (each branch's jobs are dispatched
-            // with the region's shared scan, so placement is advisory).
-            if (num_shards > 1) {
-              std::string csv;
-              for (size_t i = 0; i < n.inputs.size(); ++i) {
-                if (i > 0) csv += ",";
-                csv += std::to_string(static_cast<int>(i) % num_shards);
-              }
-              n.Info("shard_placement", csv);
-            } else {
-              n.Info("shard_placement", "coordinator");
-            }
-          }
-        }
-      }});
-
   return pm;
 }
 

@@ -43,9 +43,16 @@ class PassManager {
   ///       simulated edge choice (picked at runtime from stored sizes)
   ///   partial-aggregation  (EngineOptions::partial_aggregation)
   ///       annotates aggregation nodes with the map-side strategy
+  ///   factorize            (EngineOptions::factorized_intermediates)
+  ///       marks `factorize=d-rep` the joins that feed a sink consuming
+  ///       d-representation groups (DISTINCT extraction, GROUP BY
+  ///       without SUM/AVG)
   ///   parallel-agg-join    (EngineOptions::parallel_agg_join)
   ///       structural: collapses the independent sibling Agg-Joins of a
   ///       shared-scan plan into one kParallelRegion cycle (Fig. 6b)
+  ///   union-distribution   (always on)
+  ///       stamps the Union nodes of join-distributed OPTIONAL/UNION
+  ///       groupings with their arms
   ///   dead-column-prune    (always on, advisory)
   ///       backward liveness over binds=/uses= column sets; annotates
   ///       columns materialized but never consumed downstream
@@ -60,15 +67,6 @@ class PassManager {
   ///       fingerprints and cycle counts are untouched. `query` is null
   ///       for multi-query composite-batch plans (members are classified
   ///       individually when their artifacts are stored).
-  ///   partial-evaluation   (EngineOptions::partial_evaluation)
-  ///       splits the plan into a shard-local phase and a cross-shard
-  ///       residual: map-only nodes and star joins over base VP/triple-
-  ///       group inputs are `peval=local` (est_shuffle_bytes = 0, and the
-  ///       executor enforces zero cross-shard bytes under the locality
-  ///       scheme); every other node is `peval=residual` with an upper-
-  ///       bound est_shuffle_bytes. Also stamps kParallelRegion nodes
-  ///       with their branch->shard placement. Info + est_shuffle_bytes
-  ///       only — fingerprints stay put.
   static PassManager Default(const engine::EngineOptions& options,
                              const analytics::AnalyticalQuery* query = nullptr);
 

@@ -46,13 +46,6 @@ PlanNode* PhysicalPlan::FindById(int id) {
   return nullptr;
 }
 
-const PlanNode* PhysicalPlan::FindById(int id) const {
-  for (const PlanNode& n : nodes) {
-    if (n.id == id) return &n;
-  }
-  return nullptr;
-}
-
 int PhysicalPlan::EstimatedCycles() const {
   int total = 0;
   for (const PlanNode& n : nodes) total += n.est_cycles;
@@ -96,9 +89,6 @@ std::string PhysicalPlan::ExplainText() const {
        << (n.est_cycles == 1 ? " cycle" : " cycles");
     if (n.map_only) os << ", map-only";
     if (n.est_bytes > 0) os << ", ~" << n.est_bytes << " bytes in";
-    if (n.est_shuffle_bytes > 0) {
-      os << ", shuffle<=" << n.est_shuffle_bytes;
-    }
     os << "] " << n.describe << "\n";
     if (!n.inputs.empty()) {
       os << "       inputs:";
@@ -150,7 +140,6 @@ std::string PhysicalPlan::ExplainJson() const {
        << "\",\"label\":\"" << JsonEscape(n.label) << "\",\"describe\":\""
        << JsonEscape(n.describe) << "\",\"est_cycles\":" << n.est_cycles
        << ",\"est_bytes\":" << n.est_bytes
-       << ",\"est_shuffle_bytes\":" << n.est_shuffle_bytes
        << ",\"map_only\":" << (n.map_only ? "true" : "false")
        << ",\"inputs\":[";
     for (size_t j = 0; j < n.inputs.size(); ++j) {

@@ -60,13 +60,6 @@ struct PlanNode {
   AttrList info;
   int est_cycles = 1;
   uint64_t est_bytes = 0;  // statically-known input bytes (0 = unknown)
-  /// Planner's shuffle-placement estimate, set by the partial-evaluation
-  /// pass. For nodes it classifies `peval=local` this is exactly 0 — no
-  /// byte may cross a shard boundary, and the executor enforces that the
-  /// executed cross-shard counters match under the locality scheme. For
-  /// residual nodes it is a display-only upper bound (the node's known
-  /// input bytes). Excluded from Fingerprint, like est_bytes.
-  uint64_t est_shuffle_bytes = 0;
   bool map_only = false;
   /// Runs exactly this node's `est_cycles` job(s), driven by its kind,
   /// attrs and its inputs' outputs (ExecContext::outputs), and writes its
@@ -112,7 +105,6 @@ struct PhysicalPlan {
                     int est_cycles);
 
   PlanNode* FindById(int id);
-  const PlanNode* FindById(int id) const;
 
   int EstimatedCycles() const;
   uint64_t EstimatedBytes() const;

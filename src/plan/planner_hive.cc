@@ -359,62 +359,6 @@ int EmitHivePattern(PhysicalPlan* plan, engine::Dataset* dataset,
   return acc;
 }
 
-/// Emits the pattern side of one grouping, OPTIONAL/UNION included: per
-/// branch the required pattern (EmitHivePattern) followed by one left
-/// star-join cycle per OPTIONAL tail (post-filters ride the last one as
-/// its residual predicate), then a UNION ALL node when the grouping has
-/// join-distributed arms. Conjunctive groupings emit exactly the nodes
-/// the pre-OPTIONAL planner did.
-int EmitHiveGroupingTail(PhysicalPlan* plan, engine::Dataset* dataset,
-                         const GroupingSubquery& grouping,
-                         const std::string& label) {
-  std::vector<detail::BranchView> branches = detail::BranchesOf(grouping);
-  std::vector<int> tails;
-  for (size_t b = 0; b < branches.size(); ++b) {
-    const detail::BranchView& bv = branches[b];
-    std::string blabel =
-        branches.size() > 1 ? label + ":b" + std::to_string(b) : label;
-    std::vector<const sparql::Expr*> filters;
-    for (const auto& f : *bv.filters) filters.push_back(f.get());
-    int tail =
-        EmitHivePattern(plan, dataset, *bv.pattern, filters, nullptr, blabel);
-    for (size_t j = 0; j < bv.optionals->size(); ++j) {
-      const analytics::OptionalTail& opt = (*bv.optionals)[j];
-      std::vector<const sparql::Expr*> ofilters;
-      for (const auto& f : opt.filters) ofilters.push_back(f.get());
-      int opt_tail = EmitHivePattern(plan, dataset, detail::OptionalGraph(opt),
-                                     ofilters, nullptr,
-                                     blabel + ":opt" + std::to_string(j));
-      PlanNode& jn = plan->AddNode(
-          OpKind::kLeftReduceJoin, blabel,
-          blabel + ": left star-join (OPTIONAL; unmatched rows keep NULLs)",
-          1);
-      jn.inputs = {tail, opt_tail};
-      jn.Attr("edge", "?" + opt.join_var);
-      std::vector<const sparql::Expr*> post;
-      if (j + 1 == bv.optionals->size()) {
-        for (const auto& f : *bv.post_filters) {
-          jn.Attr("residual_filter", f->ToString());
-          post.push_back(f.get());
-        }
-      }
-      if (dataset != nullptr) jn.exec = detail::LeftJoinExec(j, post);
-      tail = jn.id;
-    }
-    tails.push_back(tail);
-  }
-  if (tails.size() == 1) return tails[0];
-  PlanNode& un = plan->AddNode(
-      OpKind::kUnion, label,
-      label + ": UNION ALL (" + std::to_string(tails.size()) +
-          " join-distributed branches)",
-      1);
-  un.map_only = true;
-  un.inputs = tails;
-  if (dataset != nullptr) un.exec = detail::UnionExec();
-  return un.id;
-}
-
 /// The relational family's query terminal over its GROUP BY nodes.
 void EmitRelationalFinal(PhysicalPlan* plan, const AnalyticalQuery& query,
                          const std::vector<int>& grouping_ids, bool bind) {
@@ -513,7 +457,15 @@ StatusOr<PhysicalPlan> PlanHiveNaive(const AnalyticalQuery& query,
   for (size_t g = 0; g < query.groupings.size(); ++g) {
     const GroupingSubquery& grouping = query.groupings[g];
     std::string label = "g" + std::to_string(g);
-    int tail_id = EmitHiveGroupingTail(&plan, dataset, grouping, label);
+    int tail_id = detail::EmitGroupingTail(
+        &plan, grouping, label, bind,
+        [&plan, dataset](const ntga::StarGraph& pattern,
+                         const std::vector<sparql::ExprPtr>& filters,
+                         const std::string& blabel) {
+          std::vector<const sparql::Expr*> fs;
+          for (const auto& f : filters) fs.push_back(f.get());
+          return EmitHivePattern(&plan, dataset, pattern, fs, nullptr, blabel);
+        });
     grouping_ids.push_back(detail::EmitGroupAggregate(
         &plan, label,
         label + ": GROUP BY" + (grouping.group_by.empty() ? " ALL" : ""),

@@ -433,58 +433,6 @@ int EmitAggJoin(PhysicalPlan* plan, const NtgaEmit& chain,
   return agg.id;
 }
 
-/// Emits the pattern side of one extended (OPTIONAL/UNION) grouping on the
-/// NTGA engine: per branch the α-join chain plus one map-only cycle
-/// expanding the matched triplegroups to relational rows, per OPTIONAL
-/// tail a folded star scan + expansion + left join cycle, then a UNION ALL
-/// node across branches. With `bind`, every node gets its exec. Returns
-/// the node id feeding the relational GROUP BY.
-int EmitNtgaGroupingTail(PhysicalPlan* plan, const GroupingSubquery& grouping,
-                         const std::string& label, bool bind) {
-  std::vector<detail::BranchView> branches = detail::BranchesOf(grouping);
-  std::vector<int> tails;
-  for (size_t b = 0; b < branches.size(); ++b) {
-    const detail::BranchView& bv = branches[b];
-    std::string blabel =
-        branches.size() > 1 ? label + ":b" + std::to_string(b) : label;
-    int tail = EmitExpandedPattern(plan, *bv.pattern, *bv.filters, blabel,
-                                   bind);
-    for (size_t j = 0; j < bv.optionals->size(); ++j) {
-      const analytics::OptionalTail& opt = (*bv.optionals)[j];
-      int oex_id = EmitExpandedPattern(plan, detail::OptionalGraph(opt),
-                                       opt.filters,
-                                       blabel + ":opt" + std::to_string(j),
-                                       bind);
-      PlanNode& jn = plan->AddNode(
-          OpKind::kLeftReduceJoin, blabel,
-          blabel + ": left star-join (OPTIONAL; unmatched rows keep NULLs)",
-          1);
-      jn.inputs = {tail, oex_id};
-      jn.Attr("edge", "?" + opt.join_var);
-      std::vector<const sparql::Expr*> post;
-      if (j + 1 == bv.optionals->size()) {
-        for (const auto& f : *bv.post_filters) {
-          jn.Attr("residual_filter", f->ToString());
-          post.push_back(f.get());
-        }
-      }
-      if (bind) jn.exec = detail::LeftJoinExec(j, post);
-      tail = jn.id;
-    }
-    tails.push_back(tail);
-  }
-  if (tails.size() == 1) return tails[0];
-  PlanNode& un = plan->AddNode(
-      OpKind::kUnion, label,
-      label + ": UNION ALL (" + std::to_string(tails.size()) +
-          " join-distributed branches)",
-      1);
-  un.map_only = true;
-  un.inputs = tails;
-  if (bind) un.exec = detail::UnionExec();
-  return un.id;
-}
-
 /// The NTGA family's query terminal over `inputs`, filling result `slot`;
 /// `suffix` tells a shared-scan batch's queries apart, and its final join
 /// is named `label:finaljoin`.
@@ -517,7 +465,13 @@ StatusOr<PhysicalPlan> PlanRapidPlus(const AnalyticalQuery& query,
       // OPTIONAL/UNION grouping: NTGA pattern matching per branch, then a
       // relational left-join/union tail and a relational GROUP BY (the TG
       // Agg-Join only understands conjunctive star patterns).
-      int tail_id = EmitNtgaGroupingTail(&plan, grouping, label, bind);
+      int tail_id = detail::EmitGroupingTail(
+          &plan, grouping, label, bind,
+          [&plan, bind](const ntga::StarGraph& pattern,
+                        const std::vector<sparql::ExprPtr>& filters,
+                        const std::string& blabel) {
+            return EmitExpandedPattern(&plan, pattern, filters, blabel, bind);
+          });
       agg_ids.push_back(detail::EmitGroupAggregate(
           &plan, label,
           label + ": GROUP BY" + (grouping.group_by.empty() ? " ALL" : "") +

@@ -31,39 +31,6 @@ inline std::vector<std::string> ExprVars(const sparql::Expr& e) {
   return vars;
 }
 
-/// One pattern branch of a grouping, viewed uniformly: a conjunctive (or
-/// OPTIONAL-extended) grouping is a single branch over its own fields; a
-/// UNION grouping exposes its already-distributed arms. Planners and exec
-/// closures iterate branches so both shapes share one lowering.
-struct BranchView {
-  const ntga::StarGraph* pattern = nullptr;
-  const std::vector<sparql::ExprPtr>* filters = nullptr;
-  const std::vector<analytics::OptionalTail>* optionals = nullptr;
-  const std::vector<sparql::ExprPtr>* post_filters = nullptr;
-};
-
-inline std::vector<BranchView> BranchesOf(
-    const analytics::GroupingSubquery& g) {
-  std::vector<BranchView> out;
-  if (g.union_branches.empty()) {
-    out.push_back(
-        BranchView{&g.pattern, &g.filters, &g.optionals, &g.post_filters});
-  } else {
-    for (const analytics::PatternBranch& b : g.union_branches) {
-      out.push_back(
-          BranchView{&b.pattern, &b.filters, &b.optionals, &b.post_filters});
-    }
-  }
-  return out;
-}
-
-/// The OPTIONAL tail as the one-star graph both engines compile it from.
-inline ntga::StarGraph OptionalGraph(const analytics::OptionalTail& opt) {
-  ntga::StarGraph graph;
-  graph.stars.push_back(opt.star);
-  return graph;
-}
-
 /// Identity signature of one triple pattern: property key plus object
 /// (variable or constant). Constants MUST be part of the signature — two
 /// plans differing only in a compared constant are different queries.

@@ -33,8 +33,6 @@ void Graph::AddInt(std::string_view s, std::string_view p, int64_t value) {
   Add(dict_.InternIri(s), dict_.InternIri(p), dict_.InternInt(value));
 }
 
-TermId Graph::TypeId() { return dict_.InternIri(kRdfType); }
-
 TermId Graph::TypeIdOrInvalid() const { return dict_.LookupIri(kRdfType); }
 
 std::unordered_map<TermId, uint64_t> Graph::PropertyCounts() const {

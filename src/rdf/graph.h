@@ -52,8 +52,6 @@ class Graph {
   const std::vector<Triple>& triples() const { return triples_; }
   size_t size() const { return triples_.size(); }
 
-  /// Id of rdf:type in this graph's dictionary (interned on first use).
-  TermId TypeId();
   /// Id of rdf:type if already interned, else kInvalidTermId.
   TermId TypeIdOrInvalid() const;
 

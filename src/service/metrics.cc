@@ -85,11 +85,6 @@ void ServiceMetrics::RecordQueueDepth(int depth) {
   max_queue_depth_ = std::max(max_queue_depth_, depth);
 }
 
-int ServiceMetrics::max_queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_queue_depth_;
-}
-
 void ServiceMetrics::RecordShuffle(
     uint64_t local_bytes, uint64_t cross_bytes,
     const std::vector<uint64_t>& per_shard_output_bytes) {
@@ -104,23 +99,11 @@ void ServiceMetrics::RecordShuffle(
   }
 }
 
-std::vector<uint64_t> ServiceMetrics::shard_output_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shard_output_bytes_;
-}
-
 void ServiceMetrics::RecordFactorization(uint64_t groups,
                                          uint64_t flat_rows) {
   std::lock_guard<std::mutex> lock(mu_);
   factorized_groups_ += groups;
   factorized_flat_rows_ += flat_rows;
-}
-
-double ServiceMetrics::factorization_factor() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (factorized_groups_ == 0) return 1.0;
-  return static_cast<double>(factorized_flat_rows_) /
-         static_cast<double>(factorized_groups_);
 }
 
 std::string ServiceMetrics::ToJson() const {

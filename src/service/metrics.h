@@ -86,10 +86,6 @@ class ServiceMetrics {
   uint64_t factorized_flat_rows() const {
     return Get(&factorized_flat_rows_);
   }
-  /// flat rows / groups over everything recorded; 1.0 with no groups.
-  double factorization_factor() const;
-  std::vector<uint64_t> shard_output_bytes() const;
-  int max_queue_depth() const;
 
   /// One JSON object with counters, queue stats, and both histograms
   /// (cache stats are appended by the service, which owns the caches).

@@ -491,9 +491,6 @@ void QueryService::ServeSolo(Pending* p) {
 
   engine::EngineOptions eo = options_.engine;
   eo.tmp_namespace = "q" + std::to_string(p->id) + ":";
-  // Engines must agree with the cluster on the shape of the data plane.
-  eo.num_shards = options_.cluster.num_shards;
-  eo.sharding_scheme = options_.cluster.sharding;
   engine::RapidAnalyticsEngine engine(eo);
   engine::ExecStats stats;
   StatusOr<analytics::BindingTable> result =
@@ -589,8 +586,6 @@ void QueryService::ServeBatch(std::vector<std::unique_ptr<Pending>>* batch) {
     engine::EngineOptions eo = options_.engine;
     eo.tmp_namespace =
         "b" + std::to_string(leaders[group[0]]->id) + ":";
-    eo.num_shards = options_.cluster.num_shards;
-    eo.sharding_scheme = options_.cluster.sharding;
     mr::Cluster cluster(options_.cluster, &dataset->dfs());
 
     // One result slot per group leader.

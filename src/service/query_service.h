@@ -29,10 +29,9 @@ namespace rapida::service {
 /// Service-wide configuration.
 struct ServiceOptions {
   /// Slot configuration of the one simulated cluster every query shares.
-  /// Set cluster.num_shards > 1 (and cluster.sharding) to serve on the
-  /// sharded data plane: the service syncs the engines' EngineOptions to
-  /// the cluster shape per query, and surfaces shard-local vs cross-shard
-  /// shuffle bytes plus per-shard output segments in MetricsJson.
+  /// Set cluster.num_shards > 1 to serve on the sharded data plane: the
+  /// service surfaces shard-local vs cross-shard shuffle bytes plus
+  /// per-shard output segments in MetricsJson.
   mr::ClusterConfig cluster;
   /// Base engine options; the service overrides tmp_namespace per query.
   engine::EngineOptions engine;

@@ -141,36 +141,24 @@ DiffFailure RunDifferential(const FuzzCase& c, const DiffOptions& opts) {
 
   // Run matrix: the legacy unsharded data plane first (it is the
   // reference the sharded runs are held to), then every requested shard
-  // count under both placement schemes.
-  struct ShardConfig {
-    int shards = 0;
-    mr::ShardingScheme scheme = mr::ShardingScheme::kHashSubject;
-  };
-  std::vector<ShardConfig> shard_configs{ShardConfig{}};
+  // count.
+  std::vector<int> shard_configs{0};
   for (int s : opts.shard_counts) {
-    if (s <= 1) continue;  // <= 1 is the unsharded path, already covered
-    shard_configs.push_back(ShardConfig{s, mr::ShardingScheme::kHashSubject});
-    shard_configs.push_back(ShardConfig{s, mr::ShardingScheme::kLocality});
+    if (s > 1) shard_configs.push_back(s);  // <= 1 is the unsharded path
   }
 
   for (int threads : opts.thread_counts) {
-    for (const ShardConfig& sc : shard_configs) {
+    for (int shards : shard_configs) {
       const std::string config_tag =
-          sc.shards > 1 ? " [shards=" + std::to_string(sc.shards) + "," +
-                              mr::ShardingSchemeName(sc.scheme) + "]"
-                        : "";
+          shards > 1 ? " [shards=" + std::to_string(shards) + "]" : "";
       engine::Dataset dataset(BuildGraph(c.triples));
       mr::ClusterConfig cfg;
       cfg.exec_threads = threads;
       cfg.exec_split_bytes = opts.exec_split_bytes;
-      cfg.num_shards = sc.shards;
-      cfg.sharding = sc.scheme;
+      cfg.num_shards = shards;
       mr::Cluster cluster(cfg, &dataset.dfs());
-      engine::EngineOptions eopts = opts.engine_options;
-      eopts.num_shards = sc.shards;
-      eopts.sharding_scheme = sc.scheme;
       for (std::unique_ptr<engine::Engine>& eng :
-           engine::MakeAllEngines(eopts)) {
+           engine::MakeAllEngines(opts.engine_options)) {
         std::unique_ptr<engine::Engine> run = std::move(eng);
         if (opts.fault != FaultKind::kNone &&
             run->name() == opts.fault_engine) {
@@ -204,7 +192,7 @@ DiffFailure RunDifferential(const FuzzCase& c, const DiffOptions& opts) {
                             std::to_string(j.shuffle_bytes));
           }
         }
-        if (sc.shards <= 1) {
+        if (shards <= 1) {
           cycles[{run->name(), threads}] = stats.workflow.NumCycles();
           baselines[{run->name(), threads}] =
               Baseline{stats.workflow.NumCycles(),
@@ -231,7 +219,7 @@ DiffFailure RunDifferential(const FuzzCase& c, const DiffOptions& opts) {
         if (opts.fault == FaultKind::kNone ||
             run->name() != opts.fault_engine) {
           StatusOr<plan::PhysicalPlan> physical = plan::PlanForEngine(
-              run->name(), analyzed.value(), &dataset, eopts);
+              run->name(), analyzed.value(), &dataset, opts.engine_options);
           if (!physical.ok()) {
             return Fail("plan-cycles", run->name() + config_tag, threads,
                         "planner failed after successful execution: " +

@@ -64,8 +64,8 @@ struct DiffOptions {
   /// evaluator ignores them). Used to force e.g. the factorize pass off
   /// across a whole corpus run.
   engine::EngineOptions engine_options;
-  /// Shard counts to additionally run every engine under (both placement
-  /// schemes each), cross-checking each sharded run against the reference
+  /// Shard counts to additionally run every engine under, cross-checking
+  /// each sharded run against the reference
   /// AND against the unsharded baseline's cycle count and total shuffled
   /// bytes — sharding may never change the workflow, only its placement.
   /// Entries <= 1 are ignored (that is the baseline). Empty = unsharded

@@ -209,7 +209,6 @@ TEST(RecordFootprintTest, ShardedJobPeaksNoHigherThanUnsharded) {
     Dfs dfs;
     ClusterConfig cfg;
     cfg.num_shards = shards;
-    cfg.sharding = ShardingScheme::kHashSubject;
     cfg.exec_threads = 1;
     Cluster cluster(cfg, &dfs);
     RecordBatch input;

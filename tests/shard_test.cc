@@ -1,14 +1,17 @@
-// Sharded data plane: placement-scheme determinism, key ownership,
-// shuffle-byte conservation, the locality scheme's zero-cross guarantee
-// for key-preserving jobs, the combiner's placement rule, per-shard
-// output ownership, the final join's thread-independent output shard,
-// and the full byte-identity matrix (every engine, shard counts x thread
-// counts, both schemes) through the differential harness. Every placement expectation is recomputed here from
-// AssignShard/OwnerShard over the job's input or output file.
+// Sharded data plane: hash-subject placement determinism, key ownership,
+// shuffle-byte conservation, the three booking rules (a map emission from
+// its input record's home, combiner and map_finish output from the map
+// task's plurality home, a reduce emission from its key's owner), the
+// final join's thread-independent output shard, and the full
+// byte-identity matrix (every engine, shard counts x thread counts)
+// through the differential harness. Every placement expectation is
+// recomputed here from AssignShard/OwnerShard over the job's input or
+// output file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engines/dataset.h"
@@ -21,21 +24,7 @@
 namespace rapida::mr {
 namespace {
 
-// ---- placement schemes ----
-
-TEST(ShardingSchemeTest, LocalityIsResidueOfKeyHash) {
-  for (uint64_t h : {0ull, 1ull, 12345ull, 0xDEADBEEFull, ~0ull}) {
-    for (int s : {2, 4, 8}) {
-      EXPECT_EQ(AssignShard(h, ShardingScheme::kLocality, s),
-                static_cast<int>(h % static_cast<uint64_t>(s)));
-      EXPECT_EQ(OwnerShard(h, s),
-                static_cast<int>(h % static_cast<uint64_t>(s)));
-      // The locality scheme's whole point: home == owner for every key.
-      EXPECT_EQ(AssignShard(h, ShardingScheme::kLocality, s),
-                OwnerShard(h, s));
-    }
-  }
-}
+// ---- placement ----
 
 TEST(ShardingSchemeTest, SplitmixMatchesReferenceVector) {
   // splitmix64's published first output for seed 0 — pins the hash-subject
@@ -48,8 +37,8 @@ TEST(ShardingSchemeTest, AssignmentIsDeterministicAndComplete) {
   for (int s : {1, 2, 4, 8}) {
     std::vector<int> counts(static_cast<size_t>(std::max(s, 1)), 0);
     for (uint64_t h = 0; h < 4096; ++h) {
-      int a = AssignShard(h, ShardingScheme::kHashSubject, s);
-      EXPECT_EQ(a, AssignShard(h, ShardingScheme::kHashSubject, s));
+      int a = AssignShard(h, s);
+      EXPECT_EQ(a, AssignShard(h, s));
       ASSERT_GE(a, 0);
       ASSERT_LT(a, std::max(s, 1));
       counts[static_cast<size_t>(a)]++;
@@ -57,20 +46,6 @@ TEST(ShardingSchemeTest, AssignmentIsDeterministicAndComplete) {
     // Splitmix64 spreads consecutive hashes: every shard gets work.
     for (int c : counts) EXPECT_GT(c, 0);
   }
-}
-
-TEST(ShardingSchemeTest, NamesRoundTrip) {
-  EXPECT_STREQ(ShardingSchemeName(ShardingScheme::kHashSubject),
-               "hash-subject");
-  EXPECT_STREQ(ShardingSchemeName(ShardingScheme::kLocality), "locality");
-  ShardingScheme s;
-  EXPECT_TRUE(ParseShardingScheme("locality", &s));
-  EXPECT_EQ(s, ShardingScheme::kLocality);
-  EXPECT_TRUE(ParseShardingScheme("hash-subject", &s));
-  EXPECT_EQ(s, ShardingScheme::kHashSubject);
-  EXPECT_TRUE(ParseShardingScheme("hash", &s));
-  EXPECT_EQ(s, ShardingScheme::kHashSubject);
-  EXPECT_FALSE(ParseShardingScheme("round-robin", &s));
 }
 
 // ---- key ownership ----
@@ -96,8 +71,8 @@ TEST(ShardTest, KeyOwnershipPartitionsTheHashSpace) {
 // ---- sharded Cluster::Run ----
 
 /// A keyed dataset + key-preserving map/reduce job: the map emits under
-/// the input record's own key, so under the locality scheme every record
-/// reduces on its home shard.
+/// the input record's own key, so each map emission is booked from the
+/// home shard of the key it is shuffled under.
 JobConfig KeyPreservingJob() {
   JobConfig job;
   job.name = "key-preserving";
@@ -121,26 +96,10 @@ RecordBatch KeyedInput(int n) {
   return batch;
 }
 
-TEST(ShardedClusterTest, LocalitySchemeShufflesZeroCrossShardBytes) {
-  Dfs dfs;
-  ClusterConfig cfg;
-  cfg.num_shards = 4;
-  cfg.sharding = ShardingScheme::kLocality;
-  Cluster cluster(cfg, &dfs);
-  ASSERT_TRUE(dfs.Write("input", KeyedInput(64)).ok());
-  auto stats = cluster.Run(KeyPreservingJob());
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->num_shards, 4);
-  EXPECT_GT(stats->shuffle_bytes, 0u);
-  EXPECT_EQ(stats->shuffle_cross_bytes, 0u);
-  EXPECT_EQ(stats->shuffle_local_bytes, stats->shuffle_bytes);
-}
-
 TEST(ShardedClusterTest, HashSubjectSchemeCrossesShards) {
   Dfs dfs;
   ClusterConfig cfg;
   cfg.num_shards = 4;
-  cfg.sharding = ShardingScheme::kHashSubject;
   Cluster cluster(cfg, &dfs);
   ASSERT_TRUE(dfs.Write("input", KeyedInput(64)).ok());
   auto stats = cluster.Run(KeyPreservingJob());
@@ -153,7 +112,7 @@ TEST(ShardedClusterTest, HashSubjectSchemeCrossesShards) {
   ASSERT_TRUE(input.ok());
   uint64_t local = 0, cross = 0;
   for (const Record& r : (*input)->records) {
-    (AssignShard(r.key_hash, cfg.sharding, 4) == OwnerShard(r.key_hash, 4)
+    (AssignShard(r.key_hash, 4) == OwnerShard(r.key_hash, 4)
          ? local
          : cross) += r.Bytes();
   }
@@ -192,41 +151,36 @@ TEST(ShardedClusterTest, ResultsAreByteIdenticalToUnsharded) {
   ASSERT_TRUE(ref_out.ok());
 
   for (int shards : {1, 2, 4, 8}) {
-    for (ShardingScheme scheme :
-         {ShardingScheme::kHashSubject, ShardingScheme::kLocality}) {
-      for (int threads : {1, 8}) {
-        SCOPED_TRACE(std::to_string(shards) + " shards, " +
-                     ShardingSchemeName(scheme) + ", " +
-                     std::to_string(threads) + " threads");
-        Dfs dfs;
-        ClusterConfig cfg;
-        cfg.num_shards = shards;
-        cfg.sharding = scheme;
-        cfg.exec_threads = threads;
-        Cluster cluster(cfg, &dfs);
-        ASSERT_TRUE(dfs.Write("input", KeyedInput(64)).ok());
-        auto stats = cluster.Run(job);
-        ASSERT_TRUE(stats.ok()) << stats.status();
-        auto out = dfs.Open("out");
-        ASSERT_TRUE(out.ok());
-        ASSERT_EQ((*out)->records.size(), (*ref_out)->records.size());
-        for (size_t i = 0; i < (*out)->records.size(); ++i) {
-          EXPECT_EQ((*out)->records[i].key(), (*ref_out)->records[i].key());
-          EXPECT_EQ((*out)->records[i].value(), (*ref_out)->records[i].value());
-        }
-        // Identical workflow counters, too: sharding is placement only.
-        EXPECT_EQ(stats->shuffle_bytes, ref_stats->shuffle_bytes);
-        EXPECT_EQ(stats->output_bytes, ref_stats->output_bytes);
-        // Placement books every shuffled and every written byte once.
-        EXPECT_EQ(stats->num_shards, shards);
-        EXPECT_EQ(stats->shuffle_local_bytes + stats->shuffle_cross_bytes,
-                  stats->shuffle_bytes);
-        uint64_t shard_bytes = 0;
-        for (uint64_t b : stats->shard_output_bytes) shard_bytes += b;
-        EXPECT_EQ(shard_bytes, stats->output_bytes);
-        if (shards == 1) {
-          EXPECT_EQ(stats->shuffle_cross_bytes, 0u);
-        }
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      Dfs dfs;
+      ClusterConfig cfg;
+      cfg.num_shards = shards;
+      cfg.exec_threads = threads;
+      Cluster cluster(cfg, &dfs);
+      ASSERT_TRUE(dfs.Write("input", KeyedInput(64)).ok());
+      auto stats = cluster.Run(job);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      auto out = dfs.Open("out");
+      ASSERT_TRUE(out.ok());
+      ASSERT_EQ((*out)->records.size(), (*ref_out)->records.size());
+      for (size_t i = 0; i < (*out)->records.size(); ++i) {
+        EXPECT_EQ((*out)->records[i].key(), (*ref_out)->records[i].key());
+        EXPECT_EQ((*out)->records[i].value(), (*ref_out)->records[i].value());
+      }
+      // Identical workflow counters, too: sharding is placement only.
+      EXPECT_EQ(stats->shuffle_bytes, ref_stats->shuffle_bytes);
+      EXPECT_EQ(stats->output_bytes, ref_stats->output_bytes);
+      // Placement books every shuffled and every written byte once.
+      EXPECT_EQ(stats->num_shards, shards);
+      EXPECT_EQ(stats->shuffle_local_bytes + stats->shuffle_cross_bytes,
+                stats->shuffle_bytes);
+      uint64_t shard_bytes = 0;
+      for (uint64_t b : stats->shard_output_bytes) shard_bytes += b;
+      EXPECT_EQ(shard_bytes, stats->output_bytes);
+      if (shards == 1) {
+        EXPECT_EQ(stats->shuffle_cross_bytes, 0u);
       }
     }
   }
@@ -234,57 +188,75 @@ TEST(ShardedClusterTest, ResultsAreByteIdenticalToUnsharded) {
 
 TEST(ShardedClusterTest, CombinerOutputIsBookedFromTheTaskShard) {
   // One split of 64 keyed records over 4 shards. Without a combiner each
-  // map emission is booked from its input record's home, which under the
-  // locality scheme is its key's owner: nothing crosses. A combiner
-  // re-emits the task's state, so its output is booked from the split's
-  // plurality home (lowest id on ties) and crosses wherever the key's
-  // owner is another shard.
+  // map emission is booked from its input record's home against its key's
+  // owner. A combiner re-emits the task's state, and so does map_finish,
+  // so their output is booked from the split's plurality home (lowest id
+  // on ties) against the same owners.
   constexpr int kShards = 4;
   Dfs dfs;
   ClusterConfig cfg;
   cfg.num_shards = kShards;
-  cfg.sharding = ShardingScheme::kLocality;
   Cluster cluster(cfg, &dfs);
   ASSERT_TRUE(dfs.Write("input", KeyedInput(64)).ok());
   auto input = dfs.Open("input");
   ASSERT_TRUE(input.ok());
 
+  std::vector<int> homes(kShards, 0);
+  for (const Record& r : (*input)->records) {
+    homes[static_cast<size_t>(AssignShard(r.key_hash, kShards))]++;
+  }
+  const int task_home = static_cast<int>(
+      std::max_element(homes.begin(), homes.end()) - homes.begin());
+  uint64_t total = 0, record_local = 0, task_local = 0;
+  for (const Record& r : (*input)->records) {
+    const int owner = OwnerShard(r.key_hash, kShards);
+    total += r.Bytes();
+    if (AssignShard(r.key_hash, kShards) == owner) record_local += r.Bytes();
+    if (task_home == owner) task_local += r.Bytes();
+  }
+  // The input tells the rules apart: the two bookings differ, and the
+  // task's home is not shard 0, where an unplaced emission would land.
+  ASSERT_NE(record_local, task_local);
+  ASSERT_NE(task_home, 0);
+
   JobConfig job = KeyPreservingJob();
   auto plain = cluster.Run(job);
   ASSERT_TRUE(plain.ok()) << plain.status();
   ASSERT_EQ(plain->num_mappers, 1);
-  EXPECT_EQ(plain->shuffle_cross_bytes, 0u);
+  EXPECT_EQ(plain->shuffle_local_bytes, record_local);
+  EXPECT_EQ(plain->shuffle_cross_bytes, total - record_local);
 
-  std::vector<int> homes(kShards, 0);
-  for (const Record& r : (*input)->records) {
-    homes[static_cast<size_t>(AssignShard(r.key_hash, cfg.sharding,
-                                          kShards))]++;
-  }
-  const int task_home = static_cast<int>(
-      std::max_element(homes.begin(), homes.end()) - homes.begin());
-  uint64_t local = 0, cross = 0;
-  for (const Record& r : (*input)->records) {
-    (OwnerShard(r.key_hash, kShards) == task_home ? local : cross) +=
-        r.Bytes();
-  }
-  ASSERT_GT(cross, 0u);
-
-  job.combine = [](std::string_view key, const ValueSpan& values,
-                   ReduceContext* ctx) {
+  JobConfig combining = KeyPreservingJob();
+  combining.combine = [](std::string_view key, const ValueSpan& values,
+                         ReduceContext* ctx) {
     for (std::string_view v : values) ctx->Emit(key, v);
   };
-  auto combined = cluster.Run(job);
+  auto combined = cluster.Run(combining);
   ASSERT_TRUE(combined.ok()) << combined.status();
   EXPECT_EQ(combined->shuffle_bytes, plain->shuffle_bytes);
-  EXPECT_EQ(combined->shuffle_local_bytes, local);
-  EXPECT_EQ(combined->shuffle_cross_bytes, cross);
+  EXPECT_EQ(combined->shuffle_local_bytes, task_local);
+  EXPECT_EQ(combined->shuffle_cross_bytes, total - task_local);
+
+  // The same records, held in task state and emitted by map_finish.
+  using Held = std::vector<std::pair<std::string, std::string>>;
+  JobConfig flushing = KeyPreservingJob();
+  flushing.map = [](const Record& r, int, MapContext* ctx) {
+    ctx->TaskState<Held>()->emplace_back(r.key(), r.value());
+  };
+  flushing.map_finish = [](MapContext* ctx) {
+    for (const auto& [k, v] : *ctx->TaskState<Held>()) ctx->Emit(k, v);
+  };
+  auto flushed = cluster.Run(flushing);
+  ASSERT_TRUE(flushed.ok()) << flushed.status();
+  EXPECT_EQ(flushed->shuffle_bytes, plain->shuffle_bytes);
+  EXPECT_EQ(flushed->shuffle_local_bytes, task_local);
+  EXPECT_EQ(flushed->shuffle_cross_bytes, total - task_local);
 }
 
 TEST(ShardedClusterTest, ShardOwnershipPartitionsTheOutput) {
   Dfs dfs;
   ClusterConfig cfg;
   cfg.num_shards = 4;
-  cfg.sharding = ShardingScheme::kLocality;
   Cluster cluster(cfg, &dfs);
   ASSERT_TRUE(dfs.Write("input", KeyedInput(64)).ok());
   auto stats = cluster.Run(KeyPreservingJob());
@@ -296,9 +268,13 @@ TEST(ShardedClusterTest, ShardOwnershipPartitionsTheOutput) {
   // belongs to the shard owning its group key, and this reduce keeps the
   // key, so each shard's byte share is exactly the records it owns.
   std::vector<uint64_t> owned(4, 0);
+  std::vector<uint64_t> homed(4, 0);
   for (const Record& r : (*out)->records) {
     owned[static_cast<size_t>(OwnerShard(r.key_hash, 4))] += r.Bytes();
+    homed[static_cast<size_t>(AssignShard(r.key_hash, 4))] += r.Bytes();
   }
+  // Booking from the keys' homes instead would give another split.
+  ASSERT_NE(owned, homed);
   EXPECT_EQ(stats->shard_output_bytes, owned);
   uint64_t owned_bytes = 0;
   for (uint64_t b : owned) owned_bytes += b;
@@ -309,7 +285,6 @@ TEST(ShardedClusterTest, MapOnlyOutputFollowsRecordHomes) {
   Dfs dfs;
   ClusterConfig cfg;
   cfg.num_shards = 2;
-  cfg.sharding = ShardingScheme::kLocality;
   Cluster cluster(cfg, &dfs);
   ASSERT_TRUE(dfs.Write("input", KeyedInput(32)).ok());
   JobConfig job;
@@ -327,16 +302,17 @@ TEST(ShardedClusterTest, MapOnlyOutputFollowsRecordHomes) {
   ASSERT_EQ((*out)->records.size(), 32u);
   // A map-only record stays on the home shard of the input record that
   // produced it; this map keeps keys, so the home follows the output key.
-  ASSERT_EQ(stats->shard_output_bytes.size(), 2u);
-  uint64_t credited = 0;
-  for (int s = 0; s < 2; ++s) {
-    uint64_t bytes = 0;
-    for (const Record& r : (*out)->records) {
-      if (AssignShard(r.key_hash, cfg.sharding, 2) == s) bytes += r.Bytes();
-    }
-    EXPECT_EQ(stats->shard_output_bytes[s], bytes) << "shard " << s;
-    credited += stats->shard_output_bytes[s];
+  std::vector<uint64_t> homed(2, 0);
+  std::vector<uint64_t> owned(2, 0);
+  for (const Record& r : (*out)->records) {
+    homed[static_cast<size_t>(AssignShard(r.key_hash, 2))] += r.Bytes();
+    owned[static_cast<size_t>(OwnerShard(r.key_hash, 2))] += r.Bytes();
   }
+  // Booking from the keys' owners instead would give another split.
+  ASSERT_NE(homed, owned);
+  EXPECT_EQ(stats->shard_output_bytes, homed);
+  uint64_t credited = 0;
+  for (uint64_t b : stats->shard_output_bytes) credited += b;
   EXPECT_EQ(credited, stats->output_bytes);
 }
 
@@ -386,13 +362,11 @@ TEST(ShardedClusterTest, FinalJoinOutputShardIsIndependentOfThreads) {
   // exec_threads 8 in every run, as it does at exec_threads 1.
   constexpr int kShards = 4;
   const std::string ka = "a";
-  const int home_a =
-      AssignShard(HashKey(ka), ShardingScheme::kHashSubject, kShards);
+  const int home_a = AssignShard(HashKey(ka), kShards);
   std::string kb;
   for (int i = 0; kb.empty(); ++i) {
     std::string k = "b" + std::to_string(i);
-    if (AssignShard(HashKey(k), ShardingScheme::kHashSubject, kShards) !=
-        home_a) {
+    if (AssignShard(HashKey(k), kShards) != home_a) {
       kb = k;
     }
   }
@@ -418,7 +392,6 @@ TEST(ShardedClusterTest, FinalJoinOutputShardIsIndependentOfThreads) {
   };
   ClusterConfig cfg;
   cfg.num_shards = kShards;
-  cfg.sharding = ShardingScheme::kHashSubject;
   cfg.exec_threads = 1;
   Cluster serial_cluster(cfg, &dataset.dfs());
   const std::vector<uint64_t> serial = run(&serial_cluster);
@@ -434,8 +407,8 @@ TEST(ShardedClusterTest, FinalJoinOutputShardIsIndependentOfThreads) {
 // ---- full-engine byte-identity matrix ----
 
 TEST(ShardDifferentialTest, EnginesAreByteIdenticalAcrossShardMatrix) {
-  // Every engine, shard counts {2, 4} x thread counts {1, 8} x both
-  // placement schemes, cross-checked against the reference evaluator and
+  // Every engine, shard counts {2, 4} x thread counts {1, 8},
+  // cross-checked against the reference evaluator and
   // the unsharded baseline's cycle/shuffle counters.
   for (uint64_t seed : {1ull, 5ull, 9ull}) {
     difftest::FuzzCase c = difftest::MakeFuzzCase(seed);
