@@ -44,7 +44,12 @@
 # ASan as well as UBSan and TSan. One aggregation fold serves every
 # engine's GROUP BY and TG Agg-Join and reads those views too:
 # engines_test runs under ASan and UBSan, and kernels_test (every
-# operator over threads x combine x shards) under ASan as well.
+# operator over threads x combine x shards) under ASan as well. A Dfs
+# file at rest is its records packed with varint lengths, read back
+# through one decoder's raw pointer and varint arithmetic: mapreduce_test
+# (every varint width, every range seek) and dataset_test (the VP and
+# triplegroup layouts, written packed and read back) run under ASan and
+# UBSan.
 # The sharded data plane (hash-by-subject placement) adds its own gates:
 # a sharded pass over the fuzz corpus (every engine at 4 shards,
 # cross-checked against the unsharded baseline), a sharded serve smoke
@@ -198,7 +203,7 @@ cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       golden_test optional_union_test storage_test rapida_serve plan_ir_test \
       pass_differential_test property_invariants_test rdf_test \
       factorize_test relational_ops_test binding_test reference_evaluator_test \
-      mapreduce_test shard_test engines_test kernels_test
+      mapreduce_test shard_test engines_test kernels_test dataset_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -232,6 +237,9 @@ echo "== ASan: MapReduce runtime (sorted runs, key-range merge, shards) =="
 ./build-asan/tests/mapreduce_test
 ./build-asan/tests/shard_test
 
+echo "== ASan: dataset_test (VP and triplegroup layouts packed at rest) =="
+./build-asan/tests/dataset_test
+
 echo "== ASan: engines_test, kernels_test (every engine's aggregation fold) =="
 ./build-asan/tests/engines_test
 ./build-asan/tests/kernels_test
@@ -260,20 +268,23 @@ grep -q '"corrupt": *[1-9]' "$CORRUPT_OUT" || {
 
 echo "== UndefinedBehaviorSanitizer build (RAPIDA_SANITIZE=undefined) =="
 # The record plane is raw pointer and u32-length arithmetic (one 32-byte
-# view per record into arena-owned key||value bytes); any UB finding
-# aborts (-fno-sanitize-recover=all).
+# view per record into arena-owned key||value bytes inside a job, and
+# varint-framed records packed back to back in a file at rest); any UB
+# finding aborts (-fno-sanitize-recover=all).
 cmake -B build-ubsan -S . -DRAPIDA_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-ubsan -j "$JOBS" --target \
       mapreduce_test kernels_test shard_test storage_test rdf_test rapida_fuzz \
       factorize_test relational_ops_test binding_test reference_evaluator_test \
-      engines_test
+      engines_test dataset_test
 echo "== UBSan: mapreduce_test =="
 ./build-ubsan/tests/mapreduce_test
 echo "== UBSan: kernels_test =="
 ./build-ubsan/tests/kernels_test
 echo "== UBSan: shard_test =="
 ./build-ubsan/tests/shard_test
+echo "== UBSan: dataset_test (VP and triplegroup layouts packed at rest) =="
+./build-ubsan/tests/dataset_test
 echo "== UBSan: storage_test (record codec truncation / corruption) =="
 ./build-ubsan/tests/storage_test
 echo "== UBSan: rdf_test (term store entry bitfields, arena views) =="

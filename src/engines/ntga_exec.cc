@@ -336,12 +336,12 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     const NtgaGrouping& grouping = *g;
     analytics::BindingTable table(grouping.output_columns);
     std::string gid = std::to_string(grouping.id);
-    for (const mr::Record& r : f->records) {
-      if (r.key() != gid) continue;
+    f->ForEach([&](const mr::Record& r) {
+      if (r.key() != gid) return;
       DecodeRowInto(r.value(), &row);
       row.resize(grouping.output_columns.size(), rdf::kInvalidTermId);
       table.AddRow(row);
-    }
+    });
     // GROUP BY ALL over no qualifying detail still yields the default row.
     if (grouping.spec.group_vars.empty() && table.NumRows() == 0) {
       table.AddRow(EmptyGroupRow(grouping.spec.aggs, dict));

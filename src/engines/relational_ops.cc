@@ -263,15 +263,14 @@ struct BroadcastTable {
   }
 };
 
-void BuildBroadcast(const JoinInput& input,
-                    const std::vector<mr::Record>& records, int key_col,
-                    BroadcastTable* t) {
+void BuildBroadcast(const JoinInput& input, const mr::Dfs::File& file,
+                    int key_col, BroadcastTable* t) {
   const RowSource source = SourceOf(input);
   RowReader reader;
   std::vector<uint32_t> key_id_of_row;
   std::vector<uint32_t> counts;
-  t->index.Reserve(records.size());
-  for (const mr::Record& r : records) {
+  t->index.Reserve(file.size());
+  file.ForEach([&](const mr::Record& r) {
     reader.ForEachRow(source, r, [&](const std::vector<rdf::TermId>& row) {
       if (input.predicate && !input.predicate(row)) return;
       rdf::TermId k = row[static_cast<size_t>(key_col)];
@@ -286,7 +285,7 @@ void BuildBroadcast(const JoinInput& input,
       key_id_of_row.push_back(id);
       t->rows.Add(row);
     });
-  }
+  });
   // Counting-sort scatter: group rows by key id, file order within a group.
   t->group_end.resize(counts.size());
   uint32_t total = 0;
@@ -754,7 +753,7 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
       if (static_cast<int>(i) == big) continue;
       RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                               dataset_->dfs().Open(inputs[i].file));
-      BuildBroadcast(inputs[i], f->records, join_idx[i], &(*tables)[i]);
+      BuildBroadcast(inputs[i], *f, join_idx[i], &(*tables)[i]);
     }
     const size_t b = static_cast<size_t>(big);
     job.map = [ins, sides, fact, tables, b, out_pos, join_idx, width,
@@ -1374,7 +1373,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
                             dataset_->dfs().Open(input.file));
     RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                             dataset_->dfs().Open(out.file));
-    if (f->records.empty() && in_f->records.empty()) {
+    if (f->empty() && in_f->empty()) {
       std::vector<rdf::TermId> row = EmptyGroupRow(aggs, dict);
       if (having == nullptr || having(row)) {
         mr::RecordBatch batch;
@@ -1515,14 +1514,14 @@ StatusOr<analytics::BindingTable> RelationalOps::ReadTable(
                           dataset_->dfs().Open(table.file));
   analytics::BindingTable out(table.columns);
   // A flat file holds one row per record; a factorized one more.
-  out.ReserveRows(f->records.size());
+  out.ReserveRows(f->size());
   const RowSource source = SourceOf(table);
   RowReader reader;
-  for (const mr::Record& r : f->records) {
+  f->ForEach([&](const mr::Record& r) {
     reader.ForEachRow(source, r, [&out](const std::vector<rdf::TermId>& row) {
       out.AddRow(row);
     });
-  }
+  });
   return out;
 }
 
@@ -1534,11 +1533,11 @@ StatusOr<uint64_t> RelationalOps::FlatStoredBytes(const TableRef& table) const {
                           dataset_->dfs().Open(table.file));
   uint64_t bytes = 0;
   RowReader reader;
-  for (const mr::Record& r : f->records) {
+  f->ForEach([&](const mr::Record& r) {
     if (const GroupView* g = reader.Group(*table.factor, r.value())) {
       bytes += FlatRecordBytes(*table.factor, *g);
     }
-  }
+  });
   return bytes;
 }
 

@@ -78,13 +78,6 @@ class Sink : public Context {
   Tally tally_;
 };
 
-/// One split row: a pointer to the input file's record view (key_hash /
-/// key_prefix already stamped) plus its input tag.
-struct TaggedRecord {
-  const Record* record = nullptr;
-  int tag = 0;
-};
-
 /// One past the last record of the group of equal keys starting at
 /// `head`, scanning no further than `end`.
 const Record* GroupEnd(const Record* head, const Record* end) {
@@ -93,21 +86,12 @@ const Record* GroupEnd(const Record* head, const Record* end) {
   return e;
 }
 
-/// Appends `from`'s views to `to` and adopts its arenas; `from`'s view
-/// array is freed as soon as it has moved.
-void AppendBatch(RecordBatch* from, RecordBatch* to) {
-  to->records.insert(to->records.end(), from->records.begin(),
-                     from->records.end());
-  from->records = std::vector<Record>();
-  for (auto& arena : from->arenas) to->arenas.push_back(std::move(arena));
-}
-
 /// One map task's private results, merged into JobStats at the map barrier.
 struct MapTaskResult {
-  /// Map-only jobs: this task's final records. Reduce jobs: the task's
-  /// sorted run, its post-combine output in key order (views and arenas),
-  /// which the reduce merges in place and releases once every key range
-  /// is done with it.
+  /// Map-only jobs: this task's final records, one part of the output
+  /// file. Reduce jobs: the task's sorted run, its post-combine output in
+  /// key order (views and arenas), which the reduce merges in place and
+  /// releases once every key range is done with it.
   RecordBatch run;
   Tally map;      // every map and map_finish emission
   Tally combine;  // the combiner's emissions, when the job has one
@@ -204,33 +188,34 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   stats.num_shards = S;
 
   // ---- read inputs & form splits ----
-  // Each input file contributes ceil(stored/block) splits; records are
-  // assigned to splits as contiguous chunks of their file (record i goes
-  // to split base + i / per_split), which matches the "many mappers scan
-  // disjoint blocks" behaviour closely enough for cost purposes while
-  // keeping execution deterministic. Split formation never depends on
-  // the shard count, so per-task combiner state and emission order (and
-  // with them every result) are the same at any S.
+  // Each input file contributes ceil(stored / exec_split_bytes) splits,
+  // each a contiguous record range of its file (record i goes to split
+  // i / per_split), which matches the "many mappers scan disjoint blocks"
+  // behaviour closely enough for cost purposes while keeping execution
+  // deterministic. Split formation never depends on the shard count, so
+  // per-task combiner state and emission order (and with them every
+  // result) are the same at any S.
   struct Split {
-    std::vector<TaggedRecord> records;
+    const Dfs::File* file = nullptr;  // null: the one split of no input
+    int tag = 0;
+    uint64_t begin = 0;
+    uint64_t end = 0;
   };
   std::vector<Split> splits;
   for (size_t tag = 0; tag < job.inputs.size(); ++tag) {
     RAPIDA_ASSIGN_OR_RETURN(const Dfs::File* file, dfs_->Open(job.inputs[tag]));
-    stats.input_records += file->records.size();
+    const uint64_t n = file->size();
+    stats.input_records += n;
     stats.input_bytes += file->stored_bytes;
-    int n_splits = static_cast<int>(
-        (file->stored_bytes + config_.exec_split_bytes - 1) /
-        config_.exec_split_bytes);
-    n_splits = std::max(n_splits, 1);
-    size_t base = splits.size();
-    splits.resize(base + n_splits);
-    size_t per_split =
-        (file->records.size() + n_splits - 1) / std::max(n_splits, 1);
-    per_split = std::max<size_t>(per_split, 1);
-    for (size_t i = 0; i < file->records.size(); ++i) {
-      splits[base + i / per_split].records.push_back(
-          TaggedRecord{&file->records[i], static_cast<int>(tag)});
+    const uint64_t n_splits = std::max<uint64_t>(
+        1, (file->stored_bytes + config_.exec_split_bytes - 1) /
+               config_.exec_split_bytes);
+    const uint64_t per_split =
+        std::max<uint64_t>(1, (n + n_splits - 1) / n_splits);
+    for (uint64_t s = 0; s < n_splits; ++s) {
+      splits.push_back(Split{file, static_cast<int>(tag),
+                             std::min(s * per_split, n),
+                             std::min((s + 1) * per_split, n)});
     }
   }
   if (splits.empty()) splits.resize(1);
@@ -253,10 +238,10 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   // place. The run stays with its task until the reduce has merged it.
   std::vector<MapTaskResult> task_results(splits.size());
   run_tasks(splits.size(), [&](size_t task) {
-    Split& split = splits[task];
+    const Split& split = splits[task];
     MapTaskResult& result = task_results[task];
     RecordBatch& out = result.run;
-    out.records.reserve(split.records.size());
+    out.records.reserve(split.end - split.begin);
     // A map emission is booked from the home shard of the input record
     // whose map call emitted it. map_finish flushes and combiner output
     // re-emit state the task built up, so they are booked from the task's
@@ -268,10 +253,12 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       // combine below.
       Sink<MapContext> ctx(&out, S);
       ctx.SetTask(task);
-      for (const TaggedRecord& tr : split.records) {
-        ctx.from = AssignShard(tr.record->key_hash, S);
-        ++homes[static_cast<size_t>(ctx.from)];
-        job.map(*tr.record, tr.tag, &ctx);
+      if (split.file != nullptr) {
+        split.file->ForRange(split.begin, split.end, [&](const Record& r) {
+          ctx.from = AssignShard(r.key_hash, S);
+          ++homes[static_cast<size_t>(ctx.from)];
+          job.map(r, split.tag, &ctx);
+        });
       }
       task_home = static_cast<int>(
           std::max_element(homes.begin(), homes.end()) - homes.begin());
@@ -315,7 +302,6 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     result.combine = cctx.Done();
     out = std::move(combined);
   });
-  splits.clear();  // every mapper is done with its split views
 
   // ---- map barrier: merge per-task tallies ----
   if (observer_ != nullptr && !stats.map_only) {
@@ -340,14 +326,14 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   // The job output's tally: the map emissions of a map-only job, the
   // reduce emissions otherwise.
   Tally written(S);
-  RecordBatch output;
+  // The output file's parts, in file order; Dfs::Write packs and frees them
+  // one by one.
+  std::vector<RecordBatch> output;
   if (stats.map_only) {
-    // Map-only job: mapper outputs concatenate in split order; the output
-    // adopts every task's arenas.
+    // Map-only job: the map tasks' batches, in split order.
     written = std::move(mapped);
     stats.num_reducers = 0;
-    output.records.reserve(written.records);
-    for (MapTaskResult& r : task_results) AppendBatch(&r.run, &output);
+    for (MapTaskResult& r : task_results) output.push_back(std::move(r.run));
   } else {
     stats.shuffle_records = shuffled.records;
     stats.shuffle_bytes = shuffled.bytes();
@@ -442,11 +428,10 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     stats.factorized_groups += written.factorized_groups;
     stats.factorized_flat_rows += written.factorized_flat_rows;
 
-    // The runs and their arenas go before the output is assembled, so the
-    // shuffle and the output are never both alive at full size.
+    // The runs and their arenas go before the output is written, so the
+    // shuffle and the output file are never both alive at full size.
     task_results.clear();
-    output.records.reserve(written.records);
-    for (RecordBatch& part : range_out) AppendBatch(&part, &output);
+    output = std::move(range_out);
   }
 
   auto stored_bytes = [&job](uint64_t logical) {
@@ -455,7 +440,7 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
                                        job.output_options.compression_ratio)
                : logical;
   };
-  stats.output_records = output.records.size();
+  stats.output_records = written.records;
   stats.output_bytes = stored_bytes(written.bytes());
   for (uint64_t bytes : written.from_bytes) {
     stats.shard_output_bytes.push_back(stored_bytes(bytes));

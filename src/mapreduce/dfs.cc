@@ -1,22 +1,76 @@
 #include "mapreduce/dfs.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/string_util.h"
 
 namespace rapida::mr {
 
+namespace {
+
+size_t VarintSize(uint32_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+char* AppendVarint(uint32_t v, char* out) {
+  for (; v >= 0x80; v >>= 7) *out++ = static_cast<char>((v & 0x7f) | 0x80);
+  *out++ = static_cast<char>(v);
+  return out;
+}
+
+}  // namespace
+
 Status Dfs::Write(const std::string& name, RecordBatch batch,
                   const FileOptions& options) {
-  // A file holds exactly one view per record: drop the growth slack of
-  // the producer's view array before the file adopts it.
-  batch.records.shrink_to_fit();
-  const uint64_t logical = batch.LogicalBytes();
-  uint64_t stored =
-      options.compressed
-          ? static_cast<uint64_t>(static_cast<double>(logical) *
-                                  options.compression_ratio)
-          : logical;
+  std::vector<RecordBatch> parts;
+  parts.push_back(std::move(batch));
+  return Write(name, std::move(parts), options);
+}
+
+Status Dfs::Write(const std::string& name, std::vector<RecordBatch> parts,
+                  const FileOptions& options) {
+  // Pack outside the lock: size the buffer exactly, then copy each part's
+  // records in and free the part.
+  File f;
+  uint64_t packed = 0;
+  for (const RecordBatch& part : parts) {
+    f.num_records_ += part.records.size();
+    for (const Record& r : part.records) {
+      f.logical_bytes += r.Bytes();
+      packed += VarintSize(r.key_size) + VarintSize(r.value_size) +
+                r.key_size + r.value_size;
+    }
+  }
+  if (packed > 0) f.bytes_.reset(new char[packed]);
+  f.index_.reserve((f.num_records_ + File::kIndexStride - 1) /
+                   File::kIndexStride);
+  char* const base = f.bytes_.get();
+  char* out = base;
+  uint64_t i = 0;
+  for (RecordBatch& part : parts) {
+    for (const Record& r : part.records) {
+      if (i++ % File::kIndexStride == 0) {
+        f.index_.push_back(static_cast<uint64_t>(out - base));
+      }
+      out = AppendVarint(r.key_size, out);
+      out = AppendVarint(r.value_size, out);
+      const size_t n = size_t{r.key_size} + r.value_size;
+      if (n > 0) std::memcpy(out, r.data, n);
+      out += n;
+    }
+    part = RecordBatch();
+  }
+  RAPIDA_DCHECK(static_cast<uint64_t>(out - base) == packed);
+  f.stored_bytes = options.compressed
+                       ? static_cast<uint64_t>(
+                             static_cast<double>(f.logical_bytes) *
+                             options.compression_ratio)
+                       : f.logical_bytes;
+  f.options = options;
+  const uint64_t stored = f.stored_bytes;
 
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t existing = 0;
@@ -36,12 +90,7 @@ Status Dfs::Write(const std::string& name, RecordBatch batch,
     peak_stored_bytes_ = total_stored_bytes_;
   }
   lifetime_bytes_written_ += stored;
-  File& f = files_[name];
-  f.records = std::move(batch.records);
-  f.arenas = std::move(batch.arenas);
-  f.logical_bytes = logical;
-  f.stored_bytes = stored;
-  f.options = options;
+  files_[name] = std::move(f);
   return Status::OK();
 }
 

@@ -5,10 +5,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "mapreduce/record.h"
+#include "util/logging.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -41,26 +43,91 @@ struct FileOptions {
 /// as in HDFS.
 class Dfs {
  public:
-  struct File {
-    /// Exactly one 32-byte view per record.
-    std::vector<Record> records;
-    /// Arenas owning the key‖value bytes the records view; they live as
-    /// long as the file, so readers holding the pointer Open() returned
-    /// see stable bytes.
-    std::vector<std::unique_ptr<util::Arena>> arenas;
+  /// A file at rest is its bytes, as a Hadoop SequenceFile is: the records
+  /// packed back to back in file order, each a varint key length, a varint
+  /// value length, the key bytes and the value bytes, in one exactly sized
+  /// buffer, plus a sparse index holding the byte offset of every
+  /// kIndexStride-th record. No 32-byte view is kept per record: readers
+  /// decode one stamped Record at a time (ForRange), and views exist only
+  /// inside a running job (a map task's run, the merge's heap and gather
+  /// buffer, the reduce's range batches).
+  class File {
+   public:
+    /// Records per index entry: a seek decodes fewer than this many
+    /// records past its entry.
+    static constexpr uint64_t kIndexStride = 64;
+
+    /// Number of records.
+    uint64_t size() const { return num_records_; }
+    bool empty() const { return num_records_ == 0; }
+
+    /// Calls fn(const Record&) on records [begin, end) in file order;
+    /// requires begin <= end <= size(). Each Record is decoded on the spot
+    /// with its key_prefix and key_hash stamped from its key, and lives for
+    /// the call; its key and value views point into the file's bytes,
+    /// which stay valid (at a stable address) for the file's lifetime.
+    template <typename Fn>
+    void ForRange(uint64_t begin, uint64_t end, Fn&& fn) const {
+      RAPIDA_CHECK(begin <= end && end <= num_records_)
+          << "record range [" << begin << ", " << end << ") of a "
+          << num_records_ << "-record file";
+      if (begin == end) return;
+      const char* p = bytes_.get() + index_[begin / kIndexStride];
+      for (uint64_t i = begin - begin % kIndexStride; i < begin; ++i) {
+        const uint32_t key_size = ReadVarint(&p);
+        const uint32_t value_size = ReadVarint(&p);
+        p += uint64_t{key_size} + value_size;
+      }
+      for (uint64_t i = begin; i < end; ++i) {
+        const uint32_t key_size = ReadVarint(&p);
+        const uint32_t value_size = ReadVarint(&p);
+        const std::string_view key(p, key_size);
+        fn(Record{p, key_size, value_size, KeyPrefix(key), HashKey(key)});
+        p += uint64_t{key_size} + value_size;
+      }
+    }
+
+    /// ForRange over the whole file.
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      ForRange(0, num_records_, fn);
+    }
+
     uint64_t logical_bytes = 0;  // sum of record footprints
     uint64_t stored_bytes = 0;   // after compression
     FileOptions options;
+
+   private:
+    friend class Dfs;
+
+    /// Little-endian base-128: 7 bits per byte, high bit set on every
+    /// byte but the last, so a length below 128 takes one byte.
+    static uint32_t ReadVarint(const char** p) {
+      uint32_t v = 0;
+      for (int shift = 0;; shift += 7) {
+        const auto b = static_cast<unsigned char>(*(*p)++);
+        v |= static_cast<uint32_t>(b & 0x7f) << shift;
+        if (b < 0x80) return v;
+      }
+    }
+
+    std::unique_ptr<char[]> bytes_;
+    uint64_t num_records_ = 0;
+    std::vector<uint64_t> index_;  // byte offset of record k * kIndexStride
   };
 
   Dfs() = default;
   Dfs(const Dfs&) = delete;
   Dfs& operator=(const Dfs&) = delete;
 
-  /// Writes (replaces) a file from an owning batch: the file adopts the
-  /// batch's record views and arenas as they are. Fails with
+  /// Writes (replaces) a file from owning batches: their records are
+  /// packed in order, part after part, and each part is freed as soon as
+  /// it is packed, outside the namespace lock. Fails with
   /// ResourceExhausted if the write would push total stored bytes beyond
   /// the capacity limit.
+  Status Write(const std::string& name, std::vector<RecordBatch> parts,
+               const FileOptions& options = {});
+  /// Write of a single part.
   Status Write(const std::string& name, RecordBatch batch,
                const FileOptions& options = {});
 

@@ -40,11 +40,13 @@ inline uint64_t KeyPrefix(std::string_view key) {
 /// Keys and values are serialized byte strings so every byte that would
 /// cross disk or network in a real deployment is measurable here. A Record
 /// is a 32-byte view: `data` points at the key bytes, immediately followed
-/// by the value bytes, in an arena owned by the producing map/reduce
-/// context (or the RecordBatch / Dfs::File it moved into). `key_prefix`
-/// and `key_hash` are stamped once when the record is created; every
-/// later copy (a sorted run, the merge's gather buffer, the job output)
-/// moves only the view, never the bytes.
+/// by the value bytes, either in the arena of the RecordBatch a map, combine
+/// or reduce context emitted it into, or in a Dfs::File's packed bytes, which
+/// a reader decodes one Record at a time. `key_prefix` and `key_hash` are
+/// stamped whenever a Record is made (at emit time, or on decode); every
+/// later copy inside a job (a sorted run, the merge's gather buffer) moves
+/// only the view, never the bytes. Views live only inside a running job:
+/// a file at rest keeps none.
 struct Record {
   const char* data = nullptr;
   uint32_t key_size = 0;
@@ -80,8 +82,8 @@ inline bool RecordKeyEq(const Record& a, const Record& b) {
 /// allocation and stamps the view on the spot, so callers may pass
 /// temporaries and no later pass builds views. This is the emission sink
 /// of every map/reduce context and the only way to hand record data to
-/// the Dfs; arenas never move their blocks, so views stay valid wherever
-/// the batch (and then the Dfs::File) is moved.
+/// the Dfs, which packs the records and frees the batch; arenas never move
+/// their blocks, so views stay valid wherever the batch is moved.
 class RecordBatch {
  public:
   RecordBatch() = default;

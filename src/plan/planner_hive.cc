@@ -8,6 +8,7 @@
 #include "engines/hive_mqo.h"
 #include "engines/relational_ops.h"
 #include "engines/var_translate.h"
+#include "mapreduce/record.h"
 #include "plan/executor.h"
 #include "plan/node_execs.h"
 #include "plan/passes.h"
@@ -226,7 +227,8 @@ int EmitHivePattern(PhysicalPlan* plan, engine::Dataset* dataset,
         }
         empty.exec = [cols](ExecContext* ctx, const PlanNode& node) -> Status {
           std::string file = ctx->rel->NextTmp(node.label + ":empty");
-          RAPIDA_RETURN_IF_ERROR(ctx->dataset->dfs().Write(file, {}));
+          RAPIDA_RETURN_IF_ERROR(
+              ctx->dataset->dfs().Write(file, mr::RecordBatch()));
           detail::SetOutput(ctx, node,
                             engine::TableRef{file, cols, nullptr, 0});
           return Status::OK();

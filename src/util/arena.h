@@ -18,7 +18,8 @@ namespace rapida::util {
 /// the MapReduce runtime gives every map task and reduce context its own
 /// batch, so the hot emit path is one Concat plus a pointer bump — no
 /// per-record operator new. Records outlive the emitting callback because
-/// the arenas move with the batch into the Dfs::File (blocks never move).
+/// the arenas move with the batch (blocks never move) until Dfs::Write
+/// packs its records into a file and frees it.
 /// rdf::Dictionary keeps its term bytes in one, so moving a dictionary
 /// moves the blocks' ownership and every view into them stays valid.
 class Arena {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "records_of.h"
 #include "workload/bsbm.h"
 
 namespace rapida::engine {
@@ -31,13 +32,13 @@ TEST(DatasetTest, VpTablesPartitionByPropertyAndTypeObject) {
   ASSERT_FALSE(price.empty());
   auto f = d.dfs().Open(price);
   ASSERT_TRUE(f.ok());
-  EXPECT_EQ((*f)->records.size(), 2u);
+  EXPECT_EQ((*f)->size(), 2u);
 
   // rdf:type gets per-object partitions, no generic table.
   EXPECT_TRUE(d.VpFile(d.type_id()).empty());
   std::string t1 = d.VpTypeFile(dict.LookupIri("T1"));
   ASSERT_FALSE(t1.empty());
-  EXPECT_EQ((*d.dfs().Open(t1))->records.size(), 1u);
+  EXPECT_EQ((*d.dfs().Open(t1))->size(), 1u);
 
   EXPECT_TRUE(d.VpFile(dict.LookupIri("nope")).empty());
   EXPECT_GT(d.VpFileBytes(price), 0u);
@@ -69,7 +70,7 @@ TEST(DatasetTest, TripleGroupsPartitionedByEquivalenceClass) {
   // Offers EC covers {product, price}.
   auto offer_files = d.TgFilesCovering({product, price});
   ASSERT_EQ(offer_files.size(), 1u);
-  EXPECT_EQ((*d.dfs().Open(offer_files[0]))->records.size(), 2u);
+  EXPECT_EQ((*d.dfs().Open(offer_files[0]))->size(), 2u);
 
   // {label} is covered by both product ECs.
   EXPECT_EQ(d.TgFilesCovering({label}).size(), 2u);
@@ -104,11 +105,10 @@ TEST(DatasetTest, BothLayoutsCarryEveryTriple) {
     auto file = d.dfs().Open(f);
     ASSERT_TRUE(file.ok());
     if (f.rfind("vp:", 0) == 0) {
-      vp_rows += (*file)->records.size();
+      vp_rows += (*file)->size();
     } else {
-      for (const mr::Record& r : (*file)->records) {
+      for (const auto& [key, value] : RecordsOf(**file)) {
         // Count ';' separators = triple count per group.
-        std::string_view value = r.value();
         tg_triples += static_cast<size_t>(
             std::count(value.begin(), value.end(), ';'));
       }

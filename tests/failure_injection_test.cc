@@ -9,6 +9,7 @@
 #include "sparql/parser.h"
 #include "workload/bsbm.h"
 #include "workload/catalog.h"
+#include "records_of.h"
 
 namespace rapida::engine {
 namespace {
@@ -75,9 +76,9 @@ TEST(FailureInjectionTest, CorruptTriplegroupRecordsAreSkipped) {
     auto file = dataset.dfs().Open(f);
     ASSERT_TRUE(file.ok());
     // Copy the bytes out via the batch before Write replaces the file (and
-    // drops the arenas the old views point into).
+    // frees the bytes the old records point into).
     mr::RecordBatch batch;
-    for (const mr::Record& r : (*file)->records) batch.Add(r.key(), r.value());
+    for (const auto& [key, value] : RecordsOf(**file)) batch.Add(key, value);
     batch.Add("junk", "not-a-triplegroup");
     batch.Add("", "");
     ASSERT_TRUE(dataset.dfs().Write(f, std::move(batch)).ok());

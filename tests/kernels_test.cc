@@ -15,6 +15,7 @@
 #include "sparql/parser.h"
 #include "util/hash_index.h"
 #include "util/string_util.h"
+#include "records_of.h"
 #include "rows_of.h"
 
 namespace rapida {
@@ -183,9 +184,7 @@ JobOutput RunCountJob(bool combine, int threads, int shards) {
   if (stats.ok()) out.stats = *stats;
   auto file = dfs.Open("out");
   EXPECT_TRUE(file.ok());
-  for (const mr::Record& r : (*file)->records) {
-    out.records.emplace_back(std::string(r.key()), std::string(r.value()));
-  }
+  out.records = RecordsOf(**file);
   return out;
 }
 

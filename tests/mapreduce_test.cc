@@ -8,6 +8,7 @@
 
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
+#include "records_of.h"
 #include "testing/normalize.h"
 #include "util/string_util.h"
 
@@ -26,7 +27,7 @@ TEST(DfsTest, WriteOpenDelete) {
   ASSERT_TRUE(dfs.Write("f1", MakeBatch({{"a", "1"}, {"b", "2"}})).ok());
   auto file = dfs.Open("f1");
   ASSERT_TRUE(file.ok());
-  EXPECT_EQ((*file)->records.size(), 2u);
+  EXPECT_EQ((*file)->size(), 2u);
   EXPECT_GT((*file)->stored_bytes, 0u);
   EXPECT_TRUE(dfs.Exists("f1"));
   ASSERT_TRUE(dfs.Delete("f1").ok());
@@ -75,6 +76,114 @@ TEST(DfsTest, OverwriteReplacesAccounting) {
   EXPECT_GT(dfs.LifetimeBytesWritten(), dfs.TotalStoredBytes());
 }
 
+/// `n` bytes that differ between records and include bytes >= 0x80, which
+/// a misplaced varint decode would read as length continuations.
+std::string Pattern(size_t n, size_t seed) {
+  std::string out(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>((seed * 31 + i * 7) % 256);
+  }
+  return out;
+}
+
+// A file at rest packs each record as a varint key length, a varint value
+// length, the key and the value. Every length at which a varint changes
+// width reads back exactly, as key and as value, each record stamped as
+// RecordBatch::Add stamps it, and the file's logical bytes are the sum of
+// the records' footprints.
+TEST(DfsTest, PackedRecordsRoundTripEveryVarintWidth) {
+  const std::vector<size_t> lengths = {0,     1,     127, 128,
+                                       16383, 16384, size_t{1} << 21};
+  std::vector<std::pair<std::string, std::string>> want;
+  for (size_t n : lengths) {
+    want.emplace_back(Pattern(n, want.size()), "");
+    want.emplace_back("", Pattern(n, want.size()));
+    want.emplace_back(Pattern(n, want.size()), Pattern(n + 1, want.size()));
+  }
+  want.emplace_back("", "");
+  RecordBatch batch;
+  uint64_t logical = 0;
+  for (const auto& [key, value] : want) {
+    batch.Add(key, value);
+    logical += key.size() + value.size() + 2;
+  }
+  Dfs dfs;
+  ASSERT_TRUE(dfs.Write("f", std::move(batch)).ok());
+  auto file = dfs.Open("f");
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ((*file)->size(), want.size());
+  EXPECT_EQ((*file)->logical_bytes, logical);
+  EXPECT_TRUE(RecordsOf(**file) == want);
+  size_t i = 0;
+  (*file)->ForEach([&](const Record& r) {
+    EXPECT_EQ(r.key_prefix, KeyPrefix(want[i].first)) << "record " << i;
+    EXPECT_EQ(r.key_hash, HashKey(want[i].first)) << "record " << i;
+    EXPECT_EQ(r.Bytes(), want[i].first.size() + want[i].second.size() + 2);
+    ++i;
+  });
+  EXPECT_EQ(i, want.size());
+}
+
+// Write packs its parts in order, into one file.
+TEST(DfsTest, WritePacksPartsInOrder) {
+  std::vector<RecordBatch> parts;
+  parts.push_back(MakeBatch({{"b", "1"}, {"a", "2"}}));
+  parts.push_back(RecordBatch());
+  parts.push_back(MakeBatch({{"c", "3"}}));
+  Dfs dfs;
+  ASSERT_TRUE(dfs.Write("f", std::move(parts)).ok());
+  auto file = dfs.Open("f");
+  ASSERT_TRUE(file.ok());
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"b", "1"}, {"a", "2"}, {"c", "3"}};
+  EXPECT_TRUE(RecordsOf(**file) == want);
+  EXPECT_EQ((*file)->logical_bytes, 3u * 4u);
+  EXPECT_EQ(dfs.TotalStoredBytes(), 3u * 4u);
+}
+
+// ForRange seeks through the sparse index: every range whose ends lie
+// within 2 records of an index-stride boundary (or of the file's end)
+// reads exactly that slice of a full read.
+TEST(DfsTest, ForRangeEqualsTheSliceOfAFullRead) {
+  constexpr uint64_t kStride = Dfs::File::kIndexStride;
+  constexpr uint64_t kRecords = 4 * kStride + 3;
+  RecordBatch batch;
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    // Values of 0-299 bytes: 1- and 2-byte length varints interleave.
+    batch.Add(std::to_string(i), Pattern(i * 37 % 300, i));
+  }
+  Dfs dfs;
+  ASSERT_TRUE(dfs.Write("f", std::move(batch)).ok());
+  auto file = dfs.Open("f");
+  ASSERT_TRUE(file.ok());
+  const auto all = RecordsOf(**file);
+  ASSERT_EQ(all.size(), kRecords);
+
+  std::vector<uint64_t> ends;
+  for (uint64_t boundary = 0; boundary <= kRecords + kStride;
+       boundary += kStride) {
+    const uint64_t mark = std::min(boundary, kRecords);
+    for (uint64_t p = mark < 2 ? 0 : mark - 2; p <= mark + 2; ++p) {
+      if (p <= kRecords) ends.push_back(p);
+    }
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  for (uint64_t b : ends) {
+    for (uint64_t e : ends) {
+      if (e < b) continue;
+      std::vector<std::pair<std::string, std::string>> got;
+      (*file)->ForRange(b, e, [&got](const Record& r) {
+        got.emplace_back(std::string(r.key()), std::string(r.value()));
+      });
+      const std::vector<std::pair<std::string, std::string>> slice(
+          all.begin() + static_cast<std::ptrdiff_t>(b),
+          all.begin() + static_cast<std::ptrdiff_t>(e));
+      EXPECT_TRUE(got == slice) << "records [" << b << ", " << e << ")";
+    }
+  }
+}
+
 class ClusterTest : public ::testing::Test {
  protected:
   ClusterTest() : cluster_(ClusterConfig{}, &dfs_) {}
@@ -111,10 +220,10 @@ TEST_F(ClusterTest, WordCount) {
   auto out = dfs_.Open("out");
   ASSERT_TRUE(out.ok());
   // Keys arrive in sorted order from the reduce phase.
-  EXPECT_EQ((*out)->records[0].key(), "a");
-  EXPECT_EQ((*out)->records[0].value(), "3");
-  EXPECT_EQ((*out)->records[1].key(), "b");
-  EXPECT_EQ((*out)->records[1].value(), "2");
+  EXPECT_EQ(RecordsOf(**out)[0].first, "a");
+  EXPECT_EQ(RecordsOf(**out)[0].second, "3");
+  EXPECT_EQ(RecordsOf(**out)[1].first, "b");
+  EXPECT_EQ(RecordsOf(**out)[1].second, "2");
 }
 
 TEST_F(ClusterTest, CombinerShrinksShuffle) {
@@ -151,7 +260,7 @@ TEST_F(ClusterTest, CombinerShrinksShuffle) {
   EXPECT_LT(with_combine->shuffle_records, no_combine->shuffle_records);
   // Same final answer either way.
   auto out = dfs_.Open("out");
-  EXPECT_EQ((*out)->records[0].value(), "200");
+  EXPECT_EQ(RecordsOf(**out)[0].second, "200");
 }
 
 TEST_F(ClusterTest, MapOnlyJobSkipsShuffle) {
@@ -168,7 +277,44 @@ TEST_F(ClusterTest, MapOnlyJobSkipsShuffle) {
   EXPECT_TRUE(stats->map_only);
   EXPECT_EQ(stats->shuffle_bytes, 0u);
   EXPECT_EQ(stats->num_reducers, 0);
-  EXPECT_EQ((*dfs_.Open("out"))->records.size(), 1u);
+  EXPECT_EQ((*dfs_.Open("out"))->size(), 1u);
+}
+
+// Splits are record ranges of the packed input: at a split size of a few
+// records, most splits start mid-stride of the file's index, and a
+// map-only identity job writes exactly its input, in order.
+TEST(ParallelClusterTest, MapOnlyIdentityJobWritesExactlyItsInput) {
+  constexpr uint64_t kRecords = 1000;
+  for (int threads : {1, 4}) {
+    Dfs dfs;
+    RecordBatch input;
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      input.Add(Pattern(i % 5, i), Pattern(i * 13 % 200, i + 1));
+    }
+    ASSERT_TRUE(dfs.Write("input", std::move(input)).ok());
+    ClusterConfig cfg;
+    cfg.exec_split_bytes = 300;
+    cfg.exec_threads = threads;
+    Cluster cluster(cfg, &dfs);
+    JobConfig job;
+    job.name = "identity";
+    job.inputs = {"input"};
+    job.output = "out";
+    job.map = [](const Record& r, int, MapContext* ctx) {
+      ctx->Emit(r.key(), r.value());
+    };
+    auto stats = cluster.Run(job);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    // Splits of a handful of records: far more than one per index stride.
+    EXPECT_GT(static_cast<uint64_t>(stats->num_mappers),
+              4 * kRecords / Dfs::File::kIndexStride);
+    EXPECT_EQ(stats->output_records, kRecords);
+    auto in = dfs.Open("input");
+    auto out = dfs.Open("out");
+    ASSERT_TRUE(in.ok() && out.ok());
+    EXPECT_TRUE(RecordsOf(**out) == RecordsOf(**in)) << threads << " threads";
+    EXPECT_EQ((*out)->logical_bytes, (*in)->logical_bytes);
+  }
 }
 
 TEST_F(ClusterTest, InputTagsDistinguishSides) {
@@ -192,8 +338,8 @@ TEST_F(ClusterTest, InputTagsDistinguishSides) {
   auto stats = cluster_.Run(job);
   ASSERT_TRUE(stats.ok());
   auto out = dfs_.Open("out");
-  EXPECT_NE((*out)->records[0].value().find("L:l"), std::string::npos);
-  EXPECT_NE((*out)->records[0].value().find("R:r"), std::string::npos);
+  EXPECT_NE(RecordsOf(**out)[0].second.find("L:l"), std::string::npos);
+  EXPECT_NE(RecordsOf(**out)[0].second.find("R:r"), std::string::npos);
 }
 
 TEST_F(ClusterTest, MapFinishFlushesPerMapperState) {
@@ -214,8 +360,8 @@ TEST_F(ClusterTest, MapFinishFlushesPerMapperState) {
   ASSERT_TRUE(stats.ok());
   // One flush per mapper; with a small input there is a single mapper.
   auto out = dfs_.Open("out");
-  ASSERT_EQ((*out)->records.size(), 1u);
-  EXPECT_EQ((*out)->records[0].value(), "10");
+  ASSERT_EQ((*out)->size(), 1u);
+  EXPECT_EQ(RecordsOf(**out)[0].second, "10");
 }
 
 TEST_F(ClusterTest, MissingInputFails) {
@@ -361,22 +507,23 @@ TEST(ParallelClusterTest, ThreadCountDoesNotChangeResults) {
     auto out1 = dfs1.Open("out");
     auto out8 = dfs8.Open("out");
     ASSERT_TRUE(out1.ok() && out8.ok());
-    ASSERT_EQ((*out1)->records.size(), (*out8)->records.size());
+    const auto records1 = RecordsOf(**out1);
+    const auto records8 = RecordsOf(**out8);
+    ASSERT_EQ(records1.size(), records8.size());
     // Byte-identical in original emission order...
-    for (size_t i = 0; i < (*out1)->records.size(); ++i) {
-      EXPECT_EQ((*out1)->records[i].key(), (*out8)->records[i].key());
-      EXPECT_EQ((*out1)->records[i].value(), (*out8)->records[i].value());
+    for (size_t i = 0; i < records1.size(); ++i) {
+      EXPECT_EQ(records1[i].first, records8[i].first);
+      EXPECT_EQ(records1[i].second, records8[i].second);
     }
     // ...and (a fortiori) after a canonical sort.
-    auto canon = [](const std::vector<Record>& recs) {
+    auto canon = [](const std::vector<std::pair<std::string, std::string>>&
+                        recs) {
       std::vector<std::string> out;
-      for (const Record& r : recs) {
-        out.push_back(std::string(r.key()) + "\t" + std::string(r.value()));
-      }
+      for (const auto& [key, value] : recs) out.push_back(key + "\t" + value);
       std::sort(out.begin(), out.end());
       return out;
     };
-    EXPECT_EQ(canon((*out1)->records), canon((*out8)->records));
+    EXPECT_EQ(canon(records1), canon(records8));
   }
 }
 
@@ -425,10 +572,10 @@ TEST_F(ClusterTest, ValueSpanAccessorsAgree) {
     EXPECT_EQ(stats->num_mappers > 1, split_bytes == 64);
     auto out = dfs_.Open("out");
     ASSERT_TRUE(out.ok());
-    ASSERT_EQ((*out)->records.size(), 2u);
-    EXPECT_EQ((*out)->records[0].key(), "k");
-    EXPECT_EQ((*out)->records[0].value(), expected);
-    EXPECT_EQ((*out)->records[1].value(), "only|");
+    ASSERT_EQ((*out)->size(), 2u);
+    EXPECT_EQ(RecordsOf(**out)[0].first, "k");
+    EXPECT_EQ(RecordsOf(**out)[0].second, expected);
+    EXPECT_EQ(RecordsOf(**out)[1].second, "only|");
   }
 }
 
@@ -546,9 +693,8 @@ TEST(ParallelClusterTest, ValueSpanReduceModesAreByteIdentical) {
             auto out = dfs.Open("out");
             ASSERT_TRUE(out.ok());
             std::vector<std::string> lines;
-            for (const Record& r : (*out)->records) {
-              lines.push_back(std::string(r.key()) + "\t" +
-                              std::string(r.value()));
+            for (const auto& [key, value] : RecordsOf(**out)) {
+              lines.push_back(key + "\t" + value);
             }
             EXPECT_EQ(lines, reference_lines);
             if (!baseline.has_value()) {
@@ -625,9 +771,11 @@ TEST(ParallelClusterTest, MapOnlyOutputOrderIsSplitOrder) {
   ExpectSameStats(*s1, *s8);
   auto out1 = dfs1.Open("out");
   auto out8 = dfs8.Open("out");
-  ASSERT_EQ((*out1)->records.size(), (*out8)->records.size());
-  for (size_t i = 0; i < (*out1)->records.size(); ++i) {
-    EXPECT_EQ((*out1)->records[i].value(), (*out8)->records[i].value());
+  const auto records1 = RecordsOf(**out1);
+  const auto records8 = RecordsOf(**out8);
+  ASSERT_EQ(records1.size(), records8.size());
+  for (size_t i = 0; i < records1.size(); ++i) {
+    EXPECT_EQ(records1[i].second, records8[i].second);
   }
 }
 
@@ -668,8 +816,8 @@ TEST(ParallelClusterTest, TaskStateIsPerMapTask) {
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_GT(stats->num_mappers, 1);
   auto out = dfs.Open("out");
-  ASSERT_EQ((*out)->records.size(), 1u);
-  EXPECT_EQ((*out)->records[0].value(), "300");
+  ASSERT_EQ((*out)->size(), 1u);
+  EXPECT_EQ(RecordsOf(**out)[0].second, "300");
 }
 
 // wall_seconds is recorded for every job.

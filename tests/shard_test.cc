@@ -19,6 +19,7 @@
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
 #include "mapreduce/sharding.h"
+#include "records_of.h"
 #include "testing/differential.h"
 
 namespace rapida::mr {
@@ -111,11 +112,11 @@ TEST(ShardedClusterTest, HashSubjectSchemeCrossesShards) {
   auto input = dfs.Open("input");
   ASSERT_TRUE(input.ok());
   uint64_t local = 0, cross = 0;
-  for (const Record& r : (*input)->records) {
+  (*input)->ForEach([&](const Record& r) {
     (AssignShard(r.key_hash, 4) == OwnerShard(r.key_hash, 4)
          ? local
          : cross) += r.Bytes();
-  }
+  });
   EXPECT_EQ(stats->shuffle_local_bytes, local);
   EXPECT_EQ(stats->shuffle_cross_bytes, cross);
   EXPECT_EQ(stats->shuffle_local_bytes + stats->shuffle_cross_bytes,
@@ -164,10 +165,12 @@ TEST(ShardedClusterTest, ResultsAreByteIdenticalToUnsharded) {
       ASSERT_TRUE(stats.ok()) << stats.status();
       auto out = dfs.Open("out");
       ASSERT_TRUE(out.ok());
-      ASSERT_EQ((*out)->records.size(), (*ref_out)->records.size());
-      for (size_t i = 0; i < (*out)->records.size(); ++i) {
-        EXPECT_EQ((*out)->records[i].key(), (*ref_out)->records[i].key());
-        EXPECT_EQ((*out)->records[i].value(), (*ref_out)->records[i].value());
+      const auto records = RecordsOf(**out);
+      const auto ref_records = RecordsOf(**ref_out);
+      ASSERT_EQ(records.size(), ref_records.size());
+      for (size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i].first, ref_records[i].first);
+        EXPECT_EQ(records[i].second, ref_records[i].second);
       }
       // Identical workflow counters, too: sharding is placement only.
       EXPECT_EQ(stats->shuffle_bytes, ref_stats->shuffle_bytes);
@@ -202,18 +205,18 @@ TEST(ShardedClusterTest, CombinerOutputIsBookedFromTheTaskShard) {
   ASSERT_TRUE(input.ok());
 
   std::vector<int> homes(kShards, 0);
-  for (const Record& r : (*input)->records) {
+  (*input)->ForEach([&](const Record& r) {
     homes[static_cast<size_t>(AssignShard(r.key_hash, kShards))]++;
-  }
+  });
   const int task_home = static_cast<int>(
       std::max_element(homes.begin(), homes.end()) - homes.begin());
   uint64_t total = 0, record_local = 0, task_local = 0;
-  for (const Record& r : (*input)->records) {
+  (*input)->ForEach([&](const Record& r) {
     const int owner = OwnerShard(r.key_hash, kShards);
     total += r.Bytes();
     if (AssignShard(r.key_hash, kShards) == owner) record_local += r.Bytes();
     if (task_home == owner) task_local += r.Bytes();
-  }
+  });
   // The input tells the rules apart: the two bookings differ, and the
   // task's home is not shard 0, where an unplaced emission would land.
   ASSERT_NE(record_local, task_local);
@@ -269,10 +272,10 @@ TEST(ShardedClusterTest, ShardOwnershipPartitionsTheOutput) {
   // key, so each shard's byte share is exactly the records it owns.
   std::vector<uint64_t> owned(4, 0);
   std::vector<uint64_t> homed(4, 0);
-  for (const Record& r : (*out)->records) {
+  (*out)->ForEach([&](const Record& r) {
     owned[static_cast<size_t>(OwnerShard(r.key_hash, 4))] += r.Bytes();
     homed[static_cast<size_t>(AssignShard(r.key_hash, 4))] += r.Bytes();
-  }
+  });
   // Booking from the keys' homes instead would give another split.
   ASSERT_NE(owned, homed);
   EXPECT_EQ(stats->shard_output_bytes, owned);
@@ -299,15 +302,15 @@ TEST(ShardedClusterTest, MapOnlyOutputFollowsRecordHomes) {
   EXPECT_EQ(stats->shuffle_bytes, 0u);
   auto out = dfs.Open("out");
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ((*out)->records.size(), 32u);
+  ASSERT_EQ((*out)->size(), 32u);
   // A map-only record stays on the home shard of the input record that
   // produced it; this map keeps keys, so the home follows the output key.
   std::vector<uint64_t> homed(2, 0);
   std::vector<uint64_t> owned(2, 0);
-  for (const Record& r : (*out)->records) {
+  (*out)->ForEach([&](const Record& r) {
     homed[static_cast<size_t>(AssignShard(r.key_hash, 2))] += r.Bytes();
     owned[static_cast<size_t>(OwnerShard(r.key_hash, 2))] += r.Bytes();
-  }
+  });
   // Booking from the keys' owners instead would give another split.
   ASSERT_NE(homed, owned);
   EXPECT_EQ(stats->shard_output_bytes, homed);
