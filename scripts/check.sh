@@ -203,7 +203,8 @@ cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
       golden_test optional_union_test storage_test rapida_serve plan_ir_test \
       pass_differential_test property_invariants_test rdf_test \
       factorize_test relational_ops_test binding_test reference_evaluator_test \
-      mapreduce_test shard_test engines_test kernels_test dataset_test
+      mapreduce_test shard_test engines_test kernels_test dataset_test \
+      record_footprint_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: differential fuzz, sharded data plane (50 seeds, 4 shards) =="
 # Every operator runs at 4 shards, booking each emission's placement.
@@ -239,6 +240,8 @@ echo "== ASan: MapReduce runtime (sorted runs, key-range merge, shards) =="
 
 echo "== ASan: dataset_test (VP and triplegroup layouts packed at rest) =="
 ./build-asan/tests/dataset_test
+echo "== ASan: record_footprint_test (the largest packed runs and layouts) =="
+./build-asan/tests/record_footprint_test
 
 echo "== ASan: engines_test, kernels_test (every engine's aggregation fold) =="
 ./build-asan/tests/engines_test
@@ -267,16 +270,17 @@ grep -q '"corrupt": *[1-9]' "$CORRUPT_OUT" || {
 }
 
 echo "== UndefinedBehaviorSanitizer build (RAPIDA_SANITIZE=undefined) =="
-# The record plane is raw pointer and u32-length arithmetic (one 32-byte
-# view per record into arena-owned key||value bytes inside a job, and
-# varint-framed records packed back to back in a file at rest); any UB
-# finding aborts (-fno-sanitize-recover=all).
+# The record plane is raw pointer and varint-length arithmetic (records
+# packed back to back in a batch's chunks inside a job and in a file at
+# rest, 16-byte order entries whose positions address the chunks, and
+# 32-byte views decoded from both); any UB finding aborts
+# (-fno-sanitize-recover=all).
 cmake -B build-ubsan -S . -DRAPIDA_SANITIZE=undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-ubsan -j "$JOBS" --target \
       mapreduce_test kernels_test shard_test storage_test rdf_test rapida_fuzz \
       factorize_test relational_ops_test binding_test reference_evaluator_test \
-      engines_test dataset_test
+      engines_test dataset_test record_footprint_test
 echo "== UBSan: mapreduce_test =="
 ./build-ubsan/tests/mapreduce_test
 echo "== UBSan: kernels_test =="
@@ -285,6 +289,8 @@ echo "== UBSan: shard_test =="
 ./build-ubsan/tests/shard_test
 echo "== UBSan: dataset_test (VP and triplegroup layouts packed at rest) =="
 ./build-ubsan/tests/dataset_test
+echo "== UBSan: record_footprint_test (the largest packed runs and layouts) =="
+./build-ubsan/tests/record_footprint_test
 echo "== UBSan: storage_test (record codec truncation / corruption) =="
 ./build-ubsan/tests/storage_test
 echo "== UBSan: rdf_test (term store entry bitfields, arena views) =="

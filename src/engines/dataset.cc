@@ -1,6 +1,8 @@
 #include "engines/dataset.h"
 
 #include <algorithm>
+#include <span>
+#include <string>
 
 #include "mapreduce/record.h"
 
@@ -52,23 +54,27 @@ Status Dataset::EnsureTripleGroups() {
   // ablation knob off, everything shares one catch-all class (its EC is
   // empty, so it "covers" only empty requirements — TgFilesCovering then
   // must return it for every request, handled below).
-  // The subject groups are a grouped copy of every triple: built here,
-  // and each group's triples are released once its record is written.
+  // The walk holds one sorted copy of the triples and the classes' packed
+  // records; each subject's triplegroup is serialized through reused
+  // scratch.
   std::map<std::set<rdf::TermId>, mr::RecordBatch> classes;
   std::set<rdf::TermId> all_props;
-  for (rdf::Graph::SubjectGroup& sg : graph_.SubjectGroups()) {
-    std::set<rdf::TermId> ec;
-    for (const rdf::Triple& t : sg.triples) {
-      ec.insert(t.p);
-      all_props.insert(t.p);
-    }
-    ntga::TripleGroup tg;
-    tg.subject = sg.subject;
-    tg.triples = std::move(sg.triples);
-    if (!options_.tg_partition_by_ec) ec.clear();
-    classes[std::move(ec)].Add(std::to_string(sg.subject),
-                               ntga::SerializeTripleGroup(tg));
-  }
+  ntga::TripleGroup tg;
+  std::string value;
+  graph_.ForEachSubject(
+      [&](rdf::TermId subject, std::span<const rdf::Triple> triples) {
+        std::set<rdf::TermId> ec;
+        for (const rdf::Triple& t : triples) {
+          ec.insert(t.p);
+          all_props.insert(t.p);
+        }
+        tg.subject = subject;
+        tg.triples.assign(triples.begin(), triples.end());
+        value.clear();
+        ntga::SerializeTripleGroupTo(tg, &value);
+        if (!options_.tg_partition_by_ec) ec.clear();
+        classes[std::move(ec)].Add(std::to_string(subject), value);
+      });
   if (!options_.tg_partition_by_ec && !classes.empty()) {
     // The single file must cover every property request.
     mr::RecordBatch records = std::move(classes.begin()->second);

@@ -7,22 +7,6 @@
 
 namespace rapida::mr {
 
-namespace {
-
-size_t VarintSize(uint32_t v) {
-  size_t n = 1;
-  for (; v >= 0x80; v >>= 7) ++n;
-  return n;
-}
-
-char* AppendVarint(uint32_t v, char* out) {
-  for (; v >= 0x80; v >>= 7) *out++ = static_cast<char>((v & 0x7f) | 0x80);
-  *out++ = static_cast<char>(v);
-  return out;
-}
-
-}  // namespace
-
 Status Dfs::Write(const std::string& name, RecordBatch batch,
                   const FileOptions& options) {
   std::vector<RecordBatch> parts;
@@ -32,38 +16,40 @@ Status Dfs::Write(const std::string& name, RecordBatch batch,
 
 Status Dfs::Write(const std::string& name, std::vector<RecordBatch> parts,
                   const FileOptions& options) {
-  // Pack outside the lock: size the buffer exactly, then copy each part's
-  // records in and free the part.
+  // Copy outside the lock: size the buffer exactly, copy each part's
+  // chunks in and free the part, then index the copy.
   File f;
   uint64_t packed = 0;
   for (const RecordBatch& part : parts) {
-    f.num_records_ += part.records.size();
-    for (const Record& r : part.records) {
-      f.logical_bytes += r.Bytes();
-      packed += VarintSize(r.key_size) + VarintSize(r.value_size) +
-                r.key_size + r.value_size;
+    f.num_records_ += part.size();
+    f.logical_bytes += part.LogicalBytes();
+    for (size_t c = 0; c < part.num_chunks(); ++c) {
+      packed += part.chunk(c).size();
     }
   }
   if (packed > 0) f.bytes_.reset(new char[packed]);
-  f.index_.reserve((f.num_records_ + File::kIndexStride - 1) /
-                   File::kIndexStride);
   char* const base = f.bytes_.get();
   char* out = base;
-  uint64_t i = 0;
   for (RecordBatch& part : parts) {
-    for (const Record& r : part.records) {
-      if (i++ % File::kIndexStride == 0) {
-        f.index_.push_back(static_cast<uint64_t>(out - base));
-      }
-      out = AppendVarint(r.key_size, out);
-      out = AppendVarint(r.value_size, out);
-      const size_t n = size_t{r.key_size} + r.value_size;
-      if (n > 0) std::memcpy(out, r.data, n);
-      out += n;
+    for (size_t c = 0; c < part.num_chunks(); ++c) {
+      const std::string_view chunk = part.chunk(c);
+      std::memcpy(out, chunk.data(), chunk.size());
+      out += chunk.size();
     }
     part = RecordBatch();
   }
   RAPIDA_DCHECK(static_cast<uint64_t>(out - base) == packed);
+  f.index_.reserve((f.num_records_ + File::kIndexStride - 1) /
+                   File::kIndexStride);
+  const char* p = base;
+  Record r;
+  for (uint64_t i = 0; i < f.num_records_; ++i) {
+    if (i % File::kIndexStride == 0) {
+      f.index_.push_back(static_cast<uint64_t>(p - base));
+    }
+    p = UnpackRecord(p, &r);
+  }
+  RAPIDA_DCHECK(p == out);
   f.stored_bytes = options.compressed
                        ? static_cast<uint64_t>(
                              static_cast<double>(f.logical_bytes) *

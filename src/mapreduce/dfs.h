@@ -44,13 +44,10 @@ struct FileOptions {
 class Dfs {
  public:
   /// A file at rest is its bytes, as a Hadoop SequenceFile is: the records
-  /// packed back to back in file order, each a varint key length, a varint
-  /// value length, the key bytes and the value bytes, in one exactly sized
-  /// buffer, plus a sparse index holding the byte offset of every
-  /// kIndexStride-th record. No 32-byte view is kept per record: readers
-  /// decode one stamped Record at a time (ForRange), and views exist only
-  /// inside a running job (a map task's run, the merge's heap and gather
-  /// buffer, the reduce's range batches).
+  /// in file order, packed as a RecordBatch packs them (PackRecord), in one
+  /// exactly sized buffer, plus a sparse index holding the byte offset of
+  /// every kIndexStride-th record. No 32-byte view is kept per record:
+  /// readers decode one stamped Record at a time (ForRange).
   class File {
    public:
     /// Records per index entry: a seek decodes fewer than this many
@@ -73,17 +70,15 @@ class Dfs {
           << num_records_ << "-record file";
       if (begin == end) return;
       const char* p = bytes_.get() + index_[begin / kIndexStride];
+      Record r;
       for (uint64_t i = begin - begin % kIndexStride; i < begin; ++i) {
-        const uint32_t key_size = ReadVarint(&p);
-        const uint32_t value_size = ReadVarint(&p);
-        p += uint64_t{key_size} + value_size;
+        p = UnpackRecord(p, &r);
       }
       for (uint64_t i = begin; i < end; ++i) {
-        const uint32_t key_size = ReadVarint(&p);
-        const uint32_t value_size = ReadVarint(&p);
-        const std::string_view key(p, key_size);
-        fn(Record{p, key_size, value_size, KeyPrefix(key), HashKey(key)});
-        p += uint64_t{key_size} + value_size;
+        p = UnpackRecord(p, &r);
+        r.key_prefix = KeyPrefix(r.key());
+        r.key_hash = HashKey(r.key());
+        fn(static_cast<const Record&>(r));
       }
     }
 
@@ -100,17 +95,6 @@ class Dfs {
    private:
     friend class Dfs;
 
-    /// Little-endian base-128: 7 bits per byte, high bit set on every
-    /// byte but the last, so a length below 128 takes one byte.
-    static uint32_t ReadVarint(const char** p) {
-      uint32_t v = 0;
-      for (int shift = 0;; shift += 7) {
-        const auto b = static_cast<unsigned char>(*(*p)++);
-        v |= static_cast<uint32_t>(b & 0x7f) << shift;
-        if (b < 0x80) return v;
-      }
-    }
-
     std::unique_ptr<char[]> bytes_;
     uint64_t num_records_ = 0;
     std::vector<uint64_t> index_;  // byte offset of record k * kIndexStride
@@ -120,9 +104,10 @@ class Dfs {
   Dfs(const Dfs&) = delete;
   Dfs& operator=(const Dfs&) = delete;
 
-  /// Writes (replaces) a file from owning batches: their records are
-  /// packed in order, part after part, and each part is freed as soon as
-  /// it is packed, outside the namespace lock. Fails with
+  /// Writes (replaces) a file from owning batches: each part's chunks are
+  /// copied in order, part after part, into the file's exactly sized
+  /// buffer, and each part is freed as soon as it is copied, outside the
+  /// namespace lock; the index is built over the copy. Fails with
   /// ResourceExhausted if the write would push total stored bytes beyond
   /// the capacity limit.
   Status Write(const std::string& name, std::vector<RecordBatch> parts,

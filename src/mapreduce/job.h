@@ -65,9 +65,8 @@ class TaskStateBase {
 class MapContext : public TaskStateBase {
  public:
   virtual ~MapContext() = default;
-  /// Copies key‖value into the task's arena and stamps the record view
-  /// on the spot, so temporaries are fine; no per-record heap allocation
-  /// happens on this path.
+  /// Packs key‖value into the task's RecordBatch, so temporaries are
+  /// fine; no per-record heap allocation happens on this path.
   virtual void Emit(std::string_view key, std::string_view value) = 0;
 
   /// This map task's index in split order (inputs in JobConfig order,
@@ -92,11 +91,11 @@ class ReduceContext : public TaskStateBase {
   virtual void Emit(std::string_view key, std::string_view value) = 0;
 };
 
-/// Zero-copy view of one key group's values in (map task, emission) order:
-/// a slice of one map task's sorted run when one run holds the key, or the
-/// merge's reused gather buffer, filled in run order, when several do.
-/// Iterating a ValueSpan yields each record's value as a string_view into
-/// the run's bytes. Valid only for the duration of the reduce/combine call
+/// One key group's values in (map task, emission) order: a span of the
+/// records the merge (or the combiner's walk) decoded into its reused
+/// gather buffer, whether one run holds the key or several. Iterating a
+/// ValueSpan yields each record's value as a string_view into the run's
+/// packed bytes. Valid only for the duration of the reduce/combine call
 /// it is passed to.
 class ValueSpan {
  public:
@@ -154,7 +153,7 @@ using MapFn =
 using MapFinishFn = std::function<void(MapContext*)>;
 
 /// Reduce (and combine) function: one distinct key with all its values.
-/// The key and the spanned values point into the map tasks' sorted runs
+/// The key and the spanned values point into the map tasks' packed runs
 /// and stay valid only for this call; copy anything that must outlive it.
 using ReduceFn = std::function<void(std::string_view key,
                                     const ValueSpan& values, ReduceContext*)>;

@@ -42,19 +42,19 @@ bool ReadU64(std::string_view data, size_t* offset, uint64_t* v) {
 
 void AppendRecordBatch(const RecordBatch& batch, std::string* out) {
   uint64_t key_bytes = 0, value_bytes = 0;
-  for (const Record& r : batch.records) {
+  batch.ForEach([&](const Record& r, uint64_t) {
     key_bytes += r.key_size;
     value_bytes += r.value_size;
-  }
-  AppendU64(batch.records.size(), out);
+  });
+  AppendU64(batch.size(), out);
   AppendU64(key_bytes, out);
   AppendU64(value_bytes, out);
-  for (const Record& r : batch.records) {
+  batch.ForEach([out](const Record& r, uint64_t) {
     AppendU32(r.key_size, out);
     out->append(r.key());
     AppendU32(r.value_size, out);
     out->append(r.value());
-  }
+  });
 }
 
 namespace {
@@ -83,7 +83,6 @@ Status ParseRecordBatch(std::string_view data, RecordBatch* out) {
                             "fill the " + std::to_string(remaining) +
                             "-byte buffer");
   }
-  out->records.reserve(count);
   uint64_t seen_keys = 0, seen_values = 0;
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t key_len = 0, value_len = 0;

@@ -23,8 +23,8 @@ namespace rapida::mr {
 ///     u32 value_len, value bytes
 ///
 /// key_prefix / key_hash are not stored: both are pure functions of the key
-/// bytes and are re-stamped by RecordBatch::Add on decode, so a decoded
-/// batch holds exactly the records serialized, in one arena.
+/// bytes. A decoded batch holds exactly the records serialized, packed by
+/// RecordBatch::Add.
 ///
 /// Decoding validates every length against the remaining buffer and the
 /// declared totals; any mismatch returns DataLoss (a truncated or

@@ -41,17 +41,4 @@ std::unordered_map<TermId, uint64_t> Graph::PropertyCounts() const {
   return counts;
 }
 
-std::vector<Graph::SubjectGroup> Graph::SubjectGroups() const {
-  std::vector<Triple> sorted = triples_;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<SubjectGroup> groups;
-  for (const Triple& t : sorted) {
-    if (groups.empty() || groups.back().subject != t.s) {
-      groups.push_back(SubjectGroup{t.s, {}});
-    }
-    groups.back().triples.push_back(t);
-  }
-  return groups;
-}
-
 }  // namespace rapida::rdf

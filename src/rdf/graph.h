@@ -1,7 +1,9 @@
 #ifndef RAPIDA_RDF_GRAPH_H_
 #define RAPIDA_RDF_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -58,15 +60,20 @@ class Graph {
   /// All distinct property ids, with triple counts.
   std::unordered_map<TermId, uint64_t> PropertyCounts() const;
 
-  /// Triples grouped by subject, each group's triples ordered by property.
-  /// The subject order is ascending by id. Built fresh on each call and
-  /// owned by the caller: a grouped copy of every triple, so keep it only
-  /// as long as the grouping is needed.
-  struct SubjectGroup {
-    TermId subject;
-    std::vector<Triple> triples;
-  };
-  std::vector<SubjectGroup> SubjectGroups() const;
+  /// Calls fn(TermId subject, std::span<const Triple> triples) once per
+  /// subject, in ascending subject id order, with the subject's triples
+  /// ordered by property, then object. The spans point into one sorted
+  /// copy of the triples, made for the walk and freed when it returns.
+  template <typename Fn>
+  void ForEachSubject(Fn&& fn) const {
+    std::vector<Triple> sorted = triples_;
+    std::sort(sorted.begin(), sorted.end());
+    for (size_t begin = 0, end = 0; begin < sorted.size(); begin = end) {
+      while (end < sorted.size() && sorted[end].s == sorted[begin].s) ++end;
+      fn(sorted[begin].s,
+         std::span<const Triple>(sorted.data() + begin, end - begin));
+    }
+  }
 
   /// Rough serialized size in bytes, as the DFS would store it in N-Triples
   /// text: the three terms' text plus 8 separator bytes per triple. Used by

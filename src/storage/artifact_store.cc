@@ -241,10 +241,9 @@ StatusOr<analytics::BindingTable> DeserializeTable(
     const mr::RecordBatch& rows, const std::vector<std::string>& columns,
     rdf::Dictionary* dict) {
   analytics::BindingTable table(columns);
-  table.ReserveRows(rows.records.size());
+  table.ReserveRows(rows.size());
   std::vector<rdf::TermId> row;
-  for (const mr::Record& r : rows.records) {
-    std::string_view value = r.value();
+  auto add_row = [&](std::string_view value) -> Status {
     size_t offset = 0;
     row.clear();
     while (offset < value.size()) {
@@ -258,7 +257,13 @@ StatusOr<analytics::BindingTable> DeserializeTable(
           std::to_string(columns.size()) + " columns");
     }
     table.AddRow(row);
-  }
+    return Status::OK();
+  };
+  Status status;
+  rows.ForEach([&](const mr::Record& r, uint64_t) {
+    if (status.ok()) status = add_row(r.value());
+  });
+  RAPIDA_RETURN_IF_ERROR(status);
   return table;
 }
 
@@ -470,7 +475,7 @@ StatusOr<analytics::BindingTable> DeserializeArtifact(const Artifact& artifact,
     return Status::OK();
   };
 
-  for (const mr::Record& r : artifact.rows.records) {
+  auto add_record = [&](const mr::Record& r) -> Status {
     std::string_view key = r.key();
     std::string_view value = r.value();
     size_t offset = 0;
@@ -484,7 +489,7 @@ StatusOr<analytics::BindingTable> DeserializeArtifact(const Artifact& artifact,
       RAPIDA_RETURN_IF_ERROR(flush());
       base = id;
       open = true;
-      continue;
+      return Status::OK();
     }
     if (key.size() < 2 || key[0] != 'f' || !open) {
       return Status::DataLoss("factorized artifact has record key '" +
@@ -498,7 +503,13 @@ StatusOr<analytics::BindingTable> DeserializeArtifact(const Artifact& artifact,
                               std::string(key) + "' out of range");
     }
     factors[j].push_back(id);
-  }
+    return Status::OK();
+  };
+  Status status;
+  artifact.rows.ForEach([&](const mr::Record& r, uint64_t) {
+    if (status.ok()) status = add_record(r);
+  });
+  RAPIDA_RETURN_IF_ERROR(status);
   RAPIDA_RETURN_IF_ERROR(flush());
   return table;
 }

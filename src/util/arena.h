@@ -10,16 +10,21 @@
 
 namespace rapida::util {
 
-/// Bump allocator for record payloads: bytes copied in stay valid (and at a
-/// stable address) until the arena is destroyed. One arena serves one
-/// producer thread; it is not internally synchronized.
+/// Bump allocator: bytes copied in stay valid (and at a stable address)
+/// until the arena is destroyed. One arena serves one producer thread; it
+/// is not internally synchronized.
 ///
-/// Every mr::RecordBatch owns the arenas its record views point into, and
-/// the MapReduce runtime gives every map task and reduce context its own
-/// batch, so the hot emit path is one Concat plus a pointer bump — no
-/// per-record operator new. Records outlive the emitting callback because
-/// the arenas move with the batch (blocks never move) until Dfs::Write
-/// packs its records into a file and frees it.
+/// Blocks fill in order: a request that does not fit the current block's
+/// remainder opens a new block (one of exactly its size when it is larger
+/// than the next block would be) and the remainder stays unused. So a
+/// (block index, offset) pair, read as one number, is allocation order.
+/// Block sizes double from 4 KiB up to 64 KiB, so a producer holds at
+/// most one 64 KiB block of slack however much it writes.
+///
+/// Every mr::RecordBatch keeps its packed records in one: each map task,
+/// combiner and reduce key range emits into its own batch, so the hot emit
+/// path is one Allocate plus a pointer bump, with no per-record operator
+/// new, and a record's position in the batch is its (block, offset).
 /// rdf::Dictionary keeps its term bytes in one, so moving a dictionary
 /// moves the blocks' ownership and every view into them stays valid.
 class Arena {
@@ -33,11 +38,21 @@ class Arena {
     if (this != &other) {
       blocks_ = std::move(other.blocks_);
       other.blocks_.clear();
-      cursor_ = std::exchange(other.cursor_, nullptr);
-      remaining_ = std::exchange(other.remaining_, 0);
       next_block_bytes_ = std::exchange(other.next_block_bytes_, kFirstBlock);
     }
     return *this;
+  }
+
+  /// Reserves n > 0 bytes for the caller to fill, at the end of the
+  /// current block or at the start of a new one.
+  char* Allocate(size_t n) {
+    if (blocks_.empty() || blocks_.back().capacity - blocks_.back().used < n) {
+      AddBlock(n);
+    }
+    Block& b = blocks_.back();
+    char* dst = b.bytes.get() + b.used;
+    b.used += n;
+    return dst;
   }
 
   /// Copies the concatenation a+b in one contiguous allocation and returns
@@ -46,18 +61,27 @@ class Arena {
   std::string_view Concat(std::string_view a, std::string_view b) {
     const size_t n = a.size() + b.size();
     if (n == 0) return std::string_view(EmptyMarker(), 0);
-    if (n > remaining_) AddBlock(n);
-    char* dst = cursor_;
-    cursor_ += n;
-    remaining_ -= n;
+    char* dst = Allocate(n);
     if (!a.empty()) std::memcpy(dst, a.data(), a.size());
     if (!b.empty()) std::memcpy(dst + a.size(), b.data(), b.size());
     return std::string_view(dst, n);
   }
 
+  size_t num_blocks() const { return blocks_.size(); }
+  /// Block i's allocated bytes, in allocation order.
+  std::string_view block(size_t i) const {
+    return std::string_view(blocks_[i].bytes.get(), blocks_[i].used);
+  }
+
  private:
   static constexpr size_t kFirstBlock = 4 * 1024;
-  static constexpr size_t kMaxBlock = 1024 * 1024;
+  static constexpr size_t kMaxBlock = 64 * 1024;
+
+  struct Block {
+    std::unique_ptr<char[]> bytes;
+    size_t capacity = 0;
+    size_t used = 0;
+  };
 
   // Empty views still need a non-null data() distinguishable from "no
   // value"; point them at a static byte instead of burning arena space.
@@ -68,9 +92,7 @@ class Arena {
 
   void AddBlock(size_t min_bytes);
 
-  std::vector<std::unique_ptr<char[]>> blocks_;
-  char* cursor_ = nullptr;
-  size_t remaining_ = 0;
+  std::vector<Block> blocks_;
   size_t next_block_bytes_ = kFirstBlock;
 };
 

@@ -148,7 +148,7 @@ TEST(FactorizedCodec, FlatRowIsTheZeroFactorGroup) {
                  EncodeRow(row) + "'");
     mr::RecordBatch batch;
     batch.Add("", EncodeRow(row));
-    const mr::Record& record = batch.records[0];
+    const mr::Record record = batch.At(0);
 
     Factorization flat;
     flat.width = static_cast<int>(row.size());

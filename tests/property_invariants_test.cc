@@ -6,6 +6,8 @@
 //  * partial aggregate merging is order-insensitive.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "analytics/aggregates.h"
 #include "analytics/reference_evaluator.h"
 #include "engines/engines.h"
@@ -73,10 +75,11 @@ TEST_P(CompositeEquivalenceTest, CompositeMatchesDirectEvaluation) {
 
   // Composite evaluation with the in-memory operators.
   std::vector<ntga::NestedTripleGroup> stars0, stars1;
-  for (const rdf::Graph::SubjectGroup& sg : graph.SubjectGroups()) {
+  graph.ForEachSubject([&](rdf::TermId subject,
+                           std::span<const rdf::Triple> triples) {
     ntga::TripleGroup tg;
-    tg.subject = sg.subject;
-    tg.triples = sg.triples;
+    tg.subject = subject;
+    tg.triples.assign(triples.begin(), triples.end());
     for (int s = 0; s < 2; ++s) {
       auto filtered =
           ntga::FilterStar(tg, resolved.stars[s], resolved.type_id);
@@ -86,7 +89,7 @@ TEST_P(CompositeEquivalenceTest, CompositeMatchesDirectEvaluation) {
       ntg.stars[s] = std::move(*filtered);
       (s == 0 ? stars0 : stars1).push_back(std::move(ntg));
     }
-  }
+  });
   std::vector<ntga::NestedTripleGroup> joined = ntga::AlphaJoin(
       stars1, stars0, resolved.joins[0], {}, resolved.type_id);
 
